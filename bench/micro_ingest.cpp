@@ -9,8 +9,10 @@
 // machine-readable record.  The warm pass must hit the snapshot cache
 // (`ingest.cache_hit` == 1) and the delta-warm pass — after a few records
 // are appended — must parse only the tail (`ingest.delta_hit` == 1 with
-// `delta_tail_fraction` well under 5%); tier-1 asserts on all three, and
-// tools/bench_compare.py diffs the throughput keys between runs:
+// `delta_tail_fraction` well under 5%) and rewrite the base
+// (`snapshot.written` == 2 with the cold pass's); tier-1 asserts on all
+// of these, and tools/bench_compare.py diffs the throughput keys between
+// runs:
 //
 //   ./micro_ingest [--benchmark_filter=RE] [--bench-out F] [--threads N]
 //
@@ -150,11 +152,12 @@ std::string appended_tle_tail() {
 
 /// The telemetry pass: cold → warm → append → delta-warm from_files runs
 /// against a fresh cache directory, sharing one metrics registry.  The cold
-/// run parses text and writes the snapshot (snapshot.written == 1); the
-/// warm run must load it (ingest.cache_hit == 1); the delta-warm run, after
-/// a few records are appended, must parse only the tail (ingest.delta_hit
-/// == 1, with throughput key `delta_tail_fraction` ≪ 1) — the counters
-/// tier-1 asserts on.
+/// run parses text and writes the snapshot; the warm run must load it
+/// (ingest.cache_hit == 1); the delta-warm run, after a few records are
+/// appended, must parse only the tail (ingest.delta_hit == 1, with
+/// throughput key `delta_tail_fraction` ≪ 1) and rewrite the base, so the
+/// pass writes two snapshots (snapshot.written == 2) — the counters tier-1
+/// asserts on.
 void run_telemetry_pass(const std::string& out_path, int threads) {
   const BenchDataset& data = shared_dataset();
   obs::Metrics metrics;

@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <cstddef>
-#include <span>
+#include <optional>
 #include <string_view>
 
 #include "io/file.hpp"
@@ -87,157 +87,128 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
 
   const bool use_cache = !config.cache_dir.empty();
   std::string snapshot_path;
+  io::SnapshotData data;
+  // The current inputs' state, once a classification has fingerprinted them.
+  std::optional<io::IngestState> state;
+  io::InputMatch match = io::InputMatch::kMismatch;
   if (use_cache) {
     snapshot_path =
         io::snapshot_cache_path(config.cache_dir, wdc_dst_path, tle_path);
     std::optional<io::SnapshotData> snapshot = io::load_snapshot(
         snapshot_path, config.parse_policy, config.metrics, config.num_threads);
     if (snapshot.has_value()) {
-      const io::InputClassification cls = io::classify_inputs(
-          snapshot->state, dst_file.view(), tle_file.view());
-      if (cls.match == io::InputMatch::kExact) {
-        // Byte-identical inputs: skip text parsing entirely.
+      io::InputClassification cls;
+      {
+        const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
+        cls = io::classify_inputs(snapshot->state, dst_file.view(),
+                                  tle_file.view());
+      }
+      match = cls.match;
+      state = cls.current;
+      if (match == io::InputMatch::kMismatch) {
+        // Structurally valid snapshot of some *other* inputs (shrunk or
+        // edited in place): stale.  Count the rejection and reparse.
         if (config.metrics != nullptr) {
-          config.metrics->counter("ingest.cache_hit").add(1);
+          config.metrics->counter("snapshot.rejected").add(1);
+        }
+      } else {
+        data = std::move(*snapshot);
+        if (config.metrics != nullptr) {
           config.metrics->counter("snapshot.loaded").add(1);
         }
-        if (snapshot->tail_truncated) {
-          // The file still ends in torn bytes a future load would have to
-          // re-truncate; rewrite a clean base now (best-effort).
-          snapshot->tail_truncated = false;
-          io::save_snapshot(snapshot_path, *snapshot, config.parse_policy,
-                            config.metrics, config.num_threads);
-        }
-        CosmicDance pipeline(std::move(snapshot->dst),
-                             std::move(snapshot->catalog), config);
-        pipeline.quality_report_ = std::move(snapshot->quality);
-        return pipeline;
-      }
-      if (cls.match == io::InputMatch::kAppend) {
-        // Unchanged prefix plus appended bytes: parse only the tails,
-        // extending the snapshot's datasets in place.  The readers resume
-        // with absolute line numbers, so values, counters, quarantine
-        // order — and the first strict-mode throw — are bit-identical to
-        // a full reparse of the grown files (DESIGN.md §14).
-        const std::string_view dst_tail =
-            dst_file.view().substr(snapshot->state.dst_len);
-        const std::string_view tle_tail =
-            tle_file.view().substr(snapshot->state.tle_len);
-        if (config.metrics != nullptr) {
-          config.metrics->counter("ingest.delta_hit").add(1);
-          config.metrics->counter("ingest.tail_bytes")
-              .add(dst_tail.size() + tle_tail.size());
-          config.metrics->counter("snapshot.loaded").add(1);
-        }
-        diag::ParseLog tail_log(config.parse_policy);
-        io::SnapshotDelta delta;
-        delta.dst_prior_size = snapshot->dst.size();
-        {
-          const obs::ScopedPhase phase(config.metrics, "ingest.dst");
-          spaceweather::from_wdc_append(
-              snapshot->dst, dst_tail, &tail_log, wdc_dst_path,
-              static_cast<std::size_t>(snapshot->state.dst_lines) + 1);
-          if (config.metrics != nullptr) {
-            config.metrics->counter("ingest.dst_hours")
-                .add(snapshot->dst.size() -
-                     static_cast<std::size_t>(delta.dst_prior_size));
-          }
-        }
-        {
-          const obs::ScopedPhase phase(config.metrics, "ingest.tle");
-          snapshot->catalog.add_from_text(
-              tle_tail,
-              tle::IngestOptions{
-                  &tail_log, config.num_threads, tle_path, config.metrics,
-                  static_cast<std::size_t>(snapshot->state.tle_lines) + 1,
-                  &delta.tle_committed});
-        }
-        delta.state = cls.current;
-        delta.dst_start_hour = snapshot->dst.start_hour();
-        const std::span<const double> dst_values = snapshot->dst.values();
-        delta.dst_appended.assign(
-            dst_values.begin() +
-                static_cast<std::ptrdiff_t>(delta.dst_prior_size),
-            dst_values.end());
-        delta.quality_delta = tail_log.report();
-        snapshot->quality.merge(delta.quality_delta);
-        snapshot->state = cls.current;
-        // Persist best-effort: append one more layer, or — once the chain
-        // is long enough that load-time walks outweigh one base rewrite —
-        // compact everything back into a single fresh base.  A truncated
-        // load also forces a base rewrite: the file still ends in torn
-        // bytes, and a layer appended after them would be unreachable on
-        // the next load (the chain walk stops at the tear).
-        if (snapshot->tail_truncated) {
-          snapshot->tail_truncated = false;
-          io::save_snapshot(snapshot_path, *snapshot, config.parse_policy,
-                            config.metrics, config.num_threads);
-        } else if (snapshot->delta_layers >= io::kMaxSnapshotDeltaLayers) {
-          if (io::save_snapshot(snapshot_path, *snapshot, config.parse_policy,
-                                config.metrics, config.num_threads) &&
-              config.metrics != nullptr) {
-            config.metrics->counter("snapshot.compacted").add(1);
-          }
-        } else {
-          io::append_snapshot_delta(snapshot_path, delta,
-                                    snapshot->delta_layers + 1,
-                                    snapshot->chain_hash, config.parse_policy,
-                                    config.metrics);
-        }
-        CosmicDance pipeline(std::move(snapshot->dst),
-                             std::move(snapshot->catalog), config);
-        pipeline.quality_report_ = std::move(snapshot->quality);
-        return pipeline;
-      }
-      // Structurally valid snapshot of some *other* inputs (shrunk or
-      // edited in place): stale.  Count the rejection and reparse.
-      if (config.metrics != nullptr) {
-        config.metrics->counter("snapshot.rejected").add(1);
       }
     }
   }
 
-  diag::ParseLog log(config.parse_policy);
-  spaceweather::DstIndex dst;
-  {
-    const obs::ScopedPhase phase(config.metrics, "ingest.dst");
-    dst = spaceweather::from_wdc(dst_file.view(), &log, wdc_dst_path);
+  std::future<void> save_future;
+  if (match == io::InputMatch::kExact) {
+    // Byte-identical inputs: skip text parsing entirely.
     if (config.metrics != nullptr) {
-      config.metrics->counter("ingest.dst_hours").add(dst.size());
+      config.metrics->counter("ingest.cache_hit").add(1);
+    }
+  } else if (match == io::InputMatch::kAppend) {
+    // Unchanged prefix plus appended bytes: parse only the tails,
+    // extending the snapshot's datasets in place.  The readers resume
+    // with absolute line numbers, so values, counters, quarantine
+    // order — and the first strict-mode throw — are bit-identical to
+    // a full reparse of the grown files (DESIGN.md §14).
+    const std::string_view dst_tail =
+        dst_file.view().substr(data.state.dst_len);
+    const std::string_view tle_tail =
+        tle_file.view().substr(data.state.tle_len);
+    if (config.metrics != nullptr) {
+      config.metrics->counter("ingest.delta_hit").add(1);
+      config.metrics->counter("ingest.tail_bytes")
+          .add(dst_tail.size() + tle_tail.size());
+    }
+    diag::ParseLog tail_log(config.parse_policy);
+    {
+      const obs::ScopedPhase phase(config.metrics, "ingest.dst");
+      const std::size_t prior_hours = data.dst.size();
+      spaceweather::from_wdc_append(
+          data.dst, dst_tail, &tail_log, wdc_dst_path,
+          static_cast<std::size_t>(data.state.dst_lines) + 1);
+      if (config.metrics != nullptr) {
+        config.metrics->counter("ingest.dst_hours")
+            .add(data.dst.size() - prior_hours);
+      }
+    }
+    {
+      const obs::ScopedPhase phase(config.metrics, "ingest.tle");
+      data.catalog.add_from_text(
+          tle_tail,
+          tle::IngestOptions{
+              &tail_log, config.num_threads, tle_path, config.metrics,
+              static_cast<std::size_t>(data.state.tle_lines) + 1});
+    }
+    data.quality.merge(tail_log.report());
+    data.state = *state;
+    // Rewrite the base over the grown inputs, best-effort.  Synchronous on
+    // purpose: a background save would hold a copy of the whole catalog
+    // alongside the pipeline's own.
+    io::save_snapshot(snapshot_path, data, config.parse_policy,
+                      config.metrics, config.num_threads);
+  } else {
+    diag::ParseLog log(config.parse_policy);
+    {
+      const obs::ScopedPhase phase(config.metrics, "ingest.dst");
+      data.dst = spaceweather::from_wdc(dst_file.view(), &log, wdc_dst_path);
+      if (config.metrics != nullptr) {
+        config.metrics->counter("ingest.dst_hours").add(data.dst.size());
+      }
+    }
+    {
+      const obs::ScopedPhase phase(config.metrics, "ingest.tle");
+      data.catalog.add_from_text(
+          tle_file.view(),
+          tle::IngestOptions{&log, config.num_threads, tle_path, config.metrics});
+    }
+    data.quality = log.report();
+    if (use_cache) {
+      if (!state.has_value()) {
+        const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
+        state = io::ingest_state_of(dst_file.view(), tle_file.view());
+      }
+      data.state = *state;
+      // Best-effort rewrite: failure (e.g. read-only cache dir) is counted
+      // but never fatal — the parse already succeeded.  The datasets are
+      // copied into the task and encode + write run on a background thread,
+      // overlapping the track build below; the pipeline joins the write in
+      // wait_for_snapshot_save() / its destructor (complete-before-exit).
+      save_future = std::async(
+          std::launch::async,
+          [path = snapshot_path, data, policy = config.parse_policy,
+           metrics = config.metrics, threads = config.num_threads]() noexcept {
+            try {
+              io::save_snapshot(path, data, policy, metrics, threads);
+            } catch (...) {
+              // Best-effort, same as the synchronous append-path write.
+            }
+          });
     }
   }
-  tle::TleCatalog catalog;
-  {
-    const obs::ScopedPhase phase(config.metrics, "ingest.tle");
-    catalog.add_from_text(
-        tle_file.view(),
-        tle::IngestOptions{&log, config.num_threads, tle_path, config.metrics});
-  }
-  diag::DataQualityReport quality = log.report();
-  std::future<void> save_future;
-  if (use_cache) {
-    // Best-effort rewrite: failure (e.g. read-only cache dir) is counted
-    // but never fatal — the parse already succeeded.  The datasets are
-    // copied into the task and encode + write run on a background thread,
-    // overlapping the track build below; the pipeline joins the write in
-    // wait_for_snapshot_save() / its destructor (complete-before-exit).
-    io::SnapshotData data{dst, catalog, quality,
-                          io::ingest_state_of(dst_file.view(), tle_file.view()),
-                          0, 0};
-    save_future = std::async(
-        std::launch::async,
-        [path = snapshot_path, data = std::move(data),
-         policy = config.parse_policy, metrics = config.metrics,
-         threads = config.num_threads]() noexcept {
-          try {
-            io::save_snapshot(path, data, policy, metrics, threads);
-          } catch (...) {
-            // Best-effort, same as the historical synchronous write.
-          }
-        });
-  }
-  CosmicDance pipeline(std::move(dst), std::move(catalog), config);
-  pipeline.quality_report_ = std::move(quality);
+  CosmicDance pipeline(std::move(data.dst), std::move(data.catalog), config);
+  pipeline.quality_report_ = std::move(data.quality);
   pipeline.snapshot_save_ = std::move(save_future);
   return pipeline;
 }

@@ -49,11 +49,10 @@ struct PipelineConfig {
   /// the input bytes' content hash skips text parsing entirely (counter
   /// `ingest.cache_hit`); inputs that grew by appended bytes over an
   /// unchanged prefix parse only the tail (counters `ingest.delta_hit`,
-  /// `ingest.tail_bytes`) and persist the new records as a delta layer,
-  /// compacting back to a single base when the chain grows long; any other
-  /// change (or corrupt snapshot) falls back to the text path and rewrites
-  /// a fresh base (`snapshot.rejected`).  Results are bit-identical on
-  /// every path.
+  /// `ingest.tail_bytes`) and rewrite the snapshot over the grown inputs;
+  /// any other change (or corrupt snapshot) falls back to the text path
+  /// and rewrites a fresh snapshot (`snapshot.rejected`).  Results are
+  /// bit-identical on every path.
   std::string cache_dir;
 };
 

@@ -27,10 +27,9 @@ namespace cosmicdance::io {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'D', 'S', 'N', 'A', 'P', 'v', '1'};
-constexpr char kDeltaMagic[8] = {'C', 'D', 'D', 'E', 'L', 'T', 'A', '1'};
 constexpr std::size_t kHeaderSize = 40;
 
-// ---- v3 section layout (see snapshot.hpp for the format doc) ----------------
+// ---- section layout (see snapshot.hpp for the format doc) -------------------
 
 constexpr std::uint32_t kSectionState = 1;
 constexpr std::uint32_t kSectionDst = 2;
@@ -182,8 +181,8 @@ void encode_state(std::string& out, const IngestState& state) {
   put_u64(out, state.dst_hash);
   put_u64(out, state.dst_lines);
   put_u64(out, state.tle_len);
+  put_u64(out, state.tle_hash);
   put_u64(out, state.tle_lines);
-  put_u64(out, state.combined_hash);
   std::uint8_t flags = 0;
   if (state.dst_line_terminated) flags |= kFlagDstLineTerminated;
   if (state.tle_line_terminated) flags |= kFlagTleLineTerminated;
@@ -197,8 +196,8 @@ IngestState decode_state(Cursor& in) {
   state.dst_hash = in.u64();
   state.dst_lines = in.u64();
   state.tle_len = in.u64();
+  state.tle_hash = in.u64();
   state.tle_lines = in.u64();
-  state.combined_hash = in.u64();
   const std::uint8_t flags = in.u8();
   if ((flags & ~kFlagMask) != 0) {
     throw ParseError("snapshot carries unknown ingest-state flags");
@@ -207,6 +206,15 @@ IngestState decode_state(Cursor& in) {
   state.tle_line_terminated = (flags & kFlagTleLineTerminated) != 0;
   state.tle_boundary_clean = (flags & kFlagTleBoundaryClean) != 0;
   return state;
+}
+
+/// The header's content-hash field: both input hashes folded into one
+/// value, so a header paired with another file's state section rejects.
+std::uint64_t content_hash(const IngestState& state) {
+  std::string hashes;
+  put_u64(hashes, state.dst_hash);
+  put_u64(hashes, state.tle_hash);
+  return fnv1a(hashes);
 }
 
 void encode_dst(std::string& out, const spaceweather::DstIndex& dst) {
@@ -278,27 +286,6 @@ tle::Tle decode_tle(Cursor& in) {
   return t;
 }
 
-void encode_catalog(std::string& out, const tle::TleCatalog& catalog) {
-  put_u64(out, catalog.record_count());
-  for (const int id : catalog.satellites()) {
-    for (const tle::Tle& t : catalog.history(id)) encode_tle(out, t);
-  }
-}
-
-tle::TleCatalog decode_catalog(Cursor& in) {
-  const std::uint64_t count = in.u64();
-  tle::TleCatalog catalog;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    // add() re-validates each record and, because records were serialised in
-    // history order, appends at the end of its satellite's history — the
-    // rebuilt catalog is structurally identical to the one serialised.
-    if (!catalog.add(decode_tle(in))) {
-      throw ParseError("snapshot catalog record collided on reload");
-    }
-  }
-  return catalog;
-}
-
 void encode_quality(std::string& out, const diag::DataQualityReport& report) {
   put_u8(out, policy_byte(report.policy));
   put_u64(out, report.stages.size());
@@ -361,64 +348,6 @@ diag::DataQualityReport decode_quality(Cursor& in) {
     report.quarantined.push_back(std::move(record));
   }
   return report;
-}
-
-std::string encode_delta_payload(const SnapshotDelta& delta) {
-  std::string payload;
-  payload.reserve(96 + delta.dst_appended.size() * 8 +
-                  delta.tle_committed.size() * 130);
-  encode_state(payload, delta.state);
-  put_u64(payload, delta.dst_prior_size);
-  put_i64(payload, delta.dst_start_hour);
-  put_u64(payload, delta.dst_appended.size());
-  for (const double v : delta.dst_appended) put_f64(payload, v);
-  put_u64(payload, delta.tle_committed.size());
-  for (const tle::Tle& t : delta.tle_committed) encode_tle(payload, t);
-  encode_quality(payload, delta.quality_delta);
-  return payload;
-}
-
-// Apply one decoded layer payload onto the cumulative snapshot.  Throws
-// ParseError on any inconsistency between what the layer claims about the
-// state it extends and what the snapshot actually holds.
-void apply_delta_payload(Cursor& in, SnapshotData& data,
-                         diag::ParsePolicy policy) {
-  const IngestState next = decode_state(in);
-  if (next.dst_len < data.state.dst_len || next.tle_len < data.state.tle_len) {
-    throw ParseError("snapshot delta layer shrinks its inputs");
-  }
-  const std::uint64_t dst_prior = in.u64();
-  const std::int64_t dst_start = in.i64();
-  if (dst_prior != data.dst.size()) {
-    throw ParseError("snapshot delta layer extends the wrong Dst series");
-  }
-  const std::uint64_t dst_count = in.u64();
-  if (data.dst.empty() && dst_count > 0) {
-    std::vector<double> values;
-    values.reserve(dst_count);
-    for (std::uint64_t i = 0; i < dst_count; ++i) values.push_back(in.f64());
-    data.dst = spaceweather::DstIndex(dst_start, std::move(values));
-  } else {
-    if (dst_count > 0 && dst_start != data.dst.start_hour()) {
-      throw ParseError("snapshot delta layer moves the Dst anchor");
-    }
-    for (std::uint64_t i = 0; i < dst_count; ++i) data.dst.push_back(in.f64());
-  }
-  const std::uint64_t tle_count = in.u64();
-  for (std::uint64_t i = 0; i < tle_count; ++i) {
-    // Layers record only records the tail parse actually committed, so a
-    // replayed add() must succeed; a collision means the layer does not
-    // belong to this base.
-    if (!data.catalog.add(decode_tle(in))) {
-      throw ParseError("snapshot delta record collided on replay");
-    }
-  }
-  const diag::DataQualityReport quality_delta = decode_quality(in);
-  if (quality_delta.policy != policy) {
-    throw ParseError("snapshot delta layer parsed under a different policy");
-  }
-  data.quality.merge(quality_delta);
-  data.state = next;
 }
 
 }  // namespace
@@ -519,12 +448,40 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
 }
 #endif
 
-}  // namespace
+/// One input measured against its recorded prefix.
+struct InputScan {
+  std::uint64_t hash = kFnv1aOffset;
+  std::uint64_t lines = 0;
+  bool prefix_matches = false;  ///< the recorded prefix is intact
+};
 
-std::uint32_t crc32(std::string_view bytes) {
-  static const CrcTables tables = make_crc_tables(0xEDB88320u);
-  return crc_sliced(tables, bytes);
+/// Hash the recorded prefix, compare, then continue the same hash over the
+/// tail, so every byte is hashed once.  A matching prefix hash vouches for
+/// the recorded newline count, so only the tail is counted; otherwise the
+/// whole input is.
+InputScan scan_input(std::string_view bytes, std::uint64_t recorded_len,
+                     std::uint64_t recorded_hash,
+                     std::uint64_t recorded_lines) {
+  const auto newlines = [](std::string_view text) {
+    return static_cast<std::uint64_t>(
+        std::count(text.begin(), text.end(), '\n'));
+  };
+  InputScan scan;
+  if (bytes.size() < recorded_len) {  // shrunk: no prefix to compare
+    scan.hash = fnv1a(bytes);
+    scan.lines = newlines(bytes);
+    return scan;
+  }
+  const std::string_view tail = bytes.substr(recorded_len);
+  scan.hash = fnv1a(bytes.substr(0, recorded_len));
+  scan.prefix_matches = scan.hash == recorded_hash;
+  scan.hash = fnv1a(tail, scan.hash);
+  scan.lines = scan.prefix_matches ? recorded_lines + newlines(tail)
+                                   : newlines(bytes);
+  return scan;
 }
+
+}  // namespace
 
 std::uint32_t crc32c(std::string_view bytes) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -535,58 +492,47 @@ std::uint32_t crc32c(std::string_view bytes) {
   return crc_sliced(tables, bytes);
 }
 
-IngestState ingest_state_of(std::string_view dst_bytes,
-                            std::string_view tle_bytes) {
-  IngestState state;
-  state.dst_len = dst_bytes.size();
-  state.dst_hash = fnv1a(dst_bytes);
-  state.dst_lines = static_cast<std::uint64_t>(
-      std::count(dst_bytes.begin(), dst_bytes.end(), '\n'));
-  state.tle_len = tle_bytes.size();
-  state.tle_lines = static_cast<std::uint64_t>(
-      std::count(tle_bytes.begin(), tle_bytes.end(), '\n'));
-  state.combined_hash = fnv1a(tle_bytes, state.dst_hash);
-  state.dst_line_terminated = dst_bytes.empty() || dst_bytes.back() == '\n';
-  state.tle_line_terminated = tle_bytes.empty() || tle_bytes.back() == '\n';
-  state.tle_boundary_clean = tle::append_boundary_clean(tle_bytes);
-  return state;
-}
-
 InputClassification classify_inputs(const IngestState& base,
                                     std::string_view dst_bytes,
                                     std::string_view tle_bytes) {
+  const InputScan dst =
+      scan_input(dst_bytes, base.dst_len, base.dst_hash, base.dst_lines);
+  const InputScan tle =
+      scan_input(tle_bytes, base.tle_len, base.tle_hash, base.tle_lines);
   InputClassification out;
-  out.current = ingest_state_of(dst_bytes, tle_bytes);
-  const IngestState& cur = out.current;
+  IngestState& cur = out.current;
+  cur.dst_len = dst_bytes.size();
+  cur.dst_hash = dst.hash;
+  cur.dst_lines = dst.lines;
+  cur.tle_len = tle_bytes.size();
+  cur.tle_hash = tle.hash;
+  cur.tle_lines = tle.lines;
+  cur.dst_line_terminated = dst_bytes.empty() || dst_bytes.back() == '\n';
+  cur.tle_line_terminated = tle_bytes.empty() || tle_bytes.back() == '\n';
+  cur.tle_boundary_clean = tle::append_boundary_clean(tle_bytes);
 
-  if (cur.dst_len == base.dst_len && cur.tle_len == base.tle_len &&
-      cur.dst_hash == base.dst_hash &&
-      cur.combined_hash == base.combined_hash) {
+  // Shrunk, or edited within the recorded prefix.
+  if (!dst.prefix_matches || !tle.prefix_matches) return out;
+  const bool dst_grew = cur.dst_len > base.dst_len;
+  const bool tle_grew = cur.tle_len > base.tle_len;
+  if (!dst_grew && !tle_grew) {
     out.match = InputMatch::kExact;
     return out;
   }
-  // Append: nothing shrank, something grew, the recorded prefixes hash
-  // identically, and every grown file's recorded boundary was safe to
-  // extend (line-terminated; for TLE also pairing-clean, so an appended
-  // line 2 cannot retroactively pair with a prefix line 1).
-  if (cur.dst_len < base.dst_len || cur.tle_len < base.tle_len) return out;
-  const bool dst_grew = cur.dst_len > base.dst_len;
-  const bool tle_grew = cur.tle_len > base.tle_len;
-  if (!dst_grew && !tle_grew) return out;  // equal lengths, hashes differ
+  // Append: every grown file's recorded boundary was safe to extend
+  // (line-terminated; for TLE also pairing-clean, so an appended line 2
+  // cannot retroactively pair with a prefix line 1).
   if (dst_grew && !base.dst_line_terminated) return out;
   if (tle_grew && !(base.tle_line_terminated && base.tle_boundary_clean)) {
     return out;
   }
-  const std::uint64_t dst_prefix_hash =
-      dst_grew ? fnv1a(dst_bytes.substr(0, base.dst_len)) : cur.dst_hash;
-  if (dst_prefix_hash != base.dst_hash) return out;
-  // The recorded combined hash chains the TLE prefix onto the *recorded*
-  // Dst hash, so the prefix check reuses that seed even when Dst grew.
-  const std::uint64_t tle_prefix_hash =
-      fnv1a(tle_bytes.substr(0, base.tle_len), base.dst_hash);
-  if (tle_prefix_hash != base.combined_hash) return out;
   out.match = InputMatch::kAppend;
   return out;
+}
+
+IngestState ingest_state_of(std::string_view dst_bytes,
+                            std::string_view tle_bytes) {
+  return classify_inputs(IngestState{}, dst_bytes, tle_bytes).current;
 }
 
 std::string snapshot_cache_path(const std::string& cache_dir,
@@ -599,31 +545,6 @@ std::string snapshot_cache_path(const std::string& cache_dir,
   std::snprintf(name, sizeof(name), "%016llx.cdsnap",
                 static_cast<unsigned long long>(hash));
   return (std::filesystem::path(cache_dir) / name).string();
-}
-
-std::string encode_snapshot_v2(const SnapshotData& data,
-                               diag::ParsePolicy policy) {
-  std::string payload;
-  // Rough pre-size: a TLE record serialises to ~130 bytes, a Dst hour to 8.
-  payload.reserve(128 + data.dst.size() * 8 +
-                  data.catalog.record_count() * 130);
-  encode_state(payload, data.state);
-  encode_dst(payload, data.dst);
-  encode_catalog(payload, data.catalog);
-  encode_quality(payload, data.quality);
-
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kSnapshotFormatVersionV2);
-  put_u8(out, policy_byte(policy));
-  out.append(3, '\0');
-  put_u64(out, data.state.combined_hash);
-  put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
-  out.append(4, '\0');
-  out.append(payload);
-  return out;
 }
 
 std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
@@ -717,7 +638,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   put_u32(out, kSnapshotFormatVersion);
   put_u8(out, policy_byte(policy));
   out.append(3, '\0');
-  put_u64(out, data.state.combined_hash);
+  put_u64(out, content_hash(data.state));
   put_u64(out, payload_size);
   put_u32(out, crc32c(table));
   put_u32(out, static_cast<std::uint32_t>(section_count));
@@ -726,50 +647,13 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   return out;
 }
 
-std::string encode_snapshot_delta(const SnapshotDelta& delta,
-                                  std::uint32_t layer_index,
-                                  std::uint64_t prev_chain_hash,
-                                  diag::ParsePolicy policy) {
-  const std::string payload = encode_delta_payload(delta);
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kDeltaMagic, sizeof(kDeltaMagic));
-  put_u32(out, layer_index);
-  put_u8(out, policy_byte(policy));
-  out.append(3, '\0');
-  put_u64(out, prev_chain_hash);
-  put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
-  out.append(4, '\0');
-  out.append(payload);
-  return out;
-}
-
 namespace {
 
-/// Decode a v2 (monolithic) base payload into `data`.  Returns false on
-/// any disagreement; throws (caught by the caller) on truncated fields.
-bool decode_base_v2(std::string_view payload, std::uint64_t header_content_hash,
-                    std::uint32_t payload_crc, diag::ParsePolicy policy,
-                    SnapshotData& data) {
-  // Decode only after the CRC passes: the payload readers bound-check but
-  // do not otherwise defend against bit rot.
-  if (crc32(payload) != payload_crc) return false;
-  Cursor in(payload);
-  data.state = decode_state(in);
-  if (data.state.combined_hash != header_content_hash) return false;
-  data.dst = decode_dst(in);
-  data.catalog = decode_catalog(in);
-  data.quality = decode_quality(in);
-  if (data.quality.policy != policy) return false;
-  return in.exhausted();
-}
-
-/// Decode a v3 (section-table) base payload into `data`, validating and
+/// Decode a section-table payload into `data`, validating and
 /// deserialising sections over `num_threads` workers.  Returns false on
 /// any disagreement; throws (caught by the caller) on truncated fields or
 /// histories adopt_history refuses.
-bool decode_base_v3(std::string_view payload,
+bool decode_payload(std::string_view payload,
                     std::uint64_t header_content_hash, std::uint32_t table_crc,
                     std::uint32_t section_count, diag::ParsePolicy policy,
                     int num_threads, SnapshotData& data) {
@@ -872,13 +756,13 @@ bool decode_base_v3(std::string_view payload,
   }
 
   data.state = results.front().state;
-  if (data.state.combined_hash != header_content_hash) return false;
+  if (content_hash(data.state) != header_content_hash) return false;
   data.dst = std::move(*results[1].dst);
   for (std::size_t i = 2; i + 1 < results.size(); ++i) {
     for (auto& [id, history] : results[i].satellites) {
       // adopt_history re-validates each record and the epoch ordering, and
-      // throws on a satellite already adopted — the same defences the v2
-      // per-record add() replay gave us, amortised per history.
+      // throws on a satellite already adopted — the defences a per-record
+      // add() replay would give, amortised per history.
       data.catalog.adopt_history(id, std::move(history));
     }
   }
@@ -895,86 +779,23 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   try {
     Cursor header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
-    const std::uint32_t version = header.u32();
-    if (version != kSnapshotFormatVersion &&
-        version != kSnapshotFormatVersionV2) {
-      return std::nullopt;
-    }
+    if (header.u32() != kSnapshotFormatVersion) return std::nullopt;
     const std::uint8_t policy_raw = header.u8();
     header.view(3);  // padding
     if (policy_raw != policy_byte(policy)) return std::nullopt;
     const std::uint64_t header_content_hash = header.u64();
     const std::uint64_t payload_size = header.u64();
-    const std::uint32_t crc_field = header.u32();
-    const std::uint32_t tail_field = header.u32();  // v3: section count
-    if (bytes.size() - kHeaderSize < payload_size) return std::nullopt;
-    const std::string_view payload = bytes.substr(kHeaderSize, payload_size);
+    const std::uint32_t table_crc = header.u32();
+    const std::uint32_t section_count = header.u32();
+    // The payload must end the file: a short file is truncated, and bytes
+    // past the payload are nothing this format writes.
+    if (bytes.size() - kHeaderSize != payload_size) return std::nullopt;
 
     SnapshotData data;
-    const bool base_ok =
-        version == kSnapshotFormatVersionV2
-            ? decode_base_v2(payload, header_content_hash, crc_field, policy,
-                             data)
-            : decode_base_v3(payload, header_content_hash, crc_field,
-                             tail_field, policy, num_threads, data);
-    if (!base_ok) return std::nullopt;
-
-    // Walk the delta chain.  Each layer's header must hash-link to the
-    // header before it and carry the next 1-based index, so a missing,
-    // reordered or foreign layer breaks the walk and rejects the whole
-    // snapshot — the text inputs are the source of truth on any doubt.
-    //
-    // The one recoverable shape is a torn *tail*: a crashed append leaves
-    // a pure prefix of valid layer bytes, so "file ends mid-header",
-    // "file ends mid-payload" and "final layer fails its CRC" all mean
-    // the bytes before the tear are exactly the pre-append snapshot.
-    // Those truncate (tail_truncated) instead of rejecting.  The same
-    // check failing anywhere *before* the final layer cannot come from a
-    // torn append and still rejects the whole file.
-    std::uint64_t chain = fnv1a(bytes.substr(0, kHeaderSize));
-    std::size_t pos = kHeaderSize + payload_size;
-    std::uint32_t applied = 0;
-    while (pos < bytes.size()) {
-      if (bytes.size() - pos < kHeaderSize) {
-        data.tail_truncated = true;  // torn mid-header
-        break;
-      }
-      const std::string_view layer_header = bytes.substr(pos, kHeaderSize);
-      if (std::memcmp(layer_header.data(), kDeltaMagic, sizeof(kDeltaMagic)) !=
-          0) {
-        return std::nullopt;
-      }
-      Cursor lh(layer_header.substr(sizeof(kDeltaMagic)));
-      const std::uint32_t layer_index = lh.u32();
-      const std::uint8_t layer_policy = lh.u8();
-      lh.view(3);  // padding
-      const std::uint64_t prev_chain = lh.u64();
-      const std::uint64_t layer_size = lh.u64();
-      const std::uint32_t layer_crc = lh.u32();
-      if (layer_index != applied + 1) return std::nullopt;
-      if (layer_policy != policy_byte(policy)) return std::nullopt;
-      if (prev_chain != chain) return std::nullopt;
-      if (bytes.size() - pos - kHeaderSize < layer_size) {
-        data.tail_truncated = true;  // torn mid-payload
-        break;
-      }
-      const std::string_view layer_payload =
-          bytes.substr(pos + kHeaderSize, layer_size);
-      if (crc32(layer_payload) != layer_crc) {
-        const bool final_layer = pos + kHeaderSize + layer_size == bytes.size();
-        if (!final_layer) return std::nullopt;  // mid-chain bit rot
-        data.tail_truncated = true;  // torn inside the final payload
-        break;
-      }
-      Cursor lp(layer_payload);
-      apply_delta_payload(lp, data, policy);
-      if (!lp.exhausted()) return std::nullopt;
-      chain = fnv1a(layer_header);
-      pos += kHeaderSize + layer_size;
-      ++applied;
+    if (!decode_payload(bytes.substr(kHeaderSize), header_content_hash,
+                        table_crc, section_count, policy, num_threads, data)) {
+      return std::nullopt;
     }
-    data.delta_layers = applied;
-    data.chain_hash = chain;
     return data;
   } catch (const std::exception&) {
     // Truncated fields, invalid enum values, or datasets that fail their
@@ -996,26 +817,17 @@ std::optional<SnapshotData> load_snapshot(const std::string& path,
       if (!data.has_value()) {
         metrics->counter("snapshot.rejected").add(1);
       } else {
-        if (data->tail_truncated) {
-          metrics->counter("snapshot.delta_truncated").add(1);
-        }
         // The warm-throughput numerator: records materialised from
         // snapshot bytes, counted whether or not the caller ends up using
-        // them.  Identical for a v2 and v3 encoding of the same data.
+        // them.
         metrics->counter("snapshot.load_records")
             .add(data->catalog.record_count());
-        // How the base was laid out on disk (v2 has no section table) —
-        // stripe sizing, not results, so a scheduling counter.
-        const std::string_view raw = mapped.view();
-        if (raw.size() >= kHeaderSize) {
-          Cursor header(
-              raw.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
-          if (header.u32() == kSnapshotFormatVersion) {
-            header.view(20);  // policy + pad, content hash, payload size
-            header.u32();     // section-table CRC
-            metrics->sched_counter("snapshot.load_sections").add(header.u32());
-          }
-        }
+        // How the payload was laid out on disk — stripe sizing, not
+        // results, so a scheduling counter.  The section count is the
+        // decoded header's last field.
+        Cursor section_count(mapped.view().substr(kHeaderSize - 4, 4));
+        metrics->sched_counter("snapshot.load_sections")
+            .add(section_count.u32());
       }
     }
     return data;
@@ -1074,29 +886,6 @@ bool save_snapshot(const std::string& path, const SnapshotData& data,
     if (metrics != nullptr) metrics->counter("snapshot.write_failed").add(1);
     std::error_code ignored;
     std::filesystem::remove(temp, ignored);
-    return false;
-  }
-}
-
-bool append_snapshot_delta(const std::string& path, const SnapshotDelta& delta,
-                           std::uint32_t layer_index,
-                           std::uint64_t prev_chain_hash,
-                           diag::ParsePolicy policy, obs::Metrics* metrics) {
-  const obs::ScopedPhase phase(metrics, "snapshot.save");
-  try {
-    const std::string bytes =
-        encode_snapshot_delta(delta, layer_index, prev_chain_hash, policy);
-    // A torn append leaves a layer whose size/CRC checks fail on the next
-    // load, which falls back to a full reparse and a fresh base — no
-    // temp-and-rename dance needed for crash safety here.
-    append_file(path, bytes);
-    if (metrics != nullptr) {
-      metrics->counter("snapshot.delta_written").add(1);
-      metrics->counter("snapshot.save_bytes").add(bytes.size());
-    }
-    return true;
-  } catch (const std::exception&) {
-    if (metrics != nullptr) metrics->counter("snapshot.write_failed").add(1);
     return false;
   }
 }

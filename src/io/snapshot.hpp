@@ -1,5 +1,5 @@
-// Binary catalog snapshot cache with append-aware delta layers (the warm-
-// start half of the zero-copy ingestion work).
+// Binary catalog snapshot cache, append-aware (the warm-start half of the
+// zero-copy ingestion work).
 //
 // Parsing the text archives dominates pipeline start-up, yet between runs
 // the inputs rarely change — and when they do change, real TLE/Dst feeds
@@ -9,33 +9,28 @@
 // lengths and FNV-1a content hashes:
 //
 //   * A warm run whose inputs match exactly loads the snapshot and skips
-//     text parsing entirely (the PR 5 fast path).
+//     text parsing entirely.
 //   * A warm run whose inputs are an unchanged prefix plus appended bytes
-//     parses only the tail and persists the newly parsed artefacts as a
-//     *delta layer* appended to the snapshot file, chain-hashed to the
-//     layer before it.  Once the chain reaches kMaxSnapshotDeltaLayers the
-//     next append compacts everything back into a single base.
+//     loads the snapshot, parses only the tail, and rewrites the snapshot
+//     as one fresh base covering the grown inputs.
 //   * Any other disagreement (shrunk or edited inputs, format version,
-//     parse policy, truncation, CRC, a broken layer chain) makes the
-//     loader/caller silently fall back to the text path and rewrite a
-//     fresh base.  See DESIGN.md §14 for the format and the reasoning.
+//     parse policy, truncation, CRC, trailing bytes) makes the loader/caller
+//     silently fall back to the text path and rewrite a fresh base.  See
+//     DESIGN.md §14 for the reasoning.
 //
-// Layout: a fixed 40-byte base header
+// Layout: a fixed 40-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
 //   bytes 13-15  zero padding
-//   bytes 16-23  FNV-1a content hash of the raw inputs (u64, dst chained
-//                into tle — the same combined hash IngestState carries)
-//   bytes 24-31  base payload size in bytes (u64)
-//   bytes 32-35  v2: CRC32 of the base payload; v3: CRC32C of the section
-//                table (u32)
-//   bytes 36-39  v2: zero padding; v3: section count (u32)
-// followed by the base payload.  In v2 the payload is one monolithic
-// encoding of state + Dst + catalog + quality, integrity-checked by the
-// single header CRC.  In v3 the payload is a *section table* followed by
-// the section bytes, so a loader can validate and deserialise sections
-// independently (in parallel) and size its containers up front:
+//   bytes 16-23  content hash (u64): FNV-1a over the state's Dst and TLE
+//                hashes, cross-checked against the state section on load
+//   bytes 24-31  payload size in bytes (u64); the file ends exactly there
+//   bytes 32-35  CRC32C of the section table (u32)
+//   bytes 36-39  section count (u32)
+// followed by the payload: a *section table*, then the section bytes, so a
+// loader can validate and deserialise sections independently (in parallel)
+// and size its containers up front:
 //   table:   section count × 24-byte entries
 //              u32 kind (1 state, 2 Dst, 3 catalog stripe, 4 quality)
 //              u32 CRC32C of the section's bytes
@@ -48,28 +43,14 @@
 //            number of catalog stripes (whole satellites each, stripe
 //            boundaries fixed at encode time so the bytes are independent
 //            of writer thread count), and one quality section last.
-// Delta layers are identical in v2 and v3 files: zero or more follow the
-// base payload,
-// each a 40-byte layer header
-//   bytes  0-7   magic "CDDELTA1"
-//   bytes  8-11  1-based layer index (u32)
-//   byte   12    parse policy
-//   bytes 13-15  zero padding
-//   bytes 16-23  chain hash: FNV-1a of the previous layer's header bytes
-//                (the base header for layer 1) — out-of-order, missing or
-//                spliced layers break the chain and reject the snapshot
-//   bytes 24-31  layer payload size in bytes (u64)
-//   bytes 32-35  CRC32 of the layer payload (u32)
-//   bytes 36-39  zero padding
-// followed by that layer's payload.  All integers little-endian; doubles
-// are stored as their IEEE-754 bit patterns so reload is bit-exact.
+// All integers little-endian; doubles are stored as their IEEE-754 bit
+// patterns so reload is bit-exact.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "diag/diag.hpp"
 #include "spaceweather/dst_index.hpp"
@@ -82,21 +63,10 @@ class Metrics;
 namespace cosmicdance::io {
 
 /// Bumped on any change to the payload encoding; a version mismatch is a
-/// silent reject-and-reparse, never a migration — except v2, which this
-/// build still *reads* (never writes) so existing caches survive the v3
-/// rollout.  v2 added the ingest state record and delta layers; v3 added
-/// the section-table payload (DESIGN.md §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
-
-/// The previous monolithic-payload format, still accepted by
-/// decode_snapshot (including its delta chains).
-inline constexpr std::uint32_t kSnapshotFormatVersionV2 = 2;
-
-/// Delta layers allowed on a base before the next append compacts the
-/// whole chain back into a single base.  Small on purpose: every layer is
-/// one more header walk + CRC on load, and compaction writes are already
-/// amortised against a full text parse.
-inline constexpr std::uint32_t kMaxSnapshotDeltaLayers = 4;
+/// silent reject-and-reparse, never a migration.  v3 added the section
+/// table; v4 hashes each input separately in the state section (DESIGN.md
+/// §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// 64-bit FNV-1a over `bytes`, chainable through `seed` to hash several
 /// buffers as one stream.
@@ -104,11 +74,7 @@ inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes,
                                   std::uint64_t seed = kFnv1aOffset);
 
-/// CRC32 (IEEE 802.3 polynomial) of `bytes` — the v2 payload and delta-
-/// layer integrity check.
-[[nodiscard]] std::uint32_t crc32(std::string_view bytes);
-
-/// CRC32C (Castagnoli polynomial) of `bytes` — the v3 section and
+/// CRC32C (Castagnoli polynomial) of `bytes` — the section and
 /// section-table integrity check.  Uses the SSE4.2 CRC32 instruction when
 /// the cpu has it; the portable table fallback produces identical values,
 /// so files are byte-compatible across machines either way.
@@ -124,10 +90,8 @@ struct IngestState {
   std::uint64_t dst_hash = kFnv1aOffset;  ///< FNV-1a of the Dst bytes
   std::uint64_t dst_lines = 0;  ///< newline count in the Dst input
   std::uint64_t tle_len = 0;    ///< TLE input size in bytes
+  std::uint64_t tle_hash = kFnv1aOffset;  ///< FNV-1a of the TLE bytes
   std::uint64_t tle_lines = 0;  ///< newline count in the TLE input
-  /// FNV-1a of the TLE bytes chained onto dst_hash — the combined content
-  /// hash of the pair (and the value in the base header).
-  std::uint64_t combined_hash = kFnv1aOffset;
   /// True when the input is empty or ends in '\n'.  A file that ends
   /// mid-line can have that line's meaning rewritten by an append, so
   /// growth past an unterminated prefix must reparse from scratch.
@@ -140,64 +104,42 @@ struct IngestState {
   bool tle_boundary_clean = true;
 };
 
-/// Compute the full IngestState of an input pair.
-[[nodiscard]] IngestState ingest_state_of(std::string_view dst_bytes,
-                                          std::string_view tle_bytes);
-
 /// How the current inputs relate to the pair a snapshot was built from.
 enum class InputMatch {
   kExact,     ///< byte-identical pair: plain cache hit
-  kAppend,    ///< unchanged prefix plus appended bytes: delta-parse the tail
+  kAppend,    ///< unchanged prefix plus appended bytes: parse only the tail
   kMismatch,  ///< anything else: reject and reparse from scratch
 };
 
 struct InputClassification {
   InputMatch match = InputMatch::kMismatch;
-  /// State of the *current* inputs (what the next base/delta records).
+  /// State of the *current* inputs (what the next base records).
   IngestState current;
 };
 
-/// Classify the current inputs against a snapshot's recorded state.
-/// kAppend requires every grown input to have a line-terminated (and, for
-/// TLE, pairing-clean) recorded prefix whose bytes hash identically.
+/// Classify the current inputs against a snapshot's recorded state, in
+/// one pass over the bytes: each input's recorded prefix is hashed and
+/// compared, the same hash then continues over the tail, and a matching
+/// prefix contributes its recorded line count so only the tail is
+/// counted.  kAppend requires every grown input to have a line-terminated
+/// (and, for TLE, pairing-clean) recorded prefix.
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
                                                   std::string_view dst_bytes,
                                                   std::string_view tle_bytes);
 
+/// The full IngestState of an input pair: classification against the
+/// empty state, whose zero-length prefix every input extends.
+[[nodiscard]] IngestState ingest_state_of(std::string_view dst_bytes,
+                                          std::string_view tle_bytes);
+
 /// Everything a warm start needs: the two parsed datasets plus the quality
 /// report the text parse would have produced (so cache-hit runs report the
-/// same ingestion outcome as cache-miss runs), the recorded input state,
-/// and where the delta chain currently ends.
+/// same ingestion outcome as cache-miss runs) and the recorded input state.
 struct SnapshotData {
   spaceweather::DstIndex dst;
   tle::TleCatalog catalog;
   diag::DataQualityReport quality;
   IngestState state;
-  /// Delta layers applied on top of the base (0 for a fresh base).
-  std::uint32_t delta_layers = 0;
-  /// FNV-1a of the last layer's (or base's) header bytes — what the next
-  /// appended layer must carry as its chain hash.
-  std::uint64_t chain_hash = 0;
-  /// True when the file ended mid-layer (a torn append: partial trailing
-  /// header, short payload, or a CRC-failing *final* layer) and the torn
-  /// tail was dropped.  `state` then describes only the recovered prefix —
-  /// the caller must treat the snapshot as behind the text inputs and must
-  /// not append further layers to the file (they would sit after torn
-  /// bytes the next load cannot walk past).
-  bool tail_truncated = false;
-};
-
-/// The parsed artefacts of one tail parse, exactly what replaying the
-/// append needs: the Dst values pushed (including any interpolated
-/// repairs), every catalog record committed in file order, and the tail's
-/// own quality report to merge into the cumulative one.
-struct SnapshotDelta {
-  IngestState state;  ///< cumulative input state *after* this layer
-  std::uint64_t dst_prior_size = 0;  ///< Dst sample count before the append
-  std::int64_t dst_start_hour = 0;   ///< series start hour after the append
-  std::vector<double> dst_appended;
-  std::vector<tle::Tle> tle_committed;
-  diag::DataQualityReport quality_delta;
 };
 
 /// Snapshot file path for an input pair.  The name hashes the *paths* (not
@@ -209,56 +151,30 @@ struct SnapshotDelta {
                                               const std::string& dst_path,
                                               const std::string& tle_path);
 
-/// Serialise a base snapshot (header + section table + sections, no delta
-/// layers) in the current (v3) format.  Sections are encoded into
-/// independent buffers over `num_threads` workers (the exec convention:
-/// 0 = all hardware threads, 1 = serial); stripe boundaries are a pure
-/// function of the catalog, so the bytes are identical at any value.
+/// Serialise a snapshot (header + section table + sections).  Sections are
+/// encoded into independent buffers over `num_threads` workers (the exec
+/// convention: 0 = all hardware threads, 1 = serial); stripe boundaries
+/// are a pure function of the catalog, so the bytes are identical at any
+/// value.
 [[nodiscard]] std::string encode_snapshot(const SnapshotData& data,
                                           diag::ParsePolicy policy,
                                           int num_threads = 1);
 
-/// Serialise a base snapshot in the legacy v2 monolithic-payload format.
-/// Production code never writes v2 — this exists so compatibility tests
-/// can fabricate the files a pre-v3 build would have left behind.
-[[nodiscard]] std::string encode_snapshot_v2(const SnapshotData& data,
-                                             diag::ParsePolicy policy);
-
-/// Serialise one delta layer (header + payload) for appending to a file
-/// whose last layer hashed to `prev_chain_hash`.
-[[nodiscard]] std::string encode_snapshot_delta(const SnapshotDelta& delta,
-                                                std::uint32_t layer_index,
-                                                std::uint64_t prev_chain_hash,
-                                                diag::ParsePolicy policy);
-
-/// Parse snapshot bytes: the base plus every delta layer, applied in
-/// order.  Returns nullopt — never throws — when anything disagrees:
-/// magic, version, policy, payload sizes, CRCs, the layer chain, or a
-/// payload that decodes inconsistently.
-///
-/// One deliberate exception to all-or-nothing: a torn *trailing* layer —
-/// the signature a crashed append leaves behind (file ends mid-header,
-/// mid-payload, or with a CRC-failing final layer) — truncates to the
-/// valid base + layer prefix and sets `tail_truncated` instead of
-/// rejecting.  Everything a torn append can produce is a pure prefix of
-/// valid bytes, so the recovered prefix is exactly the pre-append
-/// snapshot.  Corruption *inside* the prefix (bad mid-chain CRC, wrong
-/// index/policy/chain hash with a complete header) still rejects the
-/// whole file: that is bit rot or tampering, not a crash signature, and
-/// the text source of truth is always available.
+/// Parse snapshot bytes.  Returns nullopt — never throws — when anything
+/// disagrees: magic, version, policy, payload size (including any byte
+/// past the payload), the section table, a section CRC, or a payload that
+/// decodes inconsistently.
 [[nodiscard]] std::optional<SnapshotData> decode_snapshot(
     std::string_view bytes, diag::ParsePolicy policy, int num_threads = 1);
 
 /// Load a snapshot file.  A missing/unreadable file is a cache miss
 /// (nullopt, no counter); a present-but-invalid file bumps
-/// `snapshot.rejected` and also returns nullopt.  A torn trailing layer
-/// (see decode_snapshot) loads the valid prefix and bumps
-/// `snapshot.delta_truncated`.  Whether a structurally valid snapshot
-/// matches the current inputs is the caller's decision (classify_inputs)
-/// — the caller bumps `snapshot.loaded` only when it actually uses the
-/// data.  A successful load adds the materialised record count to
-/// `snapshot.load_records` (the warm-throughput numerator) and the v3
-/// section count to the scheduling counter `snapshot.load_sections`.
+/// `snapshot.rejected` and also returns nullopt.  Whether a structurally
+/// valid snapshot matches the current inputs is the caller's decision
+/// (classify_inputs) — the caller bumps `snapshot.loaded` only when it
+/// actually uses the data.  A successful load adds the materialised record
+/// count to `snapshot.load_records` (the warm-throughput numerator) and
+/// the section count to the scheduling counter `snapshot.load_sections`.
 /// Sections are validated and deserialised over `num_threads` workers;
 /// results are bit-identical at any value.  Wall time lands in phase
 /// "snapshot.load".
@@ -266,32 +182,20 @@ struct SnapshotDelta {
     const std::string& path, diag::ParsePolicy policy,
     obs::Metrics* metrics = nullptr, int num_threads = 1);
 
-/// Write a base snapshot file, discarding any existing delta chain
-/// (atomically: per-writer temp file + rename, creating the cache
-/// directory if needed).  The temp name embeds the pid and a process-wide
-/// serial, so concurrent writers — several processes or threads sharing a
-/// cache dir — never interleave writes into one temp file; the final
-/// rename is atomic, so the last writer wins with a complete file.
-/// Best-effort: returns false and bumps `snapshot.write_failed` on any
-/// filesystem error instead of throwing — a read-only cache dir must not
-/// break the pipeline.  Success bumps `snapshot.written` and adds the
-/// file size to `snapshot.save_bytes`; the encoded bytes are committed
-/// with one buffered write.  Sections are serialised over `num_threads`
-/// workers (bytes identical at any value).  Wall time lands in phase
-/// "snapshot.save".
+/// Write a snapshot file (atomically: per-writer temp file + rename,
+/// creating the cache directory if needed).  The temp name embeds the pid
+/// and a process-wide serial, so concurrent writers — several processes or
+/// threads sharing a cache dir — never interleave writes into one temp
+/// file; the final rename is atomic, so the last writer wins with a
+/// complete file.  Best-effort: returns false and bumps
+/// `snapshot.write_failed` on any filesystem error instead of throwing — a
+/// read-only cache dir must not break the pipeline.  Success bumps
+/// `snapshot.written` and adds the file size to `snapshot.save_bytes`; the
+/// encoded bytes are committed with one buffered write.  Sections are
+/// serialised over `num_threads` workers (bytes identical at any value).
+/// Wall time lands in phase "snapshot.save".
 bool save_snapshot(const std::string& path, const SnapshotData& data,
                    diag::ParsePolicy policy, obs::Metrics* metrics = nullptr,
                    int num_threads = 1);
-
-/// Append one delta layer to an existing snapshot file.  Best-effort like
-/// save_snapshot (failure bumps `snapshot.write_failed`); success bumps
-/// `snapshot.delta_written`.  A torn append is caught by the next load's
-/// size/CRC checks and falls back to a full reparse.  Wall time lands in
-/// phase "snapshot.save".
-bool append_snapshot_delta(const std::string& path, const SnapshotDelta& delta,
-                           std::uint32_t layer_index,
-                           std::uint64_t prev_chain_hash,
-                           diag::ParsePolicy policy,
-                           obs::Metrics* metrics = nullptr);
 
 }  // namespace cosmicdance::io

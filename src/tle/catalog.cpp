@@ -506,12 +506,7 @@ std::size_t TleCatalog::add_from_text(std::string_view text,
           cached_history->reserve(cached_history->size() + run);
         }
       }
-      if (insert_record(*cached_history, tle)) {
-        ++added;
-        if (options.committed != nullptr) {
-          options.committed->push_back(tle);
-        }
-      }
+      if (insert_record(*cached_history, tle)) ++added;
     } else {
       ++parse_rejects;
       flush_accepts();

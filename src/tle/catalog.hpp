@@ -38,10 +38,6 @@ struct IngestOptions {
   /// fast path parses only a tail slice of a grown file and needs its
   /// diagnostics to cite absolute line numbers.
   std::size_t first_line = 1;
-  /// When set, every record actually committed by add() is also appended
-  /// here, in file/commit order — a snapshot delta layer replays exactly
-  /// this sequence to rebuild the catalog without reparsing text.
-  std::vector<Tle>* committed = nullptr;
   /// Shard count for the pass-1 pairing scan: 0 = auto (derived from the
   /// resolved worker count and the text size), 1 = one serial scan, n = n
   /// shards.  Outputs are bit-identical at every value — shard boundaries

@@ -1,5 +1,5 @@
-// Tests for the second extension wave: ground tracks, the Kp/ap bridge,
-// bootstrap confidence intervals, and the station-keeping delta-v budget.
+// Tests for the second extension wave: ground tracks, bootstrap confidence
+// intervals, and the station-keeping delta-v budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sgp4/groundtrack.hpp"
-#include "spaceweather/kp_index.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/descriptive.hpp"
 #include "timeutil/datetime.hpp"
@@ -88,64 +87,6 @@ TEST(GroundTrackTest, Validation) {
   EXPECT_THROW(sgp4::ground_track(propagator, propagator.epoch_jd(), 10.0, 0.0),
                ValidationError);
   EXPECT_THROW(static_cast<void>(sgp4::fraction_above_latitude({}, 10.0)), ValidationError);
-}
-
-// -------------------------------- Kp bridge ---------------------------------
-
-TEST(KpTest, StepRounding) {
-  using spaceweather::round_to_kp_step;
-  EXPECT_NEAR(round_to_kp_step(3.2), 10.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(round_to_kp_step(0.1), 0.0);
-  EXPECT_DOUBLE_EQ(round_to_kp_step(9.4), 9.0);
-  EXPECT_DOUBLE_EQ(round_to_kp_step(-1.0), 0.0);
-}
-
-TEST(KpTest, ApTableAnchors) {
-  using spaceweather::ap_from_kp;
-  EXPECT_DOUBLE_EQ(ap_from_kp(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(ap_from_kp(4.0), 27.0);
-  EXPECT_DOUBLE_EQ(ap_from_kp(5.0), 48.0);
-  EXPECT_DOUBLE_EQ(ap_from_kp(9.0), 400.0);
-  EXPECT_THROW(static_cast<void>(ap_from_kp(10.0)), ValidationError);
-}
-
-TEST(KpTest, KpApRoundTrip) {
-  using spaceweather::ap_from_kp;
-  using spaceweather::kp_from_ap;
-  for (int step = 0; step <= 27; ++step) {
-    const double kp = step / 3.0;
-    EXPECT_NEAR(kp_from_ap(ap_from_kp(kp)), kp, 1e-9) << step;
-  }
-  EXPECT_THROW(static_cast<void>(kp_from_ap(-1.0)), ValidationError);
-}
-
-TEST(KpTest, DstMappingMonotone) {
-  using spaceweather::kp_from_dst;
-  double previous = kp_from_dst(50.0);
-  for (double dst = 40.0; dst >= -600.0; dst -= 10.0) {
-    const double kp = kp_from_dst(dst);
-    EXPECT_GE(kp, previous - 1e-9) << dst;
-    previous = kp;
-  }
-  EXPECT_DOUBLE_EQ(kp_from_dst(-600.0), 9.0);
-}
-
-TEST(KpTest, GScaleConsistentWithPaperBands) {
-  using spaceweather::g_level_from_kp;
-  using spaceweather::kp_from_dst;
-  // The paper's Dst bands land on the matching NOAA G levels.
-  EXPECT_EQ(g_level_from_kp(kp_from_dst(-20.0)), 0);
-  EXPECT_EQ(g_level_from_kp(kp_from_dst(-60.0)), 1);   // minor
-  EXPECT_EQ(g_level_from_kp(kp_from_dst(-130.0)), 2);  // moderate
-  EXPECT_GE(g_level_from_kp(kp_from_dst(-250.0)), 3);  // severe-ish
-  EXPECT_EQ(g_level_from_kp(kp_from_dst(-412.0)), 4);  // May 2024: G4-G5
-  EXPECT_EQ(g_level_from_kp(kp_from_dst(-1800.0)), 5); // Carrington
-}
-
-TEST(KpTest, GLabels) {
-  EXPECT_EQ(spaceweather::g_label(0), "G0");
-  EXPECT_EQ(spaceweather::g_label(5), "G5");
-  EXPECT_THROW(spaceweather::g_label(6), ValidationError);
 }
 
 // ------------------------------- bootstrap ----------------------------------

@@ -233,7 +233,11 @@ TEST(ObsDeterminismTest, DeltaPathCountersArePinnedAndBitIdenticalAcrossThreadCo
     core::PipelineConfig config;
     config.num_threads = threads;
     config.cache_dir = dir + "/cache";
+    Metrics cold;
+    config.metrics = &cold;
     static_cast<void>(core::CosmicDance::from_files(dst_path, tle_path, config));
+    // Hashing the inputs is its own phase on the cold path too.
+    EXPECT_EQ(cold.snapshot().phases.count("ingest.fingerprint"), 1u);
 
     io::append_file(tle_path, tail_tle);
     Metrics metrics;
@@ -245,7 +249,8 @@ TEST(ObsDeterminismTest, DeltaPathCountersArePinnedAndBitIdenticalAcrossThreadCo
   // Name pinning: these exact strings are load-bearing.
   EXPECT_EQ(reports[0].counters.at("ingest.delta_hit"), 1u);
   EXPECT_EQ(reports[0].counters.at("ingest.tail_bytes"), tail_tle.size());
-  EXPECT_EQ(reports[0].counters.at("snapshot.delta_written"), 1u);
+  EXPECT_EQ(reports[0].counters.at("snapshot.written"), 1u);
+  EXPECT_EQ(reports[0].phases.count("ingest.fingerprint"), 1u);
   EXPECT_EQ(reports[0].counters.at("tle.records_parsed"), 40u);
   EXPECT_EQ(reports[0].counters.count("ingest.cache_hit"), 0u);
   // Bit-identity of the whole work-counter map across thread counts.

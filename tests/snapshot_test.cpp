@@ -195,7 +195,7 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
   tle::TleCatalog catalog;
   catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, "catalog.tle"});
   const io::SnapshotData data{dst, catalog, log.report(),
-                              io::ingest_state_of(wdc_text, tle_text), 0, 0};
+                              io::ingest_state_of(wdc_text, tle_text)};
 
   const std::string bytes = io::encode_snapshot(data, ParsePolicy::kTolerant);
 
@@ -208,10 +208,10 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
                                 decoded->dst.values().end()),
             std::vector<double>(dst.values().begin(), dst.values().end()));
   EXPECT_EQ(decoded->quality.to_json(), log.report().to_json());
-  EXPECT_EQ(decoded->state.combined_hash, data.state.combined_hash);
+  EXPECT_EQ(decoded->state.dst_hash, io::fnv1a(wdc_text));
+  EXPECT_EQ(decoded->state.tle_hash, io::fnv1a(tle_text));
   EXPECT_EQ(decoded->state.dst_len, wdc_text.size());
   EXPECT_EQ(decoded->state.tle_len, tle_text.size());
-  EXPECT_EQ(decoded->delta_layers, 0u);
 
   // A policy mismatch rejects before any payload decoding happens, and a
   // header content hash that disagrees with the encoded ingest state is a
@@ -306,7 +306,7 @@ TEST(SnapshotTest, FlippedCrcHeaderByteFallsBack) {
                              [](const TestInputs& t) {
                                std::string bytes = io::read_file(t.snapshot_path());
                                ASSERT_GT(bytes.size(), 35u);
-                               bytes[32] ^= 0x01;  // CRC32 field, bytes 32-35
+                               bytes[32] ^= 0x01;  // table CRC32C, bytes 32-35
                                io::write_file(t.snapshot_path(), bytes);
                              });
 }
@@ -323,14 +323,37 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  const TestInputs inputs = write_inputs("version", tle_corpus(4));
-  expect_reject_and_fallback(
-      inputs, ParsePolicy::kStrict, [](const TestInputs& t) {
-        std::string bytes = io::read_file(t.snapshot_path());
-        ASSERT_GT(bytes.size(), 11u);
-        bytes[8] = static_cast<char>(bytes[8] + 1);  // version u32 LE, low byte
-        io::write_file(t.snapshot_path(), bytes);
-      });
+  // Any version but the current one rejects: a newer file, and a v3 file
+  // (the same section layout, with the state section's TLE hash chained
+  // onto the Dst hash).
+  for (const std::uint32_t version : {io::kSnapshotFormatVersion + 1, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const TestInputs inputs =
+        write_inputs("version" + std::to_string(version), tle_corpus(4));
+    expect_reject_and_fallback(
+        inputs, ParsePolicy::kStrict, [version](const TestInputs& t) {
+          std::string bytes = io::read_file(t.snapshot_path());
+          ASSERT_GT(bytes.size(), 11u);
+          bytes[8] = static_cast<char>(version);  // version u32 LE, low byte
+          io::write_file(t.snapshot_path(), bytes);
+        });
+  }
+}
+
+TEST(SnapshotTest, BytesAfterThePayloadFallBack) {
+  // The file ends where the header's payload size says: anything after it
+  // (a 40-byte header, like the layers earlier builds appended, or a
+  // single byte) rejects instead of being skipped.
+  for (const std::size_t extra : {std::size_t{40}, std::size_t{1}}) {
+    SCOPED_TRACE(std::to_string(extra) + " trailing bytes");
+    const TestInputs inputs =
+        write_inputs("trailing" + std::to_string(extra), tle_corpus(4));
+    expect_reject_and_fallback(
+        inputs, ParsePolicy::kStrict, [extra](const TestInputs& t) {
+          const std::string bytes = io::read_file(t.snapshot_path());
+          io::append_file(t.snapshot_path(), bytes.substr(0, extra));
+        });
+  }
 }
 
 TEST(SnapshotTest, EditedInputMakesTheSnapshotStale) {
@@ -468,7 +491,7 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
                           tle::IngestOptions{&log, 1, "catalog.tle"});
     variants.push_back(io::SnapshotData{
         std::move(dst), std::move(catalog), log.report(),
-        io::ingest_state_of(wdc_text, tle_text), 0, 0});
+        io::ingest_state_of(wdc_text, tle_text)});
     encoded.push_back(
         io::encode_snapshot(variants.back(), ParsePolicy::kTolerant));
   }
@@ -521,7 +544,7 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
   }
 }
 
-// ---- v3 section format ------------------------------------------------------
+// ---- section format ---------------------------------------------------------
 
 /// Parsed snapshot data over `satellites` objects (two element sets each),
 /// with the matching ingest state — the input to the encoders under test.
@@ -533,7 +556,7 @@ io::SnapshotData make_snapshot_data(int satellites, ParsePolicy policy) {
   tle::TleCatalog catalog;
   catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, "catalog.tle"});
   return io::SnapshotData{std::move(dst), std::move(catalog), log.report(),
-                          io::ingest_state_of(wdc_text, tle_text), 0, 0};
+                          io::ingest_state_of(wdc_text, tle_text)};
 }
 
 void expect_same_decoded(const io::SnapshotData& a, const io::SnapshotData& b) {
@@ -542,10 +565,11 @@ void expect_same_decoded(const io::SnapshotData& a, const io::SnapshotData& b) {
   EXPECT_EQ(std::vector<double>(a.dst.values().begin(), a.dst.values().end()),
             std::vector<double>(b.dst.values().begin(), b.dst.values().end()));
   EXPECT_EQ(a.quality.to_json(), b.quality.to_json());
-  EXPECT_EQ(a.state.combined_hash, b.state.combined_hash);
+  EXPECT_EQ(a.state.dst_hash, b.state.dst_hash);
+  EXPECT_EQ(a.state.tle_hash, b.state.tle_hash);
 }
 
-// v3 header/table offsets (the format doc in snapshot.hpp).
+// Header/table offsets (the format doc in snapshot.hpp).
 constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kTableCrcOffset = 32;
 constexpr std::size_t kSectionCountOffset = 36;
@@ -674,76 +698,6 @@ TEST(SnapshotV3Test, StaleContentHashRejects) {
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
 
-// ---- v2 compatibility -------------------------------------------------------
-
-TEST(SnapshotV2Compat, V2BytesDecodeIdenticallyToV3) {
-  const io::SnapshotData data = make_snapshot_data(12, ParsePolicy::kTolerant);
-  const std::string v2 = io::encode_snapshot_v2(data, ParsePolicy::kTolerant);
-  const std::string v3 = io::encode_snapshot(data, ParsePolicy::kTolerant, 4);
-  ASSERT_NE(v2, v3);
-  const std::optional<io::SnapshotData> from_v2 =
-      io::decode_snapshot(v2, ParsePolicy::kTolerant);
-  const std::optional<io::SnapshotData> from_v3 =
-      io::decode_snapshot(v3, ParsePolicy::kTolerant, 4);
-  ASSERT_TRUE(from_v2.has_value());
-  ASSERT_TRUE(from_v3.has_value());
-  expect_same_decoded(*from_v2, *from_v3);
-  expect_same_decoded(*from_v2, data);
-}
-
-TEST(SnapshotV2Compat, PipelineServesWarmAndDeltaHitsFromAV2File) {
-  // A cache written by the previous release: fabricate the v2 file at the
-  // exact path the pipeline will probe.
-  const TestInputs inputs = write_inputs("v2_compat", tle_corpus(6));
-  const std::string tle_text = io::read_file(inputs.tle_path);
-  const std::string wdc_text = io::read_file(inputs.dst_path);
-  diag::ParseLog log(ParsePolicy::kStrict);
-  spaceweather::DstIndex dst =
-      spaceweather::from_wdc(wdc_text, &log, inputs.dst_path);
-  tle::TleCatalog catalog;
-  catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, inputs.tle_path});
-  const io::SnapshotData data{std::move(dst), std::move(catalog), log.report(),
-                              io::ingest_state_of(wdc_text, tle_text), 0, 0};
-  std::filesystem::create_directories(inputs.cache_dir);
-  io::write_file(inputs.snapshot_path(),
-                 io::encode_snapshot_v2(data, ParsePolicy::kStrict));
-
-  // Warm hit straight off the v2 base.
-  obs::Metrics warm_run;
-  const RunOutput warm =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true,
-                   &warm_run);
-  EXPECT_EQ(counter(warm_run, "ingest.cache_hit"), 1u);
-  EXPECT_EQ(counter(warm_run, "snapshot.rejected"), 0u);
-  expect_identical(warm,
-                   run_pipeline(inputs, ParsePolicy::kStrict, 1,
-                                /*use_cache=*/false));
-
-  // Appending records must ride the delta path on top of the v2 base, and
-  // the resulting v2+delta chain must serve the next warm hit.
-  std::string tail;
-  for (int i = 0; i < 3; ++i) {
-    const tle::TleLines lines = tle::format_tle(make_tle(30001 + i, 10.0 + i));
-    tail += lines.line1 + "\n" + lines.line2 + "\n";
-  }
-  io::append_file(inputs.tle_path, tail);
-  obs::Metrics delta_run;
-  const RunOutput delta =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true,
-                   &delta_run);
-  EXPECT_EQ(counter(delta_run, "ingest.delta_hit"), 1u);
-  EXPECT_EQ(counter(delta_run, "snapshot.delta_written"), 1u);
-  obs::Metrics chain_run;
-  const RunOutput chained =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true,
-                   &chain_run);
-  EXPECT_EQ(counter(chain_run, "ingest.cache_hit"), 1u);
-  const RunOutput reparsed =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/false);
-  expect_identical(delta, reparsed);
-  expect_identical(chained, reparsed);
-}
-
 // ---- counters and the background save ---------------------------------------
 
 TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
@@ -807,9 +761,8 @@ std::uint32_t crc_reference(std::string_view bytes, std::uint32_t polynomial) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-TEST(SnapshotCrc, Crc32AndCrc32cMatchTheBitwiseReference) {
-  // Known-answer vectors first ("123456789" is the standard check input).
-  EXPECT_EQ(io::crc32("123456789"), 0xCBF43926u);
+TEST(SnapshotCrc, Crc32cMatchesTheBitwiseReference) {
+  // Known-answer vector first ("123456789" is the standard check input).
   EXPECT_EQ(io::crc32c("123456789"), 0xE3069283u);
 
   // Then every length 0..129 with deterministic pseudo-random content, so
@@ -820,8 +773,6 @@ TEST(SnapshotCrc, Crc32AndCrc32cMatchTheBitwiseReference) {
     for (char& c : bytes) {
       c = static_cast<char>(rng.uniform_int(0, 255));
     }
-    EXPECT_EQ(io::crc32(bytes), crc_reference(bytes, 0xEDB88320u))
-        << "crc32 mismatch at length " << length;
     EXPECT_EQ(io::crc32c(bytes), crc_reference(bytes, 0x82F63B78u))
         << "crc32c mismatch at length " << length;
   }

@@ -63,8 +63,8 @@ int usage() {
       "--cache-dir DIR (analyze/report): binary snapshot cache of parsed\n"
       "             inputs; a warm run with unchanged inputs skips text\n"
       "             parsing, and inputs that only grew by appended records\n"
-      "             reparse just the tail (stored as delta layers, compacted\n"
-      "             automatically); results are bit-identical either way\n";
+      "             reparse just the tail and rewrite the snapshot; results\n"
+      "             are bit-identical either way\n";
   return 2;
 }
 

@@ -192,10 +192,11 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
       static_cast<double>(std::filesystem::file_size(tle_path));
 
   // The two headline rates are tier-1-gated (cold ≥ 2x its PR 9 baseline,
-  // warm ≥ 3x cold), so they come from the *fastest* of three dedicated
-  // repetitions rather than the single instrumented pass above: on a busy
-  // CI box one wall-clock sample swings by tens of percent, and min-of-
-  // reps is the standard way to estimate the machine's actual capability.
+  // warm start ≥ 3x cold), so they come from the *fastest* of three
+  // dedicated repetitions rather than the single instrumented pass above:
+  // on a busy CI box one wall-clock sample swings by tens of percent, and
+  // min-of-reps is the standard way to estimate the machine's actual
+  // capability.
   // The phase timings in the metrics dump still describe the single
   // cold -> warm -> delta sequence.
   const auto best_seconds = [](auto&& run) {
@@ -226,17 +227,33 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
     throughput["tle_records_per_s"] =
         static_cast<double>(parsed_records) / parse_s;
   }
+  // The warm-start rate: what an exact-hit run pays before it holds its
+  // datasets — the snapshot load plus the fingerprint that proves the
+  // inputs unchanged, run alongside the decode as from_files runs it.  The
+  // inputs are mapped once, outside the timed region, as for the cold
+  // parse above.  The delta-warm pass rewrote the base over the grown
+  // inputs, so this is an exact hit; anything else leaves the key out and
+  // fails the tier-1 gate.
   const std::string snapshot_path =
       io::snapshot_cache_path(config.cache_dir, dst_path, tle_path);
-  std::size_t loaded_records = 0;
-  const double load_s = best_seconds([&] {
-    const auto loaded =
-        io::load_snapshot(snapshot_path, config.parse_policy, nullptr, threads);
-    loaded_records = loaded.has_value() ? loaded->catalog.record_count() : 0;
+  const io::MappedFile dst_grown(dst_path);
+  const io::MappedFile tle_grown(tle_path);
+  std::size_t warm_records = 0;
+  const double warm_s = best_seconds([&] {
+    io::InputMatch match = io::InputMatch::kMismatch;
+    const auto loaded = io::load_snapshot(
+        snapshot_path, config.parse_policy, nullptr, threads,
+        [&](const io::IngestState& recorded) {
+          match = io::classify_inputs(recorded, dst_grown.view(),
+                                      tle_grown.view())
+                      .match;
+        });
+    const bool exact = loaded.has_value() && match == io::InputMatch::kExact;
+    warm_records = exact ? loaded->catalog.record_count() : 0;
   });
-  if (load_s > 0.0 && loaded_records > 0) {
-    throughput["snapshot_records_per_s"] =
-        static_cast<double>(loaded_records) / load_s;
+  if (warm_s > 0.0 && warm_records > 0) {
+    throughput["warm_start_records_per_s"] =
+        static_cast<double>(warm_records) / warm_s;
   }
   throughput["catalog_records"] =
       static_cast<double>(cold.catalog().record_count());

@@ -74,12 +74,12 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
   // Both inputs are mapped once up front; the zero-copy parsers scan the
   // mappings directly and the snapshot cache hashes the same bytes, so hit
   // and miss runs agree on what the inputs were.
-  const io::MappedFile dst_file(wdc_dst_path);
-  const io::MappedFile tle_file(tle_path);
+  std::optional<io::MappedFile> dst_file(std::in_place, wdc_dst_path);
+  std::optional<io::MappedFile> tle_file(std::in_place, tle_path);
   if (config.metrics != nullptr) {
     std::size_t mapped_bytes = 0;
-    if (dst_file.is_mapped()) mapped_bytes += dst_file.size();
-    if (tle_file.is_mapped()) mapped_bytes += tle_file.size();
+    if (dst_file->is_mapped()) mapped_bytes += dst_file->size();
+    if (tle_file->is_mapped()) mapped_bytes += tle_file->size();
     if (mapped_bytes > 0) {
       config.metrics->counter("ingest.bytes_mapped").add(mapped_bytes);
     }
@@ -94,17 +94,32 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
   if (use_cache) {
     snapshot_path =
         io::snapshot_cache_path(config.cache_dir, wdc_dst_path, tle_path);
+    // The fingerprint runs on one worker while the others decode the
+    // snapshot's sections.  An exact hit never reads the inputs again, so
+    // it unmaps them right there: their pages are then not resident beside
+    // the decoded datasets and the snapshot's own.
+    std::optional<io::InputClassification> cls;
     std::optional<io::SnapshotData> snapshot = io::load_snapshot(
-        snapshot_path, config.parse_policy, config.metrics, config.num_threads);
+        snapshot_path, config.parse_policy, config.metrics, config.num_threads,
+        [&](const io::IngestState& recorded) {
+          const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
+          cls = io::classify_inputs(recorded, dst_file->view(),
+                                    tle_file->view());
+          if (cls->match == io::InputMatch::kExact) {
+            dst_file.reset();
+            tle_file.reset();
+          }
+        });
+    // The fingerprint measured the current inputs whatever the rest of the
+    // file held, so a rejected snapshot does not cost a second one.
+    if (cls.has_value()) state = cls->current;
+    if (!snapshot.has_value() && !tle_file.has_value()) {
+      // Exact inputs, but a later section failed: the text path needs them.
+      dst_file.emplace(wdc_dst_path);
+      tle_file.emplace(tle_path);
+    }
     if (snapshot.has_value()) {
-      io::InputClassification cls;
-      {
-        const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-        cls = io::classify_inputs(snapshot->state, dst_file.view(),
-                                  tle_file.view());
-      }
-      match = cls.match;
-      state = cls.current;
+      match = cls->match;  // a decoded snapshot always ran the fingerprint
       if (match == io::InputMatch::kMismatch) {
         // Structurally valid snapshot of some *other* inputs (shrunk or
         // edited in place): stale.  Count the rejection and reparse.
@@ -133,9 +148,9 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     // order — and the first strict-mode throw — are bit-identical to
     // a full reparse of the grown files (DESIGN.md §14).
     const std::string_view dst_tail =
-        dst_file.view().substr(data.state.dst_len);
+        dst_file->view().substr(data.state.dst_len);
     const std::string_view tle_tail =
-        tle_file.view().substr(data.state.tle_len);
+        tle_file->view().substr(data.state.tle_len);
     if (config.metrics != nullptr) {
       config.metrics->counter("ingest.delta_hit").add(1);
       config.metrics->counter("ingest.tail_bytes")
@@ -172,7 +187,7 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     diag::ParseLog log(config.parse_policy);
     {
       const obs::ScopedPhase phase(config.metrics, "ingest.dst");
-      data.dst = spaceweather::from_wdc(dst_file.view(), &log, wdc_dst_path);
+      data.dst = spaceweather::from_wdc(dst_file->view(), &log, wdc_dst_path);
       if (config.metrics != nullptr) {
         config.metrics->counter("ingest.dst_hours").add(data.dst.size());
       }
@@ -180,14 +195,14 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     {
       const obs::ScopedPhase phase(config.metrics, "ingest.tle");
       data.catalog.add_from_text(
-          tle_file.view(),
+          tle_file->view(),
           tle::IngestOptions{&log, config.num_threads, tle_path, config.metrics});
     }
     data.quality = log.report();
     if (use_cache) {
       if (!state.has_value()) {
         const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-        state = io::ingest_state_of(dst_file.view(), tle_file.view());
+        state = io::ingest_state_of(dst_file->view(), tle_file->view());
       }
       data.state = *state;
       // Best-effort rewrite: failure (e.g. read-only cache dir) is counted

@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
 #include "io/file.hpp"
+#include "io/snapshot_internal.hpp"
 #include "obs/obs.hpp"
 #include "tle/tle.hpp"
 
@@ -214,7 +215,7 @@ std::uint64_t content_hash(const IngestState& state) {
   std::string hashes;
   put_u64(hashes, state.dst_hash);
   put_u64(hashes, state.tle_hash);
-  return fnv1a(hashes);
+  return xxh64(hashes);
 }
 
 void encode_dst(std::string& out, const spaceweather::DstIndex& dst) {
@@ -265,25 +266,30 @@ void encode_tle(std::string& out, const tle::Tle& t) {
   put_i32(out, t.rev_number);
 }
 
-tle::Tle decode_tle(Cursor& in) {
-  tle::Tle t;
-  t.catalog_number = in.i32();
-  t.classification = static_cast<char>(in.u8());
-  t.international_designator = in.str();
-  t.epoch_jd = in.f64();
-  t.mean_motion_dot = in.f64();
-  t.mean_motion_ddot = in.f64();
-  t.bstar = in.f64();
-  t.ephemeris_type = in.i32();
-  t.element_set_number = in.i32();
-  t.inclination_deg = in.f64();
-  t.raan_deg = in.f64();
-  t.eccentricity = in.f64();
-  t.arg_perigee_deg = in.f64();
-  t.mean_anomaly_deg = in.f64();
-  t.mean_motion_revday = in.f64();
-  t.rev_number = in.i32();
-  return t;
+/// Bytes of an encoded record after its designator: 10 doubles, 3 int32s.
+constexpr std::size_t kTleFixedTail = 10 * 8 + 3 * 4;
+
+/// Decode one record into `t`.  The fixed-size fields before and after the
+/// designator are each bounds-checked once as a block, not field by field.
+void decode_tle(Cursor& in, tle::Tle& t) {
+  Cursor head(in.view(9));
+  t.catalog_number = head.i32();
+  t.classification = static_cast<char>(head.u8());
+  t.international_designator = in.view(head.u32());
+  Cursor tail(in.view(kTleFixedTail));
+  t.epoch_jd = tail.f64();
+  t.mean_motion_dot = tail.f64();
+  t.mean_motion_ddot = tail.f64();
+  t.bstar = tail.f64();
+  t.ephemeris_type = tail.i32();
+  t.element_set_number = tail.i32();
+  t.inclination_deg = tail.f64();
+  t.raan_deg = tail.f64();
+  t.eccentricity = tail.f64();
+  t.arg_perigee_deg = tail.f64();
+  t.mean_anomaly_deg = tail.f64();
+  t.mean_motion_revday = tail.f64();
+  t.rev_number = tail.i32();
 }
 
 void encode_quality(std::string& out, const diag::DataQualityReport& report) {
@@ -350,18 +356,159 @@ diag::DataQualityReport decode_quality(Cursor& in) {
   return report;
 }
 
-}  // namespace
+// ---- XXH64 input fingerprint ------------------------------------------------
 
-std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
+constexpr std::uint64_t kXxhPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kXxhPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kXxhPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kXxhPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kXxhPrime5 = 0x27D4EB2F165667C5ULL;
+constexpr std::size_t kXxhStripe = 32;
+
+std::uint64_t load_le64(const char* p) {
+  std::uint64_t v = 0;
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+           << (8 * i);
+    }
   }
-  return hash;
+  return v;
 }
 
-namespace {
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * kXxhPrime2;
+  return std::rotl(acc, 31) * kXxhPrime1;
+}
+
+/// 0x01 in each byte lane of `word` that holds '\n', 0x00 elsewhere.  The
+/// carry-free zero-byte test: no lane's sum can carry into its neighbour,
+/// so there are no false matches.
+std::uint64_t newline_lanes(std::uint64_t word) {
+  constexpr std::uint64_t kNewlines = 0x0A0A0A0A0A0A0A0AULL;
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  const std::uint64_t x = word ^ kNewlines;
+  return ~(((x & kLow7) + kLow7) | x | kLow7) >> 7;
+}
+
+/// Sum of the eight byte lanes of `lanes` (each at most 255).
+std::uint64_t sum_lanes(std::uint64_t lanes) {
+  constexpr std::uint64_t kEvenBytes = 0x00FF00FF00FF00FFULL;
+  const std::uint64_t pairs = (lanes & kEvenBytes) + ((lanes >> 8) & kEvenBytes);
+  return (pairs * 0x0001000100010001ULL) >> 48;
+}
+
+/// Fold `count` 32-byte stripes at `p` into the accumulators; returns the
+/// number of '\n' bytes in them.
+std::uint64_t xxh_stripes(std::array<std::uint64_t, 4>& state, const char* p,
+                          std::size_t count) {
+  // Four named locals, not `state`: stores through the reference could
+  // alias the input bytes, and an indexed array stays in memory, either of
+  // which chains every round through a store and a load.
+  auto [a0, a1, a2, a3] = state;
+  std::uint64_t lines = 0;
+  while (count > 0) {
+    // A stripe adds at most 4 to a byte lane, so 63 stripes stay under 256.
+    const std::size_t block = std::min<std::size_t>(count, 63);
+    std::uint64_t lanes = 0;
+    for (std::size_t s = 0; s < block; ++s, p += kXxhStripe) {
+      const std::uint64_t w0 = load_le64(p);
+      const std::uint64_t w1 = load_le64(p + 8);
+      const std::uint64_t w2 = load_le64(p + 16);
+      const std::uint64_t w3 = load_le64(p + 24);
+      a0 = xxh_round(a0, w0);
+      a1 = xxh_round(a1, w1);
+      a2 = xxh_round(a2, w2);
+      a3 = xxh_round(a3, w3);
+      lanes += newline_lanes(w0) + newline_lanes(w1) + newline_lanes(w2) +
+               newline_lanes(w3);
+    }
+    lines += sum_lanes(lanes);
+    count -= block;
+  }
+  state = {a0, a1, a2, a3};
+  return lines;
+}
+
+/// Streaming XXH64 (seed 0) that counts '\n' bytes in the same pass.  Any
+/// split of the input across update() calls gives the same digest() and
+/// lines() as one call over the whole, which is what lets classify_inputs
+/// check the recorded prefix and then continue over the tail.
+class InputHasher {
+ public:
+  void update(std::string_view bytes) {
+    const char* p = bytes.data();
+    std::size_t n = bytes.size();
+    length_ += n;
+    if (buffered_ > 0) {  // complete the partial stripe the last call left
+      const std::size_t take = std::min(n, kXxhStripe - buffered_);
+      std::copy(p, p + take, buffer_.begin() + buffered_);
+      lines_ += static_cast<std::uint64_t>(std::count(p, p + take, '\n'));
+      buffered_ += take;
+      p += take;
+      n -= take;
+      if (buffered_ < kXxhStripe) return;
+      static_cast<void>(xxh_stripes(acc_, buffer_.data(), 1));  // counted
+      buffered_ = 0;
+    }
+    const std::size_t stripes = n / kXxhStripe;
+    lines_ += xxh_stripes(acc_, p, stripes);
+    p += stripes * kXxhStripe;
+    n -= stripes * kXxhStripe;
+    std::copy(p, p + n, buffer_.begin());
+    lines_ += static_cast<std::uint64_t>(std::count(p, p + n, '\n'));
+    buffered_ = n;
+  }
+
+  [[nodiscard]] std::uint64_t digest() const {
+    std::uint64_t h = kXxhPrime5;
+    if (length_ >= kXxhStripe) {
+      h = std::rotl(acc_[0], 1) + std::rotl(acc_[1], 7) +
+          std::rotl(acc_[2], 12) + std::rotl(acc_[3], 18);
+      for (const std::uint64_t acc : acc_) {
+        h = (h ^ xxh_round(0, acc)) * kXxhPrime1 + kXxhPrime4;
+      }
+    }
+    h += length_;
+    const char* p = buffer_.data();
+    std::size_t n = buffered_;
+    for (; n >= 8; p += 8, n -= 8) {
+      h = std::rotl(h ^ xxh_round(0, load_le64(p)), 27) * kXxhPrime1 +
+          kXxhPrime4;
+    }
+    if (n >= 4) {
+      std::uint64_t word = 0;
+      for (int i = 0; i < 4; ++i) {
+        word |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+                << (8 * i);
+      }
+      h = std::rotl(h ^ (word * kXxhPrime1), 23) * kXxhPrime2 + kXxhPrime3;
+      p += 4;
+      n -= 4;
+    }
+    for (; n > 0; ++p, --n) {
+      h = std::rotl(h ^ (static_cast<unsigned char>(*p) * kXxhPrime5), 11) *
+          kXxhPrime1;
+    }
+    h ^= h >> 33;
+    h *= kXxhPrime2;
+    h ^= h >> 29;
+    h *= kXxhPrime3;
+    return h ^ (h >> 32);
+  }
+
+  [[nodiscard]] std::uint64_t lines() const { return lines_; }
+
+ private:
+  std::array<std::uint64_t, 4> acc_{kXxhPrime1 + kXxhPrime2, kXxhPrime2, 0,
+                                    0 - kXxhPrime1};
+  std::array<char, kXxhStripe> buffer_{};
+  std::size_t buffered_ = 0;
+  std::uint64_t length_ = 0;
+  std::uint64_t lines_ = 0;
+};
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
@@ -450,55 +597,54 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
 
 /// One input measured against its recorded prefix.
 struct InputScan {
-  std::uint64_t hash = kFnv1aOffset;
+  std::uint64_t hash = kXxh64Empty;
   std::uint64_t lines = 0;
   bool prefix_matches = false;  ///< the recorded prefix is intact
 };
 
-/// Hash the recorded prefix, compare, then continue the same hash over the
-/// tail, so every byte is hashed once.  A matching prefix hash vouches for
-/// the recorded newline count, so only the tail is counted; otherwise the
-/// whole input is.
+/// Hash the recorded prefix, compare, then continue the same stream over
+/// the tail, so every byte is hashed — and its newlines counted — once.
 InputScan scan_input(std::string_view bytes, std::uint64_t recorded_len,
-                     std::uint64_t recorded_hash,
-                     std::uint64_t recorded_lines) {
-  const auto newlines = [](std::string_view text) {
-    return static_cast<std::uint64_t>(
-        std::count(text.begin(), text.end(), '\n'));
-  };
+                     std::uint64_t recorded_hash) {
+  InputHasher hasher;
   InputScan scan;
-  if (bytes.size() < recorded_len) {  // shrunk: no prefix to compare
-    scan.hash = fnv1a(bytes);
-    scan.lines = newlines(bytes);
-    return scan;
+  if (bytes.size() >= recorded_len) {  // a shrunk input has no prefix
+    hasher.update(bytes.substr(0, recorded_len));
+    scan.prefix_matches = hasher.digest() == recorded_hash;
+    bytes.remove_prefix(recorded_len);
   }
-  const std::string_view tail = bytes.substr(recorded_len);
-  scan.hash = fnv1a(bytes.substr(0, recorded_len));
-  scan.prefix_matches = scan.hash == recorded_hash;
-  scan.hash = fnv1a(tail, scan.hash);
-  scan.lines = scan.prefix_matches ? recorded_lines + newlines(tail)
-                                   : newlines(bytes);
+  hasher.update(bytes);
+  scan.hash = hasher.digest();
+  scan.lines = hasher.lines();
   return scan;
 }
 
 }  // namespace
+
+std::uint64_t xxh64(std::string_view bytes) {
+  InputHasher hasher;
+  hasher.update(bytes);
+  return hasher.digest();
+}
+
+std::uint32_t internal::crc32c_portable(std::string_view bytes) {
+  static const CrcTables tables = make_crc_tables(0x82F63B78u);
+  return crc_sliced(tables, bytes);
+}
 
 std::uint32_t crc32c(std::string_view bytes) {
 #if defined(__x86_64__) || defined(__i386__)
   static const bool hardware = __builtin_cpu_supports("sse4.2");
   if (hardware) return crc32c_hw(bytes);
 #endif
-  static const CrcTables tables = make_crc_tables(0x82F63B78u);
-  return crc_sliced(tables, bytes);
+  return internal::crc32c_portable(bytes);
 }
 
 InputClassification classify_inputs(const IngestState& base,
                                     std::string_view dst_bytes,
                                     std::string_view tle_bytes) {
-  const InputScan dst =
-      scan_input(dst_bytes, base.dst_len, base.dst_hash, base.dst_lines);
-  const InputScan tle =
-      scan_input(tle_bytes, base.tle_len, base.tle_hash, base.tle_lines);
+  const InputScan dst = scan_input(dst_bytes, base.dst_len, base.dst_hash);
+  const InputScan tle = scan_input(tle_bytes, base.tle_len, base.tle_hash);
   InputClassification out;
   IngestState& cur = out.current;
   cur.dst_len = dst_bytes.size();
@@ -538,9 +684,7 @@ IngestState ingest_state_of(std::string_view dst_bytes,
 std::string snapshot_cache_path(const std::string& cache_dir,
                                 const std::string& dst_path,
                                 const std::string& tle_path) {
-  std::uint64_t hash = fnv1a(dst_path);
-  hash = fnv1a("|", hash);
-  hash = fnv1a(tle_path, hash);
+  const std::uint64_t hash = xxh64(dst_path + "|" + tle_path);
   char name[32];
   std::snprintf(name, sizeof(name), "%016llx.cdsnap",
                 static_cast<unsigned long long>(hash));
@@ -650,13 +794,16 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
 namespace {
 
 /// Decode a section-table payload into `data`, validating and
-/// deserialising sections over `num_threads` workers.  Returns false on
-/// any disagreement; throws (caught by the caller) on truncated fields or
-/// histories adopt_history refuses.
+/// deserialising sections over `num_threads` workers; `alongside` (if set)
+/// gets the recorded state and runs on one of them.  Returns false on any
+/// disagreement; throws (caught by the caller) on a truncated state
+/// section, a satellite two catalog stripes both carry, or a throwing
+/// `alongside`.
 bool decode_payload(std::string_view payload,
                     std::uint64_t header_content_hash, std::uint32_t table_crc,
                     std::uint32_t section_count, diag::ParsePolicy policy,
-                    int num_threads, SnapshotData& data) {
+                    int num_threads, const StateCallback& alongside,
+                    SnapshotData& data) {
   // The table must fit the payload (a short file is a truncated section
   // table) and carry the exact sections the format demands: state, Dst,
   // zero or more catalog stripes, quality.
@@ -693,35 +840,49 @@ bool decode_payload(std::string_view payload,
     if (running != body.size()) return false;
   }
 
-  // Validate and deserialise the sections in parallel.  Workers only read
-  // the mapped bytes and build private results; failures are carried out
-  // as flags (never thrown across the pool) and any one rejects the file.
+  // The state section first and alone: it is a few dozen bytes, and
+  // `alongside` needs it while the rest decodes.
+  {
+    const std::string_view blob =
+        body.substr(entries[0].offset, entries[0].length);
+    if (crc32c(blob) != entries[0].crc) return false;
+    Cursor in(blob);
+    data.state = decode_state(in);
+    if (!in.exhausted()) return false;
+    if (content_hash(data.state) != header_content_hash) return false;
+  }
+
+  // Validate and deserialise the other sections in parallel; the state
+  // section's slot runs `alongside` instead.  Workers only read the mapped
+  // bytes and build private results — each catalog stripe its own
+  // TleCatalog, so adopt_history's per-record checks run in parallel too.
+  // Decode failures are carried out as flags (never thrown across the
+  // pool) and any one rejects the file.
   struct SectionResult {
     bool ok = true;
-    IngestState state;
     std::optional<spaceweather::DstIndex> dst;
-    std::vector<std::pair<int, std::vector<tle::Tle>>> satellites;
+    tle::TleCatalog stripe;
     std::optional<diag::DataQualityReport> quality;
   };
   std::vector<SectionResult> results = exec::ordered_map<SectionResult>(
       section_count, num_threads,
       [&](std::size_t i) {
         SectionResult result;
+        if (i == 0) {
+          if (alongside) alongside(data.state);
+          return result;
+        }
         try {
           const SectionEntry& entry = entries[i];
           const std::string_view blob = body.substr(entry.offset, entry.length);
           if (crc32c(blob) != entry.crc) throw ParseError("section CRC");
           Cursor in(blob);
           switch (entry.kind) {
-            case kSectionState:
-              result.state = decode_state(in);
-              break;
             case kSectionDst:
               result.dst = decode_dst(in);
               break;
             case kSectionCatalogStripe: {
               const std::uint64_t sat_count = in.u64();
-              result.satellites.reserve(sat_count);
               for (std::uint64_t s = 0; s < sat_count; ++s) {
                 const std::int32_t id = in.i32();
                 const std::uint64_t records = in.u64();
@@ -732,11 +893,12 @@ bool decode_payload(std::string_view payload,
                 if (records > entry.length / 64) {
                   throw ParseError("stripe record count exceeds section");
                 }
-                history.reserve(records);
-                for (std::uint64_t r = 0; r < records; ++r) {
-                  history.push_back(decode_tle(in));
-                }
-                result.satellites.emplace_back(id, std::move(history));
+                history.resize(records);
+                for (tle::Tle& t : history) decode_tle(in, t);
+                // adopt_history re-validates each record and the epoch
+                // ordering — the defences a per-record add() replay would
+                // give, amortised per history.
+                result.stripe.adopt_history(id, std::move(history));
               }
               break;
             }
@@ -755,26 +917,18 @@ bool decode_payload(std::string_view payload,
     if (!result.ok) return false;
   }
 
-  data.state = results.front().state;
-  if (content_hash(data.state) != header_content_hash) return false;
   data.dst = std::move(*results[1].dst);
   for (std::size_t i = 2; i + 1 < results.size(); ++i) {
-    for (auto& [id, history] : results[i].satellites) {
-      // adopt_history re-validates each record and the epoch ordering, and
-      // throws on a satellite already adopted — the defences a per-record
-      // add() replay would give, amortised per history.
-      data.catalog.adopt_history(id, std::move(history));
-    }
+    data.catalog.absorb(std::move(results[i].stripe));
   }
   data.quality = std::move(*results.back().quality);
   return data.quality.policy == policy;
 }
 
-}  // namespace
-
-std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
-                                            diag::ParsePolicy policy,
-                                            int num_threads) {
+std::optional<SnapshotData> decode_bytes(std::string_view bytes,
+                                         diag::ParsePolicy policy,
+                                         int num_threads,
+                                         const StateCallback& alongside) {
   if (bytes.size() < kHeaderSize) return std::nullopt;
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   try {
@@ -793,7 +947,8 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
 
     SnapshotData data;
     if (!decode_payload(bytes.substr(kHeaderSize), header_content_hash,
-                        table_crc, section_count, policy, num_threads, data)) {
+                        table_crc, section_count, policy, num_threads,
+                        alongside, data)) {
       return std::nullopt;
     }
     return data;
@@ -804,15 +959,24 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
   }
 }
 
+}  // namespace
+
+std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
+                                            diag::ParsePolicy policy,
+                                            int num_threads) {
+  return decode_bytes(bytes, policy, num_threads, {});
+}
+
 std::optional<SnapshotData> load_snapshot(const std::string& path,
                                           diag::ParsePolicy policy,
                                           obs::Metrics* metrics,
-                                          int num_threads) {
+                                          int num_threads,
+                                          const StateCallback& alongside) {
   const obs::ScopedPhase phase(metrics, "snapshot.load");
   try {
     const MappedFile mapped(path);
     std::optional<SnapshotData> data =
-        decode_snapshot(mapped.view(), policy, num_threads);
+        decode_bytes(mapped.view(), policy, num_threads, alongside);
     if (metrics != nullptr) {
       if (!data.has_value()) {
         metrics->counter("snapshot.rejected").add(1);

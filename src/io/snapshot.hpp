@@ -6,7 +6,7 @@
 // are append-heavy: the same prefix plus N new bytes at the end.  A
 // snapshot serialises the *parsed* artefacts — the Dst series, the TLE
 // catalog and the ingestion DataQualityReport — keyed by the inputs' byte
-// lengths and FNV-1a content hashes:
+// lengths and XXH64 content hashes:
 //
 //   * A warm run whose inputs match exactly loads the snapshot and skips
 //     text parsing entirely.
@@ -18,12 +18,17 @@
 //     silently fall back to the text path and rewrite a fresh base.  See
 //     DESIGN.md §14 for the reasoning.
 //
-// Layout: a fixed 40-byte header
+// The fingerprint reads each input byte once: one streaming XXH64 pass
+// hashes the recorded prefix, continues over the tail and counts newlines
+// in the same loop.  The file lives at `<cache_dir>/<xxh64>.cdsnap`, the
+// XXH64 of the two input paths.
+//
+// Layout (format v5): a fixed 40-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
 //   bytes 13-15  zero padding
-//   bytes 16-23  content hash (u64): FNV-1a over the state's Dst and TLE
+//   bytes 16-23  content hash (u64): XXH64 over the state's Dst and TLE
 //                hashes, cross-checked against the state section on load
 //   bytes 24-31  payload size in bytes (u64); the file ends exactly there
 //   bytes 32-35  CRC32C of the section table (u32)
@@ -48,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -64,15 +70,16 @@ namespace cosmicdance::io {
 
 /// Bumped on any change to the payload encoding; a version mismatch is a
 /// silent reject-and-reparse, never a migration.  v3 added the section
-/// table; v4 hashes each input separately in the state section (DESIGN.md
-/// §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+/// table; v4 hashes each input separately in the state section; v5 hashes
+/// with XXH64 instead of FNV-1a (DESIGN.md §13, §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
-/// 64-bit FNV-1a over `bytes`, chainable through `seed` to hash several
-/// buffers as one stream.
-inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes,
-                                  std::uint64_t seed = kFnv1aOffset);
+/// XXH64 (seed 0) of `bytes` — the input fingerprint, the header's content
+/// hash and the cache file name all use it.
+[[nodiscard]] std::uint64_t xxh64(std::string_view bytes);
+
+/// xxh64 of zero bytes: the recorded hash of an empty input.
+inline constexpr std::uint64_t kXxh64Empty = 0xEF46DB3751D8E999ULL;
 
 /// CRC32C (Castagnoli polynomial) of `bytes` — the section and
 /// section-table integrity check.  Uses the SSE4.2 CRC32 instruction when
@@ -87,10 +94,10 @@ inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
 /// diagnostics so they cite absolute line numbers).
 struct IngestState {
   std::uint64_t dst_len = 0;    ///< Dst input size in bytes
-  std::uint64_t dst_hash = kFnv1aOffset;  ///< FNV-1a of the Dst bytes
+  std::uint64_t dst_hash = kXxh64Empty;  ///< XXH64 of the Dst bytes
   std::uint64_t dst_lines = 0;  ///< newline count in the Dst input
   std::uint64_t tle_len = 0;    ///< TLE input size in bytes
-  std::uint64_t tle_hash = kFnv1aOffset;  ///< FNV-1a of the TLE bytes
+  std::uint64_t tle_hash = kXxh64Empty;  ///< XXH64 of the TLE bytes
   std::uint64_t tle_lines = 0;  ///< newline count in the TLE input
   /// True when the input is empty or ends in '\n'.  A file that ends
   /// mid-line can have that line's meaning rewritten by an append, so
@@ -119,10 +126,10 @@ struct InputClassification {
 
 /// Classify the current inputs against a snapshot's recorded state, in
 /// one pass over the bytes: each input's recorded prefix is hashed and
-/// compared, the same hash then continues over the tail, and a matching
-/// prefix contributes its recorded line count so only the tail is
-/// counted.  kAppend requires every grown input to have a line-terminated
-/// (and, for TLE, pairing-clean) recorded prefix.
+/// compared, the same streaming XXH64 then continues over the tail, and
+/// the newline count comes from that same pass.  kAppend requires every
+/// grown input to have a line-terminated (and, for TLE, pairing-clean)
+/// recorded prefix.
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
                                                   std::string_view dst_bytes,
                                                   std::string_view tle_bytes);
@@ -142,11 +149,11 @@ struct SnapshotData {
   IngestState state;
 };
 
-/// Snapshot file path for an input pair.  The name hashes the *paths* (not
-/// the contents), so the same inputs map to a stable file whose stored
-/// ingest state then decides hit/append/reject — editing an input is
-/// detected as a stale snapshot at load time, not silently shadowed by a
-/// new file.
+/// Snapshot file path for an input pair: `<xxh64(dst_path|tle_path)>.cdsnap`.
+/// The name hashes the *paths* (not the contents), so the same inputs map
+/// to a stable file whose stored ingest state then decides
+/// hit/append/reject — editing an input is detected as a stale snapshot at
+/// load time, not silently shadowed by a new file.
 [[nodiscard]] std::string snapshot_cache_path(const std::string& cache_dir,
                                               const std::string& dst_path,
                                               const std::string& tle_path);
@@ -167,20 +174,31 @@ struct SnapshotData {
 [[nodiscard]] std::optional<SnapshotData> decode_snapshot(
     std::string_view bytes, diag::ParsePolicy policy, int num_threads = 1);
 
+/// Called with a snapshot's recorded ingest state while the rest of the
+/// file decodes.
+using StateCallback = std::function<void(const IngestState&)>;
+
 /// Load a snapshot file.  A missing/unreadable file is a cache miss
 /// (nullopt, no counter); a present-but-invalid file bumps
 /// `snapshot.rejected` and also returns nullopt.  Whether a structurally
 /// valid snapshot matches the current inputs is the caller's decision
 /// (classify_inputs) — the caller bumps `snapshot.loaded` only when it
-/// actually uses the data.  A successful load adds the materialised record
-/// count to `snapshot.load_records` (the warm-throughput numerator) and
-/// the section count to the scheduling counter `snapshot.load_sections`.
+/// actually uses the data.  `alongside`, when set, is called once the
+/// header, section table and state section check out, with the recorded
+/// state, on one of the workers while the other sections decode: the warm
+/// start fingerprints its inputs there, so the hash and the decode
+/// overlap.  A file whose state section does not check out never calls
+/// it; one that fails later may already have.  A successful load adds the
+/// materialised record count to `snapshot.load_records` (the
+/// warm-throughput numerator) and the section count to the scheduling
+/// counter `snapshot.load_sections`.
 /// Sections are validated and deserialised over `num_threads` workers;
 /// results are bit-identical at any value.  Wall time lands in phase
 /// "snapshot.load".
 [[nodiscard]] std::optional<SnapshotData> load_snapshot(
     const std::string& path, diag::ParsePolicy policy,
-    obs::Metrics* metrics = nullptr, int num_threads = 1);
+    obs::Metrics* metrics = nullptr, int num_threads = 1,
+    const StateCallback& alongside = {});
 
 /// Write a snapshot file (atomically: per-writer temp file + rename,
 /// creating the cache directory if needed).  The temp name embeds the pid

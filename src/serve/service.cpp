@@ -419,24 +419,34 @@ std::string handle_quality_report(const ServeSnapshot& snap) {
 
 Service::Service(core::CosmicDance initial, Rebuild rebuild,
                  obs::Metrics* metrics)
-    : rebuild_(std::move(rebuild)), metrics_(metrics) {
-  slot_.store(std::make_shared<const ServeSnapshot>(1, std::move(initial)));
+    : slot_(std::make_shared<const ServeSnapshot>(1, std::move(initial))),
+      rebuild_(std::move(rebuild)),
+      metrics_(metrics) {
   requests_ = obs::counter_or_null(metrics_, "serve.requests");
   errors_ = obs::counter_or_null(metrics_, "serve.errors");
   reloads_ = obs::counter_or_null(metrics_, "serve.reloads");
 }
 
 std::shared_ptr<const ServeSnapshot> Service::snapshot() const {
-  return slot_.load();
+  const std::lock_guard<std::mutex> lock(slot_mutex_);
+  return slot_;
 }
 
 std::uint64_t Service::reload() {
   if (!rebuild_) return 0;
   const std::lock_guard<std::mutex> lock(reload_mutex_);
   core::CosmicDance fresh = rebuild_();  // may throw; old snapshot survives
-  const std::uint64_t next_epoch = slot_.load()->epoch + 1;
-  slot_.store(std::make_shared<const ServeSnapshot>(next_epoch,
-                                                    std::move(fresh)));
+  // Reloads are serialised, so the epoch read here is still current at the
+  // swap below.
+  auto swapped = std::make_shared<const ServeSnapshot>(snapshot()->epoch + 1,
+                                                       std::move(fresh));
+  const std::uint64_t next_epoch = swapped->epoch;
+  {
+    const std::lock_guard<std::mutex> slot_lock(slot_mutex_);
+    slot_.swap(swapped);
+  }
+  // `swapped` now holds the old snapshot: it is freed after the slot mutex
+  // is released, here or by the last in-flight reader.
   obs::bump(reloads_);
   return next_epoch;
 }

@@ -1,14 +1,15 @@
-// The cosmicdanced query service: an immutable, atomically-swapped pipeline
+// The cosmicdanced query service: an immutable, swapped-whole pipeline
 // snapshot plus the request router that answers queries against it.
 //
-// Concurrency model (DESIGN.md §15): readers never block and never lock.
+// Concurrency model (DESIGN.md §15): readers never wait for a rebuild.
 // The entire queryable state — Dst series, catalog, cleaned tracks,
 // correlator — lives inside one `core::CosmicDance` owned by an immutable
-// ServeSnapshot behind a `std::atomic<std::shared_ptr<const ServeSnapshot>>`.
-// A request handler loads the pointer exactly once, builds its whole
-// response from that object, and releases it; a concurrent reload builds
-// the replacement pipeline entirely off to the side and swaps the pointer
-// in one atomic store.  In-flight requests keep the old snapshot alive
+// ServeSnapshot behind a `std::shared_ptr<const ServeSnapshot>` slot with
+// its own mutex, held only to copy or replace the pointer.  A request
+// handler copies the pointer exactly once, builds its whole response from
+// that object, and releases it; a concurrent reload builds the replacement
+// pipeline entirely off to the side and swaps the pointer under the slot
+// mutex.  In-flight requests keep the old snapshot alive
 // through their shared_ptr until the response is written, so a reader sees
 // either the old epoch or the new one — never a mix.  Every response
 // carries the snapshot's epoch twice ("epoch" first, "epoch_end" last):
@@ -20,7 +21,6 @@
 // from many request threads at once), and everything else is pure reads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -84,7 +84,11 @@ class Service {
   std::uint64_t reload();
 
  private:
-  std::atomic<std::shared_ptr<const ServeSnapshot>> slot_;
+  // Guards only the pointer copy and swap; no rebuild or request runs
+  // under it.  (libstdc++'s std::atomic<std::shared_ptr> locks through a
+  // bit in the control-block pointer that ThreadSanitizer cannot model.)
+  mutable std::mutex slot_mutex_;
+  std::shared_ptr<const ServeSnapshot> slot_;
   std::mutex reload_mutex_;
   Rebuild rebuild_;
   obs::Metrics* metrics_;

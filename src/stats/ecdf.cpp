@@ -4,13 +4,65 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "exec/parallel_for.hpp"
 
 namespace cosmicdance::stats {
+namespace {
 
-Ecdf::Ecdf(std::span<const double> sample)
+/// A chunk is never split below this many samples, so a sample smaller
+/// than twice this is one chunk: a plain std::sort.
+constexpr std::size_t kMinChunkSamples = std::size_t{1} << 18;
+/// At most 16 chunks, so the merge tree is at most 4 levels deep.
+constexpr std::size_t kMaxChunks = 16;
+
+/// Sort chunks for a sample of `n`: a power of two and a function of `n`
+/// alone, never of the thread count.
+std::size_t chunk_count(std::size_t n) {
+  std::size_t chunks = 1;
+  while (chunks < kMaxChunks && n / (chunks * 2) >= kMinChunkSamples) {
+    chunks *= 2;
+  }
+  return chunks;
+}
+
+}  // namespace
+
+Ecdf::Ecdf(std::span<const double> sample, int num_threads)
     : sorted_(sample.begin(), sample.end()) {
   if (sorted_.empty()) throw ValidationError("ECDF of empty sample");
-  std::sort(sorted_.begin(), sorted_.end());
+  const std::size_t n = sorted_.size();
+  const std::size_t chunks = chunk_count(n);
+  if (chunks == 1) {
+    std::sort(sorted_.begin(), sorted_.end());
+    return;
+  }
+  const auto bound = [&](std::size_t chunk) { return chunk * n / chunks; };
+  double* src = sorted_.data();
+  exec::parallel_for(chunks, num_threads,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t c = begin; c < end; ++c) {
+                         std::sort(src + bound(c), src + bound(c + 1));
+                       }
+                     });
+  // Merge neighbouring runs pairwise, ping-ponging between the two buffers.
+  // std::merge is stable, so the tree — fixed by the chunk count — decides
+  // every byte.
+  std::vector<double> scratch(n);
+  double* dst = scratch.data();
+  for (std::size_t width = 1; width < chunks; width *= 2) {
+    exec::parallel_for(chunks / (2 * width), num_threads,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t pair = begin; pair < end; ++pair) {
+                           const std::size_t lo = bound(2 * pair * width);
+                           const std::size_t mid = bound((2 * pair + 1) * width);
+                           const std::size_t hi = bound((2 * pair + 2) * width);
+                           std::merge(src + lo, src + mid, src + mid, src + hi,
+                                      dst + lo);
+                         }
+                       });
+    std::swap(src, dst);
+  }
+  if (src != sorted_.data()) sorted_.swap(scratch);
 }
 
 double Ecdf::operator()(double x) const noexcept {

@@ -12,8 +12,14 @@ namespace cosmicdance::stats {
 /// then O(log n).  Invariant: the stored sample is sorted and non-empty.
 class Ecdf {
  public:
-  /// Throws ValidationError when the sample is empty.
-  explicit Ecdf(std::span<const double> sample);
+  /// Throws ValidationError when the sample is empty.  A large sample is
+  /// sorted in chunks over `num_threads` workers (the exec convention:
+  /// 0 = all hardware threads, 1 = serial) and merged pairwise in a fixed
+  /// tree.  The chunk plan depends only on the sample size, so the sorted
+  /// bytes are identical at every thread count and equal std::sort's
+  /// whenever equal samples have equal bits (no mix of 0.0 and -0.0); see
+  /// DESIGN.md §9.
+  explicit Ecdf(std::span<const double> sample, int num_threads = 1);
 
   /// Fraction of samples <= x, in [0, 1].
   [[nodiscard]] double operator()(double x) const noexcept;

@@ -315,6 +315,17 @@ void TleCatalog::adopt_history(int catalog_number, std::vector<Tle> history) {
   record_count_ += count;
 }
 
+void TleCatalog::absorb(TleCatalog&& other) {
+  const std::size_t expected = tles_.size() + other.tles_.size();
+  tles_.merge(other.tles_);  // leaves clashing satellites behind in `other`
+  if (tles_.size() != expected) {
+    throw ValidationError("absorb: satellite " +
+                          std::to_string(other.tles_.begin()->first) +
+                          " already present");
+  }
+  record_count_ += std::exchange(other.record_count_, 0);
+}
+
 std::size_t TleCatalog::add_from_text(std::string_view text) {
   return add_from_text(text, IngestOptions{});
 }

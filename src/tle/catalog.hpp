@@ -77,6 +77,12 @@ class TleCatalog {
   /// identical to one built by add() calls in history order.
   void adopt_history(int catalog_number, std::vector<Tle> history);
 
+  /// Move every satellite of `other` into this catalog without touching
+  /// its records — how the snapshot decoder joins catalog stripes that its
+  /// workers built with adopt_history.  Throws ValidationError when a
+  /// satellite is in both, leaving both catalogs unspecified.
+  void absorb(TleCatalog&& other);
+
   /// Parse and add records from raw text in 2-line or 3-line (name line,
   /// optionally "0 "-prefixed) format.  Returns the number added; throws
   /// ParseError on malformed lines.  Takes a view so the zero-copy path can

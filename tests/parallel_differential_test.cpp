@@ -6,6 +6,7 @@
 // uneven task sizes to flush scheduling-dependent ordering bugs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -13,12 +14,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/analysis.hpp"
 #include "core/pipeline.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/thread_pool.hpp"
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
+#include "stats/ecdf.hpp"
 
 namespace cosmicdance {
 namespace {
@@ -225,6 +228,45 @@ TEST_F(ParallelDifferential, AnalysisAggregationsBitIdentical) {
   }
 }
 
+// ---- parallel Ecdf sort ------------------------------------------------------
+
+/// The Ecdf's sorted sample, read back through points() at full resolution.
+std::vector<double> ecdf_sorted(const stats::Ecdf& ecdf) {
+  std::vector<double> out;
+  for (const auto& [x, fraction] : ecdf.points(ecdf.size())) out.push_back(x);
+  return out;
+}
+
+TEST(ParallelDifferentialEcdf, SortedBytesAreThreadCountInvariant) {
+  // Past 2^20 samples so the sort takes several chunks and merge levels;
+  // the odd size leaves the chunk bounds unaligned.  A third heavy
+  // duplicates (quarter-steps in [-40, 40], never -0.0), a third uniform
+  // values of both signs, and an ascending presorted run that the chunk
+  // bounds cut through.
+  constexpr std::size_t kSamples = (std::size_t{1} << 20) + 4097;
+  Rng rng(20261017);
+  std::vector<double> sample;
+  sample.reserve(kSamples);
+  while (sample.size() < kSamples / 3) {
+    sample.push_back(static_cast<double>(rng.uniform_int(-160, 160)) / 4.0);
+  }
+  while (sample.size() < 2 * kSamples / 3) {
+    sample.push_back(rng.uniform(-1000.0, 1000.0));
+  }
+  for (std::size_t i = 0; sample.size() < kSamples; ++i) {
+    sample.push_back(-500.0 + static_cast<double>(i) * 1e-3);
+  }
+  std::vector<double> expected = sample;
+  std::sort(expected.begin(), expected.end());
+
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    const stats::Ecdf ecdf(sample, threads);
+    ASSERT_EQ(ecdf.size(), kSamples);
+    EXPECT_TRUE(VectorsBitIdentical(ecdf_sorted(ecdf), expected))
+        << "threads=" << threads;
+  }
+}
+
 // ---- exec-layer stress tests ----------------------------------------------
 
 /// Deterministic per-index work whose cost varies wildly between indices:
@@ -338,12 +380,15 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
 }
 
 TEST(ThreadPoolTest, DrainsAllSubmittedTasks) {
-  exec::ThreadPool pool(4);
   constexpr int kTasks = 5000;
   std::atomic<int> done{0};
   std::atomic<int> remaining{kTasks};
   std::mutex m;
   std::condition_variable cv;
+  // Declared after everything its tasks touch, so it is destroyed first:
+  // its destructor joins the worker that may still be inside notify_one
+  // after the wait below has already seen `remaining` reach zero.
+  exec::ThreadPool pool(4);
   for (int i = 0; i < kTasks; ++i) {
     pool.submit([&] {
       done.fetch_add(1);

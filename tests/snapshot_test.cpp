@@ -13,6 +13,7 @@
 // consume their views.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -27,6 +28,7 @@
 #include "diag/diag.hpp"
 #include "io/file.hpp"
 #include "io/snapshot.hpp"
+#include "io/snapshot_internal.hpp"
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
@@ -208,8 +210,8 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
                                 decoded->dst.values().end()),
             std::vector<double>(dst.values().begin(), dst.values().end()));
   EXPECT_EQ(decoded->quality.to_json(), log.report().to_json());
-  EXPECT_EQ(decoded->state.dst_hash, io::fnv1a(wdc_text));
-  EXPECT_EQ(decoded->state.tle_hash, io::fnv1a(tle_text));
+  EXPECT_EQ(decoded->state.dst_hash, io::xxh64(wdc_text));
+  EXPECT_EQ(decoded->state.tle_hash, io::xxh64(tle_text));
   EXPECT_EQ(decoded->state.dst_len, wdc_text.size());
   EXPECT_EQ(decoded->state.tle_len, tle_text.size());
 
@@ -285,7 +287,7 @@ TEST(SnapshotTest, MappedAndFallbackReadersAreByteIdentical) {
   EXPECT_EQ(from_mapped.to_text(), from_fallback.to_text());
 
   // The content hash — the cache key — must agree across readers too.
-  EXPECT_EQ(io::fnv1a(mapped.view()), io::fnv1a(fallback.view()));
+  EXPECT_EQ(io::xxh64(mapped.view()), io::xxh64(fallback.view()));
 }
 
 // ---- failure matrix ---------------------------------------------------------
@@ -323,10 +325,9 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  // Any version but the current one rejects: a newer file, and a v3 file
-  // (the same section layout, with the state section's TLE hash chained
-  // onto the Dst hash).
-  for (const std::uint32_t version : {io::kSnapshotFormatVersion + 1, 3u}) {
+  // Any version but the current one rejects: a newer file, and a v4 file
+  // (the same section layout, with FNV-1a input hashes).
+  for (const std::uint32_t version : {io::kSnapshotFormatVersion + 1, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const TestInputs inputs =
         write_inputs("version" + std::to_string(version), tle_corpus(4));
@@ -726,6 +727,71 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
   EXPECT_EQ(sections->second, 4u);
 }
 
+TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
+  // from_files fingerprints its inputs in load_snapshot's callback while
+  // the sections decode.  It must see the recorded state exactly once on a
+  // good file, never when the state section itself is bad, and it may have
+  // run before a later section rejects the file.
+  const std::string dir = ::testing::TempDir() + "cdsnap_alongside";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/snapshot.cdsnap";
+  // Several catalog stripes, so the callback shares the pool with decoding.
+  const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
+  ASSERT_TRUE(io::save_snapshot(path, data, ParsePolicy::kStrict));
+  const std::string good = io::read_file(path);
+
+  const auto load = [&](int threads, int& calls, io::IngestState& seen) {
+    return io::load_snapshot(path, ParsePolicy::kStrict, nullptr, threads,
+                             [&](const io::IngestState& recorded) {
+                               ++calls;
+                               seen = recorded;
+                             });
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    int calls = 0;
+    io::IngestState seen;
+    ASSERT_TRUE(load(threads, calls, seen).has_value());
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(seen.dst_len, data.state.dst_len);
+    EXPECT_EQ(seen.dst_hash, data.state.dst_hash);
+    EXPECT_EQ(seen.tle_len, data.state.tle_len);
+    EXPECT_EQ(seen.tle_hash, data.state.tle_hash);
+    EXPECT_EQ(seen.tle_lines, data.state.tle_lines);
+  }
+
+  // The state section is the first body after the table.
+  const std::size_t state_offset =
+      kHeaderBytes + read_u32(good, kSectionCountOffset) * kSectionEntryBytes;
+  std::string bad_state = good;
+  bad_state[state_offset] ^= 0x01;
+  io::write_file(path, bad_state);
+  int calls = 0;
+  io::IngestState seen;
+  EXPECT_FALSE(load(4, calls, seen).has_value());
+  EXPECT_EQ(calls, 0);
+
+  std::string bad_quality = good;
+  bad_quality.back() ^= 0x40;  // inside the last (quality) section
+  io::write_file(path, bad_quality);
+  EXPECT_FALSE(load(4, calls, seen).has_value());
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(SnapshotTest, ExactInputsWithABadLaterSectionStillReparse) {
+  // The fingerprint finds the inputs unchanged and from_files releases
+  // their mappings, then the last section fails its CRC: the run must map
+  // the inputs again and reparse them, bit-identically.
+  const TestInputs inputs = write_inputs("exact_then_bad", tle_corpus(4));
+  expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
+                             [](const TestInputs& t) {
+                               std::string bytes = io::read_file(t.snapshot_path());
+                               bytes.back() ^= 0x40;
+                               io::write_file(t.snapshot_path(), bytes);
+                             });
+}
+
 TEST(SnapshotPipeline, BackgroundSaveCompletesOnWait) {
   const TestInputs inputs = write_inputs("bg_save", tle_corpus(6));
   core::PipelineConfig config;
@@ -743,6 +809,57 @@ TEST(SnapshotPipeline, BackgroundSaveCompletesOnWait) {
       inputs.snapshot_path(), ParsePolicy::kStrict);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->catalog.to_text(), moved.catalog().to_text());
+}
+
+// ---- input fingerprint ------------------------------------------------------
+
+TEST(SnapshotHash, Xxh64KnownAnswers) {
+  // Reference XXH64 (seed 0) digests.  The low 32 bits of each are the
+  // frame checksum `zstd --check` writes for the same bytes.
+  EXPECT_EQ(io::xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(io::xxh64(""), io::kXxh64Empty);
+  EXPECT_EQ(io::xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(io::xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  std::string hundred;
+  for (int i = 0; i < 10; ++i) hundred += "0123456789";
+  EXPECT_EQ(io::xxh64(hundred), 0xF80E7B96315AFFFAULL);
+  // The empty state records the empty input's hash.
+  const io::IngestState empty;
+  EXPECT_EQ(empty.dst_hash, io::kXxh64Empty);
+  EXPECT_EQ(empty.tle_hash, io::kXxh64Empty);
+}
+
+TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {
+  // classify_inputs hashes the recorded prefix, then continues the same
+  // stream over the tail: wherever the prefix ends — inside a 32-byte
+  // stripe, on its edge, or one byte short of the end — the grown input's
+  // hash and line count must equal a one-pass fingerprint of the whole.
+  std::string text;
+  Rng rng(20261017);
+  while (text.size() < 300) {
+    text.push_back(rng.uniform_int(0, 4) == 0
+                       ? '\n'
+                       : static_cast<char>(rng.uniform_int(0, 255)));
+  }
+  const std::string dst = wdc_corpus();
+  const io::IngestState whole = io::ingest_state_of(dst, text);
+  ASSERT_EQ(whole.tle_lines, static_cast<std::uint64_t>(
+                                 std::count(text.begin(), text.end(), '\n')));
+  for (const std::size_t split :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{31},
+        std::size_t{32}, std::size_t{33}, text.size() - 1}) {
+    SCOPED_TRACE("split " + std::to_string(split));
+    const io::IngestState prefix =
+        io::ingest_state_of(dst, std::string_view(text).substr(0, split));
+    EXPECT_EQ(prefix.tle_hash, io::xxh64(text.substr(0, split)));
+    const io::InputClassification grown =
+        io::classify_inputs(prefix, dst, text);
+    EXPECT_EQ(grown.current.tle_hash, whole.tle_hash);
+    EXPECT_EQ(grown.current.tle_lines, whole.tle_lines);
+    EXPECT_EQ(grown.current.dst_hash, whole.dst_hash);
+    EXPECT_EQ(grown.current.dst_lines, whole.dst_lines);
+  }
+  EXPECT_EQ(whole.tle_hash, io::xxh64(text));
 }
 
 // ---- checksum reference -----------------------------------------------------
@@ -775,6 +892,22 @@ TEST(SnapshotCrc, Crc32cMatchesTheBitwiseReference) {
     }
     EXPECT_EQ(io::crc32c(bytes), crc_reference(bytes, 0x82F63B78u))
         << "crc32c mismatch at length " << length;
+  }
+}
+
+TEST(SnapshotCrc, PortableFallbackMatchesTheHardwarePath) {
+  // io::crc32c takes the SSE4.2 instruction wherever the cpu has it, so
+  // the slice-by-8 fallback is held to it directly: the known answer, then
+  // random buffers of every length 0..4096 (all alignments of the 8-byte
+  // main loop and its byte tail).
+  EXPECT_EQ(io::internal::crc32c_portable("123456789"), 0xE3069283u);
+  Rng rng(20261018);
+  std::string bytes;
+  for (std::size_t length = 0; length <= 4096; ++length) {
+    bytes.resize(length);
+    for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+    ASSERT_EQ(io::internal::crc32c_portable(bytes), io::crc32c(bytes))
+        << "portable crc32c disagrees at length " << length;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "timeutil/datetime.hpp"
@@ -231,6 +232,32 @@ TEST(CatalogTest, SeparateSatellites) {
   EXPECT_EQ(catalog.satellites(), (std::vector<int>{100, 200}));
   EXPECT_EQ(catalog.history(100).size(), 2u);
   EXPECT_TRUE(catalog.history(300).empty());
+}
+
+TEST(CatalogTest, AbsorbMovesWholeSatellitesAndRejectsOverlap) {
+  // How the snapshot decoder joins the catalog stripes its workers built:
+  // the result equals one catalog built from all the records, and a
+  // satellite carried by two stripes is corruption.
+  const double jd0 = timeutil::to_julian(timeutil::make_datetime(2023, 1, 1));
+  TleCatalog whole;
+  TleCatalog first;
+  TleCatalog second;
+  for (const int sat : {100, 300}) {
+    for (int day = 0; day < 3; ++day) {
+      whole.add(make_tle(sat, jd0 + day));
+      first.add(make_tle(sat, jd0 + day));
+    }
+  }
+  whole.add(make_tle(200, jd0));
+  second.add(make_tle(200, jd0));
+  first.absorb(std::move(second));
+  EXPECT_EQ(first.record_count(), whole.record_count());
+  EXPECT_EQ(first.satellites(), whole.satellites());
+  EXPECT_EQ(first.to_text(), whole.to_text());
+
+  TleCatalog clash;
+  clash.add(make_tle(300, jd0 + 7.0));
+  EXPECT_THROW(first.absorb(std::move(clash)), ValidationError);
 }
 
 TEST(CatalogTest, EpochBounds) {

@@ -235,41 +235,51 @@ int cmd_analyze(const io::ArgParser& args) {
   const core::CosmicDance pipeline = load_pipeline(args, metrics);
   auto path = [&](const char* name) { return out_dir + "/" + name; };
 
-  // Fig 1: intensity CDF.
   {
-    std::vector<double> values(pipeline.dst().values().begin(),
-                               pipeline.dst().values().end());
-    io::write_csv_file(path("fig01_intensity_cdf.csv"),
-                       core::ecdf_csv(stats::Ecdf(values), "dst_nt"));
+    // Everything after the pipeline build: the figure samples, their ECDFs
+    // and the CSV writes.
+    const obs::ScopedPhase phase(metrics, "analyze.export");
+    // Fig 1: intensity CDF.
+    {
+      std::vector<double> values(pipeline.dst().values().begin(),
+                                 pipeline.dst().values().end());
+      io::write_csv_file(path("fig01_intensity_cdf.csv"),
+                         core::ecdf_csv(stats::Ecdf(values), "dst_nt"));
+    }
+    // Fig 2 raw material + storm catalog.
+    io::write_csv_file(path("storms.csv"), core::storms_csv(pipeline.storms()));
+    // Fig 5(a)/(b)/(c).
+    const double p80 = pipeline.dst_threshold_at_percentile(80.0);
+    const double p95 = pipeline.dst_threshold_at_percentile(95.0);
+    const auto quiet = pipeline.altitude_changes_for_quiet(p80, 30);
+    if (!quiet.empty()) {
+      io::write_csv_file(path("fig05a_quiet_altitude_change_cdf.csv"),
+                         core::ecdf_csv(stats::Ecdf(quiet), "alt_change_km"));
+    }
+    const auto storm_changes = pipeline.altitude_changes_for_storms(p95);
+    if (!storm_changes.empty()) {
+      io::write_csv_file(
+          path("fig05b_storm_altitude_change_cdf.csv"),
+          core::ecdf_csv(stats::Ecdf(storm_changes), "alt_change_km"));
+    }
+    const auto drag = pipeline.drag_changes_for_storms(p95);
+    if (!drag.empty()) {
+      io::write_csv_file(path("fig05c_drag_change_cdf.csv"),
+                         core::ecdf_csv(stats::Ecdf(drag), "bstar_ratio"));
+    }
+    // Fig 10 raw/cleaned altitude CDFs: one altitude per TLE, the two
+    // samples large enough to sort in parallel.
+    const int threads = pipeline.config().num_threads;
+    const auto raw =
+        core::all_altitudes(pipeline.raw_tracks(), threads, metrics);
+    const auto cleaned =
+        core::all_altitudes(pipeline.tracks(), threads, metrics);
+    io::write_csv_file(path("fig10a_raw_altitude_cdf.csv"),
+                       core::ecdf_csv(stats::Ecdf(raw, threads), "altitude_km"));
+    io::write_csv_file(
+        path("fig10b_clean_altitude_cdf.csv"),
+        core::ecdf_csv(stats::Ecdf(cleaned, threads), "altitude_km"));
   }
-  // Fig 2 raw material + storm catalog.
-  io::write_csv_file(path("storms.csv"), core::storms_csv(pipeline.storms()));
-  // Fig 5(a)/(b)/(c).
-  const double p80 = pipeline.dst_threshold_at_percentile(80.0);
-  const double p95 = pipeline.dst_threshold_at_percentile(95.0);
-  const auto quiet = pipeline.altitude_changes_for_quiet(p80, 30);
-  if (!quiet.empty()) {
-    io::write_csv_file(path("fig05a_quiet_altitude_change_cdf.csv"),
-                       core::ecdf_csv(stats::Ecdf(quiet), "alt_change_km"));
-  }
-  const auto storm_changes = pipeline.altitude_changes_for_storms(p95);
-  if (!storm_changes.empty()) {
-    io::write_csv_file(path("fig05b_storm_altitude_change_cdf.csv"),
-                       core::ecdf_csv(stats::Ecdf(storm_changes), "alt_change_km"));
-  }
-  const auto drag = pipeline.drag_changes_for_storms(p95);
-  if (!drag.empty()) {
-    io::write_csv_file(path("fig05c_drag_change_cdf.csv"),
-                       core::ecdf_csv(stats::Ecdf(drag), "bstar_ratio"));
-  }
-  // Fig 10 raw/cleaned altitude CDFs.
-  const int threads = pipeline.config().num_threads;
-  const auto raw = core::all_altitudes(pipeline.raw_tracks(), threads, metrics);
-  const auto cleaned = core::all_altitudes(pipeline.tracks(), threads, metrics);
-  io::write_csv_file(path("fig10a_raw_altitude_cdf.csv"),
-                     core::ecdf_csv(stats::Ecdf(raw), "altitude_km"));
-  io::write_csv_file(path("fig10b_clean_altitude_cdf.csv"),
-                     core::ecdf_csv(stats::Ecdf(cleaned), "altitude_km"));
 
   std::cout << "analysis CSVs written to " << out_dir << "\n";
   if (metrics != nullptr) emit_observability(args, *metrics);

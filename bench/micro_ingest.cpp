@@ -185,8 +185,12 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
 
   const std::string tail = appended_tle_tail();
   io::append_file(tle_path, tail);
-  const core::CosmicDance delta_warm =
+  core::CosmicDance delta_warm =
       core::CosmicDance::from_files(dst_path, tle_path, config);
+  // The append rewrites the base in the background too; join it so the
+  // exact-hit warm start below finds the grown base and the record counts
+  // both writes.
+  delta_warm.wait_for_snapshot_save();
   const double total_bytes =
       static_cast<double>(std::filesystem::file_size(dst_path)) +
       static_cast<double>(std::filesystem::file_size(tle_path));
@@ -244,9 +248,7 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
     const auto loaded = io::load_snapshot(
         snapshot_path, config.parse_policy, nullptr, threads,
         [&](const io::IngestState& recorded) {
-          match = io::classify_inputs(recorded, dst_grown.view(),
-                                      tle_grown.view())
-                      .match;
+          match = io::classify_inputs(recorded, dst_grown, tle_grown).match;
         });
     const bool exact = loaded.has_value() && match == io::InputMatch::kExact;
     warm_records = exact ? loaded->catalog.record_count() : 0;

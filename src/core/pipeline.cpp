@@ -10,17 +10,33 @@
 #include "spaceweather/wdc.hpp"
 
 namespace cosmicdance::core {
+namespace {
+
+/// The pipeline-wide knobs govern the correlator's scans too.
+PipelineConfig with_correlator_knobs(PipelineConfig config) {
+  config.correlator.num_threads = config.num_threads;
+  config.correlator.metrics = config.metrics;
+  return config;
+}
+
+}  // namespace
 
 CosmicDance::CosmicDance(spaceweather::DstIndex dst, tle::TleCatalog catalog,
                          PipelineConfig config)
-    : config_(config), dst_(std::move(dst)), catalog_(std::move(catalog)) {
-  // The pipeline-wide knobs govern the correlator's scans too.
-  config_.correlator.num_threads = config_.num_threads;
-  config_.correlator.metrics = config_.metrics;
+    : CosmicDance(std::make_shared<const io::SnapshotData>(io::SnapshotData{
+                      std::move(dst), std::move(catalog), {}, {}}),
+                  std::move(config)) {}
+
+CosmicDance::CosmicDance(std::shared_ptr<const io::SnapshotData> inputs,
+                         PipelineConfig config, std::future<void> snapshot_save)
+    : config_(with_correlator_knobs(std::move(config))),
+      inputs_(std::move(inputs)),
+      correlator_(&inputs_->dst, config_.correlator),
+      snapshot_save_(std::move(snapshot_save)) {
   std::vector<SatelliteTrack> built;
   {
     const obs::ScopedPhase phase(config_.metrics, "pipeline.build_tracks");
-    built = tracks_from_catalog(catalog_, config_.num_threads, config_.metrics);
+    built = tracks_from_catalog(catalog(), config_.num_threads, config_.metrics);
   }
   tracks_ = clean_tracks(std::move(built), config_.correlator.cleaning,
                          config_.num_threads, config_.metrics);
@@ -36,33 +52,7 @@ CosmicDance::CosmicDance(spaceweather::DstIndex dst, tle::TleCatalog catalog,
     config_.metrics->set_gauge("pipeline.tracks_cleaned",
                                static_cast<double>(tracks_.size()));
   }
-  correlator_ = std::make_unique<EventCorrelator>(&dst_, config_.correlator);
 }
-
-CosmicDance::CosmicDance(CosmicDance&& other) noexcept
-    : config_(std::move(other.config_)),
-      dst_(std::move(other.dst_)),
-      catalog_(std::move(other.catalog_)),
-      tracks_(std::move(other.tracks_)),
-      correlator_(std::make_unique<EventCorrelator>(&dst_, config_.correlator)),
-      quality_report_(std::move(other.quality_report_)),
-      snapshot_save_(std::move(other.snapshot_save_)) {}
-
-CosmicDance& CosmicDance::operator=(CosmicDance&& other) noexcept {
-  if (this != &other) {
-    wait_for_snapshot_save();
-    config_ = std::move(other.config_);
-    dst_ = std::move(other.dst_);
-    catalog_ = std::move(other.catalog_);
-    tracks_ = std::move(other.tracks_);
-    correlator_ = std::make_unique<EventCorrelator>(&dst_, config_.correlator);
-    quality_report_ = std::move(other.quality_report_);
-    snapshot_save_ = std::move(other.snapshot_save_);
-  }
-  return *this;
-}
-
-CosmicDance::~CosmicDance() { wait_for_snapshot_save(); }
 
 void CosmicDance::wait_for_snapshot_save() {
   if (snapshot_save_.valid()) snapshot_save_.get();
@@ -95,16 +85,15 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     snapshot_path =
         io::snapshot_cache_path(config.cache_dir, wdc_dst_path, tle_path);
     // The fingerprint runs on one worker while the others decode the
-    // snapshot's sections.  An exact hit never reads the inputs again, so
-    // it unmaps them right there: their pages are then not resident beside
-    // the decoded datasets and the snapshot's own.
+    // snapshot's sections, dropping the input pages it has hashed as it
+    // goes.  An exact hit never reads the inputs again, so it unmaps them
+    // right there; an append run faults back only the tail it parses.
     std::optional<io::InputClassification> cls;
     std::optional<io::SnapshotData> snapshot = io::load_snapshot(
         snapshot_path, config.parse_policy, config.metrics, config.num_threads,
         [&](const io::IngestState& recorded) {
           const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-          cls = io::classify_inputs(recorded, dst_file->view(),
-                                    tle_file->view());
+          cls = io::classify_inputs(recorded, *dst_file, *tle_file);
           if (cls->match == io::InputMatch::kExact) {
             dst_file.reset();
             tle_file.reset();
@@ -135,7 +124,6 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     }
   }
 
-  std::future<void> save_future;
   if (match == io::InputMatch::kExact) {
     // Byte-identical inputs: skip text parsing entirely.
     if (config.metrics != nullptr) {
@@ -178,11 +166,6 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     }
     data.quality.merge(tail_log.report());
     data.state = *state;
-    // Rewrite the base over the grown inputs, best-effort.  Synchronous on
-    // purpose: a background save would hold a copy of the whole catalog
-    // alongside the pipeline's own.
-    io::save_snapshot(snapshot_path, data, config.parse_policy,
-                      config.metrics, config.num_threads);
   } else {
     diag::ParseLog log(config.parse_policy);
     {
@@ -205,68 +188,68 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
         state = io::ingest_state_of(dst_file->view(), tle_file->view());
       }
       data.state = *state;
-      // Best-effort rewrite: failure (e.g. read-only cache dir) is counted
-      // but never fatal — the parse already succeeded.  The datasets are
-      // copied into the task and encode + write run on a background thread,
-      // overlapping the track build below; the pipeline joins the write in
-      // wait_for_snapshot_save() / its destructor (complete-before-exit).
-      save_future = std::async(
-          std::launch::async,
-          [path = snapshot_path, data, policy = config.parse_policy,
-           metrics = config.metrics, threads = config.num_threads]() noexcept {
-            try {
-              io::save_snapshot(path, data, policy, metrics, threads);
-            } catch (...) {
-              // Best-effort, same as the synchronous append-path write.
-            }
-          });
     }
   }
-  CosmicDance pipeline(std::move(data.dst), std::move(data.catalog), config);
-  pipeline.quality_report_ = std::move(data.quality);
-  pipeline.snapshot_save_ = std::move(save_future);
-  return pipeline;
+
+  const auto inputs = std::make_shared<const io::SnapshotData>(std::move(data));
+  std::future<void> save;
+  if (use_cache && match != io::InputMatch::kExact) {
+    // Rewrite the base over the current inputs on a background thread that
+    // overlaps the track build.  Best-effort: a failed write (e.g. a
+    // read-only cache dir) is counted but never fails the run.
+    save = std::async(
+        std::launch::async,
+        [inputs, path = snapshot_path, policy = config.parse_policy,
+         metrics = config.metrics, threads = config.num_threads]() noexcept {
+          try {
+            io::save_snapshot(path, *inputs, policy, metrics, threads);
+          } catch (...) {
+            // An allocation failure skips the cache write too.
+          }
+        });
+  }
+  return CosmicDance(inputs, std::move(config), std::move(save));
 }
 
 std::vector<SatelliteTrack> CosmicDance::raw_tracks() const {
-  return tracks_from_catalog(catalog_, config_.num_threads, config_.metrics);
+  return tracks_from_catalog(catalog(), config_.num_threads, config_.metrics);
 }
 
 std::vector<spaceweather::StormEvent> CosmicDance::storms() const {
-  return spaceweather::StormDetector(config_.storm_detector).detect(dst_);
+  return spaceweather::StormDetector(config_.storm_detector).detect(dst());
 }
 
 double CosmicDance::dst_threshold_at_percentile(double p) const {
-  return dst_.dst_threshold_at_percentile(p);
+  return dst().dst_threshold_at_percentile(p);
 }
 
 PostEventEnvelope CosmicDance::post_event_envelope(double event_jd, int days,
                                                    EnvelopeSelection selection) const {
-  return correlator_->post_event_envelope(tracks_, event_jd, days, selection);
+  return correlator_.post_event_envelope(tracks_, event_jd, days, selection);
 }
 
 std::vector<double> CosmicDance::altitude_changes_for_storms(
     double max_peak_nt) const {
-  return correlator_->altitude_change_samples(
-      tracks_, correlator_->storm_event_epochs(max_peak_nt));
+  return correlator_.altitude_change_samples(
+      tracks_, correlator_.storm_event_epochs(max_peak_nt));
 }
 
 std::vector<double> CosmicDance::altitude_changes_for_quiet(
     double min_dst_nt, std::size_t epochs) const {
-  return correlator_->altitude_change_samples(
-      tracks_, correlator_->quiet_epochs(min_dst_nt, epochs));
+  return correlator_.altitude_change_samples(
+      tracks_, correlator_.quiet_epochs(min_dst_nt, epochs));
 }
 
 std::vector<double> CosmicDance::drag_changes_for_storms(double max_peak_nt) const {
-  return correlator_->drag_change_samples(
-      tracks_, correlator_->storm_event_epochs(max_peak_nt));
+  return correlator_.drag_change_samples(
+      tracks_, correlator_.storm_event_epochs(max_peak_nt));
 }
 
 PropagationReport CosmicDance::propagation_report(
     PropagationOptions options) const {
   if (options.num_threads == 0) options.num_threads = config_.num_threads;
   if (options.metrics == nullptr) options.metrics = config_.metrics;
-  return propagate_catalog(catalog_, options);
+  return propagate_catalog(catalog(), options);
 }
 
 }  // namespace cosmicdance::core

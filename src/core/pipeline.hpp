@@ -14,6 +14,7 @@
 #include "core/correlator.hpp"
 #include "core/propagation.hpp"
 #include "diag/diag.hpp"
+#include "io/snapshot.hpp"
 #include "spaceweather/storms.hpp"
 #include "tle/catalog.hpp"
 
@@ -67,27 +68,22 @@ class CosmicDance {
                                 const std::string& tle_path,
                                 PipelineConfig config = {});
 
-  // The correlator holds a pointer into this object (&dst_), so moves must
-  // re-point it at the destination's member instead of the moved-from one.
-  CosmicDance(CosmicDance&& other) noexcept;
-  CosmicDance& operator=(CosmicDance&& other) noexcept;
-  CosmicDance(const CosmicDance&) = delete;
-  CosmicDance& operator=(const CosmicDance&) = delete;
-  /// Joins any in-flight background snapshot save (complete-before-exit).
-  ~CosmicDance();
-
-  /// Blocks until the background snapshot save spawned by from_files (cold
-  /// text parse with a cache_dir) has finished.  from_files encodes and
-  /// writes the fresh base off the critical path: the pipeline is usable —
-  /// and returns results — while the cache write is still in flight, but
+  /// Blocks until the background snapshot save spawned by from_files has
+  /// finished.  Every cached run that is not an exact hit (cold, append or
+  /// stale) rewrites the base off the critical path: the pipeline is usable
+  /// — and returns results — while the cache write is still in flight, but
   /// the write always completes before the pipeline is destroyed.  Call
   /// this to force the handoff earlier, e.g. before a second pipeline is
   /// pointed at the same cache directory.  No-op when no save is pending.
   void wait_for_snapshot_save();
 
   // ---- data access --------------------------------------------------------
-  [[nodiscard]] const spaceweather::DstIndex& dst() const noexcept { return dst_; }
-  [[nodiscard]] const tle::TleCatalog& catalog() const noexcept { return catalog_; }
+  [[nodiscard]] const spaceweather::DstIndex& dst() const noexcept {
+    return inputs_->dst;
+  }
+  [[nodiscard]] const tle::TleCatalog& catalog() const noexcept {
+    return inputs_->catalog;
+  }
   /// Tracks after outlier + orbit-raising cleaning.
   [[nodiscard]] std::span<const SatelliteTrack> tracks() const noexcept {
     return tracks_;
@@ -102,7 +98,7 @@ class CosmicDance {
 
   // ---- correlation analyses (Figs 3-7) --------------------------------------
   [[nodiscard]] const EventCorrelator& correlator() const noexcept {
-    return *correlator_;
+    return correlator_;
   }
   [[nodiscard]] PostEventEnvelope post_event_envelope(
       double event_jd, int days, EnvelopeSelection selection) const;
@@ -124,19 +120,25 @@ class CosmicDance {
   /// Ingestion data-quality outcome.  Populated by from_files; empty (no
   /// stages) when the datasets were handed over pre-parsed.
   [[nodiscard]] const diag::DataQualityReport& quality_report() const noexcept {
-    return quality_report_;
+    return inputs_->quality;
   }
 
  private:
+  CosmicDance(std::shared_ptr<const io::SnapshotData> inputs,
+              PipelineConfig config, std::future<void> snapshot_save = {});
+
   PipelineConfig config_;
-  spaceweather::DstIndex dst_;
-  tle::TleCatalog catalog_;
+  /// The parsed inputs (Dst series, catalog, quality report, ingest state),
+  /// immutable and shared with a pending cache write, which copies nothing.
+  std::shared_ptr<const io::SnapshotData> inputs_;
   std::vector<SatelliteTrack> tracks_;
-  std::unique_ptr<EventCorrelator> correlator_;
-  diag::DataQualityReport quality_report_;
-  /// Pending cold-path cache write (valid only between from_files spawning
-  /// it and the first wait); std::async semantics make even the default
-  /// future destructor block, so the write can never outlive the pipeline.
+  /// Points at inputs_->dst, which stays put when the pipeline moves, so
+  /// the implicit member-wise moves are safe.
+  EventCorrelator correlator_;
+  /// Pending cache write (valid only between from_files spawning it and
+  /// the first wait); std::async semantics make the future's destructor
+  /// block, so destroying or move-assigning over the pipeline waits for
+  /// the write and it can never outlive the pipeline.
   std::future<void> snapshot_save_;
 };
 

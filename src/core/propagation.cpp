@@ -1,5 +1,6 @@
 #include "core/propagation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -127,6 +128,23 @@ PropagationReport propagate_catalog(const tle::TleCatalog& catalog,
   const sgp4::BatchPropagator batch = sgp4::BatchPropagator::from_catalog(catalog);
   return reduce_batch(batch, std::move(epochs), options.num_threads,
                       options.metrics);
+}
+
+std::vector<const PropagationSeries*> fastest_decaying(
+    const PropagationReport& report, std::size_t top) {
+  std::vector<const PropagationSeries*> ranked;
+  ranked.reserve(report.series.size());
+  for (const auto& series : report.series) {
+    if (series.valid_samples >= 2) ranked.push_back(&series);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto* a, const auto* b) {
+    if (a->decay_rate_km_per_day != b->decay_rate_km_per_day) {
+      return a->decay_rate_km_per_day < b->decay_rate_km_per_day;
+    }
+    return a->catalog_number < b->catalog_number;
+  });
+  if (ranked.size() > top) ranked.resize(top);
+  return ranked;
 }
 
 }  // namespace cosmicdance::core

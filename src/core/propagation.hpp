@@ -84,6 +84,13 @@ struct PropagationReport {
 [[nodiscard]] PropagationReport propagate_catalog(
     const tle::TleCatalog& catalog, const PropagationOptions& options = {});
 
+/// The reentry-risk shortlist: series with at least two valid samples,
+/// most negative decay rate first (ties by catalog number), cut to `top`.
+/// The CLI's propagate table and the daemon's decay_summary op both print
+/// it.  The pointers point into `report`.
+[[nodiscard]] std::vector<const PropagationSeries*> fastest_decaying(
+    const PropagationReport& report, std::size_t top);
+
 /// The per-satellite reduction used by propagate_catalog, exposed for
 /// callers that already hold a BatchPropagator (the serving layer).
 [[nodiscard]] PropagationReport reduce_batch(

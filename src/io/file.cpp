@@ -1,5 +1,6 @@
 #include "io/file.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -124,6 +125,25 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     other.view_ = {};
   }
   return *this;
+}
+
+void MappedFile::drop_pages(std::size_t begin, std::size_t end) const noexcept {
+#if COSMICDANCE_HAVE_MMAP
+  if (map_ == nullptr) return;
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  end = std::min(end, map_size_);
+  begin -= begin % page;
+  end -= end % page;
+  if (begin >= end) return;
+  // The mapping is read-only and private, so no page was ever copied on
+  // write: MADV_DONTNEED only drops page table entries, and the file
+  // still backs every byte.  Best-effort; a failure leaves them resident.
+  static_cast<void>(::madvise(static_cast<char*>(map_) + begin, end - begin,
+                              MADV_DONTNEED));
+#else
+  static_cast<void>(begin);
+  static_cast<void>(end);
+#endif
 }
 
 void MappedFile::release() noexcept {

@@ -54,6 +54,13 @@ class MappedFile {
   /// True when the view is backed by an actual memory mapping.
   [[nodiscard]] bool is_mapped() const noexcept { return map_ != nullptr; }
 
+  /// Unmap this process's pages of the whole pages in [begin, end), rounding
+  /// both ends down, so a page straddling `end` stays for the next range.
+  /// The bytes stay readable: the next access faults them back in from the
+  /// page cache.  A streaming reader calls this behind itself to hold only
+  /// a window of the file resident.  No-op on the fallback path.
+  void drop_pages(std::size_t begin, std::size_t end) const noexcept;
+
  private:
   void release() noexcept;
 

@@ -602,18 +602,34 @@ struct InputScan {
   bool prefix_matches = false;  ///< the recorded prefix is intact
 };
 
+/// Bytes the fingerprint hashes between page drops on a mapped input.
+constexpr std::size_t kScanWindow = std::size_t{4} << 20;
+
+/// Hash bytes [from, to) of an input a window at a time; with the input's
+/// mapping, drop each window's pages once hashed.
+void hash_range(InputHasher& hasher, std::string_view bytes, std::size_t from,
+                std::size_t to, const MappedFile* mapping) {
+  while (from < to) {
+    const std::size_t end = std::min(to, from + kScanWindow);
+    hasher.update(bytes.substr(from, end - from));
+    if (mapping != nullptr) mapping->drop_pages(from, end);
+    from = end;
+  }
+}
+
 /// Hash the recorded prefix, compare, then continue the same stream over
 /// the tail, so every byte is hashed — and its newlines counted — once.
 InputScan scan_input(std::string_view bytes, std::uint64_t recorded_len,
-                     std::uint64_t recorded_hash) {
+                     std::uint64_t recorded_hash, const MappedFile* mapping) {
   InputHasher hasher;
   InputScan scan;
+  std::size_t prefix = 0;
   if (bytes.size() >= recorded_len) {  // a shrunk input has no prefix
-    hasher.update(bytes.substr(0, recorded_len));
+    prefix = static_cast<std::size_t>(recorded_len);
+    hash_range(hasher, bytes, 0, prefix, mapping);
     scan.prefix_matches = hasher.digest() == recorded_hash;
-    bytes.remove_prefix(recorded_len);
   }
-  hasher.update(bytes);
+  hash_range(hasher, bytes, prefix, bytes.size(), mapping);
   scan.hash = hasher.digest();
   scan.lines = hasher.lines();
   return scan;
@@ -640,11 +656,16 @@ std::uint32_t crc32c(std::string_view bytes) {
   return internal::crc32c_portable(bytes);
 }
 
-InputClassification classify_inputs(const IngestState& base,
-                                    std::string_view dst_bytes,
-                                    std::string_view tle_bytes) {
-  const InputScan dst = scan_input(dst_bytes, base.dst_len, base.dst_hash);
-  const InputScan tle = scan_input(tle_bytes, base.tle_len, base.tle_hash);
+namespace {
+
+InputClassification classify(const IngestState& base, std::string_view dst_bytes,
+                             std::string_view tle_bytes,
+                             const MappedFile* dst_mapping,
+                             const MappedFile* tle_mapping) {
+  const InputScan dst =
+      scan_input(dst_bytes, base.dst_len, base.dst_hash, dst_mapping);
+  const InputScan tle =
+      scan_input(tle_bytes, base.tle_len, base.tle_hash, tle_mapping);
   InputClassification out;
   IngestState& cur = out.current;
   cur.dst_len = dst_bytes.size();
@@ -674,6 +695,20 @@ InputClassification classify_inputs(const IngestState& base,
   }
   out.match = InputMatch::kAppend;
   return out;
+}
+
+}  // namespace
+
+InputClassification classify_inputs(const IngestState& base,
+                                    std::string_view dst_bytes,
+                                    std::string_view tle_bytes) {
+  return classify(base, dst_bytes, tle_bytes, nullptr, nullptr);
+}
+
+InputClassification classify_inputs(const IngestState& base,
+                                    const MappedFile& dst,
+                                    const MappedFile& tle) {
+  return classify(base, dst.view(), tle.view(), &dst, &tle);
 }
 
 IngestState ingest_state_of(std::string_view dst_bytes,

@@ -20,7 +20,9 @@
 //
 // The fingerprint reads each input byte once: one streaming XXH64 pass
 // hashes the recorded prefix, continues over the tail and counts newlines
-// in the same loop.  The file lives at `<cache_dir>/<xxh64>.cdsnap`, the
+// in the same loop.  Over mapped inputs it drops each window's pages once
+// hashed, so it holds a window of either file resident, not the whole.
+// The file lives at `<cache_dir>/<xxh64>.cdsnap`, the
 // XXH64 of the two input paths.
 //
 // Layout (format v5): a fixed 40-byte header
@@ -59,6 +61,7 @@
 #include <string_view>
 
 #include "diag/diag.hpp"
+#include "io/file.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "tle/catalog.hpp"
 
@@ -133,6 +136,15 @@ struct InputClassification {
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
                                                   std::string_view dst_bytes,
                                                   std::string_view tle_bytes);
+
+/// classify_inputs over mapped inputs, dropping each window's pages once
+/// hashed (MappedFile::drop_pages).  The pass then adds a window's worth of
+/// resident pages to whatever it overlaps (a warm start's decode), not the
+/// part of the inputs it has read so far, so the process peak does not
+/// depend on how far the two have got relative to each other.
+[[nodiscard]] InputClassification classify_inputs(const IngestState& base,
+                                                  const MappedFile& dst,
+                                                  const MappedFile& tle);
 
 /// The full IngestState of an input pair: classification against the
 /// empty state, whose zero-length prefix every input extends.

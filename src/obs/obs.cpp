@@ -146,6 +146,10 @@ void Metrics::record_phase(const std::string& name,
   PhaseStats& stats = phases_[name];
   ++stats.calls;
   stats.total_ms += duration<double, std::milli>(end - begin).count();
+  if (spans_.size() >= kMaxTraceSpans) {
+    sched_counters_["obs.trace_spans_dropped"].add(1);
+    return;
+  }
   TraceSpan span;
   span.name = name;
   span.begin_us = static_cast<std::uint64_t>(

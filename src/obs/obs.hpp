@@ -7,7 +7,10 @@
 // effectively nothing.  When enabled:
 //
 //   * ScopedPhase records monotonic-clock wall time + invocation counts
-//     per named phase, and captures each interval as a trace span.
+//     per named phase, and captures each interval as a trace span.  The
+//     trace keeps the first kMaxTraceSpans spans, so a registry in a
+//     long-lived daemon stays bounded; later intervals still fold into the
+//     phase totals and are counted in `obs.trace_spans_dropped`.
 //   * Counters are process-wide atomics.  They come in two groups with
 //     different determinism guarantees (DESIGN.md §11):
 //       - counter():       work actually performed (records ingested,
@@ -32,6 +35,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -40,6 +44,9 @@
 #include <vector>
 
 namespace cosmicdance::obs {
+
+/// Trace spans a registry keeps (the first ones recorded).
+inline constexpr std::size_t kMaxTraceSpans = 65536;
 
 /// Wall-time totals for one named phase (monotonic clock).
 struct PhaseStats {
@@ -104,8 +111,10 @@ class Metrics {
   void set_gauge(const std::string& name, double value);
 
   /// Fold one completed interval into the named phase and capture it as a
-  /// trace span.  Called by ScopedPhase; callable directly for externally
-  /// timed intervals.
+  /// trace span, while fewer than kMaxTraceSpans are held; past that the
+  /// span is dropped and counted in the scheduling counter
+  /// `obs.trace_spans_dropped`.  Called by ScopedPhase; callable directly
+  /// for externally timed intervals.
   void record_phase(const std::string& name,
                     std::chrono::steady_clock::time_point begin,
                     std::chrono::steady_clock::time_point end);

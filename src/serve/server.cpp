@@ -100,24 +100,36 @@ void Server::start() {
   }
   listen_fd_.store(fd);
   port_ = bound_port(fd);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  const std::lock_guard<std::mutex> lock(mutex_);
+  workers_.emplace_back([this] { connection_worker(); });
 }
 
-void Server::accept_loop() {
+void Server::connection_worker() {
   for (;;) {
-    const int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // Listener closed by shutdown() (or a hard accept failure): stop.
-      return;
+    const int listener = listen_fd_.load();
+    if (listener < 0) return;  // shutdown() retired the listener
+    const int fd = ::accept(listener, nullptr, nullptr);
+    // shutdown() wakes a blocked accept with an error after retiring the
+    // listener, which the check above then sees.  Every other failure is
+    // retried: an interrupted call, a connection the peer dropped before
+    // it was accepted, or one of the pending network errors Linux reports
+    // through accept(2).
+    if (fd < 0) continue;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) {
+        ::close(fd);
+        continue;
+      }
+      open_fds_.insert(fd);
+      // Keep a worker waiting in accept(): when this one took the last idle
+      // slot, start another, up to the cap.
+      if (open_fds_.size() == workers_.size() &&
+          workers_.size() < kConnectionWorkers) {
+        workers_.emplace_back([this] { connection_worker(); });
+      }
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    open_fds_.insert(fd);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
+    serve_connection(fd);
   }
 }
 
@@ -151,9 +163,13 @@ void Server::serve_connection(int fd) {
       close_connection = true;
     }
   }
+  {
+    // Forget the socket before closing it: once closed, its number can
+    // come straight back from another worker's accept().
+    const std::lock_guard<std::mutex> lock(mutex_);
+    open_fds_.erase(fd);
+  }
   ::close(fd);
-  std::lock_guard<std::mutex> lock(mutex_);
-  open_fds_.erase(fd);
 }
 
 void Server::request_shutdown() {
@@ -169,34 +185,31 @@ void Server::wait() {
 
 void Server::shutdown() {
   std::vector<std::thread> workers;
+  int listener = -1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // Second call: nothing left to join (first call took the threads).
-      shutdown_requested_ = true;
-      cv_.notify_all();
-    } else {
+    shutdown_requested_ = true;
+    cv_.notify_all();
+    // Only the first call finds work to do; later calls (concurrent or
+    // from the destructor) have nothing left to retire or join.
+    if (!stopping_) {
       stopping_ = true;
-      shutdown_requested_ = true;
-      cv_.notify_all();
-      // Unblock every connection thread stuck in recv().
+      // Unblock every worker stuck in recv().
       for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
       workers = std::move(workers_);
       workers_.clear();
+      listener = listen_fd_.exchange(-1);
     }
   }
-  // Retire the listener exactly once even with concurrent shutdown()
-  // callers; ::shutdown makes the blocked accept() fail so the accept
-  // thread exits.
-  const int listener = listen_fd_.exchange(-1);
-  if (listener >= 0) {
-    ::shutdown(listener, SHUT_RDWR);
-    ::close(listener);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Retiring the listener makes every blocked accept() fail, and each
+  // worker then finds it retired and exits.  The descriptor is closed only
+  // after the join, so no worker can call accept() on a number the process
+  // has already reused.
+  if (listener >= 0) ::shutdown(listener, SHUT_RDWR);
   for (std::thread& worker : workers) {
     if (worker.joinable()) worker.join();
   }
+  if (listener >= 0) ::close(listener);
 }
 
 Client::Client(const std::string& host, std::uint16_t port) {

@@ -1,6 +1,6 @@
 // The cosmicdanced transport: a small POSIX TCP server speaking the
-// length-prefixed JSON protocol (wire.hpp), one thread per connection, and
-// the matching blocking client.
+// length-prefixed JSON protocol (wire.hpp) from a bounded set of connection
+// workers, and the matching blocking client.
 //
 // The server owns no query logic — every complete frame is handed to the
 // Service (service.hpp) and the response framed back.  Connections are
@@ -8,6 +8,14 @@
 // pipelined requests on one socket never affect another.  A framing error
 // (oversized length prefix) gets one final error frame, then the connection
 // closes — there is no way to resynchronise a byte-exact stream.
+//
+// Threads: connection workers loop accept → serve → close, one connection
+// at a time, until shutdown.  start() launches one, and a worker that
+// takes the last idle slot launches another, up to kConnectionWorkers;
+// further connections wait in the listen backlog.  So the daemon never
+// holds more than kConnectionWorkers threads and stacks however many
+// connections it sees, and only as many workers (each with its own
+// malloc arena) stay warm as its concurrency needs (DESIGN.md §15).
 //
 // Lifecycle: construct → start() binds/listens (port 0 picks an ephemeral
 // port, readable via port()) → wait() blocks until a client sends the
@@ -18,6 +26,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -32,6 +41,11 @@ namespace cosmicdance::serve {
 
 class Server {
  public:
+  /// Connections served at once.  The largest client count the repository
+  /// drives is 9 (micro_serve's 8 clients plus its reloader); further
+  /// connections queue in the listen backlog of 64.
+  static constexpr std::size_t kConnectionWorkers = 16;
+
   /// `service` is non-owning and must outlive the server.  `port` 0 binds
   /// an ephemeral port.  Nothing is bound until start().
   Server(Service& service, std::string host, std::uint16_t port);
@@ -40,8 +54,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen and launch the accept thread.  Throws IoError when the
-  /// address cannot be bound.
+  /// Bind, listen and launch the first connection worker.  Throws IoError
+  /// when the address cannot be bound.
   void start();
 
   /// The actual bound port (resolves port-0 binds).  Valid after start().
@@ -50,13 +64,13 @@ class Server {
   /// Block until a client requests shutdown or shutdown() is called.
   void wait();
 
-  /// Stop accepting, unblock and join every connection, join the accept
-  /// thread.  Safe to call repeatedly and from the destructor; must not be
-  /// called from a connection thread (it joins them).
+  /// Stop accepting, unblock every connection and join the workers.  Safe
+  /// to call repeatedly and from the destructor; must not be called from a
+  /// connection worker (it joins them).
   void shutdown();
 
  private:
-  void accept_loop();
+  void connection_worker();
   void serve_connection(int fd);
   void request_shutdown();
 
@@ -64,10 +78,9 @@ class Server {
   std::string host_;
   std::uint16_t requested_port_;
   std::uint16_t port_ = 0;
-  /// Atomic: the accept loop reads it while shutdown() retires it (the
-  /// exchange also makes the close-once idempotent across callers).
+  /// Atomic: the workers read it while shutdown() retires it (the exchange
+  /// also makes the close-once idempotent across callers).
   std::atomic<int> listen_fd_{-1};
-  std::thread accept_thread_;
 
   std::mutex mutex_;
   std::condition_variable cv_;

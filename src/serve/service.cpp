@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <exception>
@@ -362,21 +361,8 @@ std::string handle_decay_summary(const ServeSnapshot& snap,
   const core::PropagationReport report =
       core::propagate_catalog(catalog, options);
 
-  // Rank by decay rate, most negative (fastest-falling) first.
-  std::vector<const core::PropagationSeries*> ranked;
-  ranked.reserve(report.series.size());
-  for (const auto& series : report.series) {
-    if (series.valid_samples >= 2) ranked.push_back(&series);
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto* a, const auto* b) {
-    if (a->decay_rate_km_per_day != b->decay_rate_km_per_day) {
-      return a->decay_rate_km_per_day < b->decay_rate_km_per_day;
-    }
-    return a->catalog_number < b->catalog_number;
-  });
-  if (ranked.size() > static_cast<std::size_t>(top)) {
-    ranked.resize(static_cast<std::size_t>(top));
-  }
+  const std::vector<const core::PropagationSeries*> ranked =
+      core::fastest_decaying(report, static_cast<std::size_t>(top));
 
   std::string out = open_ok(snap.epoch, "decay_summary");
   out += ",\"satellites\":";

@@ -79,8 +79,10 @@ class Service {
   /// (counted in serve.errors).
   [[nodiscard]] HandleResult handle(std::string_view request);
 
-  /// Rebuild + swap.  Returns the new epoch, or 0 when the rebuild threw
-  /// (old snapshot stays).  Concurrent calls serialise.
+  /// Rebuild + swap.  Returns the new epoch, or 0 when no rebuild callback
+  /// is configured.  A throwing rebuild propagates to the caller (handle()
+  /// turns it into an error response) and the old snapshot stays.
+  /// Concurrent calls serialise.
   std::uint64_t reload();
 
  private:

@@ -141,6 +141,30 @@ TEST(ObsMetricsTest, RecordPhaseAccumulatesExternallyTimedIntervals) {
   EXPECT_NEAR(report.phases.at("external").total_ms, 10.0, 0.1);
 }
 
+TEST(ObsMetricsTest, TraceKeepsTheFirstSpansAndCountsTheRest) {
+  // A daemon records spans for its whole life (every envelope_cdf query
+  // and every reload), so the trace buffer is capped: the first
+  // kMaxTraceSpans stay, later intervals still reach the phase totals, and
+  // the drops are a scheduling counter, outside the work-counter contract.
+  Metrics metrics;
+  const auto begin = std::chrono::steady_clock::now();
+  for (int i = 0; i < 70000; ++i) {
+    metrics.record_phase("serve.query", begin, begin);
+  }
+  const MetricsReport report = metrics.snapshot();
+  EXPECT_EQ(report.phases.at("serve.query").calls, 70000u);
+  EXPECT_EQ(report.scheduling.at("obs.trace_spans_dropped"), 4464u);
+  EXPECT_EQ(report.counters.count("obs.trace_spans_dropped"), 0u);
+
+  const std::string trace = metrics.trace_json();
+  std::size_t events = 0;
+  for (std::size_t at = trace.find("\"ph\": \"X\""); at != std::string::npos;
+       at = trace.find("\"ph\": \"X\"", at + 1)) {
+    ++events;
+  }
+  EXPECT_EQ(events, 65536u);
+}
+
 // ---- the determinism contract, end to end ---------------------------------
 
 TEST(ObsDeterminismTest, PipelineWorkCountersBitIdenticalAcrossThreadCounts) {

@@ -11,12 +11,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "io/parse.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "serve/server.hpp"
@@ -490,6 +495,93 @@ TEST(ServeServerTest, ConcurrentClientsOverTcpStayConsistent) {
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(inconsistencies.load(), 0);
   server.shutdown();
+}
+
+// ---- connection churn ---------------------------------------------------------
+
+/// This process's VmSize in kB, or -1 when /proc has no such line.
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return io::parse_leading_long(std::string_view(line).substr(7)).value_or(-1);
+    }
+  }
+  return -1;
+}
+
+std::size_t task_count() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
+}
+
+TEST(ServeSoakTest, ConnectionChurnKeepsThreadsAndAddressSpaceFlat) {
+  // A long-lived daemon sees an unbounded number of connections.  Each
+  // one-shot connection used to get its own thread, whose 8 MB stack stayed
+  // mapped until shutdown, so VmSize grew without bound and the daemon
+  // died once the kernel's map count ran out.  The connection workers
+  // must keep the thread count and the address space flat while every op
+  // and periodic reloads keep answering whole epochs.
+  obs::Metrics metrics;
+  serve::Service service(make_pipeline(10), [] { return make_pipeline(10); },
+                         &metrics);
+  serve::Server server(service, "127.0.0.1", 0);
+  server.start();
+
+  const char* const ops[] = {"ping",          "stats",          "sat_series",
+                             "storm_summary", "envelope_cdf",   "propagate",
+                             "decay_summary", "quality_report", "metrics"};
+  int bad_responses = 0;
+  int requests = 0;
+  const auto churn = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      const bool reload = ++requests % 1000 == 0;
+      const std::string op = reload ? "reload" : ops[requests % std::size(ops)];
+      serve::Client client("127.0.0.1", server.port());
+      const auto parsed =
+          serve::parse_json(client.request("{\"op\":\"" + op + "\"}"));
+      const bool whole =
+          parsed.has_value() && ok_field(*parsed) &&
+          (parsed->find("epoch") == nullptr ||
+           integer_field(*parsed, "epoch") == integer_field(*parsed, "epoch_end"));
+      if (!whole) ++bad_responses;
+    }
+  };
+
+  // Warm-up: hold kConnectionWorkers connections open at once so every
+  // worker the server may ever start has started and allocated, then run
+  // the rest of the first 1,000 connections one at a time.
+  {
+    std::deque<serve::Client> held;
+    for (std::size_t i = 0; i < serve::Server::kConnectionWorkers; ++i) {
+      held.emplace_back("127.0.0.1", server.port());
+    }
+    for (serve::Client& client : held) {
+      ++requests;
+      if (!ok_field(response_json(client.request("{\"op\":\"stats\"}")))) {
+        ++bad_responses;
+      }
+    }
+  }
+  churn(1000 - static_cast<int>(serve::Server::kConnectionWorkers));
+  const long vm_before_kb = vm_size_kb();
+  const std::size_t tasks_before = task_count();
+  ASSERT_GT(vm_before_kb, 0);
+  churn(10000);
+  const long vm_after_kb = vm_size_kb();
+  const std::size_t tasks_after = task_count();
+  server.shutdown();
+
+  EXPECT_EQ(bad_responses, 0);
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.requests"), 11000u);
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.reloads"), 11u);
+  EXPECT_EQ(service.snapshot()->epoch, 12u);
+  EXPECT_EQ(tasks_after, tasks_before);
+  EXPECT_LE(vm_after_kb - vm_before_kb, 64L * 1024)
+      << "VmSize grew from " << vm_before_kb << " kB to " << vm_after_kb
+      << " kB over 10,000 connections";
 }
 
 }  // namespace

@@ -15,8 +15,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -24,9 +27,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/export.hpp"
 #include "core/pipeline.hpp"
 #include "diag/diag.hpp"
 #include "io/file.hpp"
+#include "io/parse.hpp"
 #include "io/snapshot.hpp"
 #include "io/snapshot_internal.hpp"
 #include "obs/obs.hpp"
@@ -811,6 +816,77 @@ TEST(SnapshotPipeline, BackgroundSaveCompletesOnWait) {
   EXPECT_EQ(loaded->catalog.to_text(), moved.catalog().to_text());
 }
 
+/// Forty days of quiet Dst with one severe storm on day 10, and six
+/// satellites sampled twice a day whose orbits sink for a week after it:
+/// enough for every correlator analysis to return samples.
+TestInputs write_storm_inputs(const std::string& tag) {
+  std::vector<double> values;
+  for (int h = 0; h < 40 * 24; ++h) {
+    values.push_back(h >= 240 && h < 252 ? -150.0 : -12.0);
+  }
+  std::string tle_text;
+  for (int i = 0; i < 6; ++i) {
+    for (int k = 0; k < 80; ++k) {
+      tle::Tle record = make_tle(10001 + i, 0.5 * k);
+      const int sinking = std::clamp(k - 20, 0, 14);
+      record.mean_motion_revday += 0.0004 * (i + 1) * sinking;
+      record.bstar *= 1.0 + 0.1 * sinking;
+      const tle::TleLines lines = tle::format_tle(record);
+      tle_text += lines.line1 + "\n" + lines.line2 + "\n";
+    }
+  }
+  TestInputs inputs = write_inputs(tag, tle_text);
+  io::write_file(inputs.dst_path,
+                 spaceweather::to_wdc(spaceweather::DstIndex(
+                     timeutil::make_datetime(2024, 5, 1), std::move(values))));
+  return inputs;
+}
+
+/// Every correlator-backed answer must match the reference pipeline's.
+void expect_same_answers(const core::CosmicDance& got,
+                         const core::CosmicDance& want) {
+  EXPECT_EQ(got.altitude_changes_for_storms(-100.0),
+            want.altitude_changes_for_storms(-100.0));
+  EXPECT_EQ(got.drag_changes_for_storms(-100.0),
+            want.drag_changes_for_storms(-100.0));
+  const double event_jd = want.correlator().storm_event_epochs(-100.0).front();
+  EXPECT_EQ(core::envelope_csv(got.post_event_envelope(
+                event_jd, 15, core::EnvelopeSelection::kAll)),
+            core::envelope_csv(want.post_event_envelope(
+                event_jd, 15, core::EnvelopeSelection::kAll)));
+  EXPECT_EQ(core::storms_csv(got.storms()), core::storms_csv(want.storms()));
+}
+
+TEST(SnapshotPipeline, MovesWhileTheSaveRunsKeepEveryAnswer) {
+  // The background save shares the parsed inputs with the pipeline, and
+  // the correlator points at their Dst series.  A move-construct and a
+  // move-assign made while the save may still be running must leave a
+  // pipeline that answers exactly like an uncached one, and the save must
+  // still write the same catalog.
+  const TestInputs inputs = write_storm_inputs("moved_save");
+  const core::CosmicDance reference =
+      core::CosmicDance::from_files(inputs.dst_path, inputs.tle_path);
+  ASSERT_FALSE(reference.altitude_changes_for_storms(-100.0).empty());
+  ASSERT_FALSE(reference.drag_changes_for_storms(-100.0).empty());
+
+  core::CosmicDance assigned =
+      core::CosmicDance::from_files(inputs.dst_path, inputs.tle_path);
+  core::PipelineConfig config;
+  config.cache_dir = inputs.cache_dir;
+  core::CosmicDance cold =
+      core::CosmicDance::from_files(inputs.dst_path, inputs.tle_path, config);
+  core::CosmicDance moved(std::move(cold));
+  expect_same_answers(moved, reference);
+  assigned = std::move(moved);
+  expect_same_answers(assigned, reference);
+
+  assigned.wait_for_snapshot_save();
+  const std::optional<io::SnapshotData> loaded =
+      io::load_snapshot(inputs.snapshot_path(), ParsePolicy::kStrict);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->catalog.to_text(), reference.catalog().to_text());
+}
+
 // ---- input fingerprint ------------------------------------------------------
 
 TEST(SnapshotHash, Xxh64KnownAnswers) {
@@ -860,6 +936,89 @@ TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {
     EXPECT_EQ(grown.current.dst_lines, whole.dst_lines);
   }
   EXPECT_EQ(whole.tle_hash, io::xxh64(text));
+}
+
+/// Resident bytes of the mapping that starts at `base`, read from
+/// /proc/self/smaps; -1 when no mapping starts there.
+long resident_bytes(const void* base) {
+  char digits[2 * sizeof(std::uintptr_t)];
+  const char* end = std::to_chars(std::begin(digits), std::end(digits),
+                                  reinterpret_cast<std::uintptr_t>(base), 16)
+                        .ptr;
+  const std::string_view want(digits, static_cast<std::size_t>(end - digits));
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool in_mapping = false;
+  while (std::getline(smaps, line)) {
+    // Mapping headers open with a lower-case hex range; field lines with a
+    // capitalised name such as "Rss:".
+    const bool header = !line.empty() && ((line[0] >= '0' && line[0] <= '9') ||
+                                          (line[0] >= 'a' && line[0] <= 'f'));
+    if (header) {
+      std::string_view start = std::string_view(line).substr(0, line.find('-'));
+      start.remove_prefix(std::min(start.find_first_not_of('0'), start.size()));
+      in_mapping = start == want;
+    } else if (in_mapping && line.rfind("Rss:", 0) == 0) {
+      const long kb =
+          io::parse_leading_long(std::string_view(line).substr(4)).value_or(-1);
+      return kb < 0 ? -1 : kb * 1024;
+    }
+  }
+  return -1;
+}
+
+TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
+  // Over mapped inputs, classify_inputs hashes a window at a time and drops
+  // each window's pages once hashed.  It must classify exactly as the pass
+  // over plain views does, leave every byte readable, and end with only a
+  // sliver of the file resident where the view pass leaves all of it.
+  const std::string dir = ::testing::TempDir() + "cdsnap_mapped_pass";
+  std::filesystem::create_directories(dir);
+  std::string text;  // 24 MiB of lines: six windows and a partial seventh
+  for (std::size_t i = 0; text.size() < (std::size_t{24} << 20) + 12345; ++i) {
+    text += std::to_string(i * 2654435761u) + " 0123456789abcdefghijklmnop\n";
+  }
+  const std::string dst = wdc_corpus();
+  io::write_file(dir + "/dst.txt", dst);
+  io::write_file(dir + "/tle.txt", text);
+  const io::MappedFile dst_map(dir + "/dst.txt");
+  const io::MappedFile tle_map(dir + "/tle.txt");
+  if (!tle_map.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
+
+  const std::size_t half = text.rfind('\n', text.size() / 2) + 1;
+  const io::IngestState prefix =
+      io::ingest_state_of(dst, std::string_view(text).substr(0, half));
+  const io::IngestState whole = io::ingest_state_of(dst, text);
+  for (const io::IngestState& base : {io::IngestState{}, prefix, whole}) {
+    const io::InputClassification viewed = io::classify_inputs(base, dst, text);
+    const io::InputClassification mapped =
+        io::classify_inputs(base, dst_map, tle_map);
+    EXPECT_EQ(mapped.match, viewed.match);
+    EXPECT_EQ(mapped.current.tle_hash, viewed.current.tle_hash);
+    EXPECT_EQ(mapped.current.tle_lines, viewed.current.tle_lines);
+    EXPECT_EQ(mapped.current.tle_len, viewed.current.tle_len);
+    EXPECT_EQ(mapped.current.tle_boundary_clean,
+              viewed.current.tle_boundary_clean);
+    EXPECT_EQ(mapped.current.dst_hash, viewed.current.dst_hash);
+    EXPECT_EQ(mapped.current.dst_lines, viewed.current.dst_lines);
+  }
+  EXPECT_EQ(io::classify_inputs(prefix, dst_map, tle_map).match,
+            io::InputMatch::kAppend);
+  EXPECT_EQ(io::classify_inputs(whole, dst_map, tle_map).match,
+            io::InputMatch::kExact);
+
+  const long after_mapped = resident_bytes(tle_map.view().data());
+  ASSERT_GE(after_mapped, 0);
+  EXPECT_LE(after_mapped, 1L << 20);
+  // The same bytes through a pass over the plain view stay resident, so
+  // the bound above measures the drops, not an idle mapping.
+  const io::MappedFile held(dir + "/tle.txt");
+  EXPECT_EQ(io::ingest_state_of(dst, held.view()).tle_hash, whole.tle_hash);
+  EXPECT_GE(resident_bytes(held.view().data()),
+            static_cast<long>(text.size() / 2));
+  // Dropped pages fault back in with the file's bytes.
+  EXPECT_EQ(tle_map.view(), text);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- checksum reference -----------------------------------------------------

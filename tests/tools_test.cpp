@@ -15,7 +15,11 @@
 #include "io/args.hpp"
 #include "io/file.hpp"
 #include "io/parse.hpp"
+#include "spaceweather/dst_index.hpp"
+#include "spaceweather/wdc.hpp"
+#include "support/minijson.hpp"
 #include "timeutil/datetime.hpp"
+#include "tle/tle.hpp"
 
 namespace cosmicdance {
 namespace {
@@ -383,6 +387,85 @@ TEST(CliThreadsTest, DaemonRejectsNegativeThreadsBeforeListening) {
       << result.output;
   EXPECT_NE(result.output.find("non-negative"), std::string::npos)
       << result.output;
+}
+
+// ---- the CLI joins its background cache write ------------------------------
+//
+// Every cached run that is not an exact hit rewrites the snapshot on a
+// background thread.  analyze joins that write in its own phase before it
+// writes --metrics, so the file always shows the write and the wait.
+
+/// `days` days of Dst starting `first_day` days into May 2024, as WDC text.
+std::string dst_days(int first_day, int days) {
+  std::vector<double> values;
+  for (int h = 0; h < days * 24; ++h) {
+    values.push_back((first_day * 24 + h) % 97 == 0 ? -120.0 : -15.0);
+  }
+  return spaceweather::to_wdc(spaceweather::DstIndex(
+      timeutil::make_datetime(2024, 5, 1 + first_day), std::move(values)));
+}
+
+/// Four satellites with one element set every half day for `days` days.
+std::string tle_days(int first_day, int days) {
+  std::string text;
+  for (int sat = 0; sat < 4; ++sat) {
+    for (int k = 0; k < 2 * days; ++k) {
+      tle::Tle record;
+      record.catalog_number = 45001 + sat;
+      record.international_designator = "20001A";
+      record.epoch_jd = timeutil::to_julian(timeutil::make_datetime(2024, 5, 1)) +
+                        first_day + 0.5 * k + 0.01 * sat;
+      record.bstar = 1.4e-4;
+      record.inclination_deg = 53.05;
+      record.raan_deg = 120.5;
+      record.eccentricity = 0.0002;
+      record.arg_perigee_deg = 90.0;
+      record.mean_anomaly_deg = 45.0;
+      record.mean_motion_revday = 15.05;
+      record.element_set_number = 999;
+      record.rev_number = 12345;
+      const tle::TleLines lines = tle::format_tle(record);
+      text += lines.line1 + "\n" + lines.line2 + "\n";
+    }
+  }
+  return text;
+}
+
+/// The named counter in a --metrics JSON file, or -1 when it is absent.
+long metrics_counter(const minijson::Value& metrics, const std::string& name) {
+  const minijson::Value* value = metrics.find("counters")->find(name);
+  return value != nullptr ? io::parse_long(value->text).value_or(-1) : -1;
+}
+
+TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
+  const std::string dir = ::testing::TempDir() + "cd_cli_cache_" +
+                          std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  io::write_file(dir + "/dst.wdc", dst_days(0, 20));
+  io::write_file(dir + "/catalog.tle", tle_days(0, 20));
+  const auto analyze = [&](const std::string& run) {
+    const CommandResult result = run_command(
+        std::string("'") + COSMICDANCE_CLI_BINARY + "' analyze --dst '" + dir +
+        "/dst.wdc' --tles '" + dir + "/catalog.tle' --out-dir '" + dir + "/" +
+        run + "' --cache-dir '" + dir + "/cache' --metrics '" + dir + "/" +
+        run + ".json'");
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+    return minijson::parse(io::read_file(dir + "/" + run + ".json"));
+  };
+
+  const auto cold = analyze("cold");
+  io::append_file(dir + "/dst.wdc", dst_days(20, 1));
+  io::append_file(dir + "/catalog.tle", tle_days(20, 1));
+  const auto append = analyze("append");
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_TRUE(append.has_value());
+  EXPECT_EQ(metrics_counter(*append, "ingest.delta_hit"), 1);
+  for (const minijson::Value* metrics : {&*cold, &*append}) {
+    EXPECT_EQ(metrics_counter(*metrics, "snapshot.written"), 1);
+    EXPECT_NE(metrics->find("phases")->find("snapshot.save"), nullptr);
+    EXPECT_NE(metrics->find("phases")->find("analyze.save_join"), nullptr);
+  }
 }
 
 }  // namespace

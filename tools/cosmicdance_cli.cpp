@@ -9,7 +9,6 @@
 //   cosmicdance analyze   --dst dst.wdc --tles catalog.tle --out-dir DIR
 //   cosmicdance propagate --tles catalog.tle [--days N --step-hours H --top N]
 //   cosmicdance report    --dst dst.wdc --tles catalog.tle
-#include <algorithm>
 #include <filesystem>
 #include <iostream>
 
@@ -211,6 +210,19 @@ void emit_observability(const io::ArgParser& args, const obs::Metrics& metrics) 
   }
 }
 
+/// Join the pipeline's background cache write inside the phase `phase`,
+/// then honour --metrics/--trace: the write's snapshot.save phase and
+/// snapshot.written counter reach the files, and the wait is timed.
+void finish_observability(const io::ArgParser& args,
+                          core::CosmicDance& pipeline, obs::Metrics* metrics,
+                          const char* phase) {
+  {
+    const obs::ScopedPhase join(metrics, phase);
+    pipeline.wait_for_snapshot_save();
+  }
+  if (metrics != nullptr) emit_observability(args, *metrics);
+}
+
 core::CosmicDance load_pipeline(const io::ArgParser& args,
                                 obs::Metrics* metrics = nullptr) {
   core::PipelineConfig config;
@@ -232,7 +244,7 @@ int cmd_analyze(const io::ArgParser& args) {
   std::filesystem::create_directories(out_dir);
   obs::Metrics observability;
   obs::Metrics* metrics = wants_observability(args) ? &observability : nullptr;
-  const core::CosmicDance pipeline = load_pipeline(args, metrics);
+  core::CosmicDance pipeline = load_pipeline(args, metrics);
   auto path = [&](const char* name) { return out_dir + "/" + name; };
 
   {
@@ -282,7 +294,7 @@ int cmd_analyze(const io::ArgParser& args) {
   }
 
   std::cout << "analysis CSVs written to " << out_dir << "\n";
-  if (metrics != nullptr) emit_observability(args, *metrics);
+  finish_observability(args, pipeline, metrics, "analyze.save_join");
   return 0;
 }
 
@@ -369,22 +381,11 @@ int cmd_propagate(const io::ArgParser& args) {
             << "   init failures: " << report.init_failures.size() << "\n";
 
   // Fastest-decaying satellites — the reentry-risk shortlist.
-  std::vector<const core::PropagationSeries*> ranked;
-  ranked.reserve(report.series.size());
-  for (const auto& series : report.series) {
-    if (series.valid_samples >= 2) ranked.push_back(&series);
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto* a, const auto* b) {
-    if (a->decay_rate_km_per_day != b->decay_rate_km_per_day) {
-      return a->decay_rate_km_per_day < b->decay_rate_km_per_day;
-    }
-    return a->catalog_number < b->catalog_number;
-  });
   const auto top = static_cast<std::size_t>(
       args.nonnegative_integer_or("top", 10));
   io::TablePrinter table({"catalog", "km/day", "first km", "last km", "reentry"});
-  for (std::size_t i = 0; i < ranked.size() && i < top; ++i) {
-    const auto& series = *ranked[i];
+  for (const auto* ranked : core::fastest_decaying(report, top)) {
+    const auto& series = *ranked;
     table.add_row({std::to_string(series.catalog_number),
                    io::TablePrinter::num(series.decay_rate_km_per_day, 3),
                    io::TablePrinter::num(series.first_altitude_km, 1),
@@ -401,11 +402,11 @@ int cmd_report(const io::ArgParser& args) {
                     "quality-report", "metrics", "trace"});
   obs::Metrics observability;
   obs::Metrics* metrics = wants_observability(args) ? &observability : nullptr;
-  const core::CosmicDance pipeline = load_pipeline(args, metrics);
+  core::CosmicDance pipeline = load_pipeline(args, metrics);
   if (const auto out = args.option("markdown")) {
     core::write_markdown_report(pipeline, *out);
     std::cout << "wrote markdown report to " << *out << "\n";
-    if (metrics != nullptr) emit_observability(args, *metrics);
+    finish_observability(args, pipeline, metrics, "report.save_join");
     return 0;
   }
 
@@ -436,7 +437,7 @@ int cmd_report(const io::ArgParser& args) {
   } else {
     std::cout << "  no storm-epoch samples in this dataset\n";
   }
-  if (metrics != nullptr) emit_observability(args, *metrics);
+  finish_observability(args, pipeline, metrics, "report.save_join");
   return 0;
 }
 

@@ -5,7 +5,9 @@
 #      suite, which must be race-free for the deterministic-ordering
 #      contract to mean anything; the batch SGP4 suite rides along so a
 #      shared propagator driven from many threads (the pure-kernel contract,
-#      DESIGN.md §16) is under the same lens,
+#      DESIGN.md §16) is under the same lens, and so do the snapshot suites,
+#      whose every cache path runs a background save that reads the parsed
+#      inputs while the pipeline builds from them (DESIGN.md §14, §18),
 #   3. ASan+UBSan (COSMICDANCE_SANITIZE=address) over the ingestion suites,
 #      driving the malformed-record corpus through both parse policies so
 #      buffer overreads in the fixed-column parsers surface here, and the
@@ -64,15 +66,19 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== pass 2: ThreadSanitizer build + parallel suite =="
 cmake -B build-tsan -S . -DCOSMICDANCE_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
-      --target parallel_differential_test serve_test sgp4_batch_test
+      --target parallel_differential_test serve_test sgp4_batch_test \
+               snapshot_test delta_snapshot_test
 # TSan halts with a non-zero exit on any race; no suppressions are used.
-# The serve suites put the daemon's snapshot swap (DESIGN.md §15) under the
-# same lens: concurrent readers + reloads must be race-free.  The
-# ParallelDifferentialEcdf suite does the same for the chunked Ecdf sort.
+# The serve suites put the daemon's snapshot swap and its connection
+# workers (DESIGN.md §15) under the same lens: concurrent readers + reloads
+# must be race-free.  The ParallelDifferentialEcdf suite does the same for
+# the chunked Ecdf sort.
 # Sgp4ThreadSafety drives one shared deep-space propagator from many
 # threads — the regression gate for the old mutable resonance-memo race.
+# The Snapshot and DeltaSnapshot suites run every cache path (cold, exact
+# hit, append, stale) with the background save sharing the parsed inputs.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator'
+      -R 'ParallelDifferential|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address

@@ -4,16 +4,22 @@
 //
 // Every response is validated: "ok" must be true and the leading "epoch"
 // must equal the trailing "epoch_end" — the wire-visible proof that the
-// atomic snapshot swap never tears an in-flight response.  Any violation is
-// fatal (exit 1), so the bench doubles as a concurrency regression check.
+// atomic snapshot swap never tears an in-flight response.  Each client sends
+// at least --requests requests and keeps sending until one of its requests
+// went out after the reload was answered, so the swap always lands under
+// load however fast the host serves; a request sent after that answer must
+// come back from the new epoch.  Any violation is fatal (exit 1), so the
+// bench doubles as a concurrency regression check.
 //
 //   ./micro_serve [--clients N] [--requests N] [--threads N] [--bench-out F]
 //
 // Default output: BENCH_serve.json in the working directory, carrying
-// queries_per_s + tail latency in "throughput" and the daemon's metrics
-// registry (serve.requests / serve.errors / serve.reloads) in "metrics";
-// tier-1 asserts on both.
+// queries_per_s, tail latency and responses_after_swap (responses served
+// by the reloaded epoch) in "throughput" and the daemon's metrics registry
+// (serve.requests / serve.errors / serve.reloads) in "metrics"; tier-1
+// asserts on both.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -50,8 +56,9 @@ BenchDataset write_dataset() {
   return data;
 }
 
-/// The serving query mix.  envelope_cdf triggers a full correlator-sample
-/// scan, so it appears once per rotation — expensive queries should be in
+/// The serving query mix.  envelope_cdf filters and sorts the epoch's
+/// precomputed storm samples (DESIGN.md §15), still the costliest read
+/// here, so it appears once per rotation — expensive queries should be in
 /// the mix, not dominate it.
 const char* query_for(std::size_t index) {
   static const char* const kQueries[] = {
@@ -82,19 +89,30 @@ struct ClientStats {
   std::vector<double> latencies_us;
   std::size_t errors = 0;        ///< "ok":false responses
   std::size_t torn_epochs = 0;   ///< epoch != epoch_end — must stay zero
+  std::size_t stale_epochs = 0;  ///< old epoch after the reload's answer
+  std::size_t after_swap = 0;    ///< responses from the reloaded epoch
 };
 
+/// `reloaded_epoch` is the reload's outcome as the clients see it: 0
+/// while it is in flight, then the new epoch, or -1 when it failed.
 ClientStats run_client(const std::string& host, std::uint16_t port,
-                       std::size_t requests, std::size_t offset) {
+                       std::size_t requests, std::size_t offset,
+                       const std::atomic<long>& reloaded_epoch) {
   ClientStats stats;
   stats.latencies_us.reserve(requests);
   serve::Client client(host, port);
-  for (std::size_t i = 0; i < requests; ++i) {
+  bool sent_after_answer = false;
+  for (std::size_t i = 0;; ++i) {
+    // Read before sending: a request sent once the reload was answered
+    // must be served by the new epoch.
+    const long answered_epoch = reloaded_epoch.load();
+    if (i >= requests && (sent_after_answer || answered_epoch < 0)) break;
     const auto begin = std::chrono::steady_clock::now();
     const std::string response = client.request(query_for(offset + i));
     const auto end = std::chrono::steady_clock::now();
     stats.latencies_us.push_back(
         std::chrono::duration<double, std::micro>(end - begin).count());
+    if (answered_epoch > 0) sent_after_answer = true;
     if (response.rfind("{\"ok\":true", 0) != 0) {
       ++stats.errors;
       continue;
@@ -102,6 +120,10 @@ ClientStats run_client(const std::string& host, std::uint16_t port,
     const long epoch = field_value(response, "epoch");
     const long epoch_end = field_value(response, "epoch_end");
     if (epoch > 0 && epoch != epoch_end) ++stats.torn_epochs;
+    if (epoch > 1) ++stats.after_swap;
+    if (answered_epoch > 0 && epoch > 0 && epoch < answered_epoch) {
+      ++stats.stale_epochs;
+    }
   }
   return stats;
 }
@@ -137,51 +159,63 @@ int main(int argc, char** argv) {
   server.start();
 
   std::vector<ClientStats> results(clients);
+  std::atomic<long> reloaded_epoch{0};
+  std::string reload_response;
   const auto begin = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> workers;
     workers.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
       workers.emplace_back([&, c] {
-        results[c] = run_client("127.0.0.1", server.port(), requests, c);
+        results[c] = run_client("127.0.0.1", server.port(), requests, c,
+                                reloaded_epoch);
       });
     }
     // One snapshot swap in the thick of the load: clients must keep
     // getting whole-epoch responses across it.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     serve::Client reloader("127.0.0.1", server.port());
-    const std::string response = reloader.request("{\"op\":\"reload\"}");
-    if (response.rfind("{\"ok\":true", 0) != 0) {
-      std::fprintf(stderr, "mid-load reload failed: %s\n", response.c_str());
-      return 1;
-    }
+    reload_response = reloader.request("{\"op\":\"reload\"}");
+    const bool reloaded = reload_response.rfind("{\"ok\":true", 0) == 0;
+    reloaded_epoch.store(reloaded ? field_value(reload_response, "epoch") : -1);
     for (std::thread& worker : workers) worker.join();
   }
   const auto end = std::chrono::steady_clock::now();
   server.shutdown();
+  if (reloaded_epoch.load() != 2) {
+    std::fprintf(stderr, "mid-load reload failed: %s\n",
+                 reload_response.c_str());
+    return 1;
+  }
 
   std::vector<double> latencies;
-  std::size_t errors = 0, torn = 0;
+  std::size_t errors = 0, torn = 0, stale = 0, after_swap = 0;
   for (const ClientStats& r : results) {
     latencies.insert(latencies.end(), r.latencies_us.begin(),
                      r.latencies_us.end());
     errors += r.errors;
     torn += r.torn_epochs;
+    stale += r.stale_epochs;
+    after_swap += r.after_swap;
   }
   std::sort(latencies.begin(), latencies.end());
   const double elapsed_s =
       std::chrono::duration<double>(end - begin).count();
   const double qps = static_cast<double>(latencies.size()) / elapsed_s;
 
-  std::printf("micro_serve: %zu clients x %zu requests in %.2fs = %.0f q/s\n",
-              clients, requests, elapsed_s, qps);
+  std::printf("micro_serve: %zu clients x %zu+ requests (%zu sent) in %.2fs"
+              " = %.0f q/s\n",
+              clients, requests, latencies.size(), elapsed_s, qps);
   std::printf("  latency p50 %.0fus  p95 %.0fus  p99 %.0fus\n",
               percentile(latencies, 50), percentile(latencies, 95),
               percentile(latencies, 99));
-  std::printf("  errors %zu  torn epochs %zu\n", errors, torn);
-  if (errors > 0 || torn > 0) {
+  std::printf("  errors %zu  torn epochs %zu  stale epochs %zu"
+              "  responses after swap %zu\n",
+              errors, torn, stale, after_swap);
+  if (errors > 0 || torn > 0 || stale > 0) {
     std::fprintf(stderr,
-                 "micro_serve: FAILED — errors or torn epochs under load\n");
+                 "micro_serve: FAILED — errors, torn or stale epochs under "
+                 "load\n");
     return 1;
   }
 
@@ -190,7 +224,8 @@ int main(int argc, char** argv) {
       {{"queries_per_s", qps},
        {"latency_p50_us", percentile(latencies, 50)},
        {"latency_p95_us", percentile(latencies, 95)},
-       {"latency_p99_us", percentile(latencies, 99)}},
+       {"latency_p99_us", percentile(latencies, 99)},
+       {"responses_after_swap", static_cast<double>(after_swap)}},
       metrics);
   return 0;
 }

@@ -3,17 +3,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json_number.hpp"
+
 namespace cosmicdance::obs {
 namespace {
-
-/// JSON-safe number: round-trippable for finite values, null otherwise
-/// (NaN/Inf are not valid JSON tokens).
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 /// Fixed-precision milliseconds (microsecond resolution) for readability.
 std::string json_ms(double ms) {

@@ -1,7 +1,6 @@
 #include "serve/json.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 
 #include "io/parse.hpp"
@@ -260,13 +259,6 @@ std::string escape_json(std::string_view text) {
     }
   }
   return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 }  // namespace cosmicdance::serve

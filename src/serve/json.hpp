@@ -3,11 +3,12 @@
 // The daemon's requests and responses are small JSON documents inside
 // length-prefixed frames (wire.hpp).  This header gives the serve layer a
 // dependency-free reader (strict: the whole payload must be one well-formed
-// value, trailing garbage is an error) and the escaping/formatting helpers
-// the response builders need.  Numbers are validated against the JSON
-// grammar during the parse but kept as raw tokens; conversion goes through
-// the checked io::parse_* helpers, keeping this file inside the project's
-// raw-parse rule (cdlint R3).
+// value, trailing garbage is an error) and the string escaping the
+// response builders need; they write numbers with common/json_number.hpp,
+// the formatter the obs exporters share.  Numbers are validated against
+// the JSON grammar during the parse but kept as raw tokens; conversion goes
+// through the checked io::parse_* helpers, keeping this file inside the
+// project's raw-parse rule (cdlint R3).
 #pragma once
 
 #include <optional>
@@ -47,9 +48,5 @@ struct JsonValue {
 /// Escape `text` for embedding inside a JSON string literal (quotes not
 /// included).  Control characters become \u00XX.
 [[nodiscard]] std::string escape_json(std::string_view text);
-
-/// Format a double as a JSON number token that round-trips bit-exactly
-/// (%.17g), mapping non-finite values to null (JSON has no NaN/Inf).
-[[nodiscard]] std::string json_number(double value);
 
 }  // namespace cosmicdance::serve

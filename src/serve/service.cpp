@@ -1,16 +1,21 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <exception>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
+#include "common/json_number.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "spaceweather/gscale.hpp"
 #include "spaceweather/storms.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
+#include "timeutil/hour_axis.hpp"
 
 namespace cosmicdance::serve {
 namespace {
@@ -212,7 +217,6 @@ std::string handle_storm_summary(const ServeSnapshot& snap,
 
 std::string handle_envelope_cdf(const ServeSnapshot& snap,
                                 const JsonValue& request) {
-  const auto& pipeline = snap.pipeline;
   const double percentile = number_param_or(request, "percentile", 95.0);
   if (percentile < 0.0 || percentile > 100.0) {
     throw RequestError("percentile must be in [0, 100]");
@@ -220,9 +224,19 @@ std::string handle_envelope_cdf(const ServeSnapshot& snap,
   const long points = integer_param_or(request, "points", 64);
   if (points < 2) throw RequestError("points must be at least 2");
 
-  const double threshold_nt = pipeline.dst_threshold_at_percentile(percentile);
-  const std::vector<double> changes =
-      pipeline.altitude_changes_for_storms(threshold_nt);
+  // dst_threshold_at_percentile's percentile over its own sorted sample, and
+  // the samples of the storms storm_event_epochs keeps (peak <= threshold):
+  // only their order differs, and the Ecdf sorts.
+  if (snap.dst_intensity.empty()) {
+    throw RequestError("intensity percentile of empty Dst series");
+  }
+  const double threshold_nt =
+      -stats::percentile_of_sorted(snap.dst_intensity, percentile);
+  std::vector<double> changes;
+  changes.reserve(snap.storm_changes.size());
+  for (const auto& [change_km, peak_nt] : snap.storm_changes) {
+    if (peak_nt <= threshold_nt) changes.push_back(change_km);
+  }
 
   std::string out = open_ok(snap.epoch, "envelope_cdf");
   out += ",\"percentile\":";
@@ -306,7 +320,10 @@ std::string handle_propagate(const ServeSnapshot& snap,
 
   long sat = integer_param_or(request, "sat", 0);
   if (sat == 0) sat = catalog.satellites().front();
-  const auto history = catalog.history(static_cast<int>(sat));
+  // Narrowing an id outside int's range would alias a real satellite.
+  const auto history = std::in_range<int>(sat)
+                            ? catalog.history(static_cast<int>(sat))
+                            : std::span<const tle::Tle>();
   if (history.empty()) {
     throw RequestError("unknown satellite " + std::to_string(sat));
   }
@@ -355,11 +372,12 @@ std::string handle_decay_summary(const ServeSnapshot& snap,
   const long top = integer_param_or(request, "top", 10);
   if (top < 1 || top > 100) throw RequestError("top must be in [1, 100]");
 
-  core::PropagationOptions options = propagation_window(
+  const core::PropagationOptions window = propagation_window(
       request, catalog.last_epoch_jd(), catalog.satellite_count(), 262144);
-  options.num_threads = snap.pipeline.config().num_threads;
-  const core::PropagationReport report =
-      core::propagate_catalog(catalog, options);
+  // propagate_catalog's grid and reduction over the epoch's held batch.
+  const core::PropagationReport report = core::reduce_batch(
+      snap.latest, core::propagation_grid(catalog, window),
+      snap.pipeline.config().num_threads, nullptr);
 
   const std::vector<const core::PropagationSeries*> ranked =
       core::fastest_decaying(report, static_cast<std::size_t>(top));
@@ -401,11 +419,47 @@ std::string handle_quality_report(const ServeSnapshot& snap) {
   return out;
 }
 
+/// Every storm's altitude-change samples, tagged with the storm's peak.
+/// The storms are the default detector's, the list storm_event_epochs
+/// filters, whatever the pipeline's own storm_detector says; a (storm,
+/// track) cell depends on that pair alone, so scanning one storm at a time
+/// yields the same samples as any multi-storm scan.
+std::vector<std::pair<double, double>> storm_altitude_changes(
+    const core::CosmicDance& pipeline) {
+  std::vector<std::pair<double, double>> changes;
+  for (const spaceweather::StormEvent& storm :
+       spaceweather::StormDetector().detect(pipeline.dst())) {
+    const double epoch_jd = timeutil::julian_from_hour_index(storm.peak_hour);
+    for (const double change_km : pipeline.correlator().altitude_change_samples(
+             pipeline.tracks(), {&epoch_jd, 1})) {
+      changes.emplace_back(change_km, storm.peak_dst_nt);
+    }
+  }
+  std::sort(changes.begin(), changes.end());
+  return changes;
+}
+
+/// A snapshot ready to publish: its per-epoch results are built, inside
+/// the phase serve.precompute, before any reader can see it.
+std::shared_ptr<const ServeSnapshot> build_snapshot(std::uint64_t epoch,
+                                                    core::CosmicDance pipeline) {
+  const obs::ScopedPhase phase(pipeline.config().metrics, "serve.precompute");
+  return std::make_shared<const ServeSnapshot>(epoch, std::move(pipeline));
+}
+
 }  // namespace
+
+ServeSnapshot::ServeSnapshot(std::uint64_t epoch_number,
+                             core::CosmicDance built)
+    : epoch(epoch_number),
+      pipeline(std::move(built)),
+      dst_intensity(pipeline.dst().sorted_intensity()),
+      storm_changes(storm_altitude_changes(pipeline)),
+      latest(sgp4::BatchPropagator::from_catalog(pipeline.catalog())) {}
 
 Service::Service(core::CosmicDance initial, Rebuild rebuild,
                  obs::Metrics* metrics)
-    : slot_(std::make_shared<const ServeSnapshot>(1, std::move(initial))),
+    : slot_(build_snapshot(1, std::move(initial))),
       rebuild_(std::move(rebuild)),
       metrics_(metrics) {
   requests_ = obs::counter_or_null(metrics_, "serve.requests");
@@ -424,8 +478,8 @@ std::uint64_t Service::reload() {
   core::CosmicDance fresh = rebuild_();  // may throw; old snapshot survives
   // Reloads are serialised, so the epoch read here is still current at the
   // swap below.
-  auto swapped = std::make_shared<const ServeSnapshot>(snapshot()->epoch + 1,
-                                                       std::move(fresh));
+  std::shared_ptr<const ServeSnapshot> swapped =
+      build_snapshot(snapshot()->epoch + 1, std::move(fresh));
   const std::uint64_t next_epoch = swapped->epoch;
   {
     const std::lock_guard<std::mutex> slot_lock(slot_mutex_);

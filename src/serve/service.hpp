@@ -15,10 +15,19 @@
 // carries the snapshot's epoch twice ("epoch" first, "epoch_end" last):
 // equal values are the wire-visible proof that no swap tore the response.
 //
+// What the query mix would otherwise recompute on every request is derived
+// once per epoch, before the snapshot is published: every storm's
+// altitude-change samples, the sorted Dst intensities and the fleet's SGP4
+// constants.  So envelope_cdf and decay_summary read the snapshot instead
+// of scanning the correlator, and no correlator scan enters the shared exec
+// pool per request.  The memo needs no lock and no lazy fill: it is
+// complete before any reader can see the snapshot, and never changes.
+//
 // The pipeline's const surface is safe to share: track median caches are
-// warmed eagerly by the CosmicDance constructor, correlator scans draw from
-// the shared exec pool (a plain mutex-guarded task queue, safe to enter
-// from many request threads at once), and everything else is pure reads.
+// warmed eagerly by the CosmicDance constructor, the propagate ops draw
+// from the shared exec pool (a plain mutex-guarded task queue, safe to
+// enter from many request threads at once), and everything else is pure
+// reads.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +36,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/pipeline.hpp"
+#include "sgp4/batch.hpp"
 
 namespace cosmicdance::obs {
 class Counter;
@@ -37,13 +49,24 @@ class Metrics;
 
 namespace cosmicdance::serve {
 
-/// One immutable serving epoch: the pipeline plus its epoch number.
+/// One immutable serving epoch: the pipeline, its epoch number and the
+/// results derived from it once per epoch (DESIGN.md §15 "Per-epoch
+/// results").
 struct ServeSnapshot {
   std::uint64_t epoch = 0;
   core::CosmicDance pipeline;
+  /// Every Dst hour's intensity (-Dst clamped at 0), ascending: the sample
+  /// behind dst_threshold_at_percentile.
+  std::vector<double> dst_intensity;
+  /// One (altitude change km, storm peak Dst nT) pair per (storm, track)
+  /// sample of the default storm detector's storms, sorted.  The samples
+  /// of storms with peak <= t are altitude_changes_for_storms(t)'s.
+  std::vector<std::pair<double, double>> storm_changes;
+  /// SGP4 constants of each satellite's latest TLE (from_catalog).
+  sgp4::BatchPropagator latest;
 
-  ServeSnapshot(std::uint64_t epoch_number, core::CosmicDance built)
-      : epoch(epoch_number), pipeline(std::move(built)) {}
+  /// Derives the per-epoch results from `built`.
+  ServeSnapshot(std::uint64_t epoch_number, core::CosmicDance built);
 };
 
 /// What Service::handle tells the transport layer to do after responding.
@@ -66,7 +89,9 @@ class Service {
 
   /// Takes the initial pipeline (becomes epoch 1).  `metrics` is optional
   /// and non-owning; when set, serve.requests / serve.errors / serve.reloads
-  /// count every handled frame, error response and successful swap.
+  /// count every handled frame, error response and successful swap.  Each
+  /// epoch's derived results are built in the phase serve.precompute of
+  /// the pipeline's own registry (PipelineConfig::metrics).
   Service(core::CosmicDance initial, Rebuild rebuild,
           obs::Metrics* metrics = nullptr);
 

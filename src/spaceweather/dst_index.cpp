@@ -42,12 +42,17 @@ timeutil::DateTime DstIndex::start_datetime() const {
   return timeutil::datetime_from_hour_index(start_);
 }
 
-double DstIndex::intensity_percentile(double p) const {
-  if (empty()) throw ValidationError("intensity percentile of empty Dst series");
+std::vector<double> DstIndex::sorted_intensity() const {
   std::vector<double> intensity;
   intensity.reserve(values_.size());
   for (const double v : values_) intensity.push_back(v < 0.0 ? -v : 0.0);
-  return stats::percentile(intensity, p);
+  std::sort(intensity.begin(), intensity.end());
+  return intensity;
+}
+
+double DstIndex::intensity_percentile(double p) const {
+  if (empty()) throw ValidationError("intensity percentile of empty Dst series");
+  return stats::percentile_of_sorted(sorted_intensity(), p);
 }
 
 double DstIndex::dst_threshold_at_percentile(double p) const {

@@ -57,6 +57,11 @@ class DstIndex {
   /// intensity = -63 nT" corresponds to intensity_percentile(99) == 63.
   [[nodiscard]] double intensity_percentile(double p) const;
 
+  /// Every hour's intensity (-Dst clamped at 0), ascending: the sample
+  /// intensity_percentile reads, for callers that ask for many percentiles
+  /// (stats::percentile_of_sorted).  Empty for an empty series.
+  [[nodiscard]] std::vector<double> sorted_intensity() const;
+
   /// The Dst threshold (negative nT) corresponding to an intensity
   /// percentile, i.e. -intensity_percentile(p).
   [[nodiscard]] double dst_threshold_at_percentile(double p) const;

@@ -8,6 +8,14 @@
 namespace cosmicdance::stats {
 namespace {
 
+std::vector<double> sorted_copy(std::span<const double> sample) {
+  std::vector<double> sorted(sample.begin(), sample.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+}  // namespace
+
 double percentile_of_sorted(std::span<const double> sorted, double p) {
   if (sorted.empty()) throw ValidationError("percentile of empty sample");
   if (p < 0.0 || p > 100.0) {
@@ -20,14 +28,6 @@ double percentile_of_sorted(std::span<const double> sorted, double p) {
   const double weight = rank - static_cast<double>(lower);
   return sorted[lower] * (1.0 - weight) + sorted[upper] * weight;
 }
-
-std::vector<double> sorted_copy(std::span<const double> sample) {
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
-}
-
-}  // namespace
 
 double percentile(std::span<const double> sample, double p) {
   return percentile_of_sorted(sorted_copy(sample), p);

@@ -16,6 +16,11 @@ namespace cosmicdance::stats {
 /// [0, 100].
 [[nodiscard]] double percentile(std::span<const double> sample, double p);
 
+/// percentile() of a sample that is already sorted ascending: no copy, no
+/// sort, the same bits.  For callers that sort once and ask many times.
+[[nodiscard]] double percentile_of_sorted(std::span<const double> sorted,
+                                          double p);
+
 /// Convenience: several percentiles at once over one shared sort.
 [[nodiscard]] std::vector<double> percentiles(std::span<const double> sample,
                                               std::span<const double> ps);

@@ -9,18 +9,29 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <numbers>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json_number.hpp"
+#include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "core/propagation.hpp"
 #include "io/parse.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
@@ -28,6 +39,8 @@
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "spaceweather/dst_index.hpp"
+#include "spaceweather/storms.hpp"
+#include "stats/ecdf.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
@@ -134,6 +147,40 @@ TEST(ServeJsonTest, EscapeRoundTripsThroughTheParser) {
       serve::parse_json("\"" + serve::escape_json(raw) + "\"");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->text, raw);
+}
+
+/// printf's %.17g, the formatter json_number replaced.
+std::string printf_g17(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+TEST(ServeJsonTest, NumberTokensAreThePrintfG17Bytes) {
+  const double edges[] = {0.0, -0.0, 1.0, -1.0, 0.1, 1e300, -1e300, 5e-324,
+                          -5e-324, std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest(),
+                          std::numeric_limits<double>::epsilon(), 1e16, 1e17,
+                          123456789012345678.0, 2451545.0, -63.0, 97.5};
+  for (const double value : edges) {
+    EXPECT_EQ(json_number(value), printf_g17(value)) << printf_g17(value);
+  }
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
+
+  Rng rng(20240510);
+  int mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double value = std::bit_cast<double>(rng());
+    if (!std::isfinite(value)) continue;
+    if (json_number(value) != printf_g17(value) && ++mismatches <= 5) {
+      ADD_FAILURE() << "json_number differs from %.17g for " << printf_g17(value)
+                    << ": " << json_number(value);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // ---- service fixtures -------------------------------------------------------
@@ -261,6 +308,30 @@ TEST(ServeServiceTest, BadRequestsGetErrorResponsesNotCrashes) {
             static_cast<std::uint64_t>(std::size(bad_requests)));
 }
 
+TEST(ServeServiceTest, PropagateRejectsIdsOutsideIntRange) {
+  // 2^32 + 501 and 501 - 2^32 both narrow to satellite 501 as an int; they
+  // name no satellite, so they get the unknown-satellite error.
+  serve::Service service(make_pipeline(5), {});
+  for (const char* sat : {"4294967797", "-4294966795", "2147483648",
+                          "-2147483649"}) {
+    const serve::JsonValue body = response_json(
+        service
+            .handle(std::string("{\"op\":\"propagate\",\"sat\":") + sat + "}")
+            .response);
+    EXPECT_FALSE(ok_field(body)) << sat;
+    ASSERT_NE(body.find("error"), nullptr) << sat;
+    EXPECT_EQ(body.find("error")->text, std::string("unknown satellite ") + sat);
+  }
+  for (const char* request : {"{\"op\":\"propagate\",\"sat\":501}",
+                              "{\"op\":\"propagate\",\"sat\":0}",
+                              "{\"op\":\"propagate\"}"}) {
+    const serve::JsonValue body =
+        response_json(service.handle(request).response);
+    EXPECT_TRUE(ok_field(body)) << request;
+    EXPECT_EQ(integer_field(body, "sat"), 501) << request;
+  }
+}
+
 TEST(ServeServiceTest, SatSeriesThinsWithMaxSamples) {
   serve::Service service(make_pipeline(40), {});
   const serve::JsonValue thinned = response_json(
@@ -316,6 +387,232 @@ TEST(ServeServiceTest, ShutdownOpRequestsShutdown) {
   // Reload without a rebuild callback is an error, not a crash.
   const auto reload = service.handle("{\"op\":\"reload\"}");
   EXPECT_FALSE(ok_field(response_json(reload.response)));
+}
+
+// ---- per-epoch results --------------------------------------------------------
+
+/// 120 days of Dst with six storms of different peaks, and `satellites`
+/// tracks (catalog numbers from `first_number`) whose altitude dips after
+/// each storm by an amount that grows with the storm's peak and differs per
+/// satellite.  The pipeline's own storm_detector (-100 nT) sees three of
+/// the storms; the default detector (-50 nT), which the correlator's storm
+/// list uses, sees all six.
+core::CosmicDance storm_pipeline(int satellites, int first_number, int threads,
+                                 obs::Metrics* metrics = nullptr) {
+  struct Storm {
+    int peak_hour;
+    int half_width_hours;
+    double peak_nt;
+  };
+  const Storm storms[] = {{12 * 24, 6, -62.0},  {30 * 24, 9, -95.0},
+                          {48 * 24, 7, -140.0}, {66 * 24, 10, -230.0},
+                          {84 * 24, 8, -330.0}, {100 * 24, 5, -75.0}};
+  constexpr int kDays = 120;
+  std::vector<double> values;
+  for (int h = 0; h < kDays * 24; ++h) {
+    double value = -12.0 + 8.0 * std::sin(h / 17.0);
+    for (const Storm& storm : storms) {
+      const int from_peak = std::abs(h - storm.peak_hour);
+      if (from_peak <= storm.half_width_hours) {
+        value = std::min(value, storm.peak_nt * (1.0 - 0.5 * from_peak /
+                                                           storm.half_width_hours));
+      }
+    }
+    values.push_back(value);
+  }
+  spaceweather::DstIndex dst(timeutil::make_datetime(2024, 5, 1),
+                             std::move(values));
+
+  tle::TleCatalog catalog;
+  for (int s = 0; s < satellites; ++s) {
+    const int number = first_number + s;
+    const double scale = 1.0 + 0.07 * (number % 13);
+    for (int i = 0; i < 2 * kDays; ++i) {
+      const double day = 0.5 * i + 0.05 * s;
+      double dip_km = 0.05 * std::sin(1.7 * i + s);  // tracker noise
+      for (const Storm& storm : storms) {
+        const double since = day - storm.peak_hour / 24.0;
+        if (since > 0.0 && since < 10.0) {
+          dip_km += std::fabs(storm.peak_nt) / 40.0 * scale *
+                    std::sin(std::numbers::pi * since / 10.0);
+        }
+      }
+      tle::Tle record = make_tle(number, day);
+      // About 0.0033 rev/day more per km lower near 550 km.
+      record.mean_motion_revday = 15.05 + 0.0033 * dip_km;
+      catalog.add(record);
+    }
+  }
+  core::PipelineConfig config;
+  config.num_threads = threads;
+  config.metrics = metrics;
+  config.storm_detector.threshold_nt = -100.0;
+  return core::CosmicDance(std::move(dst), std::move(catalog), config);
+}
+
+serve::JsonValue handle_json(serve::Service& service, const std::string& request) {
+  return response_json(service.handle(request).response);
+}
+
+/// Every envelope_cdf and decay_summary answer of the serving epoch must
+/// equal, token for token, what the pipeline's uncached paths give.
+void expect_answers_match_the_pipeline(serve::Service& service) {
+  const std::shared_ptr<const serve::ServeSnapshot> snap = service.snapshot();
+  const core::CosmicDance& pipeline = snap->pipeline;
+  // The fixture must make the storm subsets differ, and the pipeline's own
+  // detector must disagree with the correlator's storm list.
+  ASSERT_LT(pipeline.storms().size(),
+            spaceweather::StormDetector().detect(pipeline.dst()).size());
+  std::set<std::size_t> subset_sizes;
+
+  for (const double percentile : {0.0, 50.0, 80.0, 95.0, 97.5, 99.0, 100.0}) {
+    const double threshold = pipeline.dst_threshold_at_percentile(percentile);
+    const std::vector<double> changes =
+        pipeline.altitude_changes_for_storms(threshold);
+    subset_sizes.insert(changes.size());
+    for (const int points : {2, 7, 64}) {
+      const std::string request =
+          "{\"op\":\"envelope_cdf\",\"percentile\":" +
+          json_number(percentile) + ",\"points\":" + std::to_string(points) +
+          "}";
+      const serve::JsonValue body = handle_json(service, request);
+      ASSERT_TRUE(ok_field(body)) << request;
+      EXPECT_EQ(integer_field(body, "epoch"), static_cast<long>(snap->epoch));
+      EXPECT_EQ(body.find("threshold_nt")->text, json_number(threshold))
+          << request;
+      EXPECT_EQ(integer_field(body, "samples"),
+                static_cast<long>(changes.size()))
+          << request;
+      std::vector<std::string> expected;
+      if (!changes.empty()) {
+        for (const auto& [x, f] :
+             stats::Ecdf(changes).points(static_cast<std::size_t>(points))) {
+          expected.push_back(json_number(x));
+          expected.push_back(json_number(f));
+        }
+      }
+      std::vector<std::string> actual;
+      for (const serve::JsonValue& step : body.find("cdf")->items) {
+        for (const serve::JsonValue& token : step.items) {
+          actual.push_back(token.text);
+        }
+      }
+      EXPECT_EQ(actual, expected) << request;
+    }
+  }
+  EXPECT_GE(subset_sizes.size(), 3u);
+
+  const tle::TleCatalog& catalog = pipeline.catalog();
+  for (const int days : {1, 7, 30}) {
+    for (const int step_hours : {6, 24}) {
+      core::PropagationOptions options;
+      options.start_jd = catalog.last_epoch_jd();
+      options.end_jd = options.start_jd + days;
+      options.step_hours = step_hours;
+      options.num_threads = pipeline.config().num_threads;
+      const core::PropagationReport report =
+          core::propagate_catalog(catalog, options);
+      const std::string request =
+          "{\"op\":\"decay_summary\",\"days\":" + std::to_string(days) +
+          ",\"step_hours\":" + std::to_string(step_hours) + "}";
+      const serve::JsonValue body = handle_json(service, request);
+      ASSERT_TRUE(ok_field(body)) << request;
+      EXPECT_EQ(integer_field(body, "satellites"),
+                static_cast<long>(report.series.size()));
+      EXPECT_EQ(integer_field(body, "samples"),
+                static_cast<long>(report.epochs_jd.size()));
+      EXPECT_EQ(integer_field(body, "init_failures"),
+                static_cast<long>(report.init_failures.size()));
+      EXPECT_EQ(integer_field(body, "cells_ok"),
+                static_cast<long>(report.ok_cells));
+      EXPECT_EQ(integer_field(body, "cells_decayed"),
+                static_cast<long>(report.decayed_cells));
+      EXPECT_EQ(integer_field(body, "cells_error"),
+                static_cast<long>(report.error_cells));
+      std::vector<std::string> expected;
+      for (const core::PropagationSeries* series :
+           core::fastest_decaying(report, 10)) {
+        expected.push_back(std::to_string(series->catalog_number));
+        expected.push_back(json_number(series->decay_rate_km_per_day));
+        expected.push_back(json_number(series->first_altitude_km));
+        expected.push_back(json_number(series->last_altitude_km));
+        expected.push_back(series->decayed ? "true" : "false");
+      }
+      std::vector<std::string> actual;
+      for (const serve::JsonValue& row : body.find("fastest_decaying")->items) {
+        for (const char* key : {"sat", "decay_rate_km_per_day",
+                                "first_altitude_km", "last_altitude_km"}) {
+          actual.push_back(row.find(key)->text);
+        }
+        actual.push_back(row.find("decayed")->boolean ? "true" : "false");
+      }
+      EXPECT_FALSE(expected.empty()) << request;
+      EXPECT_EQ(actual, expected) << request;
+    }
+  }
+}
+
+class ServeMemoTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServeMemoTest, AnswersEqualTheUncachedPathsAcrossAReload) {
+  const int threads = GetParam();
+  serve::Service service(storm_pipeline(6, 700, threads),
+                         [threads] { return storm_pipeline(4, 806, threads); });
+  expect_answers_match_the_pipeline(service);
+  ASSERT_EQ(service.reload(), 2u);
+  ASSERT_EQ(service.snapshot()->pipeline.catalog().satellites().front(), 806);
+  expect_answers_match_the_pipeline(service);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ServeMemoTest, ::testing::Values(1, 4));
+
+TEST(ServePrecomputeTest, RequestsAddNoCorrelatorWork) {
+  // The correlator scans run once per epoch, in serve.precompute; no
+  // envelope_cdf or decay_summary adds a correlator cell or scan.
+  obs::Metrics metrics;
+  serve::Service service(
+      storm_pipeline(6, 700, 4, &metrics),
+      [&metrics] { return storm_pipeline(6, 700, 4, &metrics); }, &metrics);
+  const auto phase_calls = [&metrics](const char* name) -> std::uint64_t {
+    const obs::MetricsReport report = metrics.snapshot();
+    const auto phase = report.phases.find(name);
+    return phase == report.phases.end() ? 0 : phase->second.calls;
+  };
+  const auto correlator_work = [&metrics, &phase_calls] {
+    const obs::MetricsReport report = metrics.snapshot();
+    const auto cells = report.counters.find("correlator.cells");
+    return std::pair(cells == report.counters.end() ? 0 : cells->second,
+                     phase_calls("correlator.altitude_scan"));
+  };
+  const auto precompute_calls = [&phase_calls] {
+    return phase_calls("serve.precompute");
+  };
+  const auto before = correlator_work();
+  EXPECT_GT(before.first, 0u);
+  EXPECT_EQ(precompute_calls(), 1u);
+
+  const double percentiles[] = {0.0, 10.0, 50.0, 80.0, 90.0,
+                                95.0, 97.5, 99.0, 99.9, 100.0};
+  for (int i = 0; i < 200; ++i) {
+    const std::string request =
+        "{\"op\":\"envelope_cdf\",\"percentile\":" +
+        json_number(percentiles[i % std::size(percentiles)]) + "}";
+    EXPECT_TRUE(ok_field(handle_json(service, request))) << request;
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::string request = "{\"op\":\"decay_summary\",\"days\":" +
+                                std::to_string(1 + i % 7) + "}";
+    EXPECT_TRUE(ok_field(handle_json(service, request))) << request;
+  }
+  EXPECT_EQ(correlator_work(), before);
+  EXPECT_EQ(precompute_calls(), 1u);
+
+  ASSERT_EQ(service.reload(), 2u);
+  EXPECT_EQ(precompute_calls(), 2u);
+  const auto after_reload = correlator_work();
+  EXPECT_EQ(after_reload.first, 2 * before.first);
+  EXPECT_TRUE(ok_field(handle_json(service, "{\"op\":\"envelope_cdf\"}")));
+  EXPECT_EQ(correlator_work(), after_reload);
 }
 
 // ---- snapshot-swap determinism ----------------------------------------------

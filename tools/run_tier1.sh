@@ -37,10 +37,12 @@
 #      cosmicdanced against the same dataset (DESIGN.md §15), sends one of
 #      every query op plus a snapshot-swap reload, shuts it down cleanly,
 #      and asserts the serve.requests / serve.errors / serve.reloads
-#      counters in the daemon's --metrics-out dump; micro_serve hammers a
-#      loopback daemon with concurrent clients across a mid-load reload
-#      and must leave build/BENCH_serve.json behind showing >= 1000 q/s
-#      with zero serve errors.
+#      counters and one serve.precompute phase per epoch in the daemon's
+#      --metrics-out dump; micro_serve hammers a loopback daemon with
+#      concurrent clients across a mid-load reload (clients keep sending
+#      until it is answered) and must leave build/BENCH_serve.json behind
+#      showing >= 1000 q/s, zero serve errors, responses served by the
+#      reloaded epoch, and a p99 latency within 40x the p50.
 #   5. static analysis: cdlint v2 (the project-invariant lint, DESIGN.md
 #      §12/§17) runs its parallel two-phase scan (--threads 4) and must
 #      report zero non-baselined findings against the committed baseline,
@@ -278,7 +280,8 @@ assert propagate["valid_samples"] >= 1, (
 decay = json.load(open(f"{smoke}/serve_decay_summary.json"))
 assert decay["satellites"] >= 1 and decay["fastest_decaying"], (
     f"decay_summary ranked no satellites: {decay}")
-serve = json.load(open(f"{smoke}/daemon_metrics.json"))["counters"]
+daemon_metrics = json.load(open(f"{smoke}/daemon_metrics.json"))
+serve = daemon_metrics["counters"]
 assert serve.get("serve.requests") == len(ops) + 1, (
     f"daemon counted {serve.get('serve.requests')} requests, "
     f"expected {len(ops) + 1}")
@@ -286,6 +289,12 @@ assert serve.get("serve.errors", 0) == 0, (
     f"daemon recorded serve errors: {serve}")
 assert serve.get("serve.reloads") == 1, (
     f"daemon recorded {serve.get('serve.reloads')} reloads, expected 1")
+# Each epoch's derived results are built once, before it is published:
+# one serve.precompute for the start-up and one per reload, none per query.
+precompute = daemon_metrics["phases"].get("serve.precompute", {}).get("calls")
+assert precompute == 1 + serve["serve.reloads"], (
+    f"serve.precompute ran {precompute} times for "
+    f"{1 + serve['serve.reloads']} epochs")
 # Serving bench record: the swap-under-load gate (micro_serve already
 # failed hard on errors / torn epochs) plus the throughput floor.
 record = json.load(open("build/BENCH_serve.json"))
@@ -298,6 +307,15 @@ assert serve_bench.get("serve.errors", 0) == 0, (
     f"micro_serve recorded serve errors: {serve_bench}")
 assert serve_bench.get("serve.reloads") == 1, (
     "micro_serve did not swap the snapshot mid-load")
+assert record["throughput"].get("responses_after_swap", 0) > 0, (
+    "no micro_serve response came from the reloaded epoch; the swap did "
+    "not land under load")
+# The tail as a ratio to the median, so the gate does not depend on the
+# host's speed (measured 9-20x on 1, 2 and 4 CPUs).
+p50_us = record["throughput"]["latency_p50_us"]
+p99_us = record["throughput"]["latency_p99_us"]
+assert p99_us <= 40 * p50_us, (
+    f"micro_serve p99 {p99_us:.0f} us is over 40x its p50 {p50_us:.0f} us")
 print(f"observability smoke OK: {len(m1['counters'])} work counters "
       f"bit-identical across thread counts, "
       f"{len(trace['traceEvents'])} trace events, "
@@ -310,7 +328,8 @@ print(f"observability smoke OK: {len(m1['counters'])} work counters "
       f"sgp4 batch {positions_per_s:.0f} positions/s, 0 status errors, "
       f"threads identical; "
       f"daemon smoke OK: {serve['serve.requests']} requests, "
-      f"0 errors, 1 reload; micro_serve {qps:.0f} q/s")
+      f"0 errors, 1 reload; micro_serve {qps:.0f} q/s, "
+      f"p99/p50 {p99_us / p50_us:.1f}x")
 EOF
 
 echo "== pass 5: static analysis (cdlint; clang-tidy/shellcheck if installed) =="

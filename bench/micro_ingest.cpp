@@ -10,9 +10,11 @@
 // (`ingest.cache_hit` == 1) and the delta-warm pass — after a few records
 // are appended — must parse only the tail (`ingest.delta_hit` == 1 with
 // `delta_tail_fraction` well under 5%) and rewrite the base
-// (`snapshot.written` == 2 with the cold pass's); tier-1 asserts on all
-// of these, and tools/bench_compare.py diffs the throughput keys between
-// runs:
+// (`snapshot.written` == 2 with the cold pass's).  The record also times
+// the catalog's way back to text (`tle_format_records_per_s`, with
+// `format_threads_identical` comparing it to the serial bytes).  Tier-1
+// asserts on all of these, and tools/bench_compare.py diffs the throughput
+// keys between runs:
 //
 //   ./micro_ingest [--benchmark_filter=RE] [--bench-out F] [--threads N]
 //
@@ -257,8 +259,20 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
     throughput["warm_start_records_per_s"] =
         static_cast<double>(warm_records) / warm_s;
   }
+  // The TLE text writer (DESIGN.md §19): the fastest of three to_text
+  // runs at the run's thread count, and its bytes against the serial text.
+  const tle::TleCatalog& catalog = cold.catalog();
+  std::string formatted;
+  const double format_s =
+      best_seconds([&] { formatted = catalog.to_text(threads); });
+  if (format_s > 0.0) {
+    throughput["tle_format_records_per_s"] =
+        static_cast<double>(catalog.record_count()) / format_s;
+  }
+  throughput["format_threads_identical"] =
+      formatted == catalog.to_text(1) ? 1.0 : 0.0;
   throughput["catalog_records"] =
-      static_cast<double>(cold.catalog().record_count());
+      static_cast<double>(catalog.record_count());
   throughput["delta_appended_records"] =
       static_cast<double>(delta_warm.catalog().record_count() -
                           warm.catalog().record_count());

@@ -245,11 +245,4 @@ std::vector<double> CosmicDance::drag_changes_for_storms(double max_peak_nt) con
       tracks_, correlator_.storm_event_epochs(max_peak_nt));
 }
 
-PropagationReport CosmicDance::propagation_report(
-    PropagationOptions options) const {
-  if (options.num_threads == 0) options.num_threads = config_.num_threads;
-  if (options.metrics == nullptr) options.metrics = config_.metrics;
-  return propagate_catalog(catalog(), options);
-}
-
 }  // namespace cosmicdance::core

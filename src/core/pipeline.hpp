@@ -12,7 +12,6 @@
 
 #include "core/analysis.hpp"
 #include "core/correlator.hpp"
-#include "core/propagation.hpp"
 #include "diag/diag.hpp"
 #include "io/snapshot.hpp"
 #include "spaceweather/storms.hpp"
@@ -107,13 +106,6 @@ class CosmicDance {
   [[nodiscard]] std::vector<double> altitude_changes_for_quiet(
       double min_dst_nt, std::size_t epochs) const;
   [[nodiscard]] std::vector<double> drag_changes_for_storms(double max_peak_nt) const;
-
-  // ---- full-state propagation (ROADMAP item 1) -----------------------------
-  /// Propagate every satellite's latest TLE across an epoch grid and reduce
-  /// to altitude-from-state series + decay-rate estimates (DESIGN.md §16).
-  /// Zeroed num_threads/metrics fields inherit the pipeline's own config.
-  [[nodiscard]] PropagationReport propagation_report(
-      PropagationOptions options = {}) const;
 
   [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }
 

@@ -33,10 +33,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
-
   /// Enqueue a task.  Throws std::runtime_error after shutdown began.
   void submit(std::function<void()> task);
 

@@ -25,7 +25,7 @@
 // The file lives at `<cache_dir>/<xxh64>.cdsnap`, the
 // XXH64 of the two input paths.
 //
-// Layout (format v5): a fixed 40-byte header
+// Layout (format v6): a fixed 40-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
@@ -74,8 +74,10 @@ namespace cosmicdance::io {
 /// Bumped on any change to the payload encoding; a version mismatch is a
 /// silent reject-and-reparse, never a migration.  v3 added the section
 /// table; v4 hashes each input separately in the state section; v5 hashes
-/// with XXH64 instead of FNV-1a (DESIGN.md §13, §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+/// with XXH64 instead of FNV-1a; v6 keeps v5's bytes but marks files whose
+/// records passed the validation that rejects non-finite fields (DESIGN.md
+/// §13, §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /// XXH64 (seed 0) of `bytes` — the input fingerprint, the header's content
 /// hash and the cache file name all use it.

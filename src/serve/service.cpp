@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/json_number.hpp"
+#include "core/propagation.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "spaceweather/gscale.hpp"

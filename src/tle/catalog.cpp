@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -586,16 +588,41 @@ double TleCatalog::last_epoch_jd() const {
   return last;
 }
 
-std::string TleCatalog::to_text() const {
-  std::string out;
+std::string TleCatalog::to_text(int num_threads) const {
+  // Every record is kTleRecordBytes long, so a prefix sum over the history
+  // lengths gives each satellite's offset in the finished text.
+  std::vector<const std::vector<Tle>*> histories;
+  std::vector<std::size_t> offsets;
+  histories.reserve(tles_.size());
+  offsets.reserve(tles_.size());
+  std::size_t bytes = 0;
   for (const auto& [id, history] : tles_) {
-    for (const Tle& tle : history) {
-      const TleLines lines = format_tle(tle);
-      out += lines.line1;
-      out.push_back('\n');
-      out += lines.line2;
-      out.push_back('\n');
-    }
+    histories.push_back(&history);
+    offsets.push_back(bytes);
+    bytes += history.size() * kTleRecordBytes;
+  }
+  std::string out(bytes, '\0');
+  // A satellite's first unformattable record lands in its own slot; the
+  // lowest slot is the record a serial pass would have thrown on.
+  std::vector<std::exception_ptr> errors(histories.size());
+  exec::parallel_for(
+      histories.size(), num_threads, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) {
+          char* at = out.data() + offsets[s];
+          try {
+            for (const Tle& tle : *histories[s]) {
+              format_tle_record(tle, std::span<char, kTleRecordBytes>(
+                                         at, kTleRecordBytes));
+              at += kTleRecordBytes;
+            }
+          } catch (...) {
+            errors[s] = std::current_exception();
+            return;
+          }
+        }
+      });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return out;
 }

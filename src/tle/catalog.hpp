@@ -118,8 +118,13 @@ class TleCatalog {
   [[nodiscard]] double first_epoch_jd() const;
   [[nodiscard]] double last_epoch_jd() const;
 
-  /// Serialise the full catalog back to 2-line text (history order).
-  [[nodiscard]] std::string to_text() const;
+  /// Serialise the full catalog back to 2-line text (satellite order, then
+  /// history order).  Each satellite's records are formatted over
+  /// `num_threads` workers (the exec convention: 0 = all hardware threads,
+  /// 1 = serial) straight into their final offsets; the text, and the
+  /// ValidationError thrown for the first unformattable record, are the
+  /// same at every thread count (DESIGN.md §19).
+  [[nodiscard]] std::string to_text(int num_threads = 1) const;
 
   /// Refresh-interval samples (hours between consecutive records of the
   /// same satellite), pooled over all satellites — the paper reports this

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -49,6 +50,22 @@ double require_number(const std::map<std::string, std::string>& kv,
   return value;
 }
 
+/// An integer key: a number whose truncation fits an int, checked before
+/// the cast (which is undefined outside that range).
+int require_int(const std::map<std::string, std::string>& kv,
+                const std::string& key) {
+  const double value = require_number(kv, key);
+  constexpr double kBelow =
+      static_cast<double>(std::numeric_limits<int>::min()) - 1.0;
+  constexpr double kAbove =
+      static_cast<double>(std::numeric_limits<int>::max()) + 1.0;
+  if (!(value > kBelow && value < kAbove)) {
+    throw ValidationError("OMM key " + key + " is outside the int range: '" +
+                          kv.at(key) + "'");
+  }
+  return static_cast<int>(value);
+}
+
 }  // namespace
 
 std::string to_omm_kvn(const Tle& tle, const std::string& object_name) {
@@ -91,7 +108,7 @@ Tle from_omm_kvn(const std::string& text) {
   }
 
   Tle tle;
-  tle.catalog_number = static_cast<int>(require_number(kv, "NORAD_CAT_ID"));
+  tle.catalog_number = require_int(kv, "NORAD_CAT_ID");
   const auto epoch_it = kv.find("EPOCH");
   if (epoch_it == kv.end()) {
     throw ParseError("OMM missing mandatory key EPOCH", ErrorCategory::kStructure);
@@ -119,14 +136,13 @@ Tle from_omm_kvn(const std::string& text) {
     tle.mean_motion_ddot = require_number(kv, "MEAN_MOTION_DDOT");
   }
   if (kv.count("EPHEMERIS_TYPE") > 0) {
-    tle.ephemeris_type = static_cast<int>(require_number(kv, "EPHEMERIS_TYPE"));
+    tle.ephemeris_type = require_int(kv, "EPHEMERIS_TYPE");
   }
   if (kv.count("ELEMENT_SET_NO") > 0) {
-    tle.element_set_number =
-        static_cast<int>(require_number(kv, "ELEMENT_SET_NO"));
+    tle.element_set_number = require_int(kv, "ELEMENT_SET_NO");
   }
   if (kv.count("REV_AT_EPOCH") > 0) {
-    tle.rev_number = static_cast<int>(require_number(kv, "REV_AT_EPOCH"));
+    tle.rev_number = require_int(kv, "REV_AT_EPOCH");
   }
   tle.validate();
   return tle;

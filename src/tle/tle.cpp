@@ -6,12 +6,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -311,14 +311,74 @@ double parse_exponent_field(std::string_view line, int from, int to,
   return sign * mantissa * scale;
 }
 
-/// Format a value in assumed-decimal-point exponent notation (8 chars).
-std::string format_exponent_field(double value) {
+// ---- record formatting -----------------------------------------------------
+//
+// format_tle_record writes every field in place at its fixed column.  The
+// bytes are those of the printf formats the layout is defined by:
+//   line 1: "1 %05d%c %-8s %02d%012.8f %s %s %s %1d %4d"
+//   line 2: "2 %05d %8.4f %8.4f %07ld %8.4f %8.4f %11.8f%5d"
+// std::to_chars with a precision is specified to give printf's "%.*f"
+// digits, so only the padding is done here.  A field whose text would be
+// wider than its columns throws ValidationError naming the field.
+
+[[noreturn]] void throw_overflow(const char* field, std::string_view text) {
+  throw ValidationError(std::string("TLE ") + field +
+                        " does not fit its columns: '" + std::string(text) + "'");
+}
+
+/// The `width` low decimal digits of `value`, zero-padded.
+void put_digits(char* at, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = width; i-- > 0;) {
+    at[i] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  }
+}
+
+/// Writes `text` right-aligned in `width` columns: after `pad` characters,
+/// or for '0' padding after the sign and before the digits, as printf's 0
+/// flag does.
+void put_padded(char* at, std::size_t width, std::string_view text, char pad,
+                const char* field) {
+  if (text.size() > width) throw_overflow(field, text);
+  const std::size_t fill = width - text.size();
+  const std::size_t sign = pad == '0' && text.front() == '-' ? 1 : 0;
+  std::memcpy(at, text.data(), sign);
+  std::memset(at + sign, pad, fill);
+  std::memcpy(at + sign + fill, text.data() + sign, text.size() - sign);
+}
+
+/// printf("%*d", width, value), or "%0*d" when pad is '0'.
+void put_int(char* at, std::size_t width, int value, const char* field,
+             char pad = ' ') {
+  char text[16];
+  const auto result = std::to_chars(std::begin(text), std::end(text), value);
+  put_padded(at, width, std::string_view(text, result.ptr), pad, field);
+}
+
+/// printf("%*.*f", width, precision, value), or "%0*.*f" when pad is '0'.
+void put_fixed(char* at, std::size_t width, int precision, double value,
+               char pad, const char* field) {
+  char text[32];
+  const auto [end, ec] = std::to_chars(std::begin(text), std::end(text), value,
+                                       std::chars_format::fixed, precision);
+  if (ec != std::errc{}) throw_overflow(field, std::to_string(value));
+  put_padded(at, width, std::string_view(text, end), pad, field);
+}
+
+/// The assumed-decimal-point exponent field (8 columns): " 12345-3" is
+/// +0.12345e-3.  The normalising loops are the historical ones, kept
+/// operation for operation so every mantissa rounds as it always has.
+void put_exponent_field(char* at, double value, const char* field) {
   // Zero uses the classic " 00000-0" spelling (what CSpOC emits).
-  if (value == 0.0) return " 00000-0";
-  const char sign = value < 0.0 ? '-' : ' ';
+  static constexpr std::string_view kZero = " 00000-0";
+  if (value == 0.0) {
+    std::memcpy(at, kZero.data(), kZero.size());
+    return;
+  }
   double magnitude = std::fabs(value);
   int exponent = 0;
   // Normalise to 0.1 <= magnitude < 1 so the mantissa has no leading zero.
+  // validate() has rejected infinities, so both loops end.
   while (magnitude >= 1.0) {
     magnitude /= 10.0;
     ++exponent;
@@ -327,7 +387,7 @@ std::string format_exponent_field(double value) {
     magnitude *= 10.0;
     --exponent;
   }
-  auto mantissa = static_cast<long>(std::llround(magnitude * 100000.0));
+  long long mantissa = std::llround(magnitude * 100000.0);
   if (mantissa >= 100000) {  // rounding pushed e.g. 0.999999 to 1.0
     mantissa = 10000;
     ++exponent;
@@ -339,29 +399,27 @@ std::string format_exponent_field(double value) {
     mantissa /= 10;
     ++exponent;
   }
-  if (mantissa == 0) return " 00000-0";
-  if (exponent > 9) {
-    throw ValidationError("value out of TLE exponent-field range: " +
-                          std::to_string(value));
+  if (mantissa == 0) {
+    std::memcpy(at, kZero.data(), kZero.size());
+    return;
   }
-  // 48 covers the worst case the compiler assumes for %05ld + %1d (it
-  // cannot see that mantissa/exponent are range-checked above).
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%c%05ld%c%1d", sign, mantissa,
-                exponent < 0 ? '-' : '+', std::abs(exponent));
-  return buffer;
+  if (exponent > 9) throw_overflow(field, std::to_string(value));
+  at[0] = value < 0.0 ? '-' : ' ';
+  put_digits(at + 1, static_cast<std::uint64_t>(mantissa), 5);
+  at[6] = exponent < 0 ? '-' : '+';
+  at[7] = static_cast<char>('0' + std::abs(exponent));
 }
 
-/// Format ndot/2: sign, then ".NNNNNNNN" (10 chars total).
-std::string format_ndot_field(double value) {
-  if (std::fabs(value) >= 1.0) {
-    throw ValidationError("|ndot/2| must be < 1 rev/day^2 for TLE format: " +
-                          std::to_string(value));
+/// ndot/2: sign, then ".NNNNNNNN" (10 columns).
+void put_ndot_field(char* at, double value) {
+  const double magnitude = std::fabs(value);
+  const long units = magnitude < 1.0 ? std::lround(magnitude * 1e8) : 0;
+  if (magnitude >= 1.0 || units >= 100000000) {
+    throw_overflow("ndot/2", std::to_string(value));
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%c.%08ld", value < 0.0 ? '-' : ' ',
-                std::labs(std::lround(std::fabs(value) * 1e8)));
-  return buffer;
+  at[0] = value < 0.0 ? '-' : ' ';
+  at[1] = '.';
+  put_digits(at + 2, static_cast<std::uint64_t>(units), 8);
 }
 
 void check_line(std::string_view line, char expected_number) {
@@ -474,6 +532,26 @@ void Tle::validate() const {
                           std::to_string(mean_motion_revday));
   }
   if (epoch_jd <= 0.0) throw ValidationError("TLE epoch not set");
+  // NaN passes every range test above, and a NaN or infinite field would
+  // corrupt an epoch-sorted history or the text formatter.
+  const std::pair<const char*, double> fields[] = {
+      {"epoch", epoch_jd},
+      {"ndot/2", mean_motion_dot},
+      {"nddot/6", mean_motion_ddot},
+      {"bstar", bstar},
+      {"inclination", inclination_deg},
+      {"raan", raan_deg},
+      {"eccentricity", eccentricity},
+      {"argument of perigee", arg_perigee_deg},
+      {"mean anomaly", mean_anomaly_deg},
+      {"mean motion", mean_motion_revday},
+  };
+  for (const auto& [name, value] : fields) {
+    if (!std::isfinite(value)) {
+      throw ValidationError(std::string("TLE ") + name + " is not finite: " +
+                            std::to_string(value));
+    }
+  }
 }
 
 Tle parse_tle(std::string_view line1, std::string_view line2) {
@@ -514,38 +592,62 @@ Tle parse_tle(std::string_view line1, std::string_view line2) {
   return tle;
 }
 
-TleLines format_tle(const Tle& tle) {
+void format_tle_record(const Tle& tle, std::span<char, kTleRecordBytes> out) {
   tle.validate();
+  // printf's %c wrote a NUL byte, which ended the line early.
+  if (tle.classification == '\0') {
+    throw ValidationError("TLE classification is a NUL byte");
+  }
+  char* const line1 = out.data();
+  char* const line2 = line1 + 70;
+  std::memset(line1, ' ', kTleRecordBytes);
 
+  line1[0] = '1';
+  put_digits(line1 + 2, static_cast<std::uint64_t>(tle.catalog_number), 5);
+  line1[7] = tle.classification;
+  // "%-8s" prints the designator's C string: up to its first NUL.
+  const std::string_view designator = tle.international_designator.c_str();
+  if (designator.size() > 8) {
+    throw_overflow("international designator", designator);
+  }
+  std::memcpy(line1 + 9, designator.data(), designator.size());
   int epoch_year = 0;
   double epoch_doy = 0.0;
   timeutil::julian_to_tle_epoch(tle.epoch_jd, epoch_year, epoch_doy);
+  // A year before 0 leaves a negative remainder, which fits only as "-1"
+  // to "-9".
+  put_int(line1 + 18, 2, epoch_year, "epoch year", '0');
+  put_fixed(line1 + 20, 12, 8, epoch_doy, '0', "epoch day");
+  put_ndot_field(line1 + 33, tle.mean_motion_dot);
+  put_exponent_field(line1 + 44, tle.mean_motion_ddot, "nddot/6");
+  put_exponent_field(line1 + 53, tle.bstar, "bstar");
+  put_int(line1 + 62, 1, tle.ephemeris_type, "ephemeris type");
+  put_int(line1 + 64, 4, tle.element_set_number % 10000, "element set number");
 
-  char line1[80];
-  std::snprintf(line1, sizeof(line1),
-                "1 %05d%c %-8s %02d%012.8f %s %s %s %1d %4d", tle.catalog_number,
-                tle.classification, tle.international_designator.c_str(),
-                epoch_year, epoch_doy, format_ndot_field(tle.mean_motion_dot).c_str(),
-                format_exponent_field(tle.mean_motion_ddot).c_str(),
-                format_exponent_field(tle.bstar).c_str(), tle.ephemeris_type,
-                tle.element_set_number % 10000);
-
-  const auto ecc_digits =
-      static_cast<long>(std::llround(tle.eccentricity * 1e7));
-  char line2[80];
-  std::snprintf(line2, sizeof(line2),
-                "2 %05d %8.4f %8.4f %07ld %8.4f %8.4f %11.8f%5d",
-                tle.catalog_number, tle.inclination_deg, tle.raan_deg, ecc_digits,
-                tle.arg_perigee_deg, tle.mean_anomaly_deg, tle.mean_motion_revday,
-                tle.rev_number % 100000);
-
-  TleLines lines{line1, line2};
-  lines.line1 += std::to_string(checksum(lines.line1));
-  lines.line2 += std::to_string(checksum(lines.line2));
-  if (lines.line1.size() != 69 || lines.line2.size() != 69) {
-    throw ValidationError("internal error: formatted TLE has wrong width");
+  line2[0] = '2';
+  put_digits(line2 + 2, static_cast<std::uint64_t>(tle.catalog_number), 5);
+  put_fixed(line2 + 8, 8, 4, tle.inclination_deg, ' ', "inclination");
+  put_fixed(line2 + 17, 8, 4, tle.raan_deg, ' ', "raan");
+  const long long eccentricity = std::llround(tle.eccentricity * 1e7);
+  if (eccentricity >= 10000000) {
+    throw_overflow("eccentricity", std::to_string(tle.eccentricity));
   }
-  return lines;
+  put_digits(line2 + 26, static_cast<std::uint64_t>(eccentricity), 7);
+  put_fixed(line2 + 34, 8, 4, tle.arg_perigee_deg, ' ', "argument of perigee");
+  put_fixed(line2 + 43, 8, 4, tle.mean_anomaly_deg, ' ', "mean anomaly");
+  put_fixed(line2 + 52, 11, 8, tle.mean_motion_revday, ' ', "mean motion");
+  put_int(line2 + 63, 5, tle.rev_number % 100000, "rev number");
+
+  for (char* const line : {line1, line2}) {
+    line[68] = static_cast<char>('0' + checksum(std::string_view(line, 68)));
+    line[69] = '\n';
+  }
+}
+
+TleLines format_tle(const Tle& tle) {
+  std::array<char, kTleRecordBytes> record;
+  format_tle_record(tle, record);
+  return {std::string(record.data(), 69), std::string(record.data() + 70, 69)};
 }
 
 }  // namespace cosmicdance::tle

@@ -8,6 +8,8 @@
 // Line 2: 2 NNNNN III.IIII RRR.RRRR EEEEEEE PPP.PPPP AAA.AAAA MM.MMMMMMMMRRRRRC
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -56,6 +58,16 @@ struct Tle {
 /// Takes views so the zero-copy ingestion path can pass slices of a file
 /// mapping; no per-field strings are allocated on the success path.
 [[nodiscard]] Tle parse_tle(std::string_view line1, std::string_view line2);
+
+/// Bytes of one formatted record: two 69-column lines, each ending in '\n'.
+inline constexpr std::size_t kTleRecordBytes = 140;
+
+/// Write `tle` as its two lines, checksums and newlines into `out`.  Calls
+/// validate() first, then throws ValidationError naming the field when a
+/// value does not fit its columns (e.g. a RAAN that rounds to 1000.0000,
+/// a designator over 8 characters, a B* of 1e9 or more).  The bytes are
+/// those of the printf formats the columns are defined by (DESIGN.md §19).
+void format_tle_record(const Tle& tle, std::span<char, kTleRecordBytes> out);
 
 /// Format a TLE as its two 69-character lines (with valid checksums).
 struct TleLines {

@@ -120,6 +120,23 @@ TEST(OmmTest, MissingMandatoryKeyThrows) {
                ParseError);
 }
 
+TEST(OmmTest, IntegerKeysOutsideIntThrowBeforeTheCast) {
+  // Converting a double outside int's range to int is undefined, so the
+  // integer keys are range-checked first; NaN fails the same check.
+  for (const char* key :
+       {"NORAD_CAT_ID", "EPHEMERIS_TYPE", "ELEMENT_SET_NO", "REV_AT_EPOCH"}) {
+    for (const char* value : {"3e9", "-2147483649", "1e300", "nan"}) {
+      std::string kvn = tle::to_omm_kvn(sample_tle());
+      const std::string prefix = std::string(key) + " = ";
+      const auto pos = kvn.find(prefix);
+      ASSERT_NE(pos, std::string::npos) << key;
+      kvn.replace(pos, kvn.find('\n', pos) - pos, prefix + value);
+      EXPECT_THROW((void)tle::from_omm_kvn(kvn), ValidationError)
+          << key << " = " << value;
+    }
+  }
+}
+
 TEST(OmmTest, CatalogRoundTrip) {
   tle::TleCatalog catalog;
   tle::Tle a = sample_tle();

@@ -12,8 +12,10 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/analysis.hpp"
 #include "core/pipeline.hpp"
@@ -22,6 +24,8 @@
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/ecdf.hpp"
+#include "tle/catalog.hpp"
+#include "tle/tle.hpp"
 
 namespace cosmicdance {
 namespace {
@@ -264,6 +268,77 @@ TEST(ParallelDifferentialEcdf, SortedBytesAreThreadCountInvariant) {
     ASSERT_EQ(ecdf.size(), kSamples);
     EXPECT_TRUE(VectorsBitIdentical(ecdf_sorted(ecdf), expected))
         << "threads=" << threads;
+  }
+}
+
+// ---- parallel TLE text -------------------------------------------------------
+
+/// A simulated fleet small enough for the TSan pass: 28 satellites whose
+/// histories differ in length, so the satellite offsets are uneven.
+const tle::TleCatalog& text_catalog() {
+  static const tle::TleCatalog catalog = [] {
+    const spaceweather::DstIndex dst =
+        spaceweather::DstGenerator(
+            spaceweather::DstGenerator::paper_window_2020_2024())
+            .generate();
+    const auto config = simulation::scenario::paper_window(&dst, 2, 120.0);
+    return simulation::ConstellationSimulator(config).run().catalog;
+  }();
+  return catalog;
+}
+
+/// A copy of `catalog` with a record that has no TLE spelling (RAAN beyond
+/// the 8-column field) appended to satellite number `index`.
+tle::TleCatalog with_unformattable_raan(const tle::TleCatalog& catalog,
+                                        std::size_t index, double raan_deg) {
+  tle::TleCatalog out = catalog;
+  const int id = catalog.satellites().at(index);
+  tle::Tle record = catalog.history(id).back();
+  record.epoch_jd += 1.0;
+  record.raan_deg = raan_deg;
+  EXPECT_TRUE(out.add(record));
+  return out;
+}
+
+TEST(ParallelDifferentialTleText, EqualsSerialFormatTleAtEveryThreadCount) {
+  const tle::TleCatalog& catalog = text_catalog();
+  ASSERT_GT(catalog.satellite_count(), 16u);
+  std::string expected;
+  for (const int id : catalog.satellites()) {
+    for (const tle::Tle& record : catalog.history(id)) {
+      const tle::TleLines lines = tle::format_tle(record);
+      expected += lines.line1 + "\n" + lines.line2 + "\n";
+    }
+  }
+  ASSERT_EQ(expected.size(), catalog.record_count() * tle::kTleRecordBytes);
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    // Not EXPECT_EQ: a mismatch would print megabytes of text.
+    EXPECT_TRUE(catalog.to_text(threads) == expected) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelDifferentialTleText, EmptyCatalogGivesEmptyText) {
+  const tle::TleCatalog empty;
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    EXPECT_EQ(empty.to_text(threads), "") << "threads=" << threads;
+  }
+}
+
+TEST(ParallelDifferentialTleText, UnformattableRecordThrowsAtEveryThreadCount) {
+  const tle::TleCatalog one_bad = with_unformattable_raan(text_catalog(), 9, 1234.5);
+  // With two bad satellites, the error is the first one's at any thread
+  // count, as a serial pass would report it.
+  const tle::TleCatalog two_bad = with_unformattable_raan(one_bad, 20, 5678.5);
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    EXPECT_THROW(static_cast<void>(one_bad.to_text(threads)), ValidationError)
+        << "threads=" << threads;
+    try {
+      static_cast<void>(two_bad.to_text(threads));
+      ADD_FAILURE() << "threads=" << threads << ": no error";
+    } catch (const ValidationError& error) {
+      EXPECT_NE(std::string(error.what()).find("1234.5"), std::string::npos)
+          << "threads=" << threads << ": " << error.what();
+    }
   }
 }
 

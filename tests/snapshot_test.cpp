@@ -330,9 +330,12 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  // Any version but the current one rejects: a newer file, and a v4 file
-  // (the same section layout, with FNV-1a input hashes).
-  for (const std::uint32_t version : {io::kSnapshotFormatVersion + 1, 4u}) {
+  // Any version but the current one rejects: a newer file, a v5 file (the
+  // same bytes, but its records may hold non-finite fields that validation
+  // now rejects), and a v4 file (the same section layout, with FNV-1a input
+  // hashes).
+  for (const std::uint32_t version :
+       {io::kSnapshotFormatVersion + 1, 5u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const TestInputs inputs =
         write_inputs("version" + std::to_string(version), tle_corpus(4));

@@ -19,6 +19,7 @@
 #include "spaceweather/wdc.hpp"
 #include "support/minijson.hpp"
 #include "timeutil/datetime.hpp"
+#include "tle/omm.hpp"
 #include "tle/tle.hpp"
 
 namespace cosmicdance {
@@ -465,6 +466,63 @@ TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
     EXPECT_EQ(metrics_counter(*metrics, "snapshot.written"), 1);
     EXPECT_NE(metrics->find("phases")->find("snapshot.save"), nullptr);
     EXPECT_NE(metrics->find("phases")->find("analyze.save_join"), nullptr);
+  }
+}
+
+// ---- convert --to-tles over a non-finite OMM field --------------------------
+//
+// An OMM BSTAR of 1e999 reads as infinity, and the TLE formatter's
+// normalising loop never ended on one; NaN broke its column widths.
+// Validation now rejects both, so the strict policy fails the run and the
+// tolerant one quarantines the record.  `timeout` bounds each run: a hang
+// shows up as exit status 124.
+
+TEST(CliConvertTest, NonFiniteOmmFieldFailsStrictAndIsQuarantinedTolerant) {
+  const std::string dir = ::testing::TempDir() + "cd_cli_convert_" +
+                          std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  tle::Tle record;
+  record.catalog_number = 45001;
+  record.international_designator = "20001A";
+  record.epoch_jd = timeutil::to_julian(timeutil::make_datetime(2024, 5, 1));
+  record.bstar = 1.4e-4;
+  record.inclination_deg = 53.05;
+  record.mean_motion_revday = 15.05;
+  const std::string good = tle::to_omm_kvn(record);
+  record.catalog_number = 45002;
+  const std::string template_block = tle::to_omm_kvn(record);
+  const std::size_t bstar = template_block.find("BSTAR = ");
+  ASSERT_NE(bstar, std::string::npos);
+  const std::size_t bstar_end = template_block.find('\n', bstar);
+
+  for (const std::string value : {"1e999", "inf", "-inf", "nan"}) {
+    SCOPED_TRACE("BSTAR = " + value);
+    std::string bad = template_block;
+    bad.replace(bstar, bstar_end - bstar, "BSTAR = " + value);
+    io::write_file(dir + "/in.kvn", good + "\n" + bad);
+    const std::string convert = "timeout 60 '" + std::string(COSMICDANCE_CLI_BINARY) +
+                                "' convert --omm '" + dir + "/in.kvn' --to-tles '" +
+                                dir + "/out.tle'";
+
+    const CommandResult strict = run_command(convert);
+    EXPECT_EQ(strict.exit_code, 1) << strict.output;
+    EXPECT_NE(strict.output.find("bstar is not finite"), std::string::npos)
+        << strict.output;
+
+    const CommandResult tolerant = run_command(
+        convert + " --parse-policy tolerant --quality-report '" + dir + "/q.json'");
+    ASSERT_EQ(tolerant.exit_code, 0) << tolerant.output;
+    const auto report = minijson::parse(io::read_file(dir + "/q.json"));
+    ASSERT_TRUE(report.has_value());
+    const minijson::Value* quarantined = report->find("quarantined");
+    ASSERT_NE(quarantined, nullptr);
+    ASSERT_EQ(quarantined->items.size(), 1u);
+    EXPECT_EQ(quarantined->items[0].find("category")->text, "range");
+    // Only the good record is written.
+    const std::string text = io::read_file(dir + "/out.tle");
+    EXPECT_EQ(text.size(), tle::kTleRecordBytes);
+    EXPECT_EQ(text.substr(2, 5), "45001");
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/export.hpp"
 #include "diag/diag.hpp"
 #include "core/pipeline.hpp"
+#include "core/propagation.hpp"
 #include "core/report.hpp"
 #include "tle/omm.hpp"
 #include "io/args.hpp"
@@ -150,7 +151,7 @@ int cmd_simulate(const io::ArgParser& args) {
   }
 
   auto result = simulation::ConstellationSimulator(config).run();
-  io::write_file(require(args, "out"), result.catalog.to_text());
+  io::write_file(require(args, "out"), result.catalog.to_text(0));
   std::cout << "simulated " << result.launched << " satellites; wrote "
             << result.catalog.record_count() << " TLEs for "
             << result.catalog.satellite_count() << " satellites to "
@@ -317,7 +318,7 @@ int cmd_convert(const io::ArgParser& args) {
     static_cast<void>(tle::catalog_add_from_omm_kvn(
         catalog, io::read_file(omm_path), &log, omm_path));
     emit_quality_report(args, log.report());
-    io::write_file(*out, catalog.to_text());
+    io::write_file(*out, catalog.to_text(0));
     std::cout << "wrote " << catalog.record_count() << " TLEs to " << *out
               << "\n";
     return 0;

@@ -20,7 +20,8 @@
 #      micro_pipeline, micro_ingest and
 #      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
 #      build/BENCH_ingest.json and build/BENCH_sgp4.json behind as CI
-#      artifacts.  The sgp4 record must clear a positions/s floor with zero
+#      artifacts.  The ingest record also gates the TLE text writer: the
+#      same bytes at any thread count and >= 0.75M records/s.  The sgp4 record must clear a positions/s floor with zero
 #      non-kOk statuses and a bit-identical threads=1 vs threads=N grid
 #      (the batch determinism contract, DESIGN.md §16).  The ingest record
 #      must show a warm-cache hit (ingest.cache_hit == 1) and an
@@ -242,6 +243,17 @@ assert warm_rate >= 3.0 * cold_rate, (
     f"exact-hit warm start at {warm_rate:,.0f} records/s is under 3x the "
     f"cold parse rate ({cold_rate:,.0f}), or was not an exact hit; the "
     "snapshot decode or the input fingerprint has regressed")
+# The TLE text writer (DESIGN.md §19): the same bytes at every thread
+# count, and a floor of 0.75M records/s (min-of-reps), 3x the snprintf
+# formatter it replaced (about 0.25M/s) and below the new one's serial
+# rate (about 1.1-1.2M/s), so it holds on a 1-CPU box too.
+format_rate = ingest["throughput"].get("tle_format_records_per_s", 0.0)
+assert ingest["throughput"].get("format_threads_identical") == 1, (
+    "TleCatalog::to_text differs between the run's thread count and the "
+    "serial pass")
+assert format_rate >= 0.75e6, (
+    f"TLE text formatting at {format_rate:,.0f} records/s is below the "
+    "0.75M floor")
 # Batch SGP4 record (DESIGN.md §16): every fleet x grid cell must have
 # propagated cleanly, the parallel and serial grids must be bit-identical,
 # and the engine must clear the positions/s floor (set ~20x below the
@@ -324,7 +336,7 @@ print(f"observability smoke OK: {len(m1['counters'])} work counters "
       f"delta_hit={counters['ingest.delta_hit']} "
       f"(tail fraction {tail_fraction:.2%}), "
       f"cold {cold_rate:,.0f} rec/s, warm {warm_rate:,.0f} rec/s "
-      f"({warm_rate / cold_rate:.1f}x); "
+      f"({warm_rate / cold_rate:.1f}x), format {format_rate:,.0f} rec/s; "
       f"sgp4 batch {positions_per_s:.0f} positions/s, 0 status errors, "
       f"threads identical; "
       f"daemon smoke OK: {serve['serve.requests']} requests, "

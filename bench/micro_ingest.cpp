@@ -12,9 +12,11 @@
 // `delta_tail_fraction` well under 5%) and rewrite the base
 // (`snapshot.written` == 2 with the cold pass's).  The record also times
 // the catalog's way back to text (`tle_format_records_per_s`, with
-// `format_threads_identical` comparing it to the serial bytes).  Tier-1
-// asserts on all of these, and tools/bench_compare.py diffs the throughput
-// keys between runs:
+// `format_threads_identical` comparing it to the serial bytes) and the
+// constellation simulator that generates it (`simulate_records_per_s`,
+// with `simulate_threads_identical` comparing its catalog and failures to
+// the serial run's).  Tier-1 asserts on all of these, and
+// tools/bench_compare.py diffs the throughput keys between runs:
 //
 //   ./micro_ingest [--benchmark_filter=RE] [--bench-out F] [--threads N]
 //
@@ -31,6 +33,7 @@
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
 #include "io/snapshot.hpp"
+#include "simulation/scenario.hpp"
 #include "spaceweather/wdc.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
@@ -271,6 +274,32 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
   }
   throughput["format_threads_identical"] =
       formatted == catalog.to_text(1) ? 1.0 : 0.0;
+  // The constellation simulator (DESIGN.md §20): the fastest of three runs
+  // of the bench catalog's scenario at the run's thread count, against the
+  // serial run's catalog text and failures.
+  const spaceweather::DstIndex dst = bench::paper_dst();
+  const simulation::ConstellationSimulator simulator(
+      simulation::scenario::paper_window(&dst, 2, 30.0));
+  simulation::SimulationResult simulated;
+  const double simulate_s =
+      best_seconds([&] { simulated = simulator.run(threads); });
+  if (simulate_s > 0.0) {
+    throughput["simulate_records_per_s"] =
+        static_cast<double>(simulated.catalog.record_count()) / simulate_s;
+  }
+  const simulation::SimulationResult serial = simulator.run(1);
+  const auto same_failure = [](const simulation::FailureRecord& a,
+                               const simulation::FailureRecord& b) {
+    return a.catalog_number == b.catalog_number && a.jd == b.jd &&
+           a.kind == b.kind;
+  };
+  throughput["simulate_threads_identical"] =
+      simulated.catalog.to_text() == serial.catalog.to_text() &&
+              std::equal(simulated.failures.begin(), simulated.failures.end(),
+                         serial.failures.begin(), serial.failures.end(),
+                         same_failure)
+          ? 1.0
+          : 0.0;
   throughput["catalog_records"] =
       static_cast<double>(catalog.record_count());
   throughput["delta_appended_records"] =

@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "simulation/launch_plan.hpp"
 #include "simulation/satellite.hpp"
 #include "simulation/tracking.hpp"
@@ -126,29 +125,21 @@ struct SimulationResult {
   int tracked_at_end = 0;
 };
 
-/// Runs the scenario hour by hour.  Deterministic for a given config.
+/// Runs the scenario one satellite at a time.  Deterministic for a given
+/// config: every satellite draws from its own random streams, so its whole
+/// life is one independent task (DESIGN.md §20).
 class ConstellationSimulator {
  public:
   explicit ConstellationSimulator(ConstellationConfig config);
 
   /// Run from start to end and return the observed catalog + bookkeeping.
-  [[nodiscard]] SimulationResult run();
+  /// Satellites are stepped over `num_threads` workers (the exec
+  /// convention: 0 = all hardware threads, 1 = serial); the result is the
+  /// same at every thread count and on every call.
+  [[nodiscard]] SimulationResult run(int num_threads = 1) const;
 
  private:
-  void launch_due_batches(double jd, SimulationResult& result);
-  void step_satellite(SatelliteState& satellite, double jd, double dt_hours,
-                      double dst_nt, SimulationResult& result, Rng& satellite_rng);
-  void apply_forced_failures(double jd, double dt_hours, SimulationResult& result);
-  [[nodiscard]] double density_ratio(const SatelliteState& satellite,
-                                     double jd) const noexcept;
-
   ConstellationConfig config_;
-  Rng rng_;
-  std::vector<SatelliteState> satellites_;
-  std::vector<Rng> satellite_rngs_;
-  std::vector<double> next_observation_jd_;
-  std::size_t next_launch_ = 0;
-  int next_catalog_ = 0;
 };
 
 }  // namespace cosmicdance::simulation

@@ -60,16 +60,20 @@ double j2_rate_prefactor(double altitude_km) noexcept {
   return rate_rad_s * units::kSecondsPerDay * units::kRadToDeg;
 }
 
-}  // namespace
-
-double raan_rate_deg_per_day(double altitude_km, double inclination_deg) noexcept {
-  return -j2_rate_prefactor(altitude_km) *
-         std::cos(units::deg2rad(inclination_deg));
+double argp_inclination_factor(double inclination_deg) noexcept {
+  const double sin_i = std::sin(units::deg2rad(inclination_deg));
+  return 2.0 - 2.5 * sin_i * sin_i;
 }
 
-double argp_rate_deg_per_day(double altitude_km, double inclination_deg) noexcept {
-  const double sin_i = std::sin(units::deg2rad(inclination_deg));
-  return j2_rate_prefactor(altitude_km) * (2.0 - 2.5 * sin_i * sin_i);
+}  // namespace
+
+J2Drift::J2Drift(double inclination_deg) noexcept
+    : raan_factor_(std::cos(units::deg2rad(inclination_deg))),
+      argp_factor_(argp_inclination_factor(inclination_deg)) {}
+
+J2Drift::Rates J2Drift::at(double altitude_km) const noexcept {
+  const double prefactor = j2_rate_prefactor(altitude_km);
+  return {-prefactor * raan_factor_, prefactor * argp_factor_};
 }
 
 }  // namespace cosmicdance::simulation

@@ -74,12 +74,22 @@ struct SatelliteState {
   }
 };
 
-/// J2 secular RAAN drift (deg/day) for a circular orbit.
-[[nodiscard]] double raan_rate_deg_per_day(double altitude_km,
-                                           double inclination_deg) noexcept;
+/// J2 secular drift (deg/day) of a circular orbit at a fixed inclination.
+/// The inclination terms are computed once, so stepping a satellite costs
+/// one J2 prefactor per step for both rates.
+class J2Drift {
+ public:
+  explicit J2Drift(double inclination_deg) noexcept;
 
-/// J2 secular argument-of-perigee drift (deg/day) for a circular orbit.
-[[nodiscard]] double argp_rate_deg_per_day(double altitude_km,
-                                           double inclination_deg) noexcept;
+  struct Rates {
+    double raan_deg_per_day = 0.0;
+    double argp_deg_per_day = 0.0;
+  };
+  [[nodiscard]] Rates at(double altitude_km) const noexcept;
+
+ private:
+  double raan_factor_;  ///< cos i
+  double argp_factor_;  ///< 2 - 2.5 sin^2 i
+};
 
 }  // namespace cosmicdance::simulation

@@ -23,9 +23,6 @@ namespace {
 
 constexpr const char* kStage = "tle";
 
-// Two records of one satellite closer than this are duplicates (~1 second).
-constexpr double kDuplicateEpochDays = 1.0 / 86400.0;
-
 bool looks_like_tle_line(std::string_view line, char number) {
   return line.size() == 69 && line[0] == number && line[1] == ' ';
 }

@@ -47,6 +47,10 @@ struct IngestOptions {
   int num_shards = 0;
 };
 
+/// Two records of one satellite closer than this (~1 second) are
+/// duplicates: add() keeps the one it was given first.
+inline constexpr double kDuplicateEpochDays = 1.0 / 86400.0;
+
 /// True when `text` ends at a clean pairing boundary for append-style
 /// growth: its last non-empty line is not a TLE line 1 still awaiting its
 /// line 2.  (Blank lines do not clear the pairing scanner's pending

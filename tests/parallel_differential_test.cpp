@@ -24,6 +24,7 @@
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/ecdf.hpp"
+#include "support/simulation_scenarios.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
 
@@ -338,6 +339,53 @@ TEST(ParallelDifferentialTleText, UnformattableRecordThrowsAtEveryThreadCount) {
     } catch (const ValidationError& error) {
       EXPECT_NE(std::string(error.what()).find("1234.5"), std::string::npos)
           << "threads=" << threads << ": " << error.what();
+    }
+  }
+}
+
+// ---- the constellation simulator ---------------------------------------------
+
+// Each satellite's whole life is one task drawing from its own streams, and
+// the join runs in a fixed order (DESIGN.md §20): the catalog's bytes, the
+// failures in order, the counts and the truth must not move with the
+// thread count.
+TEST(ParallelDifferentialSimulation, RunIsThreadCountInvariant) {
+  for (const auto& [name, config] : simulation_scenarios::small()) {
+    const simulation::ConstellationSimulator simulator(config);
+    const simulation::SimulationResult serial = simulator.run(1);
+    const std::string serial_text = serial.catalog.to_text(1);
+    ASSERT_FALSE(serial_text.empty()) << name;
+    for (const int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE(name + " at " + std::to_string(threads) + " threads");
+      const simulation::SimulationResult parallel = simulator.run(threads);
+      EXPECT_EQ(parallel.catalog.to_text(1), serial_text);
+      ASSERT_EQ(parallel.failures.size(), serial.failures.size());
+      for (std::size_t i = 0; i < serial.failures.size(); ++i) {
+        EXPECT_EQ(parallel.failures[i].catalog_number,
+                  serial.failures[i].catalog_number) << "failure " << i;
+        EXPECT_TRUE(bits_equal(parallel.failures[i].jd, serial.failures[i].jd))
+            << "failure " << i;
+        EXPECT_EQ(parallel.failures[i].kind, serial.failures[i].kind)
+            << "failure " << i;
+      }
+      EXPECT_EQ(parallel.launched, serial.launched);
+      EXPECT_EQ(parallel.reentered, serial.reentered);
+      EXPECT_EQ(parallel.tracked_at_end, serial.tracked_at_end);
+      ASSERT_EQ(parallel.truth.size(), serial.truth.size());
+      for (const auto& [number, samples] : serial.truth) {
+        const auto found = parallel.truth.find(number);
+        ASSERT_NE(found, parallel.truth.end()) << number;
+        ASSERT_EQ(found->second.size(), samples.size()) << number;
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+          const auto& a = found->second[i];
+          const auto& b = samples[i];
+          EXPECT_TRUE(bits_equal(a.jd, b.jd) &&
+                      bits_equal(a.altitude_km, b.altitude_km) &&
+                      a.mode == b.mode &&
+                      bits_equal(a.density_ratio, b.density_ratio))
+              << number << " sample " << i;
+        }
+      }
     }
   }
 }

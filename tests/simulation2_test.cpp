@@ -1,16 +1,26 @@
 // Second-round simulation tests: lifecycle corners, station-keeping
 // behaviour, manoeuvre statistics, deorbit end-of-life, tracking
-// configuration sweeps and launch-plan geometry.
+// configuration sweeps, launch-plan geometry and edges, shared NORAD ids,
+// and the ground truth pinned to the hour-major loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <ostream>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "simulation/constellation.hpp"
 #include "simulation/launch_plan.hpp"
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/descriptive.hpp"
+#include "support/simulation_scenarios.hpp"
 
 namespace cosmicdance::simulation {
 namespace {
@@ -233,6 +243,218 @@ TEST(ScenarioTest, Feb2022UsesLowStaging) {
   EXPECT_EQ(config.launches[0].count, 49);
   EXPECT_NEAR(config.launches[0].satellite.staging_altitude_km, 210.0, 1.0);
   EXPECT_EQ(config.first_catalog_number, 51439);
+}
+
+// ---- launch edges, shared NORAD ids, designators ---------------------------
+
+TEST(LaunchPlanTest, BatchesDueAtOrAfterTheEndNeverFly) {
+  auto config = quiet_fleet(2, make_datetime(2023, 1, 1), make_datetime(2023, 2, 1));
+  for (const auto& time : {make_datetime(2023, 2, 1), make_datetime(2023, 3, 1)}) {
+    LaunchBatch late = config.launches.front();
+    late.time = time;
+    late.count = 5;
+    config.launches.push_back(late);
+  }
+  const auto result = ConstellationSimulator(config).run();
+  EXPECT_EQ(result.launched, 2);
+  EXPECT_EQ(result.catalog.satellite_count(), 2u);
+  EXPECT_EQ(result.truth.size(), 2u);
+  EXPECT_EQ(result.tracked_at_end, 2);
+}
+
+TEST(LaunchPlanTest, BatchDueBetweenStepsStartsAtTheNextStep) {
+  // Six-hour steps; the batch is due 7 h in, inside step 1 ([6 h, 12 h)).
+  auto config = quiet_fleet(1, make_datetime(2023, 1, 1), make_datetime(2023, 1, 20));
+  config.step_hours = 6.0;
+  config.launches.front().time = make_datetime(2023, 1, 1, 7);
+  // A forced failure in step 1 misses the satellite, which first steps in
+  // step 2; one in step 2 strikes it at step 2's epoch.
+  const int number = config.first_catalog_number;
+  config.forced_failures.push_back(
+      {number, make_datetime(2023, 1, 1, 8), FailureKind::kTemporaryOutage, 2.0});
+  config.forced_failures.push_back(
+      {number, make_datetime(2023, 1, 1, 14), FailureKind::kPermanentDecay, 0.0});
+  const auto result = ConstellationSimulator(config).run();
+  ASSERT_EQ(result.failures.size(), 1u);
+  const double dt_days = config.step_hours / 24.0;
+  double step2 = timeutil::to_julian(config.start);
+  step2 += dt_days;
+  step2 += dt_days;
+  EXPECT_EQ(result.failures[0].jd, step2);
+  EXPECT_EQ(result.failures[0].kind, FailureKind::kPermanentDecay);
+  EXPECT_EQ(result.launched, 1);
+}
+
+/// `config` with a second, later batch of two whose pinned numbers start at
+/// `second_first`.
+ConstellationConfig two_pinned_batches(int second_first) {
+  auto config = quiet_fleet(3, make_datetime(2023, 1, 1), make_datetime(2023, 3, 1));
+  config.launches.front().first_catalog_number = 60000;
+  LaunchBatch second = config.launches.front();
+  second.time = make_datetime(2023, 1, 11);
+  second.count = 2;
+  second.first_catalog_number = second_first;
+  config.launches.push_back(second);
+  return config;
+}
+
+TEST(LaunchPlanTest, SharedNoradIdsJoinAsAddWouldInTheHourlyOrder) {
+  // The second batch reuses 60001 and 60002.  Each satellite's records do
+  // not depend on its number, so the same fleet with the second batch at
+  // 61001.. gives every satellite's own history.
+  const auto shared = ConstellationSimulator(two_pinned_batches(60001)).run();
+  const auto apart = ConstellationSimulator(two_pinned_batches(61001)).run();
+
+  // The reference: every record add()ed in (epoch, satellite) order — the
+  // order a step-major pass over the fleet adds them in — under the shared
+  // numbers.
+  const std::vector<std::pair<int, int>> satellites = {
+      {60000, 60000}, {60001, 60001}, {60002, 60002}, {61001, 60001}, {61002, 60002}};
+  std::vector<std::tuple<double, std::size_t, tle::Tle>> records;
+  std::map<int, std::vector<std::tuple<double, std::size_t, TruthSample>>> truths;
+  for (std::size_t i = 0; i < satellites.size(); ++i) {
+    const auto [own, as] = satellites[i];
+    for (tle::Tle record : apart.catalog.history(own)) {
+      record.catalog_number = as;
+      records.emplace_back(record.epoch_jd, i, record);
+    }
+    for (const TruthSample& sample : apart.truth.at(own)) {
+      truths[as].emplace_back(sample.jd, i, sample);
+    }
+  }
+  const auto by_time = [](const auto& a, const auto& b) {
+    return std::tie(std::get<0>(a), std::get<1>(a)) <
+           std::tie(std::get<0>(b), std::get<1>(b));
+  };
+  std::sort(records.begin(), records.end(), by_time);
+  tle::TleCatalog expected;
+  std::size_t dropped = 0;
+  for (const auto& entry : records) {
+    if (!expected.add(std::get<2>(entry))) ++dropped;
+  }
+  EXPECT_GT(dropped, 0u) << "no two satellites shared an observation hour";
+  EXPECT_EQ(shared.catalog.satellite_count(), 3u);
+  EXPECT_EQ(shared.catalog.record_count(), expected.record_count());
+  EXPECT_EQ(shared.catalog.to_text(), expected.to_text());
+
+  ASSERT_EQ(shared.truth.size(), truths.size());
+  for (auto& [number, samples] : truths) {
+    std::sort(samples.begin(), samples.end(), by_time);
+    const auto& joined = shared.truth.at(number);
+    ASSERT_EQ(joined.size(), samples.size()) << number;
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+      const TruthSample& want = std::get<2>(samples[s]);
+      EXPECT_EQ(joined[s].jd, want.jd) << number << " sample " << s;
+      EXPECT_EQ(joined[s].altitude_km, want.altitude_km) << number << " sample " << s;
+    }
+  }
+  EXPECT_EQ(shared.launched, 5);
+  EXPECT_EQ(shared.tracked_at_end, 5);
+}
+
+TEST(LaunchPlanTest, DesignatorsStayUniquePastPieceZ) {
+  auto config = quiet_fleet(45, make_datetime(2023, 1, 1), make_datetime(2023, 1, 11));
+  const auto result = ConstellationSimulator(config).run();
+  std::set<std::string> designators;
+  for (const int number : result.catalog.satellites()) {
+    designators.insert(result.catalog.history(number).front().international_designator);
+  }
+  EXPECT_EQ(designators.size(), 45u);
+  const auto designator = [&](int piece) {
+    return result.catalog.history(config.first_catalog_number + piece)
+        .front()
+        .international_designator;
+  };
+  EXPECT_EQ(designator(0), "23001A");
+  EXPECT_EQ(designator(25), "23001Z");
+  EXPECT_EQ(designator(26), "23001AA");
+  EXPECT_EQ(designator(27), "23001AB");
+  EXPECT_EQ(designator(44), "23001AS");
+}
+
+// ---- the ground truth, pinned to the hour-major loop ------------------------
+
+/// FNV-1a over 64-bit words.
+class Fnv64 {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Everything a run yields but the observed catalog.
+struct GroundTruthDigest {
+  std::uint64_t failures = 0;  ///< catalog number, jd bits, kind, in order
+  std::uint64_t truth = 0;     ///< every sample's four fields, by catalog number
+  std::size_t failure_count = 0;
+  std::size_t truth_samples = 0;
+  int launched = 0;
+  int reentered = 0;
+  int tracked_at_end = 0;
+  bool operator==(const GroundTruthDigest&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const GroundTruthDigest& d) {
+  return out << std::hex << "{0x" << d.failures << "ULL, 0x" << d.truth
+             << "ULL, " << std::dec << d.failure_count << ", " << d.truth_samples
+             << ", " << d.launched << ", " << d.reentered << ", "
+             << d.tracked_at_end << "}";
+}
+
+GroundTruthDigest digest_of(const SimulationResult& result) {
+  Fnv64 failures;
+  for (const FailureRecord& failure : result.failures) {
+    failures.add(static_cast<std::uint64_t>(failure.catalog_number));
+    failures.add(failure.jd);
+    failures.add(static_cast<std::uint64_t>(failure.kind));
+  }
+  Fnv64 truth;
+  std::size_t samples = 0;
+  for (const auto& [number, series] : result.truth) {
+    truth.add(static_cast<std::uint64_t>(number));
+    for (const TruthSample& sample : series) {
+      truth.add(sample.jd);
+      truth.add(sample.altitude_km);
+      truth.add(static_cast<std::uint64_t>(sample.mode));
+      truth.add(sample.density_ratio);
+      ++samples;
+    }
+  }
+  return {failures.value(), truth.value(), result.failures.size(), samples,
+          result.launched, result.reentered, result.tracked_at_end};
+}
+
+// Recorded from the hour-major ConstellationSimulator::run that the
+// per-satellite decomposition replaced, which drew every observation from
+// one shared tracker stream.  Giving each satellite its own tracker stream
+// changed the observed catalog and nothing else (DESIGN.md §20).
+const std::map<std::string, GroundTruthDigest>& hour_major_ground_truth() {
+  static const std::map<std::string, GroundTruthDigest> digests = {
+      {"paper_window", {0xf00455fd83d68886ULL, 0xb9895d271fb585eeULL, 63, 41365, 54, 6, 48}},
+      {"figure3", {0x5dafcbf67dcfb2c0ULL, 0x685bb90d54664415ULL, 3, 668, 3, 3, 0}},
+      {"feb2022", {0x24fcb78081905693ULL, 0x67fc85596cfa6da9ULL, 39, 649, 49, 39, 10}},
+      {"may2024", {0xf11f3371e99aa79eULL, 0x073b2da444b33364ULL, 1, 12300, 300, 0, 300}},
+  };
+  return digests;
+}
+
+TEST(GroundTruthTest, MatchesTheHourMajorLoopAtEveryThreadCount) {
+  for (const auto& [name, config] : simulation_scenarios::small()) {
+    const ConstellationSimulator simulator(config);
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      EXPECT_EQ(digest_of(simulator.run(threads)),
+                hour_major_ground_truth().at(name))
+          << name << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

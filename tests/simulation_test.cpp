@@ -42,12 +42,12 @@ TEST(SatelliteTest, BallisticByMode) {
 
 TEST(SatelliteTest, J2Rates) {
   // Starlink shell: RAAN regresses ~ -4.6 deg/day; argp advances.
-  EXPECT_NEAR(raan_rate_deg_per_day(550.0, 53.0), -4.6, 0.4);
-  EXPECT_GT(argp_rate_deg_per_day(550.0, 53.0), 2.0);
+  EXPECT_NEAR(J2Drift(53.0).at(550.0).raan_deg_per_day, -4.6, 0.4);
+  EXPECT_GT(J2Drift(53.0).at(550.0).argp_deg_per_day, 2.0);
   // Retrograde orbit: RAAN advances.
-  EXPECT_GT(raan_rate_deg_per_day(550.0, 97.6), 0.0);
+  EXPECT_GT(J2Drift(97.6).at(550.0).raan_deg_per_day, 0.0);
   // Polar: no RAAN drift.
-  EXPECT_NEAR(raan_rate_deg_per_day(550.0, 90.0), 0.0, 1e-9);
+  EXPECT_NEAR(J2Drift(90.0).at(550.0).raan_deg_per_day, 0.0, 1e-9);
 }
 
 TEST(LaunchPlanTest, CadenceAndCount) {

@@ -150,7 +150,7 @@ int cmd_simulate(const io::ArgParser& args) {
     throw ParseError("unknown scenario: " + name);
   }
 
-  auto result = simulation::ConstellationSimulator(config).run();
+  auto result = simulation::ConstellationSimulator(config).run(0);
   io::write_file(require(args, "out"), result.catalog.to_text(0));
   std::cout << "simulated " << result.launched << " satellites; wrote "
             << result.catalog.record_count() << " TLEs for "

@@ -21,7 +21,9 @@
 #      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
 #      build/BENCH_ingest.json and build/BENCH_sgp4.json behind as CI
 #      artifacts.  The ingest record also gates the TLE text writer: the
-#      same bytes at any thread count and >= 0.75M records/s.  The sgp4 record must clear a positions/s floor with zero
+#      same bytes at any thread count and >= 0.75M records/s; and the
+#      constellation simulator: the same catalog and failures at any
+#      thread count and >= 0.65M records/s.  The sgp4 record must clear a positions/s floor with zero
 #      non-kOk statuses and a bit-identical threads=1 vs threads=N grid
 #      (the batch determinism contract, DESIGN.md §16).  The ingest record
 #      must show a warm-cache hit (ingest.cache_hit == 1) and an
@@ -254,6 +256,18 @@ assert ingest["throughput"].get("format_threads_identical") == 1, (
 assert format_rate >= 0.75e6, (
     f"TLE text formatting at {format_rate:,.0f} records/s is below the "
     "0.75M floor")
+# The constellation simulator (DESIGN.md §20): the same catalog and
+# failures at every thread count, and a floor of 0.65M records/s
+# (min-of-reps), above the hour-major loop it replaced (0.45-0.58M/s
+# serially) and below the per-satellite loop's serial rate (0.83-0.97M/s),
+# so it holds on a 1-CPU box too.
+simulate_rate = ingest["throughput"].get("simulate_records_per_s", 0.0)
+assert ingest["throughput"].get("simulate_threads_identical") == 1, (
+    "ConstellationSimulator::run differs between the run's thread count "
+    "and the serial run")
+assert simulate_rate >= 0.65e6, (
+    f"constellation simulation at {simulate_rate:,.0f} records/s is below "
+    "the 0.65M floor")
 # Batch SGP4 record (DESIGN.md §16): every fleet x grid cell must have
 # propagated cleanly, the parallel and serial grids must be bit-identical,
 # and the engine must clear the positions/s floor (set ~20x below the
@@ -336,7 +350,8 @@ print(f"observability smoke OK: {len(m1['counters'])} work counters "
       f"delta_hit={counters['ingest.delta_hit']} "
       f"(tail fraction {tail_fraction:.2%}), "
       f"cold {cold_rate:,.0f} rec/s, warm {warm_rate:,.0f} rec/s "
-      f"({warm_rate / cold_rate:.1f}x), format {format_rate:,.0f} rec/s; "
+      f"({warm_rate / cold_rate:.1f}x), format {format_rate:,.0f} rec/s, "
+      f"simulate {simulate_rate:,.0f} rec/s; "
       f"sgp4 batch {positions_per_s:.0f} positions/s, 0 status errors, "
       f"threads identical; "
       f"daemon smoke OK: {serve['serve.requests']} requests, "

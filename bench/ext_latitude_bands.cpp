@@ -18,8 +18,8 @@ int main() {
 
   auto report = [&](const char* label, double jd_lo, double jd_hi) {
     io::print_heading(std::cout, label);
-    const auto bands =
-        core::latitude_band_drag(pipeline.tracks(), jd_lo, jd_hi, 6);
+    const auto bands = core::latitude_band_drag(
+        pipeline.tracks(), pipeline.catalog(), jd_lo, jd_hi, 6);
     io::TablePrinter table({"lat_band_deg", "samples", "dwell_frac",
                             "median_B*", "p95_B*"});
     for (const auto& band : bands) {

@@ -4,8 +4,10 @@
 // Paper shape: eccentricity ~0 throughout; altitude staged at ~360 km then
 // raised to 550 km; inclination pinned at 53 deg; RAAN drifting steadily
 // westward (J2); ARGP and mean anomaly consistent once operational.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <span>
 
 #include "bench_common.hpp"
 #include "io/table.hpp"
@@ -20,8 +22,16 @@ int main() {
                                        timeutil::make_datetime(2019, 11, 1),
                                        std::vector<double>(24 * 420, -11.0)),
                                    std::move(run.catalog));
-  // Fig 9 needs the raw tracks: the orbit-raising window is the point.
-  const auto tracks = pipeline.raw_tracks();
+  // Fig 9 reads the raw records: the orbit-raising window is the point.
+  const tle::TleCatalog& catalog = pipeline.catalog();
+  const auto records_between = [](std::span<const tle::Tle> history, double lo,
+                                  double hi) {
+    const auto before = [](const tle::Tle& t, double jd) { return t.epoch_jd < jd; };
+    const auto first = std::lower_bound(history.begin(), history.end(), lo, before);
+    const auto last = std::lower_bound(first, history.end(), hi, before);
+    return history.subspan(static_cast<std::size_t>(first - history.begin()),
+                           static_cast<std::size_t>(last - first));
+  };
 
   io::print_heading(std::cout,
                     "Fig 9: L1 batch (43 satellites), monthly element medians");
@@ -29,35 +39,31 @@ int main() {
   // ARGP, mean anomaly) follow one reference satellite — Fig 9 plots the
   // per-satellite curves, and a pooled median of drifting angles wraps
   // meaninglessly.
-  const core::SatelliteTrack* reference = nullptr;
-  for (const auto& track : tracks) {
-    if (track.catalog_number() == 44713) reference = &track;
-  }
+  const std::span<const tle::Tle> reference = catalog.history(44713);
   io::TablePrinter table({"month", "alt_km", "incl_deg", "ecc", "44713_raan",
                           "44713_argp", "44713_manom", "tles"});
   const double start = timeutil::to_julian(timeutil::make_datetime(2019, 11, 11));
   const double end = timeutil::to_julian(timeutil::make_datetime(2020, 12, 31));
   for (double month = start; month < end; month += 30.0) {
     std::vector<double> altitude, inclination, eccentricity;
-    for (const auto& track : tracks) {
-      for (const auto& sample : track.between(month, month + 30.0)) {
-        if (sample.altitude_km > 650.0) continue;  // gross tracking errors
-        altitude.push_back(sample.altitude_km);
-        inclination.push_back(sample.inclination_deg);
-        eccentricity.push_back(sample.eccentricity);
+    for (const int id : catalog.satellites()) {
+      for (const tle::Tle& record :
+           records_between(catalog.history(id), month, month + 30.0)) {
+        if (record.altitude_km() > 650.0) continue;  // gross tracking errors
+        altitude.push_back(record.altitude_km());
+        inclination.push_back(record.inclination_deg);
+        eccentricity.push_back(record.eccentricity);
       }
     }
     if (altitude.empty()) continue;
     std::string raan = "-";
     std::string argp = "-";
     std::string anomaly = "-";
-    if (reference != nullptr) {
-      const auto window = reference->between(month, month + 30.0);
-      if (!window.empty()) {
-        raan = io::TablePrinter::num(window.front().raan_deg, 1);
-        argp = io::TablePrinter::num(window.front().arg_perigee_deg, 1);
-        anomaly = io::TablePrinter::num(window.front().mean_anomaly_deg, 1);
-      }
+    const auto window = records_between(reference, month, month + 30.0);
+    if (!window.empty()) {
+      raan = io::TablePrinter::num(window.front().raan_deg, 1);
+      argp = io::TablePrinter::num(window.front().arg_perigee_deg, 1);
+      anomaly = io::TablePrinter::num(window.front().mean_anomaly_deg, 1);
     }
     table.add_row({timeutil::from_julian(month).to_string().substr(0, 7),
                    io::TablePrinter::num(stats::median(altitude), 1),

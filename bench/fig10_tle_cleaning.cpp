@@ -16,7 +16,7 @@ int main() {
   const spaceweather::DstIndex dst = bench::paper_dst();
   const core::CosmicDance pipeline(dst, bench::paper_catalog(dst));
 
-  const auto raw = core::all_altitudes(pipeline.raw_tracks());
+  const auto raw = core::all_altitudes(pipeline.catalog());
   const auto cleaned = core::all_altitudes(pipeline.tracks());
 
   io::print_heading(std::cout, "Fig 10(a): altitude CDF before cleaning");

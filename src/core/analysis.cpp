@@ -11,25 +11,46 @@
 
 namespace cosmicdance::core {
 
-std::vector<double> all_altitudes(std::span<const SatelliteTrack> tracks,
-                                  int num_threads, obs::Metrics* metrics) {
+namespace {
+
+/// Concatenates `altitudes_of(i)` for i in [0, count), one item per worker.
+template <typename AltitudesOf>
+std::vector<double> concat_altitudes(std::size_t count, int num_threads,
+                                     obs::Metrics* metrics,
+                                     AltitudesOf altitudes_of) {
   const obs::ScopedPhase phase(metrics, "analysis.all_altitudes");
-  auto per_track = exec::ordered_map<std::vector<double>>(
-      tracks.size(), num_threads,
-      [&](std::size_t t) {
-        std::vector<double> altitudes;
-        altitudes.reserve(tracks[t].size());
-        for (const TrajectorySample& sample : tracks[t].samples()) {
-          altitudes.push_back(sample.altitude_km);
-        }
-        return altitudes;
-      },
-      metrics);
-  auto altitudes = exec::ordered_concat(std::move(per_track));
+  auto altitudes = exec::ordered_concat(exec::ordered_map<std::vector<double>>(
+      count, num_threads, altitudes_of, metrics));
   if (metrics != nullptr) {
     metrics->counter("analysis.altitude_samples").add(altitudes.size());
   }
   return altitudes;
+}
+
+}  // namespace
+
+std::vector<double> all_altitudes(std::span<const SatelliteTrack> tracks,
+                                  int num_threads, obs::Metrics* metrics) {
+  return concat_altitudes(tracks.size(), num_threads, metrics, [&](std::size_t t) {
+    std::vector<double> altitudes;
+    altitudes.reserve(tracks[t].size());
+    for (const TrajectorySample& sample : tracks[t].samples()) {
+      altitudes.push_back(sample.altitude_km);
+    }
+    return altitudes;
+  });
+}
+
+std::vector<double> all_altitudes(const tle::TleCatalog& catalog,
+                                  int num_threads, obs::Metrics* metrics) {
+  const std::vector<int> ids = catalog.satellites();
+  return concat_altitudes(ids.size(), num_threads, metrics, [&](std::size_t i) {
+    const auto history = catalog.history(ids[i]);
+    std::vector<double> altitudes;
+    altitudes.reserve(history.size());
+    for (const tle::Tle& tle : history) altitudes.push_back(tle.altitude_km());
+    return altitudes;
+  });
 }
 
 std::vector<SuperstormPanelRow> superstorm_panel(

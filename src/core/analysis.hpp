@@ -15,11 +15,17 @@ class Metrics;
 
 namespace cosmicdance::core {
 
-/// Fig 10: altitude samples of every TLE in a track set (raw tracks give
-/// panel (a); cleaned tracks give panel (b)).  Output order is track-major
-/// regardless of num_threads (0 = all hardware threads, 1 = serial).
-/// `metrics` (optional) records analysis.altitude_samples and phase timing.
+/// Fig 10(b): the altitude of every sample in a track set (the cleaned
+/// tracks).  Output order is track-major regardless of num_threads (0 = all
+/// hardware threads, 1 = serial).  `metrics` (optional) records
+/// analysis.altitude_samples and phase timing.
 [[nodiscard]] std::vector<double> all_altitudes(std::span<const SatelliteTrack> tracks,
+                                                int num_threads = 1,
+                                                obs::Metrics* metrics = nullptr);
+
+/// Fig 10(a): the altitude of every TLE in the catalog, satellite-major in
+/// history order — the same values as the uncleaned tracks give.
+[[nodiscard]] std::vector<double> all_altitudes(const tle::TleCatalog& catalog,
                                                 int num_threads = 1,
                                                 obs::Metrics* metrics = nullptr);
 

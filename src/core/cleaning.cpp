@@ -9,44 +9,29 @@
 
 namespace cosmicdance::core {
 
-std::size_t remove_outliers(SatelliteTrack& track, const CleaningConfig& config) {
-  const std::size_t before = track.size();
-  std::vector<TrajectorySample> kept;
-  kept.reserve(before);
-  for (const TrajectorySample& sample : track.samples()) {
-    if (sample.altitude_km > config.outlier_min_altitude_km &&
-        sample.altitude_km <= config.outlier_max_altitude_km) {
-      kept.push_back(sample);
-    }
-  }
-  track.set_samples(std::move(kept));
-  return before - track.size();
+std::size_t remove_outliers(std::vector<TrajectorySample>& samples,
+                            const CleaningConfig& config) {
+  return std::erase_if(samples, [&](const TrajectorySample& sample) {
+    return !(sample.altitude_km > config.outlier_min_altitude_km &&
+             sample.altitude_km <= config.outlier_max_altitude_km);
+  });
 }
 
-std::size_t remove_orbit_raising(SatelliteTrack& track,
+std::size_t remove_orbit_raising(std::vector<TrajectorySample>& samples,
                                  const CleaningConfig& config) {
-  if (track.empty()) return 0;
+  if (samples.empty()) return 0;
   std::vector<double> altitudes;
-  altitudes.reserve(track.size());
-  for (const TrajectorySample& s : track.samples()) {
-    altitudes.push_back(s.altitude_km);
-  }
+  altitudes.reserve(samples.size());
+  for (const TrajectorySample& s : samples) altitudes.push_back(s.altitude_km);
   const double shell = stats::percentile(altitudes, config.shell_percentile);
 
-  const auto& samples = track.samples();
-  std::size_t first_at_shell = samples.size();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (samples[i].altitude_km >= shell - config.raise_margin_km) {
-      first_at_shell = i;
-      break;
-    }
-  }
-  if (first_at_shell == 0 || first_at_shell == samples.size()) return 0;
-  std::vector<TrajectorySample> kept(samples.begin() +
-                                         static_cast<std::ptrdiff_t>(first_at_shell),
-                                     samples.end());
-  const std::size_t removed = first_at_shell;
-  track.set_samples(std::move(kept));
+  const auto first_at_shell = std::find_if(
+      samples.begin(), samples.end(), [&](const TrajectorySample& s) {
+        return s.altitude_km >= shell - config.raise_margin_km;
+      });
+  if (first_at_shell == samples.end()) return 0;
+  const auto removed = static_cast<std::size_t>(first_at_shell - samples.begin());
+  samples.erase(samples.begin(), first_at_shell);
   return removed;
 }
 
@@ -60,40 +45,35 @@ bool is_pre_decayed(const SatelliteTrack& track, double event_jd,
          config.predecay_threshold_km;
 }
 
-std::vector<SatelliteTrack> clean_tracks(std::vector<SatelliteTrack> tracks,
+std::vector<SatelliteTrack> clean_tracks(const tle::TleCatalog& catalog,
                                          const CleaningConfig& config,
                                          int num_threads, obs::Metrics* metrics) {
-  const obs::ScopedPhase phase(metrics, "clean.tracks");
   // Relaxed atomic adds commute, so the totals are bit-identical at every
   // thread count even though workers interleave (DESIGN.md §11).
+  obs::Counter* raw_samples = obs::counter_or_null(metrics, "track.samples");
   obs::Counter* outliers =
       obs::counter_or_null(metrics, "clean.outlier_samples_removed");
   obs::Counter* raising =
       obs::counter_or_null(metrics, "clean.raising_samples_removed");
-  exec::parallel_for(
-      tracks.size(), num_threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::bump(outliers, remove_outliers(tracks[i], config));
-          obs::bump(raising, remove_orbit_raising(tracks[i], config));
-        }
+  const std::vector<int> ids = catalog.satellites();
+  std::vector<SatelliteTrack> tracks = exec::ordered_map<SatelliteTrack>(
+      ids.size(), num_threads,
+      [&](std::size_t i) {
+        std::vector<TrajectorySample> samples = samples_of(catalog.history(ids[i]));
+        obs::bump(raw_samples, samples.size());
+        obs::bump(outliers, remove_outliers(samples, config));
+        obs::bump(raising, remove_orbit_raising(samples, config));
+        return SatelliteTrack(ids[i], std::move(samples));
       },
       metrics);
-  std::vector<SatelliteTrack> cleaned;
-  cleaned.reserve(tracks.size());
-  std::uint64_t dropped = 0;
-  for (SatelliteTrack& track : tracks) {
-    if (!track.empty()) {
-      cleaned.push_back(std::move(track));
-    } else {
-      ++dropped;
-    }
-  }
+  const std::size_t dropped = std::erase_if(
+      tracks, [](const SatelliteTrack& track) { return track.empty(); });
   if (metrics != nullptr) {
-    metrics->counter("clean.tracks_kept").add(cleaned.size());
+    metrics->counter("track.built").add(ids.size());
+    metrics->counter("clean.tracks_kept").add(tracks.size());
     metrics->counter("clean.tracks_dropped").add(dropped);
   }
-  return cleaned;
+  return tracks;
 }
 
 }  // namespace cosmicdance::core

@@ -34,14 +34,16 @@ struct CleaningConfig {
   double pre_event_max_gap_days = 3.0;
 };
 
-/// Remove gross-tracking-error samples from a track (returns the count
-/// removed).  The paper's Fig 10(a)->(b) step.
-std::size_t remove_outliers(SatelliteTrack& track, const CleaningConfig& config = {});
+/// Remove gross-tracking-error samples (returns the count removed).  The
+/// paper's Fig 10(a)->(b) step.
+std::size_t remove_outliers(std::vector<TrajectorySample>& samples,
+                            const CleaningConfig& config = {});
 
-/// Remove the initial orbit-raising window (returns the count removed).
-/// Tracks that never reach their shell (lost in staging) are left intact —
-/// the pre-decay filter excludes them from event analyses downstream.
-std::size_t remove_orbit_raising(SatelliteTrack& track,
+/// Remove the initial orbit-raising window from epoch-sorted samples
+/// (returns the count removed).  Tracks that never reach their shell (lost
+/// in staging) are left intact — the pre-decay filter excludes them from
+/// event analyses downstream.
+std::size_t remove_orbit_raising(std::vector<TrajectorySample>& samples,
                                  const CleaningConfig& config = {});
 
 /// True when the satellite was already decaying at `event_jd`: either no
@@ -50,13 +52,15 @@ std::size_t remove_orbit_raising(SatelliteTrack& track,
 [[nodiscard]] bool is_pre_decayed(const SatelliteTrack& track, double event_jd,
                                   const CleaningConfig& config = {});
 
-/// Apply outlier + orbit-raising cleaning to every track, dropping tracks
-/// left empty.  Tracks are cleaned independently (one worker per track when
-/// num_threads != 1) and the survivors keep their input order, so the
-/// result is identical for every thread count.  `metrics` (optional)
-/// records clean.* counters (samples removed, tracks kept/dropped).
+/// Build one cleaned track per satellite of `catalog`, in catalog-number
+/// order: each history's samples go through remove_outliers and
+/// remove_orbit_raising, and tracks left empty are dropped.  Satellites are
+/// built independently (one worker per satellite when num_threads != 1), so
+/// the result is identical for every thread count.  `metrics` (optional)
+/// records the track.* counters (satellites, raw samples) and the clean.*
+/// counters (samples removed, tracks kept/dropped).
 [[nodiscard]] std::vector<SatelliteTrack> clean_tracks(
-    std::vector<SatelliteTrack> tracks, const CleaningConfig& config = {},
+    const tle::TleCatalog& catalog, const CleaningConfig& config = {},
     int num_threads = 1, obs::Metrics* metrics = nullptr);
 
 }  // namespace cosmicdance::core

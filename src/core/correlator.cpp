@@ -39,8 +39,9 @@ struct CellCounters {
 }  // namespace
 
 EventCorrelator::EventCorrelator(const spaceweather::DstIndex* dst,
-                                 CorrelatorConfig config)
-    : dst_(dst), config_(config) {
+                                 CorrelatorConfig config, int num_threads,
+                                 obs::Metrics* metrics)
+    : dst_(dst), config_(config), num_threads_(num_threads), metrics_(metrics) {
   if (dst_ == nullptr) throw ValidationError("correlator requires a Dst series");
 }
 
@@ -48,24 +49,22 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
     std::span<const SatelliteTrack> tracks, double event_jd, int days,
     EnvelopeSelection selection) const {
   if (days <= 0) throw ValidationError("envelope window must be positive");
-  const obs::ScopedPhase phase(config_.metrics, "correlator.envelope");
+  const obs::ScopedPhase phase(metrics_, "correlator.envelope");
   PostEventEnvelope envelope;
   envelope.event_jd = event_jd;
   envelope.days = days;
 
   // One worker per track; a track's per-day profile depends only on that
   // track, so assembling the results in track order reproduces the serial
-  // loop exactly.  Median caches are warmed first because is_pre_decayed
-  // and the humped rule both read them.
-  warm_median_caches(tracks, config_.num_threads);
-  const CellCounters cells(config_.metrics);
+  // loop exactly.
+  const CellCounters cells(metrics_);
   struct TrackProfile {
     bool selected = false;
     int catalog_number = 0;
     std::vector<double> profile;
   };
   auto profiles = exec::ordered_map<TrackProfile>(
-      tracks.size(), config_.num_threads,
+      tracks.size(), num_threads_,
       [&](std::size_t t) {
         TrackProfile result;
         const SatelliteTrack& track = tracks[t];
@@ -133,9 +132,9 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
         result.profile = std::move(profile);
         return result;
       },
-      config_.metrics);
+      metrics_);
   obs::Counter* selected =
-      obs::counter_or_null(config_.metrics, "correlator.envelope_selected");
+      obs::counter_or_null(metrics_, "correlator.envelope_selected");
   for (TrackProfile& result : profiles) {
     if (!result.selected) continue;
     obs::bump(selected);
@@ -147,7 +146,7 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
   envelope.p95_km.assign(static_cast<std::size_t>(days), kNan);
   // Each day aggregates a disjoint output slot, so days parallelise freely.
   exec::parallel_for(
-      static_cast<std::size_t>(days), config_.num_threads,
+      static_cast<std::size_t>(days), num_threads_,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t d = begin; d < end; ++d) {
           std::vector<double> day_values;
@@ -160,106 +159,101 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
           envelope.p95_km[d] = stats::percentile(day_values, 95.0);
         }
       },
-      config_.metrics);
+      metrics_);
   return envelope;
+}
+
+struct EventCorrelator::CellScan {
+  const char* phase;
+  /// Optional: true when the pre-event sample cannot anchor a value, which
+  /// drops the cell before its window is looked at.
+  bool (*rejects_pre)(const TrajectorySample& pre);
+  /// The cell's value from its pre-event sample and non-empty window, or
+  /// nullopt to drop it.
+  std::optional<double> (*measure)(const TrajectorySample& pre,
+                                   std::span<const TrajectorySample> window);
+};
+
+std::vector<double> EventCorrelator::scan_cells(
+    std::span<const SatelliteTrack> tracks, std::span<const double> event_jds,
+    const CellScan& scan) const {
+  if (tracks.empty() || event_jds.empty()) return {};
+  const obs::ScopedPhase phase(metrics_, scan.phase);
+  const CellCounters counters(metrics_);
+  // Flatten the event-major serial loop into (event, track) cells: each
+  // cell computes independently and the filtered concatenation below keeps
+  // the serial push_back order.
+  auto cells = exec::ordered_map<std::optional<double>>(
+      event_jds.size() * tracks.size(), num_threads_,
+      [&](std::size_t i) -> std::optional<double> {
+        const double event_jd = event_jds[i / tracks.size()];
+        const SatelliteTrack& track = tracks[i % tracks.size()];
+        obs::bump(counters.evaluated);
+        if (is_pre_decayed(track, event_jd, config_.cleaning)) {
+          obs::bump(counters.skipped_predecayed);
+          return std::nullopt;
+        }
+        const TrajectorySample* pre = track.at_or_before(event_jd);
+        // Guard even though is_pre_decayed rejects sample-free prefixes
+        // today; see post_event_envelope.
+        if (pre == nullptr) {
+          obs::bump(counters.skipped_no_pre);
+          return std::nullopt;
+        }
+        if (scan.rejects_pre != nullptr && scan.rejects_pre(*pre)) {
+          return std::nullopt;
+        }
+        const auto window = track.between(event_jd, event_jd + config_.window_days);
+        if (window.empty()) {
+          obs::bump(counters.skipped_empty_window);
+          return std::nullopt;
+        }
+        return scan.measure(*pre, window);
+      },
+      metrics_);
+  std::vector<double> samples;
+  for (const auto& cell : cells) {
+    if (cell.has_value()) samples.push_back(*cell);
+  }
+  if (metrics_ != nullptr) {
+    metrics_->counter("correlator.samples").add(samples.size());
+  }
+  return samples;
 }
 
 std::vector<double> EventCorrelator::altitude_change_samples(
     std::span<const SatelliteTrack> tracks,
     std::span<const double> event_jds) const {
-  if (tracks.empty() || event_jds.empty()) return {};
-  const obs::ScopedPhase phase(config_.metrics, "correlator.altitude_scan");
-  warm_median_caches(tracks, config_.num_threads);
-  const CellCounters counters(config_.metrics);
-  // Flatten the event-major serial loop into (event, track) cells: each
-  // cell computes independently and the filtered concatenation below keeps
-  // the serial push_back order.
-  auto cells = exec::ordered_map<std::optional<double>>(
-      event_jds.size() * tracks.size(), config_.num_threads,
-      [&](std::size_t i) -> std::optional<double> {
-        const double event_jd = event_jds[i / tracks.size()];
-        const SatelliteTrack& track = tracks[i % tracks.size()];
-        obs::bump(counters.evaluated);
-        if (is_pre_decayed(track, event_jd, config_.cleaning)) {
-          obs::bump(counters.skipped_predecayed);
-          return std::nullopt;
-        }
-        const TrajectorySample* pre = track.at_or_before(event_jd);
-        // Guard even though is_pre_decayed rejects sample-free prefixes
-        // today; see post_event_envelope.
-        if (pre == nullptr) {
-          obs::bump(counters.skipped_no_pre);
-          return std::nullopt;
-        }
-        const auto window = track.between(event_jd, event_jd + config_.window_days);
-        if (window.empty()) {
-          obs::bump(counters.skipped_empty_window);
-          return std::nullopt;
-        }
+  static constexpr CellScan kAltitude{
+      "correlator.altitude_scan", nullptr,
+      [](const TrajectorySample& pre, std::span<const TrajectorySample> window)
+          -> std::optional<double> {
         double max_deviation = 0.0;
         for (const TrajectorySample& sample : window) {
-          max_deviation = std::max(
-              max_deviation, std::fabs(sample.altitude_km - pre->altitude_km));
+          max_deviation = std::max(max_deviation,
+                                   std::fabs(sample.altitude_km - pre.altitude_km));
         }
         return max_deviation;
-      },
-      config_.metrics);
-  std::vector<double> samples;
-  for (const auto& cell : cells) {
-    if (cell.has_value()) samples.push_back(*cell);
-  }
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("correlator.samples").add(samples.size());
-  }
-  return samples;
+      }};
+  return scan_cells(tracks, event_jds, kAltitude);
 }
 
 std::vector<double> EventCorrelator::drag_change_samples(
     std::span<const SatelliteTrack> tracks,
     std::span<const double> event_jds) const {
-  if (tracks.empty() || event_jds.empty()) return {};
-  const obs::ScopedPhase phase(config_.metrics, "correlator.drag_scan");
-  warm_median_caches(tracks, config_.num_threads);
-  const CellCounters counters(config_.metrics);
-  auto cells = exec::ordered_map<std::optional<double>>(
-      event_jds.size() * tracks.size(), config_.num_threads,
-      [&](std::size_t i) -> std::optional<double> {
-        const double event_jd = event_jds[i / tracks.size()];
-        const SatelliteTrack& track = tracks[i % tracks.size()];
-        obs::bump(counters.evaluated);
-        if (is_pre_decayed(track, event_jd, config_.cleaning)) {
-          obs::bump(counters.skipped_predecayed);
-          return std::nullopt;
-        }
-        const TrajectorySample* pre = track.at_or_before(event_jd);
-        // Guard even though is_pre_decayed rejects sample-free prefixes
-        // today; see post_event_envelope.
-        if (pre == nullptr) {
-          obs::bump(counters.skipped_no_pre);
-          return std::nullopt;
-        }
-        if (pre->bstar <= 0.0) return std::nullopt;
-        const auto window = track.between(event_jd, event_jd + config_.window_days);
-        if (window.empty()) {
-          obs::bump(counters.skipped_empty_window);
-          return std::nullopt;
-        }
+  static constexpr CellScan kDrag{
+      "correlator.drag_scan",
+      [](const TrajectorySample& pre) { return pre.bstar <= 0.0; },
+      [](const TrajectorySample& pre, std::span<const TrajectorySample> window)
+          -> std::optional<double> {
         double max_bstar = 0.0;
         for (const TrajectorySample& sample : window) {
           max_bstar = std::max(max_bstar, sample.bstar);
         }
         if (max_bstar <= 0.0) return std::nullopt;
-        return max_bstar / pre->bstar;
-      },
-      config_.metrics);
-  std::vector<double> samples;
-  for (const auto& cell : cells) {
-    if (cell.has_value()) samples.push_back(*cell);
-  }
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("correlator.samples").add(samples.size());
-  }
-  return samples;
+        return max_bstar / pre.bstar;
+      }};
+  return scan_cells(tracks, event_jds, kDrag);
 }
 
 std::vector<double> EventCorrelator::storm_event_epochs(double max_peak_nt) const {

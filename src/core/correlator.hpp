@@ -29,14 +29,6 @@ struct CorrelatorConfig {
   /// the strict-inequality test is not satisfied by tracker noise alone
   /// (implementation choice; the paper's CSpOC data has its own noise floor).
   double humped_min_excursion_km = 2.0;
-  /// Worker count for the per-satellite correlation scans (0 = all hardware
-  /// threads, 1 = serial).  Results are identical for every value — see the
-  /// exec::parallel_for ordering contract.
-  int num_threads = 1;
-  /// Observability registry for the scans (cells evaluated/skipped, phase
-  /// wall times); nullptr disables collection.  Mirrors
-  /// PipelineConfig::metrics — the pipeline copies its handle here.
-  obs::Metrics* metrics = nullptr;
 };
 
 /// Per-day post-event altitude-deviation envelope (Fig 4).
@@ -63,8 +55,13 @@ enum class EnvelopeSelection {
 
 class EventCorrelator {
  public:
-  /// `dst` is non-owning and must outlive the correlator.
-  EventCorrelator(const spaceweather::DstIndex* dst, CorrelatorConfig config = {});
+  /// `dst` is non-owning and must outlive the correlator.  `num_threads`
+  /// runs the per-satellite scans (0 = all hardware threads, 1 = serial);
+  /// results are identical for every value — see the exec::parallel_for
+  /// ordering contract.  `metrics` (optional, non-owning) records the
+  /// scans' cell counters and phase wall times.
+  EventCorrelator(const spaceweather::DstIndex* dst, CorrelatorConfig config = {},
+                  int num_threads = 1, obs::Metrics* metrics = nullptr);
 
   /// Post-event deviation envelope over `days` days after `event_jd`.
   [[nodiscard]] PostEventEnvelope post_event_envelope(
@@ -102,8 +99,17 @@ class EventCorrelator {
   [[nodiscard]] const CorrelatorConfig& config() const noexcept { return config_; }
 
  private:
+  /// What altitude_change_samples and drag_change_samples plug into the
+  /// shared (event, satellite) cell scan.
+  struct CellScan;
+  [[nodiscard]] std::vector<double> scan_cells(
+      std::span<const SatelliteTrack> tracks, std::span<const double> event_jds,
+      const CellScan& scan) const;
+
   const spaceweather::DstIndex* dst_;
   CorrelatorConfig config_;
+  int num_threads_;
+  obs::Metrics* metrics_;
 };
 
 }  // namespace cosmicdance::core

@@ -1,5 +1,6 @@
 #include "core/latitude.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -10,42 +11,45 @@
 
 namespace cosmicdance::core {
 
-tle::Tle tle_from_sample(int catalog_number, const TrajectorySample& sample) {
-  tle::Tle record;
-  record.catalog_number = catalog_number;
-  record.international_designator = "00000A";  // not carried by samples
-  record.epoch_jd = sample.epoch_jd;
-  record.inclination_deg = sample.inclination_deg;
-  record.raan_deg = sample.raan_deg;
-  record.eccentricity = sample.eccentricity;
-  record.arg_perigee_deg = sample.arg_perigee_deg;
-  record.mean_anomaly_deg = sample.mean_anomaly_deg;
-  record.mean_motion_revday = sample.mean_motion_revday;
-  record.bstar = sample.bstar;
-  return record;
+namespace {
+
+/// The record of `history` whose epoch is `epoch_jd`; a satellite's epochs
+/// are unique (tle::kDuplicateEpochDays).
+const tle::Tle& record_at(std::span<const tle::Tle> history, double epoch_jd) {
+  const auto it = std::lower_bound(
+      history.begin(), history.end(), epoch_jd,
+      [](const tle::Tle& t, double value) { return t.epoch_jd < value; });
+  if (it == history.end() || it->epoch_jd != epoch_jd) {
+    throw ValidationError("track sample has no catalog record at its epoch");
+  }
+  return *it;
 }
 
-double sample_latitude_deg(int catalog_number, const TrajectorySample& sample) {
-  const sgp4::Sgp4Propagator propagator(tle_from_sample(catalog_number, sample));
+}  // namespace
+
+double sample_latitude_deg(const tle::Tle& tle) {
+  const sgp4::Sgp4Propagator propagator(tle);
   const orbit::StateVector sv = propagator.propagate_minutes(0.0);
-  const orbit::Vec3 ecef = orbit::teme_to_ecef(sv.position_km, sample.epoch_jd);
+  const orbit::Vec3 ecef = orbit::teme_to_ecef(sv.position_km, tle.epoch_jd);
   const orbit::Geodetic geo = orbit::ecef_to_geodetic(ecef);
   return std::fabs(units::rad2deg(geo.latitude_rad));
 }
 
 std::vector<LatitudeBandStats> latitude_band_drag(
-    std::span<const SatelliteTrack> tracks, double jd_lo, double jd_hi,
-    int bands) {
+    std::span<const SatelliteTrack> tracks, const tle::TleCatalog& catalog,
+    double jd_lo, double jd_hi, int bands) {
   if (bands < 1) throw ValidationError("latitude bands must be >= 1");
   const double width = 90.0 / bands;
   std::vector<std::vector<double>> bstars(static_cast<std::size_t>(bands));
   std::size_t total = 0;
 
   for (const SatelliteTrack& track : tracks) {
+    const auto history = catalog.history(track.catalog_number());
     for (const TrajectorySample& sample : track.between(jd_lo, jd_hi)) {
+      const tle::Tle& record = record_at(history, sample.epoch_jd);
       double latitude = 0.0;
       try {
-        latitude = sample_latitude_deg(track.catalog_number(), sample);
+        latitude = sample_latitude_deg(record);
       } catch (const Error&) {
         continue;  // gross tracking error / unpropagatable record
       }

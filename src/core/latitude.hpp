@@ -4,13 +4,15 @@
 // latitude-band-wise study becomes possible once TLEs are frequent enough.
 // This module provides that machinery today: every TLE is geolocated at its
 // own epoch (SGP4 state -> GMST rotation -> geodetic latitude) and samples
-// are aggregated per |latitude| band.
+// are aggregated per |latitude| band.  A track sample's elements are those
+// of the catalog record with its epoch.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "core/track.hpp"
+#include "tle/catalog.hpp"
 #include "tle/tle.hpp"
 
 namespace cosmicdance::core {
@@ -25,20 +27,16 @@ struct LatitudeBandStats {
   double p95_bstar = 0.0;
 };
 
-/// Reconstruct a propagatable TLE record from a pipeline sample.
-[[nodiscard]] tle::Tle tle_from_sample(int catalog_number,
-                                       const TrajectorySample& sample);
-
-/// Geodetic |latitude| (degrees) of a track sample at its epoch.
+/// Geodetic |latitude| (degrees) of a TLE at its own epoch.
 /// Throws PropagationError if SGP4 rejects the element set.
-[[nodiscard]] double sample_latitude_deg(int catalog_number,
-                                         const TrajectorySample& sample);
+[[nodiscard]] double sample_latitude_deg(const tle::Tle& tle);
 
-/// Bin every sample with epoch in [jd_lo, jd_hi) into |latitude| bands of
-/// equal width covering [0, 90).  Samples whose elements fail to propagate
-/// (gross tracking errors) are skipped.
+/// Bin every track sample with epoch in [jd_lo, jd_hi) into |latitude|
+/// bands of equal width covering [0, 90), geolocating each with its record
+/// in `catalog` (the tracks must come from that catalog).  Samples whose
+/// elements fail to propagate (gross tracking errors) are skipped.
 [[nodiscard]] std::vector<LatitudeBandStats> latitude_band_drag(
-    std::span<const SatelliteTrack> tracks, double jd_lo, double jd_hi,
-    int bands = 6);
+    std::span<const SatelliteTrack> tracks, const tle::TleCatalog& catalog,
+    double jd_lo, double jd_hi, int bands = 6);
 
 }  // namespace cosmicdance::core

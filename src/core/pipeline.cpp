@@ -10,16 +10,6 @@
 #include "spaceweather/wdc.hpp"
 
 namespace cosmicdance::core {
-namespace {
-
-/// The pipeline-wide knobs govern the correlator's scans too.
-PipelineConfig with_correlator_knobs(PipelineConfig config) {
-  config.correlator.num_threads = config.num_threads;
-  config.correlator.metrics = config.metrics;
-  return config;
-}
-
-}  // namespace
 
 CosmicDance::CosmicDance(spaceweather::DstIndex dst, tle::TleCatalog catalog,
                          PipelineConfig config)
@@ -29,22 +19,15 @@ CosmicDance::CosmicDance(spaceweather::DstIndex dst, tle::TleCatalog catalog,
 
 CosmicDance::CosmicDance(std::shared_ptr<const io::SnapshotData> inputs,
                          PipelineConfig config, std::future<void> snapshot_save)
-    : config_(with_correlator_knobs(std::move(config))),
+    : config_(std::move(config)),
       inputs_(std::move(inputs)),
-      correlator_(&inputs_->dst, config_.correlator),
+      correlator_(&inputs_->dst, config_.correlator, config_.num_threads,
+                  config_.metrics),
       snapshot_save_(std::move(snapshot_save)) {
-  std::vector<SatelliteTrack> built;
   {
     const obs::ScopedPhase phase(config_.metrics, "pipeline.build_tracks");
-    built = tracks_from_catalog(catalog(), config_.num_threads, config_.metrics);
-  }
-  tracks_ = clean_tracks(std::move(built), config_.correlator.cleaning,
-                         config_.num_threads, config_.metrics);
-  {
-    // Warm the median caches while each track is still touched by exactly
-    // one worker; the correlator can then read them concurrently.
-    const obs::ScopedPhase phase(config_.metrics, "pipeline.warm_median_caches");
-    warm_median_caches(tracks_, config_.num_threads);
+    tracks_ = clean_tracks(catalog(), config_.correlator.cleaning,
+                           config_.num_threads, config_.metrics);
   }
   if (config_.metrics != nullptr) {
     config_.metrics->set_gauge("pipeline.num_threads_requested",

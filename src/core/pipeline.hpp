@@ -87,7 +87,9 @@ class CosmicDance {
   [[nodiscard]] std::span<const SatelliteTrack> tracks() const noexcept {
     return tracks_;
   }
-  /// Tracks built from the raw catalog with no cleaning (Fig 10a).
+  /// Tracks built from the raw catalog with no cleaning.  Fig 10(a) reads
+  /// all_altitudes(catalog()) instead; the in-process benchmark still
+  /// calls this.
   [[nodiscard]] std::vector<SatelliteTrack> raw_tracks() const;
 
   // ---- solar-activity views (Figs 1-2) -------------------------------------

@@ -9,45 +9,34 @@
 
 namespace cosmicdance::core {
 
-SatelliteTrack::SatelliteTrack(int catalog_number,
-                               std::vector<TrajectorySample> samples)
-    : catalog_(catalog_number), samples_(std::move(samples)) {
-  std::sort(samples_.begin(), samples_.end(),
-            [](const TrajectorySample& a, const TrajectorySample& b) {
-              return a.epoch_jd < b.epoch_jd;
-            });
-}
-
-SatelliteTrack SatelliteTrack::from_tles(int catalog_number,
-                                         std::span<const tle::Tle> history) {
+std::vector<TrajectorySample> samples_of(std::span<const tle::Tle> history) {
   std::vector<TrajectorySample> samples;
   samples.reserve(history.size());
   for (const tle::Tle& tle : history) {
-    TrajectorySample sample;
-    sample.epoch_jd = tle.epoch_jd;
-    sample.altitude_km = tle.altitude_km();
-    sample.bstar = tle.bstar;
-    sample.inclination_deg = tle.inclination_deg;
-    sample.raan_deg = tle.raan_deg;
-    sample.eccentricity = tle.eccentricity;
-    sample.arg_perigee_deg = tle.arg_perigee_deg;
-    sample.mean_anomaly_deg = tle.mean_anomaly_deg;
-    sample.mean_motion_revday = tle.mean_motion_revday;
-    samples.push_back(sample);
+    samples.push_back({tle.epoch_jd, tle.altitude_km(), tle.bstar});
   }
-  return SatelliteTrack(catalog_number, std::move(samples));
+  return samples;
+}
+
+SatelliteTrack::SatelliteTrack(int catalog_number,
+                               std::vector<TrajectorySample> samples)
+    : catalog_(catalog_number), samples_(std::move(samples)) {
+  const auto by_epoch = [](const TrajectorySample& a, const TrajectorySample& b) {
+    return a.epoch_jd < b.epoch_jd;
+  };
+  if (!std::is_sorted(samples_.begin(), samples_.end(), by_epoch)) {
+    std::sort(samples_.begin(), samples_.end(), by_epoch);
+  }
+  if (samples_.empty()) return;
+  std::vector<double> altitudes;
+  altitudes.reserve(samples_.size());
+  for (const TrajectorySample& s : samples_) altitudes.push_back(s.altitude_km);
+  median_altitude_km_ = stats::median(altitudes);
 }
 
 double SatelliteTrack::median_altitude_km() const {
   if (samples_.empty()) throw ValidationError("median altitude of empty track");
-  if (!median_cache_valid_) {
-    std::vector<double> altitudes;
-    altitudes.reserve(samples_.size());
-    for (const TrajectorySample& s : samples_) altitudes.push_back(s.altitude_km);
-    cached_median_altitude_ = stats::median(altitudes);
-    median_cache_valid_ = true;
-  }
-  return cached_median_altitude_;
+  return median_altitude_km_;
 }
 
 const TrajectorySample* SatelliteTrack::at_or_before(double jd) const noexcept {
@@ -56,14 +45,6 @@ const TrajectorySample* SatelliteTrack::at_or_before(double jd) const noexcept {
       [](double value, const TrajectorySample& s) { return value < s.epoch_jd; });
   if (it == samples_.begin()) return nullptr;
   return &*(it - 1);
-}
-
-const TrajectorySample* SatelliteTrack::at_or_after(double jd) const noexcept {
-  const auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), jd,
-      [](const TrajectorySample& s, double value) { return s.epoch_jd < value; });
-  if (it == samples_.end()) return nullptr;
-  return &*it;
 }
 
 std::span<const TrajectorySample> SatelliteTrack::between(double jd_lo,
@@ -78,29 +59,6 @@ std::span<const TrajectorySample> SatelliteTrack::between(double jd_lo,
   return {&*lo, static_cast<std::size_t>(hi - lo)};
 }
 
-std::vector<stats::TimedValue> SatelliteTrack::altitude_series() const {
-  std::vector<stats::TimedValue> out;
-  out.reserve(samples_.size());
-  for (const TrajectorySample& s : samples_) out.push_back({s.epoch_jd, s.altitude_km});
-  return out;
-}
-
-std::vector<stats::TimedValue> SatelliteTrack::bstar_series() const {
-  std::vector<stats::TimedValue> out;
-  out.reserve(samples_.size());
-  for (const TrajectorySample& s : samples_) out.push_back({s.epoch_jd, s.bstar});
-  return out;
-}
-
-void SatelliteTrack::set_samples(std::vector<TrajectorySample> samples) {
-  samples_ = std::move(samples);
-  median_cache_valid_ = false;
-  std::sort(samples_.begin(), samples_.end(),
-            [](const TrajectorySample& a, const TrajectorySample& b) {
-              return a.epoch_jd < b.epoch_jd;
-            });
-}
-
 std::vector<SatelliteTrack> tracks_from_catalog(const tle::TleCatalog& catalog,
                                                 int num_threads,
                                                 obs::Metrics* metrics) {
@@ -108,7 +66,7 @@ std::vector<SatelliteTrack> tracks_from_catalog(const tle::TleCatalog& catalog,
   auto tracks = exec::ordered_map<SatelliteTrack>(
       ids.size(), num_threads,
       [&](std::size_t i) {
-        return SatelliteTrack::from_tles(ids[i], catalog.history(ids[i]));
+        return SatelliteTrack(ids[i], samples_of(catalog.history(ids[i])));
       },
       metrics);
   if (metrics != nullptr) {
@@ -118,17 +76,6 @@ std::vector<SatelliteTrack> tracks_from_catalog(const tle::TleCatalog& catalog,
     metrics->counter("track.samples").add(samples);
   }
   return tracks;
-}
-
-void warm_median_caches(std::span<const SatelliteTrack> tracks, int num_threads) {
-  exec::parallel_for(tracks.size(), num_threads,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         if (!tracks[i].empty()) {
-                           static_cast<void>(tracks[i].median_altitude_km());
-                         }
-                       }
-                     });
 }
 
 }  // namespace cosmicdance::core

@@ -1,14 +1,14 @@
 // Per-satellite trajectory tracks derived from TLE histories.
 //
-// A track is the pipeline's working representation of one satellite: the
-// orbital elements of every TLE plus the paper's two derived observables —
-// altitude (from mean motion) and drag (the B* term).
+// A track is the pipeline's working representation of one satellite: each
+// TLE reduced to the paper's two derived observables — altitude (from mean
+// motion) and drag (the B* term) — at its epoch.  The orbital elements stay
+// in the catalog; a sample's record is the one with its epoch.
 #pragma once
 
-#include <optional>
+#include <span>
 #include <vector>
 
-#include "stats/rolling.hpp"
 #include "tle/catalog.hpp"
 
 namespace cosmicdance::obs {
@@ -22,24 +22,19 @@ struct TrajectorySample {
   double epoch_jd = 0.0;
   double altitude_km = 0.0;  ///< derived from mean motion
   double bstar = 0.0;        ///< the paper's "atmospheric drag" observable
-  double inclination_deg = 0.0;
-  double raan_deg = 0.0;
-  double eccentricity = 0.0;
-  double arg_perigee_deg = 0.0;
-  double mean_anomaly_deg = 0.0;
-  double mean_motion_revday = 0.0;
 };
+static_assert(sizeof(TrajectorySample) == 24);
 
-/// Epoch-sorted trajectory of one satellite.
+/// The samples of a satellite's TLE history, in history order.
+[[nodiscard]] std::vector<TrajectorySample> samples_of(
+    std::span<const tle::Tle> history);
+
+/// Epoch-sorted trajectory of one satellite, immutable once built.
 class SatelliteTrack {
  public:
   SatelliteTrack() = default;
+  /// Orders the samples by epoch and takes their median altitude once.
   SatelliteTrack(int catalog_number, std::vector<TrajectorySample> samples);
-
-  /// Build from a satellite's TLE history (assumed epoch-sorted, as
-  /// TleCatalog guarantees).
-  static SatelliteTrack from_tles(int catalog_number,
-                                  std::span<const tle::Tle> history);
 
   [[nodiscard]] int catalog_number() const noexcept { return catalog_; }
   [[nodiscard]] const std::vector<TrajectorySample>& samples() const noexcept {
@@ -53,41 +48,23 @@ class SatelliteTrack {
 
   /// Last sample at or before `jd`, or nullptr.
   [[nodiscard]] const TrajectorySample* at_or_before(double jd) const noexcept;
-  /// First sample at or after `jd`, or nullptr.
-  [[nodiscard]] const TrajectorySample* at_or_after(double jd) const noexcept;
 
   /// Samples with epoch in [jd_lo, jd_hi).
   [[nodiscard]] std::span<const TrajectorySample> between(double jd_lo,
                                                           double jd_hi) const noexcept;
 
-  /// (epoch, altitude) view for the windowed-statistics helpers.
-  [[nodiscard]] std::vector<stats::TimedValue> altitude_series() const;
-  /// (epoch, bstar) view.
-  [[nodiscard]] std::vector<stats::TimedValue> bstar_series() const;
-
-  /// Replace the sample set (used by the cleaning passes).
-  void set_samples(std::vector<TrajectorySample> samples);
-
  private:
   int catalog_ = 0;
   std::vector<TrajectorySample> samples_;
-  /// Lazy cache for median_altitude_km(): the event correlator queries it
-  /// once per (event, satellite) pair; invalidated by set_samples.
-  mutable double cached_median_altitude_ = 0.0;
-  mutable bool median_cache_valid_ = false;
+  double median_altitude_km_ = 0.0;
 };
 
-/// Build one track per satellite from a catalog, in catalog-number order.
-/// num_threads: 0 = all hardware threads, 1 = serial, n = n workers; the
-/// output is identical for every value (exec::parallel_for contract).
+/// Build one uncleaned track per satellite from a catalog, in catalog-number
+/// order.  num_threads: 0 = all hardware threads, 1 = serial, n = n workers;
+/// the output is identical for every value (exec::parallel_for contract).
 /// `metrics` (optional) records track.built / track.samples counters.
 [[nodiscard]] std::vector<SatelliteTrack> tracks_from_catalog(
     const tle::TleCatalog& catalog, int num_threads = 1,
     obs::Metrics* metrics = nullptr);
-
-/// Populate every non-empty track's median-altitude cache, one track per
-/// worker.  Call before sharing a track set across threads: afterwards the
-/// cache is read-only, so concurrent median_altitude_km() calls are safe.
-void warm_median_caches(std::span<const SatelliteTrack> tracks, int num_threads);
 
 }  // namespace cosmicdance::core

@@ -23,8 +23,8 @@
 // pool per request.  The memo needs no lock and no lazy fill: it is
 // complete before any reader can see the snapshot, and never changes.
 //
-// The pipeline's const surface is safe to share: track median caches are
-// warmed eagerly by the CosmicDance constructor, the propagate ops draw
+// The pipeline's const surface is safe to share: tracks are immutable once
+// the CosmicDance constructor has built them, the propagate ops draw
 // from the shared exec pool (a plain mutex-guarded task queue, safe to
 // enter from many request threads at once), and everything else is pure
 // reads.

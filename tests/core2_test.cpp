@@ -23,8 +23,6 @@ TrajectorySample sample_at(double jd, double altitude, double bstar = 2e-4) {
   s.epoch_jd = jd;
   s.altitude_km = altitude;
   s.bstar = bstar;
-  s.mean_motion_revday = orbit::mean_motion_from_altitude_km(altitude);
-  s.inclination_deg = 53.0;
   return s;
 }
 
@@ -142,17 +140,20 @@ TEST(Correlator2Test, WindowDaysConfigRespected) {
 // ------------------------------- cleaning -----------------------------------
 
 TEST(Cleaning2Test, SingleSampleTrack) {
-  SatelliteTrack track(1, {sample_at(kJd0, 550.0)});
-  EXPECT_EQ(remove_outliers(track), 0u);
-  EXPECT_EQ(remove_orbit_raising(track), 0u);
+  std::vector<TrajectorySample> samples{sample_at(kJd0, 550.0)};
+  EXPECT_EQ(remove_outliers(samples), 0u);
+  EXPECT_EQ(remove_orbit_raising(samples), 0u);
+  const SatelliteTrack track(1, std::move(samples));
   EXPECT_EQ(track.size(), 1u);
   // Pre-decay: fine at its own epoch (fresh sample, zero deviation).
   EXPECT_FALSE(is_pre_decayed(track, kJd0 + 0.5));
 }
 
 TEST(Cleaning2Test, AllOutliersLeavesEmptyTrack) {
-  SatelliteTrack track(1, {sample_at(kJd0, 39000.0), sample_at(kJd0 + 1, 20000.0)});
-  EXPECT_EQ(remove_outliers(track), 2u);
+  std::vector<TrajectorySample> samples{sample_at(kJd0, 39000.0),
+                                        sample_at(kJd0 + 1, 20000.0)};
+  EXPECT_EQ(remove_outliers(samples), 2u);
+  const SatelliteTrack track(1, std::move(samples));
   EXPECT_TRUE(track.empty());
   EXPECT_TRUE(is_pre_decayed(track, kJd0));
 }
@@ -160,9 +161,10 @@ TEST(Cleaning2Test, AllOutliersLeavesEmptyTrack) {
 TEST(Cleaning2Test, CustomOutlierBounds) {
   CleaningConfig config;
   config.outlier_max_altitude_km = 600.0;
-  SatelliteTrack track(1, {sample_at(kJd0, 620.0), sample_at(kJd0 + 1, 550.0)});
-  EXPECT_EQ(remove_outliers(track, config), 1u);
-  EXPECT_NEAR(track.samples()[0].altitude_km, 550.0, 1e-9);
+  std::vector<TrajectorySample> samples{sample_at(kJd0, 620.0),
+                                        sample_at(kJd0 + 1, 550.0)};
+  EXPECT_EQ(remove_outliers(samples, config), 1u);
+  EXPECT_NEAR(samples[0].altitude_km, 550.0, 1e-9);
 }
 
 TEST(Cleaning2Test, RaisingFilterKeepsPostRaiseDecay) {
@@ -174,12 +176,11 @@ TEST(Cleaning2Test, RaisingFilterKeepsPostRaiseDecay) {
     if (t > 110.0) altitude = 550.0 - 5.0 * (t - 110.0);  // decay at the end
     samples.push_back(sample_at(kJd0 + t, altitude));
   }
-  SatelliteTrack track(1, std::move(samples));
-  remove_orbit_raising(track);
+  remove_orbit_raising(samples);
   // The shell estimate (90th ptile) sits just under 550 because the decay
   // tail drags it; the cut still lands within the margin of the shell.
-  EXPECT_GE(track.samples().front().altitude_km, 540.0);
-  EXPECT_LT(track.samples().back().altitude_km, 520.0);  // decay retained
+  EXPECT_GE(samples.front().altitude_km, 540.0);
+  EXPECT_LT(samples.back().altitude_km, 520.0);  // decay retained
 }
 
 // ------------------------------- pipeline -----------------------------------

@@ -26,8 +26,6 @@ TrajectorySample sample_at(double jd, double altitude, double bstar = 2e-4) {
   s.epoch_jd = jd;
   s.altitude_km = altitude;
   s.bstar = bstar;
-  s.inclination_deg = 53.0;
-  s.mean_motion_revday = orbit::mean_motion_from_altitude_km(altitude);
   return s;
 }
 
@@ -85,8 +83,6 @@ TEST(TrackTest, Lookups) {
   const SatelliteTrack track = flat_track(1, 550.0, 10.0, kJd0);
   EXPECT_EQ(track.at_or_before(kJd0 - 1.0), nullptr);
   EXPECT_NEAR(track.at_or_before(kJd0 + 1.25)->epoch_jd, kJd0 + 1.0, 1e-9);
-  EXPECT_NEAR(track.at_or_after(kJd0 + 1.25)->epoch_jd, kJd0 + 1.5, 1e-9);
-  EXPECT_EQ(track.at_or_after(kJd0 + 100.0), nullptr);
   EXPECT_EQ(track.between(kJd0 + 1.0, kJd0 + 3.0).size(), 4u);
   EXPECT_TRUE(track.between(kJd0 + 50.0, kJd0 + 60.0).empty());
 }
@@ -96,15 +92,6 @@ TEST(TrackTest, MedianAltitude) {
   EXPECT_NEAR(track.median_altitude_km(), 547.5, 1e-9);
   const SatelliteTrack empty(2, {});
   EXPECT_THROW(static_cast<void>(empty.median_altitude_km()), ValidationError);
-}
-
-TEST(TrackTest, SeriesViews) {
-  const SatelliteTrack track = flat_track(1, 550.0, 5.0, kJd0);
-  const auto altitudes = track.altitude_series();
-  const auto bstars = track.bstar_series();
-  ASSERT_EQ(altitudes.size(), track.size());
-  EXPECT_DOUBLE_EQ(altitudes.front().value, 550.0);
-  EXPECT_DOUBLE_EQ(bstars.front().value, 2e-4);
 }
 
 TEST(TrackTest, FromTles) {
@@ -127,15 +114,26 @@ TEST(TrackTest, FromTles) {
 }
 
 TEST(CleaningTest, OutlierRemoval) {
-  SatelliteTrack track(1, {sample_at(kJd0, 550.0), sample_at(kJd0 + 1, 40000.0),
-                           sample_at(kJd0 + 2, 90.0), sample_at(kJd0 + 3, 651.0),
-                           sample_at(kJd0 + 4, 649.0)});
-  EXPECT_EQ(remove_outliers(track), 3u);
-  EXPECT_EQ(track.size(), 2u);
-  for (const auto& s : track.samples()) {
+  std::vector<TrajectorySample> samples{
+      sample_at(kJd0, 550.0), sample_at(kJd0 + 1, 40000.0),
+      sample_at(kJd0 + 2, 90.0), sample_at(kJd0 + 3, 651.0),
+      sample_at(kJd0 + 4, 649.0)};
+  EXPECT_EQ(remove_outliers(samples), 3u);
+  EXPECT_EQ(samples.size(), 2u);
+  for (const auto& s : samples) {
     EXPECT_GT(s.altitude_km, 100.0);
     EXPECT_LE(s.altitude_km, 650.0);
   }
+}
+
+TEST(CleaningTest, OutlierBoundsExcludeFloorKeepCeiling) {
+  // The kept band is (min, max]: a sample exactly at the floor is an
+  // outlier, one exactly at the ceiling is not.
+  std::vector<TrajectorySample> samples{sample_at(kJd0, 100.0),
+                                        sample_at(kJd0 + 1, 650.0)};
+  EXPECT_EQ(remove_outliers(samples), 1u);
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].altitude_km, 650.0);
 }
 
 TEST(CleaningTest, OrbitRaisingRemoval) {
@@ -147,21 +145,20 @@ TEST(CleaningTest, OrbitRaisingRemoval) {
     if (t >= 70.0) altitude = 550.0;
     samples.push_back(sample_at(kJd0 + t, altitude));
   }
-  SatelliteTrack track(1, std::move(samples));
-  const std::size_t removed = remove_orbit_raising(track);
+  const std::size_t removed = remove_orbit_raising(samples);
   EXPECT_GT(removed, 100u);  // staging + raising dropped
-  EXPECT_GE(track.samples().front().altitude_km, 545.0);
+  EXPECT_GE(samples.front().altitude_km, 545.0);
 }
 
 TEST(CleaningTest, FlatTrackUntouchedByRaisingFilter) {
-  SatelliteTrack track = flat_track(1, 550.0, 30.0);
-  EXPECT_EQ(remove_orbit_raising(track), 0u);
-  EXPECT_EQ(track.size(), 60u);
+  std::vector<TrajectorySample> samples = flat_track(1, 550.0, 30.0).samples();
+  EXPECT_EQ(remove_orbit_raising(samples), 0u);
+  EXPECT_EQ(samples.size(), 60u);
 }
 
 TEST(CleaningTest, NeverRaisedTrackKeptIntact) {
-  SatelliteTrack track = flat_track(1, 350.0, 30.0);
-  EXPECT_EQ(remove_orbit_raising(track), 0u);
+  std::vector<TrajectorySample> samples = flat_track(1, 350.0, 30.0).samples();
+  EXPECT_EQ(remove_orbit_raising(samples), 0u);
 }
 
 TEST(CleaningTest, PreDecayFilter) {
@@ -188,10 +185,22 @@ TEST(CleaningTest, PreDecayRequiresFreshSample) {
 }
 
 TEST(CleaningTest, CleanTracksDropsEmpty) {
-  std::vector<SatelliteTrack> tracks;
-  tracks.push_back(flat_track(1, 550.0, 10.0));
-  tracks.push_back(SatelliteTrack(2, {sample_at(kJd0, 40000.0)}));  // all outliers
-  const auto cleaned = clean_tracks(std::move(tracks));
+  tle::TleCatalog catalog;
+  tle::Tle record;
+  record.international_designator = "20001A";
+  record.inclination_deg = 53.0;
+  record.bstar = 2e-4;
+  record.catalog_number = 1;
+  record.mean_motion_revday = orbit::mean_motion_from_altitude_km(550.0);
+  for (double t = 0.0; t < 10.0; t += 0.5) {
+    record.epoch_jd = kJd0 - 60.0 + t;
+    catalog.add(record);
+  }
+  record.catalog_number = 2;  // all outliers
+  record.epoch_jd = kJd0;
+  record.mean_motion_revday = orbit::mean_motion_from_altitude_km(40000.0);
+  catalog.add(record);
+  const auto cleaned = clean_tracks(catalog);
   ASSERT_EQ(cleaned.size(), 1u);
   EXPECT_EQ(cleaned[0].catalog_number(), 1);
 }

@@ -1,21 +1,18 @@
 // Tests for the paper's future-work extensions: streaming storm triggers,
 // latitude-band analysis, shell-trespass/Kessler exposure, orbital-lifetime
-// estimation, the incremental TLE store, and the what-if scenarios.
+// estimation, and the what-if scenarios.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "atmosphere/lifetime.hpp"
 #include "common/error.hpp"
 #include "core/latitude.hpp"
 #include "core/shells.hpp"
 #include "core/trigger.hpp"
-#include "io/file.hpp"
 #include "orbit/elements.hpp"
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
-#include "tle/store.hpp"
 
 namespace cosmicdance {
 namespace {
@@ -131,25 +128,26 @@ TEST(TriggerTest, ReplayPairsOnsetsAndReleases) {
 
 // ------------------------- latitude-band analysis ---------------------------
 
-TrajectorySample leo_sample(double jd, double mean_anomaly_deg,
-                            double inclination_deg = 53.0) {
-  TrajectorySample s;
-  s.epoch_jd = jd;
-  s.altitude_km = 550.0;
-  s.mean_motion_revday = orbit::mean_motion_from_altitude_km(550.0);
-  s.inclination_deg = inclination_deg;
-  s.raan_deg = 123.0;
-  s.eccentricity = 1e-4;
-  s.arg_perigee_deg = 0.0;
-  s.mean_anomaly_deg = mean_anomaly_deg;
-  s.bstar = 3e-4;
-  return s;
+tle::Tle leo_record(double jd, double mean_anomaly_deg,
+                    double inclination_deg = 53.0) {
+  tle::Tle t;
+  t.catalog_number = 45000;
+  t.international_designator = "20001A";
+  t.epoch_jd = jd;
+  t.mean_motion_revday = orbit::mean_motion_from_altitude_km(550.0);
+  t.inclination_deg = inclination_deg;
+  t.raan_deg = 123.0;
+  t.eccentricity = 1e-4;
+  t.arg_perigee_deg = 0.0;
+  t.mean_anomaly_deg = mean_anomaly_deg;
+  t.bstar = 3e-4;
+  return t;
 }
 
 TEST(LatitudeTest, SampleLatitudeBoundedByInclination) {
   const double jd = timeutil::to_julian(make_datetime(2023, 6, 1));
   for (double ma = 0.0; ma < 360.0; ma += 15.0) {
-    const double lat = core::sample_latitude_deg(45000, leo_sample(jd, ma));
+    const double lat = core::sample_latitude_deg(leo_record(jd, ma));
     EXPECT_GE(lat, 0.0);
     EXPECT_LE(lat, 53.5);  // |latitude| can never exceed the inclination
   }
@@ -157,8 +155,7 @@ TEST(LatitudeTest, SampleLatitudeBoundedByInclination) {
 
 TEST(LatitudeTest, EquatorialOrbitStaysEquatorial) {
   const double jd = timeutil::to_julian(make_datetime(2023, 6, 1));
-  const double lat =
-      core::sample_latitude_deg(45000, leo_sample(jd, 77.0, 0.1));
+  const double lat = core::sample_latitude_deg(leo_record(jd, 77.0, 0.1));
   EXPECT_LT(lat, 1.0);
 }
 
@@ -166,13 +163,13 @@ TEST(LatitudeTest, DwellConcentratesNearInclination) {
   // Uniformly-phased samples of a 53-degree orbit dwell longest near the
   // turning latitude — the classic ground-track density shape.
   const double jd0 = timeutil::to_julian(make_datetime(2023, 6, 1));
-  std::vector<TrajectorySample> samples;
+  tle::TleCatalog catalog;
   for (int i = 0; i < 720; ++i) {
-    samples.push_back(leo_sample(jd0 + i * 0.013, i * 11.25));
+    catalog.add(leo_record(jd0 + i * 0.013, i * 11.25));
   }
-  std::vector<SatelliteTrack> tracks;
-  tracks.emplace_back(45000, std::move(samples));
-  const auto bands = core::latitude_band_drag(tracks, jd0 - 1.0, jd0 + 100.0, 6);
+  const auto tracks = core::tracks_from_catalog(catalog);
+  const auto bands =
+      core::latitude_band_drag(tracks, catalog, jd0 - 1.0, jd0 + 100.0, 6);
   ASSERT_EQ(bands.size(), 6u);
   // Band [45,60) contains the 53-degree turning latitude: heavier dwell
   // than the equatorial band; nothing above 60.
@@ -186,18 +183,22 @@ TEST(LatitudeTest, DwellConcentratesNearInclination) {
 
 TEST(LatitudeTest, SkipsUnpropagatableSamples) {
   const double jd0 = timeutil::to_julian(make_datetime(2023, 6, 1));
-  TrajectorySample bad = leo_sample(jd0, 10.0);
-  bad.altitude_km = 80.0;  // below ground perigee once eccentric
+  tle::Tle bad = leo_record(jd0 + 0.1, 10.0);
+  // below ground perigee once eccentric
   bad.mean_motion_revday = orbit::mean_motion_from_altitude_km(80.0);
   bad.eccentricity = 0.05;
-  std::vector<SatelliteTrack> tracks;
-  tracks.emplace_back(45000,
-                      std::vector<TrajectorySample>{leo_sample(jd0, 0.0), bad});
-  const auto bands = core::latitude_band_drag(tracks, jd0 - 1.0, jd0 + 1.0, 3);
+  tle::TleCatalog catalog;
+  catalog.add(leo_record(jd0, 0.0));
+  catalog.add(bad);
+  // Uncleaned, so the 80 km record reaches the geolocation.
+  const auto tracks = core::tracks_from_catalog(catalog);
+  const auto bands =
+      core::latitude_band_drag(tracks, catalog, jd0 - 1.0, jd0 + 1.0, 3);
   std::size_t total = 0;
   for (const auto& band : bands) total += band.samples;
   EXPECT_EQ(total, 1u);  // the bad record was skipped, not fatal
-  EXPECT_THROW(core::latitude_band_drag(tracks, 0.0, 1.0, 0), ValidationError);
+  EXPECT_THROW(core::latitude_band_drag(tracks, catalog, 0.0, 1.0, 0),
+               ValidationError);
 }
 
 // ------------------------------ shells --------------------------------------
@@ -312,93 +313,6 @@ TEST(LifetimeTest, StormsShortenLifetime) {
   const double with_storm = atmosphere::decay_lifetime_days(350.0, 0.02, config);
   const double quiet = atmosphere::decay_lifetime_days(350.0, 0.02);
   EXPECT_LT(with_storm, quiet);
-}
-
-// ------------------------------ TleStore ------------------------------------
-
-class StoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("cd_store_test_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  static tle::Tle record(int catalog, double days_offset) {
-    tle::Tle t;
-    t.catalog_number = catalog;
-    t.international_designator = "20001A";
-    t.epoch_jd = timeutil::to_julian(make_datetime(2023, 1, 1)) + days_offset;
-    t.inclination_deg = 53.0;
-    t.mean_motion_revday = 15.06;
-    t.bstar = 2e-4;
-    return t;
-  }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(StoreTest, MergeLoadRoundTrip) {
-  tle::TleStore store(dir_.string());
-  tle::TleCatalog catalog;
-  catalog.add(record(100, 0.0));
-  catalog.add(record(100, 1.0));
-  catalog.add(record(200, 0.5));
-  EXPECT_EQ(store.merge(catalog), 3u);
-
-  const tle::TleCatalog loaded = store.load();
-  EXPECT_EQ(loaded.record_count(), 3u);
-  EXPECT_EQ(loaded.satellites(), (std::vector<int>{100, 200}));
-}
-
-TEST_F(StoreTest, IncrementalMergeDeduplicates) {
-  tle::TleStore store(dir_.string());
-  tle::TleCatalog first;
-  first.add(record(100, 0.0));
-  EXPECT_EQ(store.merge(first), 1u);
-  // Second merge: one duplicate, one new.
-  tle::TleCatalog second;
-  second.add(record(100, 0.0));
-  second.add(record(100, 2.0));
-  EXPECT_EQ(store.merge(second), 1u);
-  EXPECT_EQ(store.load_satellite(100).record_count(), 2u);
-  // Nothing new: no writes.
-  EXPECT_EQ(store.merge(second), 0u);
-}
-
-TEST_F(StoreTest, LastEpochCursor) {
-  tle::TleStore store(dir_.string());
-  EXPECT_FALSE(store.last_epoch_jd(100).has_value());
-  tle::TleCatalog catalog;
-  catalog.add(record(100, 0.0));
-  catalog.add(record(100, 3.0));
-  store.merge(catalog);
-  const auto cursor = store.last_epoch_jd(100);
-  ASSERT_TRUE(cursor.has_value());
-  EXPECT_NEAR(*cursor, record(100, 3.0).epoch_jd, 1e-8);
-}
-
-TEST_F(StoreTest, StoredSatellitesSortedAndFiltered) {
-  tle::TleStore store(dir_.string());
-  tle::TleCatalog catalog;
-  catalog.add(record(300, 0.0));
-  catalog.add(record(100, 0.0));
-  store.merge(catalog);
-  // A stray file must be ignored.
-  io::write_file((dir_ / "notes.txt").string(), "hello");
-  EXPECT_EQ(store.stored_satellites(), (std::vector<int>{100, 300}));
-}
-
-TEST_F(StoreTest, SurvivesReopen) {
-  {
-    tle::TleStore store(dir_.string());
-    tle::TleCatalog catalog;
-    catalog.add(record(100, 0.0));
-    store.merge(catalog);
-  }
-  tle::TleStore reopened(dir_.string());
-  EXPECT_EQ(reopened.load().record_count(), 1u);
 }
 
 // --------------------------- what-if scenarios ------------------------------

@@ -149,7 +149,7 @@ TEST_F(Figures, Fig6LongerStormsHeavierTail) {
 
 TEST_F(Figures, Fig10CleaningShape) {
   auto& pipeline = state().pipeline;
-  const auto raw = core::all_altitudes(pipeline.raw_tracks());
+  const auto raw = core::all_altitudes(pipeline.catalog());
   const auto cleaned = core::all_altitudes(pipeline.tracks());
   EXPECT_GT(stats::max(raw), 5000.0);
   EXPECT_LE(stats::max(cleaned), 650.0);

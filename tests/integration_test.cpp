@@ -57,7 +57,7 @@ TEST_F(PaperWindowRun, RefreshIntervalsMatchPaper) {
 }
 
 TEST_F(PaperWindowRun, CleaningRemovesGrossErrors) {
-  const auto raw = core::all_altitudes(state().pipeline.raw_tracks());
+  const auto raw = core::all_altitudes(state().pipeline.catalog());
   const auto cleaned = core::all_altitudes(state().pipeline.tracks());
   EXPECT_GT(stats::max(raw), 1000.0);    // Fig 10a long tail present
   EXPECT_LE(stats::max(cleaned), 650.0); // Fig 10b tail removed

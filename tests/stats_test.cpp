@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/histogram.hpp"
-#include "stats/rolling.hpp"
 
 namespace cosmicdance::stats {
 namespace {
@@ -156,116 +153,6 @@ TEST(EcdfTest, PointsThinnedAndTerminated) {
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_GE(pts[i].first, pts[i - 1].first);
     EXPECT_GE(pts[i].second, pts[i - 1].second);
-  }
-}
-
-TEST(HistogramTest, BinningAndEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);   // first bin (inclusive lower edge)
-  h.add(9.99);  // last bin
-  h.add(10.0);  // overflow (exclusive upper edge)
-  h.add(-0.1);  // underflow
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, FractionsSumToOne) {
-  Histogram h(0.0, 1.0, 4);
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) h.add(rng.uniform());
-  double sum = 0.0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) sum += h.fraction(b);
-  EXPECT_NEAR(sum, 1.0, 1e-12);  // all samples in range
-}
-
-TEST(HistogramTest, BinGeometry) {
-  Histogram h(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lower(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_upper(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(2), 15.0);
-  EXPECT_THROW(static_cast<void>(h.bin_lower(5)), ValidationError);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ValidationError);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), ValidationError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ValidationError);
-}
-
-TEST(HistogramTest, ValidatesBeforeComputingWidthOrAllocating) {
-  // Validation must run in the member-initializer list, before the width
-  // division and the counts allocation.  An inverted range combined with an
-  // absurd bin count would otherwise attempt a SIZE_MAX-slot allocation
-  // before the constructor body could reject it.
-  EXPECT_THROW(Histogram(1.0, 0.0, std::numeric_limits<std::size_t>::max()),
-               ValidationError);
-  // bins == 0 with a valid range must throw before dividing by zero.
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), ValidationError);
-}
-
-TEST(RollingTest, WindowMedianRespectsBounds) {
-  const std::vector<TimedValue> series{
-      {0.0, 1.0}, {1.0, 2.0}, {2.0, 30.0}, {3.0, 4.0}, {4.0, 5.0}};
-  EXPECT_DOUBLE_EQ(window_median(series, 0.0, 2.0), 1.5);   // [0,2)
-  EXPECT_DOUBLE_EQ(window_median(series, 2.0, 3.0), 30.0);  // just t=2
-  EXPECT_THROW(static_cast<void>(window_median(series, 10.0, 20.0)), ValidationError);
-}
-
-TEST(RollingTest, WindowMeanAndCount) {
-  const std::vector<TimedValue> series{{0.0, 2.0}, {1.0, 4.0}, {2.0, 6.0}};
-  EXPECT_DOUBLE_EQ(window_mean(series, 0.0, 3.0), 4.0);
-  EXPECT_EQ(window_count(series, 0.5, 2.5), 2u);
-  EXPECT_EQ(window_count(series, 5.0, 9.0), 0u);
-}
-
-TEST(RollingTest, NeighborLookups) {
-  const std::vector<TimedValue> series{{1.0, 10.0}, {3.0, 30.0}, {5.0, 50.0}};
-  EXPECT_EQ(last_at_or_before(series, 0.5), nullptr);
-  EXPECT_DOUBLE_EQ(last_at_or_before(series, 3.0)->value, 30.0);
-  EXPECT_DOUBLE_EQ(last_at_or_before(series, 4.9)->value, 30.0);
-  EXPECT_DOUBLE_EQ(first_at_or_after(series, 3.1)->value, 50.0);
-  EXPECT_EQ(first_at_or_after(series, 5.1), nullptr);
-}
-
-TEST(RollingTest, RollingMedianSmoothsSpike) {
-  std::vector<TimedValue> series;
-  for (int i = 0; i < 20; ++i) {
-    series.push_back({static_cast<double>(i), i == 10 ? 100.0 : 1.0});
-  }
-  const std::vector<double> smooth = rolling_median(series, 2.0);
-  ASSERT_EQ(smooth.size(), series.size());
-  EXPECT_DOUBLE_EQ(smooth[10], 1.0);  // spike suppressed by the window
-  EXPECT_THROW(rolling_median(series, -1.0), ValidationError);
-}
-
-TEST(RollingTest, RollingMedianInclusiveBoundHoldsAtJulianDateMagnitude) {
-  // Regression: the inclusive right endpoint was once implemented as
-  // `time < t_hi + 1e-12`.  At Julian-date magnitudes (~2.46e6, where one
-  // ulp is ~4.6e-10) the epsilon is absorbed and the comparison silently
-  // turns exclusive, so windows at TLE-epoch timestamps dropped their
-  // boundary sample.  The window must be shift-invariant instead.
-  const double jd = 2460000.5;  // 2023-02-25, a realistic TLE epoch
-  const std::vector<double> values{10.0, 20.0, 30.0};
-  std::vector<TimedValue> at_origin;
-  std::vector<TimedValue> at_jd;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    at_origin.push_back({static_cast<double>(i), values[i]});
-    at_jd.push_back({jd + static_cast<double>(i), values[i]});
-  }
-  // half_width 1.0: each window spans [t-1, t+1] inclusive, so the
-  // boundary neighbours are in: {10,20} -> 15, {10,20,30} -> 20,
-  // {20,30} -> 25.
-  const std::vector<double> expected{15.0, 20.0, 25.0};
-  const std::vector<double> origin_medians = rolling_median(at_origin, 1.0);
-  const std::vector<double> jd_medians = rolling_median(at_jd, 1.0);
-  ASSERT_EQ(origin_medians.size(), expected.size());
-  ASSERT_EQ(jd_medians.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(origin_medians[i], expected[i]) << "origin index " << i;
-    EXPECT_DOUBLE_EQ(jd_medians[i], expected[i]) << "jd index " << i;
   }
 }
 

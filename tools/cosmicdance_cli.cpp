@@ -283,8 +283,7 @@ int cmd_analyze(const io::ArgParser& args) {
     // Fig 10 raw/cleaned altitude CDFs: one altitude per TLE, the two
     // samples large enough to sort in parallel.
     const int threads = pipeline.config().num_threads;
-    const auto raw =
-        core::all_altitudes(pipeline.raw_tracks(), threads, metrics);
+    const auto raw = core::all_altitudes(pipeline.catalog(), threads, metrics);
     const auto cleaned =
         core::all_altitudes(pipeline.tracks(), threads, metrics);
     io::write_csv_file(path("fig10a_raw_altitude_cdf.csv"),

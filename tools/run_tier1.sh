@@ -15,8 +15,9 @@
 #      parse and base rewrite run under the same lens.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (every output file byte-identical and work counters
-#      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, and the
-#      figure export timed as its own analyze.export phase) plus the
+#      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
+#      figure export timed as its own analyze.export phase, and each
+#      satellite's track built once per run) plus the
 #      micro_pipeline, micro_ingest and
 #      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
 #      build/BENCH_ingest.json and build/BENCH_sgp4.json behind as CI
@@ -82,8 +83,9 @@ cmake --build build-tsan -j "$JOBS" \
 # threads — the regression gate for the old mutable resonance-memo race.
 # The Snapshot and DeltaSnapshot suites run every cache path (cold, exact
 # hit, append, stale) with the background save sharing the parsed inputs.
+# CleanTrackDigest builds and cleans every track at 1-8 threads.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
+      -R 'ParallelDifferential|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
@@ -199,6 +201,13 @@ assert m1["counters"] == m8["counters"], (
 # a run's time after the pipeline build is attributed.
 assert "analyze.export" in m1["phases"], (
     f"analyze.export phase missing: {sorted(m1['phases'])}")
+# Each satellite's track is built once per run, cleaning included: nothing
+# after the pipeline build (Fig 10(a) reads the catalog) builds another.
+built = m1["counters"].get("track.built")
+assert built == (m1["counters"].get("clean.tracks_kept", 0) +
+                 m1["counters"].get("clean.tracks_dropped", 0)), (
+    f"track.built={built} is not one track per satellite: "
+    f"{ {k: v for k, v in m1['counters'].items() if k.startswith(('track.', 'clean.'))} }")
 trace = json.load(open(f"{smoke}/trace_t1.json"))
 assert trace["traceEvents"], "empty trace"
 assert any(e.get("ph") == "X" for e in trace["traceEvents"]), \

@@ -1,38 +1,16 @@
 #include "diag/diag.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <ostream>
+
+#include "common/json.hpp"
 
 namespace cosmicdance::diag {
 namespace {
 
 constexpr std::array<const char*, kErrorCategoryCount> kCategoryNames{
     "syntax", "checksum", "numeric", "range", "structure"};
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -180,7 +158,7 @@ std::string DataQualityReport::to_json() const {
   for (const auto& [stage, counters] : stages) {
     out += first_stage ? "\n" : ",\n";
     first_stage = false;
-    out += "    \"" + json_escape(stage) + "\": {\"accepted\": " +
+    out += "    \"" + escape_json(stage) + "\": {\"accepted\": " +
            std::to_string(counters.accepted) +
            ", \"repaired\": " + std::to_string(counters.repaired) +
            ", \"quarantined\": {";
@@ -200,12 +178,12 @@ std::string DataQualityReport::to_json() const {
   for (const QuarantinedRecord& record : quarantined) {
     out += first_record ? "\n" : ",\n";
     first_record = false;
-    out += "    {\"stage\": \"" + json_escape(record.stage) + "\", \"source\": \"" +
-           json_escape(record.source) +
+    out += "    {\"stage\": \"" + escape_json(record.stage) + "\", \"source\": \"" +
+           escape_json(record.source) +
            "\", \"line\": " + std::to_string(record.line) + ", \"category\": \"" +
            to_string(record.category) + "\", \"message\": \"" +
-           json_escape(record.message) + "\", \"snippet\": \"" +
-           json_escape(record.snippet) + "\"}";
+           escape_json(record.message) + "\", \"snippet\": \"" +
+           escape_json(record.snippet) + "\"}";
   }
   out += "\n  ]\n}\n";
   return out;

@@ -18,9 +18,10 @@ namespace cosmicdance::io {
 void write_file(const std::string& path, const std::string& content);
 
 /// Append bytes to the end of an existing file (created if missing).
-/// Throws IoError on failure.  Not atomic: a caller whose format cannot
-/// detect a torn tail (the snapshot delta chain can, via per-layer
-/// size/CRC checks) should write-and-rename instead.
+/// Throws IoError on failure.  Not atomic: a reader can see a torn tail,
+/// so a file that must be read whole (a snapshot) is written with
+/// write-and-rename instead.  examples/live_monitor grows its TLE and
+/// Dst text files this way.
 void append_file(const std::string& path, std::string_view content);
 
 /// A read-only view of a whole file, preferring mmap (zero-copy) with a

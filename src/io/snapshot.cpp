@@ -2,10 +2,6 @@
 
 #include <unistd.h>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <nmmintrin.h>  // SSE4.2 CRC32; used only behind a runtime cpu check
-#endif
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -20,15 +16,19 @@
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
 #include "io/file.hpp"
-#include "io/snapshot_internal.hpp"
 #include "obs/obs.hpp"
 #include "tle/tle.hpp"
 
 namespace cosmicdance::io {
 namespace {
 
+// The format is little-endian, and so is every supported build: integers
+// and doubles go to and from the bytes with one memcpy each.
+static_assert(std::endian::native == std::endian::little,
+              "the .cdsnap encoding assumes a little-endian host");
+
 constexpr char kMagic[8] = {'C', 'D', 'S', 'N', 'A', 'P', 'v', '1'};
-constexpr std::size_t kHeaderSize = 40;
+constexpr std::size_t kHeaderSize = 44;
 
 // ---- section layout (see snapshot.hpp for the format doc) -------------------
 
@@ -36,17 +36,17 @@ constexpr std::uint32_t kSectionState = 1;
 constexpr std::uint32_t kSectionDst = 2;
 constexpr std::uint32_t kSectionCatalogStripe = 3;
 constexpr std::uint32_t kSectionQuality = 4;
-constexpr std::size_t kSectionEntrySize = 24;
+constexpr std::size_t kSectionEntrySize = 28;
 
 /// Records per catalog stripe (whole satellites each).  Only the catalog's
 /// contents pick the boundaries, so encode output is thread-count-
-/// invariant; the value balances per-section CRC/decode parallelism
+/// invariant; the value balances per-section hash/decode parallelism
 /// against table overhead.
 constexpr std::size_t kStripeTargetRecords = 16384;
 
 struct SectionEntry {
   std::uint32_t kind = 0;
-  std::uint32_t crc = 0;
+  std::uint64_t hash = 0;    // xxh64 of the section's bytes
   std::uint64_t offset = 0;  // relative to the end of the section table
   std::uint64_t length = 0;
 };
@@ -60,30 +60,16 @@ constexpr std::uint8_t kFlagMask = kFlagDstLineTerminated |
 
 // ---- little-endian writer ---------------------------------------------------
 
-constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
-
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  if constexpr (kLittleEndianHost) {
-    out.append(reinterpret_cast<const char*>(&v), 4);
-  } else {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
-  }
+  out.append(reinterpret_cast<const char*>(&v), 4);
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  if constexpr (kLittleEndianHost) {
-    out.append(reinterpret_cast<const char*>(&v), 8);
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-    }
-  }
+  out.append(reinterpret_cast<const char*>(&v), 8);
 }
 
 void put_i64(std::string& out, std::int64_t v) {
@@ -116,34 +102,14 @@ class Cursor {
   }
 
   std::uint32_t u32() {
-    const std::string_view b = view(4);
-    if constexpr (kLittleEndianHost) {
-      std::uint32_t v;
-      std::memcpy(&v, b.data(), 4);
-      return v;
-    }
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-               b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
+    std::memcpy(&v, view(4).data(), 4);
     return v;
   }
 
   std::uint64_t u64() {
-    const std::string_view b = view(8);
-    if constexpr (kLittleEndianHost) {
-      std::uint64_t v;
-      std::memcpy(&v, b.data(), 8);
-      return v;
-    }
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-               b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
+    std::memcpy(&v, view(8).data(), 8);
     return v;
   }
 
@@ -221,29 +187,19 @@ std::uint64_t content_hash(const IngestState& state) {
 void encode_dst(std::string& out, const spaceweather::DstIndex& dst) {
   put_i64(out, dst.start_hour());
   put_u64(out, dst.size());
-  // Doubles are stored as their IEEE bit patterns little-endian, which on
-  // a little-endian host is exactly the in-memory layout — one append.
-  if constexpr (kLittleEndianHost) {
-    out.append(reinterpret_cast<const char*>(dst.values().data()),
-               dst.size() * 8);
-  } else {
-    for (const double v : dst.values()) put_f64(out, v);
-  }
+  // Doubles are stored as their IEEE bit patterns little-endian, which is
+  // exactly the in-memory layout — one append.
+  out.append(reinterpret_cast<const char*>(dst.values().data()),
+             dst.size() * 8);
 }
 
 spaceweather::DstIndex decode_dst(Cursor& in) {
   const std::int64_t start = in.i64();
   const std::uint64_t count = in.u64();
   if (count == 0) return {};
-  std::vector<double> values;
-  if constexpr (kLittleEndianHost) {
-    const std::string_view raw = in.view(count * 8);
-    values.resize(count);
-    std::memcpy(values.data(), raw.data(), raw.size());
-  } else {
-    values.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) values.push_back(in.f64());
-  }
+  const std::string_view raw = in.view(count * 8);
+  std::vector<double> values(count);
+  std::memcpy(values.data(), raw.data(), raw.size());
   return spaceweather::DstIndex(start, std::move(values));
 }
 
@@ -367,14 +323,7 @@ constexpr std::size_t kXxhStripe = 32;
 
 std::uint64_t load_le64(const char* p) {
   std::uint64_t v = 0;
-  if constexpr (kLittleEndianHost) {
-    std::memcpy(&v, p, 8);
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
-    }
-  }
+  std::memcpy(&v, p, 8);
   return v;
 }
 
@@ -479,11 +428,8 @@ class InputHasher {
           kXxhPrime4;
     }
     if (n >= 4) {
-      std::uint64_t word = 0;
-      for (int i = 0; i < 4; ++i) {
-        word |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-                << (8 * i);
-      }
+      std::uint32_t word = 0;
+      std::memcpy(&word, p, 4);
       h = std::rotl(h ^ (word * kXxhPrime1), 23) * kXxhPrime2 + kXxhPrime3;
       p += 4;
       n -= 4;
@@ -509,91 +455,6 @@ class InputHasher {
   std::uint64_t length_ = 0;
   std::uint64_t lines_ = 0;
 };
-
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-/// Slice-by-8 tables for a reflected CRC-32 polynomial.  table[0] is the
-/// classic byte-at-a-time table; tables 1..7 fold bytes further along, so
-/// the main loop can consume 8 input bytes per iteration with identical
-/// values to the one-byte walk, just ~6x faster.
-CrcTables make_crc_tables(std::uint32_t polynomial) {
-  CrcTables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? polynomial ^ (c >> 1) : c >> 1;
-    }
-    t[0][i] = c;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = t[0][i];
-    for (std::size_t slice = 1; slice < 8; ++slice) {
-      c = t[0][c & 0xFFu] ^ (c >> 8);
-      t[slice][i] = c;
-    }
-  }
-  return t;
-}
-
-std::uint32_t crc_sliced(const CrcTables& tables, std::string_view bytes) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= 8) {
-    std::uint32_t lo;
-    std::uint32_t hi;
-    if constexpr (kLittleEndianHost) {
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-    } else {
-      lo = hi = 0;
-      for (int i = 0; i < 4; ++i) {
-        lo |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-              << (8 * i);
-        hi |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[4 + i]))
-              << (8 * i);
-      }
-    }
-    lo ^= crc;
-    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
-          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
-          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
-          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = tables[0][(crc ^ static_cast<unsigned char>(p[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-/// The SSE4.2 CRC32 instruction implements exactly the reflected
-/// Castagnoli polynomial, 8 bytes per ~1-cycle op — an order of magnitude
-/// past the table walk.  Compiled for sse4.2 via the function attribute
-/// (the translation unit keeps the portable baseline flags) and only
-/// reached behind the runtime cpu check in crc32c below.
-__attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
-    std::string_view bytes) {
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  std::uint64_t crc = 0xFFFFFFFFu;
-  while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);  // x86 is little-endian; bytes map directly
-    crc = _mm_crc32_u64(crc, word);
-    p += 8;
-    n -= 8;
-  }
-  std::uint32_t crc32 = static_cast<std::uint32_t>(crc);
-  for (std::size_t i = 0; i < n; ++i) {
-    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(p[i]));
-  }
-  return crc32 ^ 0xFFFFFFFFu;
-}
-#endif
 
 /// One input measured against its recorded prefix.
 struct InputScan {
@@ -641,19 +502,6 @@ std::uint64_t xxh64(std::string_view bytes) {
   InputHasher hasher;
   hasher.update(bytes);
   return hasher.digest();
-}
-
-std::uint32_t internal::crc32c_portable(std::string_view bytes) {
-  static const CrcTables tables = make_crc_tables(0x82F63B78u);
-  return crc_sliced(tables, bytes);
-}
-
-std::uint32_t crc32c(std::string_view bytes) {
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool hardware = __builtin_cpu_supports("sse4.2");
-  if (hardware) return crc32c_hw(bytes);
-#endif
-  return internal::crc32c_portable(bytes);
 }
 
 namespace {
@@ -754,10 +602,10 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
     return kSectionQuality;
   };
 
-  // Each section serialises (and CRCs) into its own buffer, independently.
+  // Each section serialises (and hashes) into its own buffer, independently.
   struct EncodedSection {
     std::string bytes;
-    std::uint32_t crc = 0;
+    std::uint64_t hash = 0;
   };
   const std::vector<EncodedSection> sections =
       exec::ordered_map<EncodedSection>(
@@ -794,7 +642,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
                 encode_quality(payload, data.quality);
                 break;
             }
-            section.crc = crc32c(payload);
+            section.hash = xxh64(payload);
             return section;
           },
           nullptr);
@@ -804,7 +652,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   std::uint64_t offset = 0;
   for (std::size_t i = 0; i < section_count; ++i) {
     put_u32(table, kind_of(i));
-    put_u32(table, sections[i].crc);
+    put_u64(table, sections[i].hash);
     put_u64(table, offset);
     put_u64(table, sections[i].bytes.size());
     offset += sections[i].bytes.size();
@@ -819,7 +667,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   out.append(3, '\0');
   put_u64(out, content_hash(data.state));
   put_u64(out, payload_size);
-  put_u32(out, crc32c(table));
+  put_u64(out, xxh64(table));
   put_u32(out, static_cast<std::uint32_t>(section_count));
   out.append(table);
   for (const EncodedSection& section : sections) out.append(section.bytes);
@@ -835,7 +683,7 @@ namespace {
 /// section, a satellite two catalog stripes both carry, or a throwing
 /// `alongside`.
 bool decode_payload(std::string_view payload,
-                    std::uint64_t header_content_hash, std::uint32_t table_crc,
+                    std::uint64_t header_content_hash, std::uint64_t table_hash,
                     std::uint32_t section_count, diag::ParsePolicy policy,
                     int num_threads, const StateCallback& alongside,
                     SnapshotData& data) {
@@ -847,7 +695,7 @@ bool decode_payload(std::string_view payload,
       static_cast<std::uint64_t>(section_count) * kSectionEntrySize;
   if (table_size > payload.size()) return false;
   const std::string_view table = payload.substr(0, table_size);
-  if (crc32c(table) != table_crc) return false;
+  if (xxh64(table) != table_hash) return false;
 
   const std::string_view body = payload.substr(table_size);
   std::vector<SectionEntry> entries(section_count);
@@ -857,7 +705,7 @@ bool decode_payload(std::string_view payload,
     for (std::uint32_t i = 0; i < section_count; ++i) {
       SectionEntry& entry = entries[i];
       entry.kind = tc.u32();
-      entry.crc = tc.u32();
+      entry.hash = tc.u64();
       entry.offset = tc.u64();
       entry.length = tc.u64();
       // Sections must tile the body contiguously in table order; any
@@ -880,7 +728,7 @@ bool decode_payload(std::string_view payload,
   {
     const std::string_view blob =
         body.substr(entries[0].offset, entries[0].length);
-    if (crc32c(blob) != entries[0].crc) return false;
+    if (xxh64(blob) != entries[0].hash) return false;
     Cursor in(blob);
     data.state = decode_state(in);
     if (!in.exhausted()) return false;
@@ -910,7 +758,7 @@ bool decode_payload(std::string_view payload,
         try {
           const SectionEntry& entry = entries[i];
           const std::string_view blob = body.substr(entry.offset, entry.length);
-          if (crc32c(blob) != entry.crc) throw ParseError("section CRC");
+          if (xxh64(blob) != entry.hash) throw ParseError("section hash");
           Cursor in(blob);
           switch (entry.kind) {
             case kSectionDst:
@@ -922,7 +770,7 @@ bool decode_payload(std::string_view payload,
                 const std::int32_t id = in.i32();
                 const std::uint64_t records = in.u64();
                 std::vector<tle::Tle> history;
-                // The byte-count bound keeps a corrupt (but CRC-valid)
+                // The byte-count bound keeps a corrupt (but hash-valid)
                 // count from reserving unbounded memory: each record is
                 // at least ~125 bytes of section payload.
                 if (records > entry.length / 64) {
@@ -974,7 +822,7 @@ std::optional<SnapshotData> decode_bytes(std::string_view bytes,
     if (policy_raw != policy_byte(policy)) return std::nullopt;
     const std::uint64_t header_content_hash = header.u64();
     const std::uint64_t payload_size = header.u64();
-    const std::uint32_t table_crc = header.u32();
+    const std::uint64_t table_hash = header.u64();
     const std::uint32_t section_count = header.u32();
     // The payload must end the file: a short file is truncated, and bytes
     // past the payload are nothing this format writes.
@@ -982,7 +830,7 @@ std::optional<SnapshotData> decode_bytes(std::string_view bytes,
 
     SnapshotData data;
     if (!decode_payload(bytes.substr(kHeaderSize), header_content_hash,
-                        table_crc, section_count, policy, num_threads,
+                        table_hash, section_count, policy, num_threads,
                         alongside, data)) {
       return std::nullopt;
     }

@@ -14,9 +14,9 @@
 //     loads the snapshot, parses only the tail, and rewrites the snapshot
 //     as one fresh base covering the grown inputs.
 //   * Any other disagreement (shrunk or edited inputs, format version,
-//     parse policy, truncation, CRC, trailing bytes) makes the loader/caller
-//     silently fall back to the text path and rewrite a fresh base.  See
-//     DESIGN.md §14 for the reasoning.
+//     parse policy, truncation, a check hash, trailing bytes) makes the
+//     loader/caller silently fall back to the text path and rewrite a
+//     fresh base.  See DESIGN.md §14 for the reasoning.
 //
 // The fingerprint reads each input byte once: one streaming XXH64 pass
 // hashes the recorded prefix, continues over the tail and counts newlines
@@ -25,7 +25,7 @@
 // The file lives at `<cache_dir>/<xxh64>.cdsnap`, the
 // XXH64 of the two input paths.
 //
-// Layout (format v6): a fixed 40-byte header
+// Layout (format v7): a fixed 44-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
@@ -33,14 +33,14 @@
 //   bytes 16-23  content hash (u64): XXH64 over the state's Dst and TLE
 //                hashes, cross-checked against the state section on load
 //   bytes 24-31  payload size in bytes (u64); the file ends exactly there
-//   bytes 32-35  CRC32C of the section table (u32)
-//   bytes 36-39  section count (u32)
+//   bytes 32-39  XXH64 of the section table (u64)
+//   bytes 40-43  section count (u32)
 // followed by the payload: a *section table*, then the section bytes, so a
 // loader can validate and deserialise sections independently (in parallel)
 // and size its containers up front:
-//   table:   section count × 24-byte entries
+//   table:   section count × 28-byte entries
 //              u32 kind (1 state, 2 Dst, 3 catalog stripe, 4 quality)
-//              u32 CRC32C of the section's bytes
+//              u64 XXH64 of the section's bytes
 //              u64 offset (relative to the end of the table)
 //              u64 length in bytes
 //            Entries must tile the post-table payload contiguously in
@@ -50,8 +50,10 @@
 //            number of catalog stripes (whole satellites each, stripe
 //            boundaries fixed at encode time so the bytes are independent
 //            of writer thread count), and one quality section last.
-// All integers little-endian; doubles are stored as their IEEE-754 bit
-// patterns so reload is bit-exact.
+// All integers little-endian (the encoder static_asserts a little-endian
+// host); doubles are stored as their IEEE-754 bit patterns so reload is
+// bit-exact.  XXH64 is the format's one hash: the fingerprint, the header's
+// content hash, the file name and every integrity check.
 #pragma once
 
 #include <cstdint>
@@ -75,22 +77,18 @@ namespace cosmicdance::io {
 /// silent reject-and-reparse, never a migration.  v3 added the section
 /// table; v4 hashes each input separately in the state section; v5 hashes
 /// with XXH64 instead of FNV-1a; v6 keeps v5's bytes but marks files whose
-/// records passed the validation that rejects non-finite fields (DESIGN.md
-/// §13, §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
+/// records passed the validation that rejects non-finite fields; v7 checks
+/// the section table and every section with XXH64 instead of CRC32C
+/// (DESIGN.md §13, §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
 
 /// XXH64 (seed 0) of `bytes` — the input fingerprint, the header's content
-/// hash and the cache file name all use it.
+/// hash, the cache file name and the section-table and section checks all
+/// use it.
 [[nodiscard]] std::uint64_t xxh64(std::string_view bytes);
 
 /// xxh64 of zero bytes: the recorded hash of an empty input.
 inline constexpr std::uint64_t kXxh64Empty = 0xEF46DB3751D8E999ULL;
-
-/// CRC32C (Castagnoli polynomial) of `bytes` — the section and
-/// section-table integrity check.  Uses the SSE4.2 CRC32 instruction when
-/// the cpu has it; the portable table fallback produces identical values,
-/// so files are byte-compatible across machines either way.
-[[nodiscard]] std::uint32_t crc32c(std::string_view bytes);
 
 /// What a snapshot knows about the raw input pair it was built from —
 /// enough to recognise the exact same bytes (lengths + hashes), to
@@ -183,7 +181,7 @@ struct SnapshotData {
 
 /// Parse snapshot bytes.  Returns nullopt — never throws — when anything
 /// disagrees: magic, version, policy, payload size (including any byte
-/// past the payload), the section table, a section CRC, or a payload that
+/// past the payload), the section table, a section hash, or a payload that
 /// decodes inconsistently.
 [[nodiscard]] std::optional<SnapshotData> decode_snapshot(
     std::string_view bytes, diag::ParsePolicy policy, int num_threads = 1);

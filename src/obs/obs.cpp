@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/json_number.hpp"
+#include "common/json.hpp"
 
 namespace cosmicdance::obs {
 namespace {
@@ -16,29 +16,6 @@ std::string json_ms(double ms) {
   return buffer;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void append_count_object(std::string& out, const char* key,
                          const std::map<std::string, std::uint64_t>& values) {
   out += "  \"";
@@ -48,7 +25,7 @@ void append_count_object(std::string& out, const char* key,
   for (const auto& [name, value] : values) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
+    out += "    \"" + escape_json(name) + "\": " + std::to_string(value);
   }
   out += values.empty() ? "}" : "\n  }";
 }
@@ -65,7 +42,7 @@ std::string MetricsReport::to_json() const {
   for (const auto& [name, value] : gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + json_number(value);
+    out += "    \"" + escape_json(name) + "\": " + json_number(value);
   }
   out += gauges.empty() ? "}" : "\n  }";
   out += ",\n  \"phases\": {";
@@ -73,7 +50,7 @@ std::string MetricsReport::to_json() const {
   for (const auto& [name, stats] : phases) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) +
+    out += "    \"" + escape_json(name) +
            "\": {\"calls\": " + std::to_string(stats.calls) +
            ", \"wall_ms\": " + json_ms(stats.total_ms) + "}";
   }
@@ -176,7 +153,7 @@ std::string Metrics::trace_json() const {
       "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
       "\"args\": {\"name\": \"cosmicdance\"}}";
   for (const TraceSpan& span : spans_) {
-    out += ",\n  {\"name\": \"" + json_escape(span.name) +
+    out += ",\n  {\"name\": \"" + escape_json(span.name) +
            "\", \"cat\": \"cosmicdance\", \"ph\": \"X\", \"ts\": " +
            std::to_string(span.begin_us) +
            ", \"dur\": " + std::to_string(span.duration_us) +

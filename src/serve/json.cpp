@@ -1,8 +1,5 @@
 #include "serve/json.hpp"
 
-#include <cctype>
-#include <cstdio>
-
 #include "io/parse.hpp"
 
 namespace cosmicdance::serve {
@@ -48,8 +45,15 @@ class Parser {
   bool parse_value(JsonValue& out) {
     if (pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) return false;
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::kString;
         return parse_string(out.text);
@@ -209,6 +213,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace
@@ -233,32 +238,6 @@ std::optional<long> JsonValue::integer() const {
 
 std::optional<JsonValue> parse_json(std::string_view text) {
   return Parser(text).run();
-}
-
-std::string escape_json(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace cosmicdance::serve

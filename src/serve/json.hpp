@@ -3,21 +3,27 @@
 // The daemon's requests and responses are small JSON documents inside
 // length-prefixed frames (wire.hpp).  This header gives the serve layer a
 // dependency-free reader (strict: the whole payload must be one well-formed
-// value, trailing garbage is an error) and the string escaping the
-// response builders need; they write numbers with common/json_number.hpp,
-// the formatter the obs exporters share.  Numbers are validated against
-// the JSON grammar during the parse but kept as raw tokens; conversion goes
-// through the checked io::parse_* helpers, keeping this file inside the
-// project's raw-parse rule (cdlint R3).
+// value, trailing garbage is an error).  The response builders write with
+// common/json.hpp, the number formatter and string escaper the exporters
+// and cdlint share.  Numbers are validated against the JSON grammar during
+// the parse but kept as raw tokens; conversion goes through the checked
+// io::parse_* helpers, keeping this file inside the project's raw-parse
+// rule (cdlint R3).  This is the project's one JSON reader: the tests that
+// check the exporters' and cdlint's output parse it here too.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace cosmicdance::serve {
+
+using cosmicdance::escape_json;
 
 /// One parsed JSON value.  Objects keep insertion order (no hashing, so
 /// iteration is deterministic); lookups are linear, which is fine at
@@ -42,11 +48,15 @@ struct JsonValue {
   [[nodiscard]] std::optional<long> integer() const;
 };
 
-/// Parse one complete JSON document; nullopt on any syntax error.
-[[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text);
+/// Arrays and objects nested deeper than this make parse_json fail.  The
+/// parser recurses once per level, so the bound keeps a hostile request
+/// (say, a frame of a million '[') from overflowing the connection
+/// thread's stack; the deepest document the project writes, a
+/// quality_report response, nests 5 levels.
+inline constexpr std::size_t kMaxJsonDepth = 64;
 
-/// Escape `text` for embedding inside a JSON string literal (quotes not
-/// included).  Control characters become \u00XX.
-[[nodiscard]] std::string escape_json(std::string_view text);
+/// Parse one complete JSON document; nullopt on any syntax error and on
+/// nesting deeper than kMaxJsonDepth.
+[[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text);
 
 }  // namespace cosmicdance::serve

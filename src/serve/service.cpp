@@ -6,12 +6,14 @@
 #include <exception>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "common/json_number.hpp"
+#include "common/json.hpp"
 #include "core/propagation.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
+#include "serve/wire.hpp"
 #include "spaceweather/gscale.hpp"
 #include "spaceweather/storms.hpp"
 #include "stats/descriptive.hpp"
@@ -494,62 +496,78 @@ std::uint64_t Service::reload() {
 
 HandleResult Service::handle(std::string_view request) {
   obs::bump(requests_);
+  HandleResult result;
+  bool failed = false;
+  try {
+    result = route(request);
+  } catch (const std::exception& error) {
+    result = {error_response(error.what()), false};
+    failed = true;
+  }
+  // One frame carries the whole response, and encode_frame refuses more
+  // than kMaxFrameBytes (a tolerant run's quality_report can get there),
+  // so such a response becomes an error the transport can send.
+  if (result.response.size() > kMaxFrameBytes) {
+    result = {error_response("response of " +
+                             std::to_string(result.response.size()) +
+                             " bytes exceeds the frame limit of " +
+                             std::to_string(kMaxFrameBytes) + " bytes"),
+              false};
+    failed = true;
+  }
+  if (failed) obs::bump(errors_);
+  return result;
+}
 
+HandleResult Service::route(std::string_view request) {
   const auto parsed = parse_json(request);
   if (!parsed || parsed->kind != JsonValue::Kind::kObject) {
-    obs::bump(errors_);
-    return {error_response("request must be a JSON object"), false};
+    throw RequestError("request must be a JSON object");
   }
   const JsonValue* op_value = parsed->find("op");
   if (op_value == nullptr || op_value->kind != JsonValue::Kind::kString) {
-    obs::bump(errors_);
-    return {error_response("request is missing a string \"op\" field"), false};
+    throw RequestError("request is missing a string \"op\" field");
   }
   const std::string& op = op_value->text;
 
-  try {
-    if (op == "shutdown") {
-      // No data in the response, so no epoch pair needed.
-      return {"{\"ok\":true,\"op\":\"shutdown\"}", true};
-    }
-    if (op == "reload") {
-      const std::uint64_t next_epoch = reload();
-      if (next_epoch == 0) throw RequestError("reload is not configured");
-      std::string out = open_ok(next_epoch, "reload");
-      close_ok(out, next_epoch);
-      return {std::move(out), false};
-    }
-    if (op == "metrics") {
-      // Counters accumulate across snapshots, so the metrics view is not
-      // tied to an epoch; embed the registry dump as-is.
-      std::string out = "{\"ok\":true,\"op\":\"metrics\",\"metrics\":";
-      out += metrics_ != nullptr ? metrics_->snapshot().to_json() : "null";
-      out += "}";
-      return {std::move(out), false};
-    }
-
-    // Data ops: load the snapshot pointer exactly once and build the whole
-    // response from it, so a concurrent reload can never mix epochs.
-    const std::shared_ptr<const ServeSnapshot> snap = snapshot();
-    if (op == "ping") return {handle_ping(*snap), false};
-    if (op == "stats") return {handle_stats(*snap), false};
-    if (op == "sat_series") return {handle_sat_series(*snap, *parsed), false};
-    if (op == "storm_summary") {
-      return {handle_storm_summary(*snap, *parsed), false};
-    }
-    if (op == "envelope_cdf") {
-      return {handle_envelope_cdf(*snap, *parsed), false};
-    }
-    if (op == "propagate") return {handle_propagate(*snap, *parsed), false};
-    if (op == "decay_summary") {
-      return {handle_decay_summary(*snap, *parsed), false};
-    }
-    if (op == "quality_report") return {handle_quality_report(*snap), false};
-    throw RequestError("unknown op \"" + op + "\"");
-  } catch (const std::exception& error) {
-    obs::bump(errors_);
-    return {error_response(error.what()), false};
+  if (op == "shutdown") {
+    // No data in the response, so no epoch pair needed.
+    return {"{\"ok\":true,\"op\":\"shutdown\"}", true};
   }
+  if (op == "reload") {
+    const std::uint64_t next_epoch = reload();
+    if (next_epoch == 0) throw RequestError("reload is not configured");
+    std::string out = open_ok(next_epoch, "reload");
+    close_ok(out, next_epoch);
+    return {std::move(out), false};
+  }
+  if (op == "metrics") {
+    // Counters accumulate across snapshots, so the metrics view is not
+    // tied to an epoch; embed the registry dump as-is.
+    std::string out = "{\"ok\":true,\"op\":\"metrics\",\"metrics\":";
+    out += metrics_ != nullptr ? metrics_->snapshot().to_json() : "null";
+    out += "}";
+    return {std::move(out), false};
+  }
+
+  // Data ops: load the snapshot pointer exactly once and build the whole
+  // response from it, so a concurrent reload can never mix epochs.
+  const std::shared_ptr<const ServeSnapshot> snap = snapshot();
+  if (op == "ping") return {handle_ping(*snap), false};
+  if (op == "stats") return {handle_stats(*snap), false};
+  if (op == "sat_series") return {handle_sat_series(*snap, *parsed), false};
+  if (op == "storm_summary") {
+    return {handle_storm_summary(*snap, *parsed), false};
+  }
+  if (op == "envelope_cdf") {
+    return {handle_envelope_cdf(*snap, *parsed), false};
+  }
+  if (op == "propagate") return {handle_propagate(*snap, *parsed), false};
+  if (op == "decay_summary") {
+    return {handle_decay_summary(*snap, *parsed), false};
+  }
+  if (op == "quality_report") return {handle_quality_report(*snap), false};
+  throw RequestError("unknown op \"" + op + "\"");
 }
 
 }  // namespace cosmicdance::serve

@@ -99,9 +99,11 @@ class Service {
   [[nodiscard]] std::shared_ptr<const ServeSnapshot> snapshot() const;
 
   /// Route one request payload (JSON text) to its handler and return the
-  /// response payload.  Never throws: malformed JSON, unknown ops, bad
-  /// parameters and failed reloads all produce {"ok":false,...} responses
-  /// (counted in serve.errors).
+  /// response payload.  Never throws: malformed JSON (including nesting
+  /// past kMaxJsonDepth), unknown ops, bad parameters, failed reloads and
+  /// a response too large for one frame (over kMaxFrameBytes) all produce
+  /// {"ok":false,...} responses (counted in serve.errors), so every
+  /// response can be framed.
   [[nodiscard]] HandleResult handle(std::string_view request);
 
   /// Rebuild + swap.  Returns the new epoch, or 0 when no rebuild callback
@@ -111,6 +113,9 @@ class Service {
   std::uint64_t reload();
 
  private:
+  /// handle() without its error answers: throws on any failure.
+  HandleResult route(std::string_view request);
+
   // Guards only the pointer copy and swap; no rebuild or request runs
   // under it.  (libstdc++'s std::atomic<std::shared_ptr> locks through a
   // bit in the control-block pointer that ThreadSanitizer cannot model.)

@@ -435,6 +435,10 @@ std::size_t TleCatalog::add_from_text(std::string_view text,
       pending_line_number = line_number + shard.pending_line;
     }
     line_number += shard.lines;
+    // The stitched vectors hold this shard's records now; free its own
+    // before the next shard's copy, so passes 2 and 3 run without them.
+    std::vector<RawRecord>().swap(shard.records);
+    std::vector<StructuralReject>().swap(shard.structural);
   }
   if (!pending_line1.empty()) {
     structural.push_back({pending_line_number, ErrorCategory::kStructure,

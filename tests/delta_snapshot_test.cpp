@@ -29,6 +29,7 @@
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/make_tle.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
@@ -37,26 +38,9 @@ namespace cosmicdance {
 namespace {
 
 using diag::ParsePolicy;
+using test_support::make_tle;
 
 // ---- corpus builders --------------------------------------------------------
-
-tle::Tle make_tle(int catalog_number, double epoch_offset_days) {
-  tle::Tle record;
-  record.catalog_number = catalog_number;
-  record.international_designator = "20001A";
-  record.epoch_jd =
-      timeutil::to_julian(timeutil::make_datetime(2024, 5, 1)) + epoch_offset_days;
-  record.bstar = 1.4e-4;
-  record.inclination_deg = 53.05;
-  record.raan_deg = 120.5;
-  record.eccentricity = 0.0002;
-  record.arg_perigee_deg = 90.0;
-  record.mean_anomaly_deg = 45.0;
-  record.mean_motion_revday = 15.05;
-  record.element_set_number = 999;
-  record.rev_number = 12345;
-  return record;
-}
 
 std::string tle_record_text(int catalog_number, double epoch_offset_days) {
   const tle::TleLines lines =

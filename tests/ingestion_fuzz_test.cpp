@@ -33,6 +33,7 @@
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/make_tle.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/omm.hpp"
@@ -47,22 +48,10 @@ using diag::ParsePolicy;
 
 // ---- corpus builders --------------------------------------------------------
 
+/// The fuzz corpora's element sets start on 2022-03-01.
 tle::Tle make_tle(int catalog_number, double epoch_offset_days) {
-  tle::Tle record;
-  record.catalog_number = catalog_number;
-  record.international_designator = "20001A";
-  record.epoch_jd =
-      timeutil::to_julian(timeutil::make_datetime(2022, 3, 1)) + epoch_offset_days;
-  record.bstar = 1.4e-4;
-  record.inclination_deg = 53.05;
-  record.raan_deg = 120.5;
-  record.eccentricity = 0.0002;
-  record.arg_perigee_deg = 90.0;
-  record.mean_anomaly_deg = 45.0;
-  record.mean_motion_revday = 15.05;
-  record.element_set_number = 999;
-  record.rev_number = 12345;
-  return record;
+  return test_support::make_tle(catalog_number, epoch_offset_days,
+                                timeutil::make_datetime(2022, 3, 1));
 }
 
 std::vector<std::string> valid_tle_lines(int satellites) {

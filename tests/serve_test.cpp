@@ -28,10 +28,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/json_number.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/propagation.hpp"
+#include "io/file.hpp"
 #include "io/parse.hpp"
 #include "obs/obs.hpp"
 #include "serve/json.hpp"
@@ -40,13 +41,17 @@
 #include "serve/wire.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/storms.hpp"
+#include "spaceweather/wdc.hpp"
 #include "stats/ecdf.hpp"
+#include "support/make_tle.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
 
 namespace cosmicdance {
 namespace {
+
+using test_support::make_tle;
 
 // ---- wire framing -----------------------------------------------------------
 
@@ -184,25 +189,6 @@ TEST(ServeJsonTest, NumberTokensAreThePrintfG17Bytes) {
 }
 
 // ---- service fixtures -------------------------------------------------------
-
-tle::Tle make_tle(int catalog_number, double epoch_offset_days) {
-  tle::Tle record;
-  record.catalog_number = catalog_number;
-  record.international_designator = "20001A";
-  record.epoch_jd =
-      timeutil::to_julian(timeutil::make_datetime(2024, 5, 1)) +
-      epoch_offset_days;
-  record.bstar = 1.4e-4;
-  record.inclination_deg = 53.05;
-  record.raan_deg = 120.5;
-  record.eccentricity = 0.0002;
-  record.arg_perigee_deg = 90.0;
-  record.mean_anomaly_deg = 45.0;
-  record.mean_motion_revday = 15.05;
-  record.element_set_number = 999;
-  record.rev_number = 12345;
-  return record;
-}
 
 /// An in-memory pipeline: 12 days of Dst with one clear storm and a single
 /// satellite whose track holds exactly `samples` benign element sets.
@@ -387,6 +373,89 @@ TEST(ServeServiceTest, ShutdownOpRequestsShutdown) {
   // Reload without a rebuild callback is an error, not a crash.
   const auto reload = service.handle("{\"op\":\"reload\"}");
   EXPECT_FALSE(ok_field(response_json(reload.response)));
+}
+
+TEST(ServeJsonTest, NestingPastTheDepthBoundIsRejected) {
+  // The reader recurses once per array or object, so a frame of a million
+  // '[' used to overflow the connection thread's stack and end the daemon.
+  const std::string deep(1000000, '[');
+  EXPECT_FALSE(serve::parse_json(deep).has_value());
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"a\":";
+    return text + "1" + std::string(depth, '}');
+  };
+  EXPECT_TRUE(serve::parse_json(arrays(serve::kMaxJsonDepth)).has_value());
+  EXPECT_TRUE(serve::parse_json(objects(serve::kMaxJsonDepth)).has_value());
+  EXPECT_FALSE(serve::parse_json(arrays(serve::kMaxJsonDepth + 1)).has_value());
+  EXPECT_FALSE(
+      serve::parse_json(objects(serve::kMaxJsonDepth + 1)).has_value());
+  EXPECT_FALSE(serve::parse_json(arrays(1000000)).has_value());
+
+  // The daemon answers such a frame with an error and goes on serving.
+  obs::Metrics metrics;
+  serve::Service service(make_pipeline(5), {}, &metrics);
+  const auto result = service.handle(deep);
+  EXPECT_FALSE(result.shutdown);
+  const serve::JsonValue body = response_json(result.response);
+  EXPECT_FALSE(ok_field(body)) << result.response;
+  EXPECT_NE(body.find("error"), nullptr);
+  EXPECT_TRUE(ok_field(
+      response_json(service.handle("{\"op\":\"ping\"}").response)));
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 1u);
+}
+
+TEST(ServeServiceTest, ResponsesPastTheFrameLimitBecomeErrors) {
+  // A tolerant run over a catalog with 64,000 bad checksums quarantines
+  // every one of them, and the quality_report response outgrows the 16 MiB
+  // frame ceiling.  encode_frame refuses such a payload, and the throw used
+  // to end the daemon from its connection thread; the service now answers
+  // an error the wire can frame, and goes on serving.
+  const std::string dir = ::testing::TempDir() + "cd_serve_oversized_" +
+                          std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  io::write_file(dir + "/dst.wdc",
+                 spaceweather::to_wdc(spaceweather::DstIndex(
+                     timeutil::make_datetime(2024, 5, 1),
+                     std::vector<double>(5 * 24, -20.0))));
+  std::string tles;
+  for (int i = 0; i < 10; ++i) {
+    const tle::TleLines lines = tle::format_tle(make_tle(501, 0.4 * i));
+    tles += lines.line1 + "\n" + lines.line2 + "\n";
+  }
+  for (int i = 0; i < 64000; ++i) {
+    tle::TleLines lines = tle::format_tle(make_tle(1000 + i, 1.0));
+    lines.line1.back() = lines.line1.back() == '0' ? '1' : '0';
+    tles += lines.line1 + "\n" + lines.line2 + "\n";
+  }
+  io::write_file(dir + "/catalog.tle", tles);
+  core::PipelineConfig config;
+  config.parse_policy = diag::ParsePolicy::kTolerant;
+  config.num_threads = 2;
+  core::CosmicDance pipeline = core::CosmicDance::from_files(
+      dir + "/dst.wdc", dir + "/catalog.tle", config);
+  ASSERT_EQ(pipeline.quality_report().quarantined.size(), 64000u);
+  ASSERT_GT(pipeline.quality_report().to_json().size(), serve::kMaxFrameBytes);
+
+  obs::Metrics metrics;
+  serve::Service service(std::move(pipeline), {}, &metrics);
+  const auto result = service.handle("{\"op\":\"quality_report\"}");
+  EXPECT_FALSE(result.shutdown);
+  EXPECT_NO_THROW(static_cast<void>(serve::encode_frame(result.response)));
+  const serve::JsonValue body = response_json(result.response);
+  EXPECT_FALSE(ok_field(body));
+  ASSERT_NE(body.find("error"), nullptr);
+  EXPECT_NE(body.find("error")->text.find("exceeds the frame limit"),
+            std::string::npos)
+      << body.find("error")->text;
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 1u);
+  EXPECT_TRUE(ok_field(
+      response_json(service.handle("{\"op\":\"ping\"}").response)));
+  std::filesystem::remove_all(dir);
 }
 
 // ---- per-epoch results --------------------------------------------------------

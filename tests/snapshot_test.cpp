@@ -3,7 +3,7 @@
 //
 // The cache's contract is "bit-identical or rebuilt": a warm run must
 // reproduce the cold run's catalog, Dst series and quality report exactly,
-// and *any* disagreement — truncation, a flipped CRC byte, a stale content
+// and *any* disagreement — truncation, a flipped check-hash byte, a stale content
 // hash after an input edit, a format-version bump, a parse-policy mismatch
 // — must silently fall back to the text path (counter `snapshot.rejected`),
 // produce the same outputs as a cache-less run, and rewrite the snapshot.
@@ -33,10 +33,10 @@
 #include "io/file.hpp"
 #include "io/parse.hpp"
 #include "io/snapshot.hpp"
-#include "io/snapshot_internal.hpp"
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/make_tle.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
@@ -45,26 +45,9 @@ namespace cosmicdance {
 namespace {
 
 using diag::ParsePolicy;
+using test_support::make_tle;
 
 // ---- corpus builders --------------------------------------------------------
-
-tle::Tle make_tle(int catalog_number, double epoch_offset_days) {
-  tle::Tle record;
-  record.catalog_number = catalog_number;
-  record.international_designator = "20001A";
-  record.epoch_jd =
-      timeutil::to_julian(timeutil::make_datetime(2024, 5, 1)) + epoch_offset_days;
-  record.bstar = 1.4e-4;
-  record.inclination_deg = 53.05;
-  record.raan_deg = 120.5;
-  record.eccentricity = 0.0002;
-  record.arg_perigee_deg = 90.0;
-  record.mean_anomaly_deg = 45.0;
-  record.mean_motion_revday = 15.05;
-  record.element_set_number = 999;
-  record.rev_number = 12345;
-  return record;
-}
 
 /// `satellites` objects, two element sets each, as TLE text.
 std::string tle_corpus(int satellites) {
@@ -312,8 +295,8 @@ TEST(SnapshotTest, FlippedCrcHeaderByteFallsBack) {
   expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
                              [](const TestInputs& t) {
                                std::string bytes = io::read_file(t.snapshot_path());
-                               ASSERT_GT(bytes.size(), 35u);
-                               bytes[32] ^= 0x01;  // table CRC32C, bytes 32-35
+                               ASSERT_GT(bytes.size(), 39u);
+                               bytes[32] ^= 0x01;  // table XXH64, bytes 32-39
                                io::write_file(t.snapshot_path(), bytes);
                              });
 }
@@ -323,19 +306,19 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
   expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
                              [](const TestInputs& t) {
                                std::string bytes = io::read_file(t.snapshot_path());
-                               ASSERT_GT(bytes.size(), 40u);
-                               bytes[40 + (bytes.size() - 40) / 2] ^= 0x10;
+                               ASSERT_GT(bytes.size(), 44u);
+                               bytes[44 + (bytes.size() - 44) / 2] ^= 0x10;
                                io::write_file(t.snapshot_path(), bytes);
                              });
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  // Any version but the current one rejects: a newer file, a v5 file (the
-  // same bytes, but its records may hold non-finite fields that validation
-  // now rejects), and a v4 file (the same section layout, with FNV-1a input
-  // hashes).
+  // Any version but the current one rejects: a newer file, a v6 file (the
+  // same contents, checked with CRC32C in a 40-byte header and 24-byte
+  // table entries), a v5 file (its records may hold non-finite fields that
+  // validation now rejects), and a v4 file (FNV-1a input hashes).
   for (const std::uint32_t version :
-       {io::kSnapshotFormatVersion + 1, 5u, 4u}) {
+       {io::kSnapshotFormatVersion + 1, 6u, 5u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const TestInputs inputs =
         write_inputs("version" + std::to_string(version), tle_corpus(4));
@@ -351,8 +334,8 @@ TEST(SnapshotTest, FormatVersionBumpFallsBack) {
 
 TEST(SnapshotTest, BytesAfterThePayloadFallBack) {
   // The file ends where the header's payload size says: anything after it
-  // (a 40-byte header, like the layers earlier builds appended, or a
-  // single byte) rejects instead of being skipped.
+  // (40 bytes, the size of the header earlier builds appended layers
+  // behind, or a single byte) rejects instead of being skipped.
   for (const std::size_t extra : {std::size_t{40}, std::size_t{1}}) {
     SCOPED_TRACE(std::to_string(extra) + " trailing bytes");
     const TestInputs inputs =
@@ -579,10 +562,13 @@ void expect_same_decoded(const io::SnapshotData& a, const io::SnapshotData& b) {
 }
 
 // Header/table offsets (the format doc in snapshot.hpp).
-constexpr std::size_t kHeaderBytes = 40;
-constexpr std::size_t kTableCrcOffset = 32;
-constexpr std::size_t kSectionCountOffset = 36;
-constexpr std::size_t kSectionEntryBytes = 24;
+constexpr std::size_t kHeaderBytes = 44;
+constexpr std::size_t kTableHashOffset = 32;
+constexpr std::size_t kSectionCountOffset = 40;
+constexpr std::size_t kSectionEntryBytes = 28;
+// Within a table entry: u32 kind, u64 hash, u64 offset, u64 length.
+constexpr std::size_t kEntryOffsetField = 12;
+constexpr std::size_t kEntryLengthField = 20;
 
 std::uint32_t read_u32(const std::string& bytes, std::size_t offset) {
   std::uint32_t v = 0;
@@ -608,12 +594,12 @@ void write_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
 }
 
 /// Re-seal a hand-edited section table so only the *tiling* checks can
-/// reject it: recompute the table CRC32C and patch the header field.
+/// reject it: recompute the table XXH64 and patch the header field.
 void reseal_table(std::string& bytes) {
   const std::uint32_t sections = read_u32(bytes, kSectionCountOffset);
   const std::string_view table(bytes.data() + kHeaderBytes,
                                sections * kSectionEntryBytes);
-  write_u32(bytes, kTableCrcOffset, io::crc32c(table));
+  write_u64(bytes, kTableHashOffset, io::xxh64(table));
 }
 
 TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
@@ -656,7 +642,7 @@ TEST(SnapshotV3Test, TruncatedSectionTableRejects) {
 TEST(SnapshotV3Test, FlippedSectionTableByteRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
   std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
-  bytes[kHeaderBytes + 8] ^= 0x01;  // first entry's offset field
+  bytes[kHeaderBytes + kEntryOffsetField] ^= 0x01;  // first entry's offset
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
 
@@ -664,7 +650,7 @@ TEST(SnapshotV3Test, FlippedSectionBodyByteFailsThatSectionsCrc) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
   std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
   // Last payload byte lives in the final (quality) section, well past the
-  // table — only the per-section CRC can notice it.
+  // table — only the per-section hash can notice it.
   bytes[bytes.size() - 1] ^= 0x40;
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
@@ -675,16 +661,17 @@ TEST(SnapshotV3Test, OverlappingOrGappedSectionsReject) {
   const std::size_t entry1 = kHeaderBytes + kSectionEntryBytes;
 
   // Slide the second section's offset back onto the first (overlap) and
-  // forward past it (gap); reseal the table CRC both times so the tiling
+  // forward past it (gap); reseal the table hash both times so the tiling
   // check itself must reject.
   std::string overlap = bytes;
-  write_u64(overlap, entry1 + 8, 0);
+  write_u64(overlap, entry1 + kEntryOffsetField, 0);
   reseal_table(overlap);
   EXPECT_FALSE(io::decode_snapshot(overlap, ParsePolicy::kStrict).has_value());
 
   std::string gap = bytes;
-  const std::uint64_t first_length = read_u32(bytes, kHeaderBytes + 16);
-  write_u64(gap, entry1 + 8, first_length + 8);
+  const std::uint64_t first_length =
+      read_u32(bytes, kHeaderBytes + kEntryLengthField);
+  write_u64(gap, entry1 + kEntryOffsetField, first_length + 8);
   reseal_table(gap);
   EXPECT_FALSE(io::decode_snapshot(gap, ParsePolicy::kStrict).has_value());
 }
@@ -705,6 +692,17 @@ TEST(SnapshotV3Test, StaleContentHashRejects) {
   // mismatch means the header belongs to different inputs.
   bytes[16] ^= 0x01;
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
+}
+
+TEST(SnapshotFormat, BytesArePinned) {
+  // The encoding, pinned: a change to any byte a snapshot holds must bump
+  // kSnapshotFormatVersion (so older files reject and reparse) and this
+  // digest together.
+  const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
+  const std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  EXPECT_EQ(io::kSnapshotFormatVersion, 7u);
+  EXPECT_EQ(io::xxh64(bytes), 0x9C6CBD93DFED1F6FULL)
+      << std::hex << io::xxh64(bytes);
 }
 
 // ---- counters and the background save ---------------------------------------
@@ -789,7 +787,7 @@ TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
 
 TEST(SnapshotTest, ExactInputsWithABadLaterSectionStillReparse) {
   // The fingerprint finds the inputs unchanged and from_files releases
-  // their mappings, then the last section fails its CRC: the run must map
+  // their mappings, then the last section fails its hash: the run must map
   // the inputs again and reparse them, bit-identically.
   const TestInputs inputs = write_inputs("exact_then_bad", tle_corpus(4));
   expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
@@ -1022,55 +1020,6 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
   // Dropped pages fault back in with the file's bytes.
   EXPECT_EQ(tle_map.view(), text);
   std::filesystem::remove_all(dir);
-}
-
-// ---- checksum reference -----------------------------------------------------
-
-/// Textbook reflected bit-at-a-time CRC-32 — the definition both
-/// production implementations (slice-by-8 tables, SSE4.2 instruction)
-/// must reproduce exactly.
-std::uint32_t crc_reference(std::string_view bytes, std::uint32_t polynomial) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char byte : bytes) {
-    crc ^= static_cast<unsigned char>(byte);
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) != 0 ? polynomial ^ (crc >> 1) : crc >> 1;
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-TEST(SnapshotCrc, Crc32cMatchesTheBitwiseReference) {
-  // Known-answer vector first ("123456789" is the standard check input).
-  EXPECT_EQ(io::crc32c("123456789"), 0xE3069283u);
-
-  // Then every length 0..129 with deterministic pseudo-random content, so
-  // the 8-byte main loops and all tail paths are exercised.
-  Rng rng(20240508);
-  for (std::size_t length = 0; length <= 129; ++length) {
-    std::string bytes(length, '\0');
-    for (char& c : bytes) {
-      c = static_cast<char>(rng.uniform_int(0, 255));
-    }
-    EXPECT_EQ(io::crc32c(bytes), crc_reference(bytes, 0x82F63B78u))
-        << "crc32c mismatch at length " << length;
-  }
-}
-
-TEST(SnapshotCrc, PortableFallbackMatchesTheHardwarePath) {
-  // io::crc32c takes the SSE4.2 instruction wherever the cpu has it, so
-  // the slice-by-8 fallback is held to it directly: the known answer, then
-  // random buffers of every length 0..4096 (all alignments of the 8-byte
-  // main loop and its byte tail).
-  EXPECT_EQ(io::internal::crc32c_portable("123456789"), 0xE3069283u);
-  Rng rng(20261018);
-  std::string bytes;
-  for (std::size_t length = 0; length <= 4096; ++length) {
-    bytes.resize(length);
-    for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
-    ASSERT_EQ(io::internal::crc32c_portable(bytes), io::crc32c(bytes))
-        << "portable crc32c disagrees at length " << length;
-  }
 }
 
 }  // namespace

@@ -15,9 +15,9 @@
 #include "io/args.hpp"
 #include "io/file.hpp"
 #include "io/parse.hpp"
+#include "serve/json.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
-#include "support/minijson.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/omm.hpp"
 #include "tle/tle.hpp"
@@ -433,8 +433,8 @@ std::string tle_days(int first_day, int days) {
 }
 
 /// The named counter in a --metrics JSON file, or -1 when it is absent.
-long metrics_counter(const minijson::Value& metrics, const std::string& name) {
-  const minijson::Value* value = metrics.find("counters")->find(name);
+long metrics_counter(const serve::JsonValue& metrics, const std::string& name) {
+  const serve::JsonValue* value = metrics.find("counters")->find(name);
   return value != nullptr ? io::parse_long(value->text).value_or(-1) : -1;
 }
 
@@ -452,7 +452,7 @@ TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
         run + "' --cache-dir '" + dir + "/cache' --metrics '" + dir + "/" +
         run + ".json'");
     EXPECT_EQ(result.exit_code, 0) << result.output;
-    return minijson::parse(io::read_file(dir + "/" + run + ".json"));
+    return serve::parse_json(io::read_file(dir + "/" + run + ".json"));
   };
 
   const auto cold = analyze("cold");
@@ -462,7 +462,7 @@ TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
   ASSERT_TRUE(cold.has_value());
   ASSERT_TRUE(append.has_value());
   EXPECT_EQ(metrics_counter(*append, "ingest.delta_hit"), 1);
-  for (const minijson::Value* metrics : {&*cold, &*append}) {
+  for (const serve::JsonValue* metrics : {&*cold, &*append}) {
     EXPECT_EQ(metrics_counter(*metrics, "snapshot.written"), 1);
     EXPECT_NE(metrics->find("phases")->find("snapshot.save"), nullptr);
     EXPECT_NE(metrics->find("phases")->find("analyze.save_join"), nullptr);
@@ -513,9 +513,9 @@ TEST(CliConvertTest, NonFiniteOmmFieldFailsStrictAndIsQuarantinedTolerant) {
     const CommandResult tolerant = run_command(
         convert + " --parse-policy tolerant --quality-report '" + dir + "/q.json'");
     ASSERT_EQ(tolerant.exit_code, 0) << tolerant.output;
-    const auto report = minijson::parse(io::read_file(dir + "/q.json"));
+    const auto report = serve::parse_json(io::read_file(dir + "/q.json"));
     ASSERT_TRUE(report.has_value());
-    const minijson::Value* quarantined = report->find("quarantined");
+    const serve::JsonValue* quarantined = report->find("quarantined");
     ASSERT_NE(quarantined, nullptr);
     ASSERT_EQ(quarantined->items.size(), 1u);
     EXPECT_EQ(quarantined->items[0].find("category")->text, "range");

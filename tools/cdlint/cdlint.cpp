@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "rules.hpp"
 #include "scan.hpp"
 
@@ -39,28 +40,6 @@ struct Options {
   bool json = false;
   bool dump_index = false;
 };
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(c >> 4) & 0xF]);
-          out.push_back(kHex[c & 0xF]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 /// Baseline entries are consumable: each suppresses one matching finding.
 using Baseline = std::multiset<std::string>;
@@ -168,10 +147,10 @@ int run(const Options& options) {
     for (std::size_t i = 0; i < findings.size(); ++i) {
       const Finding& f = findings[i];
       std::cout << (i == 0 ? "\n" : ",\n")
-                << "    {\"file\": \"" << json_escape(f.file)
+                << "    {\"file\": \"" << cosmicdance::escape_json(f.file)
                 << "\", \"line\": " << f.line << ", \"rule\": \""
-                << json_escape(f.rule) << "\", \"message\": \""
-                << json_escape(f.message) << "\"}";
+                << cosmicdance::escape_json(f.rule) << "\", \"message\": \""
+                << cosmicdance::escape_json(f.message) << "\"}";
     }
     std::cout << (findings.empty() ? "]" : "\n  ]") << ",\n"
               << "  \"files_scanned\": " << result.files_scanned << ",\n"

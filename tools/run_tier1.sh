@@ -12,7 +12,8 @@
 #      driving the malformed-record corpus through both parse policies so
 #      buffer overreads in the fixed-column parsers surface here, and the
 #      delta-snapshot differential suite so the incremental path's tail
-#      parse and base rewrite run under the same lens.
+#      parse and base rewrite run under the same lens, and the daemon's
+#      framing and JSON request reader, where outside input enters it.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (every output file byte-identical and work counters
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
@@ -92,15 +93,17 @@ cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
       --target ingestion_fuzz_test diag_test io_test tle_test tle2_test \
                timeutil_test spaceweather_test snapshot_test \
-               delta_snapshot_test
+               delta_snapshot_test serve_test
 # The fuzz suite feeds truncated / corrupted fixed-column records through
 # every ingestion path; ASan+UBSan turns any column overread into a failure.
 # snapshot_test drives the corrupted-snapshot failure matrix (truncation,
 # bit flips, stale hashes) through the binary decoder under the same lens;
 # delta_snapshot_test does the same for the append-aware incremental path
 # (forged appends, unsafe prefix boundaries, the append/edit fuzz loop).
+# The ServeWire and ServeJson suites feed the daemon's frame reader and
+# request parser oversized prefixes, garbage and a million nested '['.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance

@@ -4,18 +4,20 @@
 // side are the cold/warm start story in one screen.
 //
 // Supplies its own main(): after the google-benchmark suite runs, an
-// instrumented cold → warm → append → delta-warm sequence of
+// instrumented cold → warm → append → delta-warm → Dst-append sequence of
 // CosmicDance::from_files passes collects cd_obs telemetry and writes a
-// machine-readable record.  The warm pass must hit the snapshot cache
-// (`ingest.cache_hit` == 1) and the delta-warm pass — after a few records
-// are appended — must parse only the tail (`ingest.delta_hit` == 1 with
-// `delta_tail_fraction` well under 5%) and rewrite the base
-// (`snapshot.written` == 2 with the cold pass's).  The record also times
-// the catalog's way back to text (`tle_format_records_per_s`, with
-// `format_threads_identical` comparing it to the serial bytes) and the
-// constellation simulator that generates it (`simulate_records_per_s`,
-// with `simulate_threads_identical` comparing its catalog and failures to
-// the serial run's).  Tier-1 asserts on all of these, and
+// machine-readable record.  The warm pass must hit the snapshot cache, the
+// delta-warm pass — after a few records are appended — must parse only
+// the tail (`ingest.delta_hit` == 1 with `delta_tail_fraction` well under
+// 5%) and rewrite the base (`snapshot.written` == 2 with the cold pass's),
+// and the pass after a Dst-only append must hit the cache again (the
+// snapshot holds only the TLE parse), so `ingest.cache_hit` == 2.  The
+// record also times the catalog's way back to text
+// (`tle_format_records_per_s`, with `format_threads_identical` comparing it
+// to the serial bytes) and the constellation simulator that generates it
+// (`simulate_records_per_s`, with `simulate_threads_identical` comparing
+// its catalog and failures to the serial run's).  Tier-1 asserts on all of
+// these, and
 // tools/bench_compare.py diffs the throughput keys between runs:
 //
 //   ./micro_ingest [--benchmark_filter=RE] [--bench-out F] [--threads N]
@@ -29,6 +31,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
@@ -84,7 +87,7 @@ const std::string& shared_snapshot_path() {
     const core::CosmicDance pipeline =
         core::CosmicDance::from_files(data.dst_path, data.tle_path, config);
     benchmark::DoNotOptimize(pipeline.catalog().record_count());
-    return io::snapshot_cache_path(cache_dir, data.dst_path, data.tle_path);
+    return io::snapshot_cache_path(cache_dir, data.tle_path);
   }();
   return path;
 }
@@ -155,16 +158,26 @@ std::string appended_tle_tail() {
   return tail;
 }
 
-/// The telemetry pass: cold → warm → append → delta-warm from_files runs
-/// against a fresh cache directory, sharing one metrics registry.  The cold
-/// run parses text and writes the snapshot; the warm run must load it
-/// (ingest.cache_hit == 1); the delta-warm run, after a few records are
-/// appended, must parse only the tail (ingest.delta_hit == 1, with
-/// throughput key `delta_tail_fraction` ≪ 1) and rewrite the base, so the
-/// pass writes two snapshots (snapshot.written == 2) — the counters tier-1
-/// asserts on.
+/// One quiet WDC day record for the UT day after `dst`'s last one.
+std::string appended_wdc_day(const spaceweather::DstIndex& dst) {
+  const timeutil::HourIndex last = dst.end_hour() - 1;
+  const timeutil::HourIndex next_day = last - ((last % 24) + 24) % 24 + 24;
+  return spaceweather::to_wdc(
+      spaceweather::DstIndex(next_day, std::vector<double>(24, -20.0)));
+}
+
+/// The telemetry pass: cold → warm → append → delta-warm → Dst-append
+/// from_files runs against a fresh cache directory, sharing one metrics
+/// registry.  The cold run parses text and writes the snapshot; the warm
+/// run must load it; the delta-warm run, after a few records are appended,
+/// must parse only the tail (ingest.delta_hit == 1, with throughput key
+/// `delta_tail_fraction` ≪ 1) and rewrite the base, so the pass writes two
+/// snapshots (snapshot.written == 2); and after one Dst day is appended the
+/// last run must hit the TLE snapshot again (ingest.cache_hit == 2) — the
+/// counters tier-1 asserts on.
 void run_telemetry_pass(const std::string& out_path, int threads) {
   const BenchDataset& data = shared_dataset();
+  const spaceweather::DstIndex dst = bench::paper_dst();
   obs::Metrics metrics;
 
   // Private copies of the inputs: the delta leg appends to them, and the
@@ -203,9 +216,14 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
     delta_warm.wait_for_snapshot_save();
     delta_appended_records = delta_warm.catalog().record_count() -
                              warm.catalog().record_count();
+
+    // A Dst-only change leaves the TLE snapshot exact: every run parses
+    // the Dst itself, so this run hits the cache and writes nothing.
+    io::append_file(dst_path, appended_wdc_day(dst));
+    static_cast<void>(
+        core::CosmicDance::from_files(dst_path, tle_path, config));
   }
-  const double total_bytes =
-      static_cast<double>(std::filesystem::file_size(dst_path)) +
+  const double tle_bytes =
       static_cast<double>(std::filesystem::file_size(tle_path));
 
   // The two headline rates are tier-1-gated (cold ≥ 2x its PR 9 baseline,
@@ -245,15 +263,14 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
         static_cast<double>(parsed_records) / parse_s;
   }
   // The warm-start rate: what an exact-hit run pays before it holds its
-  // datasets — the snapshot load plus the fingerprint that proves the
-  // inputs unchanged, run alongside the decode as from_files runs it.  The
-  // inputs are mapped once, outside the timed region, as for the cold
-  // parse above.  The delta-warm pass rewrote the base over the grown
-  // inputs, so this is an exact hit; anything else leaves the key out and
-  // fails the tier-1 gate.
+  // datasets — the snapshot load plus the fingerprint that proves the TLE
+  // input unchanged, run alongside the decode as from_files runs it.  The
+  // input is mapped once, outside the timed region, as for the cold parse
+  // above.  The delta-warm pass rewrote the base over the grown input, so
+  // this is an exact hit; anything else leaves the key out and fails the
+  // tier-1 gate.
   const std::string snapshot_path =
-      io::snapshot_cache_path(config.cache_dir, dst_path, tle_path);
-  const io::MappedFile dst_grown(dst_path);
+      io::snapshot_cache_path(config.cache_dir, tle_path);
   const io::MappedFile tle_grown(tle_path);
   std::size_t warm_records = 0;
   const double warm_s = best_seconds([&] {
@@ -261,7 +278,7 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
     const auto loaded = io::load_snapshot(
         snapshot_path, config.parse_policy, nullptr, threads,
         [&](const io::IngestState& recorded) {
-          match = io::classify_inputs(recorded, dst_grown, tle_grown).match;
+          match = io::classify_inputs(recorded, tle_grown).match;
         });
     const bool exact = loaded.has_value() && match == io::InputMatch::kExact;
     warm_records = exact ? loaded->catalog.record_count() : 0;
@@ -294,7 +311,6 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
   // The constellation simulator (DESIGN.md §20): the fastest of three runs
   // of the bench catalog's scenario at the run's thread count, against the
   // serial run's catalog text and failures.
-  const spaceweather::DstIndex dst = bench::paper_dst();
   const simulation::ConstellationSimulator simulator(
       simulation::scenario::paper_window(&dst, 2, 30.0));
   simulation::SimulationResult simulated;
@@ -321,10 +337,11 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
       static_cast<double>(catalog.record_count());
   throughput["delta_appended_records"] =
       static_cast<double>(delta_appended_records);
-  // The headline incremental-ingestion ratio: bytes the delta-warm run had
-  // to parse over bytes it would have parsed from scratch.
+  // The headline incremental-ingestion ratio: TLE bytes the delta-warm run
+  // parsed over the TLE bytes a full parse reads.  (Every run parses the
+  // Dst file, which no snapshot holds.)
   throughput["delta_tail_fraction"] =
-      static_cast<double>(tail.size()) / total_bytes;
+      static_cast<double>(tail.size()) / tle_bytes;
 
   bench::write_bench_record(out_path, "micro_ingest", threads,
                             "paper_catalog(per_batch=2, cadence=30)",

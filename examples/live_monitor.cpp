@@ -6,7 +6,8 @@
 // raises an alert (in production: kick off LEOScope network measurements)
 // and, on release, runs a quick happens-closely-after damage assessment.
 // Every assessment opens the inputs through the snapshot cache, so it
-// parses only the bytes appended since the one before (DESIGN.md §14).
+// parses only the TLE bytes appended since the one before, plus the small
+// Dst file (DESIGN.md §14).
 #include <cstdio>
 #include <filesystem>
 #include <vector>

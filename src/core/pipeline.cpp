@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -45,8 +46,8 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
                                     const std::string& tle_path,
                                     PipelineConfig config) {
   // Both inputs are mapped once up front; the zero-copy parsers scan the
-  // mappings directly and the snapshot cache hashes the same bytes, so hit
-  // and miss runs agree on what the inputs were.
+  // mappings directly and the snapshot cache hashes the same TLE bytes, so
+  // hit and miss runs agree on what the input was.
   std::optional<io::MappedFile> dst_file(std::in_place, wdc_dst_path);
   std::optional<io::MappedFile> tle_file(std::in_place, tle_path);
   if (config.metrics != nullptr) {
@@ -58,48 +59,43 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     }
   }
 
+  // The base the TLE parse extends: a matching snapshot's catalog and TLE
+  // report, or nothing.
   const bool use_cache = !config.cache_dir.empty();
   std::string snapshot_path;
   io::SnapshotData data;
-  // The current inputs' state, once a classification has fingerprinted them.
-  std::optional<io::IngestState> state;
+  std::uint64_t base_lines = 0;
+  // The current input's state, once a classification has fingerprinted it.
+  std::optional<io::InputClassification> cls;
   io::InputMatch match = io::InputMatch::kMismatch;
   if (use_cache) {
-    snapshot_path =
-        io::snapshot_cache_path(config.cache_dir, wdc_dst_path, tle_path);
+    snapshot_path = io::snapshot_cache_path(config.cache_dir, tle_path);
     // The fingerprint runs on one worker while the others decode the
     // snapshot's sections, dropping the input pages it has hashed as it
-    // goes.  An exact hit never reads the inputs again, so it unmaps them
+    // goes.  An exact hit never reads the input again, so it unmaps it
     // right there; an append run faults back only the tail it parses.
-    std::optional<io::InputClassification> cls;
     std::optional<io::SnapshotData> snapshot = io::load_snapshot(
         snapshot_path, config.parse_policy, config.metrics, config.num_threads,
         [&](const io::IngestState& recorded) {
           const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-          cls = io::classify_inputs(recorded, *dst_file, *tle_file);
-          if (cls->match == io::InputMatch::kExact) {
-            dst_file.reset();
-            tle_file.reset();
-          }
+          cls = io::classify_inputs(recorded, *tle_file);
+          if (cls->match == io::InputMatch::kExact) tle_file.reset();
         });
-    // The fingerprint measured the current inputs whatever the rest of the
-    // file held, so a rejected snapshot does not cost a second one.
-    if (cls.has_value()) state = cls->current;
     if (!snapshot.has_value() && !tle_file.has_value()) {
-      // Exact inputs, but a later section failed: the text path needs them.
-      dst_file.emplace(wdc_dst_path);
+      // An exact input, but a later section failed: the text path needs it.
       tle_file.emplace(tle_path);
     }
     if (snapshot.has_value()) {
       match = cls->match;  // a decoded snapshot always ran the fingerprint
       if (match == io::InputMatch::kMismatch) {
-        // Structurally valid snapshot of some *other* inputs (shrunk or
+        // Structurally valid snapshot of some *other* input (shrunk or
         // edited in place): stale.  Count the rejection and reparse.
         if (config.metrics != nullptr) {
           config.metrics->counter("snapshot.rejected").add(1);
         }
       } else {
         data = std::move(*snapshot);
+        base_lines = cls->prefix_lines;
         if (config.metrics != nullptr) {
           config.metrics->counter("snapshot.loaded").add(1);
         }
@@ -107,77 +103,66 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     }
   }
 
+  // Every run parses the Dst file, before any TLE text, as a full parse
+  // would: it takes milliseconds, so the snapshot caches only the TLE parse
+  // (DESIGN.md §13).  It runs after the load because the series' growth
+  // frees two buffers glibc had mapped, which raises its mmap threshold:
+  // before the load, that put the decoded histories in the heap arenas,
+  // where an append's history reallocations then left about 30 MB behind.
+  diag::ParseLog dst_log(config.parse_policy);
+  spaceweather::DstIndex dst;
+  {
+    const obs::ScopedPhase phase(config.metrics, "ingest.dst");
+    dst = spaceweather::from_wdc(dst_file->view(), &dst_log, wdc_dst_path);
+    if (config.metrics != nullptr) {
+      config.metrics->counter("ingest.dst_hours").add(dst.size());
+    }
+  }
+  dst_file.reset();
+
+  // The quality report is the Dst parse's, then the TLE parse's: the
+  // base's part, then the tail's — the order of one full parse.
+  diag::DataQualityReport quality = dst_log.report();
+  quality.merge(std::move(data.quality));
   if (match == io::InputMatch::kExact) {
-    // Byte-identical inputs: skip text parsing entirely.
     if (config.metrics != nullptr) {
       config.metrics->counter("ingest.cache_hit").add(1);
     }
-  } else if (match == io::InputMatch::kAppend) {
-    // Unchanged prefix plus appended bytes: parse only the tails,
-    // extending the snapshot's datasets in place.  The readers resume
-    // with absolute line numbers, so values, counters, quarantine
-    // order — and the first strict-mode throw — are bit-identical to
-    // a full reparse of the grown files (DESIGN.md §14).
-    const std::string_view dst_tail =
-        dst_file->view().substr(data.state.dst_len);
-    const std::string_view tle_tail =
-        tle_file->view().substr(data.state.tle_len);
-    if (config.metrics != nullptr) {
-      config.metrics->counter("ingest.delta_hit").add(1);
-      config.metrics->counter("ingest.tail_bytes")
-          .add(dst_tail.size() + tle_tail.size());
-    }
-    diag::ParseLog tail_log(config.parse_policy);
-    {
-      const obs::ScopedPhase phase(config.metrics, "ingest.dst");
-      const std::size_t prior_hours = data.dst.size();
-      spaceweather::from_wdc_append(
-          data.dst, dst_tail, &tail_log, wdc_dst_path,
-          static_cast<std::size_t>(data.state.dst_lines) + 1);
-      if (config.metrics != nullptr) {
-        config.metrics->counter("ingest.dst_hours")
-            .add(data.dst.size() - prior_hours);
-      }
-    }
-    {
-      const obs::ScopedPhase phase(config.metrics, "ingest.tle");
-      data.catalog.add_from_text(
-          tle_tail,
-          tle::IngestOptions{
-              &tail_log, config.num_threads, tle_path, config.metrics,
-              static_cast<std::size_t>(data.state.tle_lines) + 1});
-    }
-    data.quality.merge(tail_log.report());
-    data.state = *state;
   } else {
-    diag::ParseLog log(config.parse_policy);
-    {
-      const obs::ScopedPhase phase(config.metrics, "ingest.dst");
-      data.dst = spaceweather::from_wdc(dst_file->view(), &log, wdc_dst_path);
-      if (config.metrics != nullptr) {
-        config.metrics->counter("ingest.dst_hours").add(data.dst.size());
-      }
+    // The one TLE parse path: the bytes the base does not hold, numbered
+    // from the line after it.  A cold or stale run's empty base makes that
+    // the whole file from line 1; an append run parses only the tail, and
+    // the values, counters, quarantine order — and the first strict-mode
+    // throw — equal a full reparse of the grown file.
+    const std::string_view tail = tle_file->view().substr(data.state.tle_len);
+    if (match == io::InputMatch::kAppend && config.metrics != nullptr) {
+      config.metrics->counter("ingest.delta_hit").add(1);
+      config.metrics->counter("ingest.tail_bytes").add(tail.size());
     }
+    diag::ParseLog tle_log(config.parse_policy);
     {
       const obs::ScopedPhase phase(config.metrics, "ingest.tle");
       data.catalog.add_from_text(
-          tle_file->view(),
-          tle::IngestOptions{&log, config.num_threads, tle_path, config.metrics});
+          tail, tle::IngestOptions{&tle_log, config.num_threads, tle_path,
+                                   config.metrics,
+                                   static_cast<std::size_t>(base_lines) + 1});
     }
-    data.quality = log.report();
+    quality.merge(tle_log.report());
     if (use_cache) {
-      if (!state.has_value()) {
+      if (!cls.has_value()) {
         const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-        state = io::ingest_state_of(dst_file->view(), tle_file->view());
+        cls = io::classify_inputs(io::IngestState{}, tle_file->view());
       }
-      data.state = *state;
+      data.state = cls->current;
     }
   }
+  data.dst = std::move(dst);
+  data.quality = std::move(quality);
 
   const auto inputs = std::make_shared<const io::SnapshotData>(std::move(data));
   std::future<void> save;
   if (use_cache && match != io::InputMatch::kExact) {
-    // Rewrite the base over the current inputs on a background thread that
+    // Rewrite the base over the current input on a background thread that
     // overlaps the track build.  Best-effort: a failed write (e.g. a
     // read-only cache dir) is counted but never fails the run.
     save = std::async(

@@ -45,14 +45,15 @@ struct PipelineConfig {
   /// (DESIGN.md §11).
   obs::Metrics* metrics = nullptr;
   /// Snapshot-cache directory for from_files (DESIGN.md §13–14).  Empty —
-  /// the default — disables caching.  When set, a valid snapshot keyed by
-  /// the input bytes' content hash skips text parsing entirely (counter
-  /// `ingest.cache_hit`); inputs that grew by appended bytes over an
-  /// unchanged prefix parse only the tail (counters `ingest.delta_hit`,
-  /// `ingest.tail_bytes`) and rewrite the snapshot over the grown inputs;
-  /// any other change (or corrupt snapshot) falls back to the text path
-  /// and rewrites a fresh snapshot (`snapshot.rejected`).  Results are
-  /// bit-identical on every path.
+  /// the default — disables caching.  When set, the TLE parse is cached:
+  /// a valid snapshot keyed by the TLE bytes' content hash skips TLE text
+  /// parsing entirely (counter `ingest.cache_hit`); a TLE input that grew
+  /// by appended bytes over an unchanged prefix parses only the tail
+  /// (counters `ingest.delta_hit`, `ingest.tail_bytes`) and rewrites the
+  /// snapshot over the grown input; any other change (or corrupt
+  /// snapshot) falls back to the text path and rewrites a fresh snapshot
+  /// (`snapshot.rejected`).  The Dst file is parsed on every run.
+  /// Results are bit-identical on every path.
   std::string cache_dir;
 };
 

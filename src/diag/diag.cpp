@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <ostream>
 
 #include "common/json.hpp"
@@ -78,27 +79,17 @@ void ParseLog::reject(const std::string& stage, ErrorCategory category,
                                            snippet_of(snippet)});
 }
 
-void ParseLog::merge(ParseLog&& other) {
-  for (const auto& [stage, counters] : other.stages_) {
-    stages_[stage].merge(counters);
-  }
-  quarantined_.insert(quarantined_.end(),
-                      std::make_move_iterator(other.quarantined_.begin()),
-                      std::make_move_iterator(other.quarantined_.end()));
-  other.stages_.clear();
-  other.quarantined_.clear();
-}
-
 DataQualityReport ParseLog::report() const {
   return DataQualityReport{policy_, stages_, quarantined_};
 }
 
-void DataQualityReport::merge(const DataQualityReport& other) {
+void DataQualityReport::merge(DataQualityReport other) {
   for (const auto& [stage, counters] : other.stages) {
     stages[stage].merge(counters);
   }
-  quarantined.insert(quarantined.end(), other.quarantined.begin(),
-                     other.quarantined.end());
+  quarantined.insert(quarantined.end(),
+                     std::make_move_iterator(other.quarantined.begin()),
+                     std::make_move_iterator(other.quarantined.end()));
 }
 
 std::size_t DataQualityReport::total_accepted() const noexcept {
@@ -128,24 +119,6 @@ std::vector<std::vector<std::string>> DataQualityReport::quarantine_rows() const
   for (const QuarantinedRecord& record : quarantined) {
     rows.push_back({record.stage, record.source, std::to_string(record.line),
                     to_string(record.category), record.message, record.snippet});
-  }
-  return rows;
-}
-
-std::vector<std::vector<std::string>> DataQualityReport::summary_rows() const {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(stages.size() + 1);
-  std::vector<std::string> header{"stage", "accepted", "repaired", "quarantined"};
-  for (const char* name : kCategoryNames) header.emplace_back(name);
-  rows.push_back(std::move(header));
-  for (const auto& [stage, counters] : stages) {
-    std::vector<std::string> row{stage, std::to_string(counters.accepted),
-                                 std::to_string(counters.repaired),
-                                 std::to_string(counters.quarantined_total())};
-    for (const std::size_t n : counters.quarantined) {
-      row.push_back(std::to_string(n));
-    }
-    rows.push_back(std::move(row));
   }
   return rows;
 }

@@ -13,10 +13,9 @@
 //               caller inspects the DataQualityReport afterwards.
 //
 // Thread-safety contract (DESIGN.md §"Data quality"): a ParseLog is NOT
-// internally synchronised.  Parallel ingestion loops give each chunk its
-// own ParseLog and merge them in chunk-index order; because merging is a
-// pure in-order concatenation, counters and quarantine order are
-// bit-identical at any thread count.
+// internally synchronised.  Parallel ingestion parses records on workers
+// and reports them to the one log serially, in file order, so counters and
+// quarantine order are bit-identical at any thread count.
 #pragma once
 
 #include <array>
@@ -89,19 +88,15 @@ struct DataQualityReport {
   [[nodiscard]] std::size_t total_quarantined() const noexcept;
 
   /// Fold another report in: per-stage counters add, quarantined records
-  /// append in argument order.  The incremental ingestion path merges the
-  /// tail parse's report onto the snapshot's cumulative one, which equals
-  /// the full-reparse report exactly because both halves were produced in
-  /// file order.  `other.policy` is expected to match and is ignored.
-  void merge(const DataQualityReport& other);
+  /// move over in argument order.  from_files builds its report as the
+  /// Dst parse's, then the snapshot's TLE part, then the TLE tail's, which
+  /// equals a full parse's report exactly because each part was produced
+  /// in file order.  `other.policy` is expected to match and is ignored.
+  void merge(DataQualityReport other);
 
   /// Quarantine detail as CSV-ready rows: a header row followed by one row
   /// per record (stage, source, line, category, message, snippet).
   [[nodiscard]] std::vector<std::vector<std::string>> quarantine_rows() const;
-
-  /// Per-stage summary as CSV-ready rows: header row, then
-  /// stage, accepted, repaired, quarantined, <one column per category>.
-  [[nodiscard]] std::vector<std::vector<std::string>> summary_rows() const;
 
   /// Full report (policy, per-stage counters, quarantined records) as JSON.
   [[nodiscard]] std::string to_json() const;
@@ -143,11 +138,6 @@ class ParseLog {
   [[nodiscard]] std::size_t quarantined_count() const noexcept {
     return quarantined_.size();
   }
-
-  /// Fold another log in: counters add, quarantine records append in
-  /// argument order.  Parallel ingestion merges per-chunk logs in
-  /// chunk-index order so the result is independent of scheduling.
-  void merge(ParseLog&& other);
 
   /// Snapshot the accumulated state as a report.
   [[nodiscard]] DataQualityReport report() const;

@@ -39,18 +39,6 @@ std::string slurp(const std::string& path) {
 
 std::string read_file(const std::string& path) { return slurp(path); }
 
-std::vector<std::string> read_lines(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open file: " + path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    lines.push_back(line);
-  }
-  return lines;
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw IoError("cannot open file for writing: " + path);

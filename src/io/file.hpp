@@ -4,15 +4,11 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace cosmicdance::io {
 
 /// Read a whole file as text.  Throws IoError when unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
-
-/// Read a file as lines (\n or \r\n, terminators stripped).
-[[nodiscard]] std::vector<std::string> read_lines(const std::string& path);
 
 /// Write text to a file, replacing its contents.  Throws IoError on failure.
 void write_file(const std::string& path, const std::string& content);

@@ -33,7 +33,6 @@ constexpr std::size_t kHeaderSize = 44;
 // ---- section layout (see snapshot.hpp for the format doc) -------------------
 
 constexpr std::uint32_t kSectionState = 1;
-constexpr std::uint32_t kSectionDst = 2;
 constexpr std::uint32_t kSectionCatalogStripe = 3;
 constexpr std::uint32_t kSectionQuality = 4;
 constexpr std::size_t kSectionEntrySize = 28;
@@ -51,12 +50,9 @@ struct SectionEntry {
   std::uint64_t length = 0;
 };
 
-constexpr std::uint8_t kFlagDstLineTerminated = 1u << 0;
-constexpr std::uint8_t kFlagTleLineTerminated = 1u << 1;
-constexpr std::uint8_t kFlagTleBoundaryClean = 1u << 2;
-constexpr std::uint8_t kFlagMask = kFlagDstLineTerminated |
-                                   kFlagTleLineTerminated |
-                                   kFlagTleBoundaryClean;
+/// The quality section keeps the report's TLE part: the stage
+/// TleCatalog::add_from_text reports under.
+constexpr std::string_view kTleStage = "tle";
 
 // ---- little-endian writer ---------------------------------------------------
 
@@ -70,10 +66,6 @@ void put_u32(std::string& out, std::uint32_t v) {
 
 void put_u64(std::string& out, std::uint64_t v) {
   out.append(reinterpret_cast<const char*>(&v), 8);
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
 }
 
 void put_i32(std::string& out, std::int32_t v) {
@@ -113,7 +105,6 @@ class Cursor {
     return v;
   }
 
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
@@ -144,63 +135,15 @@ std::uint8_t policy_byte(diag::ParsePolicy policy) {
 }
 
 void encode_state(std::string& out, const IngestState& state) {
-  put_u64(out, state.dst_len);
-  put_u64(out, state.dst_hash);
-  put_u64(out, state.dst_lines);
   put_u64(out, state.tle_len);
   put_u64(out, state.tle_hash);
-  put_u64(out, state.tle_lines);
-  std::uint8_t flags = 0;
-  if (state.dst_line_terminated) flags |= kFlagDstLineTerminated;
-  if (state.tle_line_terminated) flags |= kFlagTleLineTerminated;
-  if (state.tle_boundary_clean) flags |= kFlagTleBoundaryClean;
-  put_u8(out, flags);
 }
 
 IngestState decode_state(Cursor& in) {
   IngestState state;
-  state.dst_len = in.u64();
-  state.dst_hash = in.u64();
-  state.dst_lines = in.u64();
   state.tle_len = in.u64();
   state.tle_hash = in.u64();
-  state.tle_lines = in.u64();
-  const std::uint8_t flags = in.u8();
-  if ((flags & ~kFlagMask) != 0) {
-    throw ParseError("snapshot carries unknown ingest-state flags");
-  }
-  state.dst_line_terminated = (flags & kFlagDstLineTerminated) != 0;
-  state.tle_line_terminated = (flags & kFlagTleLineTerminated) != 0;
-  state.tle_boundary_clean = (flags & kFlagTleBoundaryClean) != 0;
   return state;
-}
-
-/// The header's content-hash field: both input hashes folded into one
-/// value, so a header paired with another file's state section rejects.
-std::uint64_t content_hash(const IngestState& state) {
-  std::string hashes;
-  put_u64(hashes, state.dst_hash);
-  put_u64(hashes, state.tle_hash);
-  return xxh64(hashes);
-}
-
-void encode_dst(std::string& out, const spaceweather::DstIndex& dst) {
-  put_i64(out, dst.start_hour());
-  put_u64(out, dst.size());
-  // Doubles are stored as their IEEE bit patterns little-endian, which is
-  // exactly the in-memory layout — one append.
-  out.append(reinterpret_cast<const char*>(dst.values().data()),
-             dst.size() * 8);
-}
-
-spaceweather::DstIndex decode_dst(Cursor& in) {
-  const std::int64_t start = in.i64();
-  const std::uint64_t count = in.u64();
-  if (count == 0) return {};
-  const std::string_view raw = in.view(count * 8);
-  std::vector<double> values(count);
-  std::memcpy(values.data(), raw.data(), raw.size());
-  return spaceweather::DstIndex(start, std::move(values));
 }
 
 void encode_tle(std::string& out, const tle::Tle& t) {
@@ -248,18 +191,28 @@ void decode_tle(Cursor& in, tle::Tle& t) {
   t.rev_number = tail.i32();
 }
 
+/// The report's TLE part: the "tle" stage and its quarantined records.
+/// Every run reparses the Dst, which reports its own stage.
 void encode_quality(std::string& out, const diag::DataQualityReport& report) {
   put_u8(out, policy_byte(report.policy));
-  put_u64(out, report.stages.size());
-  for (const auto& [stage, counters] : report.stages) {
-    put_string(out, stage);
+  const auto tle = report.stages.find(std::string(kTleStage));
+  put_u64(out, tle != report.stages.end() ? 1 : 0);
+  if (tle != report.stages.end()) {
+    const diag::StageCounters& counters = tle->second;
+    put_string(out, kTleStage);
     put_u64(out, counters.accepted);
     put_u64(out, counters.repaired);
     put_u32(out, static_cast<std::uint32_t>(counters.quarantined.size()));
     for (const std::size_t q : counters.quarantined) put_u64(out, q);
   }
-  put_u64(out, report.quarantined.size());
+  const auto is_tle = [](const diag::QuarantinedRecord& record) {
+    return record.stage == kTleStage;
+  };
+  put_u64(out, static_cast<std::uint64_t>(
+                   std::count_if(report.quarantined.begin(),
+                                 report.quarantined.end(), is_tle)));
   for (const diag::QuarantinedRecord& record : report.quarantined) {
+    if (!is_tle(record)) continue;
     put_string(out, record.stage);
     put_string(out, record.source);
     put_u64(out, record.line);
@@ -459,8 +412,8 @@ class InputHasher {
 /// One input measured against its recorded prefix.
 struct InputScan {
   std::uint64_t hash = kXxh64Empty;
-  std::uint64_t lines = 0;
-  bool prefix_matches = false;  ///< the recorded prefix is intact
+  std::uint64_t prefix_lines = 0;  ///< newlines in the recorded prefix
+  bool prefix_matches = false;     ///< the recorded prefix is intact
 };
 
 /// Bytes the fingerprint hashes between page drops on a mapped input.
@@ -480,20 +433,43 @@ void hash_range(InputHasher& hasher, std::string_view bytes, std::size_t from,
 
 /// Hash the recorded prefix, compare, then continue the same stream over
 /// the tail, so every byte is hashed — and its newlines counted — once.
-InputScan scan_input(std::string_view bytes, std::uint64_t recorded_len,
-                     std::uint64_t recorded_hash, const MappedFile* mapping) {
+InputScan scan_input(std::string_view bytes, const IngestState& recorded,
+                     const MappedFile* mapping) {
   InputHasher hasher;
   InputScan scan;
   std::size_t prefix = 0;
-  if (bytes.size() >= recorded_len) {  // a shrunk input has no prefix
-    prefix = static_cast<std::size_t>(recorded_len);
+  if (bytes.size() >= recorded.tle_len) {  // a shrunk input has no prefix
+    prefix = static_cast<std::size_t>(recorded.tle_len);
     hash_range(hasher, bytes, 0, prefix, mapping);
-    scan.prefix_matches = hasher.digest() == recorded_hash;
+    scan.prefix_matches = hasher.digest() == recorded.tle_hash;
+    scan.prefix_lines = hasher.lines();
   }
   hash_range(hasher, bytes, prefix, bytes.size(), mapping);
   scan.hash = hasher.digest();
-  scan.lines = hasher.lines();
   return scan;
+}
+
+InputClassification classify(const IngestState& base, std::string_view bytes,
+                             const MappedFile* mapping) {
+  const InputScan scan = scan_input(bytes, base, mapping);
+  InputClassification out;
+  out.current = IngestState{bytes.size(), scan.hash};
+  // Shrunk, or edited within the recorded prefix.
+  if (!scan.prefix_matches) return out;
+  out.prefix_lines = scan.prefix_lines;
+  if (bytes.size() == base.tle_len) {
+    out.match = InputMatch::kExact;
+    return out;
+  }
+  // Append: the hash proved the prefix is the recorded input, so its
+  // boundary is read from these bytes.  It must end a line (appended bytes
+  // could otherwise rewrite its last one) and leave no line 1 unpaired (an
+  // appended line 2 would otherwise pair with it retroactively).
+  const std::string_view prefix = bytes.substr(0, base.tle_len);
+  if (!prefix.empty() && prefix.back() != '\n') return out;
+  if (!tle::append_boundary_clean(prefix)) return out;
+  out.match = InputMatch::kAppend;
+  return out;
 }
 
 }  // namespace
@@ -504,70 +480,24 @@ std::uint64_t xxh64(std::string_view bytes) {
   return hasher.digest();
 }
 
-namespace {
-
-InputClassification classify(const IngestState& base, std::string_view dst_bytes,
-                             std::string_view tle_bytes,
-                             const MappedFile* dst_mapping,
-                             const MappedFile* tle_mapping) {
-  const InputScan dst =
-      scan_input(dst_bytes, base.dst_len, base.dst_hash, dst_mapping);
-  const InputScan tle =
-      scan_input(tle_bytes, base.tle_len, base.tle_hash, tle_mapping);
-  InputClassification out;
-  IngestState& cur = out.current;
-  cur.dst_len = dst_bytes.size();
-  cur.dst_hash = dst.hash;
-  cur.dst_lines = dst.lines;
-  cur.tle_len = tle_bytes.size();
-  cur.tle_hash = tle.hash;
-  cur.tle_lines = tle.lines;
-  cur.dst_line_terminated = dst_bytes.empty() || dst_bytes.back() == '\n';
-  cur.tle_line_terminated = tle_bytes.empty() || tle_bytes.back() == '\n';
-  cur.tle_boundary_clean = tle::append_boundary_clean(tle_bytes);
-
-  // Shrunk, or edited within the recorded prefix.
-  if (!dst.prefix_matches || !tle.prefix_matches) return out;
-  const bool dst_grew = cur.dst_len > base.dst_len;
-  const bool tle_grew = cur.tle_len > base.tle_len;
-  if (!dst_grew && !tle_grew) {
-    out.match = InputMatch::kExact;
-    return out;
-  }
-  // Append: every grown file's recorded boundary was safe to extend
-  // (line-terminated; for TLE also pairing-clean, so an appended line 2
-  // cannot retroactively pair with a prefix line 1).
-  if (dst_grew && !base.dst_line_terminated) return out;
-  if (tle_grew && !(base.tle_line_terminated && base.tle_boundary_clean)) {
-    return out;
-  }
-  out.match = InputMatch::kAppend;
-  return out;
-}
-
-}  // namespace
-
 InputClassification classify_inputs(const IngestState& base,
-                                    std::string_view dst_bytes,
                                     std::string_view tle_bytes) {
-  return classify(base, dst_bytes, tle_bytes, nullptr, nullptr);
+  return classify(base, tle_bytes, nullptr);
 }
 
 InputClassification classify_inputs(const IngestState& base,
-                                    const MappedFile& dst,
                                     const MappedFile& tle) {
-  return classify(base, dst.view(), tle.view(), &dst, &tle);
+  return classify(base, tle.view(), &tle);
 }
 
-IngestState ingest_state_of(std::string_view dst_bytes,
+IngestState ingest_state_of(std::string_view /*dst_bytes*/,
                             std::string_view tle_bytes) {
-  return classify_inputs(IngestState{}, dst_bytes, tle_bytes).current;
+  return classify_inputs(IngestState{}, tle_bytes).current;
 }
 
 std::string snapshot_cache_path(const std::string& cache_dir,
-                                const std::string& dst_path,
                                 const std::string& tle_path) {
-  const std::uint64_t hash = xxh64(dst_path + "|" + tle_path);
+  const std::uint64_t hash = xxh64(tle_path);
   char name[32];
   std::snprintf(name, sizeof(name), "%016llx.cdsnap",
                 static_cast<unsigned long long>(hash));
@@ -594,10 +524,9 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
     }
     if (begin < sats.size()) stripes.emplace_back(begin, sats.size());
   }
-  const std::size_t section_count = 3 + stripes.size();
+  const std::size_t section_count = 2 + stripes.size();
   const auto kind_of = [&](std::size_t i) -> std::uint32_t {
     if (i == 0) return kSectionState;
-    if (i == 1) return kSectionDst;
     if (i + 1 < section_count) return kSectionCatalogStripe;
     return kSectionQuality;
   };
@@ -617,12 +546,8 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
               case kSectionState:
                 encode_state(payload, data.state);
                 break;
-              case kSectionDst:
-                payload.reserve(24 + data.dst.size() * 8);
-                encode_dst(payload, data.dst);
-                break;
               case kSectionCatalogStripe: {
-                const auto [begin, end] = stripes[i - 2];
+                const auto [begin, end] = stripes[i - 1];
                 std::size_t records = 0;
                 for (std::size_t s = begin; s < end; ++s) {
                   records += data.catalog.history(sats[s]).size();
@@ -665,7 +590,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   put_u32(out, kSnapshotFormatVersion);
   put_u8(out, policy_byte(policy));
   out.append(3, '\0');
-  put_u64(out, content_hash(data.state));
+  put_u64(out, data.state.tle_hash);
   put_u64(out, payload_size);
   put_u64(out, xxh64(table));
   put_u32(out, static_cast<std::uint32_t>(section_count));
@@ -688,9 +613,9 @@ bool decode_payload(std::string_view payload,
                     int num_threads, const StateCallback& alongside,
                     SnapshotData& data) {
   // The table must fit the payload (a short file is a truncated section
-  // table) and carry the exact sections the format demands: state, Dst,
-  // zero or more catalog stripes, quality.
-  if (section_count < 3) return false;
+  // table) and carry the exact sections the format demands: state, zero or
+  // more catalog stripes, quality.
+  if (section_count < 2) return false;
   const std::uint64_t table_size =
       static_cast<std::uint64_t>(section_count) * kSectionEntrySize;
   if (table_size > payload.size()) return false;
@@ -713,18 +638,17 @@ bool decode_payload(std::string_view payload,
       if (entry.offset != running) return false;
       if (entry.length > body.size() - running) return false;
       running += entry.length;
-      const std::uint32_t expected =
-          i == 0 ? kSectionState
-          : i == 1 ? kSectionDst
-          : i + 1 < section_count ? kSectionCatalogStripe
-                                  : kSectionQuality;
+      const std::uint32_t expected = i == 0 ? kSectionState
+                                     : i + 1 < section_count
+                                         ? kSectionCatalogStripe
+                                         : kSectionQuality;
       if (entry.kind != expected) return false;
     }
     if (running != body.size()) return false;
   }
 
-  // The state section first and alone: it is a few dozen bytes, and
-  // `alongside` needs it while the rest decodes.
+  // The state section first and alone: it is 16 bytes, and `alongside`
+  // needs it while the rest decodes.
   {
     const std::string_view blob =
         body.substr(entries[0].offset, entries[0].length);
@@ -732,7 +656,7 @@ bool decode_payload(std::string_view payload,
     Cursor in(blob);
     data.state = decode_state(in);
     if (!in.exhausted()) return false;
-    if (content_hash(data.state) != header_content_hash) return false;
+    if (data.state.tle_hash != header_content_hash) return false;
   }
 
   // Validate and deserialise the other sections in parallel; the state
@@ -743,7 +667,6 @@ bool decode_payload(std::string_view payload,
   // pool) and any one rejects the file.
   struct SectionResult {
     bool ok = true;
-    std::optional<spaceweather::DstIndex> dst;
     tle::TleCatalog stripe;
     std::optional<diag::DataQualityReport> quality;
   };
@@ -761,9 +684,6 @@ bool decode_payload(std::string_view payload,
           if (xxh64(blob) != entry.hash) throw ParseError("section hash");
           Cursor in(blob);
           switch (entry.kind) {
-            case kSectionDst:
-              result.dst = decode_dst(in);
-              break;
             case kSectionCatalogStripe: {
               const std::uint64_t sat_count = in.u64();
               for (std::uint64_t s = 0; s < sat_count; ++s) {
@@ -800,8 +720,7 @@ bool decode_payload(std::string_view payload,
     if (!result.ok) return false;
   }
 
-  data.dst = std::move(*results[1].dst);
-  for (std::size_t i = 2; i + 1 < results.size(); ++i) {
+  for (std::size_t i = 1; i + 1 < results.size(); ++i) {
     data.catalog.absorb(std::move(results[i].stripe));
   }
   data.quality = std::move(*results.back().quality);

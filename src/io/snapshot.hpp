@@ -1,37 +1,38 @@
 // Binary catalog snapshot cache, append-aware (the warm-start half of the
 // zero-copy ingestion work).
 //
-// Parsing the text archives dominates pipeline start-up, yet between runs
-// the inputs rarely change — and when they do change, real TLE/Dst feeds
-// are append-heavy: the same prefix plus N new bytes at the end.  A
-// snapshot serialises the *parsed* artefacts — the Dst series, the TLE
-// catalog and the ingestion DataQualityReport — keyed by the inputs' byte
-// lengths and XXH64 content hashes:
+// Parsing the TLE archive dominates pipeline start-up, yet between runs the
+// input rarely changes — and when it does change, real TLE feeds are
+// append-heavy: the same prefix plus N new bytes at the end.  A snapshot
+// serialises the *parsed* TLE artefacts — the catalog and the TLE stage of
+// the ingestion DataQualityReport — keyed by the TLE input's byte length
+// and XXH64 content hash.  The Dst file is a few hundred kilobytes that
+// parse in milliseconds, so every run parses it and no snapshot holds it:
 //
-//   * A warm run whose inputs match exactly loads the snapshot and skips
-//     text parsing entirely.
-//   * A warm run whose inputs are an unchanged prefix plus appended bytes
+//   * A warm run whose TLE input matches exactly loads the snapshot and
+//     skips TLE text parsing entirely.
+//   * A warm run whose TLE input is an unchanged prefix plus appended bytes
 //     loads the snapshot, parses only the tail, and rewrites the snapshot
-//     as one fresh base covering the grown inputs.
-//   * Any other disagreement (shrunk or edited inputs, format version,
+//     as one fresh base covering the grown input.
+//   * Any other disagreement (a shrunk or edited input, format version,
 //     parse policy, truncation, a check hash, trailing bytes) makes the
 //     loader/caller silently fall back to the text path and rewrite a
 //     fresh base.  See DESIGN.md §14 for the reasoning.
 //
 // The fingerprint reads each input byte once: one streaming XXH64 pass
 // hashes the recorded prefix, continues over the tail and counts newlines
-// in the same loop.  Over mapped inputs it drops each window's pages once
-// hashed, so it holds a window of either file resident, not the whole.
-// The file lives at `<cache_dir>/<xxh64>.cdsnap`, the
-// XXH64 of the two input paths.
+// in the same loop.  Over a mapped input it drops each window's pages once
+// hashed, so it holds a window of the file resident, not the whole.
+// The file lives at `<cache_dir>/<xxh64>.cdsnap`, the XXH64 of the TLE
+// input's path.
 //
-// Layout (format v7): a fixed 44-byte header
+// Layout (format v8): a fixed 44-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
 //   bytes 13-15  zero padding
-//   bytes 16-23  content hash (u64): XXH64 over the state's Dst and TLE
-//                hashes, cross-checked against the state section on load
+//   bytes 16-23  content hash (u64): the state's TLE hash, cross-checked
+//                against the state section on load
 //   bytes 24-31  payload size in bytes (u64); the file ends exactly there
 //   bytes 32-39  XXH64 of the section table (u64)
 //   bytes 40-43  section count (u32)
@@ -39,17 +40,20 @@
 // loader can validate and deserialise sections independently (in parallel)
 // and size its containers up front:
 //   table:   section count × 28-byte entries
-//              u32 kind (1 state, 2 Dst, 3 catalog stripe, 4 quality)
+//              u32 kind (1 state, 3 catalog stripe, 4 quality; kind 2, the
+//                  Dst series, went with v8)
 //              u64 XXH64 of the section's bytes
 //              u64 offset (relative to the end of the table)
 //              u64 length in bytes
 //            Entries must tile the post-table payload contiguously in
 //            order (offset == sum of prior lengths) — anything else
 //            (overlap, gap, out-of-bounds) rejects the snapshot.
-//   kinds:   exactly one state section first, one Dst section second, any
-//            number of catalog stripes (whole satellites each, stripe
-//            boundaries fixed at encode time so the bytes are independent
-//            of writer thread count), and one quality section last.
+//   kinds:   exactly one state section first (16 bytes: u64 TLE length,
+//            u64 TLE XXH64), any number of catalog stripes (whole
+//            satellites each, stripe boundaries fixed at encode time so the
+//            bytes are independent of writer thread count), and one
+//            quality section last (the "tle" stage's counters and
+//            quarantined records only).
 // All integers little-endian (the encoder static_asserts a little-endian
 // host); doubles are stored as their IEEE-754 bit patterns so reload is
 // bit-exact.  XXH64 is the format's one hash: the fingerprint, the header's
@@ -78,9 +82,10 @@ namespace cosmicdance::io {
 /// table; v4 hashes each input separately in the state section; v5 hashes
 /// with XXH64 instead of FNV-1a; v6 keeps v5's bytes but marks files whose
 /// records passed the validation that rejects non-finite fields; v7 checks
-/// the section table and every section with XXH64 instead of CRC32C
+/// the section table and every section with XXH64 instead of CRC32C; v8
+/// caches the TLE parse alone: no Dst section, and a 16-byte state section
 /// (DESIGN.md §13, §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 8;
 
 /// XXH64 (seed 0) of `bytes` — the input fingerprint, the header's content
 /// hash, the cache file name and the section-table and section checks all
@@ -90,70 +95,59 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
 /// xxh64 of zero bytes: the recorded hash of an empty input.
 inline constexpr std::uint64_t kXxh64Empty = 0xEF46DB3751D8E999ULL;
 
-/// What a snapshot knows about the raw input pair it was built from —
-/// enough to recognise the exact same bytes (lengths + hashes), to
-/// recognise an append (prefix hashes + the boundary flags below), and to
-/// resume parsing at the right place (line counts offset tail
-/// diagnostics so they cite absolute line numbers).
+/// What a snapshot knows about the TLE input it was built from: enough to
+/// recognise the exact same bytes, and an unchanged prefix of grown ones.
+/// Everything else an append needs (where the prefix's lines end, whether
+/// it leaves a line 1 unpaired) is read from the current bytes once the
+/// prefix hash has proved them the recorded input.
 struct IngestState {
-  std::uint64_t dst_len = 0;    ///< Dst input size in bytes
-  std::uint64_t dst_hash = kXxh64Empty;  ///< XXH64 of the Dst bytes
-  std::uint64_t dst_lines = 0;  ///< newline count in the Dst input
   std::uint64_t tle_len = 0;    ///< TLE input size in bytes
   std::uint64_t tle_hash = kXxh64Empty;  ///< XXH64 of the TLE bytes
-  std::uint64_t tle_lines = 0;  ///< newline count in the TLE input
-  /// True when the input is empty or ends in '\n'.  A file that ends
-  /// mid-line can have that line's meaning rewritten by an append, so
-  /// growth past an unterminated prefix must reparse from scratch.
-  bool dst_line_terminated = true;
-  bool tle_line_terminated = true;
-  /// True when the TLE pairing scanner ends with no line 1 pending (see
-  /// tle::append_boundary_clean): a dangling line 1 was already reported
-  /// against the prefix, and an append could pair it retroactively, so
-  /// growth past an unclean boundary must reparse from scratch.
-  bool tle_boundary_clean = true;
 };
 
-/// How the current inputs relate to the pair a snapshot was built from.
+/// How the current TLE input relates to the one a snapshot was built from.
 enum class InputMatch {
-  kExact,     ///< byte-identical pair: plain cache hit
+  kExact,     ///< byte-identical input: plain cache hit
   kAppend,    ///< unchanged prefix plus appended bytes: parse only the tail
   kMismatch,  ///< anything else: reject and reparse from scratch
 };
 
 struct InputClassification {
   InputMatch match = InputMatch::kMismatch;
-  /// State of the *current* inputs (what the next base records).
+  /// State of the *current* input (what the next base records).
   IngestState current;
+  /// Newlines in the recorded prefix when its hash matched (0 otherwise):
+  /// an append's tail starts on line prefix_lines + 1.
+  std::uint64_t prefix_lines = 0;
 };
 
-/// Classify the current inputs against a snapshot's recorded state, in
-/// one pass over the bytes: each input's recorded prefix is hashed and
-/// compared, the same streaming XXH64 then continues over the tail, and
-/// the newline count comes from that same pass.  kAppend requires every
-/// grown input to have a line-terminated (and, for TLE, pairing-clean)
-/// recorded prefix.
+/// Classify the current TLE input against a snapshot's recorded state, in
+/// one pass over the bytes: the recorded prefix is hashed and compared, the
+/// same streaming XXH64 then continues over the tail, and the prefix's
+/// newline count comes from that same pass.  kAppend also requires the
+/// prefix to end a line and to leave no line 1 unpaired
+/// (tle::append_boundary_clean).
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
-                                                  std::string_view dst_bytes,
                                                   std::string_view tle_bytes);
 
-/// classify_inputs over mapped inputs, dropping each window's pages once
+/// classify_inputs over a mapped input, dropping each window's pages once
 /// hashed (MappedFile::drop_pages).  The pass then adds a window's worth of
 /// resident pages to whatever it overlaps (a warm start's decode), not the
-/// part of the inputs it has read so far, so the process peak does not
+/// part of the input it has read so far, so the process peak does not
 /// depend on how far the two have got relative to each other.
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
-                                                  const MappedFile& dst,
                                                   const MappedFile& tle);
 
-/// The full IngestState of an input pair: classification against the
-/// empty state, whose zero-length prefix every input extends.
+/// The IngestState of a TLE input.  The Dst argument is ignored: only the
+/// TLE parse is cached.  This two-input form stays until the benchmark
+/// harness (perfbench/layers.cpp) moves to classify_inputs.
 [[nodiscard]] IngestState ingest_state_of(std::string_view dst_bytes,
                                           std::string_view tle_bytes);
 
-/// Everything a warm start needs: the two parsed datasets plus the quality
-/// report the text parse would have produced (so cache-hit runs report the
-/// same ingestion outcome as cache-miss runs) and the recorded input state.
+/// The parsed inputs a pipeline holds.  A snapshot stores the TLE half:
+/// the catalog, the report's "tle" stage and records, and the recorded
+/// state.  The Dst series and the report's "wdc" stage come from the Dst
+/// parse every run makes, so a decoded snapshot carries an empty series.
 struct SnapshotData {
   spaceweather::DstIndex dst;
   tle::TleCatalog catalog;
@@ -161,16 +155,16 @@ struct SnapshotData {
   IngestState state;
 };
 
-/// Snapshot file path for an input pair: `<xxh64(dst_path|tle_path)>.cdsnap`.
-/// The name hashes the *paths* (not the contents), so the same inputs map
-/// to a stable file whose stored ingest state then decides
-/// hit/append/reject — editing an input is detected as a stale snapshot at
-/// load time, not silently shadowed by a new file.
+/// Snapshot file path for a TLE input: `<xxh64(tle_path)>.cdsnap`.  The
+/// name hashes the *path* (not the contents), so the same input maps to a
+/// stable file whose stored ingest state then decides hit/append/reject —
+/// editing the input is detected as a stale snapshot at load time, not
+/// silently shadowed by a new file.
 [[nodiscard]] std::string snapshot_cache_path(const std::string& cache_dir,
-                                              const std::string& dst_path,
                                               const std::string& tle_path);
 
-/// Serialise a snapshot (header + section table + sections).  Sections are
+/// Serialise a snapshot (header + section table + sections): the state,
+/// the catalog and the quality report's "tle" stage.  Sections are
 /// encoded into independent buffers over `num_threads` workers (the exec
 /// convention: 0 = all hardware threads, 1 = serial); stripe boundaries
 /// are a pure function of the catalog, so the bytes are identical at any

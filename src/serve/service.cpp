@@ -414,12 +414,18 @@ std::string handle_decay_summary(const ServeSnapshot& snap,
   return out;
 }
 
+/// The error that replaces a response one frame cannot carry.
+std::string frame_limit_message(std::size_t response_bytes) {
+  return "response of " + std::to_string(response_bytes) +
+         " bytes exceeds the frame limit of " +
+         std::to_string(kMaxFrameBytes) + " bytes";
+}
+
 std::string handle_quality_report(const ServeSnapshot& snap) {
-  std::string out = open_ok(snap.epoch, "quality_report");
-  out += ",\"report\":";
-  out += snap.pipeline.quality_report().to_json();
-  close_ok(out, snap.epoch);
-  return out;
+  if (snap.quality_response.empty()) {
+    throw RequestError(frame_limit_message(snap.quality_response_bytes));
+  }
+  return snap.quality_response;
 }
 
 /// Every storm's altitude-change samples, tagged with the storm's peak.
@@ -458,7 +464,16 @@ ServeSnapshot::ServeSnapshot(std::uint64_t epoch_number,
       pipeline(std::move(built)),
       dst_intensity(pipeline.dst().sorted_intensity()),
       storm_changes(storm_altitude_changes(pipeline)),
-      latest(sgp4::BatchPropagator::from_catalog(pipeline.catalog())) {}
+      latest(sgp4::BatchPropagator::from_catalog(pipeline.catalog())) {
+  std::string response = open_ok(epoch, "quality_report");
+  response += ",\"report\":";
+  response += pipeline.quality_report().to_json();
+  close_ok(response, epoch);
+  quality_response_bytes = response.size();
+  if (quality_response_bytes <= kMaxFrameBytes) {
+    quality_response = std::move(response);
+  }
+}
 
 Service::Service(core::CosmicDance initial, Rebuild rebuild,
                  obs::Metrics* metrics)
@@ -505,13 +520,11 @@ HandleResult Service::handle(std::string_view request) {
     failed = true;
   }
   // One frame carries the whole response, and encode_frame refuses more
-  // than kMaxFrameBytes (a tolerant run's quality_report can get there),
-  // so such a response becomes an error the transport can send.
+  // than kMaxFrameBytes, so such a response becomes an error the transport
+  // can send.  (quality_report, the one op known to get there on a tolerant
+  // run, answers the same error from its per-epoch size without building.)
   if (result.response.size() > kMaxFrameBytes) {
-    result = {error_response("response of " +
-                             std::to_string(result.response.size()) +
-                             " bytes exceeds the frame limit of " +
-                             std::to_string(kMaxFrameBytes) + " bytes"),
+    result = {error_response(frame_limit_message(result.response.size())),
               false};
     failed = true;
   }

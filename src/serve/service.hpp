@@ -17,11 +17,12 @@
 //
 // What the query mix would otherwise recompute on every request is derived
 // once per epoch, before the snapshot is published: every storm's
-// altitude-change samples, the sorted Dst intensities and the fleet's SGP4
-// constants.  So envelope_cdf and decay_summary read the snapshot instead
-// of scanning the correlator, and no correlator scan enters the shared exec
-// pool per request.  The memo needs no lock and no lazy fill: it is
-// complete before any reader can see the snapshot, and never changes.
+// altitude-change samples, the sorted Dst intensities, the fleet's SGP4
+// constants and the quality_report response.  So envelope_cdf and
+// decay_summary read the snapshot instead of scanning the correlator, no
+// correlator scan enters the shared exec pool per request, and no request
+// serialises the quality report.  The memo needs no lock and no lazy fill:
+// it is complete before any reader can see the snapshot, and never changes.
 //
 // The pipeline's const surface is safe to share: tracks are immutable once
 // the CosmicDance constructor has built them, the propagate ops draw
@@ -30,6 +31,7 @@
 // reads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -64,6 +66,11 @@ struct ServeSnapshot {
   std::vector<std::pair<double, double>> storm_changes;
   /// SGP4 constants of each satellite's latest TLE (from_catalog).
   sgp4::BatchPropagator latest;
+  /// The whole quality_report response.  Empty when it would not fit one
+  /// frame (kMaxFrameBytes); its size is kept either way, for the error
+  /// that then answers the op.
+  std::string quality_response;
+  std::size_t quality_response_bytes = 0;
 
   /// Derives the per-epoch results from `built`.
   ServeSnapshot(std::uint64_t epoch_number, core::CosmicDance built);

@@ -90,14 +90,6 @@ std::string to_wdc(const DstIndex& dst) {
 
 DstIndex from_wdc(std::string_view text, diag::ParseLog* log,
                   const std::string& source) {
-  DstIndex dst;
-  from_wdc_append(dst, text, log, source, 1);
-  return dst;
-}
-
-void from_wdc_append(DstIndex& dst, std::string_view tail,
-                     diag::ParseLog* log, const std::string& source,
-                     std::size_t first_line) {
   constexpr const char* kStage = "wdc";
   // Without a caller-supplied log, a local strict one reproduces the
   // historical throw-on-first-error behaviour (with located messages).
@@ -110,24 +102,22 @@ void from_wdc_append(DstIndex& dst, std::string_view tail,
     std::vector<std::pair<timeutil::HourIndex, int>> hours;  // hour -> nT
   };
 
-  // Assembly state, resumed from the series being extended: the append
-  // entry point continues exactly where parsing the prefix left off, so a
-  // prefix-then-tail parse is indistinguishable from one whole-text pass.
-  bool started = !dst.empty();
-  timeutil::HourIndex expected = dst.end_hour();
+  DstIndex dst;
+  bool started = false;
+  timeutil::HourIndex expected = 0;
 
   // Single pass: each line is sliced in place (views all the way into
   // parse_int), parsed, and — if it survives — immediately committed to
   // the series.  Parse and structure failures therefore quarantine in
   // strict file order, and under a strict policy the first malformed
   // record of any kind throws, wherever it sits in the file.
-  std::size_t line_number = first_line - 1;
-  for (std::size_t pos = 0; pos < tail.size();) {
-    const std::size_t eol = tail.find('\n', pos);
+  std::size_t line_number = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = text.find('\n', pos);
     std::string_view line = eol == std::string_view::npos
-                                ? tail.substr(pos)
-                                : tail.substr(pos, eol - pos);
-    pos = eol == std::string_view::npos ? tail.size() : eol + 1;
+                                ? text.substr(pos)
+                                : text.substr(pos, eol - pos);
+    pos = eol == std::string_view::npos ? text.size() : eol + 1;
     ++line_number;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
@@ -207,6 +197,7 @@ void from_wdc_append(DstIndex& dst, std::string_view tail,
     // A day only counts as accepted once it is committed to the series.
     diagnostics.accept(kStage);
   }
+  return dst;
 }
 
 void write_wdc_file(const std::string& path, const DstIndex& dst) {

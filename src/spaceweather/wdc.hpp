@@ -45,19 +45,6 @@ namespace cosmicdance::spaceweather {
                                 diag::ParseLog* log = nullptr,
                                 const std::string& source = "<text>");
 
-/// Incremental variant: parse `tail` (WDC records appended after the text
-/// that produced `dst`) and extend the series in place.  `first_line` is
-/// the 1-based file line number of the tail's first line, so diagnostics
-/// cite absolute positions.  Records are parsed and committed line by
-/// line — the same single pass from_wdc uses — so parsing a prefix and
-/// then its tail yields bit-identical values, counters and quarantine
-/// order to parsing the whole text at once.  from_wdc(text) is exactly
-/// from_wdc_append(empty, text).
-void from_wdc_append(DstIndex& dst, std::string_view tail,
-                     diag::ParseLog* log = nullptr,
-                     const std::string& source = "<text>",
-                     std::size_t first_line = 1);
-
 /// File variants.  Throw IoError on filesystem problems.  Reading is
 /// mmap-backed when available.
 void write_wdc_file(const std::string& path, const DstIndex& dst);

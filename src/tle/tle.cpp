@@ -47,30 +47,22 @@ std::string_view field(std::string_view line, int from, int to) {
                      static_cast<std::size_t>(to - from + 1));
 }
 
-/// NUL-terminated stack copy of a field view (optionally with a literal
-/// prefix) for strtod/strtol, which need terminated input.  check_line has
-/// already bounded every field to a 69-character line, so nothing here can
-/// approach the buffer size; the allocation-free copy is what keeps the
-/// zero-copy parse path free of per-field strings.
+/// NUL-terminated stack copy of a field view for strtod/strtol, which need
+/// terminated input.  check_line has already bounded every field to a
+/// 69-character line, so nothing here can approach the buffer size; the
+/// allocation-free copy is what keeps the zero-copy parse path free of
+/// per-field strings.
 class FieldBuffer {
  public:
-  explicit FieldBuffer(std::string_view text) { append(text); }
-  FieldBuffer(std::string_view prefix, std::string_view text) {
-    append(prefix);
-    append(text);
+  explicit FieldBuffer(std::string_view text) {
+    const std::size_t size = std::min(text.size(), sizeof(buffer_) - 1);
+    std::memcpy(buffer_, text.data(), size);
+    buffer_[size] = '\0';
   }
   [[nodiscard]] const char* c_str() const noexcept { return buffer_; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  void append(std::string_view text) {
-    const std::size_t take = std::min(text.size(), sizeof(buffer_) - 1 - size_);
-    if (take > 0) std::memcpy(buffer_ + size_, text.data(), take);
-    size_ += take;
-    buffer_[size_] = '\0';
-  }
   char buffer_[80];
-  std::size_t size_ = 0;
 };
 
 // Exact powers of ten: 10^k is an exact double for k <= 22, far past the
@@ -216,26 +208,14 @@ double parse_assumed_decimal_field(std::string_view line, int from, int to,
                        ErrorCategory::kNumeric);
     }
   }
-  // All-digits was just validated.  For fields this narrow the value is
-  // mantissa/10^width, a single correctly-rounded divide of two exact
+  // All-digits was just validated.  The field is 7 columns, so the value
+  // is mantissa/10^width, a single correctly-rounded divide of two exact
   // doubles — bit-identical to converting the composed "0.NNNNNNN" literal.
-  if (text.size() <= 15) {
-    std::uint64_t mantissa = 0;
-    for (const char c : text) {
-      mantissa = mantissa * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return static_cast<double>(mantissa) / kPow10[text.size()];
+  std::uint64_t mantissa = 0;
+  for (const char c : text) {
+    mantissa = mantissa * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  const FieldBuffer literal("0.", text);
-  double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(literal.c_str(), literal.c_str() + literal.size(), value);
-  if (ec != std::errc{} || end != literal.c_str() + literal.size()) {
-    throw ParseError(std::string("bad TLE field '") + what + "': '" +
-                         std::string(text) + "'",
-                     ErrorCategory::kNumeric);
-  }
-  return value;
+  return static_cast<double>(mantissa) / kPow10[text.size()];
 }
 
 /// Parse the "assumed decimal point" exponent notation, e.g. " 12345-3"
@@ -279,28 +259,16 @@ double parse_exponent_field(std::string_view line, int from, int to,
                      ErrorCategory::kNumeric);
   }
   const int exponent = text[i] - '0';
-  double mantissa = 0.0;
-  if (mantissa_digits.size() <= 15) {
-    // The digits were validated above; mantissa/10^width is one
-    // correctly-rounded divide of exact doubles, bit-identical to
-    // converting the composed "0.NNNNN" literal (see parse_simple_decimal).
-    std::uint64_t units = 0;
-    for (const char c : mantissa_digits) {
-      units = units * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    mantissa = static_cast<double>(units) / kPow10[mantissa_digits.size()];
-  } else {
-    const FieldBuffer mantissa_literal("0.", mantissa_digits);
-    const auto [end, ec] = std::from_chars(
-        mantissa_literal.c_str(),
-        mantissa_literal.c_str() + mantissa_literal.size(), mantissa);
-    if (ec != std::errc{} ||
-        end != mantissa_literal.c_str() + mantissa_literal.size()) {
-      throw ParseError(std::string("bad TLE exponent mantissa in field '") +
-                           what + "': '" + std::string(raw) + "'",
-                       ErrorCategory::kNumeric);
-    }
+  // The digits were validated above, and an 8-column field holds at most
+  // 6 of them: mantissa/10^width is one correctly-rounded divide of exact
+  // doubles, bit-identical to converting the composed "0.NNNNN" literal
+  // (see parse_simple_decimal).
+  std::uint64_t units = 0;
+  for (const char c : mantissa_digits) {
+    units = units * 10 + static_cast<std::uint64_t>(c - '0');
   }
+  const double mantissa =
+      static_cast<double>(units) / kPow10[mantissa_digits.size()];
   // Decimal literals are correctly rounded, so these table entries are
   // bit-identical to what std::pow(10.0, n) returns for |n| <= 9 (glibc's
   // pow is correctly rounded); the lookup just skips the libm call.

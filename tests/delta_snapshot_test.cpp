@@ -2,15 +2,16 @@
 //
 // The append contract extends the snapshot cache contract from
 // "bit-identical or rebuilt" to "bit-identical, incrementally extended, or
-// rebuilt": when the inputs grow by appended records over an unchanged
-// prefix, a warm run must parse only the tails (counters `ingest.delta_hit`
+// rebuilt": when the TLE input grows by appended records over an unchanged
+// prefix, a warm run must parse only the tail (counters `ingest.delta_hit`
 // and `ingest.tail_bytes`), rewrite the snapshot as one base over the grown
-// inputs, and still produce output bit-identical to a from-scratch rebuild
-// — same Dst values, catalog text, quarantine counters and first-error
-// order — at any thread count under either parse policy.  Every way the
-// fast path could be fooled is driven here: prefix edits masquerading as
-// appends, unterminated prefixes, dangling pairing state at the boundary,
-// and a randomized append/edit fuzz loop.
+// input, and still produce output bit-identical to a from-scratch rebuild
+// — same Dst values, catalog text, quarantine counters and order, and
+// first error — at any thread count under either parse policy.  Every run
+// parses the Dst file itself, so a Dst-only change keeps the TLE snapshot
+// an exact hit.  Every way the fast path could be fooled is driven here:
+// prefix edits masquerading as appends, unterminated prefixes, dangling
+// pairing state at the boundary, and a randomized append/edit fuzz loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,7 +75,7 @@ struct Fixture {
   double next_epoch_offset = 50.0;
 
   [[nodiscard]] std::string snapshot_path() const {
-    return io::snapshot_cache_path(cache_dir, dst_path, tle_path);
+    return io::snapshot_cache_path(cache_dir, tle_path);
   }
 
   void append_tle_records(int count) {
@@ -114,6 +115,14 @@ struct Fixture {
   /// Leave a one-day hole before the next appended day: tolerant runs
   /// interpolate 24 hours across it (strict runs throw).
   void skip_wdc_day() { next_day += 24; }
+
+  /// Append a malformed record in place of the next day: a tolerant parse
+  /// quarantines it and interpolates across the hole, a strict parse
+  /// throws on it.
+  void append_corrupt_wdc_day() {
+    io::append_file(dst_path, "DST\n");
+    next_day += 24;
+  }
 };
 
 Fixture make_fixture(const std::string& tag, int tle_records, int wdc_days) {
@@ -176,12 +185,25 @@ std::uint64_t counter(const obs::Metrics& metrics, const std::string& name) {
   return it != report.counters.end() ? it->second : 0;
 }
 
+/// The stages of a quality report's quarantined records, in order.
+std::vector<std::string> quarantine_stages(const std::string& quality_json) {
+  const std::string key = "{\"stage\": \"";
+  std::vector<std::string> stages;
+  for (std::size_t pos = quality_json.find(key); pos != std::string::npos;
+       pos = quality_json.find(key, pos + 1)) {
+    const std::size_t begin = pos + key.size();
+    stages.push_back(
+        quality_json.substr(begin, quality_json.find('"', begin) - begin));
+  }
+  return stages;
+}
+
 // ---- the delta fast path ----------------------------------------------------
 
 TEST(DeltaSnapshotTest, AppendTakesTheDeltaPathBitIdenticallyEverywhere) {
   // The acceptance-criteria matrix: both parse policies at threads 1/4/8,
-  // with both inputs growing.  Every cell must parse only the tail and
-  // match a from-scratch rebuild exactly.
+  // with both inputs growing.  Every cell must parse only the TLE tail,
+  // and the whole Dst file, and match a from-scratch rebuild exactly.
   for (const ParsePolicy policy : {ParsePolicy::kStrict, ParsePolicy::kTolerant}) {
     for (const int threads : {1, 4, 8}) {
       Fixture f = make_fixture(
@@ -193,13 +215,11 @@ TEST(DeltaSnapshotTest, AppendTakesTheDeltaPathBitIdenticallyEverywhere) {
       run_pipeline(f, policy, threads, /*use_cache=*/true, &cold);
       EXPECT_EQ(counter(cold, "snapshot.written"), 1u);
 
-      const std::size_t dst_before = std::filesystem::file_size(f.dst_path);
       const std::size_t tle_before = std::filesystem::file_size(f.tle_path);
       f.append_tle_records(3);
       f.append_wdc_days(2);
       const std::size_t appended =
-          (std::filesystem::file_size(f.dst_path) - dst_before) +
-          (std::filesystem::file_size(f.tle_path) - tle_before);
+          std::filesystem::file_size(f.tle_path) - tle_before;
 
       obs::Metrics warm;
       const RunOutput incremental =
@@ -212,8 +232,8 @@ TEST(DeltaSnapshotTest, AppendTakesTheDeltaPathBitIdenticallyEverywhere) {
       EXPECT_EQ(counter(warm, "snapshot.written"), 1u);
       EXPECT_EQ(counter(warm, "tle.records_parsed"), 3u)
           << "the delta path must parse only the appended records";
-      EXPECT_EQ(counter(warm, "ingest.dst_hours"), 48u)
-          << "the delta path must parse only the appended days";
+      EXPECT_EQ(counter(warm, "ingest.dst_hours"), 7u * 24u)
+          << "every run parses the whole Dst series";
 
       const RunOutput rebuilt =
           run_pipeline(f, policy, threads, /*use_cache=*/false);
@@ -232,6 +252,8 @@ TEST(DeltaSnapshotTest, AppendTakesTheDeltaPathBitIdenticallyEverywhere) {
 }
 
 TEST(DeltaSnapshotTest, SingleFileGrowthAlsoTakesTheDeltaPath) {
+  // Growing the TLE input alone takes the delta path; growing the Dst
+  // input alone leaves the TLE snapshot an exact hit.
   Fixture f = make_fixture("one_file", 6, 4);
   run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true);
 
@@ -239,7 +261,8 @@ TEST(DeltaSnapshotTest, SingleFileGrowthAlsoTakesTheDeltaPath) {
   obs::Metrics dst_only;
   const RunOutput after_dst =
       run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true, &dst_only);
-  EXPECT_EQ(counter(dst_only, "ingest.delta_hit"), 1u);
+  EXPECT_EQ(counter(dst_only, "ingest.cache_hit"), 1u);
+  EXPECT_EQ(counter(dst_only, "ingest.delta_hit"), 0u);
   EXPECT_EQ(counter(dst_only, "tle.records_parsed"), 0u);
   expect_identical(after_dst,
                    run_pipeline(f, ParsePolicy::kTolerant, 1, false));
@@ -249,9 +272,41 @@ TEST(DeltaSnapshotTest, SingleFileGrowthAlsoTakesTheDeltaPath) {
   const RunOutput after_tle =
       run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true, &tle_only);
   EXPECT_EQ(counter(tle_only, "ingest.delta_hit"), 1u);
-  EXPECT_EQ(counter(tle_only, "ingest.dst_hours"), 0u);
+  EXPECT_EQ(counter(tle_only, "tle.records_parsed"), 2u);
+  EXPECT_EQ(counter(tle_only, "ingest.dst_hours"), 5u * 24u);
   expect_identical(after_tle,
                    run_pipeline(f, ParsePolicy::kTolerant, 1, false));
+}
+
+TEST(DeltaSnapshotTest, DstOnlyChangesKeepTheTleSnapshot) {
+  // Every run parses the Dst file, so neither a Dst append nor a Dst edit
+  // in place touches the TLE snapshot: both runs are exact hits that parse
+  // no TLE text and write nothing, with the outputs of an uncached run.
+  Fixture f = make_fixture("dst_only", 6, 4);
+  run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true);
+
+  const auto expect_exact_hit = [&](const std::string& change) {
+    SCOPED_TRACE(change);
+    obs::Metrics metrics;
+    const RunOutput cached = run_pipeline(f, ParsePolicy::kTolerant, 1,
+                                          /*use_cache=*/true, &metrics);
+    EXPECT_EQ(counter(metrics, "ingest.cache_hit"), 1u);
+    EXPECT_EQ(counter(metrics, "tle.records_parsed"), 0u);
+    EXPECT_EQ(counter(metrics, "snapshot.written"), 0u);
+    EXPECT_EQ(counter(metrics, "snapshot.rejected"), 0u);
+    expect_identical(cached,
+                     run_pipeline(f, ParsePolicy::kTolerant, 1, false));
+  };
+
+  f.append_wdc_days(1);
+  expect_exact_hit("Dst append");
+
+  std::string text = io::read_file(f.dst_path);
+  const std::size_t first_value = 20;  // the first hour's 4-column cell
+  ASSERT_NE(text.substr(first_value, 4), "-999");
+  text.replace(first_value, 4, "-999");
+  io::write_file(f.dst_path, text);
+  expect_exact_hit("Dst edit in place");
 }
 
 TEST(DeltaSnapshotTest, QuarantineAndRepairExtendAcrossTheBoundary) {
@@ -281,6 +336,39 @@ TEST(DeltaSnapshotTest, QuarantineAndRepairExtendAcrossTheBoundary) {
   const RunOutput warm2 =
       run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true);
   expect_identical(warm2, rebuilt);
+}
+
+TEST(DeltaSnapshotTest, TolerantAppendKeepsTheFullParseQuarantineOrder) {
+  // Quarantined records in both prefixes and both tails.  A full parse
+  // lists every wdc record before every tle record; the append run, and
+  // the exact hit on the base it rewrites, must list them in that order
+  // too, not as prefix then tail.
+  Fixture f = make_fixture("quarantine_order", 6, 4);
+  f.append_corrupt_wdc_day();
+  f.append_wdc_days(1);
+  f.append_corrupt_tle_record();
+  f.append_tle_records(1);
+  run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true);
+
+  f.append_corrupt_wdc_day();
+  f.append_wdc_days(1);
+  f.append_corrupt_tle_record();
+  f.append_tle_records(1);
+  obs::Metrics append;
+  const RunOutput incremental =
+      run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true, &append);
+  EXPECT_EQ(counter(append, "ingest.delta_hit"), 1u);
+  const RunOutput rebuilt =
+      run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/false);
+  ASSERT_EQ(quarantine_stages(rebuilt.quality_json),
+            (std::vector<std::string>{"wdc", "wdc", "tle", "tle"}));
+  expect_identical(incremental, rebuilt);
+
+  obs::Metrics exact;
+  const RunOutput warm =
+      run_pipeline(f, ParsePolicy::kTolerant, 1, /*use_cache=*/true, &exact);
+  EXPECT_EQ(counter(exact, "ingest.cache_hit"), 1u);
+  expect_identical(warm, rebuilt);
 }
 
 TEST(DeltaSnapshotTest, StrictTailFailureThrowsIdenticallyToFullReparse) {
@@ -334,7 +422,6 @@ TEST(DeltaSnapshotTest, EveryAppendLeavesAWholeBaseTheRerunHits) {
         io::decode_snapshot(bytes, ParsePolicy::kTolerant);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->state.tle_len, std::filesystem::file_size(f.tle_path));
-    EXPECT_EQ(decoded->state.dst_len, std::filesystem::file_size(f.dst_path));
     EXPECT_EQ(io::encode_snapshot(*decoded, ParsePolicy::kTolerant), bytes);
 
     obs::Metrics rerun;
@@ -422,7 +509,8 @@ TEST(DeltaSnapshotTest, DanglingLine1BoundaryForcesFullReparse) {
 
 TEST(DeltaSnapshotTest, RandomizedAppendEditCompactFuzzNeverDiverges) {
   // A seeded random walk over the whole surface: clean appends (either or
-  // both files), appends carrying quarantine-bound records, boundary gaps,
+  // both files), appends carrying quarantine-bound records (a bad checksum,
+  // an orphan line 2, a malformed WDC day), boundary gaps,
   // in-place prefix edits, at alternating thread counts, with every run
   // that is not an exact hit compacting the inputs into one fresh base.
   // After every round the cached run must be bit-identical to a
@@ -448,11 +536,12 @@ TEST(DeltaSnapshotTest, RandomizedAppendEditCompactFuzzNeverDiverges) {
       if (action == 1) f.append_corrupt_tle_record();
       if (action == 2) f.append_orphan_line2();
       if (action == 3) f.skip_wdc_day();
+      if (action == 4) f.append_corrupt_wdc_day();
       const auto records = rng.uniform_int(0, 2);
       const auto days = rng.uniform_int(0, 2);
       if (records > 0) f.append_tle_records(static_cast<int>(records));
       if (days > 0) f.append_wdc_days(static_cast<int>(days));
-      if (action > 3 && records == 0 && days == 0) f.append_tle_records(1);
+      if (action > 4 && records == 0 && days == 0) f.append_tle_records(1);
     }
     const int threads = round % 2 == 0 ? 1 : 4;
     obs::Metrics metrics;

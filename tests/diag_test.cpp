@@ -107,33 +107,6 @@ TEST(ParseLogTest, EveryCategoryIsCountedInItsOwnBucket) {
   }
 }
 
-TEST(ParseLogTest, MergeIsInOrderConcatenation) {
-  // Simulate the parallel-chunk pattern: per-chunk logs merged in chunk
-  // index order must equal the serial log.
-  ParseLog serial(ParsePolicy::kTolerant);
-  serial.accept("tle", 2);
-  serial.reject("tle", ErrorCategory::kSyntax, "a", "", RecordRef{"f", 1});
-  serial.reject("tle", ErrorCategory::kChecksum, "b", "", RecordRef{"f", 5});
-
-  ParseLog chunk0(ParsePolicy::kTolerant);
-  chunk0.accept("tle", 1);
-  chunk0.reject("tle", ErrorCategory::kSyntax, "a", "", RecordRef{"f", 1});
-  ParseLog chunk1(ParsePolicy::kTolerant);
-  chunk1.accept("tle", 1);
-  chunk1.reject("tle", ErrorCategory::kChecksum, "b", "", RecordRef{"f", 5});
-
-  ParseLog merged(ParsePolicy::kTolerant);
-  merged.merge(std::move(chunk0));
-  merged.merge(std::move(chunk1));
-
-  EXPECT_TRUE(merged.stages().at("tle") == serial.stages().at("tle"));
-  ASSERT_EQ(merged.quarantined_count(), serial.quarantined_count());
-  for (std::size_t i = 0; i < merged.quarantined().size(); ++i) {
-    EXPECT_EQ(merged.quarantined()[i].line, serial.quarantined()[i].line);
-    EXPECT_EQ(merged.quarantined()[i].message, serial.quarantined()[i].message);
-  }
-}
-
 // ---- DataQualityReport ------------------------------------------------------
 
 ParseLog sample_log() {
@@ -162,17 +135,6 @@ TEST(DataQualityReportTest, QuarantineRowsHaveHeaderAndOneRowPerRecord) {
   EXPECT_EQ(rows[1][1], "catalog.tle");
   EXPECT_EQ(rows[1][2], "3");
   EXPECT_EQ(rows[1][3], "checksum");
-}
-
-TEST(DataQualityReportTest, SummaryRowsCoverEveryStageAndCategory) {
-  const DataQualityReport report = sample_log().report();
-  const auto rows = report.summary_rows();
-  ASSERT_EQ(rows.size(), 3u);  // header + tle + wdc
-  EXPECT_EQ(rows[0].size(), 4u + kErrorCategoryCount);
-  EXPECT_EQ(rows[1][0], "tle");
-  EXPECT_EQ(rows[1][1], "10");
-  EXPECT_EQ(rows[2][0], "wdc");
-  EXPECT_EQ(rows[2][2], "24");
 }
 
 TEST(DataQualityReportTest, JsonEscapesAndContainsEverything) {

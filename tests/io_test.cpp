@@ -140,21 +140,10 @@ TEST(CsvFileTest, MissingFileThrows) {
 TEST_F(TempDir, FileHelpersRoundTrip) {
   write_file(path("f.txt"), "hello\nworld\n");
   EXPECT_EQ(read_file(path("f.txt")), "hello\nworld\n");
-  const auto lines = read_lines(path("f.txt"));
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "hello");
-}
-
-TEST_F(TempDir, ReadLinesStripsCr) {
-  write_file(path("crlf.txt"), "a\r\nb\r\n");
-  const auto lines = read_lines(path("crlf.txt"));
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "a");
 }
 
 TEST(FileTest, MissingFileThrows) {
   EXPECT_THROW(read_file("/nonexistent/file"), IoError);
-  EXPECT_THROW(read_lines("/nonexistent/file"), IoError);
 }
 
 TEST(TableTest, AlignsColumns) {

@@ -2,7 +2,8 @@
 // (DESIGN.md §13).
 //
 // The cache's contract is "bit-identical or rebuilt": a warm run must
-// reproduce the cold run's catalog, Dst series and quality report exactly,
+// reproduce the cold run's catalog, Dst series and quality report exactly
+// (the snapshot holds the TLE parse; every run parses the Dst itself),
 // and *any* disagreement — truncation, a flipped check-hash byte, a stale content
 // hash after an input edit, a format-version bump, a parse-policy mismatch
 // — must silently fall back to the text path (counter `snapshot.rejected`),
@@ -82,7 +83,7 @@ struct TestInputs {
   std::string cache_dir;
 
   [[nodiscard]] std::string snapshot_path() const {
-    return io::snapshot_cache_path(cache_dir, dst_path, tle_path);
+    return io::snapshot_cache_path(cache_dir, tle_path);
   }
 };
 
@@ -142,6 +143,11 @@ std::uint64_t counter(const obs::Metrics& metrics, const std::string& name) {
   return it != report.counters.end() ? it->second : 0;
 }
 
+/// The ingest state a snapshot of `tle_text` records.
+io::IngestState state_of(std::string_view tle_text) {
+  return io::classify_inputs(io::IngestState{}, tle_text).current;
+}
+
 /// The failure-matrix driver: seed the cache with a cold run, corrupt the
 /// snapshot via `mutate`, then prove the next run rejects it, matches a
 /// cache-less parse bit for bit, rewrites the snapshot, and that the run
@@ -177,15 +183,22 @@ void expect_reject_and_fallback(const TestInputs& inputs, ParsePolicy policy,
 // ---- round trip -------------------------------------------------------------
 
 TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
+  // A pipeline's parsed inputs, Dst and all: the snapshot keeps the TLE
+  // half — the catalog, the report's "tle" stage and the TLE state — and
+  // decodes with an empty Dst series.
   const std::string tle_text = tle_corpus(4);
   const std::string wdc_text = wdc_corpus();
 
   diag::ParseLog log(ParsePolicy::kTolerant);
   spaceweather::DstIndex dst = spaceweather::from_wdc(wdc_text, &log, "dst.wdc");
+  diag::ParseLog tle_log(ParsePolicy::kTolerant);
   tle::TleCatalog catalog;
-  catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, "catalog.tle"});
-  const io::SnapshotData data{dst, catalog, log.report(),
-                              io::ingest_state_of(wdc_text, tle_text)};
+  catalog.add_from_text(tle_text,
+                        tle::IngestOptions{&tle_log, 1, "catalog.tle"});
+  diag::DataQualityReport quality = log.report();
+  quality.merge(tle_log.report());
+  ASSERT_EQ(quality.stages.size(), 2u);
+  const io::SnapshotData data{dst, catalog, quality, state_of(tle_text)};
 
   const std::string bytes = io::encode_snapshot(data, ParsePolicy::kTolerant);
 
@@ -193,14 +206,9 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
       io::decode_snapshot(bytes, ParsePolicy::kTolerant);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->catalog.to_text(), catalog.to_text());
-  EXPECT_EQ(decoded->dst.start_hour(), dst.start_hour());
-  EXPECT_EQ(std::vector<double>(decoded->dst.values().begin(),
-                                decoded->dst.values().end()),
-            std::vector<double>(dst.values().begin(), dst.values().end()));
-  EXPECT_EQ(decoded->quality.to_json(), log.report().to_json());
-  EXPECT_EQ(decoded->state.dst_hash, io::xxh64(wdc_text));
+  EXPECT_TRUE(decoded->dst.empty());
+  EXPECT_EQ(decoded->quality.to_json(), tle_log.report().to_json());
   EXPECT_EQ(decoded->state.tle_hash, io::xxh64(tle_text));
-  EXPECT_EQ(decoded->state.dst_len, wdc_text.size());
   EXPECT_EQ(decoded->state.tle_len, tle_text.size());
 
   // A policy mismatch rejects before any payload decoding happens, and a
@@ -313,12 +321,13 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  // Any version but the current one rejects: a newer file, a v6 file (the
-  // same contents, checked with CRC32C in a 40-byte header and 24-byte
-  // table entries), a v5 file (its records may hold non-finite fields that
-  // validation now rejects), and a v4 file (FNV-1a input hashes).
+  // Any version but the current one rejects: a newer file, a v7 file (a
+  // Dst section and a 49-byte state section), a v6 file (checked with
+  // CRC32C in a 40-byte header and 24-byte table entries), a v5 file (its
+  // records may hold non-finite fields that validation now rejects), and a
+  // v4 file (FNV-1a input hashes).
   for (const std::uint32_t version :
-       {io::kSnapshotFormatVersion + 1, 6u, 5u, 4u}) {
+       {io::kSnapshotFormatVersion + 1, 7u, 6u, 5u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const TestInputs inputs =
         write_inputs("version" + std::to_string(version), tle_corpus(4));
@@ -474,16 +483,12 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
   std::vector<std::string> encoded;
   for (int w = 0; w < kWriters; ++w) {
     const std::string tle_text = tle_corpus(40 + 10 * w);
-    const std::string wdc_text = wdc_corpus();
     diag::ParseLog log(ParsePolicy::kTolerant);
-    spaceweather::DstIndex dst =
-        spaceweather::from_wdc(wdc_text, &log, "dst.wdc");
     tle::TleCatalog catalog;
     catalog.add_from_text(tle_text,
                           tle::IngestOptions{&log, 1, "catalog.tle"});
-    variants.push_back(io::SnapshotData{
-        std::move(dst), std::move(catalog), log.report(),
-        io::ingest_state_of(wdc_text, tle_text)});
+    variants.push_back(io::SnapshotData{{}, std::move(catalog), log.report(),
+                                        state_of(tle_text)});
     encoded.push_back(
         io::encode_snapshot(variants.back(), ParsePolicy::kTolerant));
   }
@@ -538,26 +543,22 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
 
 // ---- section format ---------------------------------------------------------
 
-/// Parsed snapshot data over `satellites` objects (two element sets each),
-/// with the matching ingest state — the input to the encoders under test.
+/// Parsed TLE data over `satellites` objects (two element sets each), with
+/// the matching ingest state — what a snapshot holds, and the input to the
+/// encoders under test.
 io::SnapshotData make_snapshot_data(int satellites, ParsePolicy policy) {
   const std::string tle_text = tle_corpus(satellites);
-  const std::string wdc_text = wdc_corpus();
   diag::ParseLog log(policy);
-  spaceweather::DstIndex dst = spaceweather::from_wdc(wdc_text, &log, "dst.wdc");
   tle::TleCatalog catalog;
   catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, "catalog.tle"});
-  return io::SnapshotData{std::move(dst), std::move(catalog), log.report(),
-                          io::ingest_state_of(wdc_text, tle_text)};
+  return io::SnapshotData{{}, std::move(catalog), log.report(),
+                          state_of(tle_text)};
 }
 
 void expect_same_decoded(const io::SnapshotData& a, const io::SnapshotData& b) {
   EXPECT_EQ(a.catalog.to_text(), b.catalog.to_text());
-  EXPECT_EQ(a.dst.start_hour(), b.dst.start_hour());
-  EXPECT_EQ(std::vector<double>(a.dst.values().begin(), a.dst.values().end()),
-            std::vector<double>(b.dst.values().begin(), b.dst.values().end()));
   EXPECT_EQ(a.quality.to_json(), b.quality.to_json());
-  EXPECT_EQ(a.state.dst_hash, b.state.dst_hash);
+  EXPECT_EQ(a.state.tle_len, b.state.tle_len);
   EXPECT_EQ(a.state.tle_hash, b.state.tle_hash);
 }
 
@@ -608,7 +609,7 @@ TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
   // paths genuinely run multi-section.
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
   const std::string serial = io::encode_snapshot(data, ParsePolicy::kStrict, 1);
-  ASSERT_GT(read_u32(serial, kSectionCountOffset), 4u)
+  ASSERT_GT(read_u32(serial, kSectionCountOffset), 3u)
       << "corpus too small to produce multiple catalog stripes";
   for (const int threads : {4, 8}) {
     EXPECT_EQ(io::encode_snapshot(data, ParsePolicy::kStrict, threads), serial)
@@ -700,8 +701,8 @@ TEST(SnapshotFormat, BytesArePinned) {
   // digest together.
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
   const std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
-  EXPECT_EQ(io::kSnapshotFormatVersion, 7u);
-  EXPECT_EQ(io::xxh64(bytes), 0x9C6CBD93DFED1F6FULL)
+  EXPECT_EQ(io::kSnapshotFormatVersion, 8u);
+  EXPECT_EQ(io::xxh64(bytes), 0x71306BC1E3F10DB2ULL)
       << std::hex << io::xxh64(bytes);
 }
 
@@ -729,8 +730,8 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
   const obs::MetricsReport report = metrics.snapshot();
   const auto sections = report.scheduling.find("snapshot.load_sections");
   ASSERT_NE(sections, report.scheduling.end());
-  // Small corpus = one catalog stripe: state + Dst + stripe + quality.
-  EXPECT_EQ(sections->second, 4u);
+  // Small corpus = one catalog stripe: state + stripe + quality.
+  EXPECT_EQ(sections->second, 3u);
 }
 
 TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
@@ -760,11 +761,8 @@ TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
     io::IngestState seen;
     ASSERT_TRUE(load(threads, calls, seen).has_value());
     EXPECT_EQ(calls, 1);
-    EXPECT_EQ(seen.dst_len, data.state.dst_len);
-    EXPECT_EQ(seen.dst_hash, data.state.dst_hash);
     EXPECT_EQ(seen.tle_len, data.state.tle_len);
     EXPECT_EQ(seen.tle_hash, data.state.tle_hash);
-    EXPECT_EQ(seen.tle_lines, data.state.tle_lines);
   }
 
   // The state section is the first body after the table.
@@ -902,15 +900,15 @@ TEST(SnapshotHash, Xxh64KnownAnswers) {
   EXPECT_EQ(io::xxh64(hundred), 0xF80E7B96315AFFFAULL);
   // The empty state records the empty input's hash.
   const io::IngestState empty;
-  EXPECT_EQ(empty.dst_hash, io::kXxh64Empty);
   EXPECT_EQ(empty.tle_hash, io::kXxh64Empty);
 }
 
 TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {
-  // classify_inputs hashes the recorded prefix, then continues the same
-  // stream over the tail: wherever the prefix ends — inside a 32-byte
-  // stripe, on its edge, or one byte short of the end — the grown input's
-  // hash and line count must equal a one-pass fingerprint of the whole.
+  // classify_inputs hashes the recorded prefix, reads its newline count at
+  // the prefix boundary, then continues the same stream over the tail:
+  // wherever the prefix ends — inside a 32-byte stripe, on its edge, or one
+  // byte short of the end — the grown input's hash must equal a one-pass
+  // fingerprint of the whole, and the prefix's line count its own.
   std::string text;
   Rng rng(20261017);
   while (text.size() < 300) {
@@ -918,25 +916,24 @@ TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {
                        ? '\n'
                        : static_cast<char>(rng.uniform_int(0, 255)));
   }
-  const std::string dst = wdc_corpus();
-  const io::IngestState whole = io::ingest_state_of(dst, text);
-  ASSERT_EQ(whole.tle_lines, static_cast<std::uint64_t>(
-                                 std::count(text.begin(), text.end(), '\n')));
+  const io::IngestState whole = state_of(text);
+  EXPECT_EQ(whole.tle_hash, io::xxh64(text));
+  EXPECT_EQ(io::classify_inputs(whole, text).prefix_lines,
+            static_cast<std::uint64_t>(
+                std::count(text.begin(), text.end(), '\n')));
   for (const std::size_t split :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{31},
         std::size_t{32}, std::size_t{33}, text.size() - 1}) {
     SCOPED_TRACE("split " + std::to_string(split));
-    const io::IngestState prefix =
-        io::ingest_state_of(dst, std::string_view(text).substr(0, split));
-    EXPECT_EQ(prefix.tle_hash, io::xxh64(text.substr(0, split)));
-    const io::InputClassification grown =
-        io::classify_inputs(prefix, dst, text);
+    const std::string_view head = std::string_view(text).substr(0, split);
+    const io::IngestState prefix = state_of(head);
+    EXPECT_EQ(prefix.tle_hash, io::xxh64(head));
+    const io::InputClassification grown = io::classify_inputs(prefix, text);
     EXPECT_EQ(grown.current.tle_hash, whole.tle_hash);
-    EXPECT_EQ(grown.current.tle_lines, whole.tle_lines);
-    EXPECT_EQ(grown.current.dst_hash, whole.dst_hash);
-    EXPECT_EQ(grown.current.dst_lines, whole.dst_lines);
+    EXPECT_EQ(grown.prefix_lines,
+              static_cast<std::uint64_t>(
+                  std::count(head.begin(), head.end(), '\n')));
   }
-  EXPECT_EQ(whole.tle_hash, io::xxh64(text));
 }
 
 /// Resident bytes of the mapping that starts at `base`, read from
@@ -979,33 +976,25 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
   for (std::size_t i = 0; text.size() < (std::size_t{24} << 20) + 12345; ++i) {
     text += std::to_string(i * 2654435761u) + " 0123456789abcdefghijklmnop\n";
   }
-  const std::string dst = wdc_corpus();
-  io::write_file(dir + "/dst.txt", dst);
   io::write_file(dir + "/tle.txt", text);
-  const io::MappedFile dst_map(dir + "/dst.txt");
   const io::MappedFile tle_map(dir + "/tle.txt");
   if (!tle_map.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
 
   const std::size_t half = text.rfind('\n', text.size() / 2) + 1;
   const io::IngestState prefix =
-      io::ingest_state_of(dst, std::string_view(text).substr(0, half));
-  const io::IngestState whole = io::ingest_state_of(dst, text);
+      state_of(std::string_view(text).substr(0, half));
+  const io::IngestState whole = state_of(text);
   for (const io::IngestState& base : {io::IngestState{}, prefix, whole}) {
-    const io::InputClassification viewed = io::classify_inputs(base, dst, text);
-    const io::InputClassification mapped =
-        io::classify_inputs(base, dst_map, tle_map);
+    const io::InputClassification viewed = io::classify_inputs(base, text);
+    const io::InputClassification mapped = io::classify_inputs(base, tle_map);
     EXPECT_EQ(mapped.match, viewed.match);
     EXPECT_EQ(mapped.current.tle_hash, viewed.current.tle_hash);
-    EXPECT_EQ(mapped.current.tle_lines, viewed.current.tle_lines);
     EXPECT_EQ(mapped.current.tle_len, viewed.current.tle_len);
-    EXPECT_EQ(mapped.current.tle_boundary_clean,
-              viewed.current.tle_boundary_clean);
-    EXPECT_EQ(mapped.current.dst_hash, viewed.current.dst_hash);
-    EXPECT_EQ(mapped.current.dst_lines, viewed.current.dst_lines);
+    EXPECT_EQ(mapped.prefix_lines, viewed.prefix_lines);
   }
-  EXPECT_EQ(io::classify_inputs(prefix, dst_map, tle_map).match,
+  EXPECT_EQ(io::classify_inputs(prefix, tle_map).match,
             io::InputMatch::kAppend);
-  EXPECT_EQ(io::classify_inputs(whole, dst_map, tle_map).match,
+  EXPECT_EQ(io::classify_inputs(whole, tle_map).match,
             io::InputMatch::kExact);
 
   const long after_mapped = resident_bytes(tle_map.view().data());
@@ -1014,7 +1003,7 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
   // The same bytes through a pass over the plain view stay resident, so
   // the bound above measures the drops, not an idle mapping.
   const io::MappedFile held(dir + "/tle.txt");
-  EXPECT_EQ(io::ingest_state_of(dst, held.view()).tle_hash, whole.tle_hash);
+  EXPECT_EQ(state_of(held.view()).tle_hash, whole.tle_hash);
   EXPECT_GE(resident_bytes(held.view().data()),
             static_cast<long>(text.size() / 2));
   // Dropped pages fault back in with the file's bytes.

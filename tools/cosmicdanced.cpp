@@ -1,7 +1,7 @@
 // cosmicdanced — the long-running serving daemon (DESIGN.md §15).
 //
 // Loads one Dst + TLE input pair (through the same snapshot cache as the
-// CLI, so a warm start is a binary load, not a text parse) and serves
+// CLI, so a warm start is a binary load, not a TLE text parse) and serves
 // concurrent queries over length-prefixed JSON-over-TCP:
 //
 //   cosmicdanced --listen 127.0.0.1:0 --dst dst.wdc --tles catalog.tle
@@ -15,10 +15,10 @@
 // family runs the batch SGP4 engine against the serving snapshot's catalog:
 // "propagate" returns one satellite's altitude-from-state series over a
 // request-scoped epoch grid, "decay_summary" ranks the fleet's fastest
-// decayers by fitted decay rate.  A "reload" re-ingests the
-// inputs off to the side (appended records ride the delta fast path when a
-// cache dir is set) and atomically swaps the serving snapshot; in-flight
-// queries finish against the epoch they started on.
+// decayers by fitted decay rate.  A "reload" re-ingests the inputs off to
+// the side (appended TLE records ride the delta fast path when a cache dir
+// is set) and atomically swaps the serving snapshot; in-flight queries
+// finish against the epoch they started on.
 #include <cstdint>
 #include <iostream>
 

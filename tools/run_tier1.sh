@@ -28,8 +28,9 @@
 #      thread count and >= 0.65M records/s.  The sgp4 record must clear a positions/s floor with zero
 #      non-kOk statuses and a bit-identical threads=1 vs threads=N grid
 #      (the batch determinism contract, DESIGN.md §16).  The ingest record
-#      must show a warm-cache hit (ingest.cache_hit == 1) and an
-#      append-aware delta hit that parsed only a small tail
+#      must show two cache hits (ingest.cache_hit == 2: the warm pass and
+#      the pass after a Dst-only append) and an append-aware delta hit
+#      that parsed only a small tail
 #      (ingest.delta_hit == 1, delta_tail_fraction < 5%), clear the
 #      absolute ingestion floors (cold parse >= 2M records/s — 2x the
 #      1.02M records/s baseline — and an exact-hit warm start, snapshot
@@ -222,14 +223,16 @@ assert bench["metrics"]["phases"], "bench record has no phase timings"
 ingest = json.load(open("build/BENCH_ingest.json"))
 for key in ("bench", "threads", "dataset", "throughput", "metrics"):
     assert key in ingest, f"ingest bench record missing {key!r}"
-# The telemetry pass runs cold -> warm -> append -> delta-warm against a
-# fresh cache dir; the warm run must actually hit the snapshot (DESIGN.md
-# §13) and the delta-warm run must extend it by parsing only the appended
-# tail (DESIGN.md §14) or the incremental path is silently dead.  The cold
-# and delta-warm runs each write one base; the warm run writes nothing.
+# The telemetry pass runs cold -> warm -> append -> delta-warm -> Dst-append
+# against a fresh cache dir; the warm run must actually hit the snapshot
+# (DESIGN.md §13), the delta-warm run must extend it by parsing only the
+# appended tail (DESIGN.md §14) or the incremental path is silently dead,
+# and the run after a Dst-only append must hit the TLE snapshot again (it
+# caches the TLE parse alone).  The cold and delta-warm runs each write one
+# base; the two hits write nothing.
 counters = ingest["metrics"]["counters"]
-assert counters.get("ingest.cache_hit") == 1, (
-    "warm ingest pass did not hit the snapshot cache: "
+assert counters.get("ingest.cache_hit") == 2, (
+    "warm or Dst-append ingest pass did not hit the snapshot cache: "
     f"{ {k: v for k, v in counters.items() if k.startswith(('ingest.', 'snapshot.'))} }")
 assert counters.get("ingest.delta_hit") == 1, (
     "delta-warm ingest pass did not take the append fast path: "

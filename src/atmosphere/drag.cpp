@@ -7,13 +7,6 @@
 
 namespace cosmicdance::atmosphere {
 
-double ballistic_coefficient(double drag_coefficient, double area_m2, double mass_kg) {
-  if (mass_kg <= 0.0) throw ValidationError("mass must be positive");
-  if (area_m2 <= 0.0) throw ValidationError("area must be positive");
-  if (drag_coefficient <= 0.0) throw ValidationError("Cd must be positive");
-  return drag_coefficient * area_m2 / mass_kg;
-}
-
 double drag_acceleration_ms2(double density_kg_m3, double speed_ms,
                              double ballistic_m2_kg) noexcept {
   return 0.5 * density_kg_m3 * speed_ms * speed_ms * ballistic_m2_kg;
@@ -33,10 +26,6 @@ double circular_decay_rate_km_per_day(double altitude_km, double density_kg_m3,
 
 double bstar_from_ballistic(double ballistic_m2_kg, double density_ratio) noexcept {
   return 0.5 * kBstarReferenceDensity * ballistic_m2_kg * density_ratio;
-}
-
-double ballistic_from_bstar(double bstar) noexcept {
-  return 2.0 * bstar / kBstarReferenceDensity;
 }
 
 }  // namespace cosmicdance::atmosphere

@@ -1,14 +1,9 @@
-// Drag kinematics: ballistic coefficients, decay rates and the B* bridge.
+// Drag kinematics: deceleration, decay rates and the B* bridge.
 #pragma once
 
 #include "orbit/constants.hpp"
 
 namespace cosmicdance::atmosphere {
-
-/// Ballistic coefficient B = Cd * A / m in m^2/kg.  Throws ValidationError
-/// for non-positive mass or area.
-[[nodiscard]] double ballistic_coefficient(double drag_coefficient, double area_m2,
-                                           double mass_kg);
 
 /// Instantaneous drag deceleration (m/s^2) for speed v (m/s).
 [[nodiscard]] double drag_acceleration_ms2(double density_kg_m3, double speed_ms,
@@ -31,8 +26,5 @@ inline constexpr double kBstarReferenceDensity = 0.157;
 ///   B* = 0.5 * rho_0 * B * density_ratio
 [[nodiscard]] double bstar_from_ballistic(double ballistic_m2_kg,
                                           double density_ratio = 1.0) noexcept;
-
-/// Inverse of bstar_from_ballistic at density_ratio = 1.
-[[nodiscard]] double ballistic_from_bstar(double bstar) noexcept;
 
 }  // namespace cosmicdance::atmosphere

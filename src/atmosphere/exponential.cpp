@@ -59,9 +59,4 @@ double density_kg_m3(double altitude_km) noexcept {
          std::exp(-(altitude_km - band.base_alt_km) / band.scale_height_km);
 }
 
-double scale_height_km(double altitude_km) noexcept {
-  if (altitude_km < 0.0) altitude_km = 0.0;
-  return band_for(altitude_km).scale_height_km;
-}
-
 }  // namespace cosmicdance::atmosphere

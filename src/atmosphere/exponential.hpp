@@ -16,8 +16,4 @@ namespace cosmicdance::atmosphere {
 /// model is total.
 [[nodiscard]] double density_kg_m3(double altitude_km) noexcept;
 
-/// The scale height (km) in effect at an altitude — exposed for tests and
-/// for the decay-rate heuristics in the simulator.
-[[nodiscard]] double scale_height_km(double altitude_km) noexcept;
-
 }  // namespace cosmicdance::atmosphere

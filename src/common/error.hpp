@@ -23,7 +23,7 @@ class Error : public std::runtime_error {
 /// category; the enum lives here (not in cd_diag) so every throw site can
 /// tag its ParseError without a dependency on the diagnostics layer.
 enum class ErrorCategory {
-  kSyntax,     ///< malformed text: wrong width, bad quoting, stray characters
+  kSyntax,     ///< malformed text: wrong width, stray characters
   kChecksum,   ///< TLE line checksum mismatch
   kNumeric,    ///< a numeric field failed to parse as a number
   kRange,      ///< parsed fine but semantically out of range
@@ -32,7 +32,7 @@ enum class ErrorCategory {
 
 inline constexpr std::size_t kErrorCategoryCount = 5;
 
-/// Malformed textual input (TLE lines, WDC records, CSV rows, ...).
+/// Malformed textual input (TLE lines, WDC records, OMM messages, ...).
 class ParseError : public Error {
  public:
   explicit ParseError(const std::string& what,

@@ -1,6 +1,5 @@
 #include "core/export.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "timeutil/hour_axis.hpp"
@@ -12,10 +11,6 @@ std::string num(double value, int precision = 6) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
   return buffer;
-}
-
-std::string iso(double jd) {
-  return timeutil::from_julian(jd).to_string();
 }
 
 }  // namespace
@@ -42,53 +37,6 @@ std::vector<io::CsvRow> storms_csv(
                     num(storm.peak_dst_nt),
                     spaceweather::to_string(storm.category),
                     std::to_string(storm.duration_hours())});
-  }
-  return rows;
-}
-
-std::vector<io::CsvRow> envelope_csv(const PostEventEnvelope& envelope) {
-  std::vector<io::CsvRow> rows;
-  io::CsvRow header{"day", "median_km", "p95_km"};
-  for (const int id : envelope.satellites) {
-    header.push_back("sat_" + std::to_string(id));
-  }
-  rows.push_back(std::move(header));
-  for (int d = 0; d < envelope.days; ++d) {
-    const auto day = static_cast<std::size_t>(d);
-    io::CsvRow row{std::to_string(d),
-                   std::isfinite(envelope.median_km[day])
-                       ? num(envelope.median_km[day])
-                       : std::string(),
-                   std::isfinite(envelope.p95_km[day]) ? num(envelope.p95_km[day])
-                                                       : std::string()};
-    for (const auto& profile : envelope.per_satellite) {
-      row.push_back(std::isfinite(profile[day]) ? num(profile[day])
-                                                : std::string());
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<io::CsvRow> panel_csv(std::span<const SuperstormPanelRow> rows_in) {
-  std::vector<io::CsvRow> rows;
-  rows.push_back({"date", "min_dst_nt", "bstar_mean", "bstar_median",
-                  "bstar_p95", "tracked_satellites", "tle_count"});
-  for (const auto& row : rows_in) {
-    rows.push_back({iso(row.day_jd), num(row.dst_min_nt), num(row.bstar_mean),
-                    num(row.bstar_median), num(row.bstar_p95),
-                    std::to_string(row.tracked_satellites),
-                    std::to_string(row.tle_count)});
-  }
-  return rows;
-}
-
-std::vector<io::CsvRow> timeline_csv(const TrackTimeline& timeline) {
-  std::vector<io::CsvRow> rows;
-  rows.push_back({"epoch_utc", "altitude_km", "bstar"});
-  for (std::size_t i = 0; i < timeline.epoch_jd.size(); ++i) {
-    rows.push_back({iso(timeline.epoch_jd[i]), num(timeline.altitude_km[i]),
-                    num(timeline.bstar[i])});
   }
   return rows;
 }

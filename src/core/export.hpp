@@ -5,8 +5,6 @@
 
 #include <span>
 
-#include "core/analysis.hpp"
-#include "core/correlator.hpp"
 #include "io/csv.hpp"
 #include "spaceweather/storms.hpp"
 #include "stats/ecdf.hpp"
@@ -22,16 +20,5 @@ namespace cosmicdance::core {
 /// Storm events: onset, peak time, peak nT, category, duration hours.
 [[nodiscard]] std::vector<io::CsvRow> storms_csv(
     std::span<const spaceweather::StormEvent> storms);
-
-/// Post-event envelope: one row per day with median/p95 and the
-/// per-satellite deviations as additional columns.
-[[nodiscard]] std::vector<io::CsvRow> envelope_csv(const PostEventEnvelope& envelope);
-
-/// Super-storm panel (Fig 7) rows.
-[[nodiscard]] std::vector<io::CsvRow> panel_csv(
-    std::span<const SuperstormPanelRow> rows);
-
-/// A satellite timeline (Fig 3 series): epoch ISO, altitude, B*.
-[[nodiscard]] std::vector<io::CsvRow> timeline_csv(const TrackTimeline& timeline);
 
 }  // namespace cosmicdance::core

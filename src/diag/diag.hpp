@@ -1,7 +1,7 @@
 // Data-quality diagnostics for the ingestion layer.
 //
-// Every ingestion path (TLE catalogs, OMM messages, WDC Dst records, CSV
-// tables) reports record-level outcomes through one ParseLog: records are
+// Every ingestion path (TLE catalogs, OMM messages, WDC Dst records)
+// reports record-level outcomes through one ParseLog: records are
 // accepted, repaired (recovered with a documented fix-up, e.g. an
 // interpolated Dst gap) or quarantined (rejected with a category and a
 // diagnostic).  A ParsePolicy decides what a failure does:
@@ -57,7 +57,7 @@ struct RecordRef {
 
 /// One rejected record with everything needed to find and fix it.
 struct QuarantinedRecord {
-  std::string stage;  ///< ingestion stage: "tle", "omm", "wdc", "csv"
+  std::string stage;  ///< ingestion stage: "tle", "omm", "wdc"
   std::string source;
   std::size_t line = 0;
   ErrorCategory category = ErrorCategory::kSyntax;

@@ -1,177 +1,13 @@
 #include "io/csv.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <string_view>
 
 #include "common/error.hpp"
-#include "diag/diag.hpp"
-#include "io/file.hpp"
 
 namespace cosmicdance::io {
-namespace {
-
-constexpr const char* kStage = "csv";
-
-// Incremental CSV record parser state.  A record may span lines (quoted
-// embedded newlines); the caller feeds lines until parse_into returns true.
-struct RecordState {
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_was_quoted = false;  // closed-quote guard, see below
-
-  void reset() {
-    row.clear();
-    field.clear();
-    in_quotes = false;
-    field_was_quoted = false;
-  }
-};
-
-// Returns true when a record is complete and false when it ended mid-quote
-// (caller should append the next line).  Throws ParseError on RFC 4180
-// violations: a quote opening mid-field, or text after a closing quote
-// (`"ab"cd` is an error, not the field `abcd`).
-bool parse_into(std::string_view line, RecordState& state) {
-  std::size_t i = 0;
-  while (i < line.size()) {
-    const char c = line[i];
-    if (state.in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          state.field.push_back('"');
-          ++i;
-        } else {
-          state.in_quotes = false;
-          state.field_was_quoted = true;
-        }
-      } else {
-        state.field.push_back(c);
-      }
-    } else {
-      if (c == ',') {
-        state.row.push_back(state.field);
-        state.field.clear();
-        state.field_was_quoted = false;
-      } else if (state.field_was_quoted) {
-        throw ParseError("text after closing quote in CSV field: '" +
-                         std::string(line) + "'");
-      } else if (c == '"') {
-        if (!state.field.empty()) {
-          throw ParseError("quote inside unquoted CSV field: '" +
-                           std::string(line) + "'");
-        }
-        state.in_quotes = true;
-      } else {
-        state.field.push_back(c);
-      }
-    }
-    ++i;
-  }
-  if (state.in_quotes) {
-    state.field.push_back('\n');
-    return false;
-  }
-  state.row.push_back(state.field);
-  state.field.clear();
-  state.field_was_quoted = false;
-  return true;
-}
-
-}  // namespace
-
-CsvRow parse_csv_line(std::string_view line) {
-  RecordState state;
-  if (!parse_into(line, state)) {
-    throw ParseError("unterminated quote in CSV line: '" + std::string(line) +
-                     "'");
-  }
-  return std::move(state.row);
-}
-
-std::vector<CsvRow> read_csv(std::string_view text, diag::ParseLog* log,
-                             const std::string& source) {
-  std::vector<CsvRow> rows;
-  // Pre-size from the line count (one memchr scan) instead of growing
-  // through repeated reallocation; multi-line quoted records only make the
-  // estimate generous.
-  rows.reserve(
-      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
-  RecordState state;
-  std::size_t line_number = 0;
-  std::size_t record_start_line = 0;  // first line of the in-flight record
-  std::string record_text;            // raw text of the in-flight record
-  for (std::size_t pos = 0; pos < text.size();) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = eol == std::string_view::npos
-                                ? text.substr(pos)
-                                : text.substr(pos, eol - pos);
-    pos = eol == std::string_view::npos ? text.size() : eol + 1;
-    ++line_number;
-    // CRLF normalization: a trailing \r belongs to the record separator --
-    // unless the line ends inside a quoted field, where it is content and
-    // is restored below (a quoted "a\r\nb" must round-trip intact).
-    const bool had_cr = !line.empty() && line.back() == '\r';
-    if (had_cr) line.remove_suffix(1);
-    if (!state.in_quotes && line.empty()) continue;
-    if (record_text.empty()) record_start_line = line_number;
-    record_text += line;
-    try {
-      if (parse_into(line, state)) {
-        rows.push_back(std::move(state.row));
-        state.reset();
-        record_text.clear();
-        if (log != nullptr) log->accept(kStage);
-      } else {
-        // parse_into just appended the embedded '\n'; reinsert the \r that
-        // CRLF stripping took from inside the quoted field.
-        if (had_cr) state.field.insert(state.field.size() - 1, 1, '\r');
-        record_text.push_back('\n');
-      }
-    } catch (const ParseError& error) {
-      if (log == nullptr) throw;
-      log->reject(kStage, error.category(), error.what(), record_text,
-                  diag::RecordRef{source, record_start_line});
-      state.reset();
-      record_text.clear();
-    }
-  }
-  if (state.in_quotes) {
-    // Routed like any other malformed record: without a caller log, a local
-    // strict ParseLog reproduces the historical throw-on-first-error
-    // behaviour (with a located message).
-    diag::ParseLog fallback;
-    diag::ParseLog& diagnostics = log != nullptr ? *log : fallback;
-    diagnostics.reject(kStage, ErrorCategory::kStructure,
-                       "CSV input ended inside a quoted field", record_text,
-                       diag::RecordRef{source, record_start_line});
-  }
-  return rows;
-}
-
-std::vector<CsvRow> read_csv(std::istream& in, diag::ParseLog* log,
-                             const std::string& source) {
-  // Streams cannot be mapped: slurp once into a pre-sized buffer (the
-  // historical per-line getline loop allocated throughout) and parse views.
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = std::move(buffer).str();
-  return read_csv(std::string_view(text), log, source);
-}
-
-std::vector<CsvRow> read_csv_file(const std::string& path, diag::ParseLog* log) {
-  const MappedFile mapped(path);
-  return read_csv(mapped.view(), log, path);
-}
 
 std::string escape_csv_field(const std::string& field) {
-  // '\r' must force quoting too: written bare, a trailing CR would be
-  // absorbed by read_csv's CRLF normalisation and the field would come back
-  // truncated.
   const bool needs_quotes = field.find_first_of(",\"\n\r") != std::string::npos;
   if (!needs_quotes) return field;
   std::string out = "\"";

@@ -1,49 +1,18 @@
-// Minimal RFC-4180-style CSV reading and writing.
-//
-// The pipeline exchanges figure data and ingests archival exports as CSV;
-// this implementation supports quoted fields containing commas, quotes and
-// newlines, which is all the formats in play require.
+// RFC-4180 CSV writing: the figure, storm, metrics and quality-report
+// exports.  The programs only write CSV; nothing in them reads it back.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
-
-namespace cosmicdance::diag {
-class ParseLog;
-}  // namespace cosmicdance::diag
 
 namespace cosmicdance::io {
 
 using CsvRow = std::vector<std::string>;
 
-/// Parse a single CSV record from `line` (no embedded newlines).
-/// Throws ParseError on unbalanced quotes, a quote opening mid-field, or
-/// text following a closing quote (RFC 4180).
-[[nodiscard]] CsvRow parse_csv_line(std::string_view line);
-
-/// Read all records from in-memory text — the zero-copy core; lines are
-/// scanned as views of `text`.  Handles quoted fields spanning lines.
-/// With a ParseLog, record outcomes are counted under stage "csv" and a
-/// tolerant policy quarantines malformed records (by their first line
-/// number in `source`) instead of throwing.
-[[nodiscard]] std::vector<CsvRow> read_csv(std::string_view text,
-                                           diag::ParseLog* log = nullptr,
-                                           const std::string& source = "<text>");
-
-/// Read all records from a stream (slurped, then parsed by the view core).
-[[nodiscard]] std::vector<CsvRow> read_csv(std::istream& in,
-                                           diag::ParseLog* log = nullptr,
-                                           const std::string& source = "<stream>");
-
-/// Read all records from a file (mmap-backed when available).  Throws
-/// IoError when unreadable.
-[[nodiscard]] std::vector<CsvRow> read_csv_file(const std::string& path,
-                                                diag::ParseLog* log = nullptr);
-
-/// Escape a field per RFC 4180 (quote when it contains , " CR or newline;
-/// an unquoted trailing CR would be eaten as CRLF normalization on read).
+/// Escape a field per RFC 4180: quote it when it contains , " CR or LF,
+/// doubling each quote inside.  A bare CR is quoted too, since a reader
+/// that normalises CRLF would take a trailing one for a line end.
 [[nodiscard]] std::string escape_csv_field(const std::string& field);
 
 /// Serialise one record (no trailing newline).

@@ -49,14 +49,6 @@ double mean_motion_from_altitude_km(double altitude_km, const GravityModel& g) {
   return mean_motion_revday_from_sma(altitude_km + g.radius_earth_km, g);
 }
 
-double period_minutes(double revs_per_day) {
-  if (revs_per_day <= 0.0) {
-    throw ValidationError("mean motion must be positive: " +
-                          std::to_string(revs_per_day));
-  }
-  return units::kMinutesPerDay / revs_per_day;
-}
-
 double circular_speed_kms(double radius_km, const GravityModel& g) {
   if (radius_km <= 0.0) {
     throw ValidationError("radius must be positive: " + std::to_string(radius_km));

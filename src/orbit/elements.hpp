@@ -38,9 +38,6 @@ struct KeplerianElements {
 [[nodiscard]] double mean_motion_from_altitude_km(double altitude_km,
                                                   const GravityModel& g = wgs72());
 
-/// Orbital period in minutes from mean motion in rev/day.
-[[nodiscard]] double period_minutes(double revs_per_day);
-
 /// Circular orbital speed (km/s) at a geocentric radius.
 [[nodiscard]] double circular_speed_kms(double radius_km,
                                         const GravityModel& g = wgs72());

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/units.hpp"
+#include "orbit/constants.hpp"
 #include "timeutil/sidereal.hpp"
 
 namespace cosmicdance::orbit {
@@ -18,10 +19,6 @@ Vec3 rotate_z(const Vec3& v, double angle) noexcept {
 
 Vec3 teme_to_ecef(const Vec3& r_teme_km, double jd_ut1) noexcept {
   return rotate_z(r_teme_km, timeutil::gmst_radians(jd_ut1));
-}
-
-Vec3 ecef_to_teme(const Vec3& r_ecef_km, double jd_ut1) noexcept {
-  return rotate_z(r_ecef_km, -timeutil::gmst_radians(jd_ut1));
 }
 
 Geodetic ecef_to_geodetic(const Vec3& r) noexcept {
@@ -56,19 +53,6 @@ Geodetic ecef_to_geodetic(const Vec3& r) noexcept {
   geo.latitude_rad = lat;
   geo.altitude_km = alt;
   return geo;
-}
-
-Vec3 geodetic_to_ecef(const Geodetic& geo) noexcept {
-  const GravityModel g = wgs84();
-  const double a = g.radius_earth_km;
-  const double f = kWgs84Flattening;
-  const double e2 = f * (2.0 - f);
-  const double sin_lat = std::sin(geo.latitude_rad);
-  const double cos_lat = std::cos(geo.latitude_rad);
-  const double n = a / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-  return {(n + geo.altitude_km) * cos_lat * std::cos(geo.longitude_rad),
-          (n + geo.altitude_km) * cos_lat * std::sin(geo.longitude_rad),
-          (n * (1.0 - e2) + geo.altitude_km) * sin_lat};
 }
 
 }  // namespace cosmicdance::orbit

@@ -21,13 +21,7 @@ struct Geodetic {
 /// UT1 Julian date (rotation about Z by GMST).
 [[nodiscard]] Vec3 teme_to_ecef(const Vec3& r_teme_km, double jd_ut1) noexcept;
 
-/// Inverse rotation.
-[[nodiscard]] Vec3 ecef_to_teme(const Vec3& r_ecef_km, double jd_ut1) noexcept;
-
 /// ECEF -> geodetic via the iterative Bowring-style method.
 [[nodiscard]] Geodetic ecef_to_geodetic(const Vec3& r_ecef_km) noexcept;
-
-/// Geodetic -> ECEF.
-[[nodiscard]] Vec3 geodetic_to_ecef(const Geodetic& geo) noexcept;
 
 }  // namespace cosmicdance::orbit

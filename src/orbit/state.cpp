@@ -1,11 +1,6 @@
 #include "orbit/state.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/error.hpp"
-#include "common/units.hpp"
-#include "orbit/kepler.hpp"
 
 namespace cosmicdance::orbit {
 
@@ -13,132 +8,10 @@ double dot(const Vec3& a, const Vec3& b) noexcept {
   return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
 }
 
-Vec3 cross(const Vec3& a, const Vec3& b) noexcept {
-  return {a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-          a[0] * b[1] - a[1] * b[0]};
-}
-
 double norm(const Vec3& a) noexcept { return std::sqrt(dot(a, a)); }
-
-Vec3 scale(const Vec3& a, double s) noexcept { return {a[0] * s, a[1] * s, a[2] * s}; }
-
-Vec3 add(const Vec3& a, const Vec3& b) noexcept {
-  return {a[0] + b[0], a[1] + b[1], a[2] + b[2]};
-}
 
 Vec3 sub(const Vec3& a, const Vec3& b) noexcept {
   return {a[0] - b[0], a[1] - b[1], a[2] - b[2]};
-}
-
-StateVector state_from_elements(const KeplerianElements& coe, const GravityModel& g) {
-  coe.validate();
-  const double e = coe.eccentricity;
-  const double a = coe.semi_major_axis_km;
-  const double e_anom = solve_kepler(coe.mean_anomaly_rad, e);
-  const double nu = true_from_eccentric(e_anom, e);
-  const double p = a * (1.0 - e * e);  // semi-latus rectum
-  const double r_mag = p / (1.0 + e * std::cos(nu));
-
-  // Perifocal frame position/velocity.
-  const double cos_nu = std::cos(nu);
-  const double sin_nu = std::sin(nu);
-  const Vec3 r_pqw{r_mag * cos_nu, r_mag * sin_nu, 0.0};
-  const double sqrt_mu_over_p = std::sqrt(g.mu / p);
-  const Vec3 v_pqw{-sqrt_mu_over_p * sin_nu, sqrt_mu_over_p * (e + cos_nu), 0.0};
-
-  // Rotate PQW -> inertial via R3(-raan) R1(-i) R3(-argp).
-  const double cos_raan = std::cos(coe.raan_rad);
-  const double sin_raan = std::sin(coe.raan_rad);
-  const double cos_inc = std::cos(coe.inclination_rad);
-  const double sin_inc = std::sin(coe.inclination_rad);
-  const double cos_argp = std::cos(coe.arg_perigee_rad);
-  const double sin_argp = std::sin(coe.arg_perigee_rad);
-
-  const double m00 = cos_raan * cos_argp - sin_raan * sin_argp * cos_inc;
-  const double m01 = -cos_raan * sin_argp - sin_raan * cos_argp * cos_inc;
-  const double m10 = sin_raan * cos_argp + cos_raan * sin_argp * cos_inc;
-  const double m11 = -sin_raan * sin_argp + cos_raan * cos_argp * cos_inc;
-  const double m20 = sin_argp * sin_inc;
-  const double m21 = cos_argp * sin_inc;
-
-  auto rotate = [&](const Vec3& v) -> Vec3 {
-    return {m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1],
-            m20 * v[0] + m21 * v[1]};
-  };
-
-  return StateVector{rotate(r_pqw), rotate(v_pqw)};
-}
-
-KeplerianElements elements_from_state(const StateVector& sv, const GravityModel& g) {
-  const Vec3& r = sv.position_km;
-  const Vec3& v = sv.velocity_kms;
-  const double r_mag = norm(r);
-  const double v_mag = norm(v);
-  if (r_mag < 1.0) throw PropagationError("state vector at Earth's center");
-
-  const Vec3 h = cross(r, v);
-  const double h_mag = norm(h);
-  if (h_mag < 1e-8) throw PropagationError("rectilinear orbit in RV2COE");
-
-  const Vec3 node{-h[1], h[0], 0.0};
-  const double node_mag = norm(node);
-
-  const double energy = v_mag * v_mag / 2.0 - g.mu / r_mag;
-  if (energy >= 0.0) throw PropagationError("non-elliptical orbit in RV2COE");
-  const double a = -g.mu / (2.0 * energy);
-
-  const double rv = dot(r, v);
-  Vec3 e_vec = sub(scale(r, v_mag * v_mag - g.mu / r_mag), scale(v, rv));
-  e_vec = scale(e_vec, 1.0 / g.mu);
-  const double e = norm(e_vec);
-
-  KeplerianElements coe;
-  coe.semi_major_axis_km = a;
-  coe.eccentricity = e;
-  coe.inclination_rad = std::acos(std::clamp(h[2] / h_mag, -1.0, 1.0));
-
-  const bool equatorial = node_mag < 1e-10;
-  const bool circular = e < 1e-10;
-
-  if (!equatorial) {
-    double raan = std::acos(std::clamp(node[0] / node_mag, -1.0, 1.0));
-    if (node[1] < 0.0) raan = units::kTwoPi - raan;
-    coe.raan_rad = raan;
-  } else {
-    coe.raan_rad = 0.0;
-  }
-
-  double argp = 0.0;
-  double nu = 0.0;
-  if (!circular && !equatorial) {
-    argp = std::acos(std::clamp(dot(node, e_vec) / (node_mag * e), -1.0, 1.0));
-    if (e_vec[2] < 0.0) argp = units::kTwoPi - argp;
-    nu = std::acos(std::clamp(dot(e_vec, r) / (e * r_mag), -1.0, 1.0));
-    if (rv < 0.0) nu = units::kTwoPi - nu;
-  } else if (circular && !equatorial) {
-    // Argument of latitude substitutes for argp + nu.
-    double arglat = std::acos(std::clamp(dot(node, r) / (node_mag * r_mag), -1.0, 1.0));
-    if (r[2] < 0.0) arglat = units::kTwoPi - arglat;
-    argp = 0.0;
-    nu = arglat;
-  } else if (!circular && equatorial) {
-    double lon_per = std::acos(std::clamp(e_vec[0] / e, -1.0, 1.0));
-    if (e_vec[1] < 0.0) lon_per = units::kTwoPi - lon_per;
-    argp = lon_per;
-    nu = std::acos(std::clamp(dot(e_vec, r) / (e * r_mag), -1.0, 1.0));
-    if (rv < 0.0) nu = units::kTwoPi - nu;
-  } else {
-    // Circular equatorial: true longitude.
-    double lambda = std::acos(std::clamp(r[0] / r_mag, -1.0, 1.0));
-    if (r[1] < 0.0) lambda = units::kTwoPi - lambda;
-    argp = 0.0;
-    nu = lambda;
-  }
-  coe.arg_perigee_rad = argp;
-
-  const double e_anom = eccentric_from_true(nu, std::min(e, 1.0 - 1e-12));
-  coe.mean_anomaly_rad = mean_from_eccentric(e_anom, std::min(e, 1.0 - 1e-12));
-  return coe;
 }
 
 }  // namespace cosmicdance::orbit

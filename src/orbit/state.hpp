@@ -1,10 +1,7 @@
-// Cartesian state vectors and element <-> state conversions (RV2COE/COE2RV).
+// Cartesian state vectors and the vector arithmetic on them.
 #pragma once
 
 #include <array>
-
-#include "orbit/constants.hpp"
-#include "orbit/elements.hpp"
 
 namespace cosmicdance::orbit {
 
@@ -12,10 +9,7 @@ namespace cosmicdance::orbit {
 using Vec3 = std::array<double, 3>;
 
 [[nodiscard]] double dot(const Vec3& a, const Vec3& b) noexcept;
-[[nodiscard]] Vec3 cross(const Vec3& a, const Vec3& b) noexcept;
 [[nodiscard]] double norm(const Vec3& a) noexcept;
-[[nodiscard]] Vec3 scale(const Vec3& a, double s) noexcept;
-[[nodiscard]] Vec3 add(const Vec3& a, const Vec3& b) noexcept;
 [[nodiscard]] Vec3 sub(const Vec3& a, const Vec3& b) noexcept;
 
 /// Inertial cartesian state.
@@ -23,14 +17,5 @@ struct StateVector {
   Vec3 position_km{};
   Vec3 velocity_kms{};
 };
-
-/// Classical elements -> inertial state (COE2RV).  Elliptical orbits only.
-[[nodiscard]] StateVector state_from_elements(const KeplerianElements& coe,
-                                              const GravityModel& g = wgs72());
-
-/// Inertial state -> classical elements (RV2COE).  Throws PropagationError
-/// for degenerate (rectilinear/parabolic+) cases.
-[[nodiscard]] KeplerianElements elements_from_state(const StateVector& sv,
-                                                    const GravityModel& g = wgs72());
 
 }  // namespace cosmicdance::orbit

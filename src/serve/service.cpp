@@ -228,8 +228,10 @@ std::string handle_envelope_cdf(const ServeSnapshot& snap,
   if (points < 2) throw RequestError("points must be at least 2");
 
   // dst_threshold_at_percentile's percentile over its own sorted sample, and
-  // the samples of the storms storm_event_epochs keeps (peak <= threshold):
-  // only their order differs, and the Ecdf sorts.
+  // the samples of the storms storm_event_epochs keeps (peak <= threshold).
+  // storm_changes is sorted, so the kept samples come out ascending and
+  // need no Ecdf copy or sort; they are std::fabs values, never -0.0, so
+  // their order is the one std::sort gives.
   if (snap.dst_intensity.empty()) {
     throw RequestError("intensity percentile of empty Dst series");
   }
@@ -249,17 +251,15 @@ std::string handle_envelope_cdf(const ServeSnapshot& snap,
   out += ",\"samples\":";
   out += std::to_string(changes.size());
   out += ",\"cdf\":[";
-  if (!changes.empty()) {
-    const stats::Ecdf ecdf(changes);
-    const auto steps = ecdf.points(static_cast<std::size_t>(points));
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      if (i != 0) out += ",";
-      out += "[";
-      out += json_number(steps[i].first);
-      out += ",";
-      out += json_number(steps[i].second);
-      out += "]";
-    }
+  const auto steps =
+      stats::ecdf_points_of_sorted(changes, static_cast<std::size_t>(points));
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (i != 0) out += ",";
+    out += "[";
+    out += json_number(steps[i].first);
+    out += ",";
+    out += json_number(steps[i].second);
+    out += "]";
   }
   out += "]";
   close_ok(out, snap.epoch);

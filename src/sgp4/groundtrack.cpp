@@ -1,6 +1,5 @@
 #include "sgp4/groundtrack.hpp"
 
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -31,16 +30,6 @@ std::vector<GroundPoint> ground_track(const Sgp4Propagator& propagator,
     track.push_back(point);
   }
   return track;
-}
-
-double fraction_above_latitude(const std::vector<GroundPoint>& track,
-                               double latitude_deg) {
-  if (track.empty()) throw ValidationError("fraction over empty ground track");
-  std::size_t above = 0;
-  for (const GroundPoint& point : track) {
-    if (std::fabs(point.latitude_deg) >= latitude_deg) ++above;
-  }
-  return static_cast<double>(above) / static_cast<double>(track.size());
 }
 
 }  // namespace cosmicdance::sgp4

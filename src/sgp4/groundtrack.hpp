@@ -27,8 +27,4 @@ struct GroundPoint {
     const Sgp4Propagator& propagator, double jd_start,
     double duration_minutes, double step_minutes = 1.0);
 
-/// Fraction of a ground track spent at or above |latitude_deg|.
-[[nodiscard]] double fraction_above_latitude(const std::vector<GroundPoint>& track,
-                                             double latitude_deg);
-
 }  // namespace cosmicdance::sgp4

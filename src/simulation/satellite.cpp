@@ -27,10 +27,6 @@ std::string to_string(SatelliteMode mode) {
   return "unknown";
 }
 
-bool is_uncontrolled(SatelliteMode mode) noexcept {
-  return mode == SatelliteMode::kOutage || mode == SatelliteMode::kDecaying;
-}
-
 double SatelliteState::ballistic_m2_kg() const noexcept {
   switch (mode) {
     case SatelliteMode::kStaging:

@@ -45,9 +45,6 @@ enum class SatelliteMode {
 
 [[nodiscard]] std::string to_string(SatelliteMode mode);
 
-/// True for modes in which the satellite is uncontrolled (tumbling drag).
-[[nodiscard]] bool is_uncontrolled(SatelliteMode mode) noexcept;
-
 /// Full dynamic state of one simulated satellite.
 struct SatelliteState {
   int catalog_number = 0;

@@ -25,10 +25,6 @@ double DstIndex::at(timeutil::HourIndex hour) const {
   return values_[static_cast<std::size_t>(hour - start_)];
 }
 
-double DstIndex::at_julian(double jd) const {
-  return at(timeutil::hour_index_from_julian(jd));
-}
-
 DstIndex DstIndex::slice(timeutil::HourIndex from, timeutil::HourIndex to) const {
   const timeutil::HourIndex lo = std::max(from, start_);
   const timeutil::HourIndex hi = std::min(to, end_hour());

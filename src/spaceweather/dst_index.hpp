@@ -40,9 +40,6 @@ class DstIndex {
   /// Dst value at an hour.  Throws ValidationError outside the series.
   [[nodiscard]] double at(timeutil::HourIndex hour) const;
 
-  /// Dst value at a Julian date (the containing hour's value).
-  [[nodiscard]] double at_julian(double jd) const;
-
   /// Append one more hour to the end of the series.
   void push_back(double value_nt) { values_.push_back(value_nt); }
 

@@ -21,8 +21,13 @@ double percentile_of_sorted(std::span<const double> sorted, double p) {
   if (p < 0.0 || p > 100.0) {
     throw ValidationError("percentile p outside [0,100]: " + std::to_string(p));
   }
+  return interpolate_sorted(sorted, p / 100.0);
+}
+
+double interpolate_sorted(std::span<const double> sorted,
+                          double fraction) noexcept {
   if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const double rank = fraction * static_cast<double>(sorted.size() - 1);
   const auto lower = static_cast<std::size_t>(std::floor(rank));
   const auto upper = static_cast<std::size_t>(std::ceil(rank));
   const double weight = rank - static_cast<double>(lower);

@@ -21,6 +21,13 @@ namespace cosmicdance::stats {
 [[nodiscard]] double percentile_of_sorted(std::span<const double> sorted,
                                           double p);
 
+/// The interpolation behind percentile_of_sorted and Ecdf::quantile: the
+/// value at rank `fraction * (n - 1)` of a sorted, non-empty sample,
+/// linear between the two closest ranks.  `fraction` must lie in [0, 1];
+/// the callers check their own arguments.
+[[nodiscard]] double interpolate_sorted(std::span<const double> sorted,
+                                        double fraction) noexcept;
+
 /// Convenience: several percentiles at once over one shared sort.
 [[nodiscard]] std::vector<double> percentiles(std::span<const double> sample,
                                               std::span<const double> ps);

@@ -1,10 +1,11 @@
 #include "stats/ecdf.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
+#include "stats/descriptive.hpp"
 
 namespace cosmicdance::stats {
 namespace {
@@ -75,26 +76,26 @@ double Ecdf::quantile(double q) const {
   if (q < 0.0 || q > 1.0) {
     throw ValidationError("ECDF quantile outside [0,1]: " + std::to_string(q));
   }
-  if (sorted_.size() == 1) return sorted_.front();
-  const double rank = q * static_cast<double>(sorted_.size() - 1);
-  const auto lower = static_cast<std::size_t>(std::floor(rank));
-  const auto upper = static_cast<std::size_t>(std::ceil(rank));
-  const double weight = rank - static_cast<double>(lower);
-  return sorted_[lower] * (1.0 - weight) + sorted_[upper] * weight;
+  return interpolate_sorted(sorted_, q);
 }
 
 std::vector<std::pair<double, double>> Ecdf::points(std::size_t max_points) const {
+  return ecdf_points_of_sorted(sorted_, max_points);
+}
+
+std::vector<std::pair<double, double>> ecdf_points_of_sorted(
+    std::span<const double> sorted, std::size_t max_points) {
   std::vector<std::pair<double, double>> pts;
-  if (max_points == 0) return pts;
-  const std::size_t n = sorted_.size();
+  if (max_points == 0 || sorted.empty()) return pts;
+  const std::size_t n = sorted.size();
   const std::size_t stride = n <= max_points ? 1 : (n + max_points - 1) / max_points;
   pts.reserve(n / stride + 2);
   for (std::size_t i = 0; i < n; i += stride) {
-    pts.emplace_back(sorted_[i],
+    pts.emplace_back(sorted[i],
                      static_cast<double>(i + 1) / static_cast<double>(n));
   }
-  if (pts.back().first != sorted_.back()) {
-    pts.emplace_back(sorted_.back(), 1.0);
+  if (pts.back().first != sorted.back()) {
+    pts.emplace_back(sorted.back(), 1.0);
   } else {
     pts.back().second = 1.0;
   }

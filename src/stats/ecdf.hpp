@@ -40,4 +40,10 @@ class Ecdf {
   std::vector<double> sorted_;
 };
 
+/// Ecdf(sorted).points(max_points) of a sample that is already sorted
+/// ascending, without the copy and the sort: every stride-th order
+/// statistic, then the maximum at F = 1.  Empty for an empty sample.
+[[nodiscard]] std::vector<std::pair<double, double>> ecdf_points_of_sorted(
+    std::span<const double> sorted, std::size_t max_points);
+
 }  // namespace cosmicdance::stats

@@ -68,21 +68,6 @@ int day_of_year(int year, int month, int day) {
   return doy;
 }
 
-void month_day_from_doy(int year, int doy, int& month, int& day) {
-  const int limit = is_leap_year(year) ? 366 : 365;
-  if (doy < 1 || doy > limit) {
-    throw ValidationError("day-of-year out of range: " + std::to_string(doy));
-  }
-  int m = 1;
-  int remaining = doy;
-  while (remaining > days_in_month(year, m)) {
-    remaining -= days_in_month(year, m);
-    ++m;
-  }
-  month = m;
-  day = remaining;
-}
-
 double to_julian(const DateTime& dt) {
   dt.validate();
   // Fliegel-Van Flandern Gregorian day number.  Unlike the classic "jday"

@@ -42,9 +42,6 @@ struct DateTime {
 /// Day-of-year (1..366) for a validated civil date.
 [[nodiscard]] int day_of_year(int year, int month, int day);
 
-/// Inverse of day_of_year: fills month/day for the given year.
-void month_day_from_doy(int year, int doy, int& month, int& day);
-
 /// Julian date (UTC) of a civil timestamp.  Valid for years 1900-2100.
 [[nodiscard]] double to_julian(const DateTime& dt);
 

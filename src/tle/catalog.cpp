@@ -571,15 +571,6 @@ std::span<const Tle> TleCatalog::history(int catalog_number) const {
   return it->second;
 }
 
-double TleCatalog::first_epoch_jd() const {
-  if (empty()) throw ValidationError("first_epoch_jd of empty catalog");
-  double first = 1e18;
-  for (const auto& [id, history] : tles_) {
-    first = std::min(first, history.front().epoch_jd);
-  }
-  return first;
-}
-
 double TleCatalog::last_epoch_jd() const {
   if (empty()) throw ValidationError("last_epoch_jd of empty catalog");
   double last = -1e18;

@@ -117,9 +117,8 @@ class TleCatalog {
   [[nodiscard]] std::size_t record_count() const noexcept { return record_count_; }
   [[nodiscard]] bool empty() const noexcept { return tles_.empty(); }
 
-  /// Earliest / latest epoch across all records.  Throws ValidationError
-  /// when the catalog is empty.
-  [[nodiscard]] double first_epoch_jd() const;
+  /// Latest epoch across all records.  Throws ValidationError when the
+  /// catalog is empty.
   [[nodiscard]] double last_epoch_jd() const;
 
   /// Serialise the full catalog back to 2-line text (satellite order, then

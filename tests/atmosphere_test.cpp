@@ -51,8 +51,13 @@ TEST(ExponentialTest, ExtrapolatesAbove1000) {
 }
 
 TEST(ExponentialTest, ScaleHeightGrowsWithAltitude) {
-  EXPECT_LT(scale_height_km(100.0), scale_height_km(500.0));
-  EXPECT_LT(scale_height_km(500.0), scale_height_km(1000.0));
+  // The local scale height: H = 1 / (ln rho(h) - ln rho(h + 1 km)).
+  const auto scale_height = [](double altitude_km) {
+    return 1.0 / (std::log(density_kg_m3(altitude_km)) -
+                  std::log(density_kg_m3(altitude_km + 1.0)));
+  };
+  EXPECT_LT(scale_height(100.0), scale_height(500.0));
+  EXPECT_LT(scale_height(500.0), scale_height(1000.0));
 }
 
 TEST(StormDensityTest, QuietIsUnity) {
@@ -108,13 +113,6 @@ TEST(StormDensityModelTest, OutsideSeriesIsQuiet) {
   EXPECT_DOUBLE_EQ(null_model.factor(550.0, before), 1.0);
 }
 
-TEST(DragTest, BallisticCoefficient) {
-  EXPECT_NEAR(ballistic_coefficient(2.2, 20.0, 260.0), 0.1692, 1e-4);
-  EXPECT_THROW(static_cast<void>(ballistic_coefficient(2.2, 20.0, 0.0)), ValidationError);
-  EXPECT_THROW(static_cast<void>(ballistic_coefficient(2.2, -1.0, 260.0)), ValidationError);
-  EXPECT_THROW(static_cast<void>(ballistic_coefficient(0.0, 20.0, 260.0)), ValidationError);
-}
-
 TEST(DragTest, AccelerationQuadraticInSpeed) {
   const double a1 = drag_acceleration_ms2(1e-12, 7500.0, 0.01);
   const double a2 = drag_acceleration_ms2(1e-12, 15000.0, 0.01);
@@ -145,7 +143,8 @@ TEST(DragTest, DecayScalesLinearlyWithDensityAndBallistic) {
 TEST(DragTest, BstarBridgeRoundTrip) {
   const double ballistic = 0.004;
   const double bstar = bstar_from_ballistic(ballistic);
-  EXPECT_NEAR(ballistic_from_bstar(bstar), ballistic, 1e-15);
+  // B* = rho_0 * B / 2 at the reference density.
+  EXPECT_NEAR(bstar, 0.5 * kBstarReferenceDensity * ballistic, 1e-18);
   // Typical Starlink B* magnitude: a few 1e-4 per Earth radius.
   EXPECT_GT(bstar, 1e-4);
   EXPECT_LT(bstar, 1e-3);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -25,6 +26,7 @@
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/ecdf.hpp"
+#include "support/golden_csv.hpp"
 
 #ifndef COSMICDANCE_GOLDEN_DIR
 #error "build must define COSMICDANCE_GOLDEN_DIR"
@@ -50,7 +52,7 @@ bool regen_requested() {
 /// byte-identical.  Reports the first mismatching cell.
 ::testing::AssertionResult CsvMatchesGolden(
     const std::vector<io::CsvRow>& actual, const std::string& path) {
-  const std::vector<io::CsvRow> expected = io::read_csv_file(path);
+  const std::vector<io::CsvRow> expected = test_support::read_golden_csv(path);
   if (actual.size() != expected.size()) {
     return ::testing::AssertionFailure()
            << path << ": row count " << actual.size() << " vs golden "
@@ -126,6 +128,27 @@ TEST(GoldenFigures, Fig05IntensityCdfs) {
 
 // ---- fig07: May 2024 super-storm daily panel ------------------------------
 
+/// The panel as CSV rows: the ISO day, then each value as %.6g.
+std::vector<io::CsvRow> panel_rows(
+    const std::vector<core::SuperstormPanelRow>& panel) {
+  const auto num = [](double value) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+    return std::string(buffer);
+  };
+  std::vector<io::CsvRow> rows;
+  rows.push_back({"date", "min_dst_nt", "bstar_mean", "bstar_median",
+                  "bstar_p95", "tracked_satellites", "tle_count"});
+  for (const auto& row : panel) {
+    rows.push_back({timeutil::from_julian(row.day_jd).to_string(),
+                    num(row.dst_min_nt), num(row.bstar_mean),
+                    num(row.bstar_median), num(row.bstar_p95),
+                    std::to_string(row.tracked_satellites),
+                    std::to_string(row.tle_count)});
+  }
+  return rows;
+}
+
 TEST(GoldenFigures, Fig07SuperstormPanel) {
   const auto dst = spaceweather::DstGenerator(
                        spaceweather::DstGenerator::with_may_2024_superstorm())
@@ -139,7 +162,7 @@ TEST(GoldenFigures, Fig07SuperstormPanel) {
   const auto rows = core::superstorm_panel(pipeline.tracks(), dst, start, end,
                                            pipeline.config().num_threads);
   ASSERT_FALSE(rows.empty());
-  check_or_regen(core::panel_csv(rows), "fig07_superstorm_panel.csv");
+  check_or_regen(panel_rows(rows), "fig07_superstorm_panel.csv");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Malformed-record corpus tests for the hardened ingestion layer.
 //
-// Builds valid TLE / WDC / OMM / CSV corpora, injects malformed records at
+// Builds valid TLE / WDC / OMM corpora, injects malformed records at
 // known positions (the "injection manifest"), and checks that:
 //   - the tolerant policy never throws, quarantines exactly the injected
 //     records (line numbers and categories match the manifest) and accepts
@@ -28,7 +28,6 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "diag/diag.hpp"
-#include "io/csv.hpp"
 #include "io/file.hpp"
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
@@ -460,39 +459,6 @@ TEST(IngestionFuzzOmm, TolerantQuarantinesBadBlocks) {
             tle::catalog_add_from_omm_kvn(rejected, text, &strict, "c.omm"));
       },
       ParseError);
-}
-
-// ---- CSV corpus -------------------------------------------------------------
-
-TEST(IngestionFuzzCsv, TolerantQuarantinesMalformedRows) {
-  const std::string text =
-      "a,b,c\n"
-      "1,2,3\n"
-      "\"ab\"cd,broken\n"     // text after closing quote (line 3)
-      "4,5,6\n"
-      "x\"y,oops\n"           // quote inside bare field (line 5)
-      "7,8,9\n";
-  std::istringstream in(text);
-  ParseLog log(ParsePolicy::kTolerant);
-  const auto rows = io::read_csv(in, &log, "table.csv");
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[1], (io::CsvRow{"1", "2", "3"}));
-  const auto& counters = log.stages().at("csv");
-  EXPECT_EQ(counters.accepted, 4u);
-  EXPECT_EQ(counters.quarantined_total(), 2u);
-  ASSERT_EQ(log.quarantined_count(), 2u);
-  EXPECT_EQ(log.quarantined()[0].line, 3u);
-  EXPECT_EQ(log.quarantined()[1].line, 5u);
-}
-
-TEST(IngestionFuzzCsv, TolerantQuarantinesUnterminatedQuoteAtEof) {
-  std::istringstream in("ok,row\n\"never closed,\n");
-  ParseLog log(ParsePolicy::kTolerant);
-  const auto rows = io::read_csv(in, &log, "table.csv");
-  EXPECT_EQ(rows.size(), 1u);
-  ASSERT_EQ(log.quarantined_count(), 1u);
-  EXPECT_EQ(log.quarantined()[0].category, ErrorCategory::kStructure);
-  EXPECT_EQ(log.quarantined()[0].line, 2u);
 }
 
 // ---- whole-pipeline ingestion ----------------------------------------------

@@ -201,7 +201,7 @@ TEST_P(Sgp4TwoBodyProperty, PeriodMatchesMeanMotion) {
     t.mean_motion_revday = rng.uniform(12.0, 15.8);
     t.bstar = 0.0;
     const sgp4::Sgp4Propagator propagator(t);
-    const double period = orbit::period_minutes(t.mean_motion_revday);
+    const double period = units::kMinutesPerDay / t.mean_motion_revday;
 
     // z crosses upward twice per revolution-pair; find two crossings.
     auto z_at = [&](double minutes) {

@@ -33,6 +33,7 @@
 #include "io/parse.hpp"
 #include "sgp4/batch.hpp"
 #include "sgp4/sgp4.hpp"
+#include "support/golden_csv.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/tle.hpp"
 
@@ -211,7 +212,7 @@ TEST(Sgp4GoldenTest, StatesMatchCommittedVectors) {
     io::write_csv_file(golden_path(), compute_golden_rows());
     GTEST_SKIP() << "regenerated " << golden_path();
   }
-  const std::vector<io::CsvRow> golden = io::read_csv_file(golden_path());
+  const std::vector<io::CsvRow> golden = test_support::read_golden_csv(golden_path());
   ASSERT_EQ(golden.size(), 1 + golden_cases().size() * golden_tsince().size());
 
   std::size_t row_index = 1;

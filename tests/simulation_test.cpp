@@ -21,13 +21,6 @@ TEST(SatelliteTest, ModeNames) {
   EXPECT_EQ(to_string(SatelliteMode::kReentered), "reentered");
 }
 
-TEST(SatelliteTest, UncontrolledModes) {
-  EXPECT_TRUE(is_uncontrolled(SatelliteMode::kOutage));
-  EXPECT_TRUE(is_uncontrolled(SatelliteMode::kDecaying));
-  EXPECT_FALSE(is_uncontrolled(SatelliteMode::kOperational));
-  EXPECT_FALSE(is_uncontrolled(SatelliteMode::kDeorbiting));
-}
-
 TEST(SatelliteTest, BallisticByMode) {
   SatelliteState satellite;
   satellite.mode = SatelliteMode::kOperational;

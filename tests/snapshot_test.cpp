@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cstdint>
 #include <filesystem>
@@ -841,6 +842,17 @@ TestInputs write_storm_inputs(const std::string& tag) {
   return inputs;
 }
 
+/// The bits of each value, so NaN cells (days without a sample) compare
+/// equal to NaN cells.
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
 /// Every correlator-backed answer must match the reference pipeline's.
 void expect_same_answers(const core::CosmicDance& got,
                          const core::CosmicDance& want) {
@@ -849,10 +861,22 @@ void expect_same_answers(const core::CosmicDance& got,
   EXPECT_EQ(got.drag_changes_for_storms(-100.0),
             want.drag_changes_for_storms(-100.0));
   const double event_jd = want.correlator().storm_event_epochs(-100.0).front();
-  EXPECT_EQ(core::envelope_csv(got.post_event_envelope(
-                event_jd, 15, core::EnvelopeSelection::kAll)),
-            core::envelope_csv(want.post_event_envelope(
-                event_jd, 15, core::EnvelopeSelection::kAll)));
+  const core::PostEventEnvelope got_envelope =
+      got.post_event_envelope(event_jd, 15, core::EnvelopeSelection::kAll);
+  const core::PostEventEnvelope want_envelope =
+      want.post_event_envelope(event_jd, 15, core::EnvelopeSelection::kAll);
+  EXPECT_EQ(got_envelope.event_jd, want_envelope.event_jd);
+  EXPECT_EQ(got_envelope.days, want_envelope.days);
+  EXPECT_EQ(got_envelope.satellites, want_envelope.satellites);
+  ASSERT_EQ(got_envelope.per_satellite.size(),
+            want_envelope.per_satellite.size());
+  for (std::size_t s = 0; s < want_envelope.per_satellite.size(); ++s) {
+    EXPECT_EQ(bits_of(got_envelope.per_satellite[s]),
+              bits_of(want_envelope.per_satellite[s]))
+        << "satellite row " << s;
+  }
+  EXPECT_EQ(bits_of(got_envelope.median_km), bits_of(want_envelope.median_km));
+  EXPECT_EQ(bits_of(got_envelope.p95_km), bits_of(want_envelope.p95_km));
   EXPECT_EQ(core::storms_csv(got.storms()), core::storms_csv(want.storms()));
 }
 

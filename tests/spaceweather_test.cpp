@@ -31,12 +31,6 @@ TEST(DstIndexTest, BasicAccessors) {
   EXPECT_DOUBLE_EQ(dst.minimum(), -30.0);
 }
 
-TEST(DstIndexTest, AtJulianHitsContainingHour) {
-  const DstIndex dst(make_datetime(2023, 1, 1), {-10.0, -20.0});
-  const double jd = timeutil::to_julian(make_datetime(2023, 1, 1, 1, 59, 59.0));
-  EXPECT_DOUBLE_EQ(dst.at_julian(jd), -20.0);
-}
-
 TEST(DstIndexTest, SliceClamps) {
   const DstIndex dst(make_datetime(2023, 1, 1), {-1.0, -2.0, -3.0, -4.0});
   const auto start = dst.start_hour();

@@ -91,21 +91,6 @@ TEST(DateTimeTest, DayOfYear) {
   EXPECT_EQ(day_of_year(2023, 3, 1), 60);
 }
 
-TEST(DateTimeTest, MonthDayFromDoyInvertsDayOfYear) {
-  for (const int year : {2023, 2024}) {
-    const int last = is_leap_year(year) ? 366 : 365;
-    for (int doy = 1; doy <= last; ++doy) {
-      int month = 0;
-      int day = 0;
-      month_day_from_doy(year, doy, month, day);
-      EXPECT_EQ(day_of_year(year, month, day), doy);
-    }
-  }
-  int m = 0, d = 0;
-  EXPECT_THROW(month_day_from_doy(2023, 366, m, d), ValidationError);
-  EXPECT_THROW(month_day_from_doy(2023, 0, m, d), ValidationError);
-}
-
 TEST(DateTimeTest, ParseDateOnly) {
   const DateTime dt = parse_datetime("2024-05-10");
   EXPECT_EQ(dt.year, 2024);

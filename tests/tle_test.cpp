@@ -262,11 +262,10 @@ TEST(CatalogTest, AbsorbMovesWholeSatellitesAndRejectsOverlap) {
 
 TEST(CatalogTest, EpochBounds) {
   TleCatalog catalog;
-  EXPECT_THROW(static_cast<void>(catalog.first_epoch_jd()), ValidationError);
+  EXPECT_THROW(static_cast<void>(catalog.last_epoch_jd()), ValidationError);
   const double jd0 = timeutil::to_julian(timeutil::make_datetime(2023, 1, 1));
   catalog.add(make_tle(100, jd0 + 5.0));
   catalog.add(make_tle(200, jd0));
-  EXPECT_NEAR(catalog.first_epoch_jd(), jd0, 1e-9);
   EXPECT_NEAR(catalog.last_epoch_jd(), jd0 + 5.0, 1e-9);
 }
 

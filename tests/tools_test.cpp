@@ -5,10 +5,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/export.hpp"
@@ -148,45 +149,6 @@ TEST(ExportTest, StormsCsv) {
   EXPECT_EQ(rows[1][3], "severe");
   EXPECT_EQ(rows[1][4], "17");
   EXPECT_NE(rows[1][0].find("2023-04-23"), std::string::npos);
-}
-
-TEST(ExportTest, EnvelopeCsvHandlesNan) {
-  core::PostEventEnvelope envelope;
-  envelope.days = 2;
-  envelope.satellites = {45001};
-  envelope.per_satellite = {{1.5, std::nan("")}};
-  envelope.median_km = {1.5, std::nan("")};
-  envelope.p95_km = {1.5, std::nan("")};
-  const auto rows = core::envelope_csv(envelope);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].back(), "sat_45001");
-  EXPECT_EQ(rows[1][1], "1.5");
-  EXPECT_EQ(rows[2][1], "");  // NaN -> empty cell
-}
-
-TEST(ExportTest, PanelCsv) {
-  core::SuperstormPanelRow row;
-  row.day_jd = timeutil::to_julian(timeutil::make_datetime(2024, 5, 10));
-  row.dst_min_nt = -409.0;
-  row.bstar_median = 3.2e-4;
-  row.tracked_satellites = 1200;
-  row.tle_count = 2400;
-  const auto rows = core::panel_csv(std::vector<core::SuperstormPanelRow>{row});
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][1], "-409");
-  EXPECT_EQ(rows[1][5], "1200");
-}
-
-TEST(ExportTest, TimelineCsv) {
-  core::TrackTimeline timeline;
-  timeline.catalog_number = 44943;
-  timeline.epoch_jd = {timeutil::to_julian(timeutil::make_datetime(2024, 3, 3))};
-  timeline.altitude_km = {549.5};
-  timeline.bstar = {2.5e-4};
-  const auto rows = core::timeline_csv(timeline);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_NE(rows[1][0].find("2024-03-03"), std::string::npos);
-  EXPECT_EQ(rows[1][1], "549.5");
 }
 
 // ---- tools/bench_compare.py -------------------------------------------------
@@ -466,7 +428,95 @@ TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
     EXPECT_EQ(metrics_counter(*metrics, "snapshot.written"), 1);
     EXPECT_NE(metrics->find("phases")->find("snapshot.save"), nullptr);
     EXPECT_NE(metrics->find("phases")->find("analyze.save_join"), nullptr);
+    EXPECT_NE(metrics->find("phases")->find("analyze.teardown"), nullptr);
   }
+}
+
+TEST(CliCacheTest, ReportTimesItsJoinAndTeardownOnBothExits) {
+  const std::string dir = ::testing::TempDir() + "cd_cli_report_" +
+                          std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  io::write_file(dir + "/dst.wdc", dst_days(0, 20));
+  io::write_file(dir + "/catalog.tle", tle_days(0, 20));
+  for (const std::string& extra :
+       {std::string(), " --markdown '" + dir + "/report.md'"}) {
+    SCOPED_TRACE("report" + extra);
+    const CommandResult result = run_command(
+        std::string("'") + COSMICDANCE_CLI_BINARY + "' report --dst '" + dir +
+        "/dst.wdc' --tles '" + dir + "/catalog.tle' --cache-dir '" + dir +
+        "/cache' --metrics '" + dir + "/report.json'" + extra);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    const auto metrics = serve::parse_json(io::read_file(dir + "/report.json"));
+    ASSERT_TRUE(metrics.has_value());
+    EXPECT_NE(metrics->find("phases")->find("report.save_join"), nullptr);
+    EXPECT_NE(metrics->find("phases")->find("report.teardown"), nullptr);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ---- analyze over inputs without a usable record ----------------------------
+//
+// analyze writes each figure only when it has samples.  A TLE input whose
+// every record is quarantined, or an empty one, leaves only the Dst figures
+// to write, and the run succeeds; an empty Dst series stops at its
+// intensity percentile, as report does.
+
+struct AnalyzeRun {
+  CommandResult result;
+  std::vector<std::string> files;  ///< the out-dir's file names, sorted
+};
+
+AnalyzeRun analyze_texts(const std::string& name, const std::string& dst,
+                         const std::string& tles, const std::string& flags) {
+  const std::string dir = ::testing::TempDir() + "cd_cli_empty_" + name + "_" +
+                          std::to_string(static_cast<long>(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/out");
+  io::write_file(dir + "/dst.wdc", dst);
+  io::write_file(dir + "/catalog.tle", tles);
+  AnalyzeRun run;
+  run.result = run_command(std::string("'") + COSMICDANCE_CLI_BINARY +
+                           "' analyze --dst '" + dir + "/dst.wdc' --tles '" +
+                           dir + "/catalog.tle' --out-dir '" + dir + "/out'" +
+                           flags);
+  for (const auto& entry : std::filesystem::directory_iterator(dir + "/out")) {
+    run.files.push_back(entry.path().filename().string());
+  }
+  std::sort(run.files.begin(), run.files.end());
+  std::filesystem::remove_all(dir);
+  return run;
+}
+
+TEST(CliEmptyInputTest, TolerantAnalyzeOfOnlyBrokenRecordsWritesTheDstFigures) {
+  // Two records, each with its line-1 checksum digit (column 69) off by one.
+  std::string tles = tle_days(0, 1).substr(0, 4 * 70);
+  for (const std::size_t line : {0u, 140u}) {
+    char& digit = tles[line + 68];
+    digit = digit == '9' ? '0' : static_cast<char>(digit + 1);
+  }
+  const AnalyzeRun run =
+      analyze_texts("broken", dst_days(0, 20), tles, " --parse-policy tolerant");
+  EXPECT_EQ(run.result.exit_code, 0) << run.result.output;
+  EXPECT_NE(run.result.output.find("quarantined"), std::string::npos)
+      << run.result.output;
+  EXPECT_EQ(run.files,
+            (std::vector<std::string>{"fig01_intensity_cdf.csv", "storms.csv"}));
+}
+
+TEST(CliEmptyInputTest, AnalyzeOfAnEmptyTleFileWritesTheDstFigures) {
+  const AnalyzeRun run = analyze_texts("tle", dst_days(0, 20), "", "");
+  EXPECT_EQ(run.result.exit_code, 0) << run.result.output;
+  EXPECT_EQ(run.files,
+            (std::vector<std::string>{"fig01_intensity_cdf.csv", "storms.csv"}));
+}
+
+TEST(CliEmptyInputTest, AnalyzeOfAnEmptyDstFileStopsAtThePercentile) {
+  const AnalyzeRun run = analyze_texts("dst", "", tle_days(0, 20), "");
+  EXPECT_EQ(run.result.exit_code, 1) << run.result.output;
+  EXPECT_NE(run.result.output.find("intensity percentile of empty Dst series"),
+            std::string::npos)
+      << run.result.output;
 }
 
 // ---- convert --to-tles over a non-finite OMM field --------------------------

@@ -211,17 +211,24 @@ void emit_observability(const io::ArgParser& args, const obs::Metrics& metrics) 
   }
 }
 
-/// Join the pipeline's background cache write inside the phase `phase`,
-/// then honour --metrics/--trace: the write's snapshot.save phase and
-/// snapshot.written counter reach the files, and the wait is timed.
+/// End a pipeline command: join the pipeline's background cache write
+/// inside the phase `save_join`, destroy the pipeline inside the phase
+/// `teardown`, then honour --metrics/--trace.  The files show the write's
+/// snapshot.save phase and snapshot.written counter, the wait and the
+/// teardown.  Without observability the pipeline dies on return.
 void finish_observability(const io::ArgParser& args,
-                          core::CosmicDance& pipeline, obs::Metrics* metrics,
-                          const char* phase) {
+                          core::CosmicDance pipeline, obs::Metrics* metrics,
+                          const char* save_join, const char* teardown) {
   {
-    const obs::ScopedPhase join(metrics, phase);
+    const obs::ScopedPhase join(metrics, save_join);
     pipeline.wait_for_snapshot_save();
   }
-  if (metrics != nullptr) emit_observability(args, *metrics);
+  if (metrics == nullptr) return;
+  {
+    const obs::ScopedPhase phase(metrics, teardown);
+    const core::CosmicDance doomed = std::move(pipeline);
+  }
+  emit_observability(args, *metrics);
 }
 
 core::CosmicDance load_pipeline(const io::ArgParser& args,
@@ -252,8 +259,9 @@ int cmd_analyze(const io::ArgParser& args) {
     // Everything after the pipeline build: the figure samples, their ECDFs
     // and the CSV writes.
     const obs::ScopedPhase phase(metrics, "analyze.export");
-    // Fig 1: intensity CDF.
-    {
+    // Fig 1: intensity CDF.  Each figure is written only when it has
+    // samples, so a run over inputs without a usable record still ends.
+    if (!pipeline.dst().values().empty()) {
       std::vector<double> values(pipeline.dst().values().begin(),
                                  pipeline.dst().values().end());
       io::write_csv_file(path("fig01_intensity_cdf.csv"),
@@ -286,15 +294,21 @@ int cmd_analyze(const io::ArgParser& args) {
     const auto raw = core::all_altitudes(pipeline.catalog(), threads, metrics);
     const auto cleaned =
         core::all_altitudes(pipeline.tracks(), threads, metrics);
-    io::write_csv_file(path("fig10a_raw_altitude_cdf.csv"),
-                       core::ecdf_csv(stats::Ecdf(raw, threads), "altitude_km"));
-    io::write_csv_file(
-        path("fig10b_clean_altitude_cdf.csv"),
-        core::ecdf_csv(stats::Ecdf(cleaned, threads), "altitude_km"));
+    if (!raw.empty()) {
+      io::write_csv_file(
+          path("fig10a_raw_altitude_cdf.csv"),
+          core::ecdf_csv(stats::Ecdf(raw, threads), "altitude_km"));
+    }
+    if (!cleaned.empty()) {
+      io::write_csv_file(
+          path("fig10b_clean_altitude_cdf.csv"),
+          core::ecdf_csv(stats::Ecdf(cleaned, threads), "altitude_km"));
+    }
   }
 
   std::cout << "analysis CSVs written to " << out_dir << "\n";
-  finish_observability(args, pipeline, metrics, "analyze.save_join");
+  finish_observability(args, std::move(pipeline), metrics, "analyze.save_join",
+                       "analyze.teardown");
   return 0;
 }
 
@@ -406,7 +420,8 @@ int cmd_report(const io::ArgParser& args) {
   if (const auto out = args.option("markdown")) {
     core::write_markdown_report(pipeline, *out);
     std::cout << "wrote markdown report to " << *out << "\n";
-    finish_observability(args, pipeline, metrics, "report.save_join");
+    finish_observability(args, std::move(pipeline), metrics,
+                         "report.save_join", "report.teardown");
     return 0;
   }
 
@@ -437,7 +452,8 @@ int cmd_report(const io::ArgParser& args) {
   } else {
     std::cout << "  no storm-epoch samples in this dataset\n";
   }
-  finish_observability(args, pipeline, metrics, "report.save_join");
+  finish_observability(args, std::move(pipeline), metrics, "report.save_join",
+                       "report.teardown");
   return 0;
 }
 

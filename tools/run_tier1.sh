@@ -17,7 +17,8 @@
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (every output file byte-identical and work counters
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
-#      figure export timed as its own analyze.export phase, and each
+#      figure export timed as its own analyze.export phase and the
+#      pipeline's destruction as analyze.teardown, and each
 #      satellite's track built once per run) plus the
 #      micro_pipeline, micro_ingest and
 #      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
@@ -205,6 +206,10 @@ assert m1["counters"] == m8["counters"], (
 # a run's time after the pipeline build is attributed.
 assert "analyze.export" in m1["phases"], (
     f"analyze.export phase missing: {sorted(m1['phases'])}")
+# So is the pipeline's destruction after it: no part of the run's end falls
+# outside every phase.
+assert "analyze.teardown" in m1["phases"], (
+    f"analyze.teardown phase missing: {sorted(m1['phases'])}")
 # Each satellite's track is built once per run, cleaning included: nothing
 # after the pipeline build (Fig 10(a) reads the catalog) builds another.
 built = m1["counters"].get("track.built")

@@ -10,11 +10,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
+#include "exec/thread_pool.hpp"
 #include "io/file.hpp"
 #include "obs/obs.hpp"
 #include "tle/tle.hpp"
@@ -42,6 +44,14 @@ constexpr std::size_t kSectionEntrySize = 28;
 /// invariant; the value balances per-section hash/decode parallelism
 /// against table overhead.
 constexpr std::size_t kStripeTargetRecords = 16384;
+
+/// The kind the format puts at section `i` of `count`: the state first,
+/// the quality report last, catalog stripes between.
+constexpr std::uint32_t section_kind(std::size_t i, std::size_t count) {
+  if (i == 0) return kSectionState;
+  if (i + 1 < count) return kSectionCatalogStripe;
+  return kSectionQuality;
+}
 
 struct SectionEntry {
   std::uint32_t kind = 0;
@@ -79,6 +89,11 @@ void put_f64(std::string& out, double v) {
 void put_string(std::string& out, std::string_view v) {
   put_u32(out, static_cast<std::uint32_t>(v.size()));
   out.append(v);
+}
+
+void put_bytes(std::ostream& out, std::string_view bytes) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw IoError("failed writing snapshot");
 }
 
 // ---- bounds-checked little-endian reader ------------------------------------
@@ -504,8 +519,9 @@ std::string snapshot_cache_path(const std::string& cache_dir,
   return (std::filesystem::path(cache_dir) / name).string();
 }
 
-std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
-                            int num_threads) {
+std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
+                             diag::ParsePolicy policy, obs::Metrics* metrics,
+                             int num_threads) {
   // Stripe plan: whole satellites, cut when the running record count
   // reaches the target.  A pure function of the catalog — never of thread
   // count — so the encoded bytes are identical at any worker count.
@@ -525,93 +541,109 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
     if (begin < sats.size()) stripes.emplace_back(begin, sats.size());
   }
   const std::size_t section_count = 2 + stripes.size();
-  const auto kind_of = [&](std::size_t i) -> std::uint32_t {
-    if (i == 0) return kSectionState;
-    if (i + 1 < section_count) return kSectionCatalogStripe;
-    return kSectionQuality;
-  };
 
   // Each section serialises (and hashes) into its own buffer, independently.
   struct EncodedSection {
     std::string bytes;
     std::uint64_t hash = 0;
   };
-  const std::vector<EncodedSection> sections =
-      exec::ordered_map<EncodedSection>(
-          section_count, num_threads,
-          [&](std::size_t i) {
-            EncodedSection section;
-            std::string& payload = section.bytes;
-            switch (kind_of(i)) {
-              case kSectionState:
-                encode_state(payload, data.state);
-                break;
-              case kSectionCatalogStripe: {
-                const auto [begin, end] = stripes[i - 1];
-                std::size_t records = 0;
-                for (std::size_t s = begin; s < end; ++s) {
-                  records += data.catalog.history(sats[s]).size();
-                }
-                payload.reserve(8 + (end - begin) * 12 + records * 130);
-                put_u64(payload, end - begin);
-                for (std::size_t s = begin; s < end; ++s) {
-                  const std::span<const tle::Tle> history =
-                      data.catalog.history(sats[s]);
-                  put_i32(payload, sats[s]);
-                  put_u64(payload, history.size());
-                  for (const tle::Tle& t : history) encode_tle(payload, t);
-                }
-                break;
-              }
-              default:
-                encode_quality(payload, data.quality);
-                break;
-            }
-            section.hash = xxh64(payload);
-            return section;
-          },
-          nullptr);
+  const auto encode = [&](std::size_t i) {
+    EncodedSection section;
+    std::string& payload = section.bytes;
+    switch (section_kind(i, section_count)) {
+      case kSectionState:
+        encode_state(payload, data.state);
+        break;
+      case kSectionCatalogStripe: {
+        const auto [begin, end] = stripes[i - 1];
+        std::size_t records = 0;
+        for (std::size_t s = begin; s < end; ++s) {
+          records += data.catalog.history(sats[s]).size();
+        }
+        payload.reserve(8 + (end - begin) * 12 + records * 130);
+        put_u64(payload, end - begin);
+        for (std::size_t s = begin; s < end; ++s) {
+          const std::span<const tle::Tle> history = data.catalog.history(sats[s]);
+          put_i32(payload, sats[s]);
+          put_u64(payload, history.size());
+          for (const tle::Tle& t : history) encode_tle(payload, t);
+        }
+        break;
+      }
+      default:
+        encode_quality(payload, data.quality);
+        break;
+    }
+    section.hash = xxh64(payload);
+    return section;
+  };
 
+  // The plan fixes the size of the header and the table in front of the
+  // sections.  Hold their place, stream the sections behind them a wave at
+  // a time — the workers encode a wave, the caller appends it in section
+  // order and frees it, so the writer holds one wave, never the file — and
+  // fill them in once every section's hash and length is known.
+  const std::ostream::pos_type start = out.tellp();
+  put_bytes(out, std::string(kHeaderSize + section_count * kSectionEntrySize, '\0'));
+  const std::size_t wave =
+      kSaveWaveSectionsPerWorker * exec::resolve_thread_count(num_threads);
   std::string table;
   table.reserve(section_count * kSectionEntrySize);
-  std::uint64_t offset = 0;
-  for (std::size_t i = 0; i < section_count; ++i) {
-    put_u32(table, kind_of(i));
-    put_u64(table, sections[i].hash);
-    put_u64(table, offset);
-    put_u64(table, sections[i].bytes.size());
-    offset += sections[i].bytes.size();
+  std::uint64_t offset = 0;  // section bytes written so far
+  std::size_t peak_held = 0;
+  for (std::size_t first = 0; first < section_count; first += wave) {
+    const std::vector<EncodedSection> sections = exec::ordered_map<EncodedSection>(
+        std::min(wave, section_count - first), num_threads,
+        [&](std::size_t k) { return encode(first + k); }, nullptr);
+    std::size_t held = 0;
+    for (std::size_t k = 0; k < sections.size(); ++k) {
+      put_u32(table, section_kind(first + k, section_count));
+      put_u64(table, sections[k].hash);
+      put_u64(table, offset);
+      put_u64(table, sections[k].bytes.size());
+      put_bytes(out, sections[k].bytes);
+      offset += sections[k].bytes.size();
+      held += sections[k].bytes.size();
+    }
+    peak_held = std::max(peak_held, held);
   }
-  const std::uint64_t payload_size = table.size() + offset;
 
-  std::string out;
-  out.reserve(kHeaderSize + payload_size);
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kSnapshotFormatVersion);
-  put_u8(out, policy_byte(policy));
-  out.append(3, '\0');
-  put_u64(out, data.state.tle_hash);
-  put_u64(out, payload_size);
-  put_u64(out, xxh64(table));
-  put_u32(out, static_cast<std::uint32_t>(section_count));
-  out.append(table);
-  for (const EncodedSection& section : sections) out.append(section.bytes);
-  return out;
+  std::string head;
+  head.append(kMagic, sizeof(kMagic));
+  put_u32(head, kSnapshotFormatVersion);
+  put_u8(head, policy_byte(policy));
+  head.append(3, '\0');
+  put_u64(head, data.state.tle_hash);
+  put_u64(head, table.size() + offset);  // payload size
+  put_u64(head, xxh64(table));
+  put_u32(head, static_cast<std::uint32_t>(section_count));
+  head.append(table);
+  const std::uint64_t total = head.size() + offset;
+  out.seekp(start);
+  put_bytes(out, head);
+  out.seekp(start + static_cast<std::streamoff>(total));
+  if (!out) throw IoError("failed writing snapshot");
+  if (metrics != nullptr) {
+    metrics->set_gauge("snapshot.save_peak_buffer_bytes",
+                       static_cast<double>(peak_held));
+  }
+  return total;
 }
 
 namespace {
 
 /// Decode a section-table payload into `data`, validating and
 /// deserialising sections over `num_threads` workers; `alongside` (if set)
-/// gets the recorded state and runs on one of them.  Returns false on any
-/// disagreement; throws (caught by the caller) on a truncated state
-/// section, a satellite two catalog stripes both carry, or a throwing
-/// `alongside`.
+/// gets the recorded state and runs on one of them.  With the payload's
+/// `mapping`, each section's pages are dropped once it is decoded.  Returns
+/// false on any disagreement; throws (caught by the caller) on a truncated
+/// state section, a satellite two catalog stripes both carry, or a
+/// throwing `alongside`.
 bool decode_payload(std::string_view payload,
                     std::uint64_t header_content_hash, std::uint64_t table_hash,
                     std::uint32_t section_count, diag::ParsePolicy policy,
                     int num_threads, const StateCallback& alongside,
-                    SnapshotData& data) {
+                    const MappedFile* mapping, SnapshotData& data) {
   // The table must fit the payload (a short file is a truncated section
   // table) and carry the exact sections the format demands: state, zero or
   // more catalog stripes, quality.
@@ -638,11 +670,7 @@ bool decode_payload(std::string_view payload,
       if (entry.offset != running) return false;
       if (entry.length > body.size() - running) return false;
       running += entry.length;
-      const std::uint32_t expected = i == 0 ? kSectionState
-                                     : i + 1 < section_count
-                                         ? kSectionCatalogStripe
-                                         : kSectionQuality;
-      if (entry.kind != expected) return false;
+      if (entry.kind != section_kind(i, section_count)) return false;
     }
     if (running != body.size()) return false;
   }
@@ -710,6 +738,13 @@ bool decode_payload(std::string_view payload,
               break;
           }
           if (!in.exhausted()) throw ParseError("section trailing bytes");
+          // Decoded: give its pages back (their bytes stay readable), so
+          // the load does not hold them resident beside the catalog.
+          if (mapping != nullptr) {
+            const auto at = static_cast<std::size_t>(blob.data() -
+                                                     mapping->view().data());
+            mapping->drop_pages(at, at + blob.size());
+          }
         } catch (const std::exception&) {
           result.ok = false;
         }
@@ -730,7 +765,8 @@ bool decode_payload(std::string_view payload,
 std::optional<SnapshotData> decode_bytes(std::string_view bytes,
                                          diag::ParsePolicy policy,
                                          int num_threads,
-                                         const StateCallback& alongside) {
+                                         const StateCallback& alongside,
+                                         const MappedFile* mapping) {
   if (bytes.size() < kHeaderSize) return std::nullopt;
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   try {
@@ -750,7 +786,7 @@ std::optional<SnapshotData> decode_bytes(std::string_view bytes,
     SnapshotData data;
     if (!decode_payload(bytes.substr(kHeaderSize), header_content_hash,
                         table_hash, section_count, policy, num_threads,
-                        alongside, data)) {
+                        alongside, mapping, data)) {
       return std::nullopt;
     }
     return data;
@@ -766,7 +802,14 @@ std::optional<SnapshotData> decode_bytes(std::string_view bytes,
 std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
                                             diag::ParsePolicy policy,
                                             int num_threads) {
-  return decode_bytes(bytes, policy, num_threads, {});
+  return decode_bytes(bytes, policy, num_threads, {}, nullptr);
+}
+
+std::optional<SnapshotData> decode_snapshot(const MappedFile& file,
+                                            diag::ParsePolicy policy,
+                                            int num_threads,
+                                            const StateCallback& alongside) {
+  return decode_bytes(file.view(), policy, num_threads, alongside, &file);
 }
 
 std::optional<SnapshotData> load_snapshot(const std::string& path,
@@ -778,7 +821,7 @@ std::optional<SnapshotData> load_snapshot(const std::string& path,
   try {
     const MappedFile mapped(path);
     std::optional<SnapshotData> data =
-        decode_bytes(mapped.view(), policy, num_threads, alongside);
+        decode_snapshot(mapped, policy, num_threads, alongside);
     if (metrics != nullptr) {
       if (!data.has_value()) {
         metrics->counter("snapshot.rejected").add(1);
@@ -833,19 +876,20 @@ bool save_snapshot(const std::string& path, const SnapshotData& data,
     if (target.has_parent_path()) {
       std::filesystem::create_directories(target.parent_path());
     }
-    const std::string bytes = encode_snapshot(data, policy, num_threads);
+    std::uint64_t bytes = 0;
     {
-      // The whole file is in memory already, so commit it with a single
-      // buffered write — one syscall-sized transfer, never per-field I/O.
       std::ofstream out(temp, std::ios::binary | std::ios::trunc);
       if (!out) throw IoError("cannot open snapshot temp file");
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      bytes = write_snapshot(out, data, policy, metrics, num_threads);
+      // Closing flushes the last buffered bytes; a failure there must not
+      // be lost in the destructor.
+      out.close();
       if (!out) throw IoError("failed writing snapshot temp file");
     }
     std::filesystem::rename(temp, target);
     if (metrics != nullptr) {
       metrics->counter("snapshot.written").add(1);
-      metrics->counter("snapshot.save_bytes").add(bytes.size());
+      metrics->counter("snapshot.save_bytes").add(bytes);
     }
     return true;
   } catch (const std::exception&) {

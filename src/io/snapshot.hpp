@@ -23,6 +23,8 @@
 // hashes the recorded prefix, continues over the tail and counts newlines
 // in the same loop.  Over a mapped input it drops each window's pages once
 // hashed, so it holds a window of the file resident, not the whole.
+// Neither end of the cache holds its whole file either (write_snapshot,
+// decode_snapshot below).
 // The file lives at `<cache_dir>/<xxh64>.cdsnap`, the XXH64 of the TLE
 // input's path.
 //
@@ -38,7 +40,11 @@
 //   bytes 40-43  section count (u32)
 // followed by the payload: a *section table*, then the section bytes, so a
 // loader can validate and deserialise sections independently (in parallel)
-// and size its containers up front:
+// and size its containers up front.  The stripe plan fixes the section
+// count, and so the 44 + 28 × sections bytes of header and table, before
+// any section is encoded: the writer holds their place with zeros, appends
+// the sections behind them and fills them in once every hash and length is
+// known.
 //   table:   section count × 28-byte entries
 //              u32 kind (1 state, 3 catalog stripe, 4 quality; kind 2, the
 //                  Dst series, went with v8)
@@ -60,8 +66,10 @@
 // content hash, the file name and every integrity check.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -163,15 +171,25 @@ struct SnapshotData {
 [[nodiscard]] std::string snapshot_cache_path(const std::string& cache_dir,
                                               const std::string& tle_path);
 
-/// Serialise a snapshot (header + section table + sections): the state,
-/// the catalog and the quality report's "tle" stage.  Sections are
-/// encoded into independent buffers over `num_threads` workers (the exec
-/// convention: 0 = all hardware threads, 1 = serial); stripe boundaries
-/// are a pure function of the catalog, so the bytes are identical at any
-/// value.
-[[nodiscard]] std::string encode_snapshot(const SnapshotData& data,
-                                          diag::ParsePolicy policy,
-                                          int num_threads = 1);
+/// Sections the writer encodes at once per resolved worker: it streams a
+/// snapshot a wave of kSaveWaveSectionsPerWorker × workers sections at a
+/// time, enough to keep every worker busy while it holds one wave of
+/// encoded bytes, never the whole file.
+inline constexpr std::size_t kSaveWaveSectionsPerWorker = 2;
+
+/// Serialise a snapshot (header + section table + sections) into `out`
+/// from its current position: the state, the catalog and the quality
+/// report's "tle" stage.  Sections are encoded over `num_threads` workers
+/// (0 = all hardware threads, 1 = serial) a wave at a time and appended in
+/// order; the header and table go in front of them last, so `out` must be
+/// seekable.  The bytes are identical at any thread count.  Returns the
+/// bytes written, leaving `out` after them; gauge
+/// `snapshot.save_peak_buffer_bytes` gets the most encoded section bytes
+/// held at once.  Throws IoError when `out` fails.
+std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
+                             diag::ParsePolicy policy,
+                             obs::Metrics* metrics = nullptr,
+                             int num_threads = 1);
 
 /// Parse snapshot bytes.  Returns nullopt — never throws — when anything
 /// disagrees: magic, version, policy, payload size (including any byte
@@ -183,6 +201,14 @@ struct SnapshotData {
 /// Called with a snapshot's recorded ingest state while the rest of the
 /// file decodes.
 using StateCallback = std::function<void(const IngestState&)>;
+
+/// decode_snapshot over a mapped file, dropping each section's pages once
+/// it is decoded (MappedFile::drop_pages): the decode then holds the
+/// catalog it builds and the sections in flight, not the file as well.
+/// `alongside` is load_snapshot's.
+[[nodiscard]] std::optional<SnapshotData> decode_snapshot(
+    const MappedFile& file, diag::ParsePolicy policy, int num_threads = 1,
+    const StateCallback& alongside = {});
 
 /// Load a snapshot file.  A missing/unreadable file is a cache miss
 /// (nullopt, no counter); a present-but-invalid file bumps
@@ -199,8 +225,9 @@ using StateCallback = std::function<void(const IngestState&)>;
 /// warm-throughput numerator) and the section count to the scheduling
 /// counter `snapshot.load_sections`.
 /// Sections are validated and deserialised over `num_threads` workers;
-/// results are bit-identical at any value.  Wall time lands in phase
-/// "snapshot.load".
+/// results are bit-identical at any value.  The file is mapped and each
+/// section's pages dropped once decoded (decode_snapshot above).  Wall time
+/// lands in phase "snapshot.load".
 [[nodiscard]] std::optional<SnapshotData> load_snapshot(
     const std::string& path, diag::ParsePolicy policy,
     obs::Metrics* metrics = nullptr, int num_threads = 1,
@@ -213,10 +240,11 @@ using StateCallback = std::function<void(const IngestState&)>;
 /// file; the final rename is atomic, so the last writer wins with a
 /// complete file.  Best-effort: returns false and bumps
 /// `snapshot.write_failed` on any filesystem error instead of throwing — a
-/// read-only cache dir must not break the pipeline.  Success bumps
-/// `snapshot.written` and adds the file size to `snapshot.save_bytes`; the
-/// encoded bytes are committed with one buffered write.  Sections are
-/// serialised over `num_threads` workers (bytes identical at any value).
+/// read-only cache dir must not break the pipeline; the temp file goes
+/// too, even when every byte was written and only the rename failed.
+/// Success bumps `snapshot.written` and adds the file size to
+/// `snapshot.save_bytes`.  The bytes come from write_snapshot, streamed
+/// into the temp file over `num_threads` workers (identical at any value).
 /// Wall time lands in phase "snapshot.save".
 bool save_snapshot(const std::string& path, const SnapshotData& data,
                    diag::ParsePolicy policy, obs::Metrics* metrics = nullptr,

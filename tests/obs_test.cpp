@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/tle.hpp"
 
@@ -244,10 +244,9 @@ TEST(ObsDeterminismTest, DeltaPathCountersArePinnedAndBitIdenticalAcrossThreadCo
 
   std::vector<MetricsReport> reports;
   for (const int threads : {1, 2, 8}) {
-    const std::string dir =
-        ::testing::TempDir() + "cd_obs_delta_" + std::to_string(threads);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const test_support::ScopedTempDir temp("cd_obs_delta_" +
+                                           std::to_string(threads));
+    const std::string& dir = temp.path();
     const std::string dst_path = dir + "/dst.wdc";
     const std::string tle_path = dir + "/catalog.tle";
     io::write_file(dst_path, wdc_text);

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -39,6 +40,7 @@
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
 #include "support/make_tle.hpp"
+#include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
@@ -48,6 +50,7 @@ namespace {
 
 using diag::ParsePolicy;
 using test_support::make_tle;
+using test_support::ScopedTempDir;
 
 // ---- corpus builders --------------------------------------------------------
 
@@ -149,6 +152,14 @@ io::IngestState state_of(std::string_view tle_text) {
   return io::classify_inputs(io::IngestState{}, tle_text).current;
 }
 
+/// A snapshot's bytes, from the writer save_snapshot streams its files with.
+std::string snapshot_bytes(const io::SnapshotData& data, ParsePolicy policy,
+                           int threads = 1) {
+  std::ostringstream out;
+  io::write_snapshot(out, data, policy, nullptr, threads);
+  return std::move(out).str();
+}
+
 /// The failure-matrix driver: seed the cache with a cold run, corrupt the
 /// snapshot via `mutate`, then prove the next run rejects it, matches a
 /// cache-less parse bit for bit, rewrites the snapshot, and that the run
@@ -201,7 +212,7 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
   ASSERT_EQ(quality.stages.size(), 2u);
   const io::SnapshotData data{dst, catalog, quality, state_of(tle_text)};
 
-  const std::string bytes = io::encode_snapshot(data, ParsePolicy::kTolerant);
+  const std::string bytes = snapshot_bytes(data, ParsePolicy::kTolerant);
 
   const std::optional<io::SnapshotData> decoded =
       io::decode_snapshot(bytes, ParsePolicy::kTolerant);
@@ -491,7 +502,7 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
     variants.push_back(io::SnapshotData{{}, std::move(catalog), log.report(),
                                         state_of(tle_text)});
     encoded.push_back(
-        io::encode_snapshot(variants.back(), ParsePolicy::kTolerant));
+        snapshot_bytes(variants.back(), ParsePolicy::kTolerant));
   }
 
   ASSERT_TRUE(
@@ -572,13 +583,18 @@ constexpr std::size_t kSectionEntryBytes = 28;
 constexpr std::size_t kEntryOffsetField = 12;
 constexpr std::size_t kEntryLengthField = 20;
 
-std::uint32_t read_u32(const std::string& bytes, std::size_t offset) {
+std::uint32_t read_u32(std::string_view bytes, std::size_t offset) {
   std::uint32_t v = 0;
   for (int i = 3; i >= 0; --i) {
     v = (v << 8) |
         static_cast<unsigned char>(bytes[offset + static_cast<std::size_t>(i)]);
   }
   return v;
+}
+
+std::uint64_t read_u64(std::string_view bytes, std::size_t offset) {
+  return std::uint64_t{read_u32(bytes, offset + 4)} << 32 |
+         read_u32(bytes, offset);
 }
 
 void write_u32(std::string& bytes, std::size_t offset, std::uint32_t v) {
@@ -609,11 +625,11 @@ TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
   // file carries multiple catalog stripes and the parallel encode/decode
   // paths genuinely run multi-section.
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
-  const std::string serial = io::encode_snapshot(data, ParsePolicy::kStrict, 1);
+  const std::string serial = snapshot_bytes(data, ParsePolicy::kStrict, 1);
   ASSERT_GT(read_u32(serial, kSectionCountOffset), 3u)
       << "corpus too small to produce multiple catalog stripes";
   for (const int threads : {4, 8}) {
-    EXPECT_EQ(io::encode_snapshot(data, ParsePolicy::kStrict, threads), serial)
+    EXPECT_EQ(snapshot_bytes(data, ParsePolicy::kStrict, threads), serial)
         << "encode bytes differ at " << threads << " threads";
   }
   const std::optional<io::SnapshotData> reference =
@@ -630,7 +646,7 @@ TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
 
 TEST(SnapshotV3Test, TruncatedSectionTableRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   // Chop the payload mid-table and restate the header's payload size so
   // only the section-table bounds check can catch it.
   const std::uint32_t sections = read_u32(bytes, kSectionCountOffset);
@@ -643,14 +659,14 @@ TEST(SnapshotV3Test, TruncatedSectionTableRejects) {
 
 TEST(SnapshotV3Test, FlippedSectionTableByteRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   bytes[kHeaderBytes + kEntryOffsetField] ^= 0x01;  // first entry's offset
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
 
 TEST(SnapshotV3Test, FlippedSectionBodyByteFailsThatSectionsCrc) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   // Last payload byte lives in the final (quality) section, well past the
   // table — only the per-section hash can notice it.
   bytes[bytes.size() - 1] ^= 0x40;
@@ -659,7 +675,7 @@ TEST(SnapshotV3Test, FlippedSectionBodyByteFailsThatSectionsCrc) {
 
 TEST(SnapshotV3Test, OverlappingOrGappedSectionsReject) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  const std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  const std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   const std::size_t entry1 = kHeaderBytes + kSectionEntryBytes;
 
   // Slide the second section's offset back onto the first (overlap) and
@@ -680,7 +696,7 @@ TEST(SnapshotV3Test, OverlappingOrGappedSectionsReject) {
 
 TEST(SnapshotV3Test, OversizedSectionCountRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   // A section count whose table alone would exceed the payload must be
   // rejected by the bounds check, not trusted as an allocation size.
   write_u32(bytes, kSectionCountOffset, 0x00FFFFFFu);
@@ -689,7 +705,7 @@ TEST(SnapshotV3Test, OversizedSectionCountRejects) {
 
 TEST(SnapshotV3Test, StaleContentHashRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   // Header hash and the state section's embedded copy must agree — a
   // mismatch means the header belongs to different inputs.
   bytes[16] ^= 0x01;
@@ -701,7 +717,7 @@ TEST(SnapshotFormat, BytesArePinned) {
   // kSnapshotFormatVersion (so older files reject and reparse) and this
   // digest together.
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  const std::string bytes = io::encode_snapshot(data, ParsePolicy::kStrict);
+  const std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
   EXPECT_EQ(io::kSnapshotFormatVersion, 8u);
   EXPECT_EQ(io::xxh64(bytes), 0x71306BC1E3F10DB2ULL)
       << std::hex << io::xxh64(bytes);
@@ -733,6 +749,118 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
   ASSERT_NE(sections, report.scheduling.end());
   // Small corpus = one catalog stripe: state + stripe + quality.
   EXPECT_EQ(sections->second, 3u);
+}
+
+// ---- the streaming writer ---------------------------------------------------
+
+/// `satellites` satellites of 16,384 records each, built without text: the
+/// writer cuts a stripe whenever the running record count reaches 16,384,
+/// so each satellite is one catalog stripe.
+io::SnapshotData stripe_per_satellite_data(int satellites) {
+  constexpr int kRecords = 16384;
+  tle::TleCatalog catalog;
+  for (int s = 0; s < satellites; ++s) {
+    std::vector<tle::Tle> history;
+    history.reserve(kRecords);
+    for (int k = 0; k < kRecords; ++k) {
+      history.push_back(make_tle(10001 + s, 0.01 * k));
+    }
+    catalog.adopt_history(10001 + s, std::move(history));
+  }
+  return io::SnapshotData{{}, std::move(catalog), {}, {}};
+}
+
+/// The section lengths a snapshot's table records, in table order.
+std::vector<std::uint64_t> section_lengths(std::string_view bytes) {
+  std::vector<std::uint64_t> lengths(read_u32(bytes, kSectionCountOffset));
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    lengths[i] = read_u64(
+        bytes, kHeaderBytes + i * kSectionEntryBytes + kEntryLengthField);
+  }
+  return lengths;
+}
+
+/// The gauge's value, or -1 when it was never set.
+double gauge(const obs::Metrics& metrics, const std::string& name) {
+  const obs::MetricsReport report = metrics.snapshot();
+  const auto it = report.gauges.find(name);
+  return it != report.gauges.end() ? it->second : -1.0;
+}
+
+TEST(SnapshotSave, HoldsOneWaveOfSectionsAtATime) {
+  // 40 satellites, so 42 sections: several waves at 1, 2 and 8 threads.
+  // Each save holds at most one wave of encoded sections, well under the
+  // file, and writes the bytes a save that fits every section in one wave
+  // writes.
+  const ScopedTempDir dir("cdsnap_waves");
+  const io::SnapshotData data = stripe_per_satellite_data(40);
+
+  obs::Metrics whole_metrics;
+  const std::string whole_path = dir.path() + "/one_wave.cdsnap";
+  // At 42 threads one wave (84 sections) holds the whole file.
+  ASSERT_TRUE(io::save_snapshot(whole_path, data, ParsePolicy::kStrict,
+                                &whole_metrics, 42));
+  const io::MappedFile whole(whole_path);
+  const std::vector<std::uint64_t> lengths = section_lengths(whole.view());
+  ASSERT_EQ(lengths.size(), 42u);
+  std::uint64_t section_bytes = 0;
+  for (const std::uint64_t length : lengths) section_bytes += length;
+  EXPECT_EQ(gauge(whole_metrics, "snapshot.save_peak_buffer_bytes"),
+            static_cast<double>(section_bytes));
+
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::size_t wave =
+        io::kSaveWaveSectionsPerWorker * static_cast<std::size_t>(threads);
+    ASSERT_GE(lengths.size(), 2 * wave + 1) << "fewer than three waves";
+    std::uint64_t largest_wave = 0;
+    for (std::size_t first = 0; first < lengths.size(); first += wave) {
+      std::uint64_t held = 0;
+      for (std::size_t i = first; i < std::min(first + wave, lengths.size()); ++i) {
+        held += lengths[i];
+      }
+      largest_wave = std::max(largest_wave, held);
+    }
+
+    obs::Metrics metrics;
+    const std::string path = dir.path() + "/waves.cdsnap";
+    ASSERT_TRUE(
+        io::save_snapshot(path, data, ParsePolicy::kStrict, &metrics, threads));
+    const double peak = gauge(metrics, "snapshot.save_peak_buffer_bytes");
+    EXPECT_EQ(peak, static_cast<double>(largest_wave));
+    EXPECT_LT(peak, static_cast<double>(whole.size()) / 2);
+    const io::MappedFile streamed(path);
+    EXPECT_TRUE(streamed.view() == whole.view()) << "bytes differ";
+  }
+}
+
+TEST(SnapshotSave, FailedRenameLeavesNoTempFileAndTheTargetUntouched) {
+  // The target path is a non-empty directory: the whole stream goes to the
+  // temp file, then the rename fails.  The save reports it, and leaves
+  // neither a temp file nor a changed directory behind.
+  const ScopedTempDir dir("cdsnap_failed_rename");
+  const std::string target = dir.path() + "/cache/snapshot.cdsnap";
+  std::filesystem::create_directories(target);
+  io::write_file(target + "/kept.txt", "kept");
+  const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
+
+  obs::Metrics metrics;
+  EXPECT_FALSE(
+      io::save_snapshot(target, data, ParsePolicy::kStrict, &metrics, 2));
+  EXPECT_EQ(counter(metrics, "snapshot.write_failed"), 1u);
+  EXPECT_EQ(counter(metrics, "snapshot.written"), 0u);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.path() + "/cache")) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << "stray temp file: " << entry.path();
+  }
+  ASSERT_TRUE(std::filesystem::is_directory(target));
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(target)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"kept.txt"});
+  EXPECT_EQ(io::read_file(target + "/kept.txt"), "kept");
 }
 
 TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
@@ -1033,6 +1161,38 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
   // Dropped pages fault back in with the file's bytes.
   EXPECT_EQ(tle_map.view(), text);
   std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotLoad, MappedDecodeDropsEachSectionItDecoded) {
+  // Over a mapped file the decoder drops each section's pages once it is
+  // decoded.  It must decode exactly what the pass over the plain view
+  // does, at any thread count, and end with only a sliver of the file
+  // resident where the view pass leaves most of it.
+  const ScopedTempDir dir("cdsnap_mapped_decode");
+  const std::string path = dir.path() + "/snapshot.cdsnap";
+  const io::SnapshotData data = stripe_per_satellite_data(12);  // 20 MiB
+  ASSERT_TRUE(io::save_snapshot(path, data, ParsePolicy::kStrict));
+
+  const io::MappedFile held(path);
+  if (!held.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
+  const std::optional<io::SnapshotData> viewed =
+      io::decode_snapshot(held.view(), ParsePolicy::kStrict);
+  ASSERT_TRUE(viewed.has_value());
+  EXPECT_EQ(viewed->catalog.record_count(), data.catalog.record_count());
+  EXPECT_GE(resident_bytes(held.view().data()),
+            static_cast<long>(held.size() / 2));
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const io::MappedFile mapped(path);
+    const std::optional<io::SnapshotData> decoded =
+        io::decode_snapshot(mapped, ParsePolicy::kStrict, threads);
+    ASSERT_TRUE(decoded.has_value());
+    expect_same_decoded(*decoded, *viewed);
+    const long resident = resident_bytes(mapped.view().data());
+    ASSERT_GE(resident, 0);
+    EXPECT_LE(resident, 1L << 20);
+  }
 }
 
 }  // namespace

@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "serve/json.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/omm.hpp"
 #include "tle/tle.hpp"
@@ -27,6 +29,7 @@ namespace cosmicdance {
 namespace {
 
 using io::ArgParser;
+using test_support::ScopedTempDir;
 
 TEST(ArgsTest, CommandAndPositionals) {
   const ArgParser args({"analyze", "extra1", "extra2"});
@@ -184,18 +187,10 @@ class BenchCompareTest : public ::testing::Test {
     if (run_command("python3 -c 'pass'").exit_code != 0) {
       GTEST_SKIP() << "python3 not available";
     }
-    // Per-process directory: ctest runs each TEST_F as its own process in
-    // parallel, so a shared fixture dir would let one test's remove_all
-    // delete another's files mid-run.  (The pid, not the test name: error
-    // messages echo the path, and assertions below inspect the output.)
-    dir_ = ::testing::TempDir() + "cd_bench_compare_" +
-           std::to_string(static_cast<long>(getpid()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
   }
 
   std::string write_record(const std::string& name, const std::string& json) {
-    const std::string path = dir_ + "/" + name;
+    const std::string path = dir_.path() + "/" + name;
     io::write_file(path, json);
     return path;
   }
@@ -208,7 +203,11 @@ class BenchCompareTest : public ::testing::Test {
                        current + "' " + extra);
   }
 
-  std::string dir_;
+  // Per-process directory: ctest runs each TEST_F as its own process in
+  // parallel, so a shared fixture dir would let one test's cleanup delete
+  // another's files mid-run.  (The pid, not the test name: error messages
+  // echo the path, and assertions below inspect the output.)
+  const ScopedTempDir dir_{"cd_bench_compare"};
 };
 
 TEST_F(BenchCompareTest, CompletedComparisonExitsZero) {
@@ -401,10 +400,8 @@ long metrics_counter(const serve::JsonValue& metrics, const std::string& name) {
 }
 
 TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
-  const std::string dir = ::testing::TempDir() + "cd_cli_cache_" +
-                          std::to_string(static_cast<long>(getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const ScopedTempDir temp("cd_cli_cache");
+  const std::string& dir = temp.path();
   io::write_file(dir + "/dst.wdc", dst_days(0, 20));
   io::write_file(dir + "/catalog.tle", tle_days(0, 20));
   const auto analyze = [&](const std::string& run) {
@@ -432,11 +429,49 @@ TEST(CliCacheTest, ColdAndAppendRunsReportTheirSaveAndItsJoin) {
   }
 }
 
+TEST(CliCacheTest, AnUnwritableCacheDirCountsTheFailedWriteAndChangesNoOutput) {
+  // A --cache-dir that is a regular file: the snapshot write fails, which
+  // is counted and never fails the run or changes what it writes.
+  const ScopedTempDir temp("cd_cli_cache_file");
+  const std::string& dir = temp.path();
+  io::write_file(dir + "/dst.wdc", dst_days(0, 20));
+  io::write_file(dir + "/catalog.tle", tle_days(0, 20));
+  io::write_file(dir + "/not_a_dir", "");
+  const auto analyze = [&](const std::string& run, const std::string& flags) {
+    const CommandResult result = run_command(
+        std::string("'") + COSMICDANCE_CLI_BINARY + "' analyze --dst '" + dir +
+        "/dst.wdc' --tles '" + dir + "/catalog.tle' --out-dir '" + dir + "/" +
+        run + "'" + flags);
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+  };
+  analyze("cached", " --cache-dir '" + dir + "/not_a_dir' --metrics '" + dir +
+                        "/metrics.json'");
+  analyze("uncached", "");
+
+  const auto metrics = serve::parse_json(io::read_file(dir + "/metrics.json"));
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_EQ(metrics_counter(*metrics, "snapshot.write_failed"), 1);
+  EXPECT_EQ(metrics_counter(*metrics, "snapshot.written"), -1);
+  EXPECT_EQ(io::read_file(dir + "/not_a_dir"), "");
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir + "/uncached")) {
+    files.push_back(entry.path().filename().string());
+  }
+  ASSERT_FALSE(files.empty());
+  for (const std::string& file : files) {
+    SCOPED_TRACE(file);
+    EXPECT_EQ(io::read_file(dir + "/cached/" + file),
+              io::read_file(dir + "/uncached/" + file));
+  }
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir + "/cached"),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(files.size()));
+}
+
 TEST(CliCacheTest, ReportTimesItsJoinAndTeardownOnBothExits) {
-  const std::string dir = ::testing::TempDir() + "cd_cli_report_" +
-                          std::to_string(static_cast<long>(getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const ScopedTempDir temp("cd_cli_report");
+  const std::string& dir = temp.path();
   io::write_file(dir + "/dst.wdc", dst_days(0, 20));
   io::write_file(dir + "/catalog.tle", tle_days(0, 20));
   for (const std::string& extra :
@@ -452,7 +487,6 @@ TEST(CliCacheTest, ReportTimesItsJoinAndTeardownOnBothExits) {
     EXPECT_NE(metrics->find("phases")->find("report.save_join"), nullptr);
     EXPECT_NE(metrics->find("phases")->find("report.teardown"), nullptr);
   }
-  std::filesystem::remove_all(dir);
 }
 
 // ---- analyze over inputs without a usable record ----------------------------
@@ -469,9 +503,8 @@ struct AnalyzeRun {
 
 AnalyzeRun analyze_texts(const std::string& name, const std::string& dst,
                          const std::string& tles, const std::string& flags) {
-  const std::string dir = ::testing::TempDir() + "cd_cli_empty_" + name + "_" +
-                          std::to_string(static_cast<long>(getpid()));
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir temp("cd_cli_empty_" + name);
+  const std::string& dir = temp.path();
   std::filesystem::create_directories(dir + "/out");
   io::write_file(dir + "/dst.wdc", dst);
   io::write_file(dir + "/catalog.tle", tles);
@@ -484,7 +517,6 @@ AnalyzeRun analyze_texts(const std::string& name, const std::string& dst,
     run.files.push_back(entry.path().filename().string());
   }
   std::sort(run.files.begin(), run.files.end());
-  std::filesystem::remove_all(dir);
   return run;
 }
 
@@ -528,10 +560,8 @@ TEST(CliEmptyInputTest, AnalyzeOfAnEmptyDstFileStopsAtThePercentile) {
 // shows up as exit status 124.
 
 TEST(CliConvertTest, NonFiniteOmmFieldFailsStrictAndIsQuarantinedTolerant) {
-  const std::string dir = ::testing::TempDir() + "cd_cli_convert_" +
-                          std::to_string(static_cast<long>(getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const ScopedTempDir temp("cd_cli_convert");
+  const std::string& dir = temp.path();
   tle::Tle record;
   record.catalog_number = 45001;
   record.international_designator = "20001A";

@@ -19,7 +19,9 @@
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
 #      figure export timed as its own analyze.export phase and the
 #      pipeline's destruction as analyze.teardown, and each
-#      satellite's track built once per run) plus the
+#      satellite's track built once per run; a cached run writes the same
+#      .cdsnap at --threads 1 and 8, and an exact hit on it the same
+#      files) plus the
 #      micro_pipeline, micro_ingest and
 #      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
 #      build/BENCH_ingest.json and build/BENCH_sgp4.json behind as CI
@@ -127,6 +129,23 @@ mkdir -p "$SMOKE"
 for out in "$SMOKE"/out1/*; do
   cmp "$out" "$SMOKE/out8/$(basename "$out")"
 done
+# The snapshot writer streams its sections a wave at a time, and a wave's
+# size follows the worker count; the file's bytes must not.  A cold cached
+# run at --threads 1 and at 8 writes the same .cdsnap, and an exact hit on
+# it writes out1's files.
+for threads in 1 8; do
+  "$CLI" analyze --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
+         --out-dir "$SMOKE/cached$threads" --threads "$threads" \
+         --cache-dir "$SMOKE/cache$threads"
+done
+cmp "$SMOKE"/cache1/*.cdsnap "$SMOKE"/cache8/*.cdsnap
+"$CLI" analyze --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
+       --out-dir "$SMOKE/hit8" --threads 8 --cache-dir "$SMOKE/cache8" \
+       --metrics "$SMOKE/metrics_hit.json"
+[ "$(ls "$SMOKE/out1")" = "$(ls "$SMOKE/hit8")" ]
+for out in "$SMOKE"/out1/*; do
+  cmp "$out" "$SMOKE/hit8/$(basename "$out")"
+done
 # Bench telemetry artifacts (benchmark suites themselves skipped via the
 # nothing-matches filter; the instrumented passes still run).  The ingest
 # record from the previous tier-1 run is kept as the comparison baseline.
@@ -217,6 +236,11 @@ assert built == (m1["counters"].get("clean.tracks_kept", 0) +
                  m1["counters"].get("clean.tracks_dropped", 0)), (
     f"track.built={built} is not one track per satellite: "
     f"{ {k: v for k, v in m1['counters'].items() if k.startswith(('track.', 'clean.'))} }")
+# The rerun over the cache the --threads 8 run wrote was an exact hit.
+hit = json.load(open(f"{smoke}/metrics_hit.json"))["counters"]
+assert hit.get("ingest.cache_hit") == 1 and "snapshot.written" not in hit, (
+    "the rerun over the cached smoke catalog was not an exact hit: "
+    f"{ {k: v for k, v in hit.items() if k.startswith(('ingest.', 'snapshot.'))} }")
 trace = json.load(open(f"{smoke}/trace_t1.json"))
 assert trace["traceEvents"], "empty trace"
 assert any(e.get("ph") == "X" for e in trace["traceEvents"]), \

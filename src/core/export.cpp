@@ -18,9 +18,15 @@ std::string num(double value, int precision = 6) {
 std::vector<io::CsvRow> ecdf_csv(const stats::Ecdf& ecdf,
                                  const std::string& value_name,
                                  std::size_t max_points) {
+  return ecdf_csv(ecdf.points(max_points), value_name);
+}
+
+std::vector<io::CsvRow> ecdf_csv(
+    std::span<const std::pair<double, double>> points,
+    const std::string& value_name) {
   std::vector<io::CsvRow> rows;
   rows.push_back({value_name, "cdf"});
-  for (const auto& [x, f] : ecdf.points(max_points)) {
+  for (const auto& [x, f] : points) {
     rows.push_back({num(x), num(f)});
   }
   return rows;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 
 #include "io/csv.hpp"
 #include "spaceweather/storms.hpp"
@@ -11,11 +12,20 @@
 
 namespace cosmicdance::core {
 
+/// Points an exported ECDF is thinned to by default.
+inline constexpr std::size_t kEcdfCsvPoints = 400;
+
 /// ECDF as rows of (value, cdf), thinned to at most `max_points`, with a
 /// header row naming the value column.
-[[nodiscard]] std::vector<io::CsvRow> ecdf_csv(const stats::Ecdf& ecdf,
-                                               const std::string& value_name,
-                                               std::size_t max_points = 400);
+[[nodiscard]] std::vector<io::CsvRow> ecdf_csv(
+    const stats::Ecdf& ecdf, const std::string& value_name,
+    std::size_t max_points = kEcdfCsvPoints);
+
+/// The same rows from (value, cdf) points already thinned, such as
+/// stats::ecdf_points returns.
+[[nodiscard]] std::vector<io::CsvRow> ecdf_csv(
+    std::span<const std::pair<double, double>> points,
+    const std::string& value_name);
 
 /// Storm events: onset, peak time, peak nT, category, duration hours.
 [[nodiscard]] std::vector<io::CsvRow> storms_csv(

@@ -45,6 +45,13 @@ constexpr std::size_t kSectionEntrySize = 28;
 /// against table overhead.
 constexpr std::size_t kStripeTargetRecords = 16384;
 
+/// Spare capacity a decoded history gets beyond its records: a 64th more
+/// plus 16.  An append run adds a day's records, one or two per satellite,
+/// to the decoded histories; sized exactly, its first push_back into each
+/// would reallocate and copy the whole history.
+constexpr std::size_t kDecodeHeadroomDivisor = 64;
+constexpr std::size_t kDecodeHeadroomRecords = 16;
+
 /// The kind the format puts at section `i` of `count`: the state first,
 /// the quality report last, catalog stripes between.
 constexpr std::uint32_t section_kind(std::size_t i, std::size_t count) {
@@ -724,6 +731,8 @@ bool decode_payload(std::string_view payload,
                 if (records > entry.length / 64) {
                   throw ParseError("stripe record count exceeds section");
                 }
+                history.reserve(records + records / kDecodeHeadroomDivisor +
+                                kDecodeHeadroomRecords);
                 history.resize(records);
                 for (tle::Tle& t : history) decode_tle(in, t);
                 // adopt_history re-validates each record and the epoch

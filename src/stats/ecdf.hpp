@@ -12,14 +12,8 @@ namespace cosmicdance::stats {
 /// then O(log n).  Invariant: the stored sample is sorted and non-empty.
 class Ecdf {
  public:
-  /// Throws ValidationError when the sample is empty.  A large sample is
-  /// sorted in chunks over `num_threads` workers (the exec convention:
-  /// 0 = all hardware threads, 1 = serial) and merged pairwise in a fixed
-  /// tree.  The chunk plan depends only on the sample size, so the sorted
-  /// bytes are identical at every thread count and equal std::sort's
-  /// whenever equal samples have equal bits (no mix of 0.0 and -0.0); see
-  /// DESIGN.md §9.
-  explicit Ecdf(std::span<const double> sample, int num_threads = 1);
+  /// Throws ValidationError when the sample is empty.
+  explicit Ecdf(std::span<const double> sample);
 
   /// Fraction of samples <= x, in [0, 1].
   [[nodiscard]] double operator()(double x) const noexcept;
@@ -45,5 +39,19 @@ class Ecdf {
 /// statistic, then the maximum at F = 1.  Empty for an empty sample.
 [[nodiscard]] std::vector<std::pair<double, double>> ecdf_points_of_sorted(
     std::span<const double> sorted, std::size_t max_points);
+
+/// Ecdf(sample).points(max_points) without sorting the sample: only the
+/// order statistics the points print (every stride-th one and the
+/// maximum), found by histogram selection over order-preserving 64-bit
+/// keys.  The histograms count fixed chunks of the sample over
+/// `num_threads` workers (the exec convention: 0 = all hardware threads,
+/// 1 = serial).  An order statistic does not depend on how it is found, so
+/// the points are identical at every thread count, and equal Ecdf's bit
+/// for bit whenever equal values have equal bits.  The keys rank every
+/// -0.0 below every 0.0, where std::sort leaves a mix of the two in any
+/// order; such points still compare equal to Ecdf's.  See DESIGN.md §9.
+/// Throws ValidationError when the sample is empty or holds a NaN.
+[[nodiscard]] std::vector<std::pair<double, double>> ecdf_points(
+    std::span<const double> sample, std::size_t max_points, int num_threads);
 
 }  // namespace cosmicdance::stats

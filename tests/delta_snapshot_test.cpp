@@ -32,6 +32,7 @@
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
 #include "support/make_tle.hpp"
+#include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
@@ -68,7 +69,7 @@ std::string wdc_day_text(timeutil::HourIndex day_start) {
 /// enough generator state (next day, next epoch offset) that successive
 /// appends always extend — never duplicate — the existing corpus.
 struct Fixture {
-  std::string dir;
+  test_support::ScopedTempDir dir;
   std::string dst_path;
   std::string tle_path;
   std::string cache_dir;
@@ -127,13 +128,10 @@ struct Fixture {
 };
 
 Fixture make_fixture(const std::string& tag, int tle_records, int wdc_days) {
-  Fixture f;
-  f.dir = ::testing::TempDir() + "cddelta_" + tag;
-  std::filesystem::remove_all(f.dir);
-  std::filesystem::create_directories(f.dir);
-  f.dst_path = f.dir + "/dst.wdc";
-  f.tle_path = f.dir + "/catalog.tle";
-  f.cache_dir = f.dir + "/cache";
+  test_support::ScopedTempDir dir("cddelta_" + tag);
+  const std::string root = dir.path();
+  Fixture f{std::move(dir), root + "/dst.wdc", root + "/catalog.tle",
+            root + "/cache"};
   f.next_day = timeutil::hour_index_from_datetime(timeutil::make_datetime(2024, 5, 1));
   io::write_file(f.dst_path, "");
   io::write_file(f.tle_path, "");

@@ -11,10 +11,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -241,21 +243,46 @@ TEST_F(ParallelDifferential, AnalysisAggregationsBitIdentical) {
   }
 }
 
-// ---- parallel Ecdf sort ------------------------------------------------------
+// ---- fig10 ECDF points by selection ------------------------------------------
 
-/// The Ecdf's sorted sample, read back through points() at full resolution.
-std::vector<double> ecdf_sorted(const stats::Ecdf& ecdf) {
-  std::vector<double> out;
-  for (const auto& [x, fraction] : ecdf.points(ecdf.size())) out.push_back(x);
-  return out;
+using Points = std::vector<std::pair<double, double>>;
+
+::testing::AssertionResult PointsBitIdentical(const Points& a, const Points& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "point count mismatch: " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!bits_equal(a[i].first, b[i].first) ||
+        !bits_equal(a[i].second, b[i].second)) {
+      return ::testing::AssertionFailure()
+             << "point " << i << " differs: (" << a[i].first << ", "
+             << a[i].second << ") vs (" << b[i].first << ", " << b[i].second
+             << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
-TEST(ParallelDifferentialEcdf, SortedBytesAreThreadCountInvariant) {
-  // Past 2^20 samples so the sort takes several chunks and merge levels;
+constexpr int kSelectionThreadCounts[] = {1, 2, 3, 4, 8};
+
+/// ecdf_points at every thread count against the sort's points, bit for bit.
+void expect_selection_matches_the_sort(std::span<const double> sample,
+                                       std::size_t max_points) {
+  const Points expected = stats::Ecdf(sample).points(max_points);
+  for (const int threads : kSelectionThreadCounts) {
+    EXPECT_TRUE(PointsBitIdentical(
+        stats::ecdf_points(sample, max_points, threads), expected))
+        << "n=" << sample.size() << " max_points=" << max_points
+        << " threads=" << threads;
+  }
+}
+
+TEST(ParallelDifferentialEcdfPoints, MatchTheSortAtEveryThreadCount) {
+  // Past 2^20 samples, so the histograms count every chunk the plan allows;
   // the odd size leaves the chunk bounds unaligned.  A third heavy
   // duplicates (quarter-steps in [-40, 40], never -0.0), a third uniform
-  // values of both signs, and an ascending presorted run that the chunk
-  // bounds cut through.
+  // values of both signs, and an ascending presorted run.
   constexpr std::size_t kSamples = (std::size_t{1} << 20) + 4097;
   Rng rng(20261017);
   std::vector<double> sample;
@@ -269,15 +296,99 @@ TEST(ParallelDifferentialEcdf, SortedBytesAreThreadCountInvariant) {
   for (std::size_t i = 0; sample.size() < kSamples; ++i) {
     sample.push_back(-500.0 + static_cast<double>(i) * 1e-3);
   }
-  std::vector<double> expected = sample;
-  std::sort(expected.begin(), expected.end());
-
-  for (const int threads : {1, 2, 3, 4, 8}) {
-    const stats::Ecdf ecdf(sample, threads);
-    ASSERT_EQ(ecdf.size(), kSamples);
-    EXPECT_TRUE(VectorsBitIdentical(ecdf_sorted(ecdf), expected))
-        << "threads=" << threads;
+  for (const std::size_t max_points : {std::size_t{400}, std::size_t{7},
+                                       std::size_t{5000}}) {
+    expect_selection_matches_the_sort(sample, max_points);
   }
+}
+
+TEST(ParallelDifferentialEcdfPoints, EdgeCasesMatchTheSort) {
+  Rng rng(7);
+  std::vector<double> spread;
+  for (int i = 0; i < 401; ++i) spread.push_back(rng.uniform(300.0, 600.0));
+  // n below, at and one past max_points: every rank, then a stride of 2.
+  expect_selection_matches_the_sort(std::span(spread).first(399), 400);
+  expect_selection_matches_the_sort(std::span(spread).first(400), 400);
+  expect_selection_matches_the_sort(spread, 400);
+  // One value; one value repeated across several chunks.
+  expect_selection_matches_the_sort(std::vector<double>{550.25}, 400);
+  expect_selection_matches_the_sort(std::vector<double>(200000, -42.5), 400);
+  // Heavy ties of both signs with the infinities, across several chunks.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double levels[] = {-inf, -1e300, -3.0, -1.5, 0.0, 2.0, 7.0, 1e-300,
+                           inf};
+  std::vector<double> ties;
+  for (int i = 0; i < 200000; ++i) {
+    ties.push_back(levels[rng.uniform_int(0, 8)]);
+  }
+  for (const std::size_t max_points :
+       {std::size_t{1}, std::size_t{3}, std::size_t{400}}) {
+    expect_selection_matches_the_sort(ties, max_points);
+  }
+  // Two values a key apart, and the tail out past a gross error.
+  expect_selection_matches_the_sort(
+      std::vector<double>{1.0, std::nextafter(1.0, 2.0), 1.0}, 2);
+  std::vector<double> tailed(100000, 0.0);
+  for (std::size_t i = 0; i < tailed.size(); ++i) {
+    tailed[i] = i % 1000 == 0 ? rng.uniform(2000.0, 40000.0)
+                              : 550.0 + rng.uniform(-0.5, 0.5);
+  }
+  expect_selection_matches_the_sort(tailed, 400);
+  // Every rank of it: each selected bucket holds many wanted ranks.
+  expect_selection_matches_the_sort(tailed, tailed.size());
+  EXPECT_TRUE(stats::ecdf_points(tailed, 0, 4).empty());
+}
+
+TEST(ParallelDifferentialEcdfPoints, NegativeZeroRanksBelowPositiveZero) {
+  // std::sort leaves a mix of 0.0 and -0.0 in any order; the selection's
+  // keys rank every -0.0 first.  Its points are the sort's under that
+  // order, bit for bit, and compare equal to Ecdf's either way.
+  Rng rng(11);
+  std::vector<double> sample;
+  for (int i = 0; i < 100000; ++i) {
+    const int pick = rng.uniform_int(0, 3);
+    sample.push_back(pick == 0 ? -0.0 : pick == 1 ? 0.0 : rng.uniform(-1.0, 1.0));
+  }
+  std::vector<double> key_order = sample;
+  std::sort(key_order.begin(), key_order.end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
+  for (const std::size_t max_points : {std::size_t{400}, std::size_t{100000}}) {
+    const Points pinned = stats::ecdf_points_of_sorted(key_order, max_points);
+    const Points sorted = stats::Ecdf(sample).points(max_points);
+    for (const int threads : kSelectionThreadCounts) {
+      const Points got = stats::ecdf_points(sample, max_points, threads);
+      EXPECT_TRUE(PointsBitIdentical(got, pinned)) << "threads=" << threads;
+      EXPECT_EQ(got, sorted) << "threads=" << threads;
+    }
+  }
+  // Every -0.0 ranks below every 0.0: a stride-1 read shows the switch.
+  const Points all =
+      stats::ecdf_points(std::vector<double>{0.0, -0.0, 0.0, -0.0}, 4, 2);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_TRUE(std::signbit(all[0].first) && std::signbit(all[1].first));
+  EXPECT_FALSE(std::signbit(all[2].first) || std::signbit(all[3].first));
+}
+
+TEST(ParallelDifferentialEcdfPoints, NanOrAnEmptySampleIsAValidationError) {
+  std::vector<double> sample(100000, 1.0);
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    sample[i] = static_cast<double>(i % 977);
+  }
+  for (const double nan : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{65537},
+                                 sample.size() - 1}) {
+      std::vector<double> poisoned = sample;
+      poisoned[at] = nan;
+      for (const int threads : kSelectionThreadCounts) {
+        EXPECT_THROW(static_cast<void>(stats::ecdf_points(poisoned, 400, threads)),
+                     ValidationError)
+            << "at=" << at << " threads=" << threads;
+      }
+    }
+  }
+  EXPECT_THROW(static_cast<void>(stats::ecdf_points({}, 400, 4)), ValidationError);
 }
 
 // ---- parallel TLE text -------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -81,7 +82,7 @@ std::string wdc_corpus() {
 // ---- harness ----------------------------------------------------------------
 
 struct TestInputs {
-  std::string dir;
+  ScopedTempDir dir;
   std::string dst_path;
   std::string tle_path;
   std::string cache_dir;
@@ -92,13 +93,10 @@ struct TestInputs {
 };
 
 TestInputs write_inputs(const std::string& tag, const std::string& tle_text) {
-  TestInputs inputs;
-  inputs.dir = ::testing::TempDir() + "cdsnap_" + tag;
-  std::filesystem::remove_all(inputs.dir);
-  std::filesystem::create_directories(inputs.dir);
-  inputs.dst_path = inputs.dir + "/dst.wdc";
-  inputs.tle_path = inputs.dir + "/catalog.tle";
-  inputs.cache_dir = inputs.dir + "/cache";
+  ScopedTempDir dir("cdsnap_" + tag);
+  const std::string root = dir.path();
+  TestInputs inputs{std::move(dir), root + "/dst.wdc", root + "/catalog.tle",
+                    root + "/cache"};
   io::write_file(inputs.dst_path, wdc_corpus());
   io::write_file(inputs.tle_path, tle_text);
   return inputs;
@@ -484,10 +482,8 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
   constexpr int kWriters = 4;
   constexpr int kIterations = 25;
 
-  const std::string dir = ::testing::TempDir() + "cdsnap_racers";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/cache/snapshot.cdsnap";
+  const ScopedTempDir dir("cdsnap_racers");
+  const std::string path = dir.path() + "/cache/snapshot.cdsnap";
 
   // One distinct, decently sized snapshot per writer, plus its exact
   // encoded bytes for the end-state check.
@@ -547,7 +543,7 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
 
   // And nobody leaked a temp file.
   for (const auto& entry :
-       std::filesystem::directory_iterator(dir + "/cache")) {
+       std::filesystem::directory_iterator(dir.path() + "/cache")) {
     EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
         << "stray temp file: " << entry.path();
   }
@@ -558,13 +554,17 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
 /// Parsed TLE data over `satellites` objects (two element sets each), with
 /// the matching ingest state — what a snapshot holds, and the input to the
 /// encoders under test.
-io::SnapshotData make_snapshot_data(int satellites, ParsePolicy policy) {
-  const std::string tle_text = tle_corpus(satellites);
+io::SnapshotData snapshot_data_of(const std::string& tle_text,
+                                  ParsePolicy policy) {
   diag::ParseLog log(policy);
   tle::TleCatalog catalog;
   catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, "catalog.tle"});
   return io::SnapshotData{{}, std::move(catalog), log.report(),
                           state_of(tle_text)};
+}
+
+io::SnapshotData make_snapshot_data(int satellites, ParsePolicy policy) {
+  return snapshot_data_of(tle_corpus(satellites), policy);
 }
 
 void expect_same_decoded(const io::SnapshotData& a, const io::SnapshotData& b) {
@@ -642,6 +642,45 @@ TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
     ASSERT_TRUE(decoded.has_value());
     expect_same_decoded(*decoded, *reference);
   }
+}
+
+TEST(SnapshotLoad, DecodedHistoriesTakeADailyAppendInPlace) {
+  // An append run adds a day's records, one or two per satellite, to the
+  // histories a snapshot decoded.  Each decoded history keeps spare
+  // capacity, so they land in place: no history moves (its records copied
+  // to a new buffer), and the catalog equals a full parse of the grown
+  // text.  Histories of 1 and of 300 records; a third get no new record.
+  const auto text_of = [](const tle::Tle& record) {
+    const tle::TleLines lines = tle::format_tle(record);
+    return lines.line1 + "\n" + lines.line2 + "\n";
+  };
+  std::string base;
+  std::string day;
+  for (int i = 0; i < 40; ++i) {
+    const int records = i % 2 == 0 ? 1 : 300;
+    for (int k = 0; k < records; ++k) base += text_of(make_tle(10001 + i, 0.25 * k));
+    if (i % 3 != 0) day += text_of(make_tle(10001 + i, 0.25 * records));
+  }
+  std::optional<io::SnapshotData> decoded = io::decode_snapshot(
+      snapshot_bytes(snapshot_data_of(base, ParsePolicy::kStrict),
+                     ParsePolicy::kStrict),
+      ParsePolicy::kStrict);
+  ASSERT_TRUE(decoded.has_value());
+  std::map<int, const tle::Tle*> placed;
+  for (const int id : decoded->catalog.satellites()) {
+    placed[id] = decoded->catalog.history(id).data();
+  }
+  ASSERT_EQ(placed.size(), 40u);
+
+  EXPECT_EQ(decoded->catalog.add_from_text(day), 26u);
+  for (const auto& [id, data] : placed) {
+    EXPECT_EQ(decoded->catalog.history(id).data(), data)
+        << "satellite " << id << "'s history moved";
+  }
+  tle::TleCatalog full;
+  full.add_from_text(base + day);
+  EXPECT_EQ(decoded->catalog.record_count(), full.record_count());
+  EXPECT_EQ(decoded->catalog.to_text(), full.to_text());
 }
 
 TEST(SnapshotV3Test, TruncatedSectionTableRejects) {
@@ -726,10 +765,8 @@ TEST(SnapshotFormat, BytesArePinned) {
 // ---- counters and the background save ---------------------------------------
 
 TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
-  const std::string dir = ::testing::TempDir() + "cdsnap_counters";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/snapshot.cdsnap";
+  const ScopedTempDir dir("cdsnap_counters");
+  const std::string path = dir.path() + "/snapshot.cdsnap";
   const io::SnapshotData data = make_snapshot_data(8, ParsePolicy::kStrict);
 
   obs::Metrics metrics;
@@ -868,10 +905,8 @@ TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
   // the sections decode.  It must see the recorded state exactly once on a
   // good file, never when the state section itself is bad, and it may have
   // run before a later section rejects the file.
-  const std::string dir = ::testing::TempDir() + "cdsnap_alongside";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/snapshot.cdsnap";
+  const ScopedTempDir dir("cdsnap_alongside");
+  const std::string path = dir.path() + "/snapshot.cdsnap";
   // Several catalog stripes, so the callback shares the pool with decoding.
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
   ASSERT_TRUE(io::save_snapshot(path, data, ParsePolicy::kStrict));
@@ -1122,14 +1157,14 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
   // each window's pages once hashed.  It must classify exactly as the pass
   // over plain views does, leave every byte readable, and end with only a
   // sliver of the file resident where the view pass leaves all of it.
-  const std::string dir = ::testing::TempDir() + "cdsnap_mapped_pass";
-  std::filesystem::create_directories(dir);
+  const ScopedTempDir dir("cdsnap_mapped_pass");
+  const std::string tle_path = dir.path() + "/tle.txt";
   std::string text;  // 24 MiB of lines: six windows and a partial seventh
   for (std::size_t i = 0; text.size() < (std::size_t{24} << 20) + 12345; ++i) {
     text += std::to_string(i * 2654435761u) + " 0123456789abcdefghijklmnop\n";
   }
-  io::write_file(dir + "/tle.txt", text);
-  const io::MappedFile tle_map(dir + "/tle.txt");
+  io::write_file(tle_path, text);
+  const io::MappedFile tle_map(tle_path);
   if (!tle_map.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
 
   const std::size_t half = text.rfind('\n', text.size() / 2) + 1;
@@ -1154,13 +1189,12 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
   EXPECT_LE(after_mapped, 1L << 20);
   // The same bytes through a pass over the plain view stay resident, so
   // the bound above measures the drops, not an idle mapping.
-  const io::MappedFile held(dir + "/tle.txt");
+  const io::MappedFile held(tle_path);
   EXPECT_EQ(state_of(held.view()).tle_hash, whole.tle_hash);
   EXPECT_GE(resident_bytes(held.view().data()),
             static_cast<long>(text.size() / 2));
   // Dropped pages fault back in with the file's bytes.
   EXPECT_EQ(tle_map.view(), text);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotLoad, MappedDecodeDropsEachSectionItDecoded) {

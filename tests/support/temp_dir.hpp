@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <utility>
 
 namespace cosmicdance::test_support {
 
@@ -14,6 +15,7 @@ namespace cosmicdance::test_support {
 /// everything in it when the object goes out of scope: on an early return
 /// from a failed ASSERT too.  The pid keeps concurrent test processes
 /// (ctest -j runs each test as its own) out of each other's directories.
+/// Moving hands the directory over; the moved-from object owns none.
 class ScopedTempDir {
  public:
   explicit ScopedTempDir(const std::string& name)
@@ -22,12 +24,16 @@ class ScopedTempDir {
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
   }
+  ScopedTempDir(ScopedTempDir&& other) noexcept
+      : path_(std::exchange(other.path_, {})) {}
   ~ScopedTempDir() {
+    if (path_.empty()) return;
     std::error_code ignored;
     std::filesystem::remove_all(path_, ignored);
   }
   ScopedTempDir(const ScopedTempDir&) = delete;
   ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(ScopedTempDir&&) = delete;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 

@@ -288,22 +288,25 @@ int cmd_analyze(const io::ArgParser& args) {
       io::write_csv_file(path("fig05c_drag_change_cdf.csv"),
                          core::ecdf_csv(stats::Ecdf(drag), "bstar_ratio"));
     }
-    // Fig 10 raw/cleaned altitude CDFs: one altitude per TLE, the two
-    // samples large enough to sort in parallel.
+    // Fig 10 raw/cleaned altitude CDFs: one altitude per TLE, samples large
+    // enough that only the printed order statistics are selected, in
+    // parallel, instead of sorting them.
     const int threads = pipeline.config().num_threads;
     const auto raw = core::all_altitudes(pipeline.catalog(), threads, metrics);
     const auto cleaned =
         core::all_altitudes(pipeline.tracks(), threads, metrics);
-    if (!raw.empty()) {
+    const obs::ScopedPhase fig10(metrics, "analyze.fig10_ecdf");
+    const auto write_fig10 = [&](const char* name,
+                                 const std::vector<double>& sample) {
+      if (sample.empty()) return;
       io::write_csv_file(
-          path("fig10a_raw_altitude_cdf.csv"),
-          core::ecdf_csv(stats::Ecdf(raw, threads), "altitude_km"));
-    }
-    if (!cleaned.empty()) {
-      io::write_csv_file(
-          path("fig10b_clean_altitude_cdf.csv"),
-          core::ecdf_csv(stats::Ecdf(cleaned, threads), "altitude_km"));
-    }
+          path(name),
+          core::ecdf_csv(
+              stats::ecdf_points(sample, core::kEcdfCsvPoints, threads),
+              "altitude_km"));
+    };
+    write_fig10("fig10a_raw_altitude_cdf.csv", raw);
+    write_fig10("fig10b_clean_altitude_cdf.csv", cleaned);
   }
 
   std::cout << "analysis CSVs written to " << out_dir << "\n";

@@ -12,8 +12,10 @@
 #      driving the malformed-record corpus through both parse policies so
 #      buffer overreads in the fixed-column parsers surface here, and the
 #      delta-snapshot differential suite so the incremental path's tail
-#      parse and base rewrite run under the same lens, and the daemon's
-#      framing and JSON request reader, where outside input enters it.
+#      parse and base rewrite run under the same lens, the daemon's
+#      framing and JSON request reader, where outside input enters it, and
+#      the fig10 ECDF selection, whose histogram and gather passes index
+#      by computed bucket.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (every output file byte-identical and work counters
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
@@ -82,8 +84,8 @@ cmake --build build-tsan -j "$JOBS" \
 # TSan halts with a non-zero exit on any race; no suppressions are used.
 # The serve suites put the daemon's snapshot swap and its connection
 # workers (DESIGN.md §15) under the same lens: concurrent readers + reloads
-# must be race-free.  The ParallelDifferentialEcdf suite does the same for
-# the chunked Ecdf sort.
+# must be race-free.  The ParallelDifferentialEcdfPoints suite does the
+# same for the fig10 ECDF selection's chunked histogram and gather passes.
 # Sgp4ThreadSafety drives one shared deep-space propagator from many
 # threads — the regression gate for the old mutable resonance-memo race.
 # The Snapshot and DeltaSnapshot suites run every cache path (cold, exact
@@ -97,7 +99,7 @@ cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
       --target ingestion_fuzz_test diag_test io_test tle_test tle2_test \
                timeutil_test spaceweather_test snapshot_test \
-               delta_snapshot_test serve_test
+               delta_snapshot_test serve_test parallel_differential_test
 # The fuzz suite feeds truncated / corrupted fixed-column records through
 # every ingestion path; ASan+UBSan turns any column overread into a failure.
 # snapshot_test drives the corrupted-snapshot failure matrix (truncation,
@@ -106,8 +108,12 @@ cmake --build build-asan -j "$JOBS" \
 # (forged appends, unsafe prefix boundaries, the append/edit fuzz loop).
 # The ServeWire and ServeJson suites feed the daemon's frame reader and
 # request parser oversized prefixes, garbage and a million nested '['.
+# ParallelDifferentialEcdfPoints drives the fig10 ECDF selection's
+# histogram and gather indexing over ties, infinities, signed zeros, NaN
+# and samples of one value; the ParallelDifferentialTleText suite in the
+# same binary matches 'Tle' and rides along.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance

@@ -7,10 +7,15 @@
 // absolute counts are reported next to the scale factor.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "core/pipeline.hpp"
@@ -44,6 +49,32 @@ inline tle::TleCatalog paper_catalog(const spaceweather::DstIndex& dst,
   auto config = simulation::scenario::paper_window(&dst, per_batch, cadence);
   return simulation::ConstellationSimulator(config).run().catalog;
 }
+
+/// A directory of this run's own under the system temp directory,
+/// `<prefix>.XXXXXX` from mkdtemp, removed with everything in it when the
+/// object is destroyed (at exit, for a static one): two runs never share
+/// their generated inputs, and none outlives its run.
+class RunDir {
+ public:
+  explicit RunDir(const std::string& prefix)
+      : path_((std::filesystem::temp_directory_path() / (prefix + ".XXXXXX"))
+                  .string()) {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw std::runtime_error("cannot create a directory like " + path_);
+    }
+  }
+  ~RunDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Pipeline config from a bench binary's command line: every figure bench
 /// accepts --threads N (0 = all hardware threads, 1 = serial; the exec

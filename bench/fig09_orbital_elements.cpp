@@ -24,13 +24,17 @@ int main() {
                                    std::move(run.catalog));
   // Fig 9 reads the raw records: the orbit-raising window is the point.
   const tle::TleCatalog& catalog = pipeline.catalog();
-  const auto records_between = [](std::span<const tle::Tle> history, double lo,
+  // The records of `history` with epochs in [lo, hi).
+  const auto records_between = [](const tle::HistoryView& history, double lo,
                                   double hi) {
-    const auto before = [](const tle::Tle& t, double jd) { return t.epoch_jd < jd; };
-    const auto first = std::lower_bound(history.begin(), history.end(), lo, before);
-    const auto last = std::lower_bound(first, history.end(), hi, before);
-    return history.subspan(static_cast<std::size_t>(first - history.begin()),
-                           static_cast<std::size_t>(last - first));
+    const std::span<const double> epochs = history.epoch_jd();
+    const auto first = std::lower_bound(epochs.begin(), epochs.end(), lo);
+    const auto last = std::lower_bound(first, epochs.end(), hi);
+    std::vector<tle::Tle> records;
+    for (auto it = first; it != last; ++it) {
+      records.push_back(history[static_cast<std::size_t>(it - epochs.begin())]);
+    }
+    return records;
   };
 
   io::print_heading(std::cout,
@@ -39,7 +43,7 @@ int main() {
   // ARGP, mean anomaly) follow one reference satellite — Fig 9 plots the
   // per-satellite curves, and a pooled median of drifting angles wraps
   // meaninglessly.
-  const std::span<const tle::Tle> reference = catalog.history(44713);
+  const tle::HistoryView reference = catalog.history(44713);
   io::TablePrinter table({"month", "alt_km", "incl_deg", "ecc", "44713_raan",
                           "44713_argp", "44713_manom", "tles"});
   const double start = timeutil::to_julian(timeutil::make_datetime(2019, 11, 11));

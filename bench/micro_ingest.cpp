@@ -48,7 +48,8 @@ using namespace cosmicdance;
 
 /// The bench dataset written to disk once: the paper-window Dst series in
 /// WDC format plus a bench-scale catalog in TLE text, the same shapes the
-/// CLI ingests.  Lives under the system temp directory.
+/// CLI ingests.  Lives in this run's own directory under the system temp
+/// directory, removed at exit.
 struct BenchDataset {
   std::string dir;
   std::string dst_path;
@@ -58,10 +59,9 @@ struct BenchDataset {
 
 const BenchDataset& shared_dataset() {
   static const BenchDataset dataset = [] {
+    static const bench::RunDir run_dir("cd_micro_ingest");
     BenchDataset built;
-    built.dir =
-        (std::filesystem::temp_directory_path() / "cd_micro_ingest").string();
-    std::filesystem::create_directories(built.dir);
+    built.dir = run_dir.path();
     const spaceweather::DstIndex dst = bench::paper_dst();
     const tle::TleCatalog catalog = bench::paper_catalog(dst, 2, 30.0);
     built.records = catalog.record_count();

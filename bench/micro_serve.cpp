@@ -44,10 +44,10 @@ struct BenchDataset {
   std::string tle_path;
 };
 
+/// The bench inputs, in this run's own directory (removed at exit).
 BenchDataset write_dataset() {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "cd_micro_serve").string();
-  std::filesystem::create_directories(dir);
+  static const bench::RunDir run_dir("cd_micro_serve");
+  const std::string& dir = run_dir.path();
   const spaceweather::DstIndex dst = bench::paper_dst();
   const tle::TleCatalog catalog = bench::paper_catalog(dst, 2, 30.0);
   BenchDataset data{dir + "/dst.wdc", dir + "/catalog.tle"};

@@ -6,6 +6,7 @@
 
 #include "exec/parallel_for.hpp"
 #include "obs/obs.hpp"
+#include "orbit/elements.hpp"
 #include "stats/descriptive.hpp"
 #include "timeutil/hour_axis.hpp"
 
@@ -45,10 +46,13 @@ std::vector<double> all_altitudes(const tle::TleCatalog& catalog,
                                   int num_threads, obs::Metrics* metrics) {
   const std::vector<int> ids = catalog.satellites();
   return concat_altitudes(ids.size(), num_threads, metrics, [&](std::size_t i) {
-    const auto history = catalog.history(ids[i]);
+    const std::span<const double> mean_motion =
+        catalog.history(ids[i]).mean_motion_revday();
     std::vector<double> altitudes;
-    altitudes.reserve(history.size());
-    for (const tle::Tle& tle : history) altitudes.push_back(tle.altitude_km());
+    altitudes.reserve(mean_motion.size());
+    for (const double revs_per_day : mean_motion) {
+      altitudes.push_back(orbit::altitude_km_from_mean_motion(revs_per_day));
+    }
     return altitudes;
   });
 }

@@ -15,14 +15,13 @@ namespace {
 
 /// The record of `history` whose epoch is `epoch_jd`; a satellite's epochs
 /// are unique (tle::kDuplicateEpochDays).
-const tle::Tle& record_at(std::span<const tle::Tle> history, double epoch_jd) {
-  const auto it = std::lower_bound(
-      history.begin(), history.end(), epoch_jd,
-      [](const tle::Tle& t, double value) { return t.epoch_jd < value; });
-  if (it == history.end() || it->epoch_jd != epoch_jd) {
+tle::Tle record_at(const tle::HistoryView& history, double epoch_jd) {
+  const std::span<const double> epochs = history.epoch_jd();
+  const auto it = std::lower_bound(epochs.begin(), epochs.end(), epoch_jd);
+  if (it == epochs.end() || *it != epoch_jd) {
     throw ValidationError("track sample has no catalog record at its epoch");
   }
-  return *it;
+  return history[static_cast<std::size_t>(it - epochs.begin())];
 }
 
 }  // namespace
@@ -46,7 +45,7 @@ std::vector<LatitudeBandStats> latitude_band_drag(
   for (const SatelliteTrack& track : tracks) {
     const auto history = catalog.history(track.catalog_number());
     for (const TrajectorySample& sample : track.between(jd_lo, jd_hi)) {
-      const tle::Tle& record = record_at(history, sample.epoch_jd);
+      const tle::Tle record = record_at(history, sample.epoch_jd);
       double latitude = 0.0;
       try {
         latitude = sample_latitude_deg(record);

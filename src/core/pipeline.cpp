@@ -105,10 +105,7 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
 
   // Every run parses the Dst file, before any TLE text, as a full parse
   // would: it takes milliseconds, so the snapshot caches only the TLE parse
-  // (DESIGN.md §13).  It runs after the load because the series' growth
-  // frees two buffers glibc had mapped, which raises its mmap threshold:
-  // before the load, that put the decoded histories in the heap arenas,
-  // where an append's history reallocations then left about 30 MB behind.
+  // (DESIGN.md §13).
   diag::ParseLog dst_log(config.parse_policy);
   spaceweather::DstIndex dst;
   {

@@ -5,15 +5,21 @@
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
 #include "obs/obs.hpp"
+#include "orbit/elements.hpp"
 #include "stats/descriptive.hpp"
 
 namespace cosmicdance::core {
 
-std::vector<TrajectorySample> samples_of(std::span<const tle::Tle> history) {
+std::vector<TrajectorySample> samples_of(const tle::HistoryView& history) {
+  const std::span<const double> epochs = history.epoch_jd();
+  const std::span<const double> mean_motion = history.mean_motion_revday();
+  const std::span<const double> bstar = history.bstar();
   std::vector<TrajectorySample> samples;
   samples.reserve(history.size());
-  for (const tle::Tle& tle : history) {
-    samples.push_back({tle.epoch_jd, tle.altitude_km(), tle.bstar});
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    samples.push_back({epochs[i],
+                       orbit::altitude_km_from_mean_motion(mean_motion[i]),
+                       bstar[i]});
   }
   return samples;
 }

@@ -25,9 +25,10 @@ struct TrajectorySample {
 };
 static_assert(sizeof(TrajectorySample) == 24);
 
-/// The samples of a satellite's TLE history, in history order.
+/// The samples of a satellite's TLE history, in history order: its epoch,
+/// mean-motion and B* columns, without building records.
 [[nodiscard]] std::vector<TrajectorySample> samples_of(
-    std::span<const tle::Tle> history);
+    const tle::HistoryView& history);
 
 /// Epoch-sorted trajectory of one satellite, immutable once built.
 class SatelliteTrack {

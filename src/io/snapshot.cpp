@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,13 +45,6 @@ constexpr std::size_t kSectionEntrySize = 28;
 /// invariant; the value balances per-section hash/decode parallelism
 /// against table overhead.
 constexpr std::size_t kStripeTargetRecords = 16384;
-
-/// Spare capacity a decoded history gets beyond its records: a 64th more
-/// plus 16.  An append run adds a day's records, one or two per satellite,
-/// to the decoded histories; sized exactly, its first push_back into each
-/// would reallocate and copy the whole history.
-constexpr std::size_t kDecodeHeadroomDivisor = 64;
-constexpr std::size_t kDecodeHeadroomRecords = 16;
 
 /// The kind the format puts at section `i` of `count`: the state first,
 /// the quality report last, catalog stripes between.
@@ -89,10 +83,6 @@ void put_i32(std::string& out, std::int32_t v) {
   put_u32(out, static_cast<std::uint32_t>(v));
 }
 
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
 void put_string(std::string& out, std::string_view v) {
   put_u32(out, static_cast<std::uint32_t>(v.size()));
   out.append(v);
@@ -110,6 +100,9 @@ class Cursor {
   explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == bytes_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
+  }
 
   std::uint8_t u8() {
     return static_cast<std::uint8_t>(static_cast<unsigned char>(view(1)[0]));
@@ -128,7 +121,6 @@ class Cursor {
   }
 
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
 
   std::string str() {
     const std::uint32_t length = u32();
@@ -168,49 +160,137 @@ IngestState decode_state(Cursor& in) {
   return state;
 }
 
-void encode_tle(std::string& out, const tle::Tle& t) {
-  put_i32(out, t.catalog_number);
-  put_u8(out, static_cast<std::uint8_t>(t.classification));
-  put_string(out, t.international_designator);
-  put_f64(out, t.epoch_jd);
-  put_f64(out, t.mean_motion_dot);
-  put_f64(out, t.mean_motion_ddot);
-  put_f64(out, t.bstar);
-  put_i32(out, t.ephemeris_type);
-  put_i32(out, t.element_set_number);
-  put_f64(out, t.inclination_deg);
-  put_f64(out, t.raan_deg);
-  put_f64(out, t.eccentricity);
-  put_f64(out, t.arg_perigee_deg);
-  put_f64(out, t.mean_anomaly_deg);
-  put_f64(out, t.mean_motion_revday);
-  put_i32(out, t.rev_number);
+/// A catalog stripe's column blocks follow its satellite directory and
+/// designator table (the layout in snapshot.hpp).
+void encode_stripe(std::string& out, const tle::TleCatalog& catalog,
+                   std::span<const int> sats) {
+  std::vector<tle::HistoryView> histories;
+  histories.reserve(sats.size());
+  std::size_t records = 0;
+  for (const int id : sats) {
+    histories.push_back(catalog.history(id));
+    records += histories.back().size();
+  }
+  // The stripe's own designator table, in first-use order, so its bytes
+  // depend only on its records, not on how the catalog was built.
+  constexpr std::uint32_t kUnused = ~std::uint32_t{0};
+  std::vector<std::uint32_t> local(catalog.designator_count(), kUnused);
+  std::vector<std::uint32_t> table;
+  std::vector<std::uint32_t> designators;
+  designators.reserve(records);
+  for (const tle::HistoryView& history : histories) {
+    const std::span<const unsigned char> column =
+        history.column_bytes(tle::kDesignatorColumn);
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      std::uint32_t global = 0;
+      std::memcpy(&global, column.data() + i * 4, 4);
+      if (local[global] == kUnused) {
+        local[global] = static_cast<std::uint32_t>(table.size());
+        table.push_back(global);
+      }
+      designators.push_back(local[global]);
+    }
+  }
+  std::size_t table_bytes = 0;
+  for (const std::uint32_t global : table) {
+    table_bytes += 4 + catalog.designator(global).size();
+  }
+  out.reserve(out.size() + 12 + sats.size() * 12 + table_bytes +
+              records * tle::kColumnRecordBytes);
+  put_u64(out, sats.size());
+  for (const tle::HistoryView& history : histories) {
+    put_i32(out, history.catalog_number());
+    put_u64(out, history.size());
+  }
+  put_u32(out, static_cast<std::uint32_t>(table.size()));
+  for (const std::uint32_t global : table) put_string(out, catalog.designator(global));
+  for (std::size_t c = 0; c < tle::kColumnCount; ++c) {
+    if (c == tle::kDesignatorColumn) {
+      out.append(reinterpret_cast<const char*>(designators.data()),
+                 designators.size() * 4);
+      continue;
+    }
+    for (const tle::HistoryView& history : histories) {
+      const std::span<const unsigned char> bytes = history.column_bytes(c);
+      out.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    }
+  }
 }
 
-/// Bytes of an encoded record after its designator: 10 doubles, 3 int32s.
-constexpr std::size_t kTleFixedTail = 10 * 8 + 3 * 4;
+/// A catalog stripe's directory, read before the stripes decode: which
+/// satellites it holds, how its designators map into the catalog's table,
+/// and where its column blocks start.
+struct StripePlan {
+  std::size_t first = 0;  // index of its first satellite in the catalog
+  std::size_t count = 0;  // satellites
+  std::size_t records = 0;
+  std::size_t columns_at = 0;  // offset of the column blocks in the section
+  std::vector<std::uint32_t> designators;  // stripe index -> catalog index
+};
 
-/// Decode one record into `t`.  The fixed-size fields before and after the
-/// designator are each bounds-checked once as a block, not field by field.
-void decode_tle(Cursor& in, tle::Tle& t) {
-  Cursor head(in.view(9));
-  t.catalog_number = head.i32();
-  t.classification = static_cast<char>(head.u8());
-  t.international_designator = in.view(head.u32());
-  Cursor tail(in.view(kTleFixedTail));
-  t.epoch_jd = tail.f64();
-  t.mean_motion_dot = tail.f64();
-  t.mean_motion_ddot = tail.f64();
-  t.bstar = tail.f64();
-  t.ephemeris_type = tail.i32();
-  t.element_set_number = tail.i32();
-  t.inclination_deg = tail.f64();
-  t.raan_deg = tail.f64();
-  t.eccentricity = tail.f64();
-  t.arg_perigee_deg = tail.f64();
-  t.mean_anomaly_deg = tail.f64();
-  t.mean_motion_revday = tail.f64();
-  t.rev_number = tail.i32();
+StripePlan plan_stripe(std::string_view section, tle::TleCatalog& catalog,
+                       std::vector<int>& ids, std::vector<std::size_t>& sizes) {
+  Cursor in(section);
+  StripePlan plan;
+  plan.first = ids.size();
+  // Every bound below keeps a corrupt (but hash-valid) count from sizing
+  // anything past what the section can hold.
+  const std::uint64_t sats = in.u64();
+  if (sats > section.size() / 12) throw ParseError("stripe satellite count");
+  plan.count = static_cast<std::size_t>(sats);
+  const std::size_t max_records = section.size() / tle::kColumnRecordBytes;
+  for (std::size_t s = 0; s < plan.count; ++s) {
+    ids.push_back(in.i32());
+    const std::uint64_t records = in.u64();
+    if (records == 0 || records > max_records - plan.records) {
+      throw ParseError("stripe record count exceeds section");
+    }
+    sizes.push_back(static_cast<std::size_t>(records));
+    plan.records += static_cast<std::size_t>(records);
+  }
+  const std::uint32_t designators = in.u32();
+  if (designators > section.size() / 4) throw ParseError("designator count");
+  plan.designators.reserve(designators);
+  for (std::uint32_t d = 0; d < designators; ++d) {
+    const std::uint32_t length = in.u32();
+    plan.designators.push_back(catalog.intern_designator(in.view(length)));
+  }
+  plan.columns_at = section.size() - in.remaining();
+  if (in.remaining() != plan.records * tle::kColumnRecordBytes) {
+    throw ParseError("stripe column blocks do not fill the section");
+  }
+  return plan;
+}
+
+/// Copy a stripe's column blocks into the laid-out catalog, mapping each
+/// designator index (bounds-checked) into the catalog's table, then check
+/// each history as adopt_histories would.
+void decode_stripe(std::string_view section, const StripePlan& plan,
+                   std::span<const int> ids, tle::TleCatalog& catalog) {
+  const unsigned char* block =
+      reinterpret_cast<const unsigned char*>(section.data()) + plan.columns_at;
+  for (std::size_t c = 0; c < tle::kColumnCount; ++c) {
+    for (std::size_t s = 0; s < plan.count; ++s) {
+      const std::span<unsigned char> target =
+          catalog.column_bytes(ids[plan.first + s], c);
+      if (c != tle::kDesignatorColumn) {
+        std::memcpy(target.data(), block, target.size());
+      } else {
+        for (std::size_t at = 0; at < target.size(); at += 4) {
+          std::uint32_t index = 0;
+          std::memcpy(&index, block + at, 4);
+          if (index >= plan.designators.size()) {
+            throw ParseError("designator index outside the stripe's table");
+          }
+          std::memcpy(target.data() + at, &plan.designators[index], 4);
+        }
+      }
+      block += target.size();
+    }
+  }
+  for (std::size_t s = 0; s < plan.count; ++s) {
+    catalog.check_history(ids[plan.first + s]);
+  }
 }
 
 /// The report's TLE part: the "tle" stage and its quarantined records.
@@ -324,10 +404,16 @@ std::uint64_t sum_lanes(std::uint64_t lanes) {
   return (pairs * 0x0001000100010001ULL) >> 48;
 }
 
+using XxhState = std::array<std::uint64_t, 4>;
+
+/// XXH64's accumulators before the first stripe (seed 0).
+constexpr XxhState kXxhInit{kXxhPrime1 + kXxhPrime2, kXxhPrime2, 0,
+                            0 - kXxhPrime1};
+
 /// Fold `count` 32-byte stripes at `p` into the accumulators; returns the
-/// number of '\n' bytes in them.
-std::uint64_t xxh_stripes(std::array<std::uint64_t, 4>& state, const char* p,
-                          std::size_t count) {
+/// number of '\n' bytes in them when kCountLines, else 0.
+template <bool kCountLines>
+std::uint64_t xxh_stripes(XxhState& state, const char* p, std::size_t count) {
   // Four named locals, not `state`: stores through the reference could
   // alias the input bytes, and an indexed array stays in memory, either of
   // which chains every round through a store and a load.
@@ -346,14 +432,50 @@ std::uint64_t xxh_stripes(std::array<std::uint64_t, 4>& state, const char* p,
       a1 = xxh_round(a1, w1);
       a2 = xxh_round(a2, w2);
       a3 = xxh_round(a3, w3);
-      lanes += newline_lanes(w0) + newline_lanes(w1) + newline_lanes(w2) +
-               newline_lanes(w3);
+      if constexpr (kCountLines) {
+        lanes += newline_lanes(w0) + newline_lanes(w1) + newline_lanes(w2) +
+                 newline_lanes(w3);
+      }
     }
-    lines += sum_lanes(lanes);
+    if constexpr (kCountLines) lines += sum_lanes(lanes);
     count -= block;
   }
   state = {a0, a1, a2, a3};
   return lines;
+}
+
+/// XXH64's final mix: the accumulators of `length` bytes' whole stripes,
+/// then the `n` (< 32) bytes after them at `p`.
+std::uint64_t xxh_digest(const XxhState& acc, std::uint64_t length,
+                         const char* p, std::size_t n) {
+  std::uint64_t h = kXxhPrime5;
+  if (length >= kXxhStripe) {
+    h = std::rotl(acc[0], 1) + std::rotl(acc[1], 7) + std::rotl(acc[2], 12) +
+        std::rotl(acc[3], 18);
+    for (const std::uint64_t lane : acc) {
+      h = (h ^ xxh_round(0, lane)) * kXxhPrime1 + kXxhPrime4;
+    }
+  }
+  h += length;
+  for (; n >= 8; p += 8, n -= 8) {
+    h = std::rotl(h ^ xxh_round(0, load_le64(p)), 27) * kXxhPrime1 + kXxhPrime4;
+  }
+  if (n >= 4) {
+    std::uint32_t word = 0;
+    std::memcpy(&word, p, 4);
+    h = std::rotl(h ^ (word * kXxhPrime1), 23) * kXxhPrime2 + kXxhPrime3;
+    p += 4;
+    n -= 4;
+  }
+  for (; n > 0; ++p, --n) {
+    h = std::rotl(h ^ (static_cast<unsigned char>(*p) * kXxhPrime5), 11) *
+        kXxhPrime1;
+  }
+  h ^= h >> 33;
+  h *= kXxhPrime2;
+  h ^= h >> 29;
+  h *= kXxhPrime3;
+  return h ^ (h >> 32);
 }
 
 /// Streaming XXH64 (seed 0) that counts '\n' bytes in the same pass.  Any
@@ -374,11 +496,11 @@ class InputHasher {
       p += take;
       n -= take;
       if (buffered_ < kXxhStripe) return;
-      static_cast<void>(xxh_stripes(acc_, buffer_.data(), 1));  // counted
+      static_cast<void>(xxh_stripes<true>(acc_, buffer_.data(), 1));  // counted
       buffered_ = 0;
     }
     const std::size_t stripes = n / kXxhStripe;
-    lines_ += xxh_stripes(acc_, p, stripes);
+    lines_ += xxh_stripes<true>(acc_, p, stripes);
     p += stripes * kXxhStripe;
     n -= stripes * kXxhStripe;
     std::copy(p, p + n, buffer_.begin());
@@ -387,44 +509,13 @@ class InputHasher {
   }
 
   [[nodiscard]] std::uint64_t digest() const {
-    std::uint64_t h = kXxhPrime5;
-    if (length_ >= kXxhStripe) {
-      h = std::rotl(acc_[0], 1) + std::rotl(acc_[1], 7) +
-          std::rotl(acc_[2], 12) + std::rotl(acc_[3], 18);
-      for (const std::uint64_t acc : acc_) {
-        h = (h ^ xxh_round(0, acc)) * kXxhPrime1 + kXxhPrime4;
-      }
-    }
-    h += length_;
-    const char* p = buffer_.data();
-    std::size_t n = buffered_;
-    for (; n >= 8; p += 8, n -= 8) {
-      h = std::rotl(h ^ xxh_round(0, load_le64(p)), 27) * kXxhPrime1 +
-          kXxhPrime4;
-    }
-    if (n >= 4) {
-      std::uint32_t word = 0;
-      std::memcpy(&word, p, 4);
-      h = std::rotl(h ^ (word * kXxhPrime1), 23) * kXxhPrime2 + kXxhPrime3;
-      p += 4;
-      n -= 4;
-    }
-    for (; n > 0; ++p, --n) {
-      h = std::rotl(h ^ (static_cast<unsigned char>(*p) * kXxhPrime5), 11) *
-          kXxhPrime1;
-    }
-    h ^= h >> 33;
-    h *= kXxhPrime2;
-    h ^= h >> 29;
-    h *= kXxhPrime3;
-    return h ^ (h >> 32);
+    return xxh_digest(acc_, length_, buffer_.data(), buffered_);
   }
 
   [[nodiscard]] std::uint64_t lines() const { return lines_; }
 
  private:
-  std::array<std::uint64_t, 4> acc_{kXxhPrime1 + kXxhPrime2, kXxhPrime2, 0,
-                                    0 - kXxhPrime1};
+  XxhState acc_ = kXxhInit;
   std::array<char, kXxhStripe> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t length_ = 0;
@@ -497,9 +588,13 @@ InputClassification classify(const IngestState& base, std::string_view bytes,
 }  // namespace
 
 std::uint64_t xxh64(std::string_view bytes) {
-  InputHasher hasher;
-  hasher.update(bytes);
-  return hasher.digest();
+  // The plain loop: only the fingerprint needs InputHasher's newline count,
+  // which halves the rate over cache-resident bytes.
+  XxhState acc = kXxhInit;
+  const std::size_t stripes = bytes.size() / kXxhStripe;
+  static_cast<void>(xxh_stripes<false>(acc, bytes.data(), stripes));
+  return xxh_digest(acc, bytes.size(), bytes.data() + stripes * kXxhStripe,
+                    bytes.size() % kXxhStripe);
 }
 
 InputClassification classify_inputs(const IngestState& base,
@@ -563,18 +658,8 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
         break;
       case kSectionCatalogStripe: {
         const auto [begin, end] = stripes[i - 1];
-        std::size_t records = 0;
-        for (std::size_t s = begin; s < end; ++s) {
-          records += data.catalog.history(sats[s]).size();
-        }
-        payload.reserve(8 + (end - begin) * 12 + records * 130);
-        put_u64(payload, end - begin);
-        for (std::size_t s = begin; s < end; ++s) {
-          const std::span<const tle::Tle> history = data.catalog.history(sats[s]);
-          put_i32(payload, sats[s]);
-          put_u64(payload, history.size());
-          for (const tle::Tle& t : history) encode_tle(payload, t);
-        }
+        encode_stripe(payload, data.catalog,
+                      std::span<const int>(sats).subspan(begin, end - begin));
         break;
       }
       default:
@@ -694,15 +779,30 @@ bool decode_payload(std::string_view payload,
     if (data.state.tle_hash != header_content_hash) return false;
   }
 
-  // Validate and deserialise the other sections in parallel; the state
-  // section's slot runs `alongside` instead.  Workers only read the mapped
-  // bytes and build private results — each catalog stripe its own
-  // TleCatalog, so adopt_history's per-record checks run in parallel too.
-  // Decode failures are carried out as flags (never thrown across the
-  // pool) and any one rejects the file.
+  // The stripes' directories, serially: they fix the catalog's layout, so
+  // the columns are laid out once and every stripe decodes straight into
+  // its satellites' rows.  Their bytes are hash-checked with the rest of
+  // the section below; every count is bounded by the section here.
+  std::vector<StripePlan> plans;
+  {
+    std::vector<int> ids;
+    std::vector<std::size_t> sizes;
+    plans.reserve(section_count - 2);
+    for (std::uint32_t i = 1; i + 1 < section_count; ++i) {
+      plans.push_back(plan_stripe(body.substr(entries[i].offset, entries[i].length),
+                                  data.catalog, ids, sizes));
+    }
+    // Throws on a satellite two stripes carry, or out of order.
+    data.catalog.lay_out(ids, sizes);
+  }
+  const std::vector<int> ids = data.catalog.satellites();
+
+  // Validate and decode the other sections in parallel; the state
+  // section's slot runs `alongside` instead.  Each stripe's worker writes
+  // only its own satellites' rows.  Decode failures are carried out as
+  // flags (never thrown across the pool) and any one rejects the file.
   struct SectionResult {
     bool ok = true;
-    tle::TleCatalog stripe;
     std::optional<diag::DataQualityReport> quality;
   };
   std::vector<SectionResult> results = exec::ordered_map<SectionResult>(
@@ -717,36 +817,13 @@ bool decode_payload(std::string_view payload,
           const SectionEntry& entry = entries[i];
           const std::string_view blob = body.substr(entry.offset, entry.length);
           if (xxh64(blob) != entry.hash) throw ParseError("section hash");
-          Cursor in(blob);
-          switch (entry.kind) {
-            case kSectionCatalogStripe: {
-              const std::uint64_t sat_count = in.u64();
-              for (std::uint64_t s = 0; s < sat_count; ++s) {
-                const std::int32_t id = in.i32();
-                const std::uint64_t records = in.u64();
-                std::vector<tle::Tle> history;
-                // The byte-count bound keeps a corrupt (but hash-valid)
-                // count from reserving unbounded memory: each record is
-                // at least ~125 bytes of section payload.
-                if (records > entry.length / 64) {
-                  throw ParseError("stripe record count exceeds section");
-                }
-                history.reserve(records + records / kDecodeHeadroomDivisor +
-                                kDecodeHeadroomRecords);
-                history.resize(records);
-                for (tle::Tle& t : history) decode_tle(in, t);
-                // adopt_history re-validates each record and the epoch
-                // ordering — the defences a per-record add() replay would
-                // give, amortised per history.
-                result.stripe.adopt_history(id, std::move(history));
-              }
-              break;
-            }
-            default:
-              result.quality = decode_quality(in);
-              break;
+          if (entry.kind == kSectionCatalogStripe) {
+            decode_stripe(blob, plans[i - 1], ids, data.catalog);
+          } else {
+            Cursor in(blob);
+            result.quality = decode_quality(in);
+            if (!in.exhausted()) throw ParseError("section trailing bytes");
           }
-          if (!in.exhausted()) throw ParseError("section trailing bytes");
           // Decoded: give its pages back (their bytes stay readable), so
           // the load does not hold them resident beside the catalog.
           if (mapping != nullptr) {
@@ -764,9 +841,6 @@ bool decode_payload(std::string_view payload,
     if (!result.ok) return false;
   }
 
-  for (std::size_t i = 1; i + 1 < results.size(); ++i) {
-    data.catalog.absorb(std::move(results[i].stripe));
-  }
   data.quality = std::move(*results.back().quality);
   return data.quality.policy == policy;
 }

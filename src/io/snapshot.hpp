@@ -28,7 +28,7 @@
 // The file lives at `<cache_dir>/<xxh64>.cdsnap`, the XXH64 of the TLE
 // input's path.
 //
-// Layout (format v8): a fixed 44-byte header
+// Layout (format v9): a fixed 44-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
@@ -60,6 +60,15 @@
 //            bytes are independent of writer thread count), and one
 //            quality section last (the "tle" stage's counters and
 //            quarantined records only).
+//   stripe:  u64 satellite count S; S × {i32 catalog number, u64 records}
+//            in ascending catalog number; u32 designator count D; D ×
+//            {u32 length, bytes}, the stripe's designators in first-use
+//            order; then the catalog's 15 columns (tle::kColumnWidths), each
+//            one block of the stripe's N records in satellite then epoch
+//            order, the designator block holding indices below D.  The
+//            blocks fill the section exactly (97 × N bytes), so the decoder
+//            lays the catalog out from the directories and copies each
+//            block straight into its satellites' rows.
 // All integers little-endian (the encoder static_asserts a little-endian
 // host); doubles are stored as their IEEE-754 bit patterns so reload is
 // bit-exact.  XXH64 is the format's one hash: the fingerprint, the header's
@@ -91,9 +100,9 @@ namespace cosmicdance::io {
 /// with XXH64 instead of FNV-1a; v6 keeps v5's bytes but marks files whose
 /// records passed the validation that rejects non-finite fields; v7 checks
 /// the section table and every section with XXH64 instead of CRC32C; v8
-/// caches the TLE parse alone: no Dst section, and a 16-byte state section
-/// (DESIGN.md §13, §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 8;
+/// caches the TLE parse alone: no Dst section, and a 16-byte state section;
+/// v9 stores each catalog stripe as column blocks (DESIGN.md §13, §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 9;
 
 /// XXH64 (seed 0) of `bytes` — the input fingerprint, the header's content
 /// hash, the cache file name and the section-table and section checks all

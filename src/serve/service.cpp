@@ -324,9 +324,9 @@ std::string handle_propagate(const ServeSnapshot& snap,
   long sat = integer_param_or(request, "sat", 0);
   if (sat == 0) sat = catalog.satellites().front();
   // Narrowing an id outside int's range would alias a real satellite.
-  const auto history = std::in_range<int>(sat)
-                            ? catalog.history(static_cast<int>(sat))
-                            : std::span<const tle::Tle>();
+  const tle::HistoryView history =
+      std::in_range<int>(sat) ? catalog.history(static_cast<int>(sat))
+                              : tle::HistoryView();
   if (history.empty()) {
     throw RequestError("unknown satellite " + std::to_string(sat));
   }

@@ -8,6 +8,10 @@
 #include <tuple>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "atmosphere/drag.hpp"
 #include "atmosphere/exponential.hpp"
 #include "atmosphere/storm_density.hpp"
@@ -422,21 +426,31 @@ void drop_duplicate_epochs(std::vector<tle::Tle>& history) {
 /// The catalog and the truth, joined per catalog number.  A pinned batch
 /// can give two satellites one number; their records then join into one
 /// history, as add() would have merged them.
-void join_catalog(std::vector<Life>& lives, SimulationResult& result) {
+void join_catalog(std::vector<Life>& lives, SimulationResult& result,
+                  int num_threads) {
   std::map<int, std::vector<std::size_t>> by_number;  // launch order within
   for (std::size_t i = 0; i < lives.size(); ++i) {
     by_number[lives[i].state.catalog_number].push_back(i);
   }
+  std::vector<std::vector<tle::Tle>> histories;
+  histories.reserve(by_number.size());
   for (const auto& [number, group] : by_number) {
     std::vector<tle::Tle> history =
         join_series(lives, group, &Life::history, &tle::Tle::epoch_jd);
     drop_duplicate_epochs(history);
-    if (!history.empty()) result.catalog.adopt_history(number, std::move(history));
+    if (!history.empty()) histories.push_back(std::move(history));
 
     std::vector<TruthSample> truth =
         join_series(lives, group, &Life::truth, &TruthSample::jd);
     if (!truth.empty()) result.truth.emplace(number, std::move(truth));
   }
+  result.catalog.adopt_histories(std::move(histories), num_threads);
+#if defined(__GLIBC__)
+  // The histories were freed into the workers' heap arenas, which keep the
+  // pages; hand them back, or the catalog's columns (and the text a caller
+  // writes next) sit on top of a whole catalog of freed records.
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace
@@ -478,7 +492,7 @@ SimulationResult ConstellationSimulator::run(int num_threads) const {
     }
   }
   result.failures = merge_failures(lives);
-  join_catalog(lives, result);
+  join_catalog(lives, result, num_threads);
   return result;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <new>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -10,6 +13,11 @@
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
+#endif
+
+#if defined(__unix__) || defined(__APPLE__)
+#define COSMICDANCE_HAVE_MMAP 1
+#include <sys/mman.h>
 #endif
 
 #include "common/error.hpp"
@@ -227,6 +235,166 @@ std::size_t resolve_shard_count(std::string_view text,
   return std::min(workers * 4, by_size);
 }
 
+
+// ---- the column block -------------------------------------------------------
+
+using detail::Columns;
+
+/// The Tle members the double and int columns hold, in column order.
+constexpr double Tle::*kDoubleFields[] = {
+    &Tle::epoch_jd,        &Tle::mean_motion_dot,    &Tle::mean_motion_ddot,
+    &Tle::bstar,           &Tle::inclination_deg,    &Tle::raan_deg,
+    &Tle::eccentricity,    &Tle::arg_perigee_deg,    &Tle::mean_anomaly_deg,
+    &Tle::mean_motion_revday};
+constexpr int Tle::*kIntFields[] = {&Tle::ephemeris_type,
+                                    &Tle::element_set_number, &Tle::rev_number};
+constexpr std::size_t kIntColumn0 = std::size(kDoubleFields);
+constexpr std::size_t kClassificationColumn = kDesignatorColumn + 1;
+static_assert(kIntColumn0 + std::size(kIntFields) == kDesignatorColumn);
+static_assert(kClassificationColumn + 1 == kColumnCount);
+
+constexpr std::size_t column_bytes_sum() {
+  std::size_t bytes = 0;
+  for (const std::size_t width : kColumnWidths) bytes += width;
+  return bytes;
+}
+static_assert(column_bytes_sum() == kColumnRecordBytes);
+
+/// Blocks from this size up are mapped on their own, start on a huge-page
+/// boundary and are advised as huge pages: a laid-out catalog then faults
+/// in 2 MiB at a time and frees in one munmap.
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+Columns allocate_columns(std::size_t rows) {
+  Columns columns;
+  columns.rows = rows;
+  if (rows == 0) return columns;
+  const std::size_t bytes = rows * kColumnRecordBytes;
+  unsigned char* block = nullptr;
+#if COSMICDANCE_HAVE_MMAP
+  if (bytes >= kHugePage) {
+    // Map a huge page more than needed and trim both ends, so the block
+    // starts on a huge-page boundary.
+    const std::size_t page = 4096;
+    const std::size_t mapped = (bytes + page - 1) / page * page;
+    void* raw = ::mmap(nullptr, mapped + kHugePage, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) throw std::bad_alloc();
+    auto* const first = static_cast<unsigned char*>(raw);
+    const std::uintptr_t at = reinterpret_cast<std::uintptr_t>(first);
+    const std::size_t head = (kHugePage - at % kHugePage) % kHugePage;
+    if (head > 0) ::munmap(first, head);
+    block = first + head;
+    const std::size_t tail = kHugePage - head;
+    if (tail > 0) ::munmap(block + mapped, tail);
+#if defined(MADV_HUGEPAGE)
+    static_cast<void>(::madvise(block, mapped, MADV_HUGEPAGE));
+#endif
+    columns.bytes = mapped;
+  }
+#endif
+  if (block == nullptr) {
+    block = static_cast<unsigned char*>(std::calloc(bytes, 1));
+    if (block == nullptr) throw std::bad_alloc();
+  }
+  columns.block = block;
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    columns.base[c] = block;
+    block += rows * kColumnWidths[c];
+  }
+  return columns;
+}
+
+void release_columns(Columns& columns) noexcept {
+  if (columns.block == nullptr) return;
+#if COSMICDANCE_HAVE_MMAP
+  if (columns.bytes > 0) {
+    ::munmap(columns.block, columns.bytes);
+  } else {
+    std::free(columns.block);
+  }
+#else
+  std::free(columns.block);
+#endif
+  columns = Columns{};
+}
+
+/// Write `tle` into row `row`.
+void store(const Columns& columns, std::size_t row, const Tle& tle,
+           std::uint32_t designator) {
+  for (std::size_t c = 0; c < kIntColumn0; ++c) {
+    std::memcpy(columns.base[c] + row * 8, &(tle.*kDoubleFields[c]), 8);
+  }
+  for (std::size_t c = 0; c < std::size(kIntFields); ++c) {
+    const auto value = static_cast<std::int32_t>(tle.*kIntFields[c]);
+    std::memcpy(columns.base[kIntColumn0 + c] + row * 4, &value, 4);
+  }
+  std::memcpy(columns.base[kDesignatorColumn] + row * 4, &designator, 4);
+  columns.base[kClassificationColumn][row] =
+      static_cast<unsigned char>(tle.classification);
+}
+
+/// Copy `count` rows from row `from` of `source` to row `to` of `target`;
+/// the ranges may overlap inside one block.
+void copy_rows(const Columns& source, std::size_t from, const Columns& target,
+               std::size_t to, std::size_t count) {
+  if (count == 0) return;
+  for (std::size_t c = 0; c < kColumnCount; ++c) {
+    const std::size_t width = kColumnWidths[c];
+    std::memmove(target.base[c] + to * width, source.base[c] + from * width,
+                 count * width);
+  }
+}
+
+template <typename T>
+T load(const Columns& columns, std::size_t column, std::size_t row) {
+  T value;
+  std::memcpy(&value, columns.base[column] + row * sizeof(T), sizeof(T));
+  return value;
+}
+
+const double* epoch_column(const Columns& columns) {
+  return reinterpret_cast<const double*>(columns.base[0]);
+}
+
+/// Spare rows a laid-out satellite gets beyond its records: a 64th more
+/// plus 16, so a daily append (one or two records per satellite) lands in
+/// place (DESIGN.md §13).
+constexpr std::size_t slack_for(std::size_t records) { return records / 64 + 16; }
+
+/// True when a record at `epoch` lands past the end of a history whose
+/// last epoch is `last`: newer, and outside its duplicate window.
+bool lands_after(double last, double epoch) {
+  return epoch > last && !(std::fabs(last - epoch) < kDuplicateEpochDays);
+}
+
+/// Where add() puts a record at `epoch` in a history of `size` records
+/// whose epochs `epoch_at(i)` reads, or nullopt when a record present lies
+/// inside its duplicate window.  The records present are at least the
+/// window apart, so only the two neighbours of the insert point can.
+template <typename EpochAt>
+std::optional<std::size_t> insert_position(std::size_t size, double epoch,
+                                           const EpochAt& epoch_at) {
+  if (size == 0 || lands_after(epoch_at(size - 1), epoch)) return size;
+  std::size_t lo = 0;  // the first record not older than `epoch`
+  std::size_t hi = size;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (epoch_at(mid) < epoch) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo < size && std::fabs(epoch_at(lo) - epoch) < kDuplicateEpochDays) {
+    return std::nullopt;
+  }
+  if (lo > 0 && std::fabs(epoch_at(lo - 1) - epoch) < kDuplicateEpochDays) {
+    return std::nullopt;
+  }
+  return lo;
+}
+
 }  // namespace
 
 bool append_boundary_clean(std::string_view text) {
@@ -249,80 +417,532 @@ bool append_boundary_clean(std::string_view text) {
   return true;  // empty (or all-blank) text has nothing pending
 }
 
-bool TleCatalog::insert_record(std::vector<Tle>& history, const Tle& tle) {
-  // Append fast path: real feeds arrive in epoch order per satellite, so
-  // almost every record lands past the end of its (sorted) history.  The
-  // conditions are exactly the general path's for an end insertion — newer
-  // than everything present and outside the back record's duplicate window.
-  if (history.empty() ||
-      (tle.epoch_jd > history.back().epoch_jd &&
-       !(std::fabs(history.back().epoch_jd - tle.epoch_jd) <
-         kDuplicateEpochDays))) {
-    history.push_back(tle);
-    ++record_count_;
-    return true;
+// ---- the columnar store ------------------------------------------------------
+
+void HistoryView::read(std::size_t i, Tle& out) const {
+  const Columns& columns = catalog_->columns_;
+  const std::size_t row = begin_ + i;
+  out.catalog_number = catalog_number_;
+  for (std::size_t c = 0; c < kIntColumn0; ++c) {
+    out.*kDoubleFields[c] = load<double>(columns, c, row);
   }
-  const auto insert_at = std::lower_bound(
-      history.begin(), history.end(), tle.epoch_jd,
-      [](const Tle& existing, double epoch) { return existing.epoch_jd < epoch; });
-  if (insert_at != history.end() &&
-      std::fabs(insert_at->epoch_jd - tle.epoch_jd) < kDuplicateEpochDays) {
-    return false;
+  for (std::size_t c = 0; c < std::size(kIntFields); ++c) {
+    out.*kIntFields[c] = load<std::int32_t>(columns, kIntColumn0 + c, row);
   }
-  if (insert_at != history.begin() &&
-      std::fabs((insert_at - 1)->epoch_jd - tle.epoch_jd) < kDuplicateEpochDays) {
-    return false;
+  out.international_designator = catalog_->designators_[load<std::uint32_t>(
+      columns, kDesignatorColumn, row)];
+  out.classification =
+      static_cast<char>(columns.base[kClassificationColumn][row]);
+}
+
+std::span<const double> HistoryView::epoch_jd() const noexcept {
+  if (size_ == 0) return {};
+  return {epoch_column(catalog_->columns_) + begin_, size_};
+}
+
+std::span<const double> HistoryView::mean_motion_revday() const noexcept {
+  if (size_ == 0) return {};
+  return {reinterpret_cast<const double*>(catalog_->columns_.base[9]) + begin_,
+          size_};
+}
+
+std::span<const double> HistoryView::bstar() const noexcept {
+  if (size_ == 0) return {};
+  return {reinterpret_cast<const double*>(catalog_->columns_.base[3]) + begin_,
+          size_};
+}
+
+std::span<const unsigned char> HistoryView::column_bytes(
+    std::size_t column) const noexcept {
+  if (size_ == 0) return {};
+  const std::size_t width = kColumnWidths[column];
+  return {catalog_->columns_.base[column] + begin_ * width, size_ * width};
+}
+
+TleCatalog::TleCatalog(const TleCatalog& other)
+    : slots_(other.slots_),
+      record_count_(other.record_count_),
+      used_rows_(other.used_rows_),
+      columns_(allocate_columns(other.columns_.rows)),
+      designators_(other.designators_),
+      designator_index_(other.designator_index_) {
+  copy_rows(other.columns_, 0, columns_, 0, used_rows_);
+}
+
+TleCatalog& TleCatalog::operator=(const TleCatalog& other) {
+  if (this != &other) *this = TleCatalog(other);
+  return *this;
+}
+
+TleCatalog::TleCatalog(TleCatalog&& other) noexcept
+    : slots_(std::move(other.slots_)),
+      record_count_(std::exchange(other.record_count_, 0)),
+      used_rows_(std::exchange(other.used_rows_, 0)),
+      columns_(std::exchange(other.columns_, Columns{})),
+      designators_(std::move(other.designators_)),
+      designator_index_(std::move(other.designator_index_)) {
+  other.slots_.clear();
+}
+
+TleCatalog& TleCatalog::operator=(TleCatalog&& other) noexcept {
+  if (this != &other) {
+    release_columns(columns_);
+    slots_ = std::move(other.slots_);
+    other.slots_.clear();
+    record_count_ = std::exchange(other.record_count_, 0);
+    used_rows_ = std::exchange(other.used_rows_, 0);
+    columns_ = std::exchange(other.columns_, Columns{});
+    designators_ = std::move(other.designators_);
+    designator_index_ = std::move(other.designator_index_);
   }
-  history.insert(insert_at, tle);
-  ++record_count_;
-  return true;
+  return *this;
+}
+
+TleCatalog::~TleCatalog() { release_columns(columns_); }
+
+std::uint32_t TleCatalog::intern_designator(std::string_view designator) {
+  const auto it = designator_index_.find(designator);
+  if (it != designator_index_.end()) return it->second;
+  const auto index = static_cast<std::uint32_t>(designators_.size());
+  designators_.emplace_back(designator);
+  designator_index_.emplace(std::string(designator), index);
+  return index;
+}
+
+Columns TleCatalog::lay_out_slots(std::map<int, Slot>& slots,
+                                  bool free_rows, std::size_t& used_rows) {
+  std::size_t row = 0;
+  for (auto& [id, slot] : slots) {
+    slot.begin = row;
+    slot.capacity = slot.size + slack_for(slot.size);
+    row += slot.capacity;
+  }
+  used_rows = row;
+  return allocate_columns(free_rows ? 2 * row : row);
+}
+
+void TleCatalog::install(Columns columns, std::map<int, Slot> slots,
+                         std::size_t used_rows) {
+  release_columns(columns_);
+  columns_ = columns;
+  slots_ = std::move(slots);
+  used_rows_ = used_rows;
+}
+
+TleCatalog::Slot& TleCatalog::grow(int catalog_number) {
+  Slot& slot = slots_.at(catalog_number);
+  const std::size_t want = 2 * slot.size + 16;
+  if (used_rows_ + want <= columns_.rows) {
+    // Move the satellite to the free rows, with room for twice its records.
+    copy_rows(columns_, slot.begin, columns_, used_rows_, slot.size);
+    slot.begin = used_rows_;
+    slot.capacity = want;
+    used_rows_ += want;
+    return slot;
+  }
+  // Out of free rows: lay the catalog out afresh with as many free rows as
+  // laid-out ones.  Every satellite gets at least 16 spare rows.
+  std::map<int, Slot> next = slots_;
+  std::size_t used = 0;
+  const Columns columns = lay_out_slots(next, true, used);
+  for (const auto& [id, old] : slots_) {
+    copy_rows(columns_, old.begin, columns, next.at(id).begin, old.size);
+  }
+  install(columns, std::move(next), used);
+  return slots_.at(catalog_number);
 }
 
 bool TleCatalog::add(const Tle& tle) {
   tle.validate();
-  return insert_record(tles_[tle.catalog_number], tle);
+  std::size_t position = 0;
+  const auto found = slots_.find(tle.catalog_number);
+  if (found != slots_.end()) {
+    const double* epochs = epoch_column(columns_) + found->second.begin;
+    const std::optional<std::size_t> at =
+        insert_position(found->second.size, tle.epoch_jd,
+                        [&](std::size_t i) { return epochs[i]; });
+    if (!at.has_value()) return false;
+    position = *at;
+  } else {
+    slots_.emplace(tle.catalog_number, Slot{});
+  }
+  const std::uint32_t designator = intern_designator(tle.international_designator);
+  Slot* slot = &slots_.at(tle.catalog_number);
+  if (slot->size == slot->capacity) slot = &grow(tle.catalog_number);
+  // Shift the records after the insert point up one row.
+  copy_rows(columns_, slot->begin + position, columns_,
+            slot->begin + position + 1, slot->size - position);
+  store(columns_, slot->begin + position, tle, designator);
+  ++slot->size;
+  ++record_count_;
+  return true;
 }
 
-void TleCatalog::adopt_history(int catalog_number, std::vector<Tle> history) {
-  if (history.empty()) {
-    throw ValidationError("adopt_history: empty history");
-  }
-  double prev_epoch = -1e18;
-  for (const Tle& tle : history) {
-    tle.validate();
-    if (tle.catalog_number != catalog_number) {
-      throw ValidationError("adopt_history: record for satellite " +
-                            std::to_string(tle.catalog_number) +
-                            " in history of " + std::to_string(catalog_number));
+/// A run of consecutive record indices of one satellite sharing one
+/// designator.
+struct Run {
+  std::size_t first = 0;
+  std::size_t last = 0;  // one past
+  std::uint32_t designator = 0;
+};
+
+/// One record of a merged history: new (source >= 0, its index) or old
+/// (row -1 - source of the old history).
+struct Entry {
+  double epoch = 0.0;
+  std::ptrdiff_t source = 0;
+  std::uint32_t designator = 0;
+};
+
+struct TleCatalog::Group {
+  int id = 0;
+  std::vector<Run> runs;
+  const Slot* old = nullptr;  // the satellite's slot before the merge
+  std::size_t size = 0;       // records after it
+  std::size_t added = 0;
+  bool appends = true;        // every new record lands past the end
+  std::vector<Entry> merged;  // the whole history, when not appends
+};
+
+template <typename RecordAt>
+std::vector<TleCatalog::Group> TleCatalog::group_records(
+    std::size_t count, const RecordAt& record_at) {
+  std::vector<Group> groups;
+  std::map<int, std::size_t> group_of;
+  std::size_t current = 0;
+  const std::string* last_designator = nullptr;
+  std::uint32_t last_index = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Tle* tle = record_at(i);
+    if (tle == nullptr) continue;
+    if (last_designator == nullptr ||
+        *last_designator != tle->international_designator) {
+      last_index = intern_designator(tle->international_designator);
     }
-    if (!(tle.epoch_jd - prev_epoch >= kDuplicateEpochDays)) {
+    last_designator = &tle->international_designator;
+    if (groups.empty() || groups[current].id != tle->catalog_number) {
+      const auto [it, inserted] =
+          group_of.try_emplace(tle->catalog_number, groups.size());
+      if (inserted) {
+        Group group;
+        group.id = tle->catalog_number;
+        groups.push_back(std::move(group));
+      }
+      current = it->second;
+    }
+    std::vector<Run>& runs = groups[current].runs;
+    if (!runs.empty() && runs.back().last == i &&
+        runs.back().designator == last_index) {
+      runs.back().last = i + 1;
+    } else {
+      runs.push_back(Run{i, i + 1, last_index});
+    }
+  }
+  return groups;
+}
+
+template <typename RecordAt>
+std::size_t TleCatalog::merge(std::vector<Group>& groups,
+                              const RecordAt& record_at, int num_threads) {
+  if (groups.empty()) return 0;
+  std::map<int, std::size_t> group_of;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    group_of.emplace(groups[g].id, g);
+    const auto slot = slots_.find(groups[g].id);
+    if (slot != slots_.end()) groups[g].old = &slot->second;
+  }
+
+  // Pass 2 (parallel, per satellite): add()'s duplicate rule over the old
+  // history and the new records in insertion order.  Feeds almost always
+  // append, which needs no merged list.
+  exec::parallel_for(groups.size(), num_threads, [&](std::size_t begin,
+                                                     std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      Group& group = groups[g];
+      const std::size_t old_size = group.old != nullptr ? group.old->size : 0;
+      const double* old_epochs =
+          group.old != nullptr ? epoch_column(columns_) + group.old->begin
+                               : nullptr;
+      bool have_last = old_size > 0;
+      double last = have_last ? old_epochs[old_size - 1] : 0.0;
+      std::size_t added = 0;
+      for (const Run& run : group.runs) {
+        for (std::size_t i = run.first; i < run.last && group.appends; ++i) {
+          const double epoch = record_at(i)->epoch_jd;
+          if (have_last && !lands_after(last, epoch)) {
+            group.appends = false;
+          } else {
+            last = epoch;
+            have_last = true;
+            ++added;
+          }
+        }
+      }
+      if (group.appends) {
+        group.added = added;
+        group.size = old_size + added;
+        continue;
+      }
+      std::vector<Entry>& merged = group.merged;
+      merged.reserve(old_size + added + 1);
+      for (std::size_t j = 0; j < old_size; ++j) {
+        merged.push_back(Entry{old_epochs[j], -1 - static_cast<std::ptrdiff_t>(j), 0});
+      }
+      group.added = 0;
+      for (const Run& run : group.runs) {
+        for (std::size_t i = run.first; i < run.last; ++i) {
+          const Entry entry{record_at(i)->epoch_jd, static_cast<std::ptrdiff_t>(i),
+                            run.designator};
+          const std::optional<std::size_t> at = insert_position(
+              merged.size(), entry.epoch,
+              [&](std::size_t k) { return merged[k].epoch; });
+          if (!at.has_value()) continue;
+          merged.insert(merged.begin() + static_cast<std::ptrdiff_t>(*at), entry);
+          ++group.added;
+        }
+      }
+      group.size = merged.size();
+    }
+  });
+
+  // Pass 3: merge in place when every touched satellite only appends and
+  // fits its range, else lay the catalog out once.
+  bool in_place = true;
+  for (const Group& group : groups) {
+    if (group.old == nullptr || !group.appends ||
+        group.size > group.old->capacity) {
+      in_place = false;
+      break;
+    }
+  }
+  std::map<int, Slot> next;
+  Columns target = columns_;
+  std::size_t used = used_rows_;
+  if (!in_place) {
+    next = slots_;
+    for (const Group& group : groups) next[group.id].size = group.size;
+    target = lay_out_slots(next, false, used);
+  }
+
+  // Pass 4 (parallel, per satellite): write each history's final rows.
+  const auto write = [&](const Group& group, const Slot& to) {
+    const Slot* from = group.old;
+    if (group.appends) {
+      if (from != nullptr && !in_place) {
+        copy_rows(columns_, from->begin, target, to.begin, from->size);
+      }
+      std::size_t row = to.begin + (from != nullptr ? from->size : 0);
+      for (const Run& run : group.runs) {
+        for (std::size_t i = run.first; i < run.last; ++i) {
+          store(target, row++, *record_at(i), run.designator);
+        }
+      }
+      return;
+    }
+    // Out of order: only on a relayout, so the old rows stay where they
+    // are while the history is written to its new range.
+    std::size_t row = to.begin;
+    for (const Entry& entry : group.merged) {
+      if (entry.source < 0) {
+        copy_rows(columns_, from->begin + static_cast<std::size_t>(-1 - entry.source),
+                  target, row++, 1);
+      } else {
+        store(target, row++, *record_at(static_cast<std::size_t>(entry.source)),
+              entry.designator);
+      }
+    }
+  };
+  if (in_place) {
+    exec::parallel_for(groups.size(), num_threads,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t g = begin; g < end; ++g) {
+                           write(groups[g], *groups[g].old);
+                         }
+                       });
+  } else {
+    // Every satellite moves: the untouched ones copy their rows.
+    struct Move {
+      const Slot* from = nullptr;
+      const Slot* to = nullptr;
+      const Group* group = nullptr;
+    };
+    std::vector<Move> moves;
+    moves.reserve(next.size());
+    for (const auto& [id, to] : next) {
+      const auto g = group_of.find(id);
+      const auto old = slots_.find(id);
+      moves.push_back(Move{old != slots_.end() ? &old->second : nullptr, &to,
+                           g != group_of.end() ? &groups[g->second] : nullptr});
+    }
+    exec::parallel_for(moves.size(), num_threads,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t m = begin; m < end; ++m) {
+                           const Move& move = moves[m];
+                           if (move.group != nullptr) {
+                             write(*move.group, *move.to);
+                           } else {
+                             copy_rows(columns_, move.from->begin, target,
+                                       move.to->begin, move.from->size);
+                           }
+                         }
+                       });
+  }
+
+  std::size_t added = 0;
+  for (const Group& group : groups) added += group.added;
+  if (in_place) {
+    for (const Group& group : groups) slots_.at(group.id).size = group.size;
+  } else {
+    install(target, std::move(next), used);
+  }
+  record_count_ += added;
+  return added;
+}
+
+std::size_t TleCatalog::add_all(std::span<const Tle> records) {
+  for (const Tle& tle : records) tle.validate();
+  const auto record_at = [&](std::size_t i) { return &records[i]; };
+  std::vector<Group> groups = group_records(records.size(), record_at);
+  return merge(groups, record_at, 1);
+}
+
+void TleCatalog::adopt_histories(std::vector<std::vector<Tle>> histories,
+                                 int num_threads) {
+  // Check everything before touching the catalog, so a violation leaves it
+  // unchanged.  Each history's runs of one designator are found here too,
+  // so the records need no serial grouping pass.
+  std::vector<int> ids;
+  ids.reserve(histories.size());
+  std::size_t records = 0;
+  for (const std::vector<Tle>& history : histories) {
+    if (history.empty()) {
+      throw ValidationError("adopt_histories: empty history");
+    }
+    ids.push_back(history.front().catalog_number);
+    records += history.size();
+  }
+  std::vector<std::vector<std::pair<std::size_t, std::string_view>>> runs(
+      histories.size());  // {first record, designator}
+  std::vector<std::exception_ptr> errors(histories.size());
+  exec::parallel_for(histories.size(), num_threads, [&](std::size_t begin,
+                                                        std::size_t end) {
+    for (std::size_t h = begin; h < end; ++h) {
+      try {
+        double prev_epoch = -1e18;
+        for (std::size_t k = 0; k < histories[h].size(); ++k) {
+          const Tle& tle = histories[h][k];
+          tle.validate();
+          if (tle.catalog_number != ids[h]) {
+            throw ValidationError("adopt_histories: record for satellite " +
+                                  std::to_string(tle.catalog_number) +
+                                  " in history of " + std::to_string(ids[h]));
+          }
+          if (!(tle.epoch_jd - prev_epoch >= kDuplicateEpochDays)) {
+            throw ValidationError(
+                "adopt_histories: history not epoch-sorted with duplicates "
+                "dropped for satellite " +
+                std::to_string(ids[h]));
+          }
+          prev_epoch = tle.epoch_jd;
+          if (k == 0 || tle.international_designator != runs[h].back().second) {
+            runs[h].emplace_back(k, tle.international_designator);
+          }
+        }
+      } catch (...) {
+        errors[h] = std::current_exception();
+      }
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  std::vector<int> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if ((i > 0 && sorted[i] == sorted[i - 1]) || slots_.count(sorted[i]) > 0) {
+      throw ValidationError("adopt_histories: satellite " +
+                            std::to_string(sorted[i]) + " already present");
+    }
+  }
+  // Checked: every record lands past the end of a new satellite's history,
+  // so the merge keeps them all and lays the columns out once.
+  std::vector<const Tle*> pointers;
+  pointers.reserve(records);
+  std::vector<Group> groups(histories.size());
+  for (std::size_t h = 0; h < histories.size(); ++h) {
+    const std::size_t base = pointers.size();
+    for (const Tle& tle : histories[h]) pointers.push_back(&tle);
+    groups[h].id = ids[h];
+    for (std::size_t r = 0; r < runs[h].size(); ++r) {
+      const std::size_t last =
+          r + 1 < runs[h].size() ? runs[h][r + 1].first : histories[h].size();
+      groups[h].runs.push_back(Run{base + runs[h][r].first, base + last,
+                                   intern_designator(runs[h][r].second)});
+    }
+  }
+  merge(groups, [&](std::size_t i) { return pointers[i]; }, num_threads);
+}
+
+void TleCatalog::lay_out(std::span<const int> ids,
+                         std::span<const std::size_t> records) {
+  if (ids.size() != records.size()) {
+    throw ValidationError("lay_out: one record count per satellite");
+  }
+  std::map<int, Slot> slots;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0 && ids[i] <= ids[i - 1]) {
+      throw ValidationError("lay_out: satellites not strictly ascending");
+    }
+    if (records[i] == 0) throw ValidationError("lay_out: empty history");
+    slots.emplace_hint(slots.end(), ids[i], Slot{0, records[i], 0});
+    total += records[i];
+  }
+  std::size_t used = 0;
+  const Columns columns = lay_out_slots(slots, false, used);
+  install(columns, std::move(slots), used);
+  record_count_ = total;
+}
+
+std::span<unsigned char> TleCatalog::column_bytes(int catalog_number,
+                                                  std::size_t column) {
+  const Slot& slot = slots_.at(catalog_number);
+  const std::size_t width = kColumnWidths[column];
+  return {columns_.base[column] + slot.begin * width, slot.size * width};
+}
+
+void TleCatalog::check_history(int catalog_number) const {
+  const HistoryView view = history(catalog_number);
+  if (view.empty()) {
+    throw ValidationError("check_history: no records for satellite " +
+                          std::to_string(catalog_number));
+  }
+  const std::span<const unsigned char> designators =
+      view.column_bytes(kDesignatorColumn);
+  // The designator is the one field validate() does not read, so the
+  // record is built without it.
+  Tle record;
+  record.catalog_number = catalog_number;
+  double prev_epoch = -1e18;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    std::uint32_t designator = 0;
+    std::memcpy(&designator, designators.data() + i * 4, 4);
+    if (designator >= designators_.size()) {
+      throw ValidationError("check_history: designator index out of range");
+    }
+    const std::size_t row = view.begin_ + i;
+    for (std::size_t c = 0; c < kIntColumn0; ++c) {
+      record.*kDoubleFields[c] = load<double>(columns_, c, row);
+    }
+    record.validate();
+    if (!(record.epoch_jd - prev_epoch >= kDuplicateEpochDays)) {
       throw ValidationError(
-          "adopt_history: history not epoch-sorted with duplicates dropped "
+          "check_history: history not epoch-sorted with duplicates dropped "
           "for satellite " +
           std::to_string(catalog_number));
     }
-    prev_epoch = tle.epoch_jd;
+    prev_epoch = record.epoch_jd;
   }
-  const std::size_t count = history.size();
-  const auto [it, inserted] =
-      tles_.emplace(catalog_number, std::move(history));
-  if (!inserted) {
-    throw ValidationError("adopt_history: satellite " +
-                          std::to_string(catalog_number) + " already present");
-  }
-  (void)it;
-  record_count_ += count;
-}
-
-void TleCatalog::absorb(TleCatalog&& other) {
-  const std::size_t expected = tles_.size() + other.tles_.size();
-  tles_.merge(other.tles_);  // leaves clashing satellites behind in `other`
-  if (tles_.size() != expected) {
-    throw ValidationError("absorb: satellite " +
-                          std::to_string(other.tles_.begin()->first) +
-                          " already present");
-  }
-  record_count_ += std::exchange(other.record_count_, 0);
 }
 
 std::size_t TleCatalog::add_from_text(std::string_view text) {
@@ -459,11 +1079,9 @@ std::size_t TleCatalog::add_from_text(std::string_view text,
       options.metrics);
 
   // Pass 3 (serial, file order): merge-walk the parsed records and the
-  // structural rejects by line number, committing and reporting in order.
-  // This keeps catalog contents, counters and quarantine order bit-identical
-  // at any thread count, and makes strict mode throw on the first malformed
-  // record in file order.
-  std::size_t added = 0;
+  // structural rejects by line number, reporting in order.  This keeps
+  // counters and quarantine order bit-identical at any thread count, and
+  // makes strict mode throw on the first malformed record in file order.
   std::size_t parsed_ok = 0;
   std::size_t parse_rejects = 0;
   std::size_t next_structural = 0;
@@ -488,49 +1106,39 @@ std::size_t TleCatalog::add_from_text(std::string_view text,
                  diag::RecordRef{source, failure.line_number});
     }
   };
-  // Catalog feeds group records by satellite, so consecutive commits almost
-  // always land in the same history; one cached bucket pointer saves the
-  // per-record map lookup (map nodes are stable, so the pointer survives
-  // later insertions).
-  int cached_id = 0;
-  std::vector<Tle>* cached_history = nullptr;
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    report_structural_before(records[i].line_number);
-    if (parsed[i].tle.has_value()) {
-      const Tle& tle = *parsed[i].tle;
-      ++pending_accepts;
-      ++parsed_ok;
-      if (cached_history == nullptr || tle.catalog_number != cached_id) {
-        cached_history = &tles_[tle.catalog_number];
-        cached_id = tle.catalog_number;
-        // Catalog feeds are satellite-major, so the upcoming run of records
-        // with this catalog number lower-bounds the history's final size;
-        // one reserve replaces the doubling reallocations (tens of MB of
-        // Tle copies over a full-catalog parse).  Short runs are left to
-        // normal growth so interleaved feeds never reserve per record.
-        std::size_t run = 1;
-        for (std::size_t j = i + 1;
-             j < parsed.size() && parsed[j].tle.has_value() &&
-             parsed[j].tle->catalog_number == cached_id;
-             ++j) {
-          ++run;
-        }
-        if (run >= 16 &&
-            cached_history->size() + run > cached_history->capacity()) {
-          cached_history->reserve(cached_history->size() + run);
-        }
+  // Pass 4: the accepted records go straight into the columns, once every
+  // outcome is reported (merge(), over the workers).  A strict-mode throw
+  // first adds the records before the one it reports, as committing in
+  // pass 3 would have.
+  const auto record_at = [&](std::size_t i) -> const Tle* {
+    return parsed[i].tle.has_value() ? &*parsed[i].tle : nullptr;
+  };
+  const auto commit = [&](std::size_t limit) {
+    std::vector<Group> groups = group_records(limit, record_at);
+    return merge(groups, record_at, options.num_threads);
+  };
+  std::size_t reported = 0;
+  try {
+    for (; reported < parsed.size(); ++reported) {
+      report_structural_before(records[reported].line_number);
+      if (parsed[reported].tle.has_value()) {
+        ++pending_accepts;
+        ++parsed_ok;
+      } else {
+        ++parse_rejects;
+        flush_accepts();
+        log.reject(kStage, parsed[reported].category, parsed[reported].message,
+                   std::string(records[reported].line1),
+                   diag::RecordRef{source, records[reported].line_number});
       }
-      if (insert_record(*cached_history, tle)) ++added;
-    } else {
-      ++parse_rejects;
-      flush_accepts();
-      log.reject(kStage, parsed[i].category, parsed[i].message,
-                 std::string(records[i].line1),
-                 diag::RecordRef{source, records[i].line_number});
     }
+    report_structural_before(line_number + 1);
+  } catch (...) {
+    commit(reported);
+    throw;
   }
-  report_structural_before(line_number + 1);
   flush_accepts();
+  const std::size_t added = commit(parsed.size());
   if (options.metrics != nullptr) {
     // Accumulated into locals above so the serial commit loop pays no
     // atomic traffic; one add per counter here.
@@ -560,22 +1168,22 @@ std::size_t TleCatalog::add_from_file(const std::string& path,
 
 std::vector<int> TleCatalog::satellites() const {
   std::vector<int> ids;
-  ids.reserve(tles_.size());
-  for (const auto& [id, history] : tles_) ids.push_back(id);
+  ids.reserve(slots_.size());
+  for (const auto& [id, slot] : slots_) ids.push_back(id);
   return ids;
 }
 
-std::span<const Tle> TleCatalog::history(int catalog_number) const {
-  const auto it = tles_.find(catalog_number);
-  if (it == tles_.end()) return {};
-  return it->second;
+HistoryView TleCatalog::history(int catalog_number) const {
+  const auto it = slots_.find(catalog_number);
+  if (it == slots_.end()) return {};
+  return HistoryView(this, catalog_number, it->second.begin, it->second.size);
 }
 
 double TleCatalog::last_epoch_jd() const {
   if (empty()) throw ValidationError("last_epoch_jd of empty catalog");
   double last = -1e18;
-  for (const auto& [id, history] : tles_) {
-    last = std::max(last, history.back().epoch_jd);
+  for (const auto& [id, slot] : slots_) {
+    last = std::max(last, epoch_column(columns_)[slot.begin + slot.size - 1]);
   }
   return last;
 }
@@ -583,15 +1191,15 @@ double TleCatalog::last_epoch_jd() const {
 std::string TleCatalog::to_text(int num_threads) const {
   // Every record is kTleRecordBytes long, so a prefix sum over the history
   // lengths gives each satellite's offset in the finished text.
-  std::vector<const std::vector<Tle>*> histories;
+  std::vector<HistoryView> histories;
   std::vector<std::size_t> offsets;
-  histories.reserve(tles_.size());
-  offsets.reserve(tles_.size());
+  histories.reserve(slots_.size());
+  offsets.reserve(slots_.size());
   std::size_t bytes = 0;
-  for (const auto& [id, history] : tles_) {
-    histories.push_back(&history);
+  for (const auto& [id, slot] : slots_) {
+    histories.push_back(HistoryView(this, id, slot.begin, slot.size));
     offsets.push_back(bytes);
-    bytes += history.size() * kTleRecordBytes;
+    bytes += slot.size * kTleRecordBytes;
   }
   std::string out(bytes, '\0');
   // A satellite's first unformattable record lands in its own slot; the
@@ -599,12 +1207,14 @@ std::string TleCatalog::to_text(int num_threads) const {
   std::vector<std::exception_ptr> errors(histories.size());
   exec::parallel_for(
       histories.size(), num_threads, [&](std::size_t begin, std::size_t end) {
+        Tle record;
         for (std::size_t s = begin; s < end; ++s) {
           char* at = out.data() + offsets[s];
           try {
-            for (const Tle& tle : *histories[s]) {
-              format_tle_record(tle, std::span<char, kTleRecordBytes>(
-                                         at, kTleRecordBytes));
+            for (std::size_t i = 0; i < histories[s].size(); ++i) {
+              histories[s].read(i, record);
+              format_tle_record(record, std::span<char, kTleRecordBytes>(
+                                            at, kTleRecordBytes));
               at += kTleRecordBytes;
             }
           } catch (...) {
@@ -621,9 +1231,10 @@ std::string TleCatalog::to_text(int num_threads) const {
 
 std::vector<double> TleCatalog::refresh_intervals_hours() const {
   std::vector<double> intervals;
-  for (const auto& [id, history] : tles_) {
-    for (std::size_t i = 1; i < history.size(); ++i) {
-      intervals.push_back((history[i].epoch_jd - history[i - 1].epoch_jd) * 24.0);
+  for (const auto& [id, slot] : slots_) {
+    const double* epochs = epoch_column(columns_) + slot.begin;
+    for (std::size_t i = 1; i < slot.size; ++i) {
+      intervals.push_back((epochs[i] - epochs[i - 1]) * 24.0);
     }
   }
   return intervals;

@@ -5,6 +5,10 @@
 // epoch with duplicate epochs dropped.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <span>
 #include <string>
@@ -61,31 +65,163 @@ inline constexpr double kDuplicateEpochDays = 1.0 / 86400.0;
 /// reparse, and callers must fall back to reparsing from scratch.
 [[nodiscard]] bool append_boundary_clean(std::string_view text);
 
-/// A collection of TLEs keyed by NORAD catalog number.
+/// The catalog's columns: one field of every record each, in the order
+/// memory and a .cdsnap catalog stripe hold them.  Ten doubles (the Tle
+/// members from epoch_jd to mean_motion_revday, in declaration order), the
+/// three ints (ephemeris type, element set number, revolution number), the
+/// record's index into the designator table (u32), and the classification
+/// byte.  A record's catalog number is its satellite's.
+inline constexpr std::size_t kColumnCount = 15;
+inline constexpr std::array<std::size_t, kColumnCount> kColumnWidths = {
+    8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 4, 4, 4, 4, 1};
+inline constexpr std::size_t kDesignatorColumn = 13;
+/// Bytes one record takes across the columns.
+inline constexpr std::size_t kColumnRecordBytes = 97;
+
+class TleCatalog;
+
+namespace detail {
+/// One block of memory holding every catalog column, `rows` rows each.
+struct Columns {
+  void* block = nullptr;
+  std::size_t bytes = 0;
+  std::size_t rows = 0;
+  std::array<unsigned char*, kColumnCount> base{};
+};
+}  // namespace detail
+
+/// One satellite's epoch-sorted history, read in place from the catalog's
+/// columns.  Cheap to copy; valid until the catalog next changes or moves.
+/// A whole record is built only when asked for (operator[], the iterator,
+/// read()).
+class HistoryView {
+ public:
+  HistoryView() = default;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] int catalog_number() const noexcept { return catalog_number_; }
+
+  /// Record `i` as a whole Tle.
+  [[nodiscard]] Tle operator[](std::size_t i) const {
+    Tle record;
+    read(i, record);
+    return record;
+  }
+  [[nodiscard]] Tle front() const { return (*this)[0]; }
+  [[nodiscard]] Tle back() const { return (*this)[size_ - 1]; }
+
+  /// Record `i` into `out`, reusing its designator's buffer: for loops that
+  /// build every record in turn.
+  void read(std::size_t i, Tle& out) const;
+
+  /// The columns the track layer reads, without building records.
+  [[nodiscard]] std::span<const double> epoch_jd() const noexcept;
+  [[nodiscard]] std::span<const double> mean_motion_revday() const noexcept;
+  [[nodiscard]] std::span<const double> bstar() const noexcept;
+
+  /// Column `column`'s bytes of these records (kColumnWidths[column] per
+  /// record); the designator column holds catalog-wide table indices.
+  [[nodiscard]] std::span<const unsigned char> column_bytes(
+      std::size_t column) const noexcept;
+
+  /// Walks the records oldest first, building each as a Tle.
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Tle;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Tle;
+
+    iterator() = default;
+    Tle operator*() const { return (*view_)[index_]; }
+    iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const iterator& other) const noexcept {
+      return index_ == other.index_;
+    }
+
+   private:
+    friend class HistoryView;
+    iterator(const HistoryView* view, std::size_t index)
+        : view_(view), index_(index) {}
+    const HistoryView* view_ = nullptr;
+    std::size_t index_ = 0;
+  };
+  [[nodiscard]] iterator begin() const { return {this, 0}; }
+  [[nodiscard]] iterator end() const { return {this, size_}; }
+
+ private:
+  friend class TleCatalog;
+  HistoryView(const TleCatalog* catalog, int catalog_number, std::size_t begin,
+              std::size_t size)
+      : catalog_(catalog),
+        catalog_number_(catalog_number),
+        begin_(begin),
+        size_(size) {}
+
+  const TleCatalog* catalog_ = nullptr;
+  int catalog_number_ = 0;
+  std::size_t begin_ = 0;  ///< first record's row in the columns
+  std::size_t size_ = 0;
+};
+
+/// A collection of TLEs keyed by NORAD catalog number, stored as columns.
+///
+/// Every field of every record lives in one catalog-wide array per column
+/// (kColumnWidths); each satellite owns a contiguous range of rows, its
+/// records epoch-sorted at the front and spare rows behind them.  The
+/// arrays share one block of memory, so the catalog frees in one unmap.
+///
+/// Relayout rule (DESIGN.md §13): a bulk call (text parse, add_all,
+/// adopt_histories, lay_out) merges in place when every satellite it
+/// touches only gains records past its last epoch and still fits its
+/// range, and otherwise lays the whole catalog out once:
+/// satellites in catalog-number order, each with records / 64 + 16 spare
+/// rows.  A single add() that does not fit moves only its satellite to the
+/// free rows at the end of the block, with room for twice its records; when
+/// those run out it lays the catalog out again with as many free rows as
+/// laid-out ones.  So add() costs amortised O(log satellites) for the
+/// directory plus a shift inside one history for an out-of-order epoch.
 class TleCatalog {
  public:
   TleCatalog() = default;
+  TleCatalog(const TleCatalog& other);
+  TleCatalog& operator=(const TleCatalog& other);
+  TleCatalog(TleCatalog&& other) noexcept;
+  TleCatalog& operator=(TleCatalog&& other) noexcept;
+  ~TleCatalog();
 
   /// Insert a record, keeping the per-satellite history epoch-sorted.
   /// Records with an epoch within ~1 second of an existing record for the
   /// same satellite are treated as duplicates and dropped (returns false).
   bool add(const Tle& tle);
 
-  /// Install a satellite's complete epoch-sorted history in one move — the
-  /// bulk-rebuild path snapshot deserialisation uses instead of replaying
-  /// add() per record.  The history must be non-empty, belong entirely to
-  /// `catalog_number`, be strictly epoch-sorted with no two records inside
-  /// the duplicate window, and the satellite must not already be present;
-  /// any violation throws ValidationError (callers treat that as snapshot
-  /// corruption and reparse).  The rebuilt catalog is structurally
-  /// identical to one built by add() calls in history order.
-  void adopt_history(int catalog_number, std::vector<Tle> history);
+  /// add() every record in order — the same catalog, duplicates dropped the
+  /// same way — with the columns laid out at most once.  Validates every
+  /// record first and throws ValidationError, adding none, when one fails.
+  /// Returns the number added.
+  std::size_t add_all(std::span<const Tle> records);
 
-  /// Move every satellite of `other` into this catalog without touching
-  /// its records — how the snapshot decoder joins catalog stripes that its
-  /// workers built with adopt_history.  Throws ValidationError when a
-  /// satellite is in both, leaving both catalogs unspecified.
-  void absorb(TleCatalog&& other);
+  /// Install satellites' complete epoch-sorted histories, laying the
+  /// columns out once: the bulk-build path a producer of whole histories
+  /// (the simulator) uses instead of add() per record.  Each history must
+  /// be non-empty, belong entirely to one satellite, be strictly
+  /// epoch-sorted with no two records inside the duplicate window, and no
+  /// satellite may be in two histories or already present; any violation
+  /// throws ValidationError and leaves the catalog unchanged.  Checks and
+  /// copies over `num_threads` workers (the exec convention).  The result
+  /// is identical to add() calls in history order.
+  void adopt_histories(std::vector<std::vector<Tle>> histories,
+                       int num_threads = 1);
 
   /// Parse and add records from raw text in 2-line or 3-line (name line,
   /// optionally "0 "-prefixed) format.  Returns the number added; throws
@@ -97,7 +233,9 @@ class TleCatalog {
   /// As above with diagnostics and parallel parsing.  Under a tolerant
   /// ParseLog malformed records are quarantined (stage "tle") and parsing
   /// continues; under a strict (or absent) log the first malformed record
-  /// throws ParseError naming source, line and category.
+  /// throws ParseError naming source, line and category, with every record
+  /// before it added.  Parsed records go straight into the columns (add_all's
+  /// merge, over the workers).
   std::size_t add_from_text(std::string_view text, const IngestOptions& options);
 
   /// Load a file via add_from_text (mmap-backed when available).  Throws
@@ -111,11 +249,11 @@ class TleCatalog {
   [[nodiscard]] std::vector<int> satellites() const;
 
   /// Epoch-sorted history for a satellite (empty when unknown).
-  [[nodiscard]] std::span<const Tle> history(int catalog_number) const;
+  [[nodiscard]] HistoryView history(int catalog_number) const;
 
-  [[nodiscard]] std::size_t satellite_count() const noexcept { return tles_.size(); }
+  [[nodiscard]] std::size_t satellite_count() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t record_count() const noexcept { return record_count_; }
-  [[nodiscard]] bool empty() const noexcept { return tles_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
 
   /// Latest epoch across all records.  Throws ValidationError when the
   /// catalog is empty.
@@ -134,13 +272,78 @@ class TleCatalog {
   /// ranges <1 h to 154 h with a ~12 h mean.
   [[nodiscard]] std::vector<double> refresh_intervals_hours() const;
 
- private:
-  /// Sorted-insert into one history with duplicate-window dropping (the
-  /// shared core of add() and the ingest commit loop; bumps record_count_).
-  bool insert_record(std::vector<Tle>& history, const Tle& tle);
+  // ---- column access for the .cdsnap codec (DESIGN.md §13) -----------------
 
-  std::map<int, std::vector<Tle>> tles_;
+  /// The designator table the designator column indexes.
+  [[nodiscard]] std::size_t designator_count() const noexcept {
+    return designators_.size();
+  }
+  [[nodiscard]] const std::string& designator(std::uint32_t index) const {
+    return designators_.at(index);
+  }
+  /// The table index of `designator`, adding it when new.
+  std::uint32_t intern_designator(std::string_view designator);
+
+  /// Replace the contents with satellites `ids` (strictly ascending) of
+  /// `records[i]` zero-filled records each, laid out once, for a decoder to
+  /// fill through column_bytes() and then check with check_history().
+  /// Keeps the designator table.  Throws ValidationError on unsorted or
+  /// repeated ids or an empty history.
+  void lay_out(std::span<const int> ids, std::span<const std::size_t> records);
+
+  /// Writable bytes of column `column` of satellite `catalog_number`'s
+  /// records.  Different satellites' bytes never overlap, so workers may
+  /// fill different satellites at once.
+  [[nodiscard]] std::span<unsigned char> column_bytes(int catalog_number,
+                                                      std::size_t column);
+
+  /// adopt_histories' checks on one satellite's records in place: each
+  /// record's validate(), strict epoch order outside the duplicate window,
+  /// and a designator index inside the table.  Throws ValidationError.
+  void check_history(int catalog_number) const;
+
+ private:
+  friend class HistoryView;
+
+  /// A satellite's rows: records in [begin, begin + size), spare rows up to
+  /// begin + capacity.
+  struct Slot {
+    std::size_t begin = 0;
+    std::size_t size = 0;
+    std::size_t capacity = 0;
+  };
+
+  /// Give every slot of `slots` its place in a fresh layout (catalog-number
+  /// order, size / 64 + 16 spare rows each) and allocate columns for it,
+  /// with as many free rows again when `free_rows`; `used_rows` gets the
+  /// laid-out rows.
+  static detail::Columns lay_out_slots(std::map<int, Slot>& slots,
+                                       bool free_rows, std::size_t& used_rows);
+  /// Install `columns` and `slots`, freeing the old block.
+  void install(detail::Columns columns, std::map<int, Slot> slots, std::size_t used_rows);
+  /// Give `catalog_number`'s slot room for one more record (add()'s growth
+  /// step); returns the slot, which a relayout may have replaced.
+  Slot& grow(int catalog_number);
+  /// One satellite's records in a bulk merge (catalog.cpp).
+  struct Group;
+  /// The records given by index (`record_at(i)`, nullptr = skip) grouped
+  /// by satellite in insertion order, designators interned.
+  template <typename RecordAt>
+  std::vector<Group> group_records(std::size_t count,
+                                   const RecordAt& record_at);
+  /// Merge grouped records into the columns as add() would, one after
+  /// another; returns the number added.
+  template <typename RecordAt>
+  std::size_t merge(std::vector<Group>& groups, const RecordAt& record_at,
+                    int num_threads);
+
+  std::map<int, Slot> slots_;
   std::size_t record_count_ = 0;
+  /// Rows below it hold slots; add() places moved satellites from here up.
+  std::size_t used_rows_ = 0;
+  detail::Columns columns_;
+  std::vector<std::string> designators_;
+  std::map<std::string, std::uint32_t, std::less<>> designator_index_;
 };
 
 }  // namespace cosmicdance::tle

@@ -167,7 +167,10 @@ std::size_t catalog_add_from_omm_kvn(TleCatalog& catalog, const std::string& tex
                                      diag::ParseLog* log,
                                      const std::string& source) {
   constexpr const char* kStage = "omm";
-  std::size_t added = 0;
+  // Parsed records join the catalog in one add_all() at the end (one
+  // layout of its columns); a throw first adds those before it, as one
+  // add() per record would have.
+  std::vector<Tle> parsed;
   std::string block;
   std::size_t block_start_line = 0;
   std::size_t line_number = 0;
@@ -176,7 +179,7 @@ std::size_t catalog_add_from_omm_kvn(TleCatalog& catalog, const std::string& tex
   auto flush = [&]() {
     if (block.find("NORAD_CAT_ID") != std::string::npos) {
       try {
-        if (catalog.add(from_omm_kvn(block))) ++added;
+        parsed.push_back(from_omm_kvn(block));
         if (log != nullptr) log->accept(kStage);
       } catch (const Error& error) {
         if (log == nullptr) throw;
@@ -190,20 +193,25 @@ std::size_t catalog_add_from_omm_kvn(TleCatalog& catalog, const std::string& tex
     }
     block.clear();
   };
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (trim(line).empty()) {
-      flush();
-    } else {
-      // A new message header also terminates the previous block.
-      if (line.rfind("CCSDS_OMM_VERS", 0) == 0) flush();
-      if (block.empty()) block_start_line = line_number;
-      block += line;
-      block.push_back('\n');
+  try {
+    while (std::getline(in, line)) {
+      ++line_number;
+      if (trim(line).empty()) {
+        flush();
+      } else {
+        // A new message header also terminates the previous block.
+        if (line.rfind("CCSDS_OMM_VERS", 0) == 0) flush();
+        if (block.empty()) block_start_line = line_number;
+        block += line;
+        block.push_back('\n');
+      }
     }
+    flush();
+  } catch (...) {
+    static_cast<void>(catalog.add_all(parsed));
+    throw;
   }
-  flush();
-  return added;
+  return catalog.add_all(parsed);
 }
 
 }  // namespace cosmicdance::tle

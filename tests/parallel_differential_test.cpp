@@ -11,9 +11,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,11 +28,13 @@
 #include "core/pipeline.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/thread_pool.hpp"
+#include "io/snapshot.hpp"
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/ecdf.hpp"
 #include "support/simulation_scenarios.hpp"
 #include "tle/catalog.hpp"
+#include "tle/omm.hpp"
 #include "tle/tle.hpp"
 
 namespace cosmicdance {
@@ -468,6 +473,342 @@ TEST(ParallelDifferentialTleText, UnformattableRecordThrowsAtEveryThreadCount) {
 // the join runs in a fixed order (DESIGN.md §20): the catalog's bytes, the
 // failures in order, the counts and the truth must not move with the
 // thread count.
+// ---- the columnar catalog ---------------------------------------------------
+//
+// The catalog keeps every record's fields in catalog-wide columns, and the
+// .cdsnap v9 stripes carry those columns as blocks that decode workers copy
+// straight into the laid-out catalog, each into its own satellites' rows.
+
+/// A record with every field set from (satellite, k), so a field carried to
+/// the wrong row or column shows.
+tle::Tle column_record(int catalog_number, int k) {
+  tle::Tle record;
+  record.catalog_number = catalog_number;
+  record.classification = k % 3 == 0 ? 'S' : 'U';
+  record.international_designator = k % 2 == 0 ? "20001A" : "20001B";
+  record.epoch_jd = 2460400.5 + 0.25 * k + 1e-3 * (catalog_number % 7);
+  record.mean_motion_dot = 1e-5 * (k % 5);
+  record.mean_motion_ddot = 1e-9 * (k % 3);
+  record.bstar = 1e-4 + 1e-7 * k;
+  record.ephemeris_type = k % 2;
+  record.element_set_number = 100 + k % 900;
+  record.inclination_deg = 53.0 + 0.001 * catalog_number;
+  record.raan_deg = std::fmod(10.0 + 3.7 * k, 360.0);
+  record.eccentricity = 1e-4 * (1 + k % 4);
+  record.arg_perigee_deg = std::fmod(90.0 + 1.3 * k, 360.0);
+  record.mean_anomaly_deg = std::fmod(45.0 + 5.9 * k, 360.0);
+  record.mean_motion_revday = 15.05 + 1e-4 * (k % 11);
+  record.rev_number = 1000 + k;
+  return record;
+}
+
+std::string text_of(const tle::Tle& record) {
+  const tle::TleLines lines = tle::format_tle(record);
+  return lines.line1 + "\n" + lines.line2 + "\n";
+}
+
+/// Two catalogs hold the same records with every field equal, the
+/// designator by its text.
+::testing::AssertionResult CatalogsEqual(const tle::TleCatalog& a,
+                                         const tle::TleCatalog& b) {
+  if (a.satellites() != b.satellites() || a.record_count() != b.record_count()) {
+    return ::testing::AssertionFailure() << "satellites or record counts differ";
+  }
+  for (const int id : a.satellites()) {
+    const tle::HistoryView x = a.history(id);
+    const tle::HistoryView y = b.history(id);
+    if (x.size() != y.size()) {
+      return ::testing::AssertionFailure() << "satellite " << id << " sizes differ";
+    }
+    for (std::size_t c = 0; c < tle::kColumnCount; ++c) {
+      if (c == tle::kDesignatorColumn) continue;
+      const auto p = x.column_bytes(c);
+      const auto q = y.column_bytes(c);
+      if (!std::equal(p.begin(), p.end(), q.begin(), q.end())) {
+        return ::testing::AssertionFailure()
+               << "satellite " << id << " column " << c << " differs";
+      }
+    }
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i].international_designator != y[i].international_designator) {
+        return ::testing::AssertionFailure()
+               << "satellite " << id << " record " << i << " designator differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string v9_bytes(const tle::TleCatalog& catalog, int threads) {
+  std::ostringstream out;
+  io::write_snapshot(out, io::SnapshotData{{}, catalog, {}, {}},
+                     diag::ParsePolicy::kStrict, nullptr, threads);
+  return std::move(out).str();
+}
+
+/// 60 satellites of 1 to 900 records each (several stripes), two designators
+/// and two classifications in every history of more than one record.
+const tle::TleCatalog& column_catalog() {
+  static const tle::TleCatalog catalog = [] {
+    std::string text;
+    for (int s = 0; s < 60; ++s) {
+      const int records = 1 + (s * 397) % 900;
+      for (int k = 0; k < records; ++k) text += text_of(column_record(20001 + s, k));
+    }
+    tle::TleCatalog parsed;
+    parsed.add_from_text(text);
+    return parsed;
+  }();
+  return catalog;
+}
+
+TEST(ParallelDifferentialCatalogColumns, V9BytesAndDecodedCatalogAtEveryThreadCount) {
+  const tle::TleCatalog& catalog = column_catalog();
+  const std::string serial = v9_bytes(catalog, 1);
+  const std::optional<io::SnapshotData> reference =
+      io::decode_snapshot(serial, diag::ParsePolicy::kStrict, 1);
+  ASSERT_TRUE(reference.has_value());
+  EXPECT_TRUE(CatalogsEqual(reference->catalog, catalog));
+  for (const int threads : {2, 3, 4, 8}) {
+    EXPECT_TRUE(v9_bytes(catalog, threads) == serial) << "threads=" << threads;
+    const std::optional<io::SnapshotData> decoded =
+        io::decode_snapshot(serial, diag::ParsePolicy::kStrict, threads);
+    ASSERT_TRUE(decoded.has_value()) << "threads=" << threads;
+    EXPECT_TRUE(CatalogsEqual(decoded->catalog, catalog)) << "threads=" << threads;
+    EXPECT_EQ(decoded->catalog.to_text(threads), catalog.to_text());
+    // The decoded catalog encodes to the same bytes: its designator table
+    // may be ordered differently, the stripes' tables are not.
+    EXPECT_TRUE(v9_bytes(decoded->catalog, threads) == serial);
+  }
+}
+
+TEST(ParallelDifferentialCatalogColumns, DecodePlusADailyAppendEqualsAReparseInPlace) {
+  // An append run adds a day's records, one per satellite, to the catalog
+  // a snapshot decoded.  Each satellite keeps spare rows, so they land in
+  // place: no column moves, and the catalog equals a full parse of the
+  // grown text.  Histories of 1 and of 300 records.
+  std::string base;
+  std::string day;
+  for (int i = 0; i < 40; ++i) {
+    const int records = i % 2 == 0 ? 1 : 300;
+    for (int k = 0; k < records; ++k) base += text_of(column_record(10001 + i, k));
+    day += text_of(column_record(10001 + i, records));
+  }
+  tle::TleCatalog parsed;
+  parsed.add_from_text(base);
+  for (const int threads : {1, 4}) {
+    std::optional<io::SnapshotData> decoded = io::decode_snapshot(
+        v9_bytes(parsed, 1), diag::ParsePolicy::kStrict, threads);
+    ASSERT_TRUE(decoded.has_value());
+    std::map<std::pair<int, std::size_t>, const unsigned char*> placed;
+    for (const int id : decoded->catalog.satellites()) {
+      for (std::size_t c = 0; c < tle::kColumnCount; ++c) {
+        placed[{id, c}] = decoded->catalog.history(id).column_bytes(c).data();
+      }
+    }
+    ASSERT_EQ(placed.size(), 40u * tle::kColumnCount);
+
+    EXPECT_EQ(decoded->catalog.add_from_text(
+                  day, tle::IngestOptions{nullptr, threads, "", nullptr, 1, 0}),
+              40u);
+    for (const auto& [key, data] : placed) {
+      EXPECT_EQ(decoded->catalog.history(key.first).column_bytes(key.second).data(),
+                data)
+          << "satellite " << key.first << " column " << key.second << " moved";
+    }
+    tle::TleCatalog full;
+    full.add_from_text(base + day);
+    EXPECT_TRUE(CatalogsEqual(decoded->catalog, full)) << "threads=" << threads;
+    EXPECT_EQ(decoded->catalog.to_text(), full.to_text());
+  }
+}
+
+TEST(ParallelDifferentialCatalogColumns, DesignatorsAndClassificationsRoundTripExactly) {
+  // One satellite whose records carry two designators and two
+  // classifications, and an OMM OBJECT_ID longer than a TLE's 8 columns:
+  // every record comes back with its own, through the snapshot and the
+  // OMM codec.
+  tle::TleCatalog catalog;
+  for (int k = 0; k < 12; ++k) ASSERT_TRUE(catalog.add(column_record(30001, k)));
+  tle::Tle long_id = column_record(30002, 0);
+  long_id.international_designator = "2020-001ABC-EXTENDED";
+  ASSERT_TRUE(catalog.add(long_id));
+
+  const std::optional<io::SnapshotData> decoded = io::decode_snapshot(
+      v9_bytes(catalog, 2), diag::ParsePolicy::kStrict, 2);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(CatalogsEqual(decoded->catalog, catalog));
+  const tle::HistoryView history = decoded->catalog.history(30001);
+  ASSERT_EQ(history.size(), 12u);
+  for (std::size_t k = 0; k < history.size(); ++k) {
+    const tle::Tle expected = column_record(30001, static_cast<int>(k));
+    EXPECT_EQ(history[k].international_designator, expected.international_designator);
+    EXPECT_EQ(history[k].classification, expected.classification);
+  }
+  EXPECT_EQ(decoded->catalog.history(30002).front().international_designator,
+            "2020-001ABC-EXTENDED");
+
+  const std::string kvn = tle::catalog_to_omm_kvn(catalog);
+  tle::TleCatalog from_omm;
+  EXPECT_EQ(tle::catalog_add_from_omm_kvn(from_omm, kvn), catalog.record_count());
+  EXPECT_EQ(tle::catalog_to_omm_kvn(from_omm), kvn);
+  EXPECT_EQ(from_omm.history(30002).front().international_designator,
+            "2020-001ABC-EXTENDED");
+}
+
+/// The v9 stripe at section 1 of `bytes`: where its designator table's
+/// size and its column blocks start, and its record count.
+struct StripeAt {
+  std::size_t begin = 0;  // section offset in the file
+  std::size_t length = 0;
+  std::size_t designators_at = 0;  // the u32 designator count
+  std::size_t columns_at = 0;
+  std::size_t records = 0;
+};
+
+template <typename T>
+T read_le(std::string_view bytes, std::size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void write_le(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+constexpr std::size_t kHeader = 44;
+constexpr std::size_t kEntry = 28;
+
+StripeAt first_stripe(std::string_view bytes) {
+  const auto sections = read_le<std::uint32_t>(bytes, 40);
+  const std::size_t body = kHeader + sections * kEntry;
+  StripeAt stripe;
+  stripe.begin = body + read_le<std::uint64_t>(bytes, kHeader + kEntry + 12);
+  stripe.length = read_le<std::uint64_t>(bytes, kHeader + kEntry + 20);
+  std::size_t at = stripe.begin;
+  const auto sats = read_le<std::uint64_t>(bytes, at);
+  at += 8;
+  for (std::uint64_t s = 0; s < sats; ++s) {
+    stripe.records += read_le<std::uint64_t>(bytes, at + 4);
+    at += 12;
+  }
+  stripe.designators_at = at;
+  const auto designators = read_le<std::uint32_t>(bytes, at);
+  at += 4;
+  for (std::uint32_t d = 0; d < designators; ++d) {
+    at += 4 + read_le<std::uint32_t>(bytes, at);
+  }
+  stripe.columns_at = at;
+  return stripe;
+}
+
+/// Recompute the first stripe's section hash and the table hash, so only
+/// the decoder's checks on the stripe's contents can reject the file.
+void reseal_first_stripe(std::string& bytes, const StripeAt& stripe) {
+  const auto sections = read_le<std::uint32_t>(bytes, 40);
+  write_le(bytes, kHeader + kEntry + 4,
+           io::xxh64(std::string_view(bytes).substr(stripe.begin, stripe.length)));
+  write_le(bytes, 32,
+           io::xxh64(std::string_view(bytes).substr(kHeader, sections * kEntry)));
+}
+
+TEST(ParallelDifferentialCatalogColumns, CorruptColumnBlocksReject) {
+  const std::string good = v9_bytes(column_catalog(), 1);
+  const StripeAt stripe = first_stripe(good);
+  ASSERT_GT(stripe.records, 2u);
+  ASSERT_EQ(stripe.begin + stripe.length - stripe.columns_at,
+            stripe.records * tle::kColumnRecordBytes);
+  std::size_t designator_block = stripe.columns_at;
+  for (std::size_t c = 0; c < tle::kDesignatorColumn; ++c) {
+    designator_block += stripe.records * tle::kColumnWidths[c];
+  }
+  const auto expect_rejected = [&](std::string bytes, const char* what) {
+    reseal_first_stripe(bytes, stripe);
+    for (const int threads : {1, 4}) {
+      EXPECT_FALSE(io::decode_snapshot(bytes, diag::ParsePolicy::kStrict, threads)
+                       .has_value())
+          << what << " at threads=" << threads;
+    }
+  };
+  {
+    std::string bytes = good;
+    const auto table = read_le<std::uint32_t>(bytes, stripe.designators_at);
+    write_le<std::uint32_t>(bytes, designator_block + 4, table);
+    expect_rejected(bytes, "a designator index past the stripe's table");
+  }
+  {
+    std::string bytes = good;  // the epoch block comes first
+    const auto first = read_le<double>(bytes, stripe.columns_at + 8);
+    const auto second = read_le<double>(bytes, stripe.columns_at + 16);
+    write_le(bytes, stripe.columns_at + 8, second);
+    write_le(bytes, stripe.columns_at + 16, first);
+    expect_rejected(bytes, "epochs out of order");
+  }
+  {
+    std::string bytes = good;
+    write_le<std::uint64_t>(bytes, stripe.begin + 8 + 4,
+                            stripe.length / tle::kColumnRecordBytes + 1);
+    expect_rejected(bytes, "a record count past the section");
+  }
+  {
+    std::string bytes = good;
+    write_le<std::uint64_t>(bytes, stripe.begin, stripe.length);
+    expect_rejected(bytes, "a satellite count past the section");
+  }
+  // Unchanged but resealed, the stripe still decodes: the checks above are
+  // what rejected each file.
+  std::string resealed = good;
+  reseal_first_stripe(resealed, stripe);
+  EXPECT_TRUE(io::decode_snapshot(resealed, diag::ParsePolicy::kStrict, 1).has_value());
+}
+
+TEST(ParallelDifferentialCatalogColumns, RoundRobinAddEqualsTheTextParse) {
+  // add() one record at a time in satellite round-robin (new satellites in
+  // descending order, epochs out of order, duplicates) moves satellites and
+  // lays the columns out again many times; add_all() and the text parse at
+  // any thread count lay them out once.  All give the same catalog.  The
+  // records are the text's, so the parse reads back every bit.
+  std::vector<tle::Tle> records;
+  const auto add_record = [&](int id, int k) {
+    const tle::TleLines lines = tle::format_tle(column_record(id, k));
+    records.push_back(tle::parse_tle(lines.line1, lines.line2));
+  };
+  for (int k = 0; k < 120; ++k) {
+    for (int s = 0; s < 50; ++s) {
+      const int id = 40050 - s;
+      const int records_of = 20 + s * 3;
+      if (k >= records_of) continue;
+      // Out of epoch order, repeating epochs when 7 divides records_of.
+      add_record(id, (k * 7) % records_of);
+      if (k % 9 == 0) add_record(id, (k * 7) % records_of);  // a duplicate
+    }
+  }
+  tle::TleCatalog one_by_one;
+  std::size_t added = 0;
+  std::string text;
+  for (const tle::Tle& record : records) {
+    added += one_by_one.add(record) ? 1 : 0;
+    text += text_of(record);
+  }
+  tle::TleCatalog all;
+  EXPECT_EQ(all.add_all(records), added);
+  EXPECT_TRUE(CatalogsEqual(all, one_by_one));
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    tle::TleCatalog parsed;
+    EXPECT_EQ(parsed.add_from_text(
+                  text, tle::IngestOptions{nullptr, threads, "", nullptr, 1, 0}),
+              added);
+    EXPECT_TRUE(CatalogsEqual(parsed, one_by_one)) << "threads=" << threads;
+  }
+  // A second text pass over the same records adds nothing and moves no
+  // record.
+  tle::TleCatalog twice = one_by_one;
+  EXPECT_EQ(twice.add_from_text(text), 0u);
+  EXPECT_TRUE(CatalogsEqual(twice, one_by_one));
+}
+
 TEST(ParallelDifferentialSimulation, RunIsThreadCountInvariant) {
   for (const auto& [name, config] : simulation_scenarios::small()) {
     const simulation::ConstellationSimulator simulator(config);

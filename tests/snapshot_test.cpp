@@ -644,45 +644,6 @@ TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
   }
 }
 
-TEST(SnapshotLoad, DecodedHistoriesTakeADailyAppendInPlace) {
-  // An append run adds a day's records, one or two per satellite, to the
-  // histories a snapshot decoded.  Each decoded history keeps spare
-  // capacity, so they land in place: no history moves (its records copied
-  // to a new buffer), and the catalog equals a full parse of the grown
-  // text.  Histories of 1 and of 300 records; a third get no new record.
-  const auto text_of = [](const tle::Tle& record) {
-    const tle::TleLines lines = tle::format_tle(record);
-    return lines.line1 + "\n" + lines.line2 + "\n";
-  };
-  std::string base;
-  std::string day;
-  for (int i = 0; i < 40; ++i) {
-    const int records = i % 2 == 0 ? 1 : 300;
-    for (int k = 0; k < records; ++k) base += text_of(make_tle(10001 + i, 0.25 * k));
-    if (i % 3 != 0) day += text_of(make_tle(10001 + i, 0.25 * records));
-  }
-  std::optional<io::SnapshotData> decoded = io::decode_snapshot(
-      snapshot_bytes(snapshot_data_of(base, ParsePolicy::kStrict),
-                     ParsePolicy::kStrict),
-      ParsePolicy::kStrict);
-  ASSERT_TRUE(decoded.has_value());
-  std::map<int, const tle::Tle*> placed;
-  for (const int id : decoded->catalog.satellites()) {
-    placed[id] = decoded->catalog.history(id).data();
-  }
-  ASSERT_EQ(placed.size(), 40u);
-
-  EXPECT_EQ(decoded->catalog.add_from_text(day), 26u);
-  for (const auto& [id, data] : placed) {
-    EXPECT_EQ(decoded->catalog.history(id).data(), data)
-        << "satellite " << id << "'s history moved";
-  }
-  tle::TleCatalog full;
-  full.add_from_text(base + day);
-  EXPECT_EQ(decoded->catalog.record_count(), full.record_count());
-  EXPECT_EQ(decoded->catalog.to_text(), full.to_text());
-}
-
 TEST(SnapshotV3Test, TruncatedSectionTableRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
   std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
@@ -757,8 +718,8 @@ TEST(SnapshotFormat, BytesArePinned) {
   // digest together.
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
   const std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  EXPECT_EQ(io::kSnapshotFormatVersion, 8u);
-  EXPECT_EQ(io::xxh64(bytes), 0x71306BC1E3F10DB2ULL)
+  EXPECT_EQ(io::kSnapshotFormatVersion, 9u);
+  EXPECT_EQ(io::xxh64(bytes), 0xC98AF3F963F0A2D7ULL)
       << std::hex << io::xxh64(bytes);
 }
 
@@ -795,15 +756,16 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
 /// so each satellite is one catalog stripe.
 io::SnapshotData stripe_per_satellite_data(int satellites) {
   constexpr int kRecords = 16384;
-  tle::TleCatalog catalog;
+  std::vector<std::vector<tle::Tle>> histories(static_cast<std::size_t>(satellites));
   for (int s = 0; s < satellites; ++s) {
-    std::vector<tle::Tle> history;
+    std::vector<tle::Tle>& history = histories[static_cast<std::size_t>(s)];
     history.reserve(kRecords);
     for (int k = 0; k < kRecords; ++k) {
       history.push_back(make_tle(10001 + s, 0.01 * k));
     }
-    catalog.adopt_history(10001 + s, std::move(history));
   }
+  tle::TleCatalog catalog;
+  catalog.adopt_histories(std::move(histories));
   return io::SnapshotData{{}, std::move(catalog), {}, {}};
 }
 
@@ -1088,6 +1050,28 @@ TEST(SnapshotHash, Xxh64KnownAnswers) {
   // The empty state records the empty input's hash.
   const io::IngestState empty;
   EXPECT_EQ(empty.tle_hash, io::kXxh64Empty);
+}
+
+TEST(SnapshotHash, PlainDigestEqualsTheFingerprintsAtEveryLength) {
+  // xxh64 runs the plain XXH64 loop; the fingerprint fuses a newline count
+  // into its own.  Both must give the same digest: every stripe remainder
+  // and tail length up to 257 bytes, then a few inputs of several MiB.
+  std::string bytes;
+  Rng rng(24);
+  for (std::size_t n = 0; n <= 257; ++n) {
+    const std::string_view prefix(bytes);
+    EXPECT_EQ(io::xxh64(prefix),
+              io::classify_inputs(io::IngestState{}, prefix).current.tle_hash)
+        << "length " << n;
+    bytes.push_back(n % 7 == 0 ? '\n' : static_cast<char>(rng.uniform_int(0, 255)));
+  }
+  for (const std::size_t mib : {1, 3, 5}) {
+    std::string big((mib << 20) + mib * 13, '\0');
+    for (char& c : big) c = static_cast<char>(rng.uniform_int(0, 255));
+    EXPECT_EQ(io::xxh64(big),
+              io::classify_inputs(io::IngestState{}, big).current.tle_hash)
+        << mib << " MiB";
+  }
 }
 
 TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {

@@ -234,30 +234,35 @@ TEST(CatalogTest, SeparateSatellites) {
   EXPECT_TRUE(catalog.history(300).empty());
 }
 
-TEST(CatalogTest, AbsorbMovesWholeSatellitesAndRejectsOverlap) {
-  // How the snapshot decoder joins the catalog stripes its workers built:
-  // the result equals one catalog built from all the records, and a
-  // satellite carried by two stripes is corruption.
+TEST(CatalogTest, AdoptHistoriesJoinsWholeSatellitesAndRejectsOverlap) {
+  // How the simulator hands over its satellites' histories: joined to a
+  // catalog that holds others, the result equals one catalog built from
+  // all the records by add(); a satellite already present, or in two
+  // histories, throws and leaves the catalog as it was.
   const double jd0 = timeutil::to_julian(timeutil::make_datetime(2023, 1, 1));
   TleCatalog whole;
   TleCatalog first;
-  TleCatalog second;
+  std::vector<std::vector<Tle>> histories(2);
   for (const int sat : {100, 300}) {
     for (int day = 0; day < 3; ++day) {
       whole.add(make_tle(sat, jd0 + day));
-      first.add(make_tle(sat, jd0 + day));
+      histories[sat == 100 ? 0 : 1].push_back(make_tle(sat, jd0 + day));
     }
   }
   whole.add(make_tle(200, jd0));
-  second.add(make_tle(200, jd0));
-  first.absorb(std::move(second));
+  first.add(make_tle(200, jd0));
+  first.adopt_histories(histories, 2);
   EXPECT_EQ(first.record_count(), whole.record_count());
   EXPECT_EQ(first.satellites(), whole.satellites());
   EXPECT_EQ(first.to_text(), whole.to_text());
 
-  TleCatalog clash;
-  clash.add(make_tle(300, jd0 + 7.0));
-  EXPECT_THROW(first.absorb(std::move(clash)), ValidationError);
+  const std::string before = first.to_text();
+  EXPECT_THROW(first.adopt_histories({{make_tle(300, jd0 + 7.0)}}),
+               ValidationError);
+  EXPECT_THROW(first.adopt_histories({{make_tle(400, jd0)}, {make_tle(400, jd0 + 1.0)}}),
+               ValidationError);
+  EXPECT_EQ(first.to_text(), before);
+  EXPECT_EQ(first.record_count(), whole.record_count());
 }
 
 TEST(CatalogTest, EpochBounds) {

@@ -328,6 +328,7 @@ TEST_F(BenchCompareTest, BadUsageExitsTwo) {
 
 TEST(CliThreadsTest, CliRejectsNegativeThreadsWithAUsageError) {
   const std::string out_dir = ::testing::TempDir() + "cd_cli_threads";
+  std::filesystem::remove_all(out_dir);  // what an older build left behind
   const CommandResult result = run_command(
       std::string("'") + COSMICDANCE_CLI_BINARY +
       "' analyze --dst missing.wdc --tles missing.tle --out-dir '" + out_dir +
@@ -337,6 +338,8 @@ TEST(CliThreadsTest, CliRejectsNegativeThreadsWithAUsageError) {
       << result.output;
   EXPECT_NE(result.output.find("non-negative"), std::string::npos)
       << result.output;
+  EXPECT_FALSE(std::filesystem::exists(out_dir))
+      << "a rejected run left its --out-dir behind";
 }
 
 TEST(CliThreadsTest, DaemonRejectsNegativeThreadsBeforeListening) {

@@ -249,10 +249,12 @@ int cmd_analyze(const io::ArgParser& args) {
   args.check_known({"dst", "tles", "out-dir", "threads", "parse-policy",
                     "quality-report", "metrics", "trace", "cache-dir"});
   const std::string out_dir = require(args, "out-dir");
-  std::filesystem::create_directories(out_dir);
   obs::Metrics observability;
   obs::Metrics* metrics = wants_observability(args) ? &observability : nullptr;
   core::CosmicDance pipeline = load_pipeline(args, metrics);
+  // Only once the options and inputs have checked out, so a rejected run
+  // leaves nothing behind.
+  std::filesystem::create_directories(out_dir);
   auto path = [&](const char* name) { return out_dir + "/" + name; };
 
   {

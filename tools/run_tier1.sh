@@ -91,8 +91,11 @@ cmake --build build-tsan -j "$JOBS" \
 # The Snapshot and DeltaSnapshot suites run every cache path (cold, exact
 # hit, append, stale) with the background save sharing the parsed inputs.
 # CleanTrackDigest builds and cleans every track at 1-8 threads.
+# ParallelDifferentialCatalogColumns has pool workers write disjoint row
+# ranges of one catalog's columns: the v9 decode, the text parse's merge
+# and its relayout, at 1-8 threads.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
+      -R 'ParallelDifferential|ParallelDifferentialCatalogColumns|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
@@ -111,9 +114,12 @@ cmake --build build-asan -j "$JOBS" \
 # ParallelDifferentialEcdfPoints drives the fig10 ECDF selection's
 # histogram and gather indexing over ties, infinities, signed zeros, NaN
 # and samples of one value; the ParallelDifferentialTleText suite in the
-# same binary matches 'Tle' and rides along.
+# same binary matches 'Tle' and rides along.  ParallelDifferentialCatalogColumns
+# feeds the v9 decoder column blocks with a designator index past its table,
+# epochs out of order and counts past the section, and copies column rows
+# between satellites' ranges.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance

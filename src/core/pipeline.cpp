@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string_view>
 
 #include "io/file.hpp"
 #include "io/snapshot.hpp"
@@ -130,25 +129,29 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     // from the line after it.  A cold or stale run's empty base makes that
     // the whole file from line 1; an append run parses only the tail, and
     // the values, counters, quarantine order — and the first strict-mode
-    // throw — equal a full reparse of the grown file.
-    const std::string_view tail = tle_file->view().substr(data.state.tle_len);
+    // throw — equal a full reparse of the grown file.  The parse drops each
+    // shard's pages of the mapping once parsed.
+    const auto base_len = static_cast<std::size_t>(data.state.tle_len);
     if (match == io::InputMatch::kAppend && config.metrics != nullptr) {
       config.metrics->counter("ingest.delta_hit").add(1);
-      config.metrics->counter("ingest.tail_bytes").add(tail.size());
+      config.metrics->counter("ingest.tail_bytes").add(tle_file->size() - base_len);
     }
     diag::ParseLog tle_log(config.parse_policy);
     {
       const obs::ScopedPhase phase(config.metrics, "ingest.tle");
       data.catalog.add_from_text(
-          tail, tle::IngestOptions{&tle_log, config.num_threads, tle_path,
-                                   config.metrics,
-                                   static_cast<std::size_t>(base_lines) + 1});
+          *tle_file, base_len,
+          tle::IngestOptions{&tle_log, config.num_threads, tle_path,
+                             config.metrics,
+                             static_cast<std::size_t>(base_lines) + 1});
     }
     quality.merge(tle_log.report());
     if (use_cache) {
       if (!cls.has_value()) {
+        // A cold run hashes the input after the parse: it drops each
+        // window's pages too, so the input never comes back whole.
         const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-        cls = io::classify_inputs(io::IngestState{}, tle_file->view());
+        cls = io::classify_inputs(io::IngestState{}, *tle_file);
       }
       data.state = cls->current;
     }

@@ -54,153 +54,20 @@ inline bool has_newline_69(const char* p) {
 }
 #endif
 
-// A paired two-line record located in its source, plus structural rejects
-// found while pairing.  The lines are views into the caller's text (a file
-// mapping on the fast path) — nothing is copied until a record is rejected
-// and its snippet materialised.
-struct RawRecord {
-  std::string_view line1;
-  std::string_view line2;
-  std::size_t line_number = 0;  // 1-based line number of line1
-};
-
-// A pairing failure found in pass 1.  Deferred (not reported immediately)
-// so pass 3 can interleave it with parse failures in file order: strict
-// mode must throw on the *first* bad record in the file, not on the first
-// structural one.
-struct StructuralReject {
-  std::size_t line_number = 0;
-  ErrorCategory category = ErrorCategory::kSyntax;
-  std::string message;
-  std::string snippet;
-};
-
-// Result of parsing one RawRecord: either a TLE or a categorised failure.
-struct ParsedRecord {
-  std::optional<Tle> tle;
-  ErrorCategory category = ErrorCategory::kSyntax;
-  std::string message;
-};
-
-ParsedRecord parse_record(const RawRecord& record) {
-  ParsedRecord parsed;
-  try {
-    parsed.tle = parse_tle(record.line1, record.line2);
-  } catch (const ParseError& error) {
-    parsed.category = error.category();
-    parsed.message = error.what();
-  } catch (const ValidationError& error) {
-    parsed.category = ErrorCategory::kRange;
-    parsed.message = error.what();
-  }
-  return parsed;
-}
-
-// ---- sharded pass-1 scan ----------------------------------------------------
+// ---- the fused scan and parse -----------------------------------------------
 //
-// The pairing scan is almost embarrassingly parallel: every line either
+// The text splits into shards at line starts, and each shard pairs its own
+// lines and parses every record straight into its rows of one staging
+// block.  Pairing is almost embarrassingly parallel: every line either
 // starts a record (a line 1), completes one (a line 2), or clears the
 // pairing state (anything else).  The only cross-shard coupling is the
-// pending line 1 a shard may carry into its successor — and that state can
+// pending line 1 a shard may carry into its successor, and that state can
 // influence the handling of exactly one line, the successor's *first*
-// non-empty one.  Each shard is therefore scanned independently assuming no
-// carried state, remembering how its first non-empty line was classified;
-// a serial stitch afterwards replays the carried state across the shard
-// edges and patches that one line's outcome.
-
-// How a shard's first non-empty line would be handled by the serial scan —
-// the only decision that depends on the pairing state carried in.
-enum class FirstLine : std::uint8_t {
-  kNone,        // shard has no non-empty lines: carried state passes through
-  kLine1,       // a well-formed line 1: overwrites any carried pending
-  kLine2,       // a well-formed line 2: pairs with a carried pending line 1
-  kMalformed2,  // "2 "-lead line of the wrong length: rejects a carried pending
-  kOther,       // a name line: silently clears any carried pending
-};
-
-struct ShardScan {
-  std::vector<RawRecord> records;            // line numbers local to the shard
-  std::vector<StructuralReject> structural;  // ditto, ascending
-  std::size_t lines = 0;              // count of lines starting in this shard
-  std::string_view pending_line1;     // unpaired line 1 left at shard end
-  std::size_t pending_line = 0;       // its local 1-based line number
-  std::string_view first_view;        // the first non-empty line
-  std::size_t first_line = 0;         // its local 1-based line number
-  FirstLine first = FirstLine::kNone;
-};
-
-// Scan one shard exactly like the serial pass-1 loop, with local line
-// numbers and no pairing state carried in.  When the first non-empty line
-// is a lone line 2 it is quarantined here (structural.front()) just as a
-// from-zero scan would; the stitch converts that reject into a paired
-// record when the previous shard carries a pending line 1 across the edge.
-ShardScan scan_shard(std::string_view text) {
-  ShardScan scan;
-  scan.records.reserve(text.size() / 140 + 1);
-  for (std::size_t pos = 0; pos < text.size();) {
-    std::size_t eol;
-#if defined(__SSE2__)
-    // Standard-width fast path: a 69-char line ends exactly at pos+69, and
-    // the vector check proves no earlier newline, so the general search is
-    // skipped for the overwhelmingly common case.
-    if (pos + 69 < text.size() && text[pos + 69] == '\n' &&
-        !has_newline_69(text.data() + pos)) {
-      eol = pos + 69;
-    } else
-#endif
-    {
-      eol = text.find('\n', pos);
-    }
-    std::string_view line = eol == std::string_view::npos
-                                ? text.substr(pos)
-                                : text.substr(pos, eol - pos);
-    pos = eol == std::string_view::npos ? text.size() : eol + 1;
-    ++scan.lines;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    const bool is_first = scan.first == FirstLine::kNone;
-    if (is_first) {
-      scan.first_view = line;
-      scan.first_line = scan.lines;
-      scan.first = FirstLine::kOther;
-    }
-    if (looks_like_tle_line(line, '1')) {
-      if (is_first) scan.first = FirstLine::kLine1;
-      scan.pending_line1 = line;
-      scan.pending_line = scan.lines;
-      continue;
-    }
-    if (looks_like_tle_line(line, '2')) {
-      if (is_first) scan.first = FirstLine::kLine2;
-      if (scan.pending_line1.empty()) {
-        scan.structural.push_back({scan.lines, ErrorCategory::kStructure,
-                                   "TLE line 2 without preceding line 1",
-                                   std::string(line)});
-        continue;
-      }
-      scan.records.push_back(
-          RawRecord{scan.pending_line1, line, scan.pending_line});
-      scan.pending_line1 = {};
-      continue;
-    }
-    // With a line 1 pending, the next line must be its line 2: a "2 "-lead
-    // line of the wrong length is a truncated/corrupted record, not a
-    // satellite name (name lines only precede line 1 in 3-line format).
-    if (line.size() >= 2 && line[0] == '2' && line[1] == ' ') {
-      if (is_first) scan.first = FirstLine::kMalformed2;
-      if (!scan.pending_line1.empty()) {
-        scan.structural.push_back({scan.lines, ErrorCategory::kSyntax,
-                                   "malformed TLE line 2 (wrong length)",
-                                   std::string(line)});
-        scan.pending_line1 = {};
-        continue;
-      }
-    }
-    // Anything else is a satellite-name line (3-line format); ignore.
-    scan.pending_line1 = {};
-  }
-  return scan;
-}
+// non-empty one.  Each shard is therefore scanned assuming no carried
+// state, remembering how its first non-empty line was classified; a serial
+// stitch afterwards replays the carried state across the shard edges,
+// patches that one line's outcome and parses the record whose lines
+// straddle the edge.
 
 // Shard byte boundaries: even splits advanced to the next line start, so
 // every line lives wholly inside one shard.  Boundaries are a pure function
@@ -265,11 +132,13 @@ static_assert(column_bytes_sum() == kColumnRecordBytes);
 /// in 2 MiB at a time and frees in one munmap.
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-Columns allocate_columns(std::size_t rows) {
+/// A block of `rows` rows of the catalog columns, plus `extra_width` bytes a
+/// row for one more column behind them (extra_column()).
+Columns allocate_columns(std::size_t rows, std::size_t extra_width = 0) {
   Columns columns;
   columns.rows = rows;
   if (rows == 0) return columns;
-  const std::size_t bytes = rows * kColumnRecordBytes;
+  const std::size_t bytes = rows * (kColumnRecordBytes + extra_width);
   unsigned char* block = nullptr;
 #if COSMICDANCE_HAVE_MMAP
   if (bytes >= kHugePage) {
@@ -303,6 +172,11 @@ Columns allocate_columns(std::size_t rows) {
     block += rows * kColumnWidths[c];
   }
   return columns;
+}
+
+/// The column allocate_columns() placed behind the catalog columns.
+unsigned char* extra_column(const Columns& columns) {
+  return columns.base[kColumnCount - 1] + columns.rows * kColumnWidths.back();
 }
 
 void release_columns(Columns& columns) noexcept {
@@ -394,6 +268,224 @@ std::optional<std::size_t> insert_position(std::size_t size, double epoch,
   }
   return lo;
 }
+
+// ---- the staging block and the shard parse -----------------------------------
+
+/// Staging rows a shard of `bytes` bytes may fill: a record spans at least
+/// 139 bytes (two 69-character lines and the newline between them), and
+/// one more may be carried in across the shard's end.
+constexpr std::size_t staging_rows(std::size_t bytes) { return bytes / 139 + 2; }
+
+/// The parse's staging block: the catalog columns, then each row's catalog
+/// number (kColumnRecordBytes + 4 bytes a row).  Rows are written only
+/// where records land, so rows never reached cost no memory.
+struct Staging {
+  explicit Staging(std::size_t rows)
+      : columns(allocate_columns(rows, 4)), ids(extra_column(columns)) {}
+  ~Staging() { release_columns(columns); }
+  Staging(const Staging&) = delete;
+  Staging& operator=(const Staging&) = delete;
+
+  [[nodiscard]] int id(std::size_t row) const {
+    std::int32_t id = 0;
+    std::memcpy(&id, ids + row * 4, 4);
+    return id;
+  }
+
+  Columns columns;
+  unsigned char* ids = nullptr;
+};
+
+// How a shard's first non-empty line would be handled by the serial scan —
+// the only decision that depends on the pairing state carried in.
+enum class FirstLine : std::uint8_t {
+  kNone,        // shard has no non-empty lines: carried state passes through
+  kLine1,       // a well-formed line 1: overwrites any carried pending
+  kLine2,       // a well-formed line 2: pairs with a carried pending line 1
+  kMalformed2,  // "2 "-lead line of the wrong length: rejects a carried pending
+  kOther,       // a name line: silently clears any carried pending
+};
+
+/// A record that failed to parse, or a line the pairing could not place.
+/// It carries how many records its shard staged before it, so the report
+/// can batch the accepts between rejects and a strict-mode throw can commit
+/// exactly the records before the one it reports.
+struct Reject {
+  std::size_t line = 0;  // 1-based; local to the shard until the stitch
+  std::size_t staged_before = 0;
+  ErrorCategory category = ErrorCategory::kSyntax;
+  std::string message;
+  std::string snippet;
+};
+
+/// One shard's outcome.  Its records fill rows [first_row, first_row + rows)
+/// of the staging block, their designator column indexing `designators`.
+struct ShardParse {
+  std::size_t first_row = 0;
+  std::size_t rows = 0;
+  std::size_t paired = 0;      // records paired, parsed or not
+  std::size_t structural = 0;  // structural rejects in `rejects`
+  std::vector<Reject> rejects;  // file order, from rejects[skip] on
+  std::size_t skip = 0;
+  std::vector<std::string> designators;  // first-use order
+  std::map<std::string, std::uint32_t, std::less<>> designator_index;
+  std::uint32_t last_designator = 0;
+  std::size_t lines = 0;       // count of lines starting in this shard
+  std::string pending_line1;   // unpaired line 1 left at the shard's end
+  std::size_t pending_line = 0;  // its line number
+  std::string first_text;      // the first non-empty line, if a "2 " one
+  std::size_t first_line = 0;  // its line number
+  FirstLine first = FirstLine::kNone;
+
+  std::uint32_t designator_of(std::string_view designator) {
+    if (!designators.empty() && designators[last_designator] == designator) {
+      return last_designator;
+    }
+    const auto it = designator_index.find(designator);
+    if (it != designator_index.end()) return last_designator = it->second;
+    last_designator = static_cast<std::uint32_t>(designators.size());
+    designators.emplace_back(designator);
+    designator_index.emplace(std::string(designator), last_designator);
+    return last_designator;
+  }
+
+  void reject_line(std::size_t line, ErrorCategory category,
+                   const char* message, std::string_view snippet) {
+    ++structural;
+    rejects.push_back(Reject{line, rows, category, message, std::string(snippet)});
+  }
+
+  /// Parse the record on `line` into the next row, or keep why it failed.
+  void stage_record(const Staging& staging, std::string_view line1,
+                    std::string_view line2, std::size_t line) {
+    ++paired;
+    Tle tle;
+    try {
+      tle = parse_tle(line1, line2);
+    } catch (const ParseError& error) {
+      rejects.push_back(
+          Reject{line, rows, error.category(), error.what(), std::string(line1)});
+      return;
+    } catch (const ValidationError& error) {
+      rejects.push_back(
+          Reject{line, rows, ErrorCategory::kRange, error.what(), std::string(line1)});
+      return;
+    }
+    const std::size_t row = first_row + rows++;
+    store(staging.columns, row, tle, designator_of(tle.international_designator));
+    const auto id = static_cast<std::int32_t>(tle.catalog_number);
+    std::memcpy(staging.ids + row * 4, &id, 4);
+  }
+};
+
+// Scan and parse one shard exactly like the serial loop, with local line
+// numbers and no pairing state carried in.  When the first non-empty line
+// is a lone line 2 it is rejected here (rejects.front()) just as a
+// from-zero scan would; the stitch withdraws that reject when the previous
+// shard carries a pending line 1 across the edge.
+void parse_shard(std::string_view text, const Staging& staging,
+                 ShardParse& shard) {
+  std::string_view pending_line1;
+  std::string_view first_view;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol;
+#if defined(__SSE2__)
+    // Standard-width fast path: a 69-char line ends exactly at pos+69, and
+    // the vector check proves no earlier newline, so the general search is
+    // skipped for the overwhelmingly common case.
+    if (pos + 69 < text.size() && text[pos + 69] == '\n' &&
+        !has_newline_69(text.data() + pos)) {
+      eol = pos + 69;
+    } else
+#endif
+    {
+      eol = text.find('\n', pos);
+    }
+    std::string_view line = eol == std::string_view::npos
+                                ? text.substr(pos)
+                                : text.substr(pos, eol - pos);
+    pos = eol == std::string_view::npos ? text.size() : eol + 1;
+    ++shard.lines;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
+    const bool is_first = shard.first == FirstLine::kNone;
+    if (is_first) {
+      first_view = line;
+      shard.first_line = shard.lines;
+      shard.first = FirstLine::kOther;
+    }
+    if (looks_like_tle_line(line, '1')) {
+      if (is_first) shard.first = FirstLine::kLine1;
+      pending_line1 = line;
+      shard.pending_line = shard.lines;
+      continue;
+    }
+    if (looks_like_tle_line(line, '2')) {
+      if (is_first) shard.first = FirstLine::kLine2;
+      if (pending_line1.empty()) {
+        shard.reject_line(shard.lines, ErrorCategory::kStructure,
+                          "TLE line 2 without preceding line 1", line);
+        continue;
+      }
+      shard.stage_record(staging, pending_line1, line, shard.pending_line);
+      pending_line1 = {};
+      continue;
+    }
+    // With a line 1 pending, the next line must be its line 2: a "2 "-lead
+    // line of the wrong length is a truncated/corrupted record, not a
+    // satellite name (name lines only precede line 1 in 3-line format).
+    if (line.size() >= 2 && line[0] == '2' && line[1] == ' ') {
+      if (is_first) shard.first = FirstLine::kMalformed2;
+      if (!pending_line1.empty()) {
+        shard.reject_line(shard.lines, ErrorCategory::kSyntax,
+                          "malformed TLE line 2 (wrong length)", line);
+        pending_line1 = {};
+        continue;
+      }
+    }
+    // Anything else is a satellite-name line (3-line format); ignore.
+    pending_line1 = {};
+  }
+  // The stitch reads these after the shard's pages may have been dropped.
+  shard.pending_line1 = pending_line1;
+  if (shard.first == FirstLine::kLine2 || shard.first == FirstLine::kMalformed2) {
+    shard.first_text = first_view;
+  }
+}
+
+/// The staged rows as merge() reads them.  A run of one satellite's rows
+/// sharing a designator lands as one slice copy per column.
+struct StagedSource {
+  const Columns& staging;
+
+  [[nodiscard]] double epoch(std::size_t row) const {
+    return epoch_column(staging)[row];
+  }
+  void store_run(const Columns& target, std::size_t row, std::size_t first,
+                 std::size_t last, std::uint32_t designator) const {
+    copy_rows(staging, first, target, row, last - first);
+    unsigned char* const at = target.base[kDesignatorColumn] + row * 4;
+    for (std::size_t k = 0; k < last - first; ++k) {
+      std::memcpy(at + k * 4, &designator, 4);
+    }
+  }
+};
+
+/// Whole records as merge() reads them: `record_at(i)` is record i.
+template <typename RecordAt>
+struct TleSource {
+  RecordAt record_at;
+
+  [[nodiscard]] double epoch(std::size_t i) const {
+    return record_at(i)->epoch_jd;
+  }
+  void store_run(const Columns& target, std::size_t row, std::size_t first,
+                 std::size_t last, std::uint32_t designator) const {
+    for (std::size_t i = first; i < last; ++i) {
+      store(target, row++, *record_at(i), designator);
+    }
+  }
+};
 
 }  // namespace
 
@@ -604,46 +696,40 @@ struct TleCatalog::Group {
   std::vector<Entry> merged;  // the whole history, when not appends
 };
 
-template <typename RecordAt>
-std::vector<TleCatalog::Group> TleCatalog::group_records(
-    std::size_t count, const RecordAt& record_at) {
+template <typename Each>
+std::vector<TleCatalog::Group> TleCatalog::group_records(const Each& each) {
   std::vector<Group> groups;
   std::map<int, std::size_t> group_of;
   std::size_t current = 0;
   const std::string* last_designator = nullptr;
-  std::uint32_t last_index = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Tle* tle = record_at(i);
-    if (tle == nullptr) continue;
-    if (last_designator == nullptr ||
-        *last_designator != tle->international_designator) {
-      last_index = intern_designator(tle->international_designator);
+  std::uint32_t designator = 0;
+  each([&](std::size_t i, int catalog_number, const std::string& text) {
+    if (last_designator == nullptr || *last_designator != text) {
+      designator = intern_designator(text);
     }
-    last_designator = &tle->international_designator;
-    if (groups.empty() || groups[current].id != tle->catalog_number) {
-      const auto [it, inserted] =
-          group_of.try_emplace(tle->catalog_number, groups.size());
+    last_designator = &text;
+    if (groups.empty() || groups[current].id != catalog_number) {
+      const auto [it, inserted] = group_of.try_emplace(catalog_number, groups.size());
       if (inserted) {
         Group group;
-        group.id = tle->catalog_number;
+        group.id = catalog_number;
         groups.push_back(std::move(group));
       }
       current = it->second;
     }
     std::vector<Run>& runs = groups[current].runs;
-    if (!runs.empty() && runs.back().last == i &&
-        runs.back().designator == last_index) {
+    if (!runs.empty() && runs.back().last == i && runs.back().designator == designator) {
       runs.back().last = i + 1;
     } else {
-      runs.push_back(Run{i, i + 1, last_index});
+      runs.push_back(Run{i, i + 1, designator});
     }
-  }
+  });
   return groups;
 }
 
-template <typename RecordAt>
-std::size_t TleCatalog::merge(std::vector<Group>& groups,
-                              const RecordAt& record_at, int num_threads) {
+template <typename Source>
+std::size_t TleCatalog::merge(std::vector<Group>& groups, const Source& source,
+                              int num_threads) {
   if (groups.empty()) return 0;
   std::map<int, std::size_t> group_of;
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -668,7 +754,7 @@ std::size_t TleCatalog::merge(std::vector<Group>& groups,
       std::size_t added = 0;
       for (const Run& run : group.runs) {
         for (std::size_t i = run.first; i < run.last && group.appends; ++i) {
-          const double epoch = record_at(i)->epoch_jd;
+          const double epoch = source.epoch(i);
           if (have_last && !lands_after(last, epoch)) {
             group.appends = false;
           } else {
@@ -691,7 +777,7 @@ std::size_t TleCatalog::merge(std::vector<Group>& groups,
       group.added = 0;
       for (const Run& run : group.runs) {
         for (std::size_t i = run.first; i < run.last; ++i) {
-          const Entry entry{record_at(i)->epoch_jd, static_cast<std::ptrdiff_t>(i),
+          const Entry entry{source.epoch(i), static_cast<std::ptrdiff_t>(i),
                             run.designator};
           const std::optional<std::size_t> at = insert_position(
               merged.size(), entry.epoch,
@@ -733,9 +819,8 @@ std::size_t TleCatalog::merge(std::vector<Group>& groups,
       }
       std::size_t row = to.begin + (from != nullptr ? from->size : 0);
       for (const Run& run : group.runs) {
-        for (std::size_t i = run.first; i < run.last; ++i) {
-          store(target, row++, *record_at(i), run.designator);
-        }
+        source.store_run(target, row, run.first, run.last, run.designator);
+        row += run.last - run.first;
       }
       return;
     }
@@ -747,8 +832,8 @@ std::size_t TleCatalog::merge(std::vector<Group>& groups,
         copy_rows(columns_, from->begin + static_cast<std::size_t>(-1 - entry.source),
                   target, row++, 1);
       } else {
-        store(target, row++, *record_at(static_cast<std::size_t>(entry.source)),
-              entry.designator);
+        const auto i = static_cast<std::size_t>(entry.source);
+        source.store_run(target, row++, i, i + 1, entry.designator);
       }
     }
   };
@@ -801,9 +886,12 @@ std::size_t TleCatalog::merge(std::vector<Group>& groups,
 
 std::size_t TleCatalog::add_all(std::span<const Tle> records) {
   for (const Tle& tle : records) tle.validate();
-  const auto record_at = [&](std::size_t i) { return &records[i]; };
-  std::vector<Group> groups = group_records(records.size(), record_at);
-  return merge(groups, record_at, 1);
+  std::vector<Group> groups = group_records([&](const auto& add) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      add(i, records[i].catalog_number, records[i].international_designator);
+    }
+  });
+  return merge(groups, TleSource{[&](std::size_t i) { return &records[i]; }}, 1);
 }
 
 void TleCatalog::adopt_histories(std::vector<std::vector<Tle>> histories,
@@ -880,7 +968,8 @@ void TleCatalog::adopt_histories(std::vector<std::vector<Tle>> histories,
                                    intern_designator(runs[h][r].second)});
     }
   }
-  merge(groups, [&](std::size_t i) { return pointers[i]; }, num_threads);
+  merge(groups, TleSource{[&](std::size_t i) { return pointers[i]; }},
+        num_threads);
 }
 
 void TleCatalog::lay_out(std::span<const int> ids,
@@ -951,6 +1040,19 @@ std::size_t TleCatalog::add_from_text(std::string_view text) {
 
 std::size_t TleCatalog::add_from_text(std::string_view text,
                                       const IngestOptions& options) {
+  return parse_text(text, options, nullptr, 0);
+}
+
+std::size_t TleCatalog::add_from_text(const io::MappedFile& file,
+                                      std::size_t offset,
+                                      const IngestOptions& options) {
+  return parse_text(file.view().substr(offset), options, &file, offset);
+}
+
+std::size_t TleCatalog::parse_text(std::string_view text,
+                                   const IngestOptions& options,
+                                   const io::MappedFile* mapping,
+                                   std::size_t offset) {
   const obs::ScopedPhase obs_phase(options.metrics, "tle.add_from_text");
   const std::string source = options.source.empty() ? "<text>" : options.source;
   // Without a caller-supplied log, a local strict one reproduces the
@@ -958,190 +1060,160 @@ std::size_t TleCatalog::add_from_text(std::string_view text,
   diag::ParseLog fallback;
   diag::ParseLog& log = options.log != nullptr ? *options.log : fallback;
 
-  // Pass 1 (parallel): split the text into shards at line starts, scan each
-  // independently, then stitch the shard edges serially.  Shard boundaries
-  // are a pure function of (text size, shard count), each shard's scan sees
-  // a fixed byte range, and the stitch is serial in shard order — so the
-  // paired records and structural rejects are bit-identical to one serial
-  // scan at any shard or thread count (tests/ingestion_fuzz_test.cpp drives
-  // the differential across both axes).
+  // Scan (parallel): split the text into shards at line starts; each pairs
+  // and parses its own lines into its rows of the staging block and, over
+  // a mapping, drops the shard's pages once parsed.  Shard boundaries are a
+  // pure function of (text size, shard count), each shard sees a fixed byte
+  // range, and the stitch below is serial in shard order, so the records
+  // and rejects are bit-identical to one serial scan at any shard or thread
+  // count (tests/ingestion_fuzz_test.cpp and parallel_differential_test.cpp
+  // drive the differential across both axes).
   const std::size_t shard_count = resolve_shard_count(text, options);
   const std::vector<std::size_t> starts = shard_starts(text, shard_count);
-  std::vector<ShardScan> scans(shard_count);
-  exec::parallel_for(
-      shard_count, options.num_threads,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t stop =
-              i + 1 < shard_count ? starts[i + 1] : text.size();
-          scans[i] = scan_shard(text.substr(starts[i], stop - starts[i]));
+  const auto stop_of = [&](std::size_t i) {
+    return i + 1 < shard_count ? starts[i + 1] : text.size();
+  };
+  std::vector<ShardParse> shards(shard_count);
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < shard_count; ++i) {
+    shards[i].first_row = rows;
+    rows += staging_rows(stop_of(i) - starts[i]);
+  }
+  const Staging staging(rows);
+  {
+    const obs::ScopedPhase phase(options.metrics, "tle.scan");
+    exec::parallel_for(
+        shard_count, options.num_threads,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            parse_shard(text.substr(starts[i], stop_of(i) - starts[i]), staging,
+                        shards[i]);
+            if (mapping != nullptr) {
+              mapping->drop_pages(offset + starts[i], offset + stop_of(i));
+            }
+          }
+        },
+        options.metrics);
+
+    // Stitch (serial, shard order): number each shard's lines globally and
+    // replay the carried pairing state across the shard edges.  Only a
+    // shard's first non-empty line can be affected by carried state: a
+    // carried line 1 pairs with a leading line 2 (withdrawing the shard's
+    // local "line 2 without preceding line 1" reject, rejects.front() by
+    // construction), is rejected by a leading malformed "2 "-lead line, or
+    // is silently dropped — exactly the serial scan's behaviour at that
+    // line.  A carried record and its outcome belong to the shard holding
+    // its line 1, whose last non-empty line it is.
+    constexpr std::size_t kNoCarry = static_cast<std::size_t>(-1);
+    std::size_t carry = kNoCarry;  // the shard holding a pending line 1
+    std::size_t carry_line = 0;
+    std::size_t line_number = options.first_line - 1;
+    for (std::size_t i = 0; i < shard_count; ++i) {
+      ShardParse& shard = shards[i];
+      if (carry != kNoCarry && shard.first != FirstLine::kNone) {
+        ShardParse& holder = shards[carry];
+        if (shard.first == FirstLine::kLine2) {
+          shard.skip = 1;
+          --shard.structural;
+          holder.stage_record(staging, holder.pending_line1, shard.first_text,
+                              carry_line);
+        } else if (shard.first == FirstLine::kMalformed2) {
+          holder.reject_line(line_number + shard.first_line, ErrorCategory::kSyntax,
+                             "malformed TLE line 2 (wrong length)",
+                             shard.first_text);
         }
-      },
-      options.metrics);
+        carry = kNoCarry;  // paired, rejected, overwritten or cleared
+      }
+      for (std::size_t r = shard.skip; r < shard.rejects.size(); ++r) {
+        shard.rejects[r].line += line_number;
+      }
+      if (!shard.pending_line1.empty()) {
+        carry = i;
+        carry_line = line_number + shard.pending_line;
+      }
+      line_number += shard.lines;
+    }
+    if (carry != kNoCarry) {
+      shards[carry].reject_line(carry_line, ErrorCategory::kStructure,
+                                "dangling TLE line 1 at end of input",
+                                shards[carry].pending_line1);
+    }
+  }
   if (options.metrics != nullptr) {
     // Shard count tracks the worker count, so it is a scheduling counter —
     // outside the work-counter determinism contract (DESIGN.md §11).
     options.metrics->sched_counter("tle.scan_shards").add(shard_count);
+    std::size_t paired = 0;
+    std::size_t structural = 0;
+    for (const ShardParse& shard : shards) {
+      paired += shard.paired;
+      structural += shard.structural;
+    }
+    options.metrics->counter("tle.records_paired").add(paired);
+    options.metrics->counter("tle.structural_rejects").add(structural);
   }
 
-  // Stitch (serial, shard order): renumber each shard's lines into global
-  // coordinates and replay the carried pairing state across shard edges.
-  // Only a shard's first non-empty line can be affected by carried state:
-  // a carried line 1 pairs with a leading line 2 (replacing the shard's
-  // local "line 2 without preceding line 1" quarantine, which is
-  // structural.front() by construction), is rejected by a leading
-  // malformed "2 "-lead line, or is silently dropped — exactly the serial
-  // scan's behaviour at that line.
-  std::vector<RawRecord> records = std::move(scans.front().records);
-  std::vector<StructuralReject> structural = std::move(scans.front().structural);
-  {
-    std::size_t total_records = records.size();
-    std::size_t total_structural = structural.size();
-    for (std::size_t i = 1; i < shard_count; ++i) {
-      total_records += scans[i].records.size() + 1;
-      total_structural += scans[i].structural.size() + 1;
-    }
-    records.reserve(total_records);
-    structural.reserve(total_structural);
-  }
-  const std::size_t base_line = options.first_line - 1;
-  if (base_line != 0) {
-    for (RawRecord& record : records) record.line_number += base_line;
-    for (StructuralReject& reject : structural) reject.line_number += base_line;
-  }
-  std::string_view pending_line1 = scans.front().pending_line1;
-  std::size_t pending_line_number = base_line + scans.front().pending_line;
-  std::size_t line_number = base_line + scans.front().lines;
-  for (std::size_t i = 1; i < shard_count; ++i) {
-    ShardScan& shard = scans[i];
-    std::size_t skip_structural = 0;
-    if (!pending_line1.empty()) {
-      switch (shard.first) {
-        case FirstLine::kLine2:
-          // The carried line 1 pairs with the shard's leading line 2; drop
-          // the quarantine the stateless shard scan recorded for it.
-          records.push_back(RawRecord{pending_line1, shard.first_view,
-                                      pending_line_number});
-          skip_structural = 1;
-          pending_line1 = {};
-          break;
-        case FirstLine::kMalformed2:
-          structural.push_back({line_number + shard.first_line,
-                                ErrorCategory::kSyntax,
-                                "malformed TLE line 2 (wrong length)",
-                                std::string(shard.first_view)});
-          pending_line1 = {};
-          break;
-        case FirstLine::kLine1:
-        case FirstLine::kOther:
-          // Overwritten (by the shard's own scan state below) or cleared.
-          pending_line1 = {};
-          break;
-        case FirstLine::kNone:
-          break;  // transparent shard: the carried state passes through
+  // Commit: the staged rows of shards [0, last_shard) and the first
+  // `last_rows` of shard last_shard go into the columns, grouped by
+  // satellite in file order, each designator interned on first use
+  // (merge(), over the workers).
+  const auto commit = [&](std::size_t last_shard, std::size_t last_rows) {
+    const obs::ScopedPhase phase(options.metrics, "tle.commit");
+    std::vector<Group> groups = group_records([&](const auto& add) {
+      for (std::size_t s = 0; s < shard_count && s <= last_shard; ++s) {
+        const ShardParse& shard = shards[s];
+        const std::size_t end =
+            shard.first_row + (s == last_shard ? last_rows : shard.rows);
+        for (std::size_t row = shard.first_row; row < end; ++row) {
+          add(row, staging.id(row),
+              shard.designators[load<std::uint32_t>(staging.columns,
+                                                    kDesignatorColumn, row)]);
+        }
       }
-    }
-    for (const RawRecord& record : shard.records) {
-      records.push_back(RawRecord{record.line1, record.line2,
-                                  line_number + record.line_number});
-    }
-    for (std::size_t s = skip_structural; s < shard.structural.size(); ++s) {
-      StructuralReject reject = std::move(shard.structural[s]);
-      reject.line_number += line_number;
-      structural.push_back(std::move(reject));
-    }
-    if (shard.first != FirstLine::kNone) {
-      pending_line1 = shard.pending_line1;
-      pending_line_number = line_number + shard.pending_line;
-    }
-    line_number += shard.lines;
-    // The stitched vectors hold this shard's records now; free its own
-    // before the next shard's copy, so passes 2 and 3 run without them.
-    std::vector<RawRecord>().swap(shard.records);
-    std::vector<StructuralReject>().swap(shard.structural);
-  }
-  if (!pending_line1.empty()) {
-    structural.push_back({pending_line_number, ErrorCategory::kStructure,
-                          "dangling TLE line 1 at end of input",
-                          std::string(pending_line1)});
-  }
+    });
+    return merge(groups, StagedSource{staging.columns}, options.num_threads);
+  };
 
-  if (options.metrics != nullptr) {
-    options.metrics->counter("tle.records_paired").add(records.size());
-    options.metrics->counter("tle.structural_rejects").add(structural.size());
-  }
-
-  // Pass 2 (parallel): parse the paired records.  Chunk boundaries are a
-  // pure function of (count, thread count), so results are deterministic.
-  const std::vector<ParsedRecord> parsed = exec::ordered_map<ParsedRecord>(
-      records.size(), options.num_threads,
-      [&records](std::size_t i) { return parse_record(records[i]); },
-      options.metrics);
-
-  // Pass 3 (serial, file order): merge-walk the parsed records and the
-  // structural rejects by line number, reporting in order.  This keeps
-  // counters and quarantine order bit-identical at any thread count, and
-  // makes strict mode throw on the first malformed record in file order.
-  std::size_t parsed_ok = 0;
-  std::size_t parse_rejects = 0;
-  std::size_t next_structural = 0;
-  // Accepts are batched: the per-record map lookup inside ParseLog::accept
-  // is measurable on the hot path, so a run of accepted records becomes one
-  // accept(stage, n) call.  The batch is flushed before every reject so the
-  // log's observable state (including at a strict-mode throw) is identical
-  // to the historical one-call-per-record sequence.
-  std::size_t pending_accepts = 0;
-  const auto flush_accepts = [&] {
-    if (pending_accepts > 0) {
-      log.accept(kStage, pending_accepts);
-      pending_accepts = 0;
-    }
-  };
-  const auto report_structural_before = [&](std::size_t limit) {
-    while (next_structural < structural.size() &&
-           structural[next_structural].line_number < limit) {
-      const StructuralReject& failure = structural[next_structural++];
-      flush_accepts();
-      log.reject(kStage, failure.category, failure.message, failure.snippet,
-                 diag::RecordRef{source, failure.line_number});
-    }
-  };
-  // Pass 4: the accepted records go straight into the columns, once every
-  // outcome is reported (merge(), over the workers).  A strict-mode throw
-  // first adds the records before the one it reports, as committing in
-  // pass 3 would have.
-  const auto record_at = [&](std::size_t i) -> const Tle* {
-    return parsed[i].tle.has_value() ? &*parsed[i].tle : nullptr;
-  };
-  const auto commit = [&](std::size_t limit) {
-    std::vector<Group> groups = group_records(limit, record_at);
-    return merge(groups, record_at, options.num_threads);
-  };
-  std::size_t reported = 0;
+  // Report (serial, file order): each shard's rejects in turn.  Accepts are
+  // batched: the records staged between two rejects become one
+  // accept(stage, n) call, flushed before each reject, so the log's
+  // observable state (including at a strict-mode throw) is identical to
+  // one call per record.  A strict-mode throw first commits the records
+  // before the one it reports.
+  std::size_t reporting = 0;  // the shard being reported
+  std::size_t staged = 0;     // its records reported so far
   try {
-    for (; reported < parsed.size(); ++reported) {
-      report_structural_before(records[reported].line_number);
-      if (parsed[reported].tle.has_value()) {
-        ++pending_accepts;
-        ++parsed_ok;
-      } else {
-        ++parse_rejects;
-        flush_accepts();
-        log.reject(kStage, parsed[reported].category, parsed[reported].message,
-                   std::string(records[reported].line1),
-                   diag::RecordRef{source, records[reported].line_number});
+    const obs::ScopedPhase phase(options.metrics, "tle.report");
+    std::size_t pending_accepts = 0;
+    for (; reporting < shard_count; ++reporting) {
+      const ShardParse& shard = shards[reporting];
+      staged = 0;
+      for (std::size_t r = shard.skip; r < shard.rejects.size(); ++r) {
+        const Reject& reject = shard.rejects[r];
+        pending_accepts += reject.staged_before - staged;
+        staged = reject.staged_before;
+        if (pending_accepts > 0) {
+          log.accept(kStage, pending_accepts);
+          pending_accepts = 0;
+        }
+        log.reject(kStage, reject.category, reject.message, reject.snippet,
+                   diag::RecordRef{source, reject.line});
       }
+      pending_accepts += shard.rows - staged;
     }
-    report_structural_before(line_number + 1);
+    if (pending_accepts > 0) log.accept(kStage, pending_accepts);
   } catch (...) {
-    commit(reported);
+    commit(reporting, staged);
     throw;
   }
-  flush_accepts();
-  const std::size_t added = commit(parsed.size());
+  const std::size_t added = commit(shard_count, 0);
   if (options.metrics != nullptr) {
-    // Accumulated into locals above so the serial commit loop pays no
-    // atomic traffic; one add per counter here.
+    std::size_t parsed_ok = 0;
+    std::size_t parse_rejects = 0;
+    for (const ShardParse& shard : shards) {
+      parsed_ok += shard.rows;
+      parse_rejects += shard.rejects.size() - shard.skip - shard.structural;
+    }
     options.metrics->counter("tle.records_parsed").add(parsed_ok);
     options.metrics->counter("tle.records_added").add(added);
     options.metrics->counter("tle.duplicates_dropped").add(parsed_ok - added);
@@ -1152,7 +1224,7 @@ std::size_t TleCatalog::add_from_text(std::string_view text,
 
 std::size_t TleCatalog::add_from_file(const std::string& path) {
   const io::MappedFile mapped(path);
-  return add_from_text(mapped.view());
+  return add_from_text(mapped, 0, IngestOptions{});
 }
 
 std::size_t TleCatalog::add_from_file(const std::string& path,
@@ -1163,7 +1235,7 @@ std::size_t TleCatalog::add_from_file(const std::string& path,
   if (located.metrics != nullptr && mapped.is_mapped()) {
     located.metrics->counter("ingest.bytes_mapped").add(mapped.size());
   }
-  return add_from_text(mapped.view(), located);
+  return add_from_text(mapped, 0, located);
 }
 
 std::vector<int> TleCatalog::satellites() const {

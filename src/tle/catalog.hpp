@@ -18,6 +18,10 @@
 #include "diag/diag.hpp"
 #include "tle/tle.hpp"
 
+namespace cosmicdance::io {
+class MappedFile;
+}  // namespace cosmicdance::io
+
 namespace cosmicdance::obs {
 class Metrics;
 }  // namespace cosmicdance::obs
@@ -28,10 +32,10 @@ namespace cosmicdance::tle {
 struct IngestOptions {
   /// Outcome accumulator; nullptr keeps the historical strict-throw path.
   diag::ParseLog* log = nullptr;
-  /// Worker count for record parsing (the exec convention: 0 = all
-  /// hardware threads, 1 = serial).  Results and diagnostics are
-  /// bit-identical at any value — records are split serially, parsed in
-  /// parallel, and committed in input order.
+  /// Worker count for the parse (the exec convention: 0 = all hardware
+  /// threads, 1 = serial).  Results and diagnostics are bit-identical at
+  /// any value: shards are paired and parsed in parallel, their edges
+  /// stitched serially, and the records committed in input order.
   int num_threads = 1;
   /// Label for diagnostics (file path; defaults to "<text>" / the path).
   std::string source;
@@ -42,8 +46,8 @@ struct IngestOptions {
   /// fast path parses only a tail slice of a grown file and needs its
   /// diagnostics to cite absolute line numbers.
   std::size_t first_line = 1;
-  /// Shard count for the pass-1 pairing scan: 0 = auto (derived from the
-  /// resolved worker count and the text size), 1 = one serial scan, n = n
+  /// Shard count for the fused scan and parse: 0 = auto (derived from the
+  /// resolved worker count and the text size), 1 = one serial pass, n = n
   /// shards.  Outputs are bit-identical at every value — shard boundaries
   /// are resynchronised to line starts and the edges stitched serially
   /// (DESIGN.md §18); the knob exists so differential tests can pin shard
@@ -225,21 +229,30 @@ class TleCatalog {
 
   /// Parse and add records from raw text in 2-line or 3-line (name line,
   /// optionally "0 "-prefixed) format.  Returns the number added; throws
-  /// ParseError on malformed lines.  Takes a view so the zero-copy path can
-  /// pass a MappedFile's contents; the text only needs to stay alive for
-  /// the duration of the call.
+  /// ParseError on malformed lines.  Takes a view that only needs to stay
+  /// alive for the duration of the call; its memory is never advised.
   std::size_t add_from_text(std::string_view text);
 
   /// As above with diagnostics and parallel parsing.  Under a tolerant
   /// ParseLog malformed records are quarantined (stage "tle") and parsing
   /// continues; under a strict (or absent) log the first malformed record
   /// throws ParseError naming source, line and category, with every record
-  /// before it added.  Parsed records go straight into the columns (add_all's
-  /// merge, over the workers).
+  /// before it added.  Each shard of the text pairs and parses its lines
+  /// straight into its rows of one staging block; the staged rows then go
+  /// into the columns as slices of each satellite's runs (add_all's merge,
+  /// over the workers).  DESIGN.md §18.
   std::size_t add_from_text(std::string_view text, const IngestOptions& options);
 
-  /// Load a file via add_from_text (mmap-backed when available).  Throws
-  /// IoError / ParseError.
+  /// As above over the bytes of `file` from byte `offset` on (an append's
+  /// tail, or 0), dropping each shard's pages once it is parsed
+  /// (MappedFile::drop_pages), so the input is not resident beside the
+  /// staging block and the catalog.  Throws std::out_of_range when
+  /// `offset` is past the end of the file.
+  std::size_t add_from_text(const io::MappedFile& file, std::size_t offset,
+                            const IngestOptions& options);
+
+  /// Load a file via add_from_text over its mapping (mmap-backed when
+  /// available).  Throws IoError / ParseError.
   std::size_t add_from_file(const std::string& path);
 
   /// As above with diagnostics and parallel parsing.
@@ -326,16 +339,22 @@ class TleCatalog {
   Slot& grow(int catalog_number);
   /// One satellite's records in a bulk merge (catalog.cpp).
   struct Group;
-  /// The records given by index (`record_at(i)`, nullptr = skip) grouped
-  /// by satellite in insertion order, designators interned.
-  template <typename RecordAt>
-  std::vector<Group> group_records(std::size_t count,
-                                   const RecordAt& record_at);
+  /// Records grouped by satellite in insertion order: `each(add)` calls
+  /// `add(index, catalog_number, designator)` once per record, in order;
+  /// each designator is interned on first use.
+  template <typename Each>
+  std::vector<Group> group_records(const Each& each);
   /// Merge grouped records into the columns as add() would, one after
-  /// another; returns the number added.
-  template <typename RecordAt>
-  std::size_t merge(std::vector<Group>& groups, const RecordAt& record_at,
+  /// another; returns the number added.  `source.epoch(i)` reads record
+  /// i's epoch and `source.store_run(target, row, first, last, designator)`
+  /// writes records [first, last) to rows `row` on of `target`.
+  template <typename Source>
+  std::size_t merge(std::vector<Group>& groups, const Source& source,
                     int num_threads);
+  /// The text parse behind add_from_text; `mapping`, when given, is the
+  /// file `text` starts `offset` bytes into.
+  std::size_t parse_text(std::string_view text, const IngestOptions& options,
+                         const io::MappedFile* mapping, std::size_t offset);
 
   std::map<int, Slot> slots_;
   std::size_t record_count_ = 0;

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/make_tle.hpp"
 #include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/tle.hpp"
@@ -278,6 +281,66 @@ TEST(ObsDeterminismTest, DeltaPathCountersArePinnedAndBitIdenticalAcrossThreadCo
   // Bit-identity of the whole work-counter map across thread counts.
   EXPECT_EQ(reports[0].counters, reports[1].counters) << "threads 1 vs 2";
   EXPECT_EQ(reports[0].counters, reports[2].counters) << "threads 1 vs 8";
+}
+
+TEST(ObsDeterminismTest, TextParsePhasesAndCountersArePinnedAcrossThreadCounts) {
+  // A cold run times the TLE parse's three passes as phases inside
+  // tle.add_from_text, and its tle.* counters keep their values at every
+  // thread count: 33 records paired (two repeats and one bad checksum
+  // among them) and one lone line 2 rejected as structural.
+  std::string tle_text;
+  for (int i = 0; i < 30; ++i) {
+    const tle::TleLines lines =
+        tle::format_tle(test_support::make_tle(40001 + i % 6, 0.25 * i));
+    std::string record = lines.line1 + "\n" + lines.line2 + "\n";
+    tle_text += record;
+    if (i == 7 || i == 19) tle_text += record;  // repeats: duplicates dropped
+    if (i == 11) {
+      record[68] = record[68] == '0' ? '1' : '0';  // a bad line-1 checksum
+      tle_text += record;
+    }
+    if (i == 23) tle_text += lines.line2 + "\n";  // line 2 without line 1
+  }
+  std::vector<double> hours;
+  for (int h = 0; h < 3 * 24; ++h) hours.push_back(-10.0 - h % 40);
+  const std::string wdc_text = spaceweather::to_wdc(
+      spaceweather::DstIndex(timeutil::make_datetime(2024, 5, 1), hours));
+
+  std::vector<MetricsReport> reports;
+  for (const int threads : {1, 8}) {
+    const test_support::ScopedTempDir temp("cd_obs_parse_" + std::to_string(threads));
+    const std::string dst_path = temp.path() + "/dst.wdc";
+    const std::string tle_path = temp.path() + "/catalog.tle";
+    io::write_file(dst_path, wdc_text);
+    io::write_file(tle_path, tle_text);
+    core::PipelineConfig config;
+    config.num_threads = threads;
+    config.cache_dir = temp.path() + "/cache";
+    config.parse_policy = diag::ParsePolicy::kTolerant;
+    Metrics metrics;
+    config.metrics = &metrics;
+    static_cast<void>(core::CosmicDance::from_files(dst_path, tle_path, config));
+    reports.push_back(metrics.snapshot());
+  }
+
+  for (const MetricsReport& report : reports) {
+    double passes_ms = 0.0;
+    for (const char* phase : {"tle.scan", "tle.report", "tle.commit"}) {
+      ASSERT_EQ(report.phases.count(phase), 1u) << phase;
+      EXPECT_EQ(report.phases.at(phase).calls, 1u) << phase;
+      passes_ms += report.phases.at(phase).total_ms;
+    }
+    EXPECT_LE(passes_ms, report.phases.at("tle.add_from_text").total_ms + 1e-6);
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"tle.records_paired", 33},  {"tle.structural_rejects", 1},
+        {"tle.records_parsed", 32},  {"tle.parse_rejects", 1},
+        {"tle.records_added", 30},   {"tle.duplicates_dropped", 2}};
+    for (const auto& [name, value] : pinned) {
+      ASSERT_EQ(report.counters.count(name), 1u) << name;
+      EXPECT_EQ(report.counters.at(name), value) << name;
+    }
+  }
+  EXPECT_EQ(reports[0].counters, reports[1].counters) << "threads 1 vs 8";
 }
 
 // --- exporter escaping: hostile metric names must survive every format ------

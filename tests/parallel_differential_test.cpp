@@ -809,6 +809,282 @@ TEST(ParallelDifferentialCatalogColumns, RoundRobinAddEqualsTheTextParse) {
   EXPECT_TRUE(CatalogsEqual(twice, one_by_one));
 }
 
+// ---- the staged text parse --------------------------------------------------
+//
+// add_from_text pairs and parses each shard's lines straight into its rows
+// of one staging block, a serial stitch renumbers lines and parses the
+// records whose lines straddle a shard edge, and the commit lays the staged
+// rows into the columns.  At every shard count and thread count the catalog,
+// the tolerant quality report and the first strict error must be the
+// one-shard parse's.
+
+/// A column_record whose designator names its satellite, so the designator
+/// table grows as new satellites appear in the text.  It is read back from
+/// its text, so a parse of that text gives every bit of it.
+tle::Tle staged_record(int catalog_number, int k) {
+  tle::Tle record = column_record(catalog_number, k);
+  record.international_designator =
+      "D" + std::to_string(catalog_number) + (k % 2 == 0 ? "A" : "B");
+  const tle::TleLines lines = tle::format_tle(record);
+  return tle::parse_tle(lines.line1, lines.line2);
+}
+
+/// One parse of `text` onto copies of `base`: the catalog, count and report
+/// under the tolerant policy, the first error and the catalog it leaves
+/// under the strict one.
+struct StagedOutcome {
+  tle::TleCatalog tolerant;
+  std::size_t added = 0;
+  std::string quality;
+  tle::TleCatalog strict;
+  std::string error;
+};
+
+StagedOutcome staged_parse(const std::string& text, const tle::TleCatalog& base,
+                           std::size_t first_line, int shards, int threads) {
+  StagedOutcome out{base, 0, {}, base, {}};
+  diag::ParseLog tolerant(diag::ParsePolicy::kTolerant);
+  tle::IngestOptions options{&tolerant, threads, "staged.tle", nullptr,
+                             first_line, shards};
+  out.added = out.tolerant.add_from_text(text, options);
+  out.quality = tolerant.report().to_json();
+  diag::ParseLog strict(diag::ParsePolicy::kStrict);
+  options.log = &strict;
+  try {
+    out.strict.add_from_text(text, options);
+  } catch (const ParseError& error) {
+    out.error = error.what();
+  }
+  return out;
+}
+
+/// Parses `text` at 1-8 shards and 1, 4 and 8 threads and expects each
+/// outcome to equal the one-shard serial parse's, which it returns.
+StagedOutcome expect_every_geometry_matches(const std::string& text,
+                                            const tle::TleCatalog& base = {},
+                                            std::size_t first_line = 1) {
+  StagedOutcome reference = staged_parse(text, base, first_line, 1, 1);
+  for (const int threads : {1, 4, 8}) {
+    for (int shards = 1; shards <= 8; ++shards) {
+      const StagedOutcome got = staged_parse(text, base, first_line, shards, threads);
+      const std::string label =
+          "shards=" + std::to_string(shards) + " threads=" + std::to_string(threads);
+      EXPECT_TRUE(CatalogsEqual(got.tolerant, reference.tolerant)) << label;
+      EXPECT_EQ(got.tolerant.designator_count(), reference.tolerant.designator_count())
+          << label;
+      EXPECT_EQ(got.added, reference.added) << label;
+      EXPECT_EQ(got.quality, reference.quality) << label;
+      EXPECT_EQ(got.error, reference.error) << label;
+      EXPECT_TRUE(CatalogsEqual(got.strict, reference.strict)) << label;
+      EXPECT_EQ(got.strict.designator_count(), reference.strict.designator_count())
+          << label;
+    }
+  }
+  return reference;
+}
+
+/// The byte where shard `i` of `shards` starts: the even split advanced
+/// past the next newline, as add_from_text cuts the text.
+std::size_t shard_start(const std::string& text, int shards, int i) {
+  const std::size_t newline =
+      text.find('\n', text.size() * static_cast<std::size_t>(i) /
+                          static_cast<std::size_t>(shards));
+  return newline == std::string::npos ? text.size() : newline + 1;
+}
+
+/// True when a shard of `shards` holds nothing but line ends.
+bool has_blank_shard(const std::string& text, int shards) {
+  for (int i = 1; i < shards; ++i) {
+    const std::size_t end =
+        i + 1 < shards ? shard_start(text, shards, i + 1) : text.size();
+    const std::size_t start = shard_start(text, shards, i);
+    if (start < end && text.find_first_not_of("\r\n", start) >= end) return true;
+  }
+  return false;
+}
+
+std::size_t line_count(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(ParallelDifferentialStagedParse, StrictThrowInALaterShardCommitsTheRecordsBeforeIt) {
+  // Satellite after satellite, so designators keep appearing to the end of
+  // the text.  A checksum flips three quarters of the way in: a strict
+  // parse throws there, in a later shard at every shard count above one,
+  // and leaves exactly what add() of the records before it gives,
+  // designator table included.
+  std::vector<tle::Tle> records;
+  for (int s = 0; s < 40; ++s) {
+    for (int k = 0; k < 6; ++k) records.push_back(staged_record(50001 + s, k));
+  }
+  const std::size_t bad = records.size() * 3 / 4;
+  std::string text;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    std::string record = text_of(records[i]);
+    if (i == bad) record[68] = record[68] == '0' ? '1' : '0';
+    text += record;
+  }
+  ASSERT_GT(2 * bad * tle::kTleRecordBytes, text.size());
+
+  const StagedOutcome reference = expect_every_geometry_matches(text);
+  tle::TleCatalog before;
+  for (std::size_t i = 0; i < bad; ++i) ASSERT_TRUE(before.add(records[i]));
+  EXPECT_TRUE(CatalogsEqual(reference.strict, before));
+  EXPECT_EQ(reference.strict.designator_count(), before.designator_count());
+  EXPECT_LT(before.designator_count(), reference.tolerant.designator_count());
+  EXPECT_NE(reference.error.find("staged.tle:" + std::to_string(2 * bad + 1) +
+                                 ": [tle/checksum]"),
+            std::string::npos)
+      << reference.error;
+  EXPECT_EQ(reference.added, records.size() - 1);
+}
+
+TEST(ParallelDifferentialStagedParse, BlankShardsBetweenALine1AndItsLine2) {
+  // A line 1, then blank lines (some CRLF) spanning several shards, then
+  // its line 2: the stitch carries the line 1 across the blank shards and
+  // parses the record into the rows of the shard holding it.
+  std::string text;
+  for (int k = 0; k < 12; ++k) text += text_of(staged_record(51001 + k % 3, k));
+  const tle::TleLines split = tle::format_tle(staged_record(51004, 0));
+  text += split.line1 + "\n";
+  for (int i = 0; i < 8000; ++i) text += i % 5 == 0 ? "\r\n" : "\n";
+  text += split.line2 + "\n";
+  for (int k = 12; k < 24; ++k) text += text_of(staged_record(51001 + k % 3, k));
+  ASSERT_TRUE(has_blank_shard(text, 4));
+
+  const StagedOutcome reference = expect_every_geometry_matches(text);
+  EXPECT_EQ(reference.added, 25u);
+  EXPECT_EQ(reference.tolerant.history(51004).size(), 1u);
+  EXPECT_TRUE(reference.error.empty()) << reference.error;
+}
+
+TEST(ParallelDifferentialStagedParse, MalformedLine2OpeningAShardAfterACarriedLine1) {
+  // A line 2 one column too long opens the third of four shards, so the
+  // line 1 before it is carried in from the second: the stitch rejects the
+  // record at the malformed line, as one serial scan does.
+  std::string text;
+  std::size_t malformed = std::string::npos;
+  for (int records = 40; records < 60 && malformed == std::string::npos; ++records) {
+    std::string candidate;
+    for (int k = 0; k < records; ++k) {
+      candidate += text_of(staged_record(52001 + k % 4, k));
+    }
+    const std::size_t at = shard_start(candidate, 4, 2);
+    if (candidate.compare(at, 2, "2 ") != 0) continue;
+    candidate.insert(at + 68, "7");
+    if (shard_start(candidate, 4, 2) != at) continue;
+    text = candidate;
+    malformed = at;
+  }
+  ASSERT_NE(malformed, std::string::npos);
+  ASSERT_EQ(text.compare(malformed - tle::kTleRecordBytes / 2, 2, "1 "), 0);
+
+  const StagedOutcome reference = expect_every_geometry_matches(text);
+  const std::string line = std::to_string(
+      line_count(text.substr(0, malformed)) + 1);
+  EXPECT_NE(reference.quality.find("malformed TLE line 2 (wrong length)"),
+            std::string::npos);
+  EXPECT_NE(reference.error.find("staged.tle:" + line + ": [tle/syntax]"),
+            std::string::npos)
+      << reference.error;
+}
+
+TEST(ParallelDifferentialStagedParse, DanglingLine1FollowedByBlankShards) {
+  // The last record's line 1 with no line 2, then shards of blank lines:
+  // the stitch carries it to the end and rejects it there, after every
+  // record before it is committed.
+  std::string text;
+  for (int k = 0; k < 16; ++k) text += text_of(staged_record(53001 + k % 5, k));
+  const tle::TleLines dangling = tle::format_tle(staged_record(53006, 0));
+  text += dangling.line1 + "\n";
+  text += std::string(3000, '\n');
+  ASSERT_TRUE(has_blank_shard(text, 4));
+
+  const StagedOutcome reference = expect_every_geometry_matches(text);
+  EXPECT_EQ(reference.added, 16u);
+  EXPECT_EQ(reference.strict.record_count(), 16u);
+  EXPECT_NE(reference.error.find("staged.tle:33: [tle/structure] dangling TLE "
+                                 "line 1 at end of input"),
+            std::string::npos)
+      << reference.error;
+}
+
+TEST(ParallelDifferentialStagedParse, OneSatellitesDisorderAcrossShardsRelaysOutFromStagedRows) {
+  // One satellite's records out of epoch order and repeated, spread over
+  // the whole text between in-order satellites: its history is merged from
+  // staged rows one record at a time, the others land as whole runs.  The
+  // result is add() in file order.
+  std::vector<tle::Tle> records;
+  for (int k = 0; k < 90; ++k) {
+    records.push_back(staged_record(54001 + k % 3, k / 3));
+    if (k % 4 == 0) {
+      const int scrambled = (k * 37) % 61;
+      records.push_back(staged_record(54009, scrambled));
+      if (k % 12 == 0) records.push_back(staged_record(54009, scrambled));
+    }
+  }
+  tle::TleCatalog one_by_one;
+  std::string text;
+  for (const tle::Tle& record : records) {
+    static_cast<void>(one_by_one.add(record));
+    text += text_of(record);
+  }
+
+  const StagedOutcome reference = expect_every_geometry_matches(text);
+  EXPECT_TRUE(CatalogsEqual(reference.tolerant, one_by_one));
+  EXPECT_EQ(reference.tolerant.designator_count(), one_by_one.designator_count());
+  EXPECT_LT(reference.added, records.size());
+}
+
+TEST(ParallelDifferentialStagedParse, TailParseIntoADecodedCatalogMergesInPlace) {
+  // An append run parses only the tail, numbered from the line after the
+  // base, into the catalog a snapshot decoded; each satellite's new record
+  // lands in its spare rows, and a bad record in the tail is reported at
+  // its line in the whole file.
+  std::string base;
+  for (int s = 0; s < 30; ++s) {
+    for (int k = 0; k < 1 + s % 7; ++k) base += text_of(staged_record(55001 + s, k));
+  }
+  std::string tail;
+  for (int s = 0; s < 30; ++s) {
+    std::string record = text_of(staged_record(55001 + s, 1 + s % 7));
+    if (s == 21) record[68] = record[68] == '0' ? '1' : '0';
+    tail += record;
+  }
+  tle::TleCatalog parsed;
+  parsed.add_from_text(base);
+  std::optional<io::SnapshotData> decoded =
+      io::decode_snapshot(v9_bytes(parsed, 1), diag::ParsePolicy::kStrict, 1);
+  ASSERT_TRUE(decoded.has_value());
+
+  const std::size_t first_line = line_count(base) + 1;
+  const StagedOutcome reference =
+      expect_every_geometry_matches(tail, decoded->catalog, first_line);
+  const StagedOutcome whole = staged_parse(base + tail, {}, 1, 1, 1);
+  EXPECT_TRUE(CatalogsEqual(reference.tolerant, whole.tolerant));
+  EXPECT_TRUE(CatalogsEqual(reference.strict, whole.strict));
+  EXPECT_EQ(reference.error, whole.error);
+  EXPECT_NE(reference.error.find("staged.tle:" +
+                                 std::to_string(first_line + 2 * 21) + ":"),
+            std::string::npos)
+      << reference.error;
+
+  // In place: no record of the decoded catalog moves.
+  std::map<int, const unsigned char*> epochs;
+  for (const int id : decoded->catalog.satellites()) {
+    epochs[id] = decoded->catalog.history(id).column_bytes(0).data();
+  }
+  diag::ParseLog log(diag::ParsePolicy::kTolerant);
+  EXPECT_EQ(decoded->catalog.add_from_text(
+                tail, tle::IngestOptions{&log, 4, "staged.tle", nullptr,
+                                         first_line, 8}),
+            29u);
+  for (const auto& [id, data] : epochs) {
+    EXPECT_EQ(decoded->catalog.history(id).column_bytes(0).data(), data)
+        << "satellite " << id << " moved";
+  }
+}
+
 TEST(ParallelDifferentialSimulation, RunIsThreadCountInvariant) {
   for (const auto& [name, config] : simulation_scenarios::small()) {
     const simulation::ConstellationSimulator simulator(config);

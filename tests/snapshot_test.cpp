@@ -17,11 +17,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <charconv>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -35,12 +32,12 @@
 #include "core/pipeline.hpp"
 #include "diag/diag.hpp"
 #include "io/file.hpp"
-#include "io/parse.hpp"
 #include "io/snapshot.hpp"
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
 #include "support/make_tle.hpp"
+#include "support/resident.hpp"
 #include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
@@ -51,6 +48,7 @@ namespace {
 
 using diag::ParsePolicy;
 using test_support::make_tle;
+using test_support::resident_bytes;
 using test_support::ScopedTempDir;
 
 // ---- corpus builders --------------------------------------------------------
@@ -1105,35 +1103,6 @@ TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {
               static_cast<std::uint64_t>(
                   std::count(head.begin(), head.end(), '\n')));
   }
-}
-
-/// Resident bytes of the mapping that starts at `base`, read from
-/// /proc/self/smaps; -1 when no mapping starts there.
-long resident_bytes(const void* base) {
-  char digits[2 * sizeof(std::uintptr_t)];
-  const char* end = std::to_chars(std::begin(digits), std::end(digits),
-                                  reinterpret_cast<std::uintptr_t>(base), 16)
-                        .ptr;
-  const std::string_view want(digits, static_cast<std::size_t>(end - digits));
-  std::ifstream smaps("/proc/self/smaps");
-  std::string line;
-  bool in_mapping = false;
-  while (std::getline(smaps, line)) {
-    // Mapping headers open with a lower-case hex range; field lines with a
-    // capitalised name such as "Rss:".
-    const bool header = !line.empty() && ((line[0] >= '0' && line[0] <= '9') ||
-                                          (line[0] >= 'a' && line[0] <= 'f'));
-    if (header) {
-      std::string_view start = std::string_view(line).substr(0, line.find('-'));
-      start.remove_prefix(std::min(start.find_first_not_of('0'), start.size()));
-      in_mapping = start == want;
-    } else if (in_mapping && line.rfind("Rss:", 0) == 0) {
-      const long kb =
-          io::parse_leading_long(std::string_view(line).substr(4)).value_or(-1);
-      return kb < 0 ? -1 : kb * 1024;
-    }
-  }
-  return -1;
 }
 
 TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {

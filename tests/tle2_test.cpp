@@ -5,6 +5,7 @@
 // over randomly generated element sets, and the record formatter held to
 // the printf formatter it replaced.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <charconv>
@@ -21,6 +22,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "diag/diag.hpp"
+#include "io/file.hpp"
+#include "support/resident.hpp"
+#include "support/temp_dir.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/catalog.hpp"
 #include "tle/tle.hpp"
@@ -291,6 +295,49 @@ TEST(TleCatalogEdge, CrlfInputParsesIdenticallyToLf) {
   EXPECT_EQ(from_lf.add_from_text(lf), 2u);
   EXPECT_EQ(from_crlf.add_from_text(crlf), 2u);
   EXPECT_EQ(from_lf.to_text(), from_crlf.to_text());
+}
+
+// ---- a parse over a file mapping --------------------------------------------
+
+TEST(TleCatalogEdge, MappedParseDropsWhatItParsedAndNothingElse) {
+  // A parse over a MappedFile drops each shard's pages once it is parsed.
+  // Serially no shard faults back a page its neighbour dropped, so at most
+  // one page per shard edge stays resident.  The same bytes parsed through
+  // a plain view stay resident, and a heap string is never advised.
+  const test_support::ScopedTempDir dir("tle2_mapped_parse");
+  const std::string path = dir.path() + "/catalog.tle";
+  std::string text;
+  std::size_t records = 0;
+  for (; text.size() < (std::size_t{8} << 20); ++records) {
+    const int k = static_cast<int>(records);
+    text += as_text(make_tle(10001 + k % 50, 0.5 * (k / 50)));
+  }
+  io::write_file(path, text);
+  const io::MappedFile mapped(path);
+  if (!mapped.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
+
+  constexpr int kShards = 8;
+  IngestOptions options{nullptr, 1, path};
+  options.num_shards = kShards;
+  TleCatalog from_mapping;
+  EXPECT_EQ(from_mapping.add_from_text(mapped, 0, options), records);
+  const long resident = test_support::resident_bytes(mapped.view().data());
+  ASSERT_GE(resident, 0);
+  EXPECT_LE(resident, (kShards + 1) * ::sysconf(_SC_PAGESIZE));
+
+  const io::MappedFile held(path);
+  TleCatalog from_view;
+  EXPECT_EQ(from_view.add_from_text(held.view(), options), records);
+  EXPECT_GE(test_support::resident_bytes(held.view().data()),
+            static_cast<long>(text.size() / 2));
+  EXPECT_EQ(from_view.to_text(), from_mapping.to_text());
+
+  const std::string heap = text;
+  TleCatalog from_heap;
+  EXPECT_EQ(from_heap.add_from_text(heap, options), records);
+  EXPECT_EQ(heap, text);
+  // Dropped pages fault back in with the file's bytes.
+  EXPECT_EQ(mapped.view(), text);
 }
 
 // ---- property-style round trip --------------------------------------------

@@ -93,9 +93,12 @@ cmake --build build-tsan -j "$JOBS" \
 # CleanTrackDigest builds and cleans every track at 1-8 threads.
 # ParallelDifferentialCatalogColumns has pool workers write disjoint row
 # ranges of one catalog's columns: the v9 decode, the text parse's merge
-# and its relayout, at 1-8 threads.
+# and its relayout, at 1-8 threads.  ParallelDifferentialStagedParse has
+# them parse shards into their rows of one staging block, at 1-8 shards
+# and 1, 4 and 8 threads, before the stitch writes a record that straddles
+# a shard edge into another shard's rows.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|ParallelDifferentialCatalogColumns|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
+      -R 'ParallelDifferential|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
@@ -117,9 +120,11 @@ cmake --build build-asan -j "$JOBS" \
 # same binary matches 'Tle' and rides along.  ParallelDifferentialCatalogColumns
 # feeds the v9 decoder column blocks with a designator index past its table,
 # epochs out of order and counts past the section, and copies column rows
-# between satellites' ranges.
+# between satellites' ranges.  ParallelDifferentialStagedParse indexes the
+# staging block by computed row (each shard's range, the carried record's
+# extra row) and copies staged runs into the columns.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance

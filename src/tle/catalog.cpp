@@ -127,15 +127,35 @@ constexpr std::size_t column_bytes_sum() {
 }
 static_assert(column_bytes_sum() == kColumnRecordBytes);
 
-/// Blocks from this size up are mapped on their own, start on a huge-page
-/// boundary and are advised as huge pages: a laid-out catalog then faults
-/// in 2 MiB at a time and frees in one munmap.
+/// Blocks from this size up are mapped on their own and start on a
+/// huge-page boundary: their laid-out rows then fault in 2 MiB at a time,
+/// and the block frees in one munmap.
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-/// A block of `rows` rows of the catalog columns, plus `extra_width` bytes a
-/// row for one more column behind them (extra_column()).
-Columns allocate_columns(std::size_t rows, std::size_t extra_width = 0) {
+#if COSMICDANCE_HAVE_MMAP && defined(MADV_HUGEPAGE)
+/// Advise the whole huge pages inside [begin, end) as huge pages.
+void advise_huge_pages(const unsigned char* begin, const unsigned char* end) {
+  const auto at = [](const unsigned char* p) {
+    return reinterpret_cast<std::uintptr_t>(p);
+  };
+  const std::uintptr_t from = (at(begin) + kHugePage - 1) / kHugePage * kHugePage;
+  const std::uintptr_t to = at(end) / kHugePage * kHugePage;
+  if (from < to) {
+    static_cast<void>(
+        ::madvise(reinterpret_cast<void*>(from), to - from, MADV_HUGEPAGE));
+  }
+}
+#endif
+
+/// A block of `laid_out` + `free_rows` rows of the catalog columns, plus
+/// `extra_width` bytes a row for one more column behind them
+/// (extra_column()).  Only huge pages inside the laid-out rows are advised:
+/// a huge page faults in whole, so one reaching into a column's free rows
+/// would make them resident (DESIGN.md §13).
+Columns allocate_columns(std::size_t laid_out, std::size_t free_rows,
+                         std::size_t extra_width = 0) {
   Columns columns;
+  const std::size_t rows = laid_out + free_rows;
   columns.rows = rows;
   if (rows == 0) return columns;
   const std::size_t bytes = rows * (kColumnRecordBytes + extra_width);
@@ -156,9 +176,6 @@ Columns allocate_columns(std::size_t rows, std::size_t extra_width = 0) {
     block = first + head;
     const std::size_t tail = kHugePage - head;
     if (tail > 0) ::munmap(block + mapped, tail);
-#if defined(MADV_HUGEPAGE)
-    static_cast<void>(::madvise(block, mapped, MADV_HUGEPAGE));
-#endif
     columns.bytes = mapped;
   }
 #endif
@@ -171,6 +188,16 @@ Columns allocate_columns(std::size_t rows, std::size_t extra_width = 0) {
     columns.base[c] = block;
     block += rows * kColumnWidths[c];
   }
+#if COSMICDANCE_HAVE_MMAP && defined(MADV_HUGEPAGE)
+  if (columns.bytes > 0 && free_rows == 0) {
+    advise_huge_pages(columns.base[0], columns.base[0] + columns.bytes);
+  } else if (columns.bytes > 0) {
+    for (std::size_t c = 0; c < kColumnCount; ++c) {
+      const unsigned char* const column = columns.base[c];
+      advise_huge_pages(column, column + laid_out * kColumnWidths[c]);
+    }
+  }
+#endif
   return columns;
 }
 
@@ -242,7 +269,7 @@ bool lands_after(double last, double epoch) {
   return epoch > last && !(std::fabs(last - epoch) < kDuplicateEpochDays);
 }
 
-/// Where add() puts a record at `epoch` in a history of `size` records
+/// Where a record at `epoch` goes in a history of `size` records
 /// whose epochs `epoch_at(i)` reads, or nullopt when a record present lies
 /// inside its duplicate window.  The records present are at least the
 /// window apart, so only the two neighbours of the insert point can.
@@ -281,7 +308,7 @@ constexpr std::size_t staging_rows(std::size_t bytes) { return bytes / 139 + 2; 
 /// where records land, so rows never reached cost no memory.
 struct Staging {
   explicit Staging(std::size_t rows)
-      : columns(allocate_columns(rows, 4)), ids(extra_column(columns)) {}
+      : columns(allocate_columns(rows, 0, 4)), ids(extra_column(columns)) {}
   ~Staging() { release_columns(columns); }
   Staging(const Staging&) = delete;
   Staging& operator=(const Staging&) = delete;
@@ -383,11 +410,27 @@ struct ShardParse {
 // is a lone line 2 it is rejected here (rejects.front()) just as a
 // from-zero scan would; the stitch withdraws that reject when the previous
 // shard carries a pending line 1 across the edge.
+//
+// When `text` lies `at` bytes into `mapping`, its pages are dropped every
+// 4 MiB as the cursor moves on and all of them at the end, so no shard
+// keeps its input resident.  A dropped page read again faults back in with
+// the file's bytes (the mapping is read-only and private), but it may map
+// its whole page-cache folio, up to 2 MiB, back with it.  So the drops
+// trail the cursor by a window (a pending line 1 is read again with its
+// line 2) and leave the shard's first window, which the previous shard's
+// last line may share a folio with, to the end.
 void parse_shard(std::string_view text, const Staging& staging,
-                 ShardParse& shard) {
+                 ShardParse& shard, const io::MappedFile* mapping,
+                 std::size_t at) {
+  constexpr std::size_t kWindow = std::size_t{4} << 20;
+  std::size_t dropped = kWindow;  // the next drop starts here
   std::string_view pending_line1;
   std::string_view first_view;
   for (std::size_t pos = 0; pos < text.size();) {
+    if (mapping != nullptr && pos >= dropped + 2 * kWindow) {
+      mapping->drop_pages(at + dropped, at + pos - kWindow);
+      dropped = pos - kWindow;
+    }
     std::size_t eol;
 #if defined(__SSE2__)
     // Standard-width fast path: a 69-char line ends exactly at pos+69, and
@@ -451,6 +494,7 @@ void parse_shard(std::string_view text, const Staging& staging,
   if (shard.first == FirstLine::kLine2 || shard.first == FirstLine::kMalformed2) {
     shard.first_text = first_view;
   }
+  if (mapping != nullptr) mapping->drop_pages(at, at + text.size());
 }
 
 /// The staged rows as merge() reads them.  A run of one satellite's rows
@@ -555,7 +599,8 @@ TleCatalog::TleCatalog(const TleCatalog& other)
     : slots_(other.slots_),
       record_count_(other.record_count_),
       used_rows_(other.used_rows_),
-      columns_(allocate_columns(other.columns_.rows)),
+      columns_(allocate_columns(other.used_rows_,
+                                other.columns_.rows - other.used_rows_)),
       designators_(other.designators_),
       designator_index_(other.designator_index_) {
   copy_rows(other.columns_, 0, columns_, 0, used_rows_);
@@ -602,7 +647,7 @@ std::uint32_t TleCatalog::intern_designator(std::string_view designator) {
 }
 
 Columns TleCatalog::lay_out_slots(std::map<int, Slot>& slots,
-                                  bool free_rows, std::size_t& used_rows) {
+                                  std::size_t& used_rows) {
   std::size_t row = 0;
   for (auto& [id, slot] : slots) {
     slot.begin = row;
@@ -610,7 +655,7 @@ Columns TleCatalog::lay_out_slots(std::map<int, Slot>& slots,
     row += slot.capacity;
   }
   used_rows = row;
-  return allocate_columns(free_rows ? 2 * row : row);
+  return allocate_columns(row, row);
 }
 
 void TleCatalog::install(Columns columns, std::map<int, Slot> slots,
@@ -621,54 +666,7 @@ void TleCatalog::install(Columns columns, std::map<int, Slot> slots,
   used_rows_ = used_rows;
 }
 
-TleCatalog::Slot& TleCatalog::grow(int catalog_number) {
-  Slot& slot = slots_.at(catalog_number);
-  const std::size_t want = 2 * slot.size + 16;
-  if (used_rows_ + want <= columns_.rows) {
-    // Move the satellite to the free rows, with room for twice its records.
-    copy_rows(columns_, slot.begin, columns_, used_rows_, slot.size);
-    slot.begin = used_rows_;
-    slot.capacity = want;
-    used_rows_ += want;
-    return slot;
-  }
-  // Out of free rows: lay the catalog out afresh with as many free rows as
-  // laid-out ones.  Every satellite gets at least 16 spare rows.
-  std::map<int, Slot> next = slots_;
-  std::size_t used = 0;
-  const Columns columns = lay_out_slots(next, true, used);
-  for (const auto& [id, old] : slots_) {
-    copy_rows(columns_, old.begin, columns, next.at(id).begin, old.size);
-  }
-  install(columns, std::move(next), used);
-  return slots_.at(catalog_number);
-}
-
-bool TleCatalog::add(const Tle& tle) {
-  tle.validate();
-  std::size_t position = 0;
-  const auto found = slots_.find(tle.catalog_number);
-  if (found != slots_.end()) {
-    const double* epochs = epoch_column(columns_) + found->second.begin;
-    const std::optional<std::size_t> at =
-        insert_position(found->second.size, tle.epoch_jd,
-                        [&](std::size_t i) { return epochs[i]; });
-    if (!at.has_value()) return false;
-    position = *at;
-  } else {
-    slots_.emplace(tle.catalog_number, Slot{});
-  }
-  const std::uint32_t designator = intern_designator(tle.international_designator);
-  Slot* slot = &slots_.at(tle.catalog_number);
-  if (slot->size == slot->capacity) slot = &grow(tle.catalog_number);
-  // Shift the records after the insert point up one row.
-  copy_rows(columns_, slot->begin + position, columns_,
-            slot->begin + position + 1, slot->size - position);
-  store(columns_, slot->begin + position, tle, designator);
-  ++slot->size;
-  ++record_count_;
-  return true;
-}
+bool TleCatalog::add(const Tle& tle) { return add_all({&tle, 1}) == 1; }
 
 /// A run of consecutive record indices of one satellite sharing one
 /// designator.
@@ -678,12 +676,13 @@ struct Run {
   std::uint32_t designator = 0;
 };
 
-/// One record of a merged history: new (source >= 0, its index) or old
-/// (row -1 - source of the old history).
-struct Entry {
+/// A new record that lands among a history's old records: record `source`,
+/// after the first `position` old records.
+struct Insert {
   double epoch = 0.0;
-  std::ptrdiff_t source = 0;
+  std::size_t source = 0;
   std::uint32_t designator = 0;
+  std::size_t position = 0;
 };
 
 struct TleCatalog::Group {
@@ -693,7 +692,8 @@ struct TleCatalog::Group {
   std::size_t size = 0;       // records after it
   std::size_t added = 0;
   bool appends = true;        // every new record lands past the end
-  std::vector<Entry> merged;  // the whole history, when not appends
+  std::vector<Insert> inserts;  // epoch order, when not appends
+  Slot to;                    // its slot after the merge, unless laid out
 };
 
 template <typename Each>
@@ -730,17 +730,14 @@ std::vector<TleCatalog::Group> TleCatalog::group_records(const Each& each) {
 template <typename Source>
 std::size_t TleCatalog::merge(std::vector<Group>& groups, const Source& source,
                               int num_threads) {
-  if (groups.empty()) return 0;
-  std::map<int, std::size_t> group_of;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_of.emplace(groups[g].id, g);
-    const auto slot = slots_.find(groups[g].id);
-    if (slot != slots_.end()) groups[g].old = &slot->second;
+  for (Group& group : groups) {
+    const auto slot = slots_.find(group.id);
+    if (slot != slots_.end()) group.old = &slot->second;
   }
 
-  // Pass 2 (parallel, per satellite): add()'s duplicate rule over the old
+  // Pass 2 (parallel, per satellite): the duplicate rule over the old
   // history and the new records in insertion order.  Feeds almost always
-  // append, which needs no merged list.
+  // append, which needs no list of inserts.
   exec::parallel_for(groups.size(), num_threads, [&](std::size_t begin,
                                                      std::size_t end) {
     for (std::size_t g = begin; g < end; ++g) {
@@ -769,116 +766,121 @@ std::size_t TleCatalog::merge(std::vector<Group>& groups, const Source& source,
         group.size = old_size + added;
         continue;
       }
-      std::vector<Entry>& merged = group.merged;
-      merged.reserve(old_size + added + 1);
-      for (std::size_t j = 0; j < old_size; ++j) {
-        merged.push_back(Entry{old_epochs[j], -1 - static_cast<std::ptrdiff_t>(j), 0});
-      }
-      group.added = 0;
+      // A record is a duplicate when the old records or the inserts kept
+      // so far hold one inside its window.
+      std::vector<Insert>& inserts = group.inserts;
       for (const Run& run : group.runs) {
         for (std::size_t i = run.first; i < run.last; ++i) {
-          const Entry entry{source.epoch(i), static_cast<std::ptrdiff_t>(i),
-                            run.designator};
-          const std::optional<std::size_t> at = insert_position(
-              merged.size(), entry.epoch,
-              [&](std::size_t k) { return merged[k].epoch; });
-          if (!at.has_value()) continue;
-          merged.insert(merged.begin() + static_cast<std::ptrdiff_t>(*at), entry);
-          ++group.added;
+          const double epoch = source.epoch(i);
+          const std::optional<std::size_t> in_old = insert_position(
+              old_size, epoch, [&](std::size_t k) { return old_epochs[k]; });
+          const std::optional<std::size_t> in_new = insert_position(
+              inserts.size(), epoch,
+              [&](std::size_t k) { return inserts[k].epoch; });
+          if (!in_old.has_value() || !in_new.has_value()) continue;
+          inserts.insert(inserts.begin() + static_cast<std::ptrdiff_t>(*in_new),
+                         Insert{epoch, i, run.designator, *in_old});
         }
       }
-      group.size = merged.size();
+      group.added = inserts.size();
+      group.size = old_size + inserts.size();
     }
   });
 
-  // Pass 3: merge in place when every touched satellite only appends and
-  // fits its range, else lay the catalog out once.
-  bool in_place = true;
-  for (const Group& group : groups) {
-    if (group.old == nullptr || !group.appends ||
-        group.size > group.old->capacity) {
-      in_place = false;
-      break;
+  // Pass 3: placement.  A satellite stays in its range when its history
+  // still fits, and one the call adds nothing to is left alone.  Every
+  // other one, new or outgrown, gets room for twice its records plus 16 in
+  // the free rows.  Only when those run out is the catalog laid out again.
+  std::size_t used = used_rows_;
+  for (Group& group : groups) {
+    if (group.added == 0) continue;
+    const Slot* old = group.old;
+    if (old != nullptr && group.size <= old->capacity) {
+      group.to = Slot{old->begin, group.size, old->capacity};
+    } else {
+      group.to = Slot{used, group.size, 2 * group.size + 16};
+      used += group.to.capacity;
     }
   }
+  const bool relayout = used > columns_.rows;
+
+  // The histories pass 4 writes: those the call adds to, and on a
+  // relayout every other one too, whose rows are only copied (no group).
+  struct Move {
+    const Group* group = nullptr;
+    const Slot* from = nullptr;
+    const Slot* to = nullptr;
+  };
+  std::vector<Move> moves;
   std::map<int, Slot> next;
   Columns target = columns_;
-  std::size_t used = used_rows_;
-  if (!in_place) {
+  if (relayout) {
     next = slots_;
-    for (const Group& group : groups) next[group.id].size = group.size;
-    target = lay_out_slots(next, false, used);
+    for (const Group& group : groups) {
+      if (group.added > 0) next[group.id].size = group.size;
+    }
+    target = lay_out_slots(next, used);
+    for (const auto& [id, from] : slots_) {
+      const Slot& to = next.at(id);
+      if (to.size == from.size) moves.push_back(Move{nullptr, &from, &to});
+    }
+  }
+  for (const Group& group : groups) {
+    if (group.added == 0) continue;
+    const Slot* const to = relayout ? &next.at(group.id) : &group.to;
+    moves.push_back(Move{&group, group.old, to});
   }
 
-  // Pass 4 (parallel, per satellite): write each history's final rows.
+  // Pass 4 (parallel, per satellite): write each history's final rows.  A
+  // history that moves is written to its new range while its old rows stay
+  // where they are, readable.
   const auto write = [&](const Group& group, const Slot& to) {
-    const Slot* from = group.old;
+    const std::size_t old_begin = group.old != nullptr ? group.old->begin : 0;
+    std::size_t old_end = group.size - group.added;  // old records not yet placed
+    const bool moved = relayout || to.begin != old_begin;
     if (group.appends) {
-      if (from != nullptr && !in_place) {
-        copy_rows(columns_, from->begin, target, to.begin, from->size);
-      }
-      std::size_t row = to.begin + (from != nullptr ? from->size : 0);
+      std::size_t row = to.begin + old_end;
       for (const Run& run : group.runs) {
         source.store_run(target, row, run.first, run.last, run.designator);
         row += run.last - run.first;
       }
-      return;
-    }
-    // Out of order: only on a relayout, so the old rows stay where they
-    // are while the history is written to its new range.
-    std::size_t row = to.begin;
-    for (const Entry& entry : group.merged) {
-      if (entry.source < 0) {
-        copy_rows(columns_, from->begin + static_cast<std::size_t>(-1 - entry.source),
-                  target, row++, 1);
-      } else {
-        const auto i = static_cast<std::size_t>(entry.source);
-        source.store_run(target, row++, i, i + 1, entry.designator);
+    } else {
+      // From the last row back, so that in place every old record is
+      // copied up before its row is written.
+      for (std::size_t k = group.inserts.size(); k-- > 0;) {
+        const Insert& insert = group.inserts[k];
+        const std::size_t row = to.begin + insert.position + k;
+        copy_rows(columns_, old_begin + insert.position, target, row + 1,
+                  old_end - insert.position);
+        source.store_run(target, row, insert.source, insert.source + 1,
+                         insert.designator);
+        old_end = insert.position;
       }
     }
+    if (moved) copy_rows(columns_, old_begin, target, to.begin, old_end);
   };
-  if (in_place) {
-    exec::parallel_for(groups.size(), num_threads,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t g = begin; g < end; ++g) {
-                           write(groups[g], *groups[g].old);
+  exec::parallel_for(moves.size(), num_threads,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t m = begin; m < end; ++m) {
+                         const Move& move = moves[m];
+                         if (move.group != nullptr) {
+                           write(*move.group, *move.to);
+                         } else {
+                           copy_rows(columns_, move.from->begin, target,
+                                     move.to->begin, move.from->size);
                          }
-                       });
-  } else {
-    // Every satellite moves: the untouched ones copy their rows.
-    struct Move {
-      const Slot* from = nullptr;
-      const Slot* to = nullptr;
-      const Group* group = nullptr;
-    };
-    std::vector<Move> moves;
-    moves.reserve(next.size());
-    for (const auto& [id, to] : next) {
-      const auto g = group_of.find(id);
-      const auto old = slots_.find(id);
-      moves.push_back(Move{old != slots_.end() ? &old->second : nullptr, &to,
-                           g != group_of.end() ? &groups[g->second] : nullptr});
-    }
-    exec::parallel_for(moves.size(), num_threads,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t m = begin; m < end; ++m) {
-                           const Move& move = moves[m];
-                           if (move.group != nullptr) {
-                             write(*move.group, *move.to);
-                           } else {
-                             copy_rows(columns_, move.from->begin, target,
-                                       move.to->begin, move.from->size);
-                           }
-                         }
-                       });
-  }
+                       }
+                     });
 
   std::size_t added = 0;
   for (const Group& group : groups) added += group.added;
-  if (in_place) {
-    for (const Group& group : groups) slots_.at(group.id).size = group.size;
-  } else {
+  if (relayout) {
     install(target, std::move(next), used);
+  } else {
+    for (const Group& group : groups) {
+      if (group.added > 0) slots_[group.id] = group.to;
+    }
+    used_rows_ = used;
   }
   record_count_ += added;
   return added;
@@ -953,7 +955,7 @@ void TleCatalog::adopt_histories(std::vector<std::vector<Tle>> histories,
     }
   }
   // Checked: every record lands past the end of a new satellite's history,
-  // so the merge keeps them all and lays the columns out once.
+  // so the merge keeps them all, in the free rows or one new layout.
   std::vector<const Tle*> pointers;
   pointers.reserve(records);
   std::vector<Group> groups(histories.size());
@@ -988,7 +990,7 @@ void TleCatalog::lay_out(std::span<const int> ids,
     total += records[i];
   }
   std::size_t used = 0;
-  const Columns columns = lay_out_slots(slots, false, used);
+  const Columns columns = lay_out_slots(slots, used);
   install(columns, std::move(slots), used);
   record_count_ = total;
 }
@@ -1062,7 +1064,7 @@ std::size_t TleCatalog::parse_text(std::string_view text,
 
   // Scan (parallel): split the text into shards at line starts; each pairs
   // and parses its own lines into its rows of the staging block and, over
-  // a mapping, drops the shard's pages once parsed.  Shard boundaries are a
+  // a mapping, drops its pages as it parses them.  Shard boundaries are a
   // pure function of (text size, shard count), each shard sees a fixed byte
   // range, and the stitch below is serial in shard order, so the records
   // and rejects are bit-identical to one serial scan at any shard or thread
@@ -1087,10 +1089,7 @@ std::size_t TleCatalog::parse_text(std::string_view text,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             parse_shard(text.substr(starts[i], stop_of(i) - starts[i]), staging,
-                        shards[i]);
-            if (mapping != nullptr) {
-              mapping->drop_pages(offset + starts[i], offset + stop_of(i));
-            }
+                        shards[i], mapping, offset + starts[i]);
           }
         },
         options.metrics);

@@ -185,16 +185,16 @@ class HistoryView {
 /// records epoch-sorted at the front and spare rows behind them.  The
 /// arrays share one block of memory, so the catalog frees in one unmap.
 ///
-/// Relayout rule (DESIGN.md §13): a bulk call (text parse, add_all,
-/// adopt_histories, lay_out) merges in place when every satellite it
-/// touches only gains records past its last epoch and still fits its
-/// range, and otherwise lays the whole catalog out once:
-/// satellites in catalog-number order, each with records / 64 + 16 spare
-/// rows.  A single add() that does not fit moves only its satellite to the
-/// free rows at the end of the block, with room for twice its records; when
-/// those run out it lays the catalog out again with as many free rows as
-/// laid-out ones.  So add() costs amortised O(log satellites) for the
-/// directory plus a shift inside one history for an out-of-order epoch.
+/// Growth rule (DESIGN.md §13): every layout puts the satellites in
+/// catalog-number order, each with records / 64 + 16 spare rows, and
+/// leaves as many free rows behind them.  Every call that adds records
+/// (add(), add_all, the text parse, adopt_histories) is one merge: a
+/// satellite it touches stays in its range while its history fits (an
+/// out-of-order record is merged in place), one it adds nothing to is
+/// left alone, and a new or outgrown one moves to the free rows with room
+/// for twice its records plus 16.  Only when the free rows run out is the
+/// catalog laid out again.  So a record costs amortised O(1) row copies,
+/// and an out-of-order one a shift of the records after it.
 class TleCatalog {
  public:
   TleCatalog() = default;
@@ -207,6 +207,7 @@ class TleCatalog {
   /// Insert a record, keeping the per-satellite history epoch-sorted.
   /// Records with an epoch within ~1 second of an existing record for the
   /// same satellite are treated as duplicates and dropped (returns false).
+  /// add_all() of this one record, so its designator is interned either way.
   bool add(const Tle& tle);
 
   /// add() every record in order — the same catalog, duplicates dropped the
@@ -215,8 +216,8 @@ class TleCatalog {
   /// Returns the number added.
   std::size_t add_all(std::span<const Tle> records);
 
-  /// Install satellites' complete epoch-sorted histories, laying the
-  /// columns out once: the bulk-build path a producer of whole histories
+  /// Install satellites' complete epoch-sorted histories in one merge:
+  /// the bulk-build path a producer of whole histories
   /// (the simulator) uses instead of add() per record.  Each history must
   /// be non-empty, belong entirely to one satellite, be strictly
   /// epoch-sorted with no two records inside the duplicate window, and no
@@ -327,27 +328,23 @@ class TleCatalog {
   };
 
   /// Give every slot of `slots` its place in a fresh layout (catalog-number
-  /// order, size / 64 + 16 spare rows each) and allocate columns for it,
-  /// with as many free rows again when `free_rows`; `used_rows` gets the
-  /// laid-out rows.
+  /// order, size / 64 + 16 spare rows each) and allocate columns for it
+  /// with as many free rows again; `used_rows` gets the laid-out rows.
   static detail::Columns lay_out_slots(std::map<int, Slot>& slots,
-                                       bool free_rows, std::size_t& used_rows);
+                                       std::size_t& used_rows);
   /// Install `columns` and `slots`, freeing the old block.
   void install(detail::Columns columns, std::map<int, Slot> slots, std::size_t used_rows);
-  /// Give `catalog_number`'s slot room for one more record (add()'s growth
-  /// step); returns the slot, which a relayout may have replaced.
-  Slot& grow(int catalog_number);
-  /// One satellite's records in a bulk merge (catalog.cpp).
+  /// One satellite's records in a merge (catalog.cpp).
   struct Group;
   /// Records grouped by satellite in insertion order: `each(add)` calls
   /// `add(index, catalog_number, designator)` once per record, in order;
   /// each designator is interned on first use.
   template <typename Each>
   std::vector<Group> group_records(const Each& each);
-  /// Merge grouped records into the columns as add() would, one after
-  /// another; returns the number added.  `source.epoch(i)` reads record
-  /// i's epoch and `source.store_run(target, row, first, last, designator)`
-  /// writes records [first, last) to rows `row` on of `target`.
+  /// Merge grouped records into the columns as if added one after another
+  /// (the growth rule above); returns the number added.  `source.epoch(i)`
+  /// reads record i's epoch and `source.store_run(target, row, first, last,
+  /// designator)` writes records [first, last) to rows `row` on of `target`.
   template <typename Source>
   std::size_t merge(std::vector<Group>& groups, const Source& source,
                     int num_threads);
@@ -358,7 +355,7 @@ class TleCatalog {
 
   std::map<int, Slot> slots_;
   std::size_t record_count_ = 0;
-  /// Rows below it hold slots; add() places moved satellites from here up.
+  /// Rows below it hold slots; merge() places moved satellites from here up.
   std::size_t used_rows_ = 0;
   detail::Columns columns_;
   std::vector<std::string> designators_;

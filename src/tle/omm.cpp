@@ -168,8 +168,8 @@ std::size_t catalog_add_from_omm_kvn(TleCatalog& catalog, const std::string& tex
                                      const std::string& source) {
   constexpr const char* kStage = "omm";
   // Parsed records join the catalog in one add_all() at the end (one
-  // layout of its columns); a throw first adds those before it, as one
-  // add() per record would have.
+  // merge); a throw first adds those before it, as one add() per record
+  // would have.
   std::vector<Tle> parsed;
   std::string block;
   std::size_t block_start_line = 0;

@@ -15,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -539,6 +540,18 @@ std::string text_of(const tle::Tle& record) {
   return ::testing::AssertionSuccess();
 }
 
+/// Where each (satellite, column) starts in the catalog's block.
+std::map<std::pair<int, std::size_t>, const unsigned char*> column_addresses(
+    const tle::TleCatalog& catalog) {
+  std::map<std::pair<int, std::size_t>, const unsigned char*> at;
+  for (const int id : catalog.satellites()) {
+    for (std::size_t c = 0; c < tle::kColumnCount; ++c) {
+      at[{id, c}] = catalog.history(id).column_bytes(c).data();
+    }
+  }
+  return at;
+}
+
 std::string v9_bytes(const tle::TleCatalog& catalog, int threads) {
   std::ostringstream out;
   io::write_snapshot(out, io::SnapshotData{{}, catalog, {}, {}},
@@ -583,10 +596,14 @@ TEST(ParallelDifferentialCatalogColumns, V9BytesAndDecodedCatalogAtEveryThreadCo
 }
 
 TEST(ParallelDifferentialCatalogColumns, DecodePlusADailyAppendEqualsAReparseInPlace) {
-  // An append run adds a day's records, one per satellite, to the catalog
-  // a snapshot decoded.  Each satellite keeps spare rows, so they land in
-  // place: no column moves, and the catalog equals a full parse of the
-  // grown text.  Histories of 1 and of 300 records.
+  // An append run adds records to the catalog a snapshot decoded, and the
+  // catalog equals a full parse of the grown text.  A daily tail (one
+  // record per satellite) lands in every satellite's spare rows: no column
+  // moves.  A launch-day tail also brings 28 new satellites, more records
+  // than one satellite's spare rows and a record older than another's
+  // last: the new and the outgrown satellites go to the free rows, and
+  // every other satellite stays where it is, the one with the older record
+  // included.  Histories of 1 and of 300 records.
   std::string base;
   std::string day;
   for (int i = 0; i < 40; ++i) {
@@ -594,32 +611,44 @@ TEST(ParallelDifferentialCatalogColumns, DecodePlusADailyAppendEqualsAReparseInP
     for (int k = 0; k < records; ++k) base += text_of(column_record(10001 + i, k));
     day += text_of(column_record(10001 + i, records));
   }
+  std::string launch = day;
+  for (int k = 301; k <= 330; ++k) launch += text_of(column_record(10002, k));
+  tle::Tle older = column_record(10004, 150);
+  older.epoch_jd += 0.1;
+  launch += text_of(older);
+  for (int s = 0; s < 28; ++s) {
+    for (int k = 0; k <= s % 4; ++k) {
+      launch += text_of(column_record(10101 + s, k));
+    }
+  }
   tle::TleCatalog parsed;
   parsed.add_from_text(base);
-  for (const int threads : {1, 4}) {
-    std::optional<io::SnapshotData> decoded = io::decode_snapshot(
-        v9_bytes(parsed, 1), diag::ParsePolicy::kStrict, threads);
+  const std::string snapshot = v9_bytes(parsed, 1);
+  const auto append = [&](const std::string& tail, std::size_t added,
+                          const std::set<int>& moving, int threads) {
+    std::optional<io::SnapshotData> decoded =
+        io::decode_snapshot(snapshot, diag::ParsePolicy::kStrict, threads);
     ASSERT_TRUE(decoded.has_value());
-    std::map<std::pair<int, std::size_t>, const unsigned char*> placed;
-    for (const int id : decoded->catalog.satellites()) {
-      for (std::size_t c = 0; c < tle::kColumnCount; ++c) {
-        placed[{id, c}] = decoded->catalog.history(id).column_bytes(c).data();
-      }
-    }
+    const auto placed = column_addresses(decoded->catalog);
     ASSERT_EQ(placed.size(), 40u * tle::kColumnCount);
 
     EXPECT_EQ(decoded->catalog.add_from_text(
-                  day, tle::IngestOptions{nullptr, threads, "", nullptr, 1, 0}),
-              40u);
+                  tail, tle::IngestOptions{nullptr, threads, "", nullptr, 1, 0}),
+              added);
     for (const auto& [key, data] : placed) {
+      if (moving.count(key.first) > 0) continue;
       EXPECT_EQ(decoded->catalog.history(key.first).column_bytes(key.second).data(),
                 data)
           << "satellite " << key.first << " column " << key.second << " moved";
     }
     tle::TleCatalog full;
-    full.add_from_text(base + day);
+    full.add_from_text(base + tail);
     EXPECT_TRUE(CatalogsEqual(decoded->catalog, full)) << "threads=" << threads;
     EXPECT_EQ(decoded->catalog.to_text(), full.to_text());
+  };
+  for (const int threads : {1, 4}) {
+    append(day, 40, {}, threads);
+    append(launch, 40 + 30 + 1 + 70, {10002}, threads);
   }
 }
 
@@ -804,9 +833,15 @@ TEST(ParallelDifferentialCatalogColumns, RoundRobinAddEqualsTheTextParse) {
   }
   // A second text pass over the same records adds nothing and moves no
   // record.
-  tle::TleCatalog twice = one_by_one;
-  EXPECT_EQ(twice.add_from_text(text), 0u);
-  EXPECT_TRUE(CatalogsEqual(twice, one_by_one));
+  for (const int threads : {1, 4}) {
+    tle::TleCatalog twice = one_by_one;
+    const auto placed = column_addresses(twice);
+    EXPECT_EQ(twice.add_from_text(
+                  text, tle::IngestOptions{nullptr, threads, "", nullptr, 1, 0}),
+              0u);
+    EXPECT_EQ(column_addresses(twice), placed) << "threads=" << threads;
+    EXPECT_TRUE(CatalogsEqual(twice, one_by_one));
+  }
 }
 
 // ---- the staged text parse --------------------------------------------------

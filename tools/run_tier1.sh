@@ -92,8 +92,10 @@ cmake --build build-tsan -j "$JOBS" \
 # hit, append, stale) with the background save sharing the parsed inputs.
 # CleanTrackDigest builds and cleans every track at 1-8 threads.
 # ParallelDifferentialCatalogColumns has pool workers write disjoint row
-# ranges of one catalog's columns: the v9 decode, the text parse's merge
-# and its relayout, at 1-8 threads.  ParallelDifferentialStagedParse has
+# ranges of one catalog's columns: the v9 decode, and the text parse's
+# merge into spare rows, into the free rows behind the laid-out ones
+# (a launch-day tail, read from the moved satellites' old rows at once)
+# and into a new layout, at 1-8 threads.  ParallelDifferentialStagedParse has
 # them parse shards into their rows of one staging block, at 1-8 shards
 # and 1, 4 and 8 threads, before the stitch writes a record that straddles
 # a shard edge into another shard's rows.
@@ -120,7 +122,9 @@ cmake --build build-asan -j "$JOBS" \
 # same binary matches 'Tle' and rides along.  ParallelDifferentialCatalogColumns
 # feeds the v9 decoder column blocks with a designator index past its table,
 # epochs out of order and counts past the section, and copies column rows
-# between satellites' ranges.  ParallelDifferentialStagedParse indexes the
+# from satellites' old ranges into the free rows or a new layout, and up
+# within one range when an out-of-order record is merged in place.
+# ParallelDifferentialStagedParse indexes the
 # staging block by computed row (each shard's range, the carried record's
 # extra row) and copies staged runs into the columns.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \

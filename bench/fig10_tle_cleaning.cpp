@@ -16,8 +16,10 @@ int main() {
   const spaceweather::DstIndex dst = bench::paper_dst();
   const core::CosmicDance pipeline(dst, bench::paper_catalog(dst));
 
-  const auto raw = core::all_altitudes(pipeline.catalog());
-  const auto cleaned = core::all_altitudes(pipeline.tracks());
+  const core::Fig10Samples samples =
+      core::fig10_samples(pipeline.catalog(), pipeline.tracks());
+  const std::span<const double> raw = samples.raw();
+  const std::span<const double> cleaned = samples.clean();
 
   io::print_heading(std::cout, "Fig 10(a): altitude CDF before cleaning");
   const stats::Ecdf raw_ecdf(raw);

@@ -82,12 +82,11 @@ double run_pipeline(const spaceweather::DstIndex& dst,
   config.metrics = metrics;
   const core::CosmicDance pipeline(dst, catalog, config);
   const double p95 = pipeline.dst_threshold_at_percentile(95.0);
-  const auto samples = pipeline.altitude_changes_for_storms(p95);
-  const auto drags = pipeline.drag_changes_for_storms(p95);
+  const core::ChangeSamples storm = pipeline.changes_for_storms(p95);
   const auto epochs = pipeline.correlator().storm_event_epochs(p95);
   double checksum = static_cast<double>(pipeline.tracks().size());
-  for (const double v : samples) checksum += v;
-  for (const double v : drags) checksum += v;
+  for (const double v : storm.altitude_km) checksum += v;
+  for (const double v : storm.drag_ratio) checksum += v;
   if (!epochs.empty()) {
     const auto envelope = pipeline.post_event_envelope(
         epochs.front(), 30, core::EnvelopeSelection::kAll);

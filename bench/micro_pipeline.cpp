@@ -109,8 +109,7 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
   config.metrics = &metrics;
   const core::CosmicDance pipeline(dst, std::move(catalog), config);
   const double p95 = pipeline.dst_threshold_at_percentile(95.0);
-  const auto altitude = pipeline.altitude_changes_for_storms(p95);
-  const auto drag = pipeline.drag_changes_for_storms(p95);
+  const core::ChangeSamples storm = pipeline.changes_for_storms(p95);
   const double event_jd =
       timeutil::to_julian(timeutil::make_datetime(2023, 9, 18, 18));
   const auto envelope = pipeline.post_event_envelope(
@@ -133,14 +132,13 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
         count("tle.records_parsed") / (ingest_ms / 1000.0);
   }
   const double scan_ms = phase_ms("correlator.altitude_scan") +
-                         phase_ms("correlator.drag_scan") +
                          phase_ms("correlator.envelope");
   if (scan_ms > 0.0) {
     throughput["correlator_cells_per_s"] =
         count("correlator.cells") / (scan_ms / 1000.0);
   }
-  throughput["correlation_samples"] =
-      static_cast<double>(altitude.size() + drag.size());
+  throughput["correlation_samples"] = static_cast<double>(
+      storm.altitude_km.size() + storm.drag_ratio.size());
 
   bench::write_bench_record(out_path, "micro_pipeline", threads,
                             "paper_catalog(per_batch=2, cadence=30)",

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "common/error.hpp"
 #include "exec/parallel_for.hpp"
 #include "obs/obs.hpp"
 #include "orbit/elements.hpp"
@@ -12,49 +14,106 @@
 
 namespace cosmicdance::core {
 
-namespace {
-
-/// Concatenates `altitudes_of(i)` for i in [0, count), one item per worker.
-template <typename AltitudesOf>
-std::vector<double> concat_altitudes(std::size_t count, int num_threads,
-                                     obs::Metrics* metrics,
-                                     AltitudesOf altitudes_of) {
+std::vector<double> all_altitudes(std::span<const SatelliteTrack> tracks,
+                                  int num_threads, obs::Metrics* metrics) {
   const obs::ScopedPhase phase(metrics, "analysis.all_altitudes");
   auto altitudes = exec::ordered_concat(exec::ordered_map<std::vector<double>>(
-      count, num_threads, altitudes_of, metrics));
+      tracks.size(), num_threads,
+      [&](std::size_t t) {
+        std::vector<double> track_altitudes;
+        track_altitudes.reserve(tracks[t].size());
+        for (const TrajectorySample& sample : tracks[t].samples()) {
+          track_altitudes.push_back(sample.altitude_km);
+        }
+        return track_altitudes;
+      },
+      metrics));
   if (metrics != nullptr) {
     metrics->counter("analysis.altitude_samples").add(altitudes.size());
   }
   return altitudes;
 }
 
-}  // namespace
-
-std::vector<double> all_altitudes(std::span<const SatelliteTrack> tracks,
-                                  int num_threads, obs::Metrics* metrics) {
-  return concat_altitudes(tracks.size(), num_threads, metrics, [&](std::size_t t) {
-    std::vector<double> altitudes;
-    altitudes.reserve(tracks[t].size());
-    for (const TrajectorySample& sample : tracks[t].samples()) {
-      altitudes.push_back(sample.altitude_km);
-    }
-    return altitudes;
-  });
-}
-
-std::vector<double> all_altitudes(const tle::TleCatalog& catalog,
-                                  int num_threads, obs::Metrics* metrics) {
+Fig10Samples fig10_samples(const tle::TleCatalog& catalog,
+                           std::span<const SatelliteTrack> tracks,
+                           int num_threads, obs::Metrics* metrics) {
+  const obs::ScopedPhase phase(metrics, "analysis.fig10_samples");
+  // Each satellite's history, its cleaned track (none when cleaning removed
+  // every row), and where its kept and its removed altitudes go.
+  struct Satellite {
+    tle::HistoryView history;
+    std::span<const TrajectorySample> kept;
+    std::size_t kept_at = 0;
+    std::size_t removed_at = 0;
+  };
+  Fig10Samples samples;
+  for (const SatelliteTrack& track : tracks) samples.cleaned += track.size();
   const std::vector<int> ids = catalog.satellites();
-  return concat_altitudes(ids.size(), num_threads, metrics, [&](std::size_t i) {
-    const std::span<const double> mean_motion =
-        catalog.history(ids[i]).mean_motion_revday();
-    std::vector<double> altitudes;
-    altitudes.reserve(mean_motion.size());
-    for (const double revs_per_day : mean_motion) {
-      altitudes.push_back(orbit::altitude_km_from_mean_motion(revs_per_day));
+  std::vector<Satellite> satellites(ids.size());
+  std::size_t t = 0;
+  std::size_t kept_at = 0;
+  std::size_t removed_at = samples.cleaned;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Satellite& satellite = satellites[i];
+    satellite.history = catalog.history(ids[i]);
+    if (t < tracks.size() && tracks[t].catalog_number() == ids[i]) {
+      satellite.kept = tracks[t++].samples();
     }
-    return altitudes;
-  });
+    if (satellite.kept.size() > satellite.history.size()) {
+      throw ValidationError("fig10 samples: satellite " + std::to_string(ids[i]) +
+                            " has more track samples than records");
+    }
+    satellite.kept_at = kept_at;
+    satellite.removed_at = removed_at;
+    kept_at += satellite.kept.size();
+    removed_at += satellite.history.size() - satellite.kept.size();
+  }
+  if (t != tracks.size()) {
+    throw ValidationError("fig10 samples: track of satellite " +
+                          std::to_string(tracks[t].catalog_number()) +
+                          " is out of catalog order or not in the catalog");
+  }
+
+  samples.altitudes.resize(removed_at);
+  double* const out = samples.altitudes.data();
+  exec::parallel_for(
+      satellites.size(), num_threads,
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) {
+          const Satellite& satellite = satellites[i];
+          const std::span<const double> epochs = satellite.history.epoch_jd();
+          const std::span<const double> mean_motion =
+              satellite.history.mean_motion_revday();
+          const std::size_t removed =
+              satellite.history.size() - satellite.kept.size();
+          // The track is a subsequence of the epoch-ordered history: walk
+          // both, and a row whose epoch is the next kept sample's was kept.
+          std::size_t j = 0;
+          for (std::size_t k = 0; k < epochs.size(); ++k) {
+            if (j < satellite.kept.size() &&
+                satellite.kept[j].epoch_jd == epochs[k]) {
+              out[satellite.kept_at + j] = satellite.kept[j].altitude_km;
+              ++j;
+            } else if (k - j < removed) {
+              out[satellite.removed_at + (k - j)] =
+                  orbit::altitude_km_from_mean_motion(mean_motion[k]);
+            } else {
+              break;  // more rows unmatched than removed: j falls short
+            }
+          }
+          if (j != satellite.kept.size()) {
+            throw ValidationError(
+                "fig10 samples: the track of satellite " +
+                std::to_string(satellite.history.catalog_number()) +
+                " is not a subsequence of its history");
+          }
+        }
+      },
+      metrics);
+  if (metrics != nullptr) {
+    metrics->counter("analysis.altitude_samples").add(samples.altitudes.size());
+  }
+  return samples;
 }
 
 std::vector<SuperstormPanelRow> superstorm_panel(

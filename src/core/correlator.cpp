@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
@@ -163,97 +162,88 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
   return envelope;
 }
 
-struct EventCorrelator::CellScan {
-  const char* phase;
-  /// Optional: true when the pre-event sample cannot anchor a value, which
-  /// drops the cell before its window is looked at.
-  bool (*rejects_pre)(const TrajectorySample& pre);
-  /// The cell's value from its pre-event sample and non-empty window, or
-  /// nullopt to drop it.
-  std::optional<double> (*measure)(const TrajectorySample& pre,
-                                   std::span<const TrajectorySample> window);
-};
-
-std::vector<double> EventCorrelator::scan_cells(
-    std::span<const SatelliteTrack> tracks, std::span<const double> event_jds,
-    const CellScan& scan) const {
+ChangeSamples EventCorrelator::scan_cells(std::span<const SatelliteTrack> tracks,
+                                          std::span<const double> event_jds,
+                                          bool drag) const {
   if (tracks.empty() || event_jds.empty()) return {};
-  const obs::ScopedPhase phase(metrics_, scan.phase);
+  const obs::ScopedPhase phase(metrics_, "correlator.altitude_scan");
   const CellCounters counters(metrics_);
   // Flatten the event-major serial loop into (event, track) cells: each
   // cell computes independently and the filtered concatenation below keeps
   // the serial push_back order.
-  auto cells = exec::ordered_map<std::optional<double>>(
+  struct Cell {
+    double altitude_km = 0.0;
+    double drag_ratio = 0.0;
+    bool has_altitude = false;
+    bool has_drag = false;
+  };
+  const auto cells = exec::ordered_map<Cell>(
       event_jds.size() * tracks.size(), num_threads_,
-      [&](std::size_t i) -> std::optional<double> {
+      [&](std::size_t i) {
+        Cell cell;
         const double event_jd = event_jds[i / tracks.size()];
         const SatelliteTrack& track = tracks[i % tracks.size()];
         obs::bump(counters.evaluated);
         if (is_pre_decayed(track, event_jd, config_.cleaning)) {
           obs::bump(counters.skipped_predecayed);
-          return std::nullopt;
+          return cell;
         }
         const TrajectorySample* pre = track.at_or_before(event_jd);
         // Guard even though is_pre_decayed rejects sample-free prefixes
         // today; see post_event_envelope.
         if (pre == nullptr) {
           obs::bump(counters.skipped_no_pre);
-          return std::nullopt;
-        }
-        if (scan.rejects_pre != nullptr && scan.rejects_pre(*pre)) {
-          return std::nullopt;
+          return cell;
         }
         const auto window = track.between(event_jd, event_jd + config_.window_days);
         if (window.empty()) {
           obs::bump(counters.skipped_empty_window);
-          return std::nullopt;
+          return cell;
         }
-        return scan.measure(*pre, window);
+        double max_deviation = 0.0;
+        double max_bstar = 0.0;
+        for (const TrajectorySample& sample : window) {
+          max_deviation = std::max(max_deviation,
+                                   std::fabs(sample.altitude_km - pre->altitude_km));
+          if (drag) max_bstar = std::max(max_bstar, sample.bstar);
+        }
+        cell.altitude_km = max_deviation;
+        cell.has_altitude = true;
+        if (drag && pre->bstar > 0.0 && max_bstar > 0.0) {
+          cell.drag_ratio = max_bstar / pre->bstar;
+          cell.has_drag = true;
+        }
+        return cell;
       },
       metrics_);
-  std::vector<double> samples;
-  for (const auto& cell : cells) {
-    if (cell.has_value()) samples.push_back(*cell);
+  ChangeSamples samples;
+  for (const Cell& cell : cells) {
+    if (cell.has_altitude) samples.altitude_km.push_back(cell.altitude_km);
+    if (cell.has_drag) samples.drag_ratio.push_back(cell.drag_ratio);
   }
   if (metrics_ != nullptr) {
-    metrics_->counter("correlator.samples").add(samples.size());
+    metrics_->counter("correlator.samples")
+        .add(samples.altitude_km.size() + samples.drag_ratio.size());
   }
   return samples;
+}
+
+ChangeSamples EventCorrelator::change_samples(
+    std::span<const SatelliteTrack> tracks,
+    std::span<const double> event_jds) const {
+  return scan_cells(tracks, event_jds, /*drag=*/true);
 }
 
 std::vector<double> EventCorrelator::altitude_change_samples(
     std::span<const SatelliteTrack> tracks,
     std::span<const double> event_jds) const {
-  static constexpr CellScan kAltitude{
-      "correlator.altitude_scan", nullptr,
-      [](const TrajectorySample& pre, std::span<const TrajectorySample> window)
-          -> std::optional<double> {
-        double max_deviation = 0.0;
-        for (const TrajectorySample& sample : window) {
-          max_deviation = std::max(max_deviation,
-                                   std::fabs(sample.altitude_km - pre.altitude_km));
-        }
-        return max_deviation;
-      }};
-  return scan_cells(tracks, event_jds, kAltitude);
+  return scan_cells(tracks, event_jds, /*drag=*/false).altitude_km;
 }
 
 std::vector<double> EventCorrelator::drag_change_samples(
     std::span<const SatelliteTrack> tracks,
     std::span<const double> event_jds) const {
-  static constexpr CellScan kDrag{
-      "correlator.drag_scan",
-      [](const TrajectorySample& pre) { return pre.bstar <= 0.0; },
-      [](const TrajectorySample& pre, std::span<const TrajectorySample> window)
-          -> std::optional<double> {
-        double max_bstar = 0.0;
-        for (const TrajectorySample& sample : window) {
-          max_bstar = std::max(max_bstar, sample.bstar);
-        }
-        if (max_bstar <= 0.0) return std::nullopt;
-        return max_bstar / pre.bstar;
-      }};
-  return scan_cells(tracks, event_jds, kDrag);
+  return change_samples(tracks, event_jds).drag_ratio;
 }
 
 std::vector<double> EventCorrelator::storm_event_epochs(double max_peak_nt) const {

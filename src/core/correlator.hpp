@@ -53,6 +53,12 @@ enum class EnvelopeSelection {
   kAll,             ///< every satellite passing the pre-decay filter (Fig 4b)
 };
 
+/// What one (event, satellite) cell scan yields; see change_samples.
+struct ChangeSamples {
+  std::vector<double> altitude_km;
+  std::vector<double> drag_ratio;
+};
+
 class EventCorrelator {
  public:
   /// `dst` is non-owning and must outlive the correlator.  `num_threads`
@@ -68,14 +74,27 @@ class EventCorrelator {
       std::span<const SatelliteTrack> tracks, double event_jd, int days,
       EnvelopeSelection selection) const;
 
-  /// One sample per (event, satellite): the maximum |altitude - pre-event
-  /// altitude| (km) within the window.  Pre-decayed satellites skipped.
+  /// Both samples of one scan over the (event, satellite) cells, event-major
+  /// in track order.  A cell counts once in the correlator.* counters and
+  /// is skipped when the satellite was pre-decayed at the event, has no
+  /// pre-event sample or no sample in the window; otherwise it yields
+  ///  - altitude_km: the maximum |altitude - pre-event altitude| (km) within
+  ///    the window (Fig 5a/b);
+  ///  - drag_ratio, when the pre-event B* and the window's maximum B* are
+  ///    positive: that maximum over the pre-event B* (the drag-change
+  ///    factor; 1 = unchanged; Fig 5c).
+  /// Wall time lands in phase correlator.altitude_scan.
+  [[nodiscard]] ChangeSamples change_samples(
+      std::span<const SatelliteTrack> tracks,
+      std::span<const double> event_jds) const;
+
+  /// change_samples(tracks, event_jds).altitude_km, without the drag
+  /// ratios.
   [[nodiscard]] std::vector<double> altitude_change_samples(
       std::span<const SatelliteTrack> tracks,
       std::span<const double> event_jds) const;
 
-  /// One sample per (event, satellite): max B* in the window divided by the
-  /// pre-event B* (the drag-change factor; 1 = unchanged).
+  /// change_samples(tracks, event_jds).drag_ratio.
   [[nodiscard]] std::vector<double> drag_change_samples(
       std::span<const SatelliteTrack> tracks,
       std::span<const double> event_jds) const;
@@ -99,12 +118,10 @@ class EventCorrelator {
   [[nodiscard]] const CorrelatorConfig& config() const noexcept { return config_; }
 
  private:
-  /// What altitude_change_samples and drag_change_samples plug into the
-  /// shared (event, satellite) cell scan.
-  struct CellScan;
-  [[nodiscard]] std::vector<double> scan_cells(
-      std::span<const SatelliteTrack> tracks, std::span<const double> event_jds,
-      const CellScan& scan) const;
+  /// The change_samples scan; without `drag` its drag_ratio stays empty.
+  [[nodiscard]] ChangeSamples scan_cells(std::span<const SatelliteTrack> tracks,
+                                         std::span<const double> event_jds,
+                                         bool drag) const;
 
   const spaceweather::DstIndex* dst_;
   CorrelatorConfig config_;

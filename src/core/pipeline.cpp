@@ -196,6 +196,11 @@ PostEventEnvelope CosmicDance::post_event_envelope(double event_jd, int days,
   return correlator_.post_event_envelope(tracks_, event_jd, days, selection);
 }
 
+ChangeSamples CosmicDance::changes_for_storms(double max_peak_nt) const {
+  return correlator_.change_samples(tracks_,
+                                    correlator_.storm_event_epochs(max_peak_nt));
+}
+
 std::vector<double> CosmicDance::altitude_changes_for_storms(
     double max_peak_nt) const {
   return correlator_.altitude_change_samples(

@@ -89,8 +89,8 @@ class CosmicDance {
     return tracks_;
   }
   /// Tracks built from the raw catalog with no cleaning.  Fig 10(a) reads
-  /// all_altitudes(catalog()) instead; the in-process benchmark still
-  /// calls this.
+  /// fig10_samples(catalog(), tracks()) instead, which computes only the
+  /// removed rows' altitudes; the in-process benchmark still calls this.
   [[nodiscard]] std::vector<SatelliteTrack> raw_tracks() const;
 
   // ---- solar-activity views (Figs 1-2) -------------------------------------
@@ -104,6 +104,8 @@ class CosmicDance {
   }
   [[nodiscard]] PostEventEnvelope post_event_envelope(
       double event_jd, int days, EnvelopeSelection selection) const;
+  /// Fig 5(b) and 5(c) from one scan of the storm cells.
+  [[nodiscard]] ChangeSamples changes_for_storms(double max_peak_nt) const;
   [[nodiscard]] std::vector<double> altitude_changes_for_storms(
       double max_peak_nt) const;
   [[nodiscard]] std::vector<double> altitude_changes_for_quiet(

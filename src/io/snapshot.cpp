@@ -1,5 +1,7 @@
 #include "io/snapshot.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -944,15 +946,37 @@ std::filesystem::path unique_temp_path(const std::string& path) {
       std::to_string(serial.fetch_add(1, std::memory_order_relaxed)));
 }
 
+/// Puts the written `temp` file in place of `target`.  Over a regular file
+/// the two names swap (RENAME_EXCHANGE) and the old file, now at `temp`, is
+/// unlinked: a rename() over an existing file makes ext4 (auto_da_alloc,
+/// on by default) allocate and queue the whole new file for writeback
+/// inside the call, and the cache needs no such flush, since its section
+/// hashes reject a file a crash tore.  With no target yet, a target that
+/// is not a regular file (a directory must still fail the save, and would
+/// swap in), or a filesystem without the exchange, it is a plain rename.
+void replace_target(const std::filesystem::path& temp,
+                    const std::filesystem::path& target) {
+  struct stat status {};
+  if (::lstat(target.c_str(), &status) == 0 && S_ISREG(status.st_mode) &&
+      ::renameat2(AT_FDCWD, temp.c_str(), AT_FDCWD, target.c_str(),
+                  RENAME_EXCHANGE) == 0) {
+    // The save is done; an old file left behind costs only disk space.
+    std::error_code ignored;
+    std::filesystem::remove(temp, ignored);
+    return;
+  }
+  std::filesystem::rename(temp, target);
+}
+
 }  // namespace
 
 bool save_snapshot(const std::string& path, const SnapshotData& data,
                    diag::ParsePolicy policy, obs::Metrics* metrics,
                    int num_threads) {
   const obs::ScopedPhase phase(metrics, "snapshot.save");
-  // Temp-then-rename keeps readers off half-written files; the unique temp
-  // name keeps concurrent writers off *each other's* — the rename itself is
-  // atomic, so the last complete file wins.
+  // Temp-then-swap keeps readers off half-written files; the unique temp
+  // name keeps concurrent writers off *each other's* — the swap or rename
+  // itself is atomic, so the last complete file wins.
   const std::filesystem::path temp = unique_temp_path(path);
   try {
     const std::filesystem::path target(path);
@@ -969,7 +993,10 @@ bool save_snapshot(const std::string& path, const SnapshotData& data,
       out.close();
       if (!out) throw IoError("failed writing snapshot temp file");
     }
-    std::filesystem::rename(temp, target);
+    {
+      const obs::ScopedPhase replace(metrics, "snapshot.replace");
+      replace_target(temp, target);
+    }
     if (metrics != nullptr) {
       metrics->counter("snapshot.written").add(1);
       metrics->counter("snapshot.save_bytes").add(bytes);

@@ -242,19 +242,25 @@ using StateCallback = std::function<void(const IngestState&)>;
     obs::Metrics* metrics = nullptr, int num_threads = 1,
     const StateCallback& alongside = {});
 
-/// Write a snapshot file (atomically: per-writer temp file + rename,
-/// creating the cache directory if needed).  The temp name embeds the pid
-/// and a process-wide serial, so concurrent writers — several processes or
-/// threads sharing a cache dir — never interleave writes into one temp
-/// file; the final rename is atomic, so the last writer wins with a
+/// Write a snapshot file (atomically: per-writer temp file, then swapped
+/// in, creating the cache directory if needed).  The temp name embeds the
+/// pid and a process-wide serial, so concurrent writers — several
+/// processes or threads sharing a cache dir — never interleave writes into
+/// one temp file.  Over an existing regular file the temp file and the
+/// target swap names (renameat2 RENAME_EXCHANGE) and the old file is
+/// unlinked, which spares ext4 the flush of the whole new file it makes
+/// inside a rename() over an existing one; with no target yet it is a
+/// plain rename.  Either step is atomic, so the last writer wins with a
 /// complete file.  Best-effort: returns false and bumps
 /// `snapshot.write_failed` on any filesystem error instead of throwing — a
 /// read-only cache dir must not break the pipeline; the temp file goes
-/// too, even when every byte was written and only the rename failed.
-/// Success bumps `snapshot.written` and adds the file size to
-/// `snapshot.save_bytes`.  The bytes come from write_snapshot, streamed
-/// into the temp file over `num_threads` workers (identical at any value).
-/// Wall time lands in phase "snapshot.save".
+/// too, even when every byte was written and only the rename failed (a
+/// directory at the target fails the save).  Success bumps
+/// `snapshot.written` and adds the file size to `snapshot.save_bytes`.
+/// The bytes come from write_snapshot, streamed into the temp file over
+/// `num_threads` workers (identical at any value).  Wall time lands in
+/// phase "snapshot.save", the swap or rename and the old file's unlink in
+/// its nested phase "snapshot.replace".
 bool save_snapshot(const std::string& path, const SnapshotData& data,
                    diag::ParsePolicy policy, obs::Metrics* metrics = nullptr,
                    int num_threads = 1);

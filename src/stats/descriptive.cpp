@@ -8,8 +8,20 @@
 namespace cosmicdance::stats {
 namespace {
 
+/// A copy of the sample for std::sort or std::nth_element to reorder.  A
+/// NaN orders against nothing, which is undefined behaviour for both, so
+/// it is refused here.
+std::vector<double> ordered_copy(std::span<const double> sample) {
+  std::vector<double> copy(sample.begin(), sample.end());
+  if (std::any_of(copy.begin(), copy.end(),
+                  [](double x) { return std::isnan(x); })) {
+    throw ValidationError("statistics of a sample holding NaN");
+  }
+  return copy;
+}
+
 std::vector<double> sorted_copy(std::span<const double> sample) {
-  std::vector<double> sorted(sample.begin(), sample.end());
+  std::vector<double> sorted = ordered_copy(sample);
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
@@ -18,7 +30,7 @@ std::vector<double> sorted_copy(std::span<const double> sample) {
 
 double percentile_of_sorted(std::span<const double> sorted, double p) {
   if (sorted.empty()) throw ValidationError("percentile of empty sample");
-  if (p < 0.0 || p > 100.0) {
+  if (!(p >= 0.0 && p <= 100.0)) {  // a NaN p too
     throw ValidationError("percentile p outside [0,100]: " + std::to_string(p));
   }
   return interpolate_sorted(sorted, p / 100.0);
@@ -35,7 +47,21 @@ double interpolate_sorted(std::span<const double> sorted,
 }
 
 double percentile(std::span<const double> sample, double p) {
-  return percentile_of_sorted(sorted_copy(sample), p);
+  std::vector<double> values = ordered_copy(sample);
+  // interpolate_sorted reads only the two ranks closest to
+  // p / 100 * (n - 1): put the lower one where a sort would, and the least
+  // value behind it next to it.  Out-of-range arguments go straight to
+  // percentile_of_sorted, which throws.
+  if (!values.empty() && p >= 0.0 && p <= 100.0) {
+    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+    const auto lower =
+        values.begin() + static_cast<std::ptrdiff_t>(std::floor(rank));
+    std::nth_element(values.begin(), lower, values.end());
+    if (lower + 1 != values.end()) {
+      std::iter_swap(lower + 1, std::min_element(lower + 1, values.end()));
+    }
+  }
+  return percentile_of_sorted(values, p);
 }
 
 std::vector<double> percentiles(std::span<const double> sample,

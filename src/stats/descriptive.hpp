@@ -12,8 +12,11 @@
 namespace cosmicdance::stats {
 
 /// p-th percentile (p in [0, 100]) of a sample, linear interpolation between
-/// closest ranks.  Throws ValidationError on an empty sample or p outside
-/// [0, 100].
+/// closest ranks.  Selects the two ranks in a copy instead of sorting it:
+/// the same bits as percentile_of_sorted() of a sorted copy whenever equal
+/// values have equal bits (only -0.0 and 0.0 do not).  Throws
+/// ValidationError on an empty sample, a NaN in it, or p outside [0, 100]
+/// (a NaN p included).
 [[nodiscard]] double percentile(std::span<const double> sample, double p);
 
 /// percentile() of a sample that is already sorted ascending: no copy, no
@@ -28,11 +31,12 @@ namespace cosmicdance::stats {
 [[nodiscard]] double interpolate_sorted(std::span<const double> sorted,
                                         double fraction) noexcept;
 
-/// Convenience: several percentiles at once over one shared sort.
+/// Convenience: several percentiles at once over one shared sort.  Throws
+/// ValidationError as percentile() does.
 [[nodiscard]] std::vector<double> percentiles(std::span<const double> sample,
                                               std::span<const double> ps);
 
-/// Median (50th percentile).
+/// Median (50th percentile), by percentile()'s selection.
 [[nodiscard]] double median(std::span<const double> sample);
 
 /// Arithmetic mean.  Throws ValidationError on an empty sample.
@@ -64,7 +68,8 @@ struct Summary {
   double max = 0.0;
 };
 
-/// Summary of a non-empty sample.  Throws ValidationError when empty.
+/// Summary of a non-empty sample.  Throws ValidationError when empty or
+/// holding a NaN.
 [[nodiscard]] Summary summarize(std::span<const double> sample);
 
 }  // namespace cosmicdance::stats

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -265,6 +266,11 @@ std::vector<std::uint64_t> select_keys(const Chunks& chunks, std::uint64_t lo,
 Ecdf::Ecdf(std::span<const double> sample)
     : sorted_(sample.begin(), sample.end()) {
   if (sorted_.empty()) throw ValidationError("ECDF of empty sample");
+  // A NaN orders against nothing: undefined behaviour for the sort.
+  if (std::any_of(sorted_.begin(), sorted_.end(),
+                  [](double x) { return std::isnan(x); })) {
+    throw ValidationError("ECDF of a sample holding NaN");
+  }
   std::sort(sorted_.begin(), sorted_.end());
 }
 
@@ -275,7 +281,7 @@ double Ecdf::operator()(double x) const noexcept {
 }
 
 double Ecdf::quantile(double q) const {
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {  // a NaN q too
     throw ValidationError("ECDF quantile outside [0,1]: " + std::to_string(q));
   }
   return interpolate_sorted(sorted_, q);

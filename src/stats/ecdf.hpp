@@ -12,14 +12,14 @@ namespace cosmicdance::stats {
 /// then O(log n).  Invariant: the stored sample is sorted and non-empty.
 class Ecdf {
  public:
-  /// Throws ValidationError when the sample is empty.
+  /// Throws ValidationError when the sample is empty or holds a NaN.
   explicit Ecdf(std::span<const double> sample);
 
   /// Fraction of samples <= x, in [0, 1].
   [[nodiscard]] double operator()(double x) const noexcept;
 
   /// Value below which fraction q of the mass lies (q in [0,1]); clamps to
-  /// the sample range.  Throws ValidationError for q outside [0,1].
+  /// the sample range.  Throws ValidationError for q outside [0,1] or NaN.
   [[nodiscard]] double quantile(double q) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }

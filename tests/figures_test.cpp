@@ -149,8 +149,10 @@ TEST_F(Figures, Fig6LongerStormsHeavierTail) {
 
 TEST_F(Figures, Fig10CleaningShape) {
   auto& pipeline = state().pipeline;
-  const auto raw = core::all_altitudes(pipeline.catalog());
-  const auto cleaned = core::all_altitudes(pipeline.tracks());
+  const core::Fig10Samples samples =
+      core::fig10_samples(pipeline.catalog(), pipeline.tracks());
+  const std::span<const double> raw = samples.raw();
+  const std::span<const double> cleaned = samples.clean();
   EXPECT_GT(stats::max(raw), 5000.0);
   EXPECT_LE(stats::max(cleaned), 650.0);
   EXPECT_NEAR(stats::median(cleaned), 550.0, 6.0);

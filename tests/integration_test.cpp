@@ -57,8 +57,10 @@ TEST_F(PaperWindowRun, RefreshIntervalsMatchPaper) {
 }
 
 TEST_F(PaperWindowRun, CleaningRemovesGrossErrors) {
-  const auto raw = core::all_altitudes(state().pipeline.catalog());
-  const auto cleaned = core::all_altitudes(state().pipeline.tracks());
+  const core::Fig10Samples samples = core::fig10_samples(
+      state().pipeline.catalog(), state().pipeline.tracks());
+  const std::span<const double> raw = samples.raw();
+  const std::span<const double> cleaned = samples.clean();
   EXPECT_GT(stats::max(raw), 1000.0);    // Fig 10a long tail present
   EXPECT_LE(stats::max(cleaned), 650.0); // Fig 10b tail removed
   EXPECT_LT(cleaned.size(), raw.size());

@@ -30,6 +30,8 @@
 #include "exec/parallel_for.hpp"
 #include "exec/thread_pool.hpp"
 #include "io/snapshot.hpp"
+#include "obs/obs.hpp"
+#include "orbit/elements.hpp"
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/ecdf.hpp"
@@ -97,6 +99,50 @@ bool bits_equal(double a, double b) {
   return ::testing::AssertionSuccess();
 }
 
+/// Each value's bits, sorted: two samples hold the same multiset of values,
+/// bit for bit, exactly when these are equal.
+std::vector<std::uint64_t> sorted_bits(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  std::sort(bits.begin(), bits.end());
+  return bits;
+}
+
+/// Fig 10(a)'s sample as the catalog overload of all_altitudes built it:
+/// every record's altitude from its mean motion, satellite-major in
+/// history order.
+std::vector<double> catalog_altitudes(const tle::TleCatalog& catalog) {
+  std::vector<double> altitudes;
+  for (const int id : catalog.satellites()) {
+    for (const double revs_per_day : catalog.history(id).mean_motion_revday()) {
+      altitudes.push_back(orbit::altitude_km_from_mean_motion(revs_per_day));
+    }
+  }
+  return altitudes;
+}
+
+/// fig10_samples(catalog, tracks) at 1-8 threads: the same buffer at each,
+/// its prefix all_altitudes(tracks) in order, and the whole buffer the
+/// catalog's altitudes as a multiset, bit for bit.
+void expect_fig10_samples_match(const tle::TleCatalog& catalog,
+                                std::span<const SatelliteTrack> tracks) {
+  const std::vector<double> cleaned = core::all_altitudes(tracks, 1);
+  const std::vector<std::uint64_t> raw = sorted_bits(catalog_altitudes(catalog));
+  const core::Fig10Samples serial = core::fig10_samples(catalog, tracks, 1);
+  for (int threads = 1; threads <= 8; ++threads) {
+    const core::Fig10Samples samples =
+        core::fig10_samples(catalog, tracks, threads);
+    EXPECT_TRUE(VectorsBitIdentical(samples.altitudes, serial.altitudes))
+        << "num_threads=" << threads;
+    EXPECT_EQ(samples.cleaned, cleaned.size()) << "num_threads=" << threads;
+    EXPECT_TRUE(VectorsBitIdentical(
+        {samples.clean().begin(), samples.clean().end()}, cleaned))
+        << "num_threads=" << threads;
+    EXPECT_EQ(sorted_bits(samples.raw()), raw) << "num_threads=" << threads;
+  }
+}
+
 /// Shared input data plus one pipeline per thread count; generated once
 /// (simulation is the expensive part) and reused by every test below.
 class ParallelDifferential : public ::testing::Test {
@@ -149,16 +195,22 @@ TEST_F(ParallelDifferential, RawTracksBitIdentical) {
   }
 }
 
-// Fig 10(a) reads its altitudes from the catalog: they must equal the
-// uncleaned tracks' altitudes, bit for bit and at every thread count.
+// Fig 10(a) is the whole fig10_samples buffer, the cleaned tracks'
+// altitudes and the removed rows' behind them: as a multiset it must equal
+// the uncleaned tracks' altitudes, bit for bit and at every thread count.
 TEST_F(ParallelDifferential, CatalogAltitudesEqualRawTrackAltitudes) {
   const auto expected = core::all_altitudes(serial().raw_tracks(), 1);
   ASSERT_EQ(expected.size(), state().catalog.record_count());
-  for (const int threads : kThreadCounts) {
-    EXPECT_TRUE(VectorsBitIdentical(
-        core::all_altitudes(state().catalog, threads), expected))
-        << "num_threads=" << threads;
+  ASSERT_LT(core::all_altitudes(serial().tracks(), 1).size(), expected.size());
+  for (std::size_t p = 0; p < state().pipelines.size(); ++p) {
+    EXPECT_EQ(sorted_bits(core::fig10_samples(state().catalog,
+                                              state().pipelines[p].tracks(),
+                                              kThreadCounts[p])
+                              .raw()),
+              sorted_bits(expected))
+        << "num_threads=" << kThreadCounts[p];
   }
+  expect_fig10_samples_match(state().catalog, serial().tracks());
 }
 
 TEST_F(ParallelDifferential, StormListsIdentical) {
@@ -247,6 +299,275 @@ TEST_F(ParallelDifferential, AnalysisAggregationsBitIdentical) {
       EXPECT_EQ(panel_baseline[d].tle_count, panel[d].tle_count);
     }
   }
+}
+
+// ---- fig10 samples in one buffer --------------------------------------------
+
+/// A record of satellite `id` at `altitude_km`, `day` days into the window.
+tle::Tle record_at(int id, double day, double altitude_km) {
+  tle::Tle record;
+  record.catalog_number = id;
+  record.international_designator = "20001A";
+  record.epoch_jd = 2459000.5 + day;
+  record.inclination_deg = 53.0;
+  record.bstar = 2e-4;
+  record.mean_motion_revday = orbit::mean_motion_from_altitude_km(altitude_km);
+  return record;
+}
+
+/// 64 satellites in four kinds, so every thread count splits them over
+/// several chunks: a clean history, one with a gross tracking error in mid
+/// history, one that climbs to its shell (orbit raising), and one whose
+/// every record is a tracking error, which leaves no track.
+tle::TleCatalog fig10_edge_catalog() {
+  tle::TleCatalog catalog;
+  for (int sat = 0; sat < 64; ++sat) {
+    const int id = 50000 + sat;
+    for (int k = 0; k < 40; ++k) {
+      double altitude = 550.0 - 0.01 * k;
+      switch (sat % 4) {
+        case 1:
+          if (k == 20) altitude = 5000.0 + sat;
+          break;
+        case 2:
+          if (k < 15) altitude = 350.0 + 10.0 * k;
+          break;
+        case 3:
+          altitude = 40000.0 + sat + k;
+          break;
+        default:
+          break;
+      }
+      catalog.add(record_at(id, 0.5 * k, altitude));
+    }
+  }
+  return catalog;
+}
+
+TEST(ParallelDifferentialFig10Samples, EqualTheCatalogWayAtEveryThreadCount) {
+  const tle::TleCatalog catalog = fig10_edge_catalog();
+  const std::vector<SatelliteTrack> tracks = core::clean_tracks(catalog);
+  // Every record of the all-error satellites is gone, and so is one row of
+  // each mid-history error and the climb of each raised satellite.
+  ASSERT_EQ(tracks.size(), 48u);
+  EXPECT_EQ(core::all_altitudes(tracks, 1).size(), 64u * 40u - 16u * 40u -
+                                                       16u * 1u - 16u * 15u);
+  expect_fig10_samples_match(catalog, tracks);
+  // The uncleaned tracks are a subsequence of their histories too: nothing
+  // is removed, so the buffer is all prefix.
+  const std::vector<SatelliteTrack> raw = core::tracks_from_catalog(catalog);
+  expect_fig10_samples_match(catalog, raw);
+  EXPECT_EQ(core::fig10_samples(catalog, raw, 4).cleaned,
+            catalog.record_count());
+}
+
+TEST(ParallelDifferentialFig10Samples, ACatalogWithNoUsableRecord) {
+  // No record at all: an empty buffer.
+  const tle::TleCatalog empty;
+  for (const int threads : {1, 4, 8}) {
+    const core::Fig10Samples samples = core::fig10_samples(empty, {}, threads);
+    EXPECT_TRUE(samples.altitudes.empty());
+    EXPECT_EQ(samples.cleaned, 0u);
+  }
+  // Every record a tracking error: no track, so no fig10(b), and fig10(a)
+  // is every record.
+  tle::TleCatalog errors;
+  for (int sat = 0; sat < 9; ++sat) {
+    for (int k = 0; k < 5; ++k) errors.add(record_at(60000 + sat, k, 40000.0 + k));
+  }
+  const std::vector<SatelliteTrack> tracks = core::clean_tracks(errors);
+  ASSERT_TRUE(tracks.empty());
+  expect_fig10_samples_match(errors, tracks);
+  EXPECT_EQ(core::fig10_samples(errors, tracks, 4).altitudes.size(), 45u);
+}
+
+TEST(ParallelDifferentialFig10Samples, ATrackThatIsNoSubsequenceThrows) {
+  const tle::TleCatalog catalog = fig10_edge_catalog();
+  const std::vector<SatelliteTrack> clean = core::clean_tracks(catalog);
+  const auto forged = [&](std::size_t t, auto&& edit) {
+    std::vector<SatelliteTrack> tracks = clean;
+    std::vector<core::TrajectorySample> samples(tracks[t].samples().begin(),
+                                                tracks[t].samples().end());
+    edit(samples);
+    tracks[t] = SatelliteTrack(tracks[t].catalog_number(), std::move(samples));
+    return tracks;
+  };
+  const std::vector<std::vector<SatelliteTrack>> cases = {
+      // An epoch no record has.
+      forged(5, [](auto& s) { s[7].epoch_jd += 1e-6; }),
+      // One sample past the history's last record.
+      forged(9, [](auto& s) {
+        s.push_back(s.back());
+        s.back().epoch_jd += 0.5;
+      }),
+      // A kept row twice.
+      forged(0, [](auto& s) { s.insert(s.begin() + 3, s[3]); }),
+      // More samples than the satellite has records.
+      forged(2, [](auto& s) {
+        for (int k = 0; k < 40; ++k) s.push_back(s.back());
+      }),
+  };
+  for (const std::vector<SatelliteTrack>& tracks : cases) {
+    for (const int threads : {1, 4, 8}) {
+      EXPECT_THROW(static_cast<void>(core::fig10_samples(catalog, tracks, threads)),
+                   ValidationError)
+          << "num_threads=" << threads;
+    }
+  }
+  // A track of a satellite the catalog does not hold, and two tracks out
+  // of catalog order.
+  std::vector<SatelliteTrack> stranger = clean;
+  stranger.push_back(SatelliteTrack(99999, {clean.front().samples().front()}));
+  std::vector<SatelliteTrack> swapped = clean;
+  std::swap(swapped[3], swapped[4]);
+  for (const auto* tracks : {&stranger, &swapped}) {
+    EXPECT_THROW(static_cast<void>(core::fig10_samples(catalog, *tracks, 4)),
+                 ValidationError);
+  }
+}
+
+// ---- the storm cell scan -------------------------------------------------------
+
+/// What the storm scan must produce, from the altitude scan and the drag
+/// scan it replaced, one loop each.
+struct TwoScans {
+  std::vector<double> altitude;
+  std::vector<double> drag;
+  std::uint64_t predecayed = 0;
+  std::uint64_t empty_window = 0;
+  std::uint64_t drag_rejected_pre = 0;  ///< cells the drag loop dropped on B*
+};
+
+TwoScans two_brute_force_loops(std::span<const SatelliteTrack> tracks,
+                               std::span<const double> events,
+                               const core::CorrelatorConfig& config) {
+  TwoScans want;
+  for (const double event : events) {
+    for (const SatelliteTrack& track : tracks) {
+      if (core::is_pre_decayed(track, event, config.cleaning)) {
+        ++want.predecayed;
+        continue;
+      }
+      const core::TrajectorySample* pre = track.at_or_before(event);
+      const auto window = track.between(event, event + config.window_days);
+      if (window.empty()) {
+        ++want.empty_window;
+        continue;
+      }
+      double deviation = 0.0;
+      for (const core::TrajectorySample& sample : window) {
+        deviation =
+            std::max(deviation, std::fabs(sample.altitude_km - pre->altitude_km));
+      }
+      want.altitude.push_back(deviation);
+    }
+  }
+  for (const double event : events) {
+    for (const SatelliteTrack& track : tracks) {
+      if (core::is_pre_decayed(track, event, config.cleaning)) continue;
+      const core::TrajectorySample* pre = track.at_or_before(event);
+      if (pre->bstar <= 0.0) {
+        ++want.drag_rejected_pre;
+        continue;
+      }
+      double max_bstar = 0.0;
+      for (const core::TrajectorySample& sample :
+           track.between(event, event + config.window_days)) {
+        max_bstar = std::max(max_bstar, sample.bstar);
+      }
+      if (max_bstar > 0.0) want.drag.push_back(max_bstar / pre->bstar);
+    }
+  }
+  return want;
+}
+
+/// change_samples at 1-8 threads against the two loops, with each
+/// (event, track) cell counted once in the correlator.* counters; the
+/// views give the same samples.
+void expect_storm_scan_matches(const spaceweather::DstIndex& dst,
+                               std::span<const SatelliteTrack> tracks,
+                               std::span<const double> events,
+                               const TwoScans& want) {
+  const core::CorrelatorConfig config;
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    obs::Metrics metrics;
+    const core::EventCorrelator correlator(&dst, config, threads, &metrics);
+    const core::ChangeSamples samples = correlator.change_samples(tracks, events);
+    EXPECT_TRUE(VectorsBitIdentical(samples.altitude_km, want.altitude))
+        << "num_threads=" << threads;
+    EXPECT_TRUE(VectorsBitIdentical(samples.drag_ratio, want.drag))
+        << "num_threads=" << threads;
+    const obs::MetricsReport report = metrics.snapshot();
+    const std::map<std::string, std::uint64_t> expected = {
+        {"correlator.cells", events.size() * tracks.size()},
+        {"correlator.cells_skipped_empty_window", want.empty_window},
+        {"correlator.cells_skipped_no_pre", 0},
+        {"correlator.cells_skipped_predecayed", want.predecayed},
+        {"correlator.samples", want.altitude.size() + want.drag.size()}};
+    EXPECT_EQ(report.counters, expected) << "num_threads=" << threads;
+    ASSERT_EQ(report.phases.count("correlator.altitude_scan"), 1u);
+    EXPECT_EQ(report.phases.at("correlator.altitude_scan").calls, 1u);
+    EXPECT_EQ(report.phases.count("correlator.drag_scan"), 0u);
+    EXPECT_TRUE(VectorsBitIdentical(
+        correlator.altitude_change_samples(tracks, events), want.altitude));
+    EXPECT_TRUE(VectorsBitIdentical(
+        correlator.drag_change_samples(tracks, events), want.drag));
+  }
+}
+
+TEST_F(ParallelDifferential, StormScanEqualsTwoBruteForceLoops) {
+  const std::span<const SatelliteTrack> tracks = serial().tracks();
+  const double p95 = serial().dst_threshold_at_percentile(95.0);
+  const std::vector<double> events =
+      serial().correlator().storm_event_epochs(p95);
+  ASSERT_FALSE(events.empty());
+  const TwoScans want = two_brute_force_loops(tracks, events, {});
+  ASSERT_FALSE(want.altitude.empty());
+  ASSERT_FALSE(want.drag.empty());
+  ASSERT_GT(want.predecayed, 0u);
+  expect_storm_scan_matches(state().dst, tracks, events, want);
+}
+
+TEST(ParallelDifferentialStormScan, EveryKindOfCellAtEveryThreadCount) {
+  // Eight tracks of each kind, sampled every 12 h, around two events ten
+  // days apart that fall between samples:
+  //  0. steady: an altitude change and a drag ratio at both events;
+  //  1. B* 0 throughout, 2. B* negative until after both events: no drag
+  //     ratio, on the pre-event B*;
+  //  3. B* negative after the first event: no drag ratio there, on the
+  //     window's B*, and none at the second, on the pre-event B*;
+  //  4. samples end a day before the first event: an empty window there,
+  //     pre-decayed by its gap at the second;
+  //  5. 20 km lower from 5 days before the events, 6. samples end 5 days
+  //     before them: pre-decayed at both.
+  constexpr double kEpoch = 2459500.5;
+  std::vector<SatelliteTrack> tracks;
+  for (int copy = 0; copy < 8; ++copy) {
+    for (int kind = 0; kind < 7; ++kind) {
+      std::vector<core::TrajectorySample> samples;
+      for (double t = -60.0; t < 45.0; t += 0.5) {
+        if ((kind == 4 && t > -1.0) || (kind == 6 && t > -5.0)) break;
+        double altitude = 550.0 + copy - (t > 0.0 ? 0.1 * t : 0.0);
+        if (kind == 5 && t > -5.0) altitude -= 20.0;
+        double bstar =
+            2e-4 * (1.0 + 0.01 * copy) * (t > 0.0 ? 1.0 + 0.02 * t : 1.0);
+        if (kind == 1) bstar = 0.0;
+        if (kind == 2 && t <= 12.0) bstar = -1e-4;
+        if (kind == 3 && t > 0.0) bstar = -1e-5;
+        samples.push_back({kEpoch + t, altitude, bstar});
+      }
+      tracks.emplace_back(70000 + 10 * copy + kind, std::move(samples));
+    }
+  }
+  const std::vector<double> events = {kEpoch + 0.25, kEpoch + 10.25};
+  const TwoScans want = two_brute_force_loops(tracks, events, {});
+  EXPECT_EQ(want.altitude.size(), 8u * 8);
+  EXPECT_EQ(want.drag.size(), 8u * 2);
+  EXPECT_EQ(want.empty_window, 8u * 1);
+  EXPECT_EQ(want.predecayed, 8u * 5);
+  EXPECT_EQ(want.drag_rejected_pre, 8u * 5);
+  const spaceweather::DstIndex dst;
+  expect_storm_scan_matches(dst, tracks, events, want);
 }
 
 // ---- fig10 ECDF points by selection ------------------------------------------

@@ -860,6 +860,48 @@ TEST(SnapshotSave, FailedRenameLeavesNoTempFileAndTheTargetUntouched) {
   EXPECT_EQ(io::read_file(target + "/kept.txt"), "kept");
 }
 
+/// The names in `dir`, sorted.
+std::vector<std::string> names_in(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(SnapshotSave, AFirstSaveAndASaveOverTheBaseLeaveOnlyTheTarget) {
+  // The first save finds no base and renames its temp file into place; the
+  // next swaps names with the base and unlinks it.  Either way the
+  // directory holds the target alone, with the bytes of the last save, and
+  // a load sees the last save's state.  Both time the step in
+  // snapshot.replace, inside snapshot.save.
+  const ScopedTempDir dir("cdsnap_replace");
+  const std::string target = dir.path() + "/cache/snapshot.cdsnap";
+  const io::SnapshotData first = make_snapshot_data(3000, ParsePolicy::kStrict);
+  const io::SnapshotData second = make_snapshot_data(9000, ParsePolicy::kStrict);
+  ASSERT_NE(first.state.tle_hash, second.state.tle_hash);
+  for (const io::SnapshotData* data : {&first, &second, &first}) {
+    obs::Metrics metrics;
+    ASSERT_TRUE(
+        io::save_snapshot(target, *data, ParsePolicy::kStrict, &metrics, 2));
+    EXPECT_EQ(counter(metrics, "snapshot.written"), 1u);
+    EXPECT_EQ(counter(metrics, "snapshot.write_failed"), 0u);
+    const obs::MetricsReport report = metrics.snapshot();
+    ASSERT_EQ(report.phases.count("snapshot.replace"), 1u);
+    EXPECT_EQ(report.phases.at("snapshot.replace").calls, 1u);
+    EXPECT_LE(report.phases.at("snapshot.replace").total_ms,
+              report.phases.at("snapshot.save").total_ms);
+    EXPECT_EQ(names_in(dir.path() + "/cache"),
+              std::vector<std::string>{"snapshot.cdsnap"});
+    EXPECT_EQ(io::read_file(target), snapshot_bytes(*data, ParsePolicy::kStrict));
+    const std::optional<io::SnapshotData> loaded =
+        io::load_snapshot(target, ParsePolicy::kStrict);
+    ASSERT_TRUE(loaded.has_value());
+    expect_same_decoded(*loaded, *data);
+  }
+}
+
 TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
   // from_files fingerprints its inputs in load_snapshot's callback while
   // the sections decode.  It must see the recorded state exactly once on a

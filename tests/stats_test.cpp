@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -36,6 +40,25 @@ TEST(PercentileTest, Errors) {
   EXPECT_THROW(static_cast<void>(percentile(empty, 50.0)), ValidationError);
   EXPECT_THROW(static_cast<void>(percentile(v, -1.0)), ValidationError);
   EXPECT_THROW(static_cast<void>(percentile(v, 100.5)), ValidationError);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(static_cast<void>(percentile(v, nan)), ValidationError);
+  EXPECT_THROW(static_cast<void>(percentile_of_sorted(v, nan)), ValidationError);
+}
+
+TEST(PercentileTest, NanIsAValidationError) {
+  // A NaN orders against nothing, so no sort or selection may see one.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> ps{50.0};
+  for (const std::vector<double>& v :
+       {std::vector<double>{1.0, nan, 3.0}, std::vector<double>{nan},
+        std::vector<double>{2.0, 1.0, -nan}}) {
+    EXPECT_THROW(static_cast<void>(percentile(v, 50.0)), ValidationError);
+    EXPECT_THROW(static_cast<void>(percentile(v, 0.0)), ValidationError);
+    EXPECT_THROW(static_cast<void>(median(v)), ValidationError);
+    EXPECT_THROW(static_cast<void>(percentiles(v, ps)), ValidationError);
+    EXPECT_THROW(static_cast<void>(summarize(v)), ValidationError);
+    EXPECT_THROW(Ecdf{v}, ValidationError);
+  }
 }
 
 TEST(PercentileTest, BatchMatchesSingle) {
@@ -67,6 +90,76 @@ TEST_P(PercentileProperty, MonotoneAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileProperty,
                          ::testing::Values(1u, 2u, 3u, 17u, 99u));
+
+// ---- percentile and median by selection -------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// percentile() and median() select their ranks: they must equal
+/// percentile_of_sorted() of a sorted copy bit for bit, at exact ranks, at
+/// ranks between two values, and at both ends.
+void expect_selection_matches_the_sort(const std::vector<double>& sample) {
+  std::vector<double> sorted = sample;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> ps = {0.0,  100.0, 50.0, 90.0, 95.0, 99.0,
+                            25.0, 75.0,  1e-9, 99.999, 33.3};
+  if (sample.size() > 1) {
+    const double step = 100.0 / static_cast<double>(sample.size() - 1);
+    for (std::size_t k = 0; k < sample.size(); ++k) {
+      ps.push_back(std::min(100.0, step * static_cast<double>(k)));
+      ps.push_back(std::min(100.0, step * (static_cast<double>(k) + 0.5)));
+    }
+  }
+  for (const double p : ps) {
+    EXPECT_EQ(bits(percentile(sample, p)), bits(percentile_of_sorted(sorted, p)))
+        << "n=" << sample.size() << " p=" << p;
+  }
+  EXPECT_EQ(bits(median(sample)), bits(percentile_of_sorted(sorted, 50.0)))
+      << "n=" << sample.size();
+}
+
+TEST(PercentileSelection, OneAndTwoElements) {
+  expect_selection_matches_the_sort({42.0});
+  expect_selection_matches_the_sort({-3.5});
+  expect_selection_matches_the_sort({7.0, 2.0});
+  expect_selection_matches_the_sort({2.0, 7.0});
+  expect_selection_matches_the_sort({5.0, 5.0});
+}
+
+TEST(PercentileSelection, Ties) {
+  Rng rng(31);
+  for (const std::size_t n : {3u, 4u, 10u, 101u, 1000u}) {
+    std::vector<double> v;
+    for (std::size_t i = 0; i < n; ++i) {
+      v.push_back(static_cast<double>(rng.uniform_int(0, 3)) * 0.25);
+    }
+    expect_selection_matches_the_sort(v);
+  }
+  expect_selection_matches_the_sort(std::vector<double>(17, 550.25));
+}
+
+TEST(PercentileSelection, Infinities) {
+  // An infinity at an exact rank blends to NaN (inf * 0): the same NaN
+  // either way.
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_selection_matches_the_sort({inf, -inf});
+  expect_selection_matches_the_sort({1.0, inf, -inf, 2.0, inf});
+  expect_selection_matches_the_sort({-inf, -inf, 3.0});
+  expect_selection_matches_the_sort({inf});
+}
+
+TEST(PercentileSelection, RandomSamplesInEveryOrder) {
+  Rng rng(57);
+  for (const std::size_t n : {5u, 64u, 999u, 4096u}) {
+    std::vector<double> v;
+    for (std::size_t i = 0; i < n; ++i) v.push_back(rng.normal(550.0, 20.0));
+    expect_selection_matches_the_sort(v);
+    std::sort(v.begin(), v.end());
+    expect_selection_matches_the_sort(v);
+    std::reverse(v.begin(), v.end());
+    expect_selection_matches_the_sort(v);
+  }
+}
 
 TEST(DescriptiveTest, MeanVarianceStddev) {
   const std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
@@ -140,6 +233,9 @@ TEST(EcdfTest, Errors) {
   const Ecdf ecdf(v);
   EXPECT_THROW(static_cast<void>(ecdf.quantile(-0.1)), ValidationError);
   EXPECT_THROW(static_cast<void>(ecdf.quantile(1.1)), ValidationError);
+  EXPECT_THROW(
+      static_cast<void>(ecdf.quantile(std::numeric_limits<double>::quiet_NaN())),
+      ValidationError);
 }
 
 TEST(EcdfTest, PointsThinnedAndTerminated) {

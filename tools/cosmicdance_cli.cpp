@@ -279,27 +279,28 @@ int cmd_analyze(const io::ArgParser& args) {
       io::write_csv_file(path("fig05a_quiet_altitude_change_cdf.csv"),
                          core::ecdf_csv(stats::Ecdf(quiet), "alt_change_km"));
     }
-    const auto storm_changes = pipeline.altitude_changes_for_storms(p95);
-    if (!storm_changes.empty()) {
+    // One scan of the storm cells yields both (b) and (c).
+    const core::ChangeSamples storm = pipeline.changes_for_storms(p95);
+    if (!storm.altitude_km.empty()) {
       io::write_csv_file(
           path("fig05b_storm_altitude_change_cdf.csv"),
-          core::ecdf_csv(stats::Ecdf(storm_changes), "alt_change_km"));
+          core::ecdf_csv(stats::Ecdf(storm.altitude_km), "alt_change_km"));
     }
-    const auto drag = pipeline.drag_changes_for_storms(p95);
-    if (!drag.empty()) {
-      io::write_csv_file(path("fig05c_drag_change_cdf.csv"),
-                         core::ecdf_csv(stats::Ecdf(drag), "bstar_ratio"));
+    if (!storm.drag_ratio.empty()) {
+      io::write_csv_file(
+          path("fig05c_drag_change_cdf.csv"),
+          core::ecdf_csv(stats::Ecdf(storm.drag_ratio), "bstar_ratio"));
     }
     // Fig 10 raw/cleaned altitude CDFs: one altitude per TLE, samples large
     // enough that only the printed order statistics are selected, in
-    // parallel, instead of sorting them.
+    // parallel, instead of sorting them.  Selection reads only the
+    // multiset, so (b) is the buffer's prefix and (a) the whole buffer.
     const int threads = pipeline.config().num_threads;
-    const auto raw = core::all_altitudes(pipeline.catalog(), threads, metrics);
-    const auto cleaned =
-        core::all_altitudes(pipeline.tracks(), threads, metrics);
+    const core::Fig10Samples altitudes = core::fig10_samples(
+        pipeline.catalog(), pipeline.tracks(), threads, metrics);
     const obs::ScopedPhase fig10(metrics, "analyze.fig10_ecdf");
     const auto write_fig10 = [&](const char* name,
-                                 const std::vector<double>& sample) {
+                                 std::span<const double> sample) {
       if (sample.empty()) return;
       io::write_csv_file(
           path(name),
@@ -307,8 +308,8 @@ int cmd_analyze(const io::ArgParser& args) {
               stats::ecdf_points(sample, core::kEcdfCsvPoints, threads),
               "altitude_km"));
     };
-    write_fig10("fig10a_raw_altitude_cdf.csv", raw);
-    write_fig10("fig10b_clean_altitude_cdf.csv", cleaned);
+    write_fig10("fig10a_raw_altitude_cdf.csv", altitudes.raw());
+    write_fig10("fig10b_clean_altitude_cdf.csv", altitudes.clean());
   }
 
   std::cout << "analysis CSVs written to " << out_dir << "\n";

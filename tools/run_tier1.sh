@@ -13,9 +13,11 @@
 #      buffer overreads in the fixed-column parsers surface here, and the
 #      delta-snapshot differential suite so the incremental path's tail
 #      parse and base rewrite run under the same lens, the daemon's
-#      framing and JSON request reader, where outside input enters it, and
+#      framing and JSON request reader, where outside input enters it,
 #      the fig10 ECDF selection, whose histogram and gather passes index
-#      by computed bucket.
+#      by computed bucket, the fig10 samples buffer and the storm cell
+#      scan, whose workers write computed slices, and the percentile
+#      selection.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (every output file byte-identical and work counters
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
@@ -80,7 +82,7 @@ echo "== pass 2: ThreadSanitizer build + parallel suite =="
 cmake -B build-tsan -S . -DCOSMICDANCE_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
       --target parallel_differential_test serve_test sgp4_batch_test \
-               snapshot_test delta_snapshot_test
+               snapshot_test delta_snapshot_test stats_test
 # TSan halts with a non-zero exit on any race; no suppressions are used.
 # The serve suites put the daemon's snapshot swap and its connection
 # workers (DESIGN.md §15) under the same lens: concurrent readers + reloads
@@ -98,16 +100,22 @@ cmake --build build-tsan -j "$JOBS" \
 # and into a new layout, at 1-8 threads.  ParallelDifferentialStagedParse has
 # them parse shards into their rows of one staging block, at 1-8 shards
 # and 1, 4 and 8 threads, before the stitch writes a record that straddles
-# a shard edge into another shard's rows.
+# a shard edge into another shard's rows.  ParallelDifferentialFig10Samples
+# has them write each satellite's kept and removed altitudes into its two
+# slices of one buffer, and ParallelDifferential.StormScanEqualsTwoBruteForceLoops
+# runs the one storm cell scan at 1-8 threads.  PercentileSelection
+# (stats_test) rides along: the selection the track build runs on every
+# worker.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot'
+      -R 'ParallelDifferential|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot|PercentileSelection'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
       --target ingestion_fuzz_test diag_test io_test tle_test tle2_test \
                timeutil_test spaceweather_test snapshot_test \
-               delta_snapshot_test serve_test parallel_differential_test
+               delta_snapshot_test serve_test parallel_differential_test \
+               stats_test
 # The fuzz suite feeds truncated / corrupted fixed-column records through
 # every ingestion path; ASan+UBSan turns any column overread into a failure.
 # snapshot_test drives the corrupted-snapshot failure matrix (truncation,
@@ -127,8 +135,13 @@ cmake --build build-asan -j "$JOBS" \
 # ParallelDifferentialStagedParse indexes the
 # staging block by computed row (each shard's range, the carried record's
 # extra row) and copies staged runs into the columns.
+# ParallelDifferentialFig10Samples indexes the fig10 buffer by computed
+# offset, and feeds it forged tracks that must throw before a write past
+# their satellite's slice; StormScan runs the fused storm cell scan, and
+# PercentileSelection the selection's rank arithmetic over ties,
+# infinities and one or two elements.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|ParallelDifferentialFig10Samples|StormScan|PercentileSelection'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance
@@ -251,12 +264,21 @@ assert "analyze.export" in m1["phases"], (
 assert "analyze.teardown" in m1["phases"], (
     f"analyze.teardown phase missing: {sorted(m1['phases'])}")
 # Each satellite's track is built once per run, cleaning included: nothing
-# after the pipeline build (Fig 10(a) reads the catalog) builds another.
+# after the pipeline build builds another (Fig 10(a) is the cleaned tracks'
+# altitudes plus those of the rows cleaning removed, analysis.fig10_samples).
 built = m1["counters"].get("track.built")
 assert built == (m1["counters"].get("clean.tracks_kept", 0) +
                  m1["counters"].get("clean.tracks_dropped", 0)), (
     f"track.built={built} is not one track per satellite: "
     f"{ {k: v for k, v in m1['counters'].items() if k.startswith(('track.', 'clean.'))} }")
+# Fig 10's two samples come from one buffer, and Fig 5(b)/(c) from one scan
+# of the storm cells: neither the per-figure altitude pass nor the second
+# cell scan runs.
+assert "analysis.fig10_samples" in m1["phases"], (
+    f"analysis.fig10_samples phase missing: {sorted(m1['phases'])}")
+for gone in ("analysis.all_altitudes", "correlator.drag_scan"):
+    assert gone not in m1["phases"], (
+        f"{gone} ran in analyze: {sorted(m1['phases'])}")
 # The rerun over the cache the --threads 8 run wrote was an exact hit.
 hit = json.load(open(f"{smoke}/metrics_hit.json"))["counters"]
 assert hit.get("ingest.cache_hit") == 1 and "snapshot.written" not in hit, (

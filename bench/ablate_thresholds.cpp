@@ -20,7 +20,7 @@ int main() {
                           "p99_km", "max_km"});
   for (const double threshold : {1.0, 2.0, 5.0, 10.0, 20.0, 50.0}) {
     core::PipelineConfig config;
-    config.correlator.cleaning.predecay_threshold_km = threshold;
+    config.predecay_threshold_km = threshold;
     const core::CosmicDance pipeline(dst, catalog, config);
     const double p95 = pipeline.dst_threshold_at_percentile(95.0);
     const auto changes = pipeline.altitude_changes_for_storms(p95);

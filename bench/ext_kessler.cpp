@@ -85,7 +85,7 @@ int main() {
   const auto p95_epochs = pipeline.correlator().storm_event_epochs(
       pipeline.dst_threshold_at_percentile(95.0));
   const auto contamination = core::maneuver_contamination(
-      pipeline.tracks(), p95_epochs, pipeline.correlator().config().window_days);
+      pipeline.tracks(), p95_epochs, core::kEventWindowDays);
   std::printf("  detected manoeuvres: %zu across %zu satellites\n",
               maneuvers.size(), pipeline.tracks().size());
   std::printf("  (satellite,event) pairs near a manoeuvre: %zu of %zu (%.1f%%)\n",

@@ -13,7 +13,6 @@ using namespace cosmicdance;
 
 int main() {
   const spaceweather::DstIndex dst = bench::paper_dst();
-  const spaceweather::StormDetector detector;
 
   io::print_heading(std::cout, "Fig 2: storm duration distribution by category");
   io::TablePrinter table(
@@ -21,7 +20,8 @@ int main() {
   for (const auto category :
        {spaceweather::StormCategory::kMinor, spaceweather::StormCategory::kModerate,
         spaceweather::StormCategory::kSevere}) {
-    const auto durations = detector.durations_for_category(dst, category);
+    const auto durations =
+        spaceweather::StormDetector::durations_for_category(dst, category);
     if (durations.empty()) {
       table.add_row({spaceweather::to_string(category), "0"});
       continue;
@@ -36,8 +36,8 @@ int main() {
   table.print(std::cout);
 
   io::print_heading(std::cout, "Duration CDF points (mild category)");
-  const auto mild =
-      detector.durations_for_category(dst, spaceweather::StormCategory::kMinor);
+  const auto mild = spaceweather::StormDetector::durations_for_category(
+      dst, spaceweather::StormCategory::kMinor);
   const stats::Ecdf ecdf(mild);
   io::TablePrinter cdf({"duration_h", "cdf"});
   for (const auto& [x, f] : ecdf.points(15)) {

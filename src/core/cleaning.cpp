@@ -9,25 +9,23 @@
 
 namespace cosmicdance::core {
 
-std::size_t remove_outliers(std::vector<TrajectorySample>& samples,
-                            const CleaningConfig& config) {
-  return std::erase_if(samples, [&](const TrajectorySample& sample) {
-    return !(sample.altitude_km > config.outlier_min_altitude_km &&
-             sample.altitude_km <= config.outlier_max_altitude_km);
+std::size_t remove_outliers(std::vector<TrajectorySample>& samples) {
+  return std::erase_if(samples, [](const TrajectorySample& sample) {
+    return !(sample.altitude_km > kOutlierMinAltitudeKm &&
+             sample.altitude_km <= kOutlierMaxAltitudeKm);
   });
 }
 
-std::size_t remove_orbit_raising(std::vector<TrajectorySample>& samples,
-                                 const CleaningConfig& config) {
+std::size_t remove_orbit_raising(std::vector<TrajectorySample>& samples) {
   if (samples.empty()) return 0;
   std::vector<double> altitudes;
   altitudes.reserve(samples.size());
   for (const TrajectorySample& s : samples) altitudes.push_back(s.altitude_km);
-  const double shell = stats::percentile(altitudes, config.shell_percentile);
+  const double shell = stats::percentile(altitudes, kShellPercentile);
 
   const auto first_at_shell = std::find_if(
       samples.begin(), samples.end(), [&](const TrajectorySample& s) {
-        return s.altitude_km >= shell - config.raise_margin_km;
+        return s.altitude_km >= shell - kRaiseMarginKm;
       });
   if (first_at_shell == samples.end()) return 0;
   const auto removed = static_cast<std::size_t>(first_at_shell - samples.begin());
@@ -36,17 +34,16 @@ std::size_t remove_orbit_raising(std::vector<TrajectorySample>& samples,
 }
 
 bool is_pre_decayed(const SatelliteTrack& track, double event_jd,
-                    const CleaningConfig& config) {
+                    double predecay_threshold_km) {
   if (track.empty()) return true;
   const TrajectorySample* pre = track.at_or_before(event_jd);
   if (pre == nullptr) return true;
-  if (event_jd - pre->epoch_jd > config.pre_event_max_gap_days) return true;
+  if (event_jd - pre->epoch_jd > kPreEventMaxGapDays) return true;
   return std::fabs(pre->altitude_km - track.median_altitude_km()) >
-         config.predecay_threshold_km;
+         predecay_threshold_km;
 }
 
 std::vector<SatelliteTrack> clean_tracks(const tle::TleCatalog& catalog,
-                                         const CleaningConfig& config,
                                          int num_threads, obs::Metrics* metrics) {
   // Relaxed atomic adds commute, so the totals are bit-identical at every
   // thread count even though workers interleave (DESIGN.md §11).
@@ -61,8 +58,8 @@ std::vector<SatelliteTrack> clean_tracks(const tle::TleCatalog& catalog,
       [&](std::size_t i) {
         std::vector<TrajectorySample> samples = samples_of(catalog.history(ids[i]));
         obs::bump(raw_samples, samples.size());
-        obs::bump(outliers, remove_outliers(samples, config));
-        obs::bump(raising, remove_orbit_raising(samples, config));
+        obs::bump(outliers, remove_outliers(samples));
+        obs::bump(raising, remove_orbit_raising(samples));
         return SatelliteTrack(ids[i], std::move(samples));
       },
       metrics);

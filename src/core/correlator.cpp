@@ -38,9 +38,12 @@ struct CellCounters {
 }  // namespace
 
 EventCorrelator::EventCorrelator(const spaceweather::DstIndex* dst,
-                                 CorrelatorConfig config, int num_threads,
+                                 double predecay_threshold_km, int num_threads,
                                  obs::Metrics* metrics)
-    : dst_(dst), config_(config), num_threads_(num_threads), metrics_(metrics) {
+    : dst_(dst),
+      predecay_threshold_km_(predecay_threshold_km),
+      num_threads_(num_threads),
+      metrics_(metrics) {
   if (dst_ == nullptr) throw ValidationError("correlator requires a Dst series");
 }
 
@@ -68,14 +71,14 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
         TrackProfile result;
         const SatelliteTrack& track = tracks[t];
         obs::bump(cells.evaluated);
-        if (is_pre_decayed(track, event_jd, config_.cleaning)) {
+        if (is_pre_decayed(track, event_jd, predecay_threshold_km_)) {
           obs::bump(cells.skipped_predecayed);
           return result;
         }
         const TrajectorySample* pre = track.at_or_before(event_jd);
         // is_pre_decayed currently rejects tracks with no pre-event sample,
         // but that is its policy, not this scan's invariant: guard locally
-        // so a cleaning-config change can never turn this into a null
+        // so a change to the cleaning rules can never turn this into a null
         // dereference.
         if (pre == nullptr) {
           obs::bump(cells.skipped_no_pre);
@@ -121,7 +124,7 @@ PostEventEnvelope EventCorrelator::post_event_envelope(
           const double first_diff = diffs.front();
           const double last_diff = diffs.back();
           if (!(window_median > first_diff && window_median > last_diff &&
-                window_median >= config_.humped_min_excursion_km)) {
+                window_median >= kHumpedMinExcursionKm)) {
             return result;
           }
         }
@@ -184,7 +187,7 @@ ChangeSamples EventCorrelator::scan_cells(std::span<const SatelliteTrack> tracks
         const double event_jd = event_jds[i / tracks.size()];
         const SatelliteTrack& track = tracks[i % tracks.size()];
         obs::bump(counters.evaluated);
-        if (is_pre_decayed(track, event_jd, config_.cleaning)) {
+        if (is_pre_decayed(track, event_jd, predecay_threshold_km_)) {
           obs::bump(counters.skipped_predecayed);
           return cell;
         }
@@ -195,7 +198,7 @@ ChangeSamples EventCorrelator::scan_cells(std::span<const SatelliteTrack> tracks
           obs::bump(counters.skipped_no_pre);
           return cell;
         }
-        const auto window = track.between(event_jd, event_jd + config_.window_days);
+        const auto window = track.between(event_jd, event_jd + kEventWindowDays);
         if (window.empty()) {
           obs::bump(counters.skipped_empty_window);
           return cell;

@@ -20,16 +20,13 @@ class Metrics;
 
 namespace cosmicdance::core {
 
-struct CorrelatorConfig {
-  CleaningConfig cleaning;
-  /// Post-event observation window (paper: 30 days for Fig 4a, 15 for 4b).
-  double window_days = 30.0;
-  /// The Fig 4a "affected" rule compares the window-median deviation against
-  /// the endpoints; on top of that, the deviation must clear this floor so
-  /// the strict-inequality test is not satisfied by tracker noise alone
-  /// (implementation choice; the paper's CSpOC data has its own noise floor).
-  double humped_min_excursion_km = 2.0;
-};
+/// Post-event observation window (paper: 30 days for Fig 4a, 15 for 4b).
+constexpr double kEventWindowDays = 30.0;
+/// The Fig 4a "affected" rule compares the window-median deviation against
+/// the endpoints; on top of that, the deviation must clear this floor so
+/// the strict-inequality test is not satisfied by tracker noise alone
+/// (implementation choice; the paper's CSpOC data has its own noise floor).
+constexpr double kHumpedMinExcursionKm = 2.0;
 
 /// Per-day post-event altitude-deviation envelope (Fig 4).
 struct PostEventEnvelope {
@@ -61,13 +58,15 @@ struct ChangeSamples {
 
 class EventCorrelator {
  public:
-  /// `dst` is non-owning and must outlive the correlator.  `num_threads`
-  /// runs the per-satellite scans (0 = all hardware threads, 1 = serial);
-  /// results are identical for every value — see the exec::parallel_for
-  /// ordering contract.  `metrics` (optional, non-owning) records the
-  /// scans' cell counters and phase wall times.
-  EventCorrelator(const spaceweather::DstIndex* dst, CorrelatorConfig config = {},
-                  int num_threads = 1, obs::Metrics* metrics = nullptr);
+  /// `dst` is non-owning and must outlive the correlator.
+  /// `predecay_threshold_km` is is_pre_decayed's threshold for every scan.
+  /// `num_threads` runs the per-satellite scans (0 = all hardware threads,
+  /// 1 = serial); results are identical for every value — see the
+  /// exec::parallel_for ordering contract.  `metrics` (optional,
+  /// non-owning) records the scans' cell counters and phase wall times.
+  explicit EventCorrelator(const spaceweather::DstIndex* dst,
+                           double predecay_threshold_km = kPredecayThresholdKm,
+                           int num_threads = 1, obs::Metrics* metrics = nullptr);
 
   /// Post-event deviation envelope over `days` days after `event_jd`.
   [[nodiscard]] PostEventEnvelope post_event_envelope(
@@ -79,7 +78,7 @@ class EventCorrelator {
   /// is skipped when the satellite was pre-decayed at the event, has no
   /// pre-event sample or no sample in the window; otherwise it yields
   ///  - altitude_km: the maximum |altitude - pre-event altitude| (km) within
-  ///    the window (Fig 5a/b);
+  ///    the kEventWindowDays window (Fig 5a/b);
   ///  - drag_ratio, when the pre-event B* and the window's maximum B* are
   ///    positive: that maximum over the pre-event B* (the drag-change
   ///    factor; 1 = unchanged; Fig 5c).
@@ -99,11 +98,12 @@ class EventCorrelator {
       std::span<const SatelliteTrack> tracks,
       std::span<const double> event_jds) const;
 
-  /// Peak-hour epochs (JD) of storms with peak at or below `max_peak_nt`.
+  /// Peak-hour epochs (JD) of the default StormDetector's storms (the list
+  /// CosmicDance::storms() returns) with peak at or below `max_peak_nt`.
   [[nodiscard]] std::vector<double> storm_event_epochs(double max_peak_nt) const;
 
-  /// Storms with peak at or below `max_peak_nt`, partitioned by duration:
-  /// first = events shorter than `split_hours`, second = the rest (Fig 6).
+  /// storm_event_epochs(max_peak_nt), partitioned by duration: first =
+  /// events shorter than `split_hours`, second = the rest (Fig 6).
   [[nodiscard]] std::pair<std::vector<double>, std::vector<double>>
   storm_epochs_by_duration(double max_peak_nt, double split_hours) const;
 
@@ -115,8 +115,6 @@ class EventCorrelator {
                                                  std::size_t count,
                                                  double guard_days = 2.0) const;
 
-  [[nodiscard]] const CorrelatorConfig& config() const noexcept { return config_; }
-
  private:
   /// The change_samples scan; without `drag` its drag_ratio stays empty.
   [[nodiscard]] ChangeSamples scan_cells(std::span<const SatelliteTrack> tracks,
@@ -124,7 +122,7 @@ class EventCorrelator {
                                          bool drag) const;
 
   const spaceweather::DstIndex* dst_;
-  CorrelatorConfig config_;
+  double predecay_threshold_km_;
   int num_threads_;
   obs::Metrics* metrics_;
 };

@@ -21,13 +21,12 @@ CosmicDance::CosmicDance(std::shared_ptr<const io::SnapshotData> inputs,
                          PipelineConfig config, std::future<void> snapshot_save)
     : config_(std::move(config)),
       inputs_(std::move(inputs)),
-      correlator_(&inputs_->dst, config_.correlator, config_.num_threads,
-                  config_.metrics),
+      correlator_(&inputs_->dst, config_.predecay_threshold_km,
+                  config_.num_threads, config_.metrics),
       snapshot_save_(std::move(snapshot_save)) {
   {
     const obs::ScopedPhase phase(config_.metrics, "pipeline.build_tracks");
-    tracks_ = clean_tracks(catalog(), config_.correlator.cleaning,
-                           config_.num_threads, config_.metrics);
+    tracks_ = clean_tracks(catalog(), config_.num_threads, config_.metrics);
   }
   if (config_.metrics != nullptr) {
     config_.metrics->set_gauge("pipeline.num_threads_requested",
@@ -184,7 +183,7 @@ std::vector<SatelliteTrack> CosmicDance::raw_tracks() const {
 }
 
 std::vector<spaceweather::StormEvent> CosmicDance::storms() const {
-  return spaceweather::StormDetector(config_.storm_detector).detect(dst());
+  return spaceweather::StormDetector().detect(dst());
 }
 
 double CosmicDance::dst_threshold_at_percentile(double p) const {

@@ -23,9 +23,16 @@ class Metrics;
 
 namespace cosmicdance::core {
 
+/// What a run may set.  The paper's other rules — the cleaning band and
+/// shell estimate (core/cleaning.hpp), the event window and the Fig 4a
+/// excursion floor (core/correlator.hpp) and the storm threshold
+/// (spaceweather::StormDetector's default) — are constants; the paper calls
+/// only the pre-decay threshold configurable.
 struct PipelineConfig {
-  CorrelatorConfig correlator;
-  spaceweather::StormDetectorConfig storm_detector;
+  /// The pre-decay filter's threshold (is_pre_decayed) for every
+  /// correlator scan: a satellite whose pre-event altitude is further than
+  /// this from its long-term median is excluded from the event analyses.
+  double predecay_threshold_km = kPredecayThresholdKm;
   /// Worker count for the per-satellite hot loops (track building, cleaning
   /// and the correlation scans): 0 = all hardware threads, 1 = exact serial
   /// path, n = n workers.  Every value yields bit-identical results — the
@@ -94,6 +101,8 @@ class CosmicDance {
   [[nodiscard]] std::vector<SatelliteTrack> raw_tracks() const;
 
   // ---- solar-activity views (Figs 1-2) -------------------------------------
+  /// The default StormDetector's storms: the list the correlator's storm
+  /// epochs filter.
   [[nodiscard]] std::vector<spaceweather::StormEvent> storms() const;
   /// Dst value at an intensity percentile (e.g. 99 -> about -63 nT).
   [[nodiscard]] double dst_threshold_at_percentile(double p) const;

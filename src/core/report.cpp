@@ -12,6 +12,9 @@
 namespace cosmicdance::core {
 namespace {
 
+/// How many of the strongest storms the report itemises.
+constexpr std::size_t kTopStorms = 10;
+
 std::string num(double value, int precision = 2) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
@@ -20,8 +23,7 @@ std::string num(double value, int precision = 2) {
 
 }  // namespace
 
-std::string markdown_report(const CosmicDance& pipeline,
-                            const ReportOptions& options) {
+std::string markdown_report(const CosmicDance& pipeline) {
   std::ostringstream out;
   out << "# CosmicDance analysis report\n\n";
 
@@ -57,7 +59,7 @@ std::string markdown_report(const CosmicDance& pipeline,
             [](const auto& a, const auto& b) { return a.peak_dst_nt < b.peak_dst_nt; });
   out << "### Strongest storms\n\n";
   out << "| onset (UTC) | peak nT | category | hours |\n|---|---|---|---|\n";
-  for (std::size_t i = 0; i < storms.size() && i < options.top_storms; ++i) {
+  for (std::size_t i = 0; i < storms.size() && i < kTopStorms; ++i) {
     out << "| " << storms[i].start_datetime().to_string().substr(0, 16) << " | "
         << num(storms[i].peak_dst_nt, 0) << " | "
         << spaceweather::to_string(storms[i].category) << " | "
@@ -73,8 +75,7 @@ std::string markdown_report(const CosmicDance& pipeline,
     out << "No storm-epoch satellite samples available.\n\n";
   } else {
     const auto s = stats::summarize(changes);
-    out << "Altitude deviation within "
-        << pipeline.config().correlator.window_days
+    out << "Altitude deviation within " << kEventWindowDays
         << " days after storms stronger than the 95th-ptile threshold ("
         << num(p95, 1) << " nT), " << s.count << " satellite-event samples:\n\n";
     out << "| median | p95 | p99 | max |\n|---|---|---|---|\n";
@@ -82,26 +83,23 @@ std::string markdown_report(const CosmicDance& pipeline,
         << num(s.p99) << " km | " << num(s.max, 1) << " km |\n\n";
   }
 
-  if (options.include_drag_by_category) {
-    out << "### Drag (B*) by geomagnetic context of the prior 24 h\n\n";
-    out << "| context | TLEs | median B* |\n|---|---|---|\n";
-    for (const auto& row : drag_by_category(pipeline.tracks(), dst)) {
-      if (row.samples == 0) continue;
-      out << "| " << spaceweather::to_string(row.category) << " | "
-          << row.samples << " | " << num(row.median_bstar * 1e4, 2)
-          << "e-4 |\n";
-    }
-    out << "\n";
+  out << "### Drag (B*) by geomagnetic context of the prior 24 h\n\n";
+  out << "| context | TLEs | median B* |\n|---|---|---|\n";
+  for (const auto& row : drag_by_category(pipeline.tracks(), dst)) {
+    if (row.samples == 0) continue;
+    out << "| " << spaceweather::to_string(row.category) << " | "
+        << row.samples << " | " << num(row.median_bstar * 1e4, 2)
+        << "e-4 |\n";
   }
+  out << "\n";
 
   out << "---\n*generated by cosmicdance (happens-closely-after semantics; "
          "see the paper's Limitations on manoeuvre confounders).*\n";
   return out.str();
 }
 
-void write_markdown_report(const CosmicDance& pipeline, const std::string& path,
-                           const ReportOptions& options) {
-  io::write_file(path, markdown_report(pipeline, options));
+void write_markdown_report(const CosmicDance& pipeline, const std::string& path) {
+  io::write_file(path, markdown_report(pipeline));
 }
 
 }  // namespace cosmicdance::core

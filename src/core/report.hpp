@@ -8,19 +8,12 @@
 
 namespace cosmicdance::core {
 
-struct ReportOptions {
-  /// How many of the strongest storms to itemise.
-  std::size_t top_storms = 10;
-  /// Include the per-category drag table (costs a pass over every TLE).
-  bool include_drag_by_category = true;
-};
-
-/// Render the full markdown report.
-[[nodiscard]] std::string markdown_report(const CosmicDance& pipeline,
-                                          const ReportOptions& options = {});
+/// Render the full markdown report: the dataset, the solar activity with
+/// the 10 strongest storms, the happens-closely-after impact and the drag
+/// table.
+[[nodiscard]] std::string markdown_report(const CosmicDance& pipeline);
 
 /// Render and write to a file.  Throws IoError on filesystem problems.
-void write_markdown_report(const CosmicDance& pipeline, const std::string& path,
-                           const ReportOptions& options = {});
+void write_markdown_report(const CosmicDance& pipeline, const std::string& path);
 
 }  // namespace cosmicdance::core

@@ -4,13 +4,10 @@
 #include <fstream>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define COSMICDANCE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "common/error.hpp"
 
@@ -54,7 +51,6 @@ void append_file(const std::string& path, std::string_view content) {
 }
 
 MappedFile::MappedFile(const std::string& path, Mode mode) {
-#if COSMICDANCE_HAVE_MMAP
   if (mode == Mode::kAuto) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) throw IoError("cannot open file: " + path);
@@ -82,9 +78,6 @@ MappedFile::MappedFile(const std::string& path, Mode mode) {
     }
     // mmap refused (e.g. special filesystem): fall through to the read path.
   }
-#else
-  static_cast<void>(mode);
-#endif
   fallback_ = slurp(path);
   view_ = fallback_;
 }
@@ -116,7 +109,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 void MappedFile::drop_pages(std::size_t begin, std::size_t end) const noexcept {
-#if COSMICDANCE_HAVE_MMAP
   if (map_ == nullptr) return;
   static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   end = std::min(end, map_size_);
@@ -128,16 +120,10 @@ void MappedFile::drop_pages(std::size_t begin, std::size_t end) const noexcept {
   // still backs every byte.  Best-effort; a failure leaves them resident.
   static_cast<void>(::madvise(static_cast<char*>(map_) + begin, end - begin,
                               MADV_DONTNEED));
-#else
-  static_cast<void>(begin);
-  static_cast<void>(end);
-#endif
 }
 
 void MappedFile::release() noexcept {
-#if COSMICDANCE_HAVE_MMAP
   if (map_ != nullptr) ::munmap(map_, map_size_);
-#endif
   map_ = nullptr;
   map_size_ = 0;
   view_ = {};

@@ -33,7 +33,7 @@ void append_file(const std::string& path, std::string_view content);
 class MappedFile {
  public:
   enum class Mode {
-    kAuto,          ///< mmap when available, else read the whole file
+    kAuto,          ///< mmap a regular file, else read the whole file
     kFallbackRead,  ///< always use the portable read path
   };
 

@@ -8,21 +8,6 @@
 
 namespace cosmicdance::orbit {
 
-void KeplerianElements::validate() const {
-  if (semi_major_axis_km <= 0.0) {
-    throw ValidationError("semi-major axis must be positive: " +
-                          std::to_string(semi_major_axis_km));
-  }
-  if (eccentricity < 0.0 || eccentricity >= 1.0) {
-    throw ValidationError("eccentricity outside [0,1): " +
-                          std::to_string(eccentricity));
-  }
-  if (inclination_rad < 0.0 || inclination_rad > units::kPi) {
-    throw ValidationError("inclination outside [0,pi]: " +
-                          std::to_string(inclination_rad));
-  }
-}
-
 double mean_motion_revday_from_sma(double sma_km, const GravityModel& g) {
   if (sma_km <= 0.0) {
     throw ValidationError("semi-major axis must be positive: " +

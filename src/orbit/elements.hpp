@@ -1,23 +1,10 @@
-// Keplerian elements and the mean-motion <-> altitude relations the paper
-// relies on ("we derive altitude from the mean motion orbital element").
+// The mean-motion <-> altitude relations the paper relies on ("we derive
+// altitude from the mean motion orbital element").
 #pragma once
 
 #include "orbit/constants.hpp"
 
 namespace cosmicdance::orbit {
-
-/// Classical orbital elements.  Angles are radians; semi-major axis in km.
-struct KeplerianElements {
-  double semi_major_axis_km = 6928.0;
-  double eccentricity = 0.0;      ///< [0, 1)
-  double inclination_rad = 0.0;   ///< [0, pi]
-  double raan_rad = 0.0;          ///< [0, 2*pi)
-  double arg_perigee_rad = 0.0;   ///< [0, 2*pi)
-  double mean_anomaly_rad = 0.0;  ///< [0, 2*pi)
-
-  /// Throws ValidationError for non-physical values.
-  void validate() const;
-};
 
 /// Two-body mean motion (rev/day) of a semi-major axis.  Throws
 /// ValidationError for non-positive axis.

@@ -184,17 +184,10 @@ std::string handle_sat_series(const ServeSnapshot& snap,
 
 std::string handle_storm_summary(const ServeSnapshot& snap,
                                  const JsonValue& request) {
-  const auto& pipeline = snap.pipeline;
-  std::vector<spaceweather::StormEvent> storms;
-  if (request.find("threshold") != nullptr) {
-    spaceweather::StormDetectorConfig config =
-        pipeline.config().storm_detector;
-    config.threshold_nt = number_param_or(request, "threshold",
-                                          config.threshold_nt);
-    storms = spaceweather::StormDetector(config).detect(pipeline.dst());
-  } else {
-    storms = pipeline.storms();
-  }
+  const double threshold_nt =
+      number_param_or(request, "threshold", spaceweather::kMinorThresholdNt);
+  const std::vector<spaceweather::StormEvent> storms =
+      spaceweather::StormDetector(threshold_nt).detect(snap.pipeline.dst());
 
   std::string out = open_ok(snap.epoch, "storm_summary");
   out += ",\"count\":";
@@ -429,15 +422,13 @@ std::string handle_quality_report(const ServeSnapshot& snap) {
 }
 
 /// Every storm's altitude-change samples, tagged with the storm's peak.
-/// The storms are the default detector's, the list storm_event_epochs
-/// filters, whatever the pipeline's own storm_detector says; a (storm,
-/// track) cell depends on that pair alone, so scanning one storm at a time
-/// yields the same samples as any multi-storm scan.
+/// The storms are the pipeline's, the list storm_event_epochs filters; a
+/// (storm, track) cell depends on that pair alone, so scanning one storm at
+/// a time yields the same samples as any multi-storm scan.
 std::vector<std::pair<double, double>> storm_altitude_changes(
     const core::CosmicDance& pipeline) {
   std::vector<std::pair<double, double>> changes;
-  for (const spaceweather::StormEvent& storm :
-       spaceweather::StormDetector().detect(pipeline.dst())) {
+  for (const spaceweather::StormEvent& storm : pipeline.storms()) {
     const double epoch_jd = timeutil::julian_from_hour_index(storm.peak_hour);
     for (const double change_km : pipeline.correlator().altitude_change_samples(
              pipeline.tracks(), {&epoch_jd, 1})) {

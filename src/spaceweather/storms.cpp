@@ -1,14 +1,6 @@
 #include "spaceweather/storms.hpp"
 
-#include "common/error.hpp"
-
 namespace cosmicdance::spaceweather {
-
-StormDetector::StormDetector(StormDetectorConfig config) : config_(config) {
-  if (config_.merge_gap_hours < 0 || config_.min_duration_hours < 0) {
-    throw ValidationError("storm detector gaps/durations must be non-negative");
-  }
-}
 
 std::vector<StormEvent> StormDetector::detect(const DstIndex& dst) const {
   std::vector<StormEvent> events;
@@ -17,20 +9,16 @@ std::vector<StormEvent> StormDetector::detect(const DstIndex& dst) const {
 
   bool in_storm = false;
   StormEvent current;
-  long gap = 0;
-
-  auto finalize = [&]() {
-    if (in_storm && current.duration_hours() >= config_.min_duration_hours) {
-      current.category = classify(current.peak_dst_nt);
-      events.push_back(current);
-    }
+  auto close = [&]() {
+    current.category = classify(current.peak_dst_nt);
+    events.push_back(current);
     in_storm = false;
   };
 
   for (std::size_t i = 0; i < values.size(); ++i) {
     const timeutil::HourIndex hour = start + static_cast<timeutil::HourIndex>(i);
     const double v = values[i];
-    if (v <= config_.threshold_nt) {
+    if (v <= threshold_nt_) {
       if (!in_storm) {
         in_storm = true;
         current = StormEvent{};
@@ -42,16 +30,11 @@ std::vector<StormEvent> StormDetector::detect(const DstIndex& dst) const {
         current.peak_hour = hour;
       }
       current.end_hour = hour + 1;
-      gap = 0;
     } else if (in_storm) {
-      ++gap;
-      if (gap > config_.merge_gap_hours) {
-        finalize();
-        gap = 0;
-      }
+      close();  // the first hour back above the threshold ends the storm
     }
   }
-  finalize();
+  if (in_storm) close();
   return events;
 }
 
@@ -65,16 +48,13 @@ std::map<StormCategory, long> StormDetector::category_hours(const DstIndex& dst)
 }
 
 std::vector<double> StormDetector::durations_for_category(
-    const DstIndex& dst, StormCategory category) const {
+    const DstIndex& dst, StormCategory category) {
   // The paper measures a category's storm duration as the contiguous time
   // spent below that category's own threshold (e.g. the severe storm of
   // 24 Apr 2023 "lasted for 3 contiguous hours" below -200 nT), so detect
   // with the category threshold and keep events peaking in the category.
-  StormDetectorConfig config = config_;
-  config.threshold_nt = threshold(category);
-  const StormDetector category_detector(config);
   std::vector<double> durations;
-  for (const StormEvent& event : category_detector.detect(dst)) {
+  for (const StormEvent& event : StormDetector(threshold(category)).detect(dst)) {
     if (event.category == category) {
       durations.push_back(static_cast<double>(event.duration_hours()));
     }

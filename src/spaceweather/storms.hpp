@@ -27,24 +27,17 @@ struct StormEvent {
   }
 };
 
-/// Storm detector configuration.
-struct StormDetectorConfig {
-  /// Hours with Dst <= this value belong to a storm (NOAA's "high
-  /// geomagnetic activity" convention).
-  double threshold_nt = kMinorThresholdNt;
-  /// Two runs separated by fewer than this many above-threshold hours are
-  /// merged into one event (brief recoveries inside one storm).
-  int merge_gap_hours = 0;
-  /// Events shorter than this are dropped (0 keeps everything).
-  int min_duration_hours = 1;
-};
-
 /// Segments a Dst series into storm events.
 class StormDetector {
  public:
-  explicit StormDetector(StormDetectorConfig config = {});
+  /// Hours with Dst <= `threshold_nt` belong to a storm (default: NOAA's
+  /// "high geomagnetic activity" convention, the paper's minor-storm
+  /// threshold).
+  explicit StormDetector(double threshold_nt = kMinorThresholdNt)
+      : threshold_nt_(threshold_nt) {}
 
-  /// All storm events, in time order.
+  /// All storm events, in time order: each maximal run of hours at or
+  /// below the threshold is one event.
   [[nodiscard]] std::vector<StormEvent> detect(const DstIndex& dst) const;
 
   /// Hours spent in each (non-quiet) category across the whole series —
@@ -52,13 +45,14 @@ class StormDetector {
   [[nodiscard]] static std::map<StormCategory, long> category_hours(
       const DstIndex& dst);
 
-  /// Durations (hours) of the detected events whose peak falls in the given
-  /// category — the per-category duration distributions of Fig 2.
-  [[nodiscard]] std::vector<double> durations_for_category(
-      const DstIndex& dst, StormCategory category) const;
+  /// Durations (hours) of the events whose peak falls in the given
+  /// category, detected at that category's own threshold — the
+  /// per-category duration distributions of Fig 2.
+  [[nodiscard]] static std::vector<double> durations_for_category(
+      const DstIndex& dst, StormCategory category);
 
  private:
-  StormDetectorConfig config_;
+  double threshold_nt_;
 };
 
 }  // namespace cosmicdance::spaceweather

@@ -15,10 +15,7 @@
 #include <emmintrin.h>
 #endif
 
-#if defined(__unix__) || defined(__APPLE__)
-#define COSMICDANCE_HAVE_MMAP 1
 #include <sys/mman.h>
-#endif
 
 #include "common/error.hpp"
 #include "exec/parallel_for.hpp"
@@ -132,7 +129,7 @@ static_assert(column_bytes_sum() == kColumnRecordBytes);
 /// and the block frees in one munmap.
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-#if COSMICDANCE_HAVE_MMAP && defined(MADV_HUGEPAGE)
+#if defined(MADV_HUGEPAGE)
 /// Advise the whole huge pages inside [begin, end) as huge pages.
 void advise_huge_pages(const unsigned char* begin, const unsigned char* end) {
   const auto at = [](const unsigned char* p) {
@@ -160,7 +157,6 @@ Columns allocate_columns(std::size_t laid_out, std::size_t free_rows,
   if (rows == 0) return columns;
   const std::size_t bytes = rows * (kColumnRecordBytes + extra_width);
   unsigned char* block = nullptr;
-#if COSMICDANCE_HAVE_MMAP
   if (bytes >= kHugePage) {
     // Map a huge page more than needed and trim both ends, so the block
     // starts on a huge-page boundary.
@@ -178,7 +174,6 @@ Columns allocate_columns(std::size_t laid_out, std::size_t free_rows,
     if (tail > 0) ::munmap(block + mapped, tail);
     columns.bytes = mapped;
   }
-#endif
   if (block == nullptr) {
     block = static_cast<unsigned char*>(std::calloc(bytes, 1));
     if (block == nullptr) throw std::bad_alloc();
@@ -188,7 +183,7 @@ Columns allocate_columns(std::size_t laid_out, std::size_t free_rows,
     columns.base[c] = block;
     block += rows * kColumnWidths[c];
   }
-#if COSMICDANCE_HAVE_MMAP && defined(MADV_HUGEPAGE)
+#if defined(MADV_HUGEPAGE)
   if (columns.bytes > 0 && free_rows == 0) {
     advise_huge_pages(columns.base[0], columns.base[0] + columns.bytes);
   } else if (columns.bytes > 0) {
@@ -208,15 +203,11 @@ unsigned char* extra_column(const Columns& columns) {
 
 void release_columns(Columns& columns) noexcept {
   if (columns.block == nullptr) return;
-#if COSMICDANCE_HAVE_MMAP
   if (columns.bytes > 0) {
     ::munmap(columns.block, columns.bytes);
   } else {
     std::free(columns.block);
   }
-#else
-  std::free(columns.block);
-#endif
   columns = Columns{};
 }
 

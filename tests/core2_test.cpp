@@ -1,5 +1,5 @@
-// Second-round core tests: correlator corners, cleaning edge cases,
-// pipeline configuration propagation and the markdown report.
+// Second-round core tests: correlator corners, cleaning edge cases, the
+// pipeline's pre-decay threshold and storm list, and the markdown report.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "core/report.hpp"
 #include "orbit/elements.hpp"
 #include "timeutil/datetime.hpp"
+#include "timeutil/hour_axis.hpp"
 
 namespace cosmicdance::core {
 namespace {
@@ -114,27 +115,29 @@ TEST(Correlator2Test, DragSamplesSkipNonPositiveBstar) {
 }
 
 TEST(Correlator2Test, WindowDaysConfigRespected) {
+  // The event window is the paper's 30 days: a decay that starts just
+  // inside day 30 counts, one that starts just past it does not.
   const spaceweather::DstIndex dst = quiet_series(200);
-  CorrelatorConfig narrow_config;
-  narrow_config.window_days = 5.0;
-  const EventCorrelator narrow(&dst, narrow_config);
-  const EventCorrelator wide(&dst);
-
-  // Track decays late: only the 30-day window sees the deviation.
-  std::vector<TrajectorySample> samples;
-  for (double t = -30.0; t < 40.0; t += 0.5) {
-    const double altitude = t < 10.0 ? 550.0 : 550.0 - (t - 10.0);
-    samples.push_back(sample_at(kJd0 + t, altitude));
-  }
-  std::vector<SatelliteTrack> tracks;
-  tracks.emplace_back(1, std::move(samples));
+  const EventCorrelator correlator(&dst);
+  const auto decaying_from = [](double start_day) {
+    std::vector<TrajectorySample> samples;
+    for (double t = -30.0; t < start_day; t += 0.5) {
+      samples.push_back(sample_at(kJd0 + t, 550.0));
+    }
+    for (double t = start_day; t < 40.0; t += 0.5) {
+      samples.push_back(sample_at(kJd0 + t, 530.0));
+    }
+    return std::vector<SatelliteTrack>{SatelliteTrack(1, std::move(samples))};
+  };
   const std::vector<double> events{kJd0};
-  const auto short_window = narrow.altitude_change_samples(tracks, events);
-  const auto long_window = wide.altitude_change_samples(tracks, events);
-  ASSERT_EQ(short_window.size(), 1u);
-  ASSERT_EQ(long_window.size(), 1u);
-  EXPECT_LT(short_window[0], 1.0);
-  EXPECT_GT(long_window[0], 15.0);
+  const auto inside =
+      correlator.altitude_change_samples(decaying_from(29.9), events);
+  const auto past =
+      correlator.altitude_change_samples(decaying_from(30.1), events);
+  ASSERT_EQ(inside.size(), 1u);
+  ASSERT_EQ(past.size(), 1u);
+  EXPECT_NEAR(inside[0], 20.0, 1e-9);
+  EXPECT_NEAR(past[0], 0.0, 1e-9);
 }
 
 // ------------------------------- cleaning -----------------------------------
@@ -158,15 +161,6 @@ TEST(Cleaning2Test, AllOutliersLeavesEmptyTrack) {
   EXPECT_TRUE(is_pre_decayed(track, kJd0));
 }
 
-TEST(Cleaning2Test, CustomOutlierBounds) {
-  CleaningConfig config;
-  config.outlier_max_altitude_km = 600.0;
-  std::vector<TrajectorySample> samples{sample_at(kJd0, 620.0),
-                                        sample_at(kJd0 + 1, 550.0)};
-  EXPECT_EQ(remove_outliers(samples, config), 1u);
-  EXPECT_NEAR(samples[0].altitude_km, 550.0, 1e-9);
-}
-
 TEST(Cleaning2Test, RaisingFilterKeepsPostRaiseDecay) {
   // Raise then decay: the filter must cut the raise but keep the decay.
   std::vector<TrajectorySample> samples;
@@ -185,38 +179,86 @@ TEST(Cleaning2Test, RaisingFilterKeepsPostRaiseDecay) {
 
 // ------------------------------- pipeline -----------------------------------
 
+tle::Tle record_at(int catalog_number, double day, double altitude_km) {
+  tle::Tle record;
+  record.catalog_number = catalog_number;
+  record.international_designator = "20001A";
+  record.epoch_jd = kJd0 + day;
+  record.inclination_deg = 53.0;
+  record.mean_motion_revday = orbit::mean_motion_from_altitude_km(altitude_km);
+  record.bstar = 2e-4;
+  return record;
+}
+
 tle::TleCatalog catalog_of_flat_sats(int count) {
   tle::TleCatalog catalog;
   for (int sat = 0; sat < count; ++sat) {
     for (double t = -30.0; t < 30.0; t += 1.0) {
-      tle::Tle record;
-      record.catalog_number = 45000 + sat;
-      record.international_designator = "20001A";
-      record.epoch_jd = kJd0 + t;
-      record.inclination_deg = 53.0;
-      record.mean_motion_revday = orbit::mean_motion_from_altitude_km(550.0);
-      record.bstar = 2e-4;
-      catalog.add(record);
+      catalog.add(record_at(45000 + sat, t, 550.0));
     }
   }
   return catalog;
 }
 
 TEST(Pipeline2Test, ConfigPropagatesToCorrelator) {
-  PipelineConfig config;
-  config.correlator.window_days = 7.0;
-  config.correlator.cleaning.predecay_threshold_km = 2.0;
-  const CosmicDance pipeline(quiet_series(120), catalog_of_flat_sats(2), config);
-  EXPECT_DOUBLE_EQ(pipeline.correlator().config().window_days, 7.0);
-  EXPECT_DOUBLE_EQ(
-      pipeline.correlator().config().cleaning.predecay_threshold_km, 2.0);
+  // One satellite 3 km under its long-term median in the days before the
+  // event: pre-decayed under a 2 km threshold, kept under the default 5 km.
+  tle::TleCatalog catalog;
+  for (double t = -30.0; t < 30.0; t += 1.0) {
+    catalog.add(record_at(45000, t, t >= -2.0 && t <= 0.0 ? 547.0 : 550.0));
+  }
+  PipelineConfig strict;
+  strict.predecay_threshold_km = 2.0;
+  const CosmicDance kept(quiet_series(120), catalog);
+  const CosmicDance excluded(quiet_series(120), catalog, strict);
+  const std::vector<double> events{kJd0};
+  EXPECT_EQ(
+      kept.correlator().altitude_change_samples(kept.tracks(), events).size(),
+      1u);
+  EXPECT_TRUE(excluded.correlator()
+                  .altitude_change_samples(excluded.tracks(), events)
+                  .empty());
 }
 
-TEST(Pipeline2Test, StormDetectorConfigPropagates) {
-  PipelineConfig config;
-  config.storm_detector.threshold_nt = -5.0;  // everything is a "storm"
-  const CosmicDance pipeline(quiet_series(10), catalog_of_flat_sats(1), config);
-  EXPECT_FALSE(pipeline.storms().empty());
+TEST(Pipeline2Test, OneStormListServesEveryFigure) {
+  // Storms of several peaks and durations (hours at or below -50 nT).
+  struct Storm {
+    int start_hour;
+    int hours;
+    double peak_nt;
+  };
+  const Storm storms[] = {{100, 3, -60.0},   {400, 12, -95.0},
+                          {700, 6, -140.0},  {1000, 20, -230.0},
+                          {1300, 9, -75.0},  {1600, 1, -360.0},
+                          {1900, 15, -55.0}, {2000, 8, -110.0}};
+  std::vector<double> values(24 * 90, -10.0);
+  for (const Storm& storm : storms) {
+    for (int h = 0; h < storm.hours; ++h) {
+      values[static_cast<std::size_t>(storm.start_hour + h)] =
+          h == storm.hours / 2 ? storm.peak_nt : -52.0;
+    }
+  }
+  const CosmicDance pipeline(
+      spaceweather::DstIndex(make_datetime(2023, 5, 1), std::move(values)),
+      catalog_of_flat_sats(1));
+  ASSERT_EQ(pipeline.storms().size(), std::size(storms));
+
+  for (const double t : {-50.0, -60.0, -75.0, -100.0, -200.0, -400.0}) {
+    std::vector<double> epochs;
+    std::vector<double> shorter;
+    std::vector<double> longer;
+    for (const spaceweather::StormEvent& storm : pipeline.storms()) {
+      if (storm.peak_dst_nt > t) continue;
+      const double epoch = timeutil::julian_from_hour_index(storm.peak_hour);
+      epochs.push_back(epoch);
+      (storm.duration_hours() < 9 ? shorter : longer).push_back(epoch);
+    }
+    EXPECT_EQ(pipeline.correlator().storm_event_epochs(t), epochs) << t;
+    const auto [below_split, at_or_above_split] =
+        pipeline.correlator().storm_epochs_by_duration(t, 9.0);
+    EXPECT_EQ(below_split, shorter) << t;
+    EXPECT_EQ(at_or_above_split, longer) << t;
+  }
 }
 
 TEST(Pipeline2Test, EmptyCatalogIsUsable) {
@@ -244,24 +286,23 @@ TEST(ReportTest, MarkdownContainsSections) {
 
 TEST(ReportTest, TopStormsLimitRespected) {
   std::vector<double> values(24 * 120, -10.0);
-  // Five separate storms.
-  for (int storm = 0; storm < 5; ++storm) {
+  // Twelve separate storms; the report itemises the strongest ten.
+  for (int storm = 0; storm < 12; ++storm) {
     for (int h = 0; h < 4; ++h) {
-      values[static_cast<std::size_t>(300 + storm * 400 + h)] = -80.0;
+      values[static_cast<std::size_t>(300 + storm * 200 + h)] = -80.0;
     }
   }
   const spaceweather::DstIndex dst(make_datetime(2023, 5, 1), std::move(values));
   const CosmicDance pipeline(dst, catalog_of_flat_sats(1));
-  ReportOptions options;
-  options.top_storms = 2;
-  const std::string report = markdown_report(pipeline, options);
+  ASSERT_EQ(pipeline.storms().size(), 12u);
+  const std::string report = markdown_report(pipeline);
   // Count itemised storm rows by their peak-intensity cell.
   std::size_t rows = 0;
   for (std::size_t pos = report.find("| -80 |"); pos != std::string::npos;
        pos = report.find("| -80 |", pos + 1)) {
     ++rows;
   }
-  EXPECT_EQ(rows, 2u);
+  EXPECT_EQ(rows, 10u);
 }
 
 TEST(ReportTest, WriteToFile) {

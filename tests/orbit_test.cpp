@@ -7,7 +7,6 @@
 #include "orbit/constants.hpp"
 #include "orbit/elements.hpp"
 #include "orbit/frames.hpp"
-#include "orbit/kepler.hpp"
 #include "orbit/state.hpp"
 #include "timeutil/sidereal.hpp"
 
@@ -15,7 +14,6 @@ namespace cosmicdance::orbit {
 namespace {
 
 using units::deg2rad;
-using units::kTwoPi;
 
 TEST(ConstantsTest, Wgs72Values) {
   const GravityModel g = wgs72();
@@ -54,62 +52,6 @@ TEST(ElementsTest, Validation) {
   EXPECT_THROW(static_cast<void>(mean_motion_revday_from_sma(0.0)), ValidationError);
   EXPECT_THROW(static_cast<void>(sma_from_mean_motion_revday(-1.0)), ValidationError);
   EXPECT_THROW(static_cast<void>(circular_speed_kms(-5.0)), ValidationError);
-
-  KeplerianElements coe;
-  coe.eccentricity = 1.0;
-  EXPECT_THROW(coe.validate(), ValidationError);
-  coe.eccentricity = 0.5;
-  coe.semi_major_axis_km = -1.0;
-  EXPECT_THROW(coe.validate(), ValidationError);
-  coe.semi_major_axis_km = 7000.0;
-  coe.inclination_rad = 4.0;
-  EXPECT_THROW(coe.validate(), ValidationError);
-}
-
-TEST(KeplerTest, CircularIsIdentity) {
-  for (double m = 0.0; m < kTwoPi; m += 0.3) {
-    EXPECT_NEAR(solve_kepler(m, 0.0), m, 1e-12);
-  }
-}
-
-TEST(KeplerTest, KnownSolution) {
-  // Vallado example 2-1: M = 235.4 deg, e = 0.4 -> E = 220.512074 deg.
-  const double e_anom = solve_kepler(deg2rad(235.4), 0.4);
-  EXPECT_NEAR(units::rad2deg(e_anom), 220.512074767522, 1e-6);
-}
-
-// Property sweep: the solver must satisfy Kepler's equation for all (M, e).
-class KeplerSweep
-    : public ::testing::TestWithParam<std::tuple<double, double>> {};
-
-TEST_P(KeplerSweep, SatisfiesKeplersEquation) {
-  const auto [m_deg, ecc] = GetParam();
-  const double m = deg2rad(m_deg);
-  const double e_anom = solve_kepler(m, ecc);
-  const double m_back = mean_from_eccentric(e_anom, ecc);
-  EXPECT_NEAR(units::wrap_pi(m_back - units::wrap_two_pi(m)), 0.0, 1e-9)
-      << "M=" << m_deg << " e=" << ecc;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, KeplerSweep,
-    ::testing::Combine(::testing::Values(0.0, 1.0, 45.0, 90.0, 179.0, 180.0,
-                                         181.0, 270.0, 359.0),
-                       ::testing::Values(0.0, 1e-4, 0.1, 0.5, 0.9, 0.99)));
-
-TEST(KeplerTest, AnomalyConversionsRoundTrip) {
-  for (const double ecc : {0.0, 0.2, 0.7}) {
-    for (double nu = 0.05; nu < kTwoPi; nu += 0.5) {
-      const double e_anom = eccentric_from_true(nu, ecc);
-      EXPECT_NEAR(true_from_eccentric(e_anom, ecc), nu, 1e-10);
-    }
-  }
-}
-
-TEST(KeplerTest, RejectsHyperbolic) {
-  EXPECT_THROW(static_cast<void>(solve_kepler(1.0, 1.0)), ValidationError);
-  EXPECT_THROW(static_cast<void>(solve_kepler(1.0, -0.1)), ValidationError);
-  EXPECT_THROW(static_cast<void>(true_from_eccentric(1.0, 1.5)), ValidationError);
 }
 
 TEST(StateTest, VectorAlgebra) {

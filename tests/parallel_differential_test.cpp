@@ -439,17 +439,16 @@ struct TwoScans {
 };
 
 TwoScans two_brute_force_loops(std::span<const SatelliteTrack> tracks,
-                               std::span<const double> events,
-                               const core::CorrelatorConfig& config) {
+                               std::span<const double> events) {
   TwoScans want;
   for (const double event : events) {
     for (const SatelliteTrack& track : tracks) {
-      if (core::is_pre_decayed(track, event, config.cleaning)) {
+      if (core::is_pre_decayed(track, event)) {
         ++want.predecayed;
         continue;
       }
       const core::TrajectorySample* pre = track.at_or_before(event);
-      const auto window = track.between(event, event + config.window_days);
+      const auto window = track.between(event, event + core::kEventWindowDays);
       if (window.empty()) {
         ++want.empty_window;
         continue;
@@ -464,7 +463,7 @@ TwoScans two_brute_force_loops(std::span<const SatelliteTrack> tracks,
   }
   for (const double event : events) {
     for (const SatelliteTrack& track : tracks) {
-      if (core::is_pre_decayed(track, event, config.cleaning)) continue;
+      if (core::is_pre_decayed(track, event)) continue;
       const core::TrajectorySample* pre = track.at_or_before(event);
       if (pre->bstar <= 0.0) {
         ++want.drag_rejected_pre;
@@ -472,7 +471,7 @@ TwoScans two_brute_force_loops(std::span<const SatelliteTrack> tracks,
       }
       double max_bstar = 0.0;
       for (const core::TrajectorySample& sample :
-           track.between(event, event + config.window_days)) {
+           track.between(event, event + core::kEventWindowDays)) {
         max_bstar = std::max(max_bstar, sample.bstar);
       }
       if (max_bstar > 0.0) want.drag.push_back(max_bstar / pre->bstar);
@@ -488,10 +487,10 @@ void expect_storm_scan_matches(const spaceweather::DstIndex& dst,
                                std::span<const SatelliteTrack> tracks,
                                std::span<const double> events,
                                const TwoScans& want) {
-  const core::CorrelatorConfig config;
   for (const int threads : {1, 2, 3, 4, 8}) {
     obs::Metrics metrics;
-    const core::EventCorrelator correlator(&dst, config, threads, &metrics);
+    const core::EventCorrelator correlator(&dst, core::kPredecayThresholdKm,
+                                           threads, &metrics);
     const core::ChangeSamples samples = correlator.change_samples(tracks, events);
     EXPECT_TRUE(VectorsBitIdentical(samples.altitude_km, want.altitude))
         << "num_threads=" << threads;
@@ -521,7 +520,7 @@ TEST_F(ParallelDifferential, StormScanEqualsTwoBruteForceLoops) {
   const std::vector<double> events =
       serial().correlator().storm_event_epochs(p95);
   ASSERT_FALSE(events.empty());
-  const TwoScans want = two_brute_force_loops(tracks, events, {});
+  const TwoScans want = two_brute_force_loops(tracks, events);
   ASSERT_FALSE(want.altitude.empty());
   ASSERT_FALSE(want.drag.empty());
   ASSERT_GT(want.predecayed, 0u);
@@ -560,7 +559,7 @@ TEST(ParallelDifferentialStormScan, EveryKindOfCellAtEveryThreadCount) {
     }
   }
   const std::vector<double> events = {kEpoch + 0.25, kEpoch + 10.25};
-  const TwoScans want = two_brute_force_loops(tracks, events, {});
+  const TwoScans want = two_brute_force_loops(tracks, events);
   EXPECT_EQ(want.altitude.size(), 8u * 8);
   EXPECT_EQ(want.drag.size(), 8u * 2);
   EXPECT_EQ(want.empty_window, 8u * 1);

@@ -40,7 +40,6 @@
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "spaceweather/dst_index.hpp"
-#include "spaceweather/storms.hpp"
 #include "spaceweather/wdc.hpp"
 #include "stats/ecdf.hpp"
 #include "support/make_tle.hpp"
@@ -463,9 +462,7 @@ TEST(ServeServiceTest, ResponsesPastTheFrameLimitBecomeErrors) {
 /// 120 days of Dst with six storms of different peaks, and `satellites`
 /// tracks (catalog numbers from `first_number`) whose altitude dips after
 /// each storm by an amount that grows with the storm's peak and differs per
-/// satellite.  The pipeline's own storm_detector (-100 nT) sees three of
-/// the storms; the default detector (-50 nT), which the correlator's storm
-/// list uses, sees all six.
+/// satellite.  The storm detector (-50 nT) sees all six.
 core::CosmicDance storm_pipeline(int satellites, int first_number, int threads,
                                  obs::Metrics* metrics = nullptr) {
   struct Storm {
@@ -515,7 +512,6 @@ core::CosmicDance storm_pipeline(int satellites, int first_number, int threads,
   core::PipelineConfig config;
   config.num_threads = threads;
   config.metrics = metrics;
-  config.storm_detector.threshold_nt = -100.0;
   return core::CosmicDance(std::move(dst), std::move(catalog), config);
 }
 
@@ -528,10 +524,7 @@ serve::JsonValue handle_json(serve::Service& service, const std::string& request
 void expect_answers_match_the_pipeline(serve::Service& service) {
   const std::shared_ptr<const serve::ServeSnapshot> snap = service.snapshot();
   const core::CosmicDance& pipeline = snap->pipeline;
-  // The fixture must make the storm subsets differ, and the pipeline's own
-  // detector must disagree with the correlator's storm list.
-  ASSERT_LT(pipeline.storms().size(),
-            spaceweather::StormDetector().detect(pipeline.dst()).size());
+  // The fixture must make the storm subsets differ.
   std::set<std::size_t> subset_sizes;
 
   for (const double percentile : {0.0, 50.0, 80.0, 95.0, 97.5, 99.0, 100.0}) {

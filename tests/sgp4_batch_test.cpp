@@ -12,7 +12,8 @@
 //     threads matches the serial sweep (the TSan tier-1 target);
 //   - bounded failure: the Kepler solve returns a defined status at its
 //     iteration bound, and a decaying low-perigee TLE degrades to a defined
-//     status instead of hanging or emitting garbage.
+//     status instead of hanging or emitting garbage; inside its range the
+//     solve satisfies Kepler's equation over a grid of (M, e).
 //
 // Regenerating the golden CSV after an *intentional* model change:
 //   COSMICDANCE_REGEN_GOLDEN=1 ./sgp4_batch_test
@@ -26,6 +27,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/units.hpp"
@@ -483,6 +485,48 @@ TEST(Sgp4StatusTest, KeplerSolveReturnsDefinedStatusAtIterationBound) {
   // Kepler's equation u = E + aynl*cos(E) - axnl*sin(E) holds at the root.
   EXPECT_NEAR(eo1 + 0.1 * std::cos(eo1) - 0.3 * std::sin(eo1), 1.0, 1e-8);
 }
+
+// SGP4's Kepler's-equation form u = E + aynl*cos(E) - axnl*sin(E) is the
+// classical M = E - e*sin(E) at axnl = e, aynl = 0: the propagator's solver
+// must satisfy it over the whole elliptic range.
+
+TEST(KeplerTest, CircularIsIdentity) {
+  for (double m = 0.0; m < units::kTwoPi; m += 0.3) {
+    double eo1 = 0.0, sineo1 = 0.0, coseo1 = 0.0;
+    ASSERT_EQ(sgp4::detail::solve_kepler(m, 0.0, 0.0, eo1, sineo1, coseo1),
+              sgp4::Sgp4Status::kOk);
+    EXPECT_NEAR(eo1, m, 1e-12);
+  }
+}
+
+TEST(KeplerTest, KnownSolution) {
+  // Vallado example 2-1: M = 235.4 deg, e = 0.4 -> E = 220.512074 deg.
+  double eo1 = 0.0, sineo1 = 0.0, coseo1 = 0.0;
+  ASSERT_EQ(sgp4::detail::solve_kepler(units::deg2rad(235.4), 0.4, 0.0, eo1,
+                                       sineo1, coseo1),
+            sgp4::Sgp4Status::kOk);
+  EXPECT_NEAR(units::rad2deg(eo1), 220.512074767522, 1e-6);
+}
+
+class KeplerSweep
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(KeplerSweep, SatisfiesKeplersEquation) {
+  const auto [m_deg, ecc] = GetParam();
+  const double m = units::deg2rad(m_deg);
+  double eo1 = 0.0, sineo1 = 0.0, coseo1 = 0.0;
+  ASSERT_EQ(sgp4::detail::solve_kepler(m, ecc, 0.0, eo1, sineo1, coseo1),
+            sgp4::Sgp4Status::kOk)
+      << "M=" << m_deg << " e=" << ecc;
+  EXPECT_NEAR(units::wrap_pi(eo1 - ecc * std::sin(eo1) - m), 0.0, 1e-9)
+      << "M=" << m_deg << " e=" << ecc;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, KeplerSweep,
+    ::testing::Combine(::testing::Values(0.0, 1.0, 45.0, 90.0, 179.0, 180.0,
+                                         181.0, 270.0, 359.0),
+                       ::testing::Values(0.0, 1e-4, 0.1, 0.5, 0.9, 0.99)));
 
 TEST(Sgp4StatusTest, DecayingLowPerigeeTleFailsWithDefinedStatus) {
   // A heavily dragged low-perigee set: B* = 0.1 pulls the mean eccentricity

@@ -102,26 +102,6 @@ TEST(StormDetectorTest, PeakHourIsMostNegative) {
   EXPECT_EQ(events[0].start_datetime().hour, 0);
 }
 
-TEST(StormDetectorTest, MergeGapJoinsRuns) {
-  const DstIndex dst = series_with({-60, -40, -60, -10, -10});
-  StormDetectorConfig config;
-  config.merge_gap_hours = 1;
-  const auto merged = StormDetector(config).detect(dst);
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].duration_hours(), 3);  // spans the one-hour gap
-  const auto unmerged = StormDetector().detect(dst);
-  EXPECT_EQ(unmerged.size(), 2u);
-}
-
-TEST(StormDetectorTest, MinDurationFilter) {
-  const DstIndex dst = series_with({-60, -10, -60, -60, -10});
-  StormDetectorConfig config;
-  config.min_duration_hours = 2;
-  const auto events = StormDetector(config).detect(dst);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].duration_hours(), 2);
-}
-
 TEST(StormDetectorTest, StormAtSeriesEdges) {
   const DstIndex dst = series_with({-70, -60, -10, -60, -70});
   const auto events = StormDetector().detect(dst);

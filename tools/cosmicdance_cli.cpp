@@ -166,10 +166,9 @@ int cmd_storms(const io::ArgParser& args) {
   diag::ParseLog log(parse_policy(args));
   const auto dst = spaceweather::read_wdc_file(require(args, "dst"), &log);
   emit_quality_report(args, log.report());
-  spaceweather::StormDetectorConfig detector_config;
-  detector_config.threshold_nt = args.number_or("threshold", -50.0);
-  const auto storms =
-      spaceweather::StormDetector(detector_config).detect(dst);
+  const double threshold_nt =
+      args.number_or("threshold", spaceweather::kMinorThresholdNt);
+  const auto storms = spaceweather::StormDetector(threshold_nt).detect(dst);
 
   if (const auto csv_path = args.option("csv")) {
     io::write_csv_file(*csv_path, core::storms_csv(storms));

@@ -21,6 +21,8 @@
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (every output file byte-identical and work counters
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
+#      output files, report and storms tables byte-identical to the
+#      digests committed in tests/golden/smoke_outputs.sha256, the
 #      figure export timed as its own analyze.export phase and the
 #      pipeline's destruction as analyze.teardown, and each
 #      satellite's track built once per run; a cached run writes the same
@@ -163,6 +165,29 @@ mkdir -p "$SMOKE"
 for out in "$SMOKE"/out1/*; do
   cmp "$out" "$SMOKE/out8/$(basename "$out")"
 done
+# Byte-identity across commits: out1's files, report's stdout and markdown
+# and the storms table at the default and a -100 nT threshold must match
+# the digests committed in tests/golden/smoke_outputs.sha256 (stdout lines
+# that name an output path are left out).  An intended output change
+# updates that file and says why in CHANGES.md.
+DIGESTS="$PWD/tests/golden/smoke_outputs.sha256"
+"$CLI" report --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
+       > "$SMOKE/report.raw"
+"$CLI" report --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
+       --markdown "$SMOKE/report.md" > "$SMOKE/report_md.raw"
+"$CLI" storms --dst data/sample/dst.wdc > "$SMOKE/storms.raw"
+"$CLI" storms --dst data/sample/dst.wdc --threshold -100 \
+       > "$SMOKE/storms_threshold.raw"
+for name in report storms storms_threshold; do
+  awk -v path="$SMOKE" 'index($0, path) == 0' "$SMOKE/$name.raw" \
+      > "$SMOKE/$name.stdout"
+done
+[ "$(cd "$SMOKE/out1" && find . -type f | sed 's#^\./#out1/#' | LC_ALL=C sort)" = \
+  "$(awk '$2 ~ /^out1\// {print $2}' "$DIGESTS" | LC_ALL=C sort)" ]
+if ! (cd "$SMOKE" && sha256sum --check --quiet "$DIGESTS"); then
+  echo "smoke outputs differ from tests/golden/smoke_outputs.sha256" >&2
+  exit 1
+fi
 # The snapshot writer streams its sections a wave at a time, and a wave's
 # size follows the worker count; the file's bytes must not.  A cold cached
 # run at --threads 1 and at 8 writes the same .cdsnap, and an exact hit on

@@ -17,6 +17,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
@@ -100,18 +101,22 @@ inline void note(const std::string& text) {
 /// Machine-readable bench telemetry record, shared by the micro benches:
 ///   {"bench": ..., "threads": N, "threads_resolved": W,
 ///    "hardware_concurrency": H, "dataset": ...,
-///    "throughput": {"name": rate, ...}, "metrics": <MetricsReport JSON>}
+///    "throughput": {"name": rate, ...}, "reps": {"name": [rate, ...], ...},
+///    "metrics": <MetricsReport JSON>}
 /// `threads` is the requested knob (0 = auto); `threads_resolved` is the
 /// worker count the exec subsystem actually ran, and
 /// `hardware_concurrency` the machine it ran on — without both, a
 /// throughput regression on an 8-core box and a healthy run on a 1-core
-/// box are indistinguishable in the archived records.
+/// box are indistinguishable in the archived records.  `reps`, written
+/// only when given, holds each repetition's rate behind a best-of-reps
+/// throughput key; tools/bench_compare.py diffs throughput alone.
 /// `bench` / `dataset` / throughput keys are caller-controlled literals and
 /// must not need JSON escaping.
-inline void write_bench_record(const std::string& path, const std::string& bench,
-                               int threads, const std::string& dataset,
-                               const std::map<std::string, double>& throughput,
-                               const obs::Metrics& metrics) {
+inline void write_bench_record(
+    const std::string& path, const std::string& bench, int threads,
+    const std::string& dataset, const std::map<std::string, double>& throughput,
+    const obs::Metrics& metrics,
+    const std::map<std::string, std::vector<double>>& reps = {}) {
   std::string json =
       "{\n  \"bench\": \"" + bench + "\",\n  \"threads\": " +
       std::to_string(threads) + ",\n  \"threads_resolved\": " +
@@ -127,7 +132,23 @@ inline void write_bench_record(const std::string& path, const std::string& bench
     std::snprintf(buffer, sizeof(buffer), "%.6g", value);
     json += "\"" + name + "\": " + buffer;
   }
-  json += "},\n  \"metrics\": " + metrics.snapshot().to_json() + "\n}\n";
+  json += "},\n";
+  if (!reps.empty()) {
+    json += "  \"reps\": {";
+    first = true;
+    for (const auto& [name, values] : reps) {
+      if (!first) json += ", ";
+      first = false;
+      json += "\"" + name + "\": [";
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        std::snprintf(buffer, sizeof(buffer), "%.6g", values[i]);
+        json += (i > 0 ? ", " : "") + std::string(buffer);
+      }
+      json += "]";
+    }
+    json += "},\n";
+  }
+  json += "  \"metrics\": " + metrics.snapshot().to_json() + "\n}\n";
   io::write_file(path, json);
   std::printf("wrote bench record to %s\n", path.c_str());
 }

@@ -62,41 +62,41 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
   const bool use_cache = !config.cache_dir.empty();
   std::string snapshot_path;
   io::SnapshotData data;
-  std::uint64_t base_lines = 0;
-  // The current input's state, once a classification has fingerprinted it.
-  std::optional<io::InputClassification> cls;
   io::InputMatch match = io::InputMatch::kMismatch;
+  // The current input against the recorded one; with no usable recorded
+  // state, only its `current` state counts.
+  io::InputClassification input;
   if (use_cache) {
     snapshot_path = io::snapshot_cache_path(config.cache_dir, tle_path);
-    // The fingerprint runs on one worker while the others decode the
-    // snapshot's sections, dropping the input pages it has hashed as it
-    // goes.  An exact hit never reads the input again, so it unmaps it
-    // right there; an append run faults back only the tail it parses.
-    std::optional<io::SnapshotData> snapshot = io::load_snapshot(
-        snapshot_path, config.parse_policy, config.metrics, config.num_threads,
-        [&](const io::IngestState& recorded) {
-          const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-          cls = io::classify_inputs(recorded, *tle_file);
-          if (cls->match == io::InputMatch::kExact) tle_file.reset();
-        });
-    if (!snapshot.has_value() && !tle_file.has_value()) {
-      // An exact input, but a later section failed: the text path needs it.
-      tle_file.emplace(tle_path);
+    // The recorded state first, then one fingerprint of the input before
+    // anything is decoded or parsed; it drops the input pages it has
+    // hashed.  Only a snapshot of the same input, or of a prefix of it, is
+    // decoded, from the mapping its state was read from.
+    const std::optional<io::SnapshotFile> snapshot =
+        io::open_snapshot(snapshot_path, config.parse_policy, config.metrics);
+    {
+      const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
+      input = io::classify_inputs(
+          snapshot.has_value() ? snapshot->state : io::IngestState{}, *tle_file,
+          config.num_threads);
     }
-    if (snapshot.has_value()) {
-      match = cls->match;  // a decoded snapshot always ran the fingerprint
-      if (match == io::InputMatch::kMismatch) {
-        // Structurally valid snapshot of some *other* input (shrunk or
-        // edited in place): stale.  Count the rejection and reparse.
-        if (config.metrics != nullptr) {
-          config.metrics->counter("snapshot.rejected").add(1);
-        }
-      } else {
-        data = std::move(*snapshot);
-        base_lines = cls->prefix_lines;
+    if (snapshot.has_value() && input.match == io::InputMatch::kMismatch) {
+      // A snapshot of some *other* input (shrunk or edited in place):
+      // stale.  Count the rejection and reparse.
+      if (config.metrics != nullptr) {
+        config.metrics->counter("snapshot.rejected").add(1);
+      }
+    } else if (snapshot.has_value()) {
+      std::optional<io::SnapshotData> loaded = io::load_snapshot(
+          *snapshot, config.parse_policy, config.metrics, config.num_threads);
+      if (loaded.has_value()) {
+        match = input.match;
+        data = std::move(*loaded);
         if (config.metrics != nullptr) {
           config.metrics->counter("snapshot.loaded").add(1);
         }
+        // An exact hit never reads the input again.
+        if (match == io::InputMatch::kExact) tle_file.reset();
       }
     }
   }
@@ -131,6 +131,8 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     // throw — equal a full reparse of the grown file.  The parse drops each
     // shard's pages of the mapping once parsed.
     const auto base_len = static_cast<std::size_t>(data.state.tle_len);
+    const std::uint64_t base_lines =
+        match == io::InputMatch::kAppend ? input.prefix_lines : 0;
     if (match == io::InputMatch::kAppend && config.metrics != nullptr) {
       config.metrics->counter("ingest.delta_hit").add(1);
       config.metrics->counter("ingest.tail_bytes").add(tle_file->size() - base_len);
@@ -145,15 +147,7 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
                              static_cast<std::size_t>(base_lines) + 1});
     }
     quality.merge(tle_log.report());
-    if (use_cache) {
-      if (!cls.has_value()) {
-        // A cold run hashes the input after the parse: it drops each
-        // window's pages too, so the input never comes back whole.
-        const obs::ScopedPhase phase(config.metrics, "ingest.fingerprint");
-        cls = io::classify_inputs(io::IngestState{}, *tle_file);
-      }
-      data.state = cls->current;
-    }
+    if (use_cache) data.state = input.current;
   }
   data.dst = std::move(dst);
   data.quality = std::move(quality);

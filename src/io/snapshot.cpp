@@ -480,99 +480,89 @@ std::uint64_t xxh_digest(const XxhState& acc, std::uint64_t length,
   return h ^ (h >> 32);
 }
 
-/// Streaming XXH64 (seed 0) that counts '\n' bytes in the same pass.  Any
-/// split of the input across update() calls gives the same digest() and
-/// lines() as one call over the whole, which is what lets classify_inputs
-/// check the recorded prefix and then continue over the tail.
-class InputHasher {
- public:
-  void update(std::string_view bytes) {
-    const char* p = bytes.data();
-    std::size_t n = bytes.size();
-    length_ += n;
-    if (buffered_ > 0) {  // complete the partial stripe the last call left
-      const std::size_t take = std::min(n, kXxhStripe - buffered_);
-      std::copy(p, p + take, buffer_.begin() + buffered_);
-      lines_ += static_cast<std::uint64_t>(std::count(p, p + take, '\n'));
-      buffered_ += take;
-      p += take;
-      n -= take;
-      if (buffered_ < kXxhStripe) return;
-      static_cast<void>(xxh_stripes<true>(acc_, buffer_.data(), 1));  // counted
-      buffered_ = 0;
-    }
-    const std::size_t stripes = n / kXxhStripe;
-    lines_ += xxh_stripes<true>(acc_, p, stripes);
-    p += stripes * kXxhStripe;
-    n -= stripes * kXxhStripe;
-    std::copy(p, p + n, buffer_.begin());
-    lines_ += static_cast<std::uint64_t>(std::count(p, p + n, '\n'));
-    buffered_ = n;
-  }
-
-  [[nodiscard]] std::uint64_t digest() const {
-    return xxh_digest(acc_, length_, buffer_.data(), buffered_);
-  }
-
-  [[nodiscard]] std::uint64_t lines() const { return lines_; }
-
- private:
-  XxhState acc_ = kXxhInit;
-  std::array<char, kXxhStripe> buffer_{};
-  std::size_t buffered_ = 0;
-  std::uint64_t length_ = 0;
-  std::uint64_t lines_ = 0;
+/// A run of bytes' XXH64 (seed 0) and, when counted, its '\n' bytes.
+struct Digest {
+  std::uint64_t hash = 0;
+  std::uint64_t lines = 0;
 };
 
-/// One input measured against its recorded prefix.
-struct InputScan {
-  std::uint64_t hash = kXxh64Empty;
-  std::uint64_t prefix_lines = 0;  ///< newlines in the recorded prefix
-  bool prefix_matches = false;     ///< the recorded prefix is intact
-};
-
-/// Bytes the fingerprint hashes between page drops on a mapped input.
-constexpr std::size_t kScanWindow = std::size_t{4} << 20;
-
-/// Hash bytes [from, to) of an input a window at a time; with the input's
-/// mapping, drop each window's pages once hashed.
-void hash_range(InputHasher& hasher, std::string_view bytes, std::size_t from,
-                std::size_t to, const MappedFile* mapping) {
-  while (from < to) {
-    const std::size_t end = std::min(to, from + kScanWindow);
-    hasher.update(bytes.substr(from, end - from));
-    if (mapping != nullptr) mapping->drop_pages(from, end);
-    from = end;
+/// XXH64 of `bytes`, with their newlines counted in the same loop when
+/// kCountLines (which halves the rate over cache-resident bytes).
+template <bool kCountLines>
+Digest xxh64_of(std::string_view bytes) {
+  XxhState acc = kXxhInit;
+  const std::size_t stripes = bytes.size() / kXxhStripe;
+  const char* rest = bytes.data() + stripes * kXxhStripe;
+  const std::size_t n = bytes.size() % kXxhStripe;
+  Digest digest;
+  digest.lines = xxh_stripes<kCountLines>(acc, bytes.data(), stripes);
+  if constexpr (kCountLines) {
+    digest.lines += static_cast<std::uint64_t>(std::count(rest, rest + n, '\n'));
   }
+  digest.hash = xxh_digest(acc, bytes.size(), rest, n);
+  return digest;
 }
 
-/// Hash the recorded prefix, compare, then continue the same stream over
-/// the tail, so every byte is hashed — and its newlines counted — once.
-InputScan scan_input(std::string_view bytes, const IngestState& recorded,
-                     const MappedFile* mapping) {
-  InputHasher hasher;
-  InputScan scan;
-  std::size_t prefix = 0;
-  if (bytes.size() >= recorded.tle_len) {  // a shrunk input has no prefix
-    prefix = static_cast<std::size_t>(recorded.tle_len);
-    hash_range(hasher, bytes, 0, prefix, mapping);
-    scan.prefix_matches = hasher.digest() == recorded.tle_hash;
-    scan.prefix_lines = hasher.lines();
-  }
-  hash_range(hasher, bytes, prefix, bytes.size(), mapping);
-  scan.hash = hasher.digest();
-  return scan;
+/// The fingerprint hashes its input in windows of this many bytes from
+/// byte 0, each on its own, so the windows hash in parallel and a grown
+/// input shares every whole window of its prefix.
+constexpr std::size_t kFingerprintWindow = std::size_t{4} << 20;
+
+/// The fingerprint of `length` bytes whose windows hashed to `windows`:
+/// XXH64 of the window digests, then the length, each a little-endian u64.
+std::uint64_t fingerprint(std::span<const Digest> windows, std::uint64_t length) {
+  std::string bytes;
+  bytes.reserve(8 * (windows.size() + 1));
+  for (const Digest& window : windows) put_u64(bytes, window.hash);
+  put_u64(bytes, length);
+  return xxh64(bytes);
 }
 
 InputClassification classify(const IngestState& base, std::string_view bytes,
-                             const MappedFile* mapping) {
-  const InputScan scan = scan_input(bytes, base, mapping);
+                             const MappedFile* mapping, int num_threads) {
+  // The input's windows, then the recorded prefix's last partial window
+  // when the input grew past it: the prefix shares every whole window below
+  // its end with the input, so only that one is hashed twice.  A shrunk
+  // input has no prefix.
+  const std::size_t size = bytes.size();
+  const bool has_prefix = base.tle_len <= size;
+  const auto prefix = has_prefix ? static_cast<std::size_t>(base.tle_len) : 0;
+  const std::size_t whole = prefix / kFingerprintWindow;
+  const bool partial = prefix % kFingerprintWindow != 0;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // [begin, end)
+  for (std::size_t at = 0; at < size; at += kFingerprintWindow) {
+    ranges.emplace_back(at, std::min(size, at + kFingerprintWindow));
+  }
+  const std::size_t windows = ranges.size();
+  if (partial && prefix < size) {
+    ranges.emplace_back(whole * kFingerprintWindow, prefix);
+  }
+  // Only the prefix of an input that grew has its newlines read (an
+  // append's tail starts on the line after them), so only its ranges pay
+  // for the count; the others take the plain loop, which gives the same
+  // digest.  Each range's pages go once it is hashed, so the pass holds
+  // about a window a worker of a mapped input resident.
+  const std::vector<Digest> digests = exec::ordered_map<Digest>(
+      ranges.size(), num_threads, [&](std::size_t i) {
+        const auto [begin, end] = ranges[i];
+        const std::string_view range = bytes.substr(begin, end - begin);
+        const Digest digest = prefix < size && (i < whole || i >= windows)
+                                  ? xxh64_of<true>(range)
+                                  : xxh64_of<false>(range);
+        if (mapping != nullptr) mapping->drop_pages(begin, end);
+        return digest;
+      });
+
   InputClassification out;
-  out.current = IngestState{bytes.size(), scan.hash};
-  // Shrunk, or edited within the recorded prefix.
-  if (!scan.prefix_matches) return out;
-  out.prefix_lines = scan.prefix_lines;
-  if (bytes.size() == base.tle_len) {
+  out.current = IngestState{size, fingerprint(std::span(digests).first(windows), size)};
+  if (!has_prefix) return out;
+  std::vector<Digest> recorded(digests.begin(),
+                               digests.begin() + static_cast<std::ptrdiff_t>(whole));
+  if (partial) recorded.push_back(digests[prefix < size ? windows : whole]);
+  // Edited within the recorded prefix.
+  if (fingerprint(recorded, prefix) != base.tle_hash) return out;
+  for (const Digest& window : recorded) out.prefix_lines += window.lines;
+  if (size == prefix) {
     out.match = InputMatch::kExact;
     return out;
   }
@@ -580,9 +570,9 @@ InputClassification classify(const IngestState& base, std::string_view bytes,
   // boundary is read from these bytes.  It must end a line (appended bytes
   // could otherwise rewrite its last one) and leave no line 1 unpaired (an
   // appended line 2 would otherwise pair with it retroactively).
-  const std::string_view prefix = bytes.substr(0, base.tle_len);
-  if (!prefix.empty() && prefix.back() != '\n') return out;
-  if (!tle::append_boundary_clean(prefix)) return out;
+  const std::string_view recorded_bytes = bytes.substr(0, prefix);
+  if (!recorded_bytes.empty() && recorded_bytes.back() != '\n') return out;
+  if (!tle::append_boundary_clean(recorded_bytes)) return out;
   out.match = InputMatch::kAppend;
   return out;
 }
@@ -590,28 +580,24 @@ InputClassification classify(const IngestState& base, std::string_view bytes,
 }  // namespace
 
 std::uint64_t xxh64(std::string_view bytes) {
-  // The plain loop: only the fingerprint needs InputHasher's newline count,
-  // which halves the rate over cache-resident bytes.
-  XxhState acc = kXxhInit;
-  const std::size_t stripes = bytes.size() / kXxhStripe;
-  static_cast<void>(xxh_stripes<false>(acc, bytes.data(), stripes));
-  return xxh_digest(acc, bytes.size(), bytes.data() + stripes * kXxhStripe,
-                    bytes.size() % kXxhStripe);
+  // The plain loop: only the prefix windows of a grown input need a
+  // newline count.
+  return xxh64_of<false>(bytes).hash;
 }
 
 InputClassification classify_inputs(const IngestState& base,
-                                    std::string_view tle_bytes) {
-  return classify(base, tle_bytes, nullptr);
+                                    std::string_view tle_bytes, int num_threads) {
+  return classify(base, tle_bytes, nullptr, num_threads);
 }
 
 InputClassification classify_inputs(const IngestState& base,
-                                    const MappedFile& tle) {
-  return classify(base, tle.view(), &tle);
+                                    const MappedFile& tle, int num_threads) {
+  return classify(base, tle.view(), &tle, num_threads);
 }
 
 IngestState ingest_state_of(std::string_view /*dst_bytes*/,
                             std::string_view tle_bytes) {
-  return classify_inputs(IngestState{}, tle_bytes).current;
+  return classify_inputs(IngestState{}, tle_bytes, 0).current;
 }
 
 std::string snapshot_cache_path(const std::string& cache_dir,
@@ -726,61 +712,87 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
 
 namespace {
 
-/// Decode a section-table payload into `data`, validating and
-/// deserialising sections over `num_threads` workers; `alongside` (if set)
-/// gets the recorded state and runs on one of them.  With the payload's
-/// `mapping`, each section's pages are dropped once it is decoded.  Returns
-/// false on any disagreement; throws (caught by the caller) on a truncated
-/// state section, a satellite two catalog stripes both carry, or a
-/// throwing `alongside`.
-bool decode_payload(std::string_view payload,
-                    std::uint64_t header_content_hash, std::uint64_t table_hash,
-                    std::uint32_t section_count, diag::ParsePolicy policy,
-                    int num_threads, const StateCallback& alongside,
-                    const MappedFile* mapping, SnapshotData& data) {
+/// A snapshot's header, section table and state section, checked: where
+/// both open_snapshot and the decode start.
+struct CheckedHead {
+  std::string_view body;  // the sections, behind the table
+  std::vector<SectionEntry> entries;
+  IngestState state;
+};
+
+/// Check the header (magic, version, policy, a payload that ends the
+/// file), the section table (its hash, and entries that tile the body in
+/// the kind order the format demands) and the state section (its hash,
+/// its size, and the header's copy of its TLE hash).  nullopt on any
+/// disagreement.
+std::optional<CheckedHead> check_head(std::string_view bytes,
+                                      diag::ParsePolicy policy) {
+  if (bytes.size() < kHeaderSize) return std::nullopt;
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
+  Cursor header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
+  if (header.u32() != kSnapshotFormatVersion) return std::nullopt;
+  const std::uint8_t policy_raw = header.u8();
+  header.view(3);  // padding
+  if (policy_raw != policy_byte(policy)) return std::nullopt;
+  const std::uint64_t header_content_hash = header.u64();
+  const std::uint64_t payload_size = header.u64();
+  const std::uint64_t table_hash = header.u64();
+  const std::uint32_t section_count = header.u32();
+  // The payload must end the file: a short file is truncated, and bytes
+  // past the payload are nothing this format writes.
+  if (bytes.size() - kHeaderSize != payload_size) return std::nullopt;
+  const std::string_view payload = bytes.substr(kHeaderSize);
+
   // The table must fit the payload (a short file is a truncated section
   // table) and carry the exact sections the format demands: state, zero or
   // more catalog stripes, quality.
-  if (section_count < 2) return false;
+  if (section_count < 2) return std::nullopt;
   const std::uint64_t table_size =
       static_cast<std::uint64_t>(section_count) * kSectionEntrySize;
-  if (table_size > payload.size()) return false;
+  if (table_size > payload.size()) return std::nullopt;
   const std::string_view table = payload.substr(0, table_size);
-  if (xxh64(table) != table_hash) return false;
+  if (xxh64(table) != table_hash) return std::nullopt;
 
-  const std::string_view body = payload.substr(table_size);
-  std::vector<SectionEntry> entries(section_count);
-  {
-    Cursor tc(table);
-    std::uint64_t running = 0;
-    for (std::uint32_t i = 0; i < section_count; ++i) {
-      SectionEntry& entry = entries[i];
-      entry.kind = tc.u32();
-      entry.hash = tc.u64();
-      entry.offset = tc.u64();
-      entry.length = tc.u64();
-      // Sections must tile the body contiguously in table order; any
-      // overlap, gap or out-of-bounds length rejects the snapshot.
-      if (entry.offset != running) return false;
-      if (entry.length > body.size() - running) return false;
-      running += entry.length;
-      if (entry.kind != section_kind(i, section_count)) return false;
-    }
-    if (running != body.size()) return false;
+  CheckedHead head;
+  head.body = payload.substr(table_size);
+  head.entries.resize(section_count);
+  Cursor tc(table);
+  std::uint64_t running = 0;
+  for (std::uint32_t i = 0; i < section_count; ++i) {
+    SectionEntry& entry = head.entries[i];
+    entry.kind = tc.u32();
+    entry.hash = tc.u64();
+    entry.offset = tc.u64();
+    entry.length = tc.u64();
+    // Sections must tile the body contiguously in table order; any
+    // overlap, gap or out-of-bounds length rejects the snapshot.
+    if (entry.offset != running) return std::nullopt;
+    if (entry.length > head.body.size() - running) return std::nullopt;
+    running += entry.length;
+    if (entry.kind != section_kind(i, section_count)) return std::nullopt;
   }
+  if (running != head.body.size()) return std::nullopt;
 
-  // The state section first and alone: it is 16 bytes, and `alongside`
-  // needs it while the rest decodes.
-  {
-    const std::string_view blob =
-        body.substr(entries[0].offset, entries[0].length);
-    if (xxh64(blob) != entries[0].hash) return false;
-    Cursor in(blob);
-    data.state = decode_state(in);
-    if (!in.exhausted()) return false;
-    if (data.state.tle_hash != header_content_hash) return false;
-  }
+  const SectionEntry& state = head.entries[0];
+  if (state.length != 16) return std::nullopt;  // u64 length, u64 hash
+  const std::string_view blob = head.body.substr(state.offset, state.length);
+  if (xxh64(blob) != state.hash) return std::nullopt;
+  Cursor in(blob);
+  head.state = decode_state(in);
+  if (head.state.tle_hash != header_content_hash) return std::nullopt;
+  return head;
+}
 
+/// Decode the catalog stripes and the quality section behind a checked
+/// head into `data`, validating and deserialising them over `num_threads`
+/// workers.  With the payload's `mapping`, each section's pages are
+/// dropped once it is decoded.  Returns false on any disagreement; throws
+/// (caught by the caller) on a satellite two catalog stripes both carry.
+bool decode_sections(const CheckedHead& head, diag::ParsePolicy policy,
+                     int num_threads, const MappedFile* mapping,
+                     SnapshotData& data) {
+  const std::vector<SectionEntry>& entries = head.entries;
+  const std::size_t section_count = entries.size();
   // The stripes' directories, serially: they fix the catalog's layout, so
   // the columns are laid out once and every stripe decodes straight into
   // its satellites' rows.  Their bytes are hash-checked with the rest of
@@ -790,8 +802,8 @@ bool decode_payload(std::string_view payload,
     std::vector<int> ids;
     std::vector<std::size_t> sizes;
     plans.reserve(section_count - 2);
-    for (std::uint32_t i = 1; i + 1 < section_count; ++i) {
-      plans.push_back(plan_stripe(body.substr(entries[i].offset, entries[i].length),
+    for (std::size_t i = 1; i + 1 < section_count; ++i) {
+      plans.push_back(plan_stripe(head.body.substr(entries[i].offset, entries[i].length),
                                   data.catalog, ids, sizes));
     }
     // Throws on a satellite two stripes carry, or out of order.
@@ -799,28 +811,24 @@ bool decode_payload(std::string_view payload,
   }
   const std::vector<int> ids = data.catalog.satellites();
 
-  // Validate and decode the other sections in parallel; the state
-  // section's slot runs `alongside` instead.  Each stripe's worker writes
-  // only its own satellites' rows.  Decode failures are carried out as
-  // flags (never thrown across the pool) and any one rejects the file.
+  // Validate and decode the sections after the state in parallel.  Each
+  // stripe's worker writes only its own satellites' rows.  Decode failures
+  // are carried out as flags (never thrown across the pool) and any one
+  // rejects the file.
   struct SectionResult {
     bool ok = true;
     std::optional<diag::DataQualityReport> quality;
   };
   std::vector<SectionResult> results = exec::ordered_map<SectionResult>(
-      section_count, num_threads,
-      [&](std::size_t i) {
+      section_count - 1, num_threads,
+      [&](std::size_t k) {
         SectionResult result;
-        if (i == 0) {
-          if (alongside) alongside(data.state);
-          return result;
-        }
         try {
-          const SectionEntry& entry = entries[i];
-          const std::string_view blob = body.substr(entry.offset, entry.length);
+          const SectionEntry& entry = entries[k + 1];
+          const std::string_view blob = head.body.substr(entry.offset, entry.length);
           if (xxh64(blob) != entry.hash) throw ParseError("section hash");
           if (entry.kind == kSectionCatalogStripe) {
-            decode_stripe(blob, plans[i - 1], ids, data.catalog);
+            decode_stripe(blob, plans[k], ids, data.catalog);
           } else {
             Cursor in(blob);
             result.quality = decode_quality(in);
@@ -850,28 +858,13 @@ bool decode_payload(std::string_view payload,
 std::optional<SnapshotData> decode_bytes(std::string_view bytes,
                                          diag::ParsePolicy policy,
                                          int num_threads,
-                                         const StateCallback& alongside,
                                          const MappedFile* mapping) {
-  if (bytes.size() < kHeaderSize) return std::nullopt;
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   try {
-    Cursor header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
-    if (header.u32() != kSnapshotFormatVersion) return std::nullopt;
-    const std::uint8_t policy_raw = header.u8();
-    header.view(3);  // padding
-    if (policy_raw != policy_byte(policy)) return std::nullopt;
-    const std::uint64_t header_content_hash = header.u64();
-    const std::uint64_t payload_size = header.u64();
-    const std::uint64_t table_hash = header.u64();
-    const std::uint32_t section_count = header.u32();
-    // The payload must end the file: a short file is truncated, and bytes
-    // past the payload are nothing this format writes.
-    if (bytes.size() - kHeaderSize != payload_size) return std::nullopt;
-
+    const std::optional<CheckedHead> head = check_head(bytes, policy);
+    if (!head.has_value()) return std::nullopt;
     SnapshotData data;
-    if (!decode_payload(bytes.substr(kHeaderSize), header_content_hash,
-                        table_hash, section_count, policy, num_threads,
-                        alongside, mapping, data)) {
+    data.state = head->state;
+    if (!decode_sections(*head, policy, num_threads, mapping, data)) {
       return std::nullopt;
     }
     return data;
@@ -887,48 +880,49 @@ std::optional<SnapshotData> decode_bytes(std::string_view bytes,
 std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
                                             diag::ParsePolicy policy,
                                             int num_threads) {
-  return decode_bytes(bytes, policy, num_threads, {}, nullptr);
+  return decode_bytes(bytes, policy, num_threads, nullptr);
 }
 
-std::optional<SnapshotData> decode_snapshot(const MappedFile& file,
-                                            diag::ParsePolicy policy,
-                                            int num_threads,
-                                            const StateCallback& alongside) {
-  return decode_bytes(file.view(), policy, num_threads, alongside, &file);
-}
-
-std::optional<SnapshotData> load_snapshot(const std::string& path,
+std::optional<SnapshotFile> open_snapshot(const std::string& path,
                                           diag::ParsePolicy policy,
-                                          obs::Metrics* metrics,
-                                          int num_threads,
-                                          const StateCallback& alongside) {
-  const obs::ScopedPhase phase(metrics, "snapshot.load");
+                                          obs::Metrics* metrics) {
   try {
-    const MappedFile mapped(path);
-    std::optional<SnapshotData> data =
-        decode_snapshot(mapped, policy, num_threads, alongside);
-    if (metrics != nullptr) {
-      if (!data.has_value()) {
-        metrics->counter("snapshot.rejected").add(1);
-      } else {
-        // The warm-throughput numerator: records materialised from
-        // snapshot bytes, counted whether or not the caller ends up using
-        // them.
-        metrics->counter("snapshot.load_records")
-            .add(data->catalog.record_count());
-        // How the payload was laid out on disk — stripe sizing, not
-        // results, so a scheduling counter.  The section count is the
-        // decoded header's last field.
-        Cursor section_count(mapped.view().substr(kHeaderSize - 4, 4));
-        metrics->sched_counter("snapshot.load_sections")
-            .add(section_count.u32());
-      }
+    MappedFile mapping(path);
+    if (const std::optional<CheckedHead> head = check_head(mapping.view(), policy)) {
+      return SnapshotFile{std::move(mapping), head->state};
     }
-    return data;
   } catch (const std::exception&) {
     // Unreadable file (most commonly: not written yet) is a plain miss.
     return std::nullopt;
   }
+  if (metrics != nullptr) metrics->counter("snapshot.rejected").add(1);
+  return std::nullopt;
+}
+
+std::optional<SnapshotData> load_snapshot(const SnapshotFile& file,
+                                          diag::ParsePolicy policy,
+                                          obs::Metrics* metrics,
+                                          int num_threads) {
+  const obs::ScopedPhase phase(metrics, "snapshot.load");
+  // The decode checks the head again, on the bytes open_snapshot checked.
+  const std::string_view bytes = file.mapping.view();
+  std::optional<SnapshotData> data =
+      decode_bytes(bytes, policy, num_threads, &file.mapping);
+  if (metrics != nullptr) {
+    if (!data.has_value()) {
+      metrics->counter("snapshot.rejected").add(1);
+    } else {
+      // The warm-throughput numerator: records materialised from snapshot
+      // bytes.
+      metrics->counter("snapshot.load_records").add(data->catalog.record_count());
+      // How the payload was laid out on disk — stripe sizing, not results,
+      // so a scheduling counter.  The section count is the decoded
+      // header's last field.
+      Cursor section_count(bytes.substr(kHeaderSize - 4, 4));
+      metrics->sched_counter("snapshot.load_sections").add(section_count.u32());
+    }
+  }
+  return data;
 }
 
 namespace {

@@ -19,16 +19,15 @@
 //     loader/caller silently fall back to the text path and rewrite a
 //     fresh base.  See DESIGN.md §14 for the reasoning.
 //
-// The fingerprint reads each input byte once: one streaming XXH64 pass
-// hashes the recorded prefix, continues over the tail and counts newlines
-// in the same loop.  Over a mapped input it drops each window's pages once
-// hashed, so it holds a window of the file resident, not the whole.
-// Neither end of the cache holds its whole file either (write_snapshot,
-// decode_snapshot below).
+// A run reads the recorded state (open_snapshot below), then fingerprints
+// its input before any decode or parse (classify_inputs), and decodes only
+// a snapshot of the same input, or of a prefix of it, from the one mapping.
+// Neither end of the cache holds its whole file (write_snapshot,
+// load_snapshot below).
 // The file lives at `<cache_dir>/<xxh64>.cdsnap`, the XXH64 of the TLE
 // input's path.
 //
-// Layout (format v9): a fixed 44-byte header
+// Layout (format v10): a fixed 44-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
@@ -55,7 +54,7 @@
 //            order (offset == sum of prior lengths) — anything else
 //            (overlap, gap, out-of-bounds) rejects the snapshot.
 //   kinds:   exactly one state section first (16 bytes: u64 TLE length,
-//            u64 TLE XXH64), any number of catalog stripes (whole
+//            u64 TLE fingerprint), any number of catalog stripes (whole
 //            satellites each, stripe boundaries fixed at encode time so the
 //            bytes are independent of writer thread count), and one
 //            quality section last (the "tle" stage's counters and
@@ -71,13 +70,12 @@
 //            block straight into its satellites' rows.
 // All integers little-endian (the encoder static_asserts a little-endian
 // host); doubles are stored as their IEEE-754 bit patterns so reload is
-// bit-exact.  XXH64 is the format's one hash: the fingerprint, the header's
-// content hash, the file name and every integrity check.
+// bit-exact.  XXH64 is the format's one hash: the fingerprint's windows and
+// their combination, the file name and every integrity check.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -101,16 +99,19 @@ namespace cosmicdance::io {
 /// records passed the validation that rejects non-finite fields; v7 checks
 /// the section table and every section with XXH64 instead of CRC32C; v8
 /// caches the TLE parse alone: no Dst section, and a 16-byte state section;
-/// v9 stores each catalog stripe as column blocks (DESIGN.md §13, §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 9;
+/// v9 stores each catalog stripe as column blocks; v10 records the TLE
+/// input's windowed fingerprint instead of its plain XXH64 (DESIGN.md §13,
+/// §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 10;
 
-/// XXH64 (seed 0) of `bytes` — the input fingerprint, the header's content
-/// hash, the cache file name and the section-table and section checks all
-/// use it.
+/// XXH64 (seed 0) of `bytes` — the fingerprint's windows and their
+/// combination, the cache file name and the section-table and section
+/// checks all use it.
 [[nodiscard]] std::uint64_t xxh64(std::string_view bytes);
 
-/// xxh64 of zero bytes: the recorded hash of an empty input.
-inline constexpr std::uint64_t kXxh64Empty = 0xEF46DB3751D8E999ULL;
+/// The fingerprint of zero bytes (no windows, then the length 0): the
+/// recorded hash of an empty input.
+inline constexpr std::uint64_t kEmptyInputHash = 0x34C96ACDCADB1BBBULL;
 
 /// What a snapshot knows about the TLE input it was built from: enough to
 /// recognise the exact same bytes, and an unchanged prefix of grown ones.
@@ -119,7 +120,9 @@ inline constexpr std::uint64_t kXxh64Empty = 0xEF46DB3751D8E999ULL;
 /// prefix hash has proved them the recorded input.
 struct IngestState {
   std::uint64_t tle_len = 0;    ///< TLE input size in bytes
-  std::uint64_t tle_hash = kXxh64Empty;  ///< XXH64 of the TLE bytes
+  std::uint64_t tle_hash = kEmptyInputHash;  ///< the TLE bytes' fingerprint
+
+  bool operator==(const IngestState&) const = default;
 };
 
 /// How the current TLE input relates to the one a snapshot was built from.
@@ -133,31 +136,35 @@ struct InputClassification {
   InputMatch match = InputMatch::kMismatch;
   /// State of the *current* input (what the next base records).
   IngestState current;
-  /// Newlines in the recorded prefix when its hash matched (0 otherwise):
-  /// an append's tail starts on line prefix_lines + 1.
+  /// Newlines in the recorded prefix when the input grew past it and the
+  /// prefix's hash matched (0 otherwise): an append's tail starts on line
+  /// prefix_lines + 1.
   std::uint64_t prefix_lines = 0;
 };
 
-/// Classify the current TLE input against a snapshot's recorded state, in
-/// one pass over the bytes: the recorded prefix is hashed and compared, the
-/// same streaming XXH64 then continues over the tail, and the prefix's
-/// newline count comes from that same pass.  kAppend also requires the
-/// prefix to end a line and to leave no line 1 unpaired
-/// (tle::append_boundary_clean).
+/// Classify the current TLE input against a snapshot's recorded state by
+/// its fingerprint: the XXH64 of its 4 MiB windows' XXH64s from byte 0,
+/// then its length.  The windows are hashed over `num_threads` workers (0 =
+/// all hardware threads, 1 = serial); a recorded prefix shares the whole
+/// ones below its end, so only its last partial window is hashed twice, and
+/// when the input grew, the prefix's windows count their newlines in the
+/// same loop.  kAppend also requires the prefix to end a line and to leave
+/// no line 1 unpaired (tle::append_boundary_clean).
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
-                                                  std::string_view tle_bytes);
+                                                  std::string_view tle_bytes,
+                                                  int num_threads = 1);
 
 /// classify_inputs over a mapped input, dropping each window's pages once
-/// hashed (MappedFile::drop_pages).  The pass then adds a window's worth of
-/// resident pages to whatever it overlaps (a warm start's decode), not the
-/// part of the input it has read so far, so the process peak does not
-/// depend on how far the two have got relative to each other.
+/// hashed (MappedFile::drop_pages), so the pass holds about a window a
+/// worker of the input resident, not the part it has read.
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
-                                                  const MappedFile& tle);
+                                                  const MappedFile& tle,
+                                                  int num_threads = 1);
 
-/// The IngestState of a TLE input.  The Dst argument is ignored: only the
-/// TLE parse is cached.  This two-input form stays until the benchmark
-/// harness (perfbench/layers.cpp) moves to classify_inputs.
+/// The IngestState of a TLE input (fingerprinted over all hardware
+/// threads).  The Dst argument is ignored: only the TLE parse is cached.
+/// This two-input form stays until the benchmark harness
+/// (perfbench/layers.cpp) moves to classify_inputs.
 [[nodiscard]] IngestState ingest_state_of(std::string_view dst_bytes,
                                           std::string_view tle_bytes);
 
@@ -203,44 +210,43 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
 /// Parse snapshot bytes.  Returns nullopt — never throws — when anything
 /// disagrees: magic, version, policy, payload size (including any byte
 /// past the payload), the section table, a section hash, or a payload that
-/// decodes inconsistently.
+/// decodes inconsistently.  The format tests' seam; a run loads through
+/// load_snapshot.
 [[nodiscard]] std::optional<SnapshotData> decode_snapshot(
     std::string_view bytes, diag::ParsePolicy policy, int num_threads = 1);
 
-/// Called with a snapshot's recorded ingest state while the rest of the
-/// file decodes.
-using StateCallback = std::function<void(const IngestState&)>;
+/// A snapshot file, mapped once, and the ingest state it records: what a
+/// run classifies its input against before load_snapshot decodes the rest
+/// of the same mapping.
+struct SnapshotFile {
+  MappedFile mapping;
+  IngestState state;
+};
 
-/// decode_snapshot over a mapped file, dropping each section's pages once
-/// it is decoded (MappedFile::drop_pages): the decode then holds the
-/// catalog it builds and the sections in flight, not the file as well.
-/// `alongside` is load_snapshot's.
-[[nodiscard]] std::optional<SnapshotData> decode_snapshot(
-    const MappedFile& file, diag::ParsePolicy policy, int num_threads = 1,
-    const StateCallback& alongside = {});
+/// Map a snapshot file and check its header, section table and state
+/// section as decode_snapshot does, reading nothing else of it.  A
+/// missing/unreadable file is a cache miss (nullopt, no counter); a
+/// present-but-invalid file bumps `snapshot.rejected`.
+[[nodiscard]] std::optional<SnapshotFile> open_snapshot(
+    const std::string& path, diag::ParsePolicy policy,
+    obs::Metrics* metrics = nullptr);
 
-/// Load a snapshot file.  A missing/unreadable file is a cache miss
-/// (nullopt, no counter); a present-but-invalid file bumps
-/// `snapshot.rejected` and also returns nullopt.  Whether a structurally
-/// valid snapshot matches the current inputs is the caller's decision
-/// (classify_inputs) — the caller bumps `snapshot.loaded` only when it
-/// actually uses the data.  `alongside`, when set, is called once the
-/// header, section table and state section check out, with the recorded
-/// state, on one of the workers while the other sections decode: the warm
-/// start fingerprints its inputs there, so the hash and the decode
-/// overlap.  A file whose state section does not check out never calls
-/// it; one that fails later may already have.  A successful load adds the
+/// Decode an opened snapshot.  A file that fails decode_snapshot's checks
+/// bumps `snapshot.rejected` and returns nullopt.  Whether the snapshot
+/// matches the current input is the caller's decision, made before the
+/// load (SnapshotFile::state, classify_inputs); the caller bumps
+/// `snapshot.loaded` when it uses the data.  A successful load adds the
 /// materialised record count to `snapshot.load_records` (the
 /// warm-throughput numerator) and the section count to the scheduling
-/// counter `snapshot.load_sections`.
-/// Sections are validated and deserialised over `num_threads` workers;
-/// results are bit-identical at any value.  The file is mapped and each
-/// section's pages dropped once decoded (decode_snapshot above).  Wall time
-/// lands in phase "snapshot.load".
+/// counter `snapshot.load_sections`.  Sections are validated and
+/// deserialised over `num_threads` workers; results are bit-identical at
+/// any value.  Each section's pages are dropped once decoded
+/// (MappedFile::drop_pages), so the load holds the catalog it builds and
+/// the sections in flight, not the file as well.  Wall time lands in
+/// phase "snapshot.load".
 [[nodiscard]] std::optional<SnapshotData> load_snapshot(
-    const std::string& path, diag::ParsePolicy policy,
-    obs::Metrics* metrics = nullptr, int num_threads = 1,
-    const StateCallback& alongside = {});
+    const SnapshotFile& file, diag::ParsePolicy policy,
+    obs::Metrics* metrics = nullptr, int num_threads = 1);
 
 /// Write a snapshot file (atomically: per-writer temp file, then swapped
 /// in, creating the cache directory if needed).  The temp name embeds the

@@ -79,6 +79,17 @@ std::string wdc_corpus() {
 
 // ---- harness ----------------------------------------------------------------
 
+/// Open a snapshot file and decode all of it, whatever state it records.
+std::optional<io::SnapshotData> load_file(const std::string& path,
+                                          ParsePolicy policy,
+                                          obs::Metrics* metrics = nullptr,
+                                          int threads = 1) {
+  const std::optional<io::SnapshotFile> file =
+      io::open_snapshot(path, policy, metrics);
+  if (!file.has_value()) return std::nullopt;
+  return io::load_snapshot(*file, policy, metrics, threads);
+}
+
 struct TestInputs {
   ScopedTempDir dir;
   std::string dst_path;
@@ -146,6 +157,23 @@ std::uint64_t counter(const obs::Metrics& metrics, const std::string& name) {
 /// The ingest state a snapshot of `tle_text` records.
 io::IngestState state_of(std::string_view tle_text) {
   return io::classify_inputs(io::IngestState{}, tle_text).current;
+}
+
+/// The fingerprint's window: 4 MiB from byte 0.
+constexpr std::size_t kWindow = std::size_t{4} << 20;
+
+/// The fingerprint as the format defines it, from the plain digest: XXH64
+/// of each window's XXH64, then the length, each a little-endian u64.
+std::uint64_t reference_fingerprint(std::string_view bytes) {
+  std::string words;
+  const auto put = [&words](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) words.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  for (std::size_t at = 0; at < bytes.size(); at += kWindow) {
+    put(io::xxh64(bytes.substr(at, kWindow)));
+  }
+  put(bytes.size());
+  return io::xxh64(words);
 }
 
 /// A snapshot's bytes, from the writer save_snapshot streams its files with.
@@ -216,7 +244,7 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
   EXPECT_EQ(decoded->catalog.to_text(), catalog.to_text());
   EXPECT_TRUE(decoded->dst.empty());
   EXPECT_EQ(decoded->quality.to_json(), tle_log.report().to_json());
-  EXPECT_EQ(decoded->state.tle_hash, io::xxh64(tle_text));
+  EXPECT_EQ(decoded->state.tle_hash, reference_fingerprint(tle_text));
   EXPECT_EQ(decoded->state.tle_len, tle_text.size());
 
   // A policy mismatch rejects before any payload decoding happens, and a
@@ -329,13 +357,14 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  // Any version but the current one rejects: a newer file, a v7 file (a
-  // Dst section and a 49-byte state section), a v6 file (checked with
-  // CRC32C in a 40-byte header and 24-byte table entries), a v5 file (its
-  // records may hold non-finite fields that validation now rejects), and a
-  // v4 file (FNV-1a input hashes).
+  // Any version but the current one rejects: a newer file, a v9 file (the
+  // TLE input's plain XXH64 as its state hash), a v7 file (a Dst section
+  // and a 49-byte state section), a v6 file (checked with CRC32C in a
+  // 40-byte header and 24-byte table entries), a v5 file (its records may
+  // hold non-finite fields that validation now rejects), and a v4 file
+  // (FNV-1a input hashes).
   for (const std::uint32_t version :
-       {io::kSnapshotFormatVersion + 1, 7u, 6u, 5u, 4u}) {
+       {io::kSnapshotFormatVersion + 1, 9u, 7u, 6u, 5u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const TestInputs inputs =
         write_inputs("version" + std::to_string(version), tle_corpus(4));
@@ -380,6 +409,30 @@ TEST(SnapshotTest, EditedInputMakesTheSnapshotStale) {
         text[designator + 5] = 'B';  // restamp a designator mid-prefix
         io::write_file(t.tle_path, text);
       });
+}
+
+TEST(SnapshotTest, AStaleSnapshotIsRejectedWithoutADecode) {
+  // The recorded state is read and the input fingerprinted before any
+  // section is decoded, so a valid snapshot of an input edited in place is
+  // rejected without loading it.
+  const TestInputs inputs = write_inputs("stale_no_decode", tle_corpus(4));
+  run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true);
+  std::string text = io::read_file(inputs.tle_path);
+  const std::size_t designator = text.find("20001A");
+  ASSERT_NE(designator, std::string::npos);
+  text[designator + 5] = 'B';
+  io::write_file(inputs.tle_path, text);
+
+  obs::Metrics metrics;
+  const RunOutput stale =
+      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true, &metrics);
+  EXPECT_EQ(counter(metrics, "snapshot.rejected"), 1u);
+  EXPECT_EQ(counter(metrics, "snapshot.loaded"), 0u);
+  EXPECT_EQ(counter(metrics, "snapshot.load_records"), 0u);
+  EXPECT_EQ(metrics.snapshot().phases.count("snapshot.load"), 0u);
+  EXPECT_EQ(metrics.snapshot().phases.count("ingest.fingerprint"), 1u);
+  expect_identical(stale, run_pipeline(inputs, ParsePolicy::kStrict, 1,
+                                       /*use_cache=*/false));
 }
 
 TEST(SnapshotTest, ShrunkInputMakesTheSnapshotStale) {
@@ -521,8 +574,8 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
     while (!start.load()) {
     }
     for (int i = 0; i < kWriters * kIterations; ++i) {
-      const std::optional<io::SnapshotData> decoded = io::load_snapshot(
-          path, ParsePolicy::kTolerant);
+      const std::optional<io::SnapshotData> decoded =
+          load_file(path, ParsePolicy::kTolerant);
       if (!decoded.has_value()) torn_reads.fetch_add(1);
     }
   });
@@ -716,8 +769,8 @@ TEST(SnapshotFormat, BytesArePinned) {
   // digest together.
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
   const std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  EXPECT_EQ(io::kSnapshotFormatVersion, 9u);
-  EXPECT_EQ(io::xxh64(bytes), 0xC98AF3F963F0A2D7ULL)
+  EXPECT_EQ(io::kSnapshotFormatVersion, 10u);
+  EXPECT_EQ(io::xxh64(bytes), 0xE8581BB9DBC7390CULL)
       << std::hex << io::xxh64(bytes);
 }
 
@@ -736,7 +789,7 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
             std::filesystem::file_size(path));
 
   const std::optional<io::SnapshotData> loaded =
-      io::load_snapshot(path, ParsePolicy::kStrict, &metrics, 2);
+      load_file(path, ParsePolicy::kStrict, &metrics, 2);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(counter(metrics, "snapshot.load_records"),
             data.catalog.record_count());
@@ -896,63 +949,83 @@ TEST(SnapshotSave, AFirstSaveAndASaveOverTheBaseLeaveOnlyTheTarget) {
               std::vector<std::string>{"snapshot.cdsnap"});
     EXPECT_EQ(io::read_file(target), snapshot_bytes(*data, ParsePolicy::kStrict));
     const std::optional<io::SnapshotData> loaded =
-        io::load_snapshot(target, ParsePolicy::kStrict);
+        load_file(target, ParsePolicy::kStrict);
     ASSERT_TRUE(loaded.has_value());
     expect_same_decoded(*loaded, *data);
   }
 }
 
-TEST(SnapshotLoad, HandsTheRecordedStateToTheCallbackOnce) {
-  // from_files fingerprints its inputs in load_snapshot's callback while
-  // the sections decode.  It must see the recorded state exactly once on a
-  // good file, never when the state section itself is bad, and it may have
-  // run before a later section rejects the file.
-  const ScopedTempDir dir("cdsnap_alongside");
+TEST(SnapshotLoad, TheStateReadChecksTheHeadAndTheLoadTheRest) {
+  // from_files opens a snapshot and reads its recorded state, fingerprints
+  // its input, and only then decodes the rest of the same mapping, even
+  // when the file at the path has been replaced since.  The open checks
+  // the header, the table and the state section: a bad state section
+  // gives no state and one rejection.  A bad later section passes the
+  // open, and the load after it rejects the file: one rejection in all.
+  const ScopedTempDir dir("cdsnap_state_read");
   const std::string path = dir.path() + "/snapshot.cdsnap";
-  // Several catalog stripes, so the callback shares the pool with decoding.
+  // Several catalog stripes, so the load decodes over the pool.
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
   ASSERT_TRUE(io::save_snapshot(path, data, ParsePolicy::kStrict));
   const std::string good = io::read_file(path);
-
-  const auto load = [&](int threads, int& calls, io::IngestState& seen) {
-    return io::load_snapshot(path, ParsePolicy::kStrict, nullptr, threads,
-                             [&](const io::IngestState& recorded) {
-                               ++calls;
-                               seen = recorded;
-                             });
-  };
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    int calls = 0;
-    io::IngestState seen;
-    ASSERT_TRUE(load(threads, calls, seen).has_value());
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(seen.tle_len, data.state.tle_len);
-    EXPECT_EQ(seen.tle_hash, data.state.tle_hash);
-  }
-
   // The state section is the first body after the table.
   const std::size_t state_offset =
       kHeaderBytes + read_u32(good, kSectionCountOffset) * kSectionEntryBytes;
   std::string bad_state = good;
   bad_state[state_offset] ^= 0x01;
-  io::write_file(path, bad_state);
-  int calls = 0;
-  io::IngestState seen;
-  EXPECT_FALSE(load(4, calls, seen).has_value());
-  EXPECT_EQ(calls, 0);
-
   std::string bad_quality = good;
   bad_quality.back() ^= 0x40;  // inside the last (quality) section
-  io::write_file(path, bad_quality);
-  EXPECT_FALSE(load(4, calls, seen).has_value());
-  EXPECT_EQ(calls, 1);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    io::write_file(path, good);
+    obs::Metrics good_run;
+    const std::optional<io::SnapshotFile> good_file =
+        io::open_snapshot(path, ParsePolicy::kStrict, &good_run);
+    ASSERT_TRUE(good_file.has_value());
+    EXPECT_EQ(good_file->state, data.state);
+    // Another writer's snapshot saved over the path after the open is not
+    // what the load decodes: the mapping holds the file whose state was
+    // read.
+    ASSERT_TRUE(io::save_snapshot(path, make_snapshot_data(3, ParsePolicy::kStrict),
+                                  ParsePolicy::kStrict));
+    const std::optional<io::SnapshotData> loaded =
+        io::load_snapshot(*good_file, ParsePolicy::kStrict, &good_run, threads);
+    ASSERT_TRUE(loaded.has_value());
+    expect_same_decoded(*loaded, data);
+    EXPECT_EQ(counter(good_run, "snapshot.rejected"), 0u);
+
+    io::write_file(path, bad_state);
+    obs::Metrics bad_state_run;
+    EXPECT_FALSE(
+        io::open_snapshot(path, ParsePolicy::kStrict, &bad_state_run).has_value());
+    EXPECT_EQ(counter(bad_state_run, "snapshot.rejected"), 1u);
+
+    io::write_file(path, bad_quality);
+    obs::Metrics bad_quality_run;
+    const std::optional<io::SnapshotFile> kept =
+        io::open_snapshot(path, ParsePolicy::kStrict, &bad_quality_run);
+    ASSERT_TRUE(kept.has_value());
+    EXPECT_EQ(kept->state, data.state);
+    EXPECT_EQ(counter(bad_quality_run, "snapshot.rejected"), 0u);
+    EXPECT_FALSE(io::load_snapshot(*kept, ParsePolicy::kStrict, &bad_quality_run, threads)
+                     .has_value());
+    EXPECT_EQ(counter(bad_quality_run, "snapshot.rejected"), 1u);
+  }
+
+  // No file is a plain miss, not a rejection.
+  obs::Metrics missing;
+  EXPECT_FALSE(io::open_snapshot(dir.path() + "/absent.cdsnap",
+                                 ParsePolicy::kStrict, &missing)
+                   .has_value());
+  EXPECT_EQ(counter(missing, "snapshot.rejected"), 0u);
 }
 
 TEST(SnapshotTest, ExactInputsWithABadLaterSectionStillReparse) {
-  // The fingerprint finds the inputs unchanged and from_files releases
-  // their mappings, then the last section fails its hash: the run must map
-  // the inputs again and reparse them, bit-identically.
+  // The state read passes and the fingerprint finds the input unchanged,
+  // then the load finds the last section failing its hash: from_files,
+  // which unmaps the input only after an exact hit's load succeeds, must
+  // reparse the mapping it still holds, bit-identically.
   const TestInputs inputs = write_inputs("exact_then_bad", tle_corpus(4));
   expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
                              [](const TestInputs& t) {
@@ -975,8 +1048,8 @@ TEST(SnapshotPipeline, BackgroundSaveCompletesOnWait) {
   // a no-op — both on the moved-to object and the moved-from shell.
   core::CosmicDance moved = std::move(pipeline);
   moved.wait_for_snapshot_save();
-  const std::optional<io::SnapshotData> loaded = io::load_snapshot(
-      inputs.snapshot_path(), ParsePolicy::kStrict);
+  const std::optional<io::SnapshotData> loaded =
+      load_file(inputs.snapshot_path(), ParsePolicy::kStrict);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->catalog.to_text(), moved.catalog().to_text());
 }
@@ -1070,7 +1143,7 @@ TEST(SnapshotPipeline, MovesWhileTheSaveRunsKeepEveryAnswer) {
 
   assigned.wait_for_snapshot_save();
   const std::optional<io::SnapshotData> loaded =
-      io::load_snapshot(inputs.snapshot_path(), ParsePolicy::kStrict);
+      load_file(inputs.snapshot_path(), ParsePolicy::kStrict);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->catalog.to_text(), reference.catalog().to_text());
 }
@@ -1081,107 +1154,142 @@ TEST(SnapshotHash, Xxh64KnownAnswers) {
   // Reference XXH64 (seed 0) digests.  The low 32 bits of each are the
   // frame checksum `zstd --check` writes for the same bytes.
   EXPECT_EQ(io::xxh64(""), 0xEF46DB3751D8E999ULL);
-  EXPECT_EQ(io::xxh64(""), io::kXxh64Empty);
   EXPECT_EQ(io::xxh64("a"), 0xD24EC4F1A98C6E5BULL);
   EXPECT_EQ(io::xxh64("abc"), 0x44BC2CF5AD770999ULL);
   std::string hundred;
   for (int i = 0; i < 10; ++i) hundred += "0123456789";
   EXPECT_EQ(io::xxh64(hundred), 0xF80E7B96315AFFFAULL);
-  // The empty state records the empty input's hash.
+  // The empty input's fingerprint, no windows and then the length 0, is
+  // the empty state's hash.
+  EXPECT_EQ(io::kEmptyInputHash, 0x34C96ACDCADB1BBBULL);
+  EXPECT_EQ(state_of("").tle_hash, io::kEmptyInputHash);
+  EXPECT_EQ(reference_fingerprint(""), io::kEmptyInputHash);
   const io::IngestState empty;
-  EXPECT_EQ(empty.tle_hash, io::kXxh64Empty);
+  EXPECT_EQ(empty.tle_hash, io::kEmptyInputHash);
 }
 
 TEST(SnapshotHash, PlainDigestEqualsTheFingerprintsAtEveryLength) {
-  // xxh64 runs the plain XXH64 loop; the fingerprint fuses a newline count
-  // into its own.  Both must give the same digest: every stripe remainder
-  // and tail length up to 257 bytes, then a few inputs of several MiB.
-  std::string bytes;
-  Rng rng(24);
-  for (std::size_t n = 0; n <= 257; ++n) {
-    const std::string_view prefix(bytes);
-    EXPECT_EQ(io::xxh64(prefix),
-              io::classify_inputs(io::IngestState{}, prefix).current.tle_hash)
+  // A cold input's windows take the plain XXH64 loop; the recorded prefix
+  // of an input that grew takes the loop with the newline count fused in.
+  // Both must give the reference's digests: the cold fingerprint equals
+  // the reference, and a prefix recorded with the reference is recognised
+  // in the input one byte longer (its newlines come back).  Every stripe
+  // remainder and tail length up to 257 bytes, then lengths on either side
+  // of one and two window edges.
+  const auto check = [](std::string_view bytes, std::size_t n) {
+    const std::string_view prefix = bytes.substr(0, n);
+    const std::uint64_t reference = reference_fingerprint(prefix);
+    EXPECT_EQ(state_of(prefix).tle_hash, reference) << "length " << n;
+    const io::InputClassification grown = io::classify_inputs(
+        io::IngestState{n, reference}, bytes.substr(0, n + 1));
+    EXPECT_EQ(grown.prefix_lines,
+              static_cast<std::uint64_t>(std::count(prefix.begin(), prefix.end(), '\n')))
         << "length " << n;
+  };
+  // Both inputs start with a newline, so a prefix the fused loop misread
+  // would come back with none.
+  Rng rng(24);
+  std::string bytes;
+  for (std::size_t n = 0; n <= 258; ++n) {
     bytes.push_back(n % 7 == 0 ? '\n' : static_cast<char>(rng.uniform_int(0, 255)));
   }
-  for (const std::size_t mib : {1, 3, 5}) {
-    std::string big((mib << 20) + mib * 13, '\0');
-    for (char& c : big) c = static_cast<char>(rng.uniform_int(0, 255));
-    EXPECT_EQ(io::xxh64(big),
-              io::classify_inputs(io::IngestState{}, big).current.tle_hash)
-        << mib << " MiB";
+  for (std::size_t n = 0; n <= 257; ++n) check(bytes, n);
+  std::string big(3 * kWindow + 1, '\n');
+  for (std::size_t i = 1; i < big.size(); ++i) {
+    big[i] = static_cast<char>(rng.uniform_int(0, 255));
+  }
+  for (const std::size_t n : {kWindow - 1, kWindow, kWindow + 1,
+                              2 * kWindow + 13, 3 * kWindow}) {
+    check(big, n);
   }
 }
 
 TEST(SnapshotHash, SplitPointChangesNeitherHashNorLineCount) {
-  // classify_inputs hashes the recorded prefix, reads its newline count at
-  // the prefix boundary, then continues the same stream over the tail:
-  // wherever the prefix ends — inside a 32-byte stripe, on its edge, or one
-  // byte short of the end — the grown input's hash must equal a one-pass
-  // fingerprint of the whole, and the prefix's line count its own.
+  // classify_inputs checks the recorded prefix from the windows it shares
+  // with the input plus its own last partial window, and counts a grown
+  // input's prefix newlines from the same windows: wherever the prefix
+  // ends — inside a 32-byte stripe, on its edge, on either side of a
+  // window edge, or one byte short of the end — and at any thread count,
+  // the grown input's hash must equal a one-pass fingerprint of the whole,
+  // and the prefix's line count its own.
   std::string text;
   Rng rng(20261017);
-  while (text.size() < 300) {
+  while (text.size() < 2 * kWindow + 300) {
     text.push_back(rng.uniform_int(0, 4) == 0
                        ? '\n'
                        : static_cast<char>(rng.uniform_int(0, 255)));
   }
   const io::IngestState whole = state_of(text);
-  EXPECT_EQ(whole.tle_hash, io::xxh64(text));
-  EXPECT_EQ(io::classify_inputs(whole, text).prefix_lines,
-            static_cast<std::uint64_t>(
-                std::count(text.begin(), text.end(), '\n')));
-  for (const std::size_t split :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{31},
-        std::size_t{32}, std::size_t{33}, text.size() - 1}) {
-    SCOPED_TRACE("split " + std::to_string(split));
-    const std::string_view head = std::string_view(text).substr(0, split);
-    const io::IngestState prefix = state_of(head);
-    EXPECT_EQ(prefix.tle_hash, io::xxh64(head));
-    const io::InputClassification grown = io::classify_inputs(prefix, text);
-    EXPECT_EQ(grown.current.tle_hash, whole.tle_hash);
-    EXPECT_EQ(grown.prefix_lines,
-              static_cast<std::uint64_t>(
-                  std::count(head.begin(), head.end(), '\n')));
+  EXPECT_EQ(whole.tle_hash, reference_fingerprint(text));
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // An exact match reads no line count: nothing follows its prefix.
+    const io::InputClassification same = io::classify_inputs(whole, text, threads);
+    EXPECT_EQ(same.match, io::InputMatch::kExact);
+    EXPECT_EQ(same.current.tle_hash, whole.tle_hash);
+    EXPECT_EQ(same.prefix_lines, 0u);
+    for (const std::size_t split :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{31},
+          std::size_t{32}, std::size_t{33}, kWindow - 1, kWindow, kWindow + 1,
+          2 * kWindow + 1, text.size() - 1}) {
+      SCOPED_TRACE("split " + std::to_string(split));
+      const std::string_view head = std::string_view(text).substr(0, split);
+      const io::IngestState prefix = state_of(head);
+      const io::InputClassification grown =
+          io::classify_inputs(prefix, text, threads);
+      EXPECT_EQ(grown.current.tle_hash, whole.tle_hash);
+      EXPECT_EQ(grown.current.tle_len, text.size());
+      EXPECT_EQ(grown.prefix_lines,
+                static_cast<std::uint64_t>(
+                    std::count(head.begin(), head.end(), '\n')));
+    }
   }
 }
 
 TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
-  // Over mapped inputs, classify_inputs hashes a window at a time and drops
-  // each window's pages once hashed.  It must classify exactly as the pass
-  // over plain views does, leave every byte readable, and end with only a
-  // sliver of the file resident where the view pass leaves all of it.
+  // Over mapped inputs, classify_inputs hashes its windows over the pool
+  // and drops each window's pages once hashed.  It must classify exactly
+  // as the pass over plain views does, at 1 and 4 threads, leave every
+  // byte readable, and end with only a sliver of the file resident where
+  // the view pass leaves all of it.
   const ScopedTempDir dir("cdsnap_mapped_pass");
   const std::string tle_path = dir.path() + "/tle.txt";
   std::string text;  // 24 MiB of lines: six windows and a partial seventh
-  for (std::size_t i = 0; text.size() < (std::size_t{24} << 20) + 12345; ++i) {
+  for (std::size_t i = 0; text.size() < 6 * kWindow + 12345; ++i) {
     text += std::to_string(i * 2654435761u) + " 0123456789abcdefghijklmnop\n";
   }
   io::write_file(tle_path, text);
   const io::MappedFile tle_map(tle_path);
   if (!tle_map.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
 
+  // The prefix ends inside a window, so its last partial window is hashed
+  // on its own.
   const std::size_t half = text.rfind('\n', text.size() / 2) + 1;
+  ASSERT_NE(half % kWindow, 0u);
   const io::IngestState prefix =
       state_of(std::string_view(text).substr(0, half));
   const io::IngestState whole = state_of(text);
-  for (const io::IngestState& base : {io::IngestState{}, prefix, whole}) {
-    const io::InputClassification viewed = io::classify_inputs(base, text);
-    const io::InputClassification mapped = io::classify_inputs(base, tle_map);
-    EXPECT_EQ(mapped.match, viewed.match);
-    EXPECT_EQ(mapped.current.tle_hash, viewed.current.tle_hash);
-    EXPECT_EQ(mapped.current.tle_len, viewed.current.tle_len);
-    EXPECT_EQ(mapped.prefix_lines, viewed.prefix_lines);
-  }
-  EXPECT_EQ(io::classify_inputs(prefix, tle_map).match,
-            io::InputMatch::kAppend);
-  EXPECT_EQ(io::classify_inputs(whole, tle_map).match,
-            io::InputMatch::kExact);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    for (const io::IngestState& base : {io::IngestState{}, prefix, whole}) {
+      const io::InputClassification viewed =
+          io::classify_inputs(base, text, threads);
+      const io::InputClassification mapped =
+          io::classify_inputs(base, tle_map, threads);
+      EXPECT_EQ(mapped.match, viewed.match);
+      EXPECT_EQ(mapped.current.tle_hash, viewed.current.tle_hash);
+      EXPECT_EQ(mapped.current.tle_len, viewed.current.tle_len);
+      EXPECT_EQ(mapped.prefix_lines, viewed.prefix_lines);
+    }
+    EXPECT_EQ(io::classify_inputs(prefix, tle_map, threads).match,
+              io::InputMatch::kAppend);
+    EXPECT_EQ(io::classify_inputs(whole, tle_map, threads).match,
+              io::InputMatch::kExact);
 
-  const long after_mapped = resident_bytes(tle_map.view().data());
-  ASSERT_GE(after_mapped, 0);
-  EXPECT_LE(after_mapped, 1L << 20);
+    const long after_mapped = resident_bytes(tle_map.view().data());
+    ASSERT_GE(after_mapped, 0);
+    EXPECT_LE(after_mapped, 1L << 20);
+  }
   // The same bytes through a pass over the plain view stay resident, so
   // the bound above measures the drops, not an idle mapping.
   const io::MappedFile held(tle_path);
@@ -1193,10 +1301,10 @@ TEST(SnapshotHash, MappedPassMatchesTheViewsAndDropsWhatItHashed) {
 }
 
 TEST(SnapshotLoad, MappedDecodeDropsEachSectionItDecoded) {
-  // Over a mapped file the decoder drops each section's pages once it is
-  // decoded.  It must decode exactly what the pass over the plain view
-  // does, at any thread count, and end with only a sliver of the file
-  // resident where the view pass leaves most of it.
+  // The load decodes from the snapshot's mapping and drops each section's
+  // pages once it is decoded.  It must decode exactly what the pass over
+  // the plain view does, at any thread count, and end with only a sliver
+  // of the file resident where the view pass leaves most of it.
   const ScopedTempDir dir("cdsnap_mapped_decode");
   const std::string path = dir.path() + "/snapshot.cdsnap";
   const io::SnapshotData data = stripe_per_satellite_data(12);  // 20 MiB
@@ -1213,12 +1321,14 @@ TEST(SnapshotLoad, MappedDecodeDropsEachSectionItDecoded) {
 
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const io::MappedFile mapped(path);
+    const std::optional<io::SnapshotFile> file =
+        io::open_snapshot(path, ParsePolicy::kStrict);
+    ASSERT_TRUE(file.has_value());
     const std::optional<io::SnapshotData> decoded =
-        io::decode_snapshot(mapped, ParsePolicy::kStrict, threads);
+        io::load_snapshot(*file, ParsePolicy::kStrict, nullptr, threads);
     ASSERT_TRUE(decoded.has_value());
     expect_same_decoded(*decoded, *viewed);
-    const long resident = resident_bytes(mapped.view().data());
+    const long resident = resident_bytes(file->mapping.view().data());
     ASSERT_GE(resident, 0);
     EXPECT_LE(resident, 1L << 20);
   }

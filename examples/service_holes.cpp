@@ -6,6 +6,7 @@
 // share x fleet size) and compares three fleets: healthy, after a severe
 // storm's casualties, and after a Carrington-scale event — showing where on
 // Earth the lost capacity would be felt.
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 

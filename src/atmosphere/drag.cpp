@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "orbit/constants.hpp"
 
 namespace cosmicdance::atmosphere {
 
@@ -13,8 +14,8 @@ double drag_acceleration_ms2(double density_kg_m3, double speed_ms,
 }
 
 double circular_decay_rate_km_per_day(double altitude_km, double density_kg_m3,
-                                      double ballistic_m2_kg,
-                                      const orbit::GravityModel& g) {
+                                      double ballistic_m2_kg) {
+  const orbit::GravityModel g = orbit::wgs72();
   if (altitude_km < -g.radius_earth_km) {
     throw ValidationError("altitude below Earth's center");
   }

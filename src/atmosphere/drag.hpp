@@ -1,8 +1,6 @@
 // Drag kinematics: deceleration, decay rates and the B* bridge.
 #pragma once
 
-#include "orbit/constants.hpp"
-
 namespace cosmicdance::atmosphere {
 
 /// Instantaneous drag deceleration (m/s^2) for speed v (m/s).
@@ -12,9 +10,9 @@ namespace cosmicdance::atmosphere {
 /// Orbit-averaged decay rate of a circular orbit's semi-major axis:
 ///   da/dt = -sqrt(mu*a) * rho * B
 /// returned in km/day for an altitude in km (geodetic, WGS-72 radius).
-[[nodiscard]] double circular_decay_rate_km_per_day(
-    double altitude_km, double density_kg_m3, double ballistic_m2_kg,
-    const orbit::GravityModel& g = orbit::wgs72());
+[[nodiscard]] double circular_decay_rate_km_per_day(double altitude_km,
+                                                    double density_kg_m3,
+                                                    double ballistic_m2_kg);
 
 /// Reference air density constant of the B* convention
 /// (rho_0 = 0.157 kg / (m^2 * Earth radius)).

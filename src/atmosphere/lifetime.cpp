@@ -11,7 +11,7 @@ namespace cosmicdance::atmosphere {
 
 double decay_lifetime_days(double altitude_km, double ballistic_m2_kg,
                            const LifetimeConfig& config) {
-  if (altitude_km <= config.reentry_altitude_km) return 0.0;
+  if (altitude_km <= kLifetimeReentryAltitudeKm) return 0.0;
   if (ballistic_m2_kg <= 0.0) {
     throw ValidationError("ballistic coefficient must be positive");
   }
@@ -32,7 +32,7 @@ double decay_lifetime_days(double altitude_km, double ballistic_m2_kg,
                                                        ballistic_m2_kg);
     altitude += rate * dt_days;
     elapsed += dt_days;
-    if (altitude <= config.reentry_altitude_km) return elapsed;
+    if (altitude <= kLifetimeReentryAltitudeKm) return elapsed;
   }
   return config.max_days;
 }

@@ -6,8 +6,10 @@
 
 namespace cosmicdance::atmosphere {
 
+/// The decay integration stops at this altitude.
+inline constexpr double kLifetimeReentryAltitudeKm = 120.0;
+
 struct LifetimeConfig {
-  double reentry_altitude_km = 120.0;  ///< integration stops here
   double max_days = 200.0 * 365.25;    ///< cap for effectively-stable orbits
   double step_hours = 6.0;             ///< integration step
   /// Optional storm driver: when set, density uses the Dst-coupled model

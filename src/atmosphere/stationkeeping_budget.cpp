@@ -5,6 +5,7 @@
 #include "atmosphere/storm_density.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "orbit/constants.hpp"
 #include "orbit/elements.hpp"
 
 namespace cosmicdance::atmosphere {

@@ -7,25 +7,22 @@
 
 namespace cosmicdance::atmosphere {
 
-double storm_enhancement_factor(double altitude_km, double dst_nt,
-                                const StormDensityConfig& config) noexcept {
-  const double excursion = -dst_nt - config.quiet_offset_nt;
+double storm_enhancement_factor(double altitude_km, double dst_nt) noexcept {
+  const double excursion = -dst_nt - kQuietOffsetNt;
   if (excursion <= 0.0) return 1.0;
-  const double altitude_scale =
-      std::clamp(altitude_km / config.reference_altitude_km, config.min_scale,
-                 config.max_scale);
-  return 1.0 + config.sensitivity_at_reference * altitude_scale * excursion / 100.0;
+  const double altitude_scale = std::clamp(altitude_km / kReferenceAltitudeKm,
+                                           kMinAltitudeScale, kMaxAltitudeScale);
+  return 1.0 + kSensitivityAtReference * altitude_scale * excursion / 100.0;
 }
 
-StormDensityModel::StormDensityModel(const spaceweather::DstIndex* dst,
-                                     StormDensityConfig config)
-    : dst_(dst), config_(config) {}
+StormDensityModel::StormDensityModel(const spaceweather::DstIndex* dst)
+    : dst_(dst) {}
 
 double StormDensityModel::factor(double altitude_km, double jd) const noexcept {
   if (dst_ == nullptr) return 1.0;
   const timeutil::HourIndex hour = timeutil::hour_index_from_julian(jd);
   if (!dst_->covers(hour)) return 1.0;
-  return storm_enhancement_factor(altitude_km, dst_->at(hour), config_);
+  return storm_enhancement_factor(altitude_km, dst_->at(hour));
 }
 
 double StormDensityModel::density_kg_m3(double altitude_km, double jd) const noexcept {

@@ -13,29 +13,26 @@
 
 namespace cosmicdance::atmosphere {
 
-struct StormDensityConfig {
-  /// Dst must exceed this (nT below zero) before any enhancement.
-  double quiet_offset_nt = 20.0;
-  /// Enhancement per 100 nT of excursion at the reference altitude.
-  double sensitivity_at_reference = 1.05;
-  double reference_altitude_km = 550.0;
-  /// The sensitivity scales ~linearly with altitude within LEO, clamped to
-  /// [min_scale, max_scale] of the reference value.
-  double min_scale = 0.3;
-  double max_scale = 2.0;
-};
+/// Dst must exceed this (nT below zero) before any enhancement.
+inline constexpr double kQuietOffsetNt = 20.0;
+/// Enhancement per 100 nT of excursion at the reference altitude.
+inline constexpr double kSensitivityAtReference = 1.05;
+inline constexpr double kReferenceAltitudeKm = 550.0;
+/// The sensitivity scales ~linearly with altitude within LEO, clamped to
+/// [kMinAltitudeScale, kMaxAltitudeScale] of the reference value.
+inline constexpr double kMinAltitudeScale = 0.3;
+inline constexpr double kMaxAltitudeScale = 2.0;
 
 /// Multiplicative storm enhancement factor (>= 1).
-[[nodiscard]] double storm_enhancement_factor(double altitude_km, double dst_nt,
-                                              const StormDensityConfig& config = {}) noexcept;
+[[nodiscard]] double storm_enhancement_factor(double altitude_km,
+                                              double dst_nt) noexcept;
 
 /// Storm-time density: quiet-time piecewise-exponential baseline times the
 /// enhancement factor for the Dst value at `jd`.  Hours outside the Dst
 /// series use the quiet baseline.
 class StormDensityModel {
  public:
-  explicit StormDensityModel(const spaceweather::DstIndex* dst,
-                             StormDensityConfig config = {});
+  explicit StormDensityModel(const spaceweather::DstIndex* dst);
 
   /// Density in kg/m^3 at the given altitude and time.
   [[nodiscard]] double density_kg_m3(double altitude_km, double jd) const noexcept;
@@ -45,7 +42,6 @@ class StormDensityModel {
 
  private:
   const spaceweather::DstIndex* dst_;  ///< non-owning; may be nullptr (quiet)
-  StormDensityConfig config_;
 };
 
 }  // namespace cosmicdance::atmosphere

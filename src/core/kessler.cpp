@@ -11,14 +11,14 @@ double shell_spatial_density(double shell_altitude_km, const KesslerConfig& conf
   const double radius = shell_altitude_km + orbit::wgs72().radius_earth_km;
   const double shell_volume = 4.0 * units::kPi * radius * radius *
                               (2.0 * config.shells.half_width_km);
-  return config.satellites_per_shell / shell_volume;
+  return kSatellitesPerShell / shell_volume;
 }
 
 double collision_rate_per_dwell_year(double shell_altitude_km,
                                      const KesslerConfig& config) {
   const double n = shell_spatial_density(shell_altitude_km, config);  // 1/km^3
   const double rate_per_second =
-      n * config.cross_section_km2 * config.relative_speed_km_s;
+      n * config.cross_section_km2 * kRelativeSpeedKmS;
   return rate_per_second * units::kSecondsPerDay * 365.25;
 }
 

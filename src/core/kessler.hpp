@@ -17,15 +17,16 @@
 
 namespace cosmicdance::core {
 
+/// Residents per shell at full constellation scale.
+inline constexpr double kSatellitesPerShell = 1600.0;
+/// Mean relative speed between crossing orbits at LEO (km/s): two circular
+/// orbits with different planes meet at up to ~2*v_orb; ~10 km/s typical.
+inline constexpr double kRelativeSpeedKmS = 10.0;
+
 struct KesslerConfig {
   ShellConfig shells;
-  /// Residents per shell at full constellation scale.
-  double satellites_per_shell = 1600.0;
   /// Combined collision cross-section (km^2): two ~4 m bodies plus margin.
   double cross_section_km2 = 1.0e-4;
-  /// Mean relative speed between crossing orbits at LEO (km/s): two circular
-  /// orbits with different planes meet at up to ~2*v_orb; ~10 km/s typical.
-  double relative_speed_km_s = 10.0;
 };
 
 /// Spatial density (satellites / km^3) of a populated shell.

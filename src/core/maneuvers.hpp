@@ -15,15 +15,13 @@
 
 namespace cosmicdance::core {
 
-struct ManeuverDetectorConfig {
-  /// Minimum altitude step (km) between consecutive TLEs to call discrete.
-  double min_step_km = 0.4;
-  /// Steps must exceed this rate (km/day) — drag at the shell is ~100x
-  /// slower, so rate separates impulses from decay even across long gaps.
-  double min_rate_km_per_day = 1.0;
-  /// Consecutive records further apart than this cannot attribute a step.
-  double max_gap_days = 3.0;
-};
+/// Minimum altitude step (km) between consecutive TLEs to call discrete.
+inline constexpr double kManeuverMinStepKm = 0.4;
+/// Steps must exceed this rate (km/day) — drag at the shell is ~100x
+/// slower, so rate separates impulses from decay even across long gaps.
+inline constexpr double kManeuverMinRateKmPerDay = 1.0;
+/// Consecutive records further apart than this cannot attribute a step.
+inline constexpr double kManeuverMaxGapDays = 3.0;
 
 struct ManeuverEvent {
   int catalog_number = 0;
@@ -34,12 +32,11 @@ struct ManeuverEvent {
 
 /// All detected manoeuvres in a track, in time order.
 [[nodiscard]] std::vector<ManeuverEvent> detect_maneuvers(
-    const SatelliteTrack& track, const ManeuverDetectorConfig& config = {});
+    const SatelliteTrack& track);
 
 /// Pooled over a track set, time-sorted.
 [[nodiscard]] std::vector<ManeuverEvent> detect_maneuvers(
-    std::span<const SatelliteTrack> tracks,
-    const ManeuverDetectorConfig& config = {});
+    std::span<const SatelliteTrack> tracks);
 
 /// Fraction of events within [jd, jd + window_days) of any detected
 /// manoeuvre of the same satellite — a contamination estimate for a set of
@@ -56,6 +53,6 @@ struct ManeuverContamination {
 
 [[nodiscard]] ManeuverContamination maneuver_contamination(
     std::span<const SatelliteTrack> tracks, std::span<const double> event_jds,
-    double window_days, const ManeuverDetectorConfig& config = {});
+    double window_days);
 
 }  // namespace cosmicdance::core

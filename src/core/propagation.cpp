@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "obs/obs.hpp"
+#include "orbit/constants.hpp"
 #include "orbit/state.hpp"
 
 namespace cosmicdance::core {
@@ -57,19 +58,6 @@ std::vector<double> make_grid(double start_jd, double end_jd,
   return epochs;
 }
 
-std::vector<double> propagation_grid(const tle::TleCatalog& catalog,
-                                     const PropagationOptions& options) {
-  if (catalog.empty()) {
-    throw ValidationError("propagation needs a non-empty catalog");
-  }
-  const double start_jd =
-      options.start_jd != 0.0 ? options.start_jd : catalog.last_epoch_jd();
-  const double end_jd = options.end_jd != 0.0
-                            ? options.end_jd
-                            : start_jd + options.default_span_days;
-  return make_grid(start_jd, end_jd, options.step_hours);
-}
-
 PropagationReport reduce_batch(const sgp4::BatchPropagator& batch,
                                std::vector<double> epochs_jd, int num_threads,
                                obs::Metrics* metrics) {
@@ -108,7 +96,7 @@ PropagationReport reduce_batch(const sgp4::BatchPropagator& batch,
       ++report.ok_cells;
       const orbit::StateVector& state = grid.state(row, e);
       const double altitude =
-          orbit::norm(state.position_km) - batch.gravity(row).radius_earth_km;
+          orbit::norm(state.position_km) - orbit::wgs72().radius_earth_km;
       series.altitude_km[e] = altitude;
       ++series.valid_samples;
       if (std::isnan(series.first_altitude_km)) {
@@ -124,7 +112,8 @@ PropagationReport reduce_batch(const sgp4::BatchPropagator& batch,
 
 PropagationReport propagate_catalog(const tle::TleCatalog& catalog,
                                     const PropagationOptions& options) {
-  std::vector<double> epochs = propagation_grid(catalog, options);
+  std::vector<double> epochs =
+      make_grid(options.start_jd, options.end_jd, options.step_hours);
   const sgp4::BatchPropagator batch = sgp4::BatchPropagator::from_catalog(catalog);
   return reduce_batch(batch, std::move(epochs), options.num_threads,
                       options.metrics);

@@ -22,15 +22,11 @@ class Metrics;
 namespace cosmicdance::core {
 
 struct PropagationOptions {
-  /// Grid bounds (UTC Julian dates).  Defaults of 0 mean "derive from the
-  /// catalog": start at the latest TLE epoch (so every satellite
-  /// propagates forward from fresh elements), end `default_span_days`
-  /// later.
+  /// Grid bounds (UTC Julian dates) and spacing: make_grid(start_jd,
+  /// end_jd, step_hours).
   double start_jd = 0.0;
   double end_jd = 0.0;
   double step_hours = 24.0;
-  /// Grid span used when end_jd is left defaulted.
-  double default_span_days = 30.0;
   /// Worker count (exec convention: 0 = all hardware threads, 1 = serial).
   int num_threads = 0;
   obs::Metrics* metrics = nullptr;
@@ -73,16 +69,11 @@ struct PropagationReport {
 [[nodiscard]] std::vector<double> make_grid(double start_jd, double end_jd,
                                             double step_hours);
 
-/// Build the epoch grid propagate_catalog would use for `options` —
-/// exposed so callers (CLI, serving layer) can size requests up front.
-[[nodiscard]] std::vector<double> propagation_grid(
-    const tle::TleCatalog& catalog, const PropagationOptions& options);
-
 /// Propagate every satellite's latest TLE across the options' epoch grid.
-/// Throws ValidationError when the catalog is empty or the options are
-/// degenerate (non-positive step, end before start).
+/// Throws ValidationError when the options are degenerate (non-positive
+/// step, end before start).
 [[nodiscard]] PropagationReport propagate_catalog(
-    const tle::TleCatalog& catalog, const PropagationOptions& options = {});
+    const tle::TleCatalog& catalog, const PropagationOptions& options);
 
 /// The reentry-risk shortlist: series with at least two valid samples,
 /// most negative decay rate first (ties by catalog number), cut to `top`.

@@ -1,8 +1,8 @@
 // Earth gravity model constants for orbital mechanics and SGP4.
 //
 // SGP4 is defined against WGS-72 (the constants NORAD used when fitting the
-// element sets), so that is the default everywhere; WGS-84 is provided for
-// geodetic conversions and general astrodynamics.
+// element sets), so that is the only model SGP4 and the conversions use;
+// WGS-84 is provided for the geodetic ellipsoid (orbit/frames).
 #pragma once
 
 #include <cmath>

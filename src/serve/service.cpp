@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/propagation.hpp"
@@ -272,31 +273,28 @@ void append_nullable_number_array(std::string& out, std::string_view key,
   out += "]";
 }
 
-/// Shared window parsing + work bound for the propagate op family.  The
-/// grids are computed per request, so the cell budget caps the work one
-/// query can pin a connection thread on.
-core::PropagationOptions propagation_window(const JsonValue& request,
-                                            double start_jd,
-                                            std::size_t row_count,
-                                            std::size_t max_cells) {
-  core::PropagationOptions options;
-  options.start_jd = start_jd;
-  options.end_jd = start_jd + number_param_or(request, "days", 30.0);
-  options.step_hours = number_param_or(request, "step_hours", 24.0);
-  if (options.end_jd <= options.start_jd) {
+/// Shared window parsing + work bound for the propagate op family: the
+/// request's epoch grid from `start_jd`.  The grids are computed per
+/// request, so the cell budget caps the work one query can pin a
+/// connection thread on.
+std::vector<double> propagation_grid(const JsonValue& request, double start_jd,
+                                     std::size_t row_count,
+                                     std::size_t max_cells) {
+  const double end_jd = start_jd + number_param_or(request, "days", 30.0);
+  const double step_hours = number_param_or(request, "step_hours", 24.0);
+  if (end_jd <= start_jd) {
     throw RequestError("days must be positive");
   }
-  if (!(options.step_hours > 0.0)) {
+  if (!(step_hours > 0.0)) {
     throw RequestError("step_hours must be positive");
   }
-  const double epochs =
-      (options.end_jd - options.start_jd) * 24.0 / options.step_hours + 1.0;
+  const double epochs = (end_jd - start_jd) * 24.0 / step_hours + 1.0;
   if (epochs * static_cast<double>(row_count) >
       static_cast<double>(max_cells)) {
     throw RequestError("requested grid exceeds " + std::to_string(max_cells) +
                        " propagation cells; reduce days or raise step_hours");
   }
-  return options;
+  return core::make_grid(start_jd, end_jd, step_hours);
 }
 
 void append_propagation_counts(std::string& out,
@@ -325,8 +323,7 @@ std::string handle_propagate(const ServeSnapshot& snap,
   }
   const tle::Tle latest = history.back();
 
-  const core::PropagationOptions window =
-      propagation_window(request, latest.epoch_jd, 1, 4096);
+  std::vector<double> grid = propagation_grid(request, latest.epoch_jd, 1, 4096);
   const sgp4::BatchPropagator batch =
       sgp4::BatchPropagator::from_tles({&latest, 1});
   if (batch.empty()) {
@@ -335,8 +332,7 @@ std::string handle_propagate(const ServeSnapshot& snap,
                        batch.init_failures().front().message);
   }
   const core::PropagationReport report = core::reduce_batch(
-      batch, core::make_grid(window.start_jd, window.end_jd, window.step_hours),
-      snap.pipeline.config().num_threads, nullptr);
+      batch, std::move(grid), snap.pipeline.config().num_threads, nullptr);
   const core::PropagationSeries& series = report.series.front();
 
   std::string out = open_ok(snap.epoch, "propagate");
@@ -368,11 +364,11 @@ std::string handle_decay_summary(const ServeSnapshot& snap,
   const long top = integer_param_or(request, "top", 10);
   if (top < 1 || top > 100) throw RequestError("top must be in [1, 100]");
 
-  const core::PropagationOptions window = propagation_window(
-      request, catalog.last_epoch_jd(), catalog.satellite_count(), 262144);
-  // propagate_catalog's grid and reduction over the epoch's held batch.
+  // propagate_catalog's reduction over the epoch's held batch.
   const core::PropagationReport report = core::reduce_batch(
-      snap.latest, core::propagation_grid(catalog, window),
+      snap.latest,
+      propagation_grid(request, catalog.last_epoch_jd(),
+                       catalog.satellite_count(), 262144),
       snap.pipeline.config().num_threads, nullptr);
 
   const std::vector<const core::PropagationSeries*> ranked =

@@ -25,8 +25,7 @@ std::size_t BatchResult::error_count() const noexcept {
   return count;
 }
 
-BatchPropagator BatchPropagator::from_tles(std::span<const tle::Tle> tles,
-                                           const orbit::GravityModel& gravity) {
+BatchPropagator BatchPropagator::from_tles(std::span<const tle::Tle> tles) {
   BatchPropagator batch;
   batch.common_.reserve(tles.size());
   batch.near_.reserve(tles.size());
@@ -34,7 +33,7 @@ BatchPropagator BatchPropagator::from_tles(std::span<const tle::Tle> tles,
   for (const tle::Tle& tle : tles) {
     Sgp4Constants k;
     try {
-      k = init_constants(tle, gravity);
+      k = init_constants(tle);
     } catch (const Error& error) {
       batch.failures_.push_back({tle.catalog_number, error.what()});
       continue;
@@ -51,15 +50,14 @@ BatchPropagator BatchPropagator::from_tles(std::span<const tle::Tle> tles,
   return batch;
 }
 
-BatchPropagator BatchPropagator::from_catalog(const tle::TleCatalog& catalog,
-                                              const orbit::GravityModel& gravity) {
+BatchPropagator BatchPropagator::from_catalog(const tle::TleCatalog& catalog) {
   std::vector<tle::Tle> latest;
   latest.reserve(catalog.satellite_count());
   for (const int number : catalog.satellites()) {
     const auto history = catalog.history(number);
     if (!history.empty()) latest.push_back(history.back());
   }
-  return from_tles(latest, gravity);
+  return from_tles(latest);
 }
 
 Sgp4Status BatchPropagator::try_propagate_row(std::size_t row,

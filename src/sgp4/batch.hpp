@@ -59,15 +59,12 @@ class BatchPropagator {
  public:
   /// Recover constants for every TLE (one row each, input order).  TLEs
   /// whose recovery fails are recorded in init_failures() and skipped.
-  [[nodiscard]] static BatchPropagator from_tles(
-      std::span<const tle::Tle> tles,
-      const orbit::GravityModel& gravity = orbit::wgs72());
+  [[nodiscard]] static BatchPropagator from_tles(std::span<const tle::Tle> tles);
 
   /// One row per satellite: the latest record of each history, in catalog
   /// (ascending NORAD number) order.
   [[nodiscard]] static BatchPropagator from_catalog(
-      const tle::TleCatalog& catalog,
-      const orbit::GravityModel& gravity = orbit::wgs72());
+      const tle::TleCatalog& catalog);
 
   [[nodiscard]] std::size_t rows() const noexcept { return common_.size(); }
   [[nodiscard]] bool empty() const noexcept { return common_.empty(); }
@@ -79,9 +76,6 @@ class BatchPropagator {
   }
   [[nodiscard]] bool deep_space(std::size_t row) const noexcept {
     return common_[row].deep_space;
-  }
-  [[nodiscard]] const orbit::GravityModel& gravity(std::size_t row) const noexcept {
-    return common_[row].gravity;
   }
   /// Rows on the SDP4 deep-space path.
   [[nodiscard]] std::size_t deep_space_rows() const noexcept {

@@ -15,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "orbit/constants.hpp"
 #include "timeutil/sidereal.hpp"
 
 namespace cosmicdance::sgp4 {
@@ -348,7 +349,7 @@ void dsinit(const DscomScratch& s, double tc, double xpidot, double eccsq,
 
   // -------------------- initialize the resonance terms --------------------
   if (deep.irez != 0) {
-    const double aonv = std::pow(nm_epoch / common.gravity.xke, kX2o3);
+    const double aonv = std::pow(nm_epoch / orbit::wgs72().xke, kX2o3);
 
     // ------------- geopotential resonance for 12-hour orbits --------------
     if (deep.irez == 2) {
@@ -644,11 +645,12 @@ Sgp4Status propagate(const CommonConstants& common,
                      const NearSpaceConstants& near_space,
                      const DeepSpaceConstants& deep, double tsince_minutes,
                      orbit::StateVector& out, ResonanceState* resume) noexcept {
+  const orbit::GravityModel gravity = orbit::wgs72();
   const double temp4 = 1.5e-12;
-  const double xke = common.gravity.xke;
-  const double j2 = common.gravity.j2;
-  const double j3oj2 = common.gravity.j3oj2;
-  const double radiusearthkm = common.gravity.radius_earth_km;
+  const double xke = gravity.xke;
+  const double j2 = gravity.j2;
+  const double j3oj2 = gravity.j3oj2;
+  const double radiusearthkm = gravity.radius_earth_km;
   const double vkmpersec = radiusearthkm * xke / 60.0;
 
   const double t = tsince_minutes;
@@ -836,13 +838,12 @@ Sgp4Status propagate(const Sgp4Constants& constants, double tsince_minutes,
 // ---------------------------------------------------------------------------
 // init_constants: the element recovery (Vallado's sgp4init).
 // ---------------------------------------------------------------------------
-Sgp4Constants init_constants(const tle::Tle& tle,
-                             const orbit::GravityModel& gravity) {
+Sgp4Constants init_constants(const tle::Tle& tle) {
   tle.validate();
 
+  const orbit::GravityModel gravity = orbit::wgs72();
   Sgp4Constants k;
   CommonConstants& c = k.common;
-  c.gravity = gravity;
   c.catalog_number = tle.catalog_number;
   c.epoch_jd = tle.epoch_jd;
   c.epoch1950 = c.epoch_jd - kJd1950;
@@ -1013,16 +1014,15 @@ Sgp4Constants init_constants(const tle::Tle& tle,
 // ---------------------------------------------------------------------------
 // Sgp4Propagator: thin owner of one init-once constant set.
 // ---------------------------------------------------------------------------
-Sgp4Propagator::Sgp4Propagator(const tle::Tle& tle,
-                               const orbit::GravityModel& gravity)
-    : k_(init_constants(tle, gravity)) {}
+Sgp4Propagator::Sgp4Propagator(const tle::Tle& tle)
+    : k_(init_constants(tle)) {}
 
 double Sgp4Propagator::recovered_semi_major_axis_km() const noexcept {
-  return k_.common.recovered_a_earth_radii * k_.common.gravity.radius_earth_km;
+  return k_.common.recovered_a_earth_radii * orbit::wgs72().radius_earth_km;
 }
 
 double Sgp4Propagator::recovered_altitude_km() const noexcept {
-  return recovered_semi_major_axis_km() - k_.common.gravity.radius_earth_km;
+  return recovered_semi_major_axis_km() - orbit::wgs72().radius_earth_km;
 }
 
 orbit::StateVector Sgp4Propagator::propagate_minutes(double tsince_minutes) const {

@@ -20,7 +20,6 @@
 
 #include <string>
 
-#include "orbit/constants.hpp"
 #include "orbit/state.hpp"
 #include "tle/tle.hpp"
 
@@ -45,7 +44,6 @@ enum class Sgp4Status {
 /// Constants every propagation consumes: mean elements at epoch, recovered
 /// (un-Kozai'd) mean motion, secular rates and the first-order drag terms.
 struct CommonConstants {
-  orbit::GravityModel gravity{};
   double epoch_jd = 0.0;
   double epoch1950 = 0.0;  ///< days since 1949 Dec 31 00:00 UT
   int catalog_number = 0;
@@ -113,8 +111,7 @@ struct ResonanceState {
 /// Run the full sgp4init element recovery for one TLE.  Throws
 /// ValidationError for bad elements and PropagationError when the element
 /// set cannot be initialised (e.g. epoch elements below ground).
-[[nodiscard]] Sgp4Constants init_constants(
-    const tle::Tle& tle, const orbit::GravityModel& gravity = orbit::wgs72());
+[[nodiscard]] Sgp4Constants init_constants(const tle::Tle& tle);
 
 /// The propagation kernel: state at `tsince_minutes` minutes from the TLE
 /// epoch.  Pure — safe to call concurrently on one constant set.  `resume`
@@ -154,8 +151,7 @@ class Sgp4Propagator {
  public:
   /// Throws ValidationError for bad elements and PropagationError when the
   /// element set cannot be initialised (e.g. epoch elements below ground).
-  explicit Sgp4Propagator(const tle::Tle& tle,
-                          const orbit::GravityModel& gravity = orbit::wgs72());
+  explicit Sgp4Propagator(const tle::Tle& tle);
 
   /// Propagate `tsince_minutes` minutes from the TLE epoch.  Throws
   /// PropagationError (with the status in the message) on failure.

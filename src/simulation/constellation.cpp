@@ -19,6 +19,7 @@
 #include "common/units.hpp"
 #include "exec/parallel_for.hpp"
 #include "orbit/elements.hpp"
+#include "simulation/tracking.hpp"
 #include "timeutil/hour_axis.hpp"
 
 namespace cosmicdance::simulation {
@@ -160,7 +161,7 @@ std::vector<Life> launch_batches(const ConstellationConfig& config,
       const double first_observation_jd = launch_jd + rng.uniform(0.05, 0.5);
       const J2Drift drift(satellite.config.inclination_deg);
       lives.push_back({std::move(satellite), satellite_rng,
-                       TrackingSimulator(config.tracking, tracker_root.split()()),
+                       TrackingSimulator(TrackingConfig{}, tracker_root.split()()),
                        drift, first_observation_jd,
                        static_cast<std::size_t>(first - axis.jd.begin()),
                        {}, {}, {}});
@@ -209,7 +210,7 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
       if (jd >= satellite.staging_until_jd) satellite.mode = SatelliteMode::kRaising;
       break;
     case SatelliteMode::kRaising:
-      satellite.altitude_km += config.raising_km_per_day * dt_days;
+      satellite.altitude_km += kRaisingKmPerDay * dt_days;
       if (satellite.altitude_km >= target) {
         satellite.altitude_km = target;
         satellite.mode = SatelliteMode::kOperational;
@@ -225,21 +226,19 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
                                dt_days;
       if (jd >= satellite.deorbit_after_jd) {
         satellite.mode = SatelliteMode::kDeorbiting;
-      } else if (satellite.altitude_km < target - config.deadband_km) {
+      } else if (satellite.altitude_km < target - kDeadbandKm) {
         satellite.altitude_km +=
-            std::min(config.boost_km_per_day * dt_days,
-                     target - satellite.altitude_km);
-      } else if (satellite.altitude_km > target + config.deadband_km) {
+            std::min(kBoostKmPerDay * dt_days, target - satellite.altitude_km);
+      } else if (satellite.altitude_km > target + kDeadbandKm) {
         // Station keeping works both ways: lower back after upward drift
         // (manoeuvre overshoot) so the shell assignment holds.
         satellite.altitude_km -=
-            std::min(config.boost_km_per_day * dt_days,
-                     satellite.altitude_km - target);
+            std::min(kBoostKmPerDay * dt_days, satellite.altitude_km - target);
       } else if (satellite_rng.bernoulli(config.maneuver_probability_per_day *
                                          dt_days)) {
         // Phasing / conjunction-avoidance manoeuvre: a small altitude nudge.
         satellite.altitude_km += std::clamp(
-            satellite_rng.normal(0.0, config.maneuver_sigma_km), -2.0, 2.0);
+            satellite_rng.normal(0.0, kManeuverSigmaKm), -2.0, 2.0);
       }
       break;
     }
@@ -255,10 +254,9 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
       if (satellite.mode == SatelliteMode::kOutage &&
           jd >= satellite.outage_until_jd) {
         satellite.mode = SatelliteMode::kRaising;
-        const FailureModel& fm = config.failures;
-        if (satellite_rng.bernoulli(fm.retarget_probability)) {
-          satellite.config.target_altitude_km -= satellite_rng.uniform(
-              fm.retarget_min_km, fm.retarget_max_km);
+        if (satellite_rng.bernoulli(config.failures.retarget_probability)) {
+          satellite.config.target_altitude_km -=
+              satellite_rng.uniform(kRetargetMinKm, kRetargetMaxKm);
         }
       }
       break;
@@ -270,7 +268,7 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
       break;
   }
 
-  if (satellite.altitude_km <= config.reentry_altitude_km &&
+  if (satellite.altitude_km <= kReentryAltitudeKm &&
       satellite.mode != SatelliteMode::kReentered) {
     satellite.mode = SatelliteMode::kReentered;
     return;
@@ -288,7 +286,7 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
   // ---- storm-induced failures ---------------------------------------------
   const FailureModel& fm = config.failures;
   if (!fm.enabled || dst_nt > -fm.onset_nt) return;
-  const double mitigation = fm.proactive_response ? fm.proactive_scale : 1.0;
+  const double mitigation = fm.proactive_response ? kProactiveScale : 1.0;
 
   if (satellite.mode == SatelliteMode::kStaging ||
       satellite.mode == SatelliteMode::kRaising) {
@@ -307,8 +305,8 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
     const double excess = (-dst_nt - fm.onset_nt) / 100.0;
     if (excess <= 0.0) return;
     const double p =
-        std::min(fm.rate_scale * std::pow(excess, fm.exponent),
-                 fm.max_hourly_probability) *
+        std::min(kUpsetRateScale * std::pow(excess, kUpsetExponent),
+                 kMaxHourlyUpsetProbability) *
         mitigation * dt_hours;
     if (satellite_rng.bernoulli(p)) {
       if (satellite_rng.bernoulli(fm.permanent_fraction)) {
@@ -317,7 +315,7 @@ void step_satellite(const ConstellationConfig& config, Life& life, double jd,
       } else {
         satellite.mode = SatelliteMode::kOutage;
         satellite.outage_until_jd =
-            jd + satellite_rng.exponential(fm.outage_mean_days);
+            jd + satellite_rng.exponential(kOutageMeanDays);
         fail(FailureKind::kTemporaryOutage);
       }
     }

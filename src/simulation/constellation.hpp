@@ -8,7 +8,6 @@
 
 #include "simulation/launch_plan.hpp"
 #include "simulation/satellite.hpp"
-#include "simulation/tracking.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "tle/catalog.hpp"
 
@@ -30,39 +29,43 @@ struct ForcedFailure {
   double outage_days = 20.0;  ///< for kTemporaryOutage
 };
 
+/// Hourly upset probability scales as
+///   kUpsetRateScale * max(0, (-dst - onset_nt) / 100)^kUpsetExponent
+inline constexpr double kUpsetExponent = 1.5;
+inline constexpr double kUpsetRateScale = 8.0e-2;
+/// Saturation: hourly upset probability never exceeds this, so even a
+/// Carrington-scale driver upsets a fraction of the fleet per hour rather
+/// than everything at once.
+inline constexpr double kMaxHourlyUpsetProbability = 0.03;
+/// Temporary outage duration: exponential with this mean (days).
+inline constexpr double kOutageMeanDays = 18.0;
+/// A re-targeted satellite's shell moves down by U(min, max) km.
+inline constexpr double kRetargetMinKm = 3.0;
+inline constexpr double kRetargetMaxKm = 12.0;
+/// Operator mitigation scales all upset probabilities by this factor.
+inline constexpr double kProactiveScale = 0.01;
+
 /// Storm-response / failure model parameters.
 struct FailureModel {
   bool enabled = true;
-  /// Hourly upset probability scales as
-  ///   rate_scale * max(0, (-dst - onset_nt) / 100)^exponent
+  /// Dst onset (nT below zero) of the hourly upset probability.
   double onset_nt = 70.0;
-  double exponent = 1.5;
-  double rate_scale = 8.0e-2;
-  /// Saturation: hourly upset probability never exceeds this, so even a
-  /// Carrington-scale driver upsets a fraction of the fleet per hour rather
-  /// than everything at once.
-  double max_hourly_probability = 0.03;
   /// Of upsets on operational satellites: fraction that decay permanently
   /// (the rest are temporary outages).  Calibrated so "significantly larger
   /// (10s of km)" shifts stay at the paper's ~1% tail.
   double permanent_fraction = 0.10;
-  /// Temporary outage duration: exponential with this mean (days).
-  double outage_mean_days = 18.0;
   /// After recovering from an outage, probability the operator re-targets
   /// the satellite a few km lower (shell reassignment after an anomaly) —
   /// the long-term orbital shifts the paper's Fig 4a tail hints at.
   double retarget_probability = 0.3;
-  double retarget_min_km = 3.0;
-  double retarget_max_km = 12.0;
   /// Staging/raising satellites: hourly reentry-spiral probability,
   /// staging_loss_scale * (-dst - onset)/100 per hour (the Feb 2022 loss
   /// mechanism; significant only for deep storms at low staging orbits).
   double staging_loss_scale = 0.015;
   double staging_loss_onset_nt = 85.0;
   /// Operator mitigation (Starlink's May-2024 posture): scales all upset
-  /// probabilities down and ducks the satellite during extreme storms.
+  /// probabilities down by kProactiveScale.
   bool proactive_response = false;
-  double proactive_scale = 0.01;
 };
 
 /// One failure that actually happened during a run.
@@ -81,6 +84,17 @@ struct TruthSample {
   double density_ratio = 1.0;
 };
 
+// Station keeping: an operational satellite is boosted (or lowered) at
+// kBoostKmPerDay once it leaves target +/- kDeadbandKm.
+inline constexpr double kDeadbandKm = 1.0;
+inline constexpr double kBoostKmPerDay = 1.5;
+/// 1-sigma altitude nudge of a phasing / conjunction-avoidance manoeuvre.
+inline constexpr double kManeuverSigmaKm = 0.6;
+/// Electric-propulsion orbit raising from staging to the target shell.
+inline constexpr double kRaisingKmPerDay = 2.0;
+/// A satellite at or below this altitude has reentered.
+inline constexpr double kReentryAltitudeKm = 200.0;
+
 struct ConstellationConfig {
   std::uint64_t seed = 1;
   timeutil::DateTime start{2019, 11, 11, 0, 0, 0.0};
@@ -94,22 +108,16 @@ struct ConstellationConfig {
   std::vector<LaunchBatch> launches;
   int first_catalog_number = 44713;  ///< Starlink L1's real range starts here
 
-  // Station keeping / lifecycle.
-  double deadband_km = 1.0;
-  double boost_km_per_day = 1.5;
+  // Lifecycle.
   /// Operational satellites occasionally manoeuvre (phasing, conjunction
   /// avoidance): small altitude adjustments at this daily probability.
   double maneuver_probability_per_day = 0.03;
-  double maneuver_sigma_km = 0.6;
-  double raising_km_per_day = 2.0;
   double deorbit_km_per_day = 3.0;
   double lifetime_years = 5.0;
-  double reentry_altitude_km = 200.0;
 
   FailureModel failures;
   std::vector<ForcedFailure> forced_failures;
 
-  TrackingConfig tracking;
   /// Keep a daily ground-truth sample per satellite (costs memory).
   bool record_truth = false;
 };

@@ -31,10 +31,10 @@ double SatelliteState::ballistic_m2_kg() const noexcept {
   switch (mode) {
     case SatelliteMode::kStaging:
     case SatelliteMode::kRaising:
-      return config.ballistic_staging;
+      return kBallisticStaging;
     case SatelliteMode::kOperational:
     case SatelliteMode::kDeorbiting:
-      return config.ballistic_operational;
+      return kBallisticOperational;
     case SatelliteMode::kOutage:
     case SatelliteMode::kDecaying:
       return config.ballistic_uncontrolled;

@@ -13,16 +13,16 @@
 
 namespace cosmicdance::simulation {
 
+/// Cd*A/m (m^2/kg) while station-kept (knife-edge attitude).
+inline constexpr double kBallisticOperational = 0.004;
+/// Cd*A/m in the staging/raising configuration.
+inline constexpr double kBallisticStaging = 0.02;
+
 /// Physical and orbital configuration of one satellite.
 struct SatelliteConfig {
-  double mass_kg = 260.0;
-  /// Cd*A/m (m^2/kg) while station-kept (knife-edge attitude).
-  double ballistic_operational = 0.004;
   /// Cd*A/m while uncontrolled/tumbling (panel broadside dominates, plus
   /// storm-time model underestimate folded in; see DESIGN.md).
   double ballistic_uncontrolled = 0.3;
-  /// Cd*A/m in the staging/raising configuration.
-  double ballistic_staging = 0.02;
 
   double staging_altitude_km = 350.0;
   double target_altitude_km = 550.0;

@@ -5,6 +5,7 @@
 
 #include "atmosphere/drag.hpp"
 #include "common/units.hpp"
+#include "orbit/constants.hpp"
 #include "orbit/elements.hpp"
 
 namespace cosmicdance::simulation {
@@ -23,9 +24,9 @@ TrackingSimulator::TrackingSimulator(TrackingConfig config, std::uint64_t seed)
 
 double TrackingSimulator::next_observation_jd(double previous_jd) {
   const double interval_hours =
-      std::clamp(rng_.lognormal(config_.refresh_lognormal_mu,
+      std::clamp(rng_.lognormal(kRefreshLognormalMu,
                                 config_.refresh_lognormal_sigma),
-                 config_.refresh_min_hours, config_.refresh_max_hours);
+                 kRefreshMinHours, kRefreshMaxHours);
   return previous_jd + interval_hours / units::kHoursPerDay;
 }
 
@@ -42,8 +43,8 @@ tle::Tle TrackingSimulator::observe(const SatelliteState& satellite, double jd,
   if (rng_.bernoulli(config_.gross_error_probability)) {
     // Bad orbit fit: derived altitude lands far outside the shell; sample
     // log-uniform so the tail stretches to tens of thousands of km.
-    const double log_lo = std::log(config_.gross_error_min_altitude_km);
-    const double log_hi = std::log(config_.gross_error_max_altitude_km);
+    const double log_lo = std::log(kGrossErrorMinAltitudeKm);
+    const double log_hi = std::log(kGrossErrorMaxAltitudeKm);
     observed_altitude = std::exp(rng_.uniform(log_lo, log_hi));
   }
   observed_altitude = std::max(observed_altitude, 120.0);
@@ -51,16 +52,16 @@ tle::Tle TrackingSimulator::observe(const SatelliteState& satellite, double jd,
 
   record.inclination_deg =
       std::clamp(satellite.config.inclination_deg +
-                     rng_.normal(0.0, config_.inclination_noise_deg),
+                     rng_.normal(0.0, kInclinationNoiseDeg),
                  0.0, 180.0);
-  record.raan_deg = wrap_deg(satellite.raan_deg +
-                             rng_.normal(0.0, config_.angle_noise_deg));
-  record.arg_perigee_deg = wrap_deg(satellite.arg_perigee_deg +
-                                    rng_.normal(0.0, config_.angle_noise_deg));
-  record.mean_anomaly_deg = wrap_deg(satellite.mean_anomaly_deg +
-                                     rng_.normal(0.0, config_.angle_noise_deg));
+  record.raan_deg =
+      wrap_deg(satellite.raan_deg + rng_.normal(0.0, kAngleNoiseDeg));
+  record.arg_perigee_deg =
+      wrap_deg(satellite.arg_perigee_deg + rng_.normal(0.0, kAngleNoiseDeg));
+  record.mean_anomaly_deg =
+      wrap_deg(satellite.mean_anomaly_deg + rng_.normal(0.0, kAngleNoiseDeg));
   record.eccentricity = std::clamp(
-      satellite.config.eccentricity + rng_.normal(0.0, config_.eccentricity_noise),
+      satellite.config.eccentricity + rng_.normal(0.0, kEccentricityNoise),
       0.0, 0.01);
 
   // B* reflects the recently-fitted drag environment.

@@ -12,27 +12,33 @@
 
 namespace cosmicdance::simulation {
 
+/// Refresh intervals are log-normal: exp(N(mu, sigma)) hours, clipped to
+/// [min, max].  mu = ln(9) and TrackingConfig's sigma give a ~9 h median /
+/// ~12 h mean, matching the paper's "<1 to 154 hours; on average 12 hours".
+inline constexpr double kRefreshLognormalMu = 2.2;  // ln(9)
+inline constexpr double kRefreshMinHours = 0.5;
+inline constexpr double kRefreshMaxHours = 154.0;
+
+/// 1-sigma observation noise of the elements the paper does not measure.
+inline constexpr double kInclinationNoiseDeg = 0.002;
+inline constexpr double kAngleNoiseDeg = 0.01;  // RAAN/argp/mean anomaly
+inline constexpr double kEccentricityNoise = 5.0e-5;
+
+/// A gross tracking error's derived altitude is log-uniform over this band
+/// (Fig 10's long tail: derived altitudes up to ~40,000 km).
+inline constexpr double kGrossErrorMinAltitudeKm = 700.0;
+inline constexpr double kGrossErrorMaxAltitudeKm = 40000.0;
+
 struct TrackingConfig {
-  /// Refresh intervals are log-normal: exp(N(mu, sigma)) hours, clipped to
-  /// [min, max].  Defaults give a ~9 h median / ~12 h mean, matching the
-  /// paper's "<1 to 154 hours; on average 12 hours".
-  double refresh_lognormal_mu = 2.2;     // ln(9)
+  /// Spread of the log-normal refresh interval (see kRefreshLognormalMu).
   double refresh_lognormal_sigma = 0.8;
-  double refresh_min_hours = 0.5;
-  double refresh_max_hours = 154.0;
 
   /// 1-sigma observation noise.
   double altitude_noise_km = 0.04;
-  double inclination_noise_deg = 0.002;
-  double angle_noise_deg = 0.01;        // RAAN/argp/mean anomaly
-  double eccentricity_noise = 5.0e-5;
   double bstar_lognormal_sigma = 0.18;  // multiplicative fit noise
 
-  /// Probability that a record is a gross tracking error (Fig 10's long
-  /// tail: derived altitudes up to ~40,000 km).
+  /// Probability that a record is a gross tracking error.
   double gross_error_probability = 3.0e-4;
-  double gross_error_min_altitude_km = 700.0;
-  double gross_error_max_altitude_km = 40000.0;
 };
 
 /// Per-satellite tracking state plus the record factory.

@@ -27,7 +27,7 @@ void DstGenerator::add_storm(std::vector<double>& storm_component,
                              timeutil::HourIndex series_start) const {
   // Script peaks are observed Dst; the storm component rides on the quiet
   // mean, so drive the ODE toward (peak - quiet_mean).
-  const double target = storm.peak_dst_nt - config_.quiet_mean_nt;
+  const double target = storm.peak_dst_nt - kQuietMeanNt;
   if (target >= 0.0) {
     throw ValidationError("scripted storm peak must be below the quiet mean");
   }
@@ -67,11 +67,10 @@ DstIndex DstGenerator::generate() const {
   // ---- quiet-time AR(1) background --------------------------------------
   std::vector<double> quiet(n);
   const double innovation_sigma =
-      config_.quiet_sigma_nt * std::sqrt(1.0 - config_.quiet_ar1 * config_.quiet_ar1);
-  double state = config_.quiet_mean_nt;
+      kQuietSigmaNt * std::sqrt(1.0 - config_.quiet_ar1 * config_.quiet_ar1);
+  double state = kQuietMeanNt;
   for (std::size_t i = 0; i < n; ++i) {
-    state = config_.quiet_mean_nt +
-            config_.quiet_ar1 * (state - config_.quiet_mean_nt) +
+    state = kQuietMeanNt + config_.quiet_ar1 * (state - kQuietMeanNt) +
             rng.normal(0.0, innovation_sigma);
     quiet[i] = state;
   }
@@ -90,17 +89,16 @@ DstIndex DstGenerator::generate() const {
     // with probability proportional to the cycle modulation at its time
     // (thinning a Poisson process modulates its rate exactly).
     const timeutil::HourIndex cycle_peak_hour =
-        timeutil::hour_index_from_datetime(config_.solar_cycle_peak);
+        timeutil::hour_index_from_datetime(kSolarCyclePeak);
     auto cycle_keep = [&](timeutil::HourIndex hour, Rng& r) {
       if (!config_.solar_cycle_modulation) return true;
       const double phase_years = static_cast<double>(hour - cycle_peak_hour) /
                                  kHoursPerYear;
       // cos so the reference time is a maximum.
       const double factor =
-          1.0 + config_.solar_cycle_amplitude *
-                    std::cos(units::kTwoPi * phase_years /
-                             config_.solar_cycle_period_years);
-      const double peak_factor = 1.0 + config_.solar_cycle_amplitude;
+          1.0 + kSolarCycleAmplitude *
+                    std::cos(units::kTwoPi * phase_years / kSolarCyclePeriodYears);
+      const double peak_factor = 1.0 + kSolarCycleAmplitude;
       return r.bernoulli(std::max(factor, 0.0) / peak_factor);
     };
 
@@ -108,7 +106,7 @@ DstIndex DstGenerator::generate() const {
     // storms barely cross it) and recovery taus log-normal — together these
     // reproduce the short-median / long-tail duration shapes of Fig 2.
     const double oversample =
-        config_.solar_cycle_modulation ? 1.0 + config_.solar_cycle_amplitude : 1.0;
+        config_.solar_cycle_modulation ? 1.0 + kSolarCycleAmplitude : 1.0;
     const auto minor_count =
         storm_rng.poisson(config_.minor_storms_per_year * years * oversample);
     for (std::uint64_t k = 0; k < minor_count; ++k) {

@@ -26,31 +26,37 @@ struct ScriptedStorm {
   double recovery_tau_hours = 10.0;
 };
 
+// Quiet-time AR(1) around the climatological mean.
+inline constexpr double kQuietMeanNt = -11.0;
+inline constexpr double kQuietSigmaNt = 7.0;  ///< stationary standard deviation
+
+/// Solar-cycle modulation of the background rates (when a config turns it
+/// on):
+///   rate(t) = rate * (1 + kSolarCycleAmplitude *
+///                         cos(2*pi*(t - kSolarCyclePeak)/kSolarCyclePeriodYears))
+/// clamped at >= 0.
+inline constexpr double kSolarCyclePeriodYears = 11.0;
+inline constexpr double kSolarCycleAmplitude = 0.85;
+/// A solar-maximum reference time (cycle 23 peak ~ April 2000).
+inline constexpr timeutil::DateTime kSolarCyclePeak{2000, 4, 1, 0, 0, 0.0};
+
 struct DstGeneratorConfig {
   std::uint64_t seed = 20240504;
   timeutil::DateTime start{2020, 1, 1, 0, 0, 0.0};
   long hours = 24 * 365;
 
-  // Quiet-time AR(1) around the climatological mean.
-  double quiet_mean_nt = -11.0;
-  double quiet_sigma_nt = 7.0;   ///< stationary standard deviation
-  double quiet_ar1 = 0.97;       ///< hourly autocorrelation
+  double quiet_ar1 = 0.97;  ///< hourly autocorrelation of the quiet AR(1)
 
   // Poisson background storms (per year).
   bool include_random_storms = true;
   double minor_storms_per_year = 30.0;
   double moderate_storms_per_year = 3.8;
 
-  /// Solar-cycle modulation of the background rates:
-  ///   rate(t) = rate * (1 + amplitude * sin(2*pi*(t - peak)/period))
-  /// clamped at >= 0.  Off by default (the 2020-2024 window sits on one
-  /// rising flank); the 50-year preset turns it on so storm density follows
-  /// the ~11-year cycle (Fig 8's visual texture).
+  /// Solar-cycle modulation of the background rates.  Off by default (the
+  /// 2020-2024 window sits on one rising flank); the 50-year preset turns
+  /// it on so storm density follows the ~11-year cycle (Fig 8's visual
+  /// texture).
   bool solar_cycle_modulation = false;
-  double solar_cycle_period_years = 11.0;
-  double solar_cycle_amplitude = 0.85;
-  /// A solar-maximum reference time (cycle 23 peak ~ April 2000).
-  timeutil::DateTime solar_cycle_peak{2000, 4, 1, 0, 0, 0.0};
 
   std::vector<ScriptedStorm> scripted_storms;
 };

@@ -75,7 +75,7 @@ constexpr double kPow10[19] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,
 /// sign, digits with at most one '.', no exponent, <= 15 significant
 /// digits.  The digits fit a 64-bit integer exactly and 10^frac is an
 /// exact double, so mantissa/10^frac is a single correctly-rounded IEEE
-/// divide — bit-identical to what strtod/from_chars produce for the same
+/// divide — bit-identical to what strtod produces for the same
 /// literal.  Anything fancier (exponents, hex, overlong, malformed)
 /// returns false and takes the general path, keeping accept/reject
 /// semantics exact.
@@ -118,19 +118,8 @@ double parse_double_field(std::string_view line, int from, int to,
   if (text.empty()) return 0.0;
   double value = 0.0;
   if (parse_simple_decimal(text, value)) return value;
-  // Fast path: std::from_chars is correctly rounded, so every value it
-  // produces is bit-identical to strtod's.  It differs from strtod only in
-  // what it *accepts* (no leading '+', no hex floats, stricter range
-  // handling), so anything it does not fully consume falls through to the
-  // historical strtod path below, keeping accept/reject semantics exact.
-  std::string_view body = text;
-  if (body.front() == '+' && body.size() > 1 &&
-      (ascii_digit(body[1]) || body[1] == '.')) {
-    body.remove_prefix(1);
-  }
-  const auto [ptr, ec] =
-      std::from_chars(body.data(), body.data() + body.size(), value);
-  if (ec == std::errc{} && ptr == body.data() + body.size()) return value;
+  // Everything else (exponents, hex floats, inf/nan, malformed) is strtod's
+  // to accept or reject.
   const FieldBuffer terminated(text);
   char* end = nullptr;
   value = std::strtod(terminated.c_str(), &end);
@@ -146,7 +135,7 @@ int parse_int_field(std::string_view line, int from, int to, const char* what) {
   const std::string_view text = trim(field(line, from, to));
   if (text.empty()) return 0;
   // All-digit fast loop first (every well-formed TLE integer field lands
-  // here); anything else falls through to the historical conversion chain.
+  // here); anything else is strtol's to accept or reject.
   if (text.size() <= 9) {
     long fast = 0;
     std::size_t i = text[0] == '-' || text[0] == '+' ? 1 : 0;
@@ -160,21 +149,9 @@ int parse_int_field(std::string_view line, int from, int to, const char* what) {
       }
     }
   }
-  // Same fast-path/fallback split as parse_double_field.
-  std::string_view body = text;
-  if (body.front() == '+' && body.size() > 1 &&
-      ascii_digit(body[1])) {
-    body.remove_prefix(1);
-  }
-  long value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(body.data(), body.data() + body.size(), value);
-  if (ec == std::errc{} && ptr == body.data() + body.size()) {
-    return static_cast<int>(value);
-  }
   const FieldBuffer terminated(text);
   char* end = nullptr;
-  value = std::strtol(terminated.c_str(), &end, 10);
+  const long value = std::strtol(terminated.c_str(), &end, 10);
   if (end == terminated.c_str() || *end != '\0') {
     throw ParseError(std::string("bad TLE field '") + what + "': '" +
                          std::string(text) + "'",

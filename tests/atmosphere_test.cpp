@@ -83,11 +83,9 @@ TEST(StormDensityTest, GrowsWithIntensityAndAltitude) {
 }
 
 TEST(StormDensityTest, AltitudeScaleClamped) {
-  const StormDensityConfig config;
-  const double low = storm_enhancement_factor(10.0, -200.0, config);
-  const double expected_min =
-      1.0 + config.sensitivity_at_reference * config.min_scale *
-                (200.0 - config.quiet_offset_nt) / 100.0;
+  const double low = storm_enhancement_factor(10.0, -200.0);
+  const double expected_min = 1.0 + kSensitivityAtReference * kMinAltitudeScale *
+                                        (200.0 - kQuietOffsetNt) / 100.0;
   EXPECT_NEAR(low, expected_min, 1e-12);
 }
 

@@ -246,7 +246,7 @@ TEST(CdlintTest, DumpIndexExposesCrossFileRecords) {
       quoted(kBinary) + " --root " + quoted(kCorpusRoot) + " --dump-index");
   EXPECT_EQ(result.exit_code, 0) << "--dump-index reports no findings";
   // Spot-check one record of each cross-file species the phase-2 rules
-  // consume, exactly as serialized between scan workers and the merge.
+  // consume, as --dump-index prints it.
   EXPECT_NE(result.output.find("file\tsrc/serve/worker_spawn.cpp"),
             std::string::npos);
   EXPECT_NE(result.output.find("spawn\torphan\t"), std::string::npos);

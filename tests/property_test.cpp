@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "orbit/constants.hpp"
 #include "orbit/elements.hpp"
 #include "orbit/state.hpp"
 #include "sgp4/sgp4.hpp"

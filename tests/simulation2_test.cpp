@@ -18,6 +18,7 @@
 #include "simulation/constellation.hpp"
 #include "simulation/launch_plan.hpp"
 #include "simulation/scenario.hpp"
+#include "simulation/tracking.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/descriptive.hpp"
 #include "support/simulation_scenarios.hpp"
@@ -85,7 +86,7 @@ TEST(StationKeepingTest, HoldsDeadband) {
   auto result = ConstellationSimulator(config).run();
   for (const auto& [id, truth] : result.truth) {
     for (const auto& sample : truth) {
-      EXPECT_NEAR(sample.altitude_km, 550.0, config.deadband_km + 0.3) << id;
+      EXPECT_NEAR(sample.altitude_km, 550.0, kDeadbandKm + 0.3) << id;
     }
   }
 }
@@ -172,8 +173,8 @@ TEST(TrackingSweepTest, RefreshBoundsRespectedAcrossConfigs) {
     for (int i = 0; i < 2000; ++i) {
       const double next = tracker.next_observation_jd(jd);
       const double hours = (next - jd) * 24.0;
-      EXPECT_GE(hours, config.refresh_min_hours);
-      EXPECT_LE(hours, config.refresh_max_hours);
+      EXPECT_GE(hours, kRefreshMinHours);
+      EXPECT_LE(hours, kRefreshMaxHours);
       jd = next;
     }
   }

@@ -24,13 +24,12 @@ TEST(SatelliteTest, ModeNames) {
 TEST(SatelliteTest, BallisticByMode) {
   SatelliteState satellite;
   satellite.mode = SatelliteMode::kOperational;
-  EXPECT_DOUBLE_EQ(satellite.ballistic_m2_kg(),
-                   satellite.config.ballistic_operational);
+  EXPECT_DOUBLE_EQ(satellite.ballistic_m2_kg(), kBallisticOperational);
   satellite.mode = SatelliteMode::kOutage;
   EXPECT_DOUBLE_EQ(satellite.ballistic_m2_kg(),
                    satellite.config.ballistic_uncontrolled);
   satellite.mode = SatelliteMode::kStaging;
-  EXPECT_DOUBLE_EQ(satellite.ballistic_m2_kg(), satellite.config.ballistic_staging);
+  EXPECT_DOUBLE_EQ(satellite.ballistic_m2_kg(), kBallisticStaging);
 }
 
 TEST(SatelliteTest, J2Rates) {

@@ -174,8 +174,8 @@ TEST(GeneratorTest, QuietOnlyStatistics) {
   config.include_random_storms = false;
   const DstIndex dst = DstGenerator(config).generate();
   std::vector<double> v(dst.values().begin(), dst.values().end());
-  EXPECT_NEAR(stats::mean(v), config.quiet_mean_nt, 1.5);
-  EXPECT_NEAR(stats::stddev(v), config.quiet_sigma_nt, 1.5);
+  EXPECT_NEAR(stats::mean(v), kQuietMeanNt, 1.5);
+  EXPECT_NEAR(stats::stddev(v), kQuietSigmaNt, 1.5);
   EXPECT_GT(dst.minimum(), -60.0);  // no storms injected
 }
 

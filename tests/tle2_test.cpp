@@ -148,7 +148,7 @@ TEST(TleFieldValidation, NonFiniteFieldsRejected) {
 }
 
 TEST(TleFieldValidation, NanEpochDayIsQuarantinedAsRange) {
-  // The column parser reads "nan" through from_chars, and the epoch
+  // The column parser reads "nan" through strtod, and the epoch
   // conversion's range test lets a NaN day through; validation must stop
   // the NaN epoch before it reaches a history.
   std::string line1 = kIssLine1;
@@ -166,6 +166,38 @@ TEST(TleFieldValidation, NanEpochDayIsQuarantinedAsRange) {
   EXPECT_EQ(log.quarantined()[0].category, ErrorCategory::kRange);
   EXPECT_EQ(log.quarantined()[0].line, 1u);
   EXPECT_TRUE(catalog.history(25544).empty());
+}
+
+TEST(TleFieldValidation, NonPlainDecimalFieldsReadAsStrtodReadsThem) {
+  // The plain-decimal fast path declines exponents, hex floats and
+  // inf/nan; strtod then decides what the field holds.  (A form of more
+  // than 15 digits, the fast path's other limit, cannot fit the widest
+  // double field, the 12-column epoch day.)
+  const auto with_epoch_day = [](const std::string& day) {
+    std::string line1 = kIssLine1;
+    line1.replace(20, 12, day + std::string(12 - day.size(), ' '));
+    return restamp(line1);
+  };
+  // Each value is the exact double strtod reads from its form.
+  const std::pair<std::string, double> read_as[] = {
+      {"5.3e+01", 53.0}, {"+5.3e+01", 53.0},  {"53E0", 53.0},
+      {"0x1.ap+5", 52.0}, {"+0x1.ap+5", 52.0}, {"264.5e0", 264.5}};
+  for (const auto& [form, day] : read_as) {
+    const Tle tle = parse_tle(with_epoch_day(form), kIssLine2);
+    EXPECT_EQ(tle.epoch_jd, timeutil::tle_epoch_to_julian(8, day)) << form;
+  }
+  // An infinite day is out of the epoch's range, as a NaN one is not finite.
+  for (const std::string form : {"inf", "+inf", "-infinity", "INF"}) {
+    EXPECT_THROW(static_cast<void>(parse_tle(with_epoch_day(form), kIssLine2)),
+                 ValidationError)
+        << form;
+  }
+  // Malformed forms stay rejected as numeric parse errors.
+  for (const std::string form : {"5.3e", "0x", "+", "5..3", "53 1"}) {
+    EXPECT_THROW(static_cast<void>(parse_tle(with_epoch_day(form), kIssLine2)),
+                 ParseError)
+        << form;
+  }
 }
 
 // ---- truncated input ------------------------------------------------------

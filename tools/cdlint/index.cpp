@@ -1,7 +1,6 @@
 #include "index.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 
 #include "textscan.hpp"
@@ -633,41 +632,6 @@ void append(std::ostringstream& os, const std::string& record) {
 
 std::string num(std::size_t v) { return std::to_string(v); }
 
-bool parse_size(const std::string& field, std::size_t& out) {
-  const char* begin = field.data();
-  const char* end = begin + field.size();
-  std::size_t value = 0;
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) return false;
-  out = value;
-  return true;
-}
-
-/// Splits a record into exactly `fixed` '\t'-separated fields plus an
-/// optional free-form tail (the raw line, which may contain anything but
-/// tabs were normalized away).  Returns false when fields are missing.
-bool split_record(const std::string& line, std::size_t fixed,
-                  std::vector<std::string>& fields, std::string& tail,
-                  bool has_tail) {
-  fields.clear();
-  tail.clear();
-  std::size_t start = 0;
-  for (std::size_t k = 0; k < fixed; ++k) {
-    const std::size_t t = line.find('\t', start);
-    if (t == std::string::npos) return false;
-    fields.push_back(line.substr(start, t - start));
-    start = t + 1;
-  }
-  if (has_tail) {
-    tail = line.substr(start);
-  } else {
-    const std::size_t t = line.find('\t', start);
-    if (t != std::string::npos) return false;
-    fields.push_back(line.substr(start));
-  }
-  return true;
-}
-
 }  // namespace
 
 bool FileIndex::allowed(std::size_t line, const std::string& rule) const {
@@ -742,123 +706,6 @@ std::string FileIndex::serialize() const {
     append(os, "allow\t" + num(a.line) + "\t" + a.rule);
   }
   return os.str();
-}
-
-bool FileIndex::parse(const std::string& text, FileIndex& out,
-                      std::string& error) {
-  out = FileIndex{};
-  std::istringstream is(text);
-  std::string line;
-  std::vector<std::string> f;
-  std::string tail;
-  std::size_t n = 0;
-  ParallelSite* open_site = nullptr;
-  auto fail = [&](const std::string& why) {
-    error = "index record " + std::to_string(n) + ": " + why;
-    return false;
-  };
-  while (std::getline(is, line)) {
-    ++n;
-    if (line.empty()) continue;
-    const std::size_t t = line.find('\t');
-    const std::string kind = line.substr(0, t == std::string::npos ? 0 : t);
-    std::size_t v = 0;
-    if (kind == "file") {
-      if (!split_record(line, 1, f, tail, false)) return fail("bad file");
-      out.file = f[1];
-    } else if (kind == "mutex" || kind == "atomic" || kind == "threadvec") {
-      if (!split_record(line, 2, f, tail, false) || !parse_size(f[2], v)) {
-        return fail("bad decl");
-      }
-      if (kind == "mutex") out.mutexes.push_back({f[1], v});
-      if (kind == "atomic") out.atomics.push_back({f[1], v});
-      if (kind == "threadvec") out.thread_vectors.push_back({f[1], v});
-    } else if (kind == "spawn" || kind == "pend") {
-      if (!split_record(line, 3, f, tail, true) || !parse_size(f[2], v)) {
-        return fail("bad spawn");
-      }
-      if (kind == "spawn") out.spawns.push_back({f[1], v, tail});
-      if (kind == "pend") out.pending_spawns.push_back({f[1], v, tail});
-    } else if (kind == "join") {
-      if (!split_record(line, 2, f, tail, false) || !parse_size(f[2], v)) {
-        return fail("bad join");
-      }
-      out.joins.push_back({f[1], v});
-    } else if (kind == "movealias") {
-      if (!split_record(line, 2, f, tail, false)) return fail("bad alias");
-      out.move_aliases.push_back({f[1], f[2]});
-    } else if (kind == "rangealias") {
-      if (!split_record(line, 2, f, tail, false)) return fail("bad alias");
-      out.range_aliases.push_back({f[1], f[2]});
-    } else if (kind == "edge") {
-      if (!split_record(line, 4, f, tail, true) || !parse_size(f[3], v)) {
-        return fail("bad edge");
-      }
-      out.lock_edges.push_back({f[1], f[2], v, tail});
-    } else if (kind == "block") {
-      if (!split_record(line, 4, f, tail, true) || !parse_size(f[3], v)) {
-        return fail("bad block");
-      }
-      out.blocking_calls.push_back({f[1], f[2], v, tail});
-    } else if (kind == "counter") {
-      if (!split_record(line, 2, f, tail, true) || !parse_size(f[1], v)) {
-        return fail("bad counter");
-      }
-      out.counter_regs.push_back({v, tail});
-    } else if (kind == "fp") {
-      if (!split_record(line, 3, f, tail, true) || !parse_size(f[2], v)) {
-        return fail("bad fp");
-      }
-      out.fp_hazards.push_back({f[1], v, tail});
-    } else if (kind == "relaxed") {
-      if (!split_record(line, 2, f, tail, true) || !parse_size(f[1], v)) {
-        return fail("bad relaxed");
-      }
-      out.relaxed_sites.push_back({v, tail});
-    } else if (kind == "par") {
-      if (!split_record(line, 3, f, tail, false) || !parse_size(f[2], v)) {
-        return fail("bad par");
-      }
-      ParallelSite site;
-      site.callee = f[1];
-      site.line = v;
-      site.capture_default_ref = f[3] == "1";
-      out.parallel_sites.push_back(std::move(site));
-      open_site = &out.parallel_sites.back();
-    } else if (kind == "parcap") {
-      if (!split_record(line, 2, f, tail, false) || open_site == nullptr) {
-        return fail("bad parcap");
-      }
-      if (f[1] == "ref") {
-        open_site->ref_captures.insert(f[2]);
-      } else {
-        open_site->value_captures.insert(f[2]);
-      }
-    } else if (kind == "parlocal") {
-      if (!split_record(line, 1, f, tail, false) || open_site == nullptr) {
-        return fail("bad parlocal");
-      }
-      open_site->locals.insert(f[1]);
-    } else if (kind == "parwrite") {
-      if (!split_record(line, 4, f, tail, true) || open_site == nullptr ||
-          !parse_size(f[2], v)) {
-        return fail("bad parwrite");
-      }
-      open_site->writes.push_back({f[1], v, f[3] == "1", tail});
-    } else if (kind == "allow") {
-      if (!split_record(line, 2, f, tail, false) || !parse_size(f[1], v)) {
-        return fail("bad allow");
-      }
-      out.allows.push_back({v, f[2]});
-    } else {
-      return fail("unknown kind '" + kind + "'");
-    }
-  }
-  if (out.file.empty()) {
-    error = "index has no file record";
-    return false;
-  }
-  return true;
 }
 
 FileIndex build_index(const SourceFile& file) {

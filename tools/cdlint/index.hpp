@@ -6,19 +6,19 @@
 // mutable member but raced at a call site two files away (PR 8), and the
 // listener-fd race and torn `.tmp` writes crossed the server/service and
 // snapshot/save boundaries (PR 7).  A per-file lexical rule cannot see any
-// of those.  So phase 1 distils each SourceFile into a small, serializable
-// FileIndex — declared mutexes and atomics, lock-acquisition nestings,
-// blocking-call sites, thread spawns/joins/aliases, exec::parallel_for /
+// of those.  So phase 1 distils each SourceFile into a small FileIndex —
+// declared mutexes and atomics, lock-acquisition nestings, blocking-call
+// sites, thread spawns/joins/aliases, exec::parallel_for /
 // ordered_map call sites with their lambda capture lists and body writes,
 // obs counter registrations, relaxed-memory-order sites, floating-point
 // accumulation hazards, and the reasoned allow() directives — and phase 2
 // merges the per-file indexes (in sorted path order, so the merge is
 // deterministic at any --threads value) into a ProjectIndex before judging.
 //
-// The index is text-serializable (one record per line, tab-separated, the
-// whitespace-normalized raw source line last) both so `--dump-index` can
-// expose it for debugging/tests and so the per-file artifacts produced by
-// parallel scan workers merge through a plain, ordered concatenation.
+// The index prints as text (one record per line, tab-separated, the
+// whitespace-normalized raw source line last) so `--dump-index` can expose
+// it for debugging and tests; the scan workers hand their FileIndex objects
+// straight to the ordered merge.
 #pragma once
 
 #include <cstddef>
@@ -178,11 +178,6 @@ struct FileIndex {
 
   /// One record per line, '\t'-separated, normalized raw text last.
   [[nodiscard]] std::string serialize() const;
-
-  /// Inverse of serialize().  Returns false (with `error` set) on any
-  /// malformed record — the merge must never guess.
-  [[nodiscard]] static bool parse(const std::string& text, FileIndex& out,
-                                  std::string& error);
 };
 
 /// Extract a FileIndex from a scanned file (phase 1, runs per worker).

@@ -47,12 +47,10 @@ std::vector<std::string> collect_files(const fs::path& root,
   return files;
 }
 
-/// Everything one phase-1 worker produces for one file.  The index crosses
-/// the worker boundary in serialized form on purpose: the scan is the
-/// round-trip test the format gets on every single run.
+/// Everything one phase-1 worker produces for one file.
 struct PerFile {
   std::vector<Finding> findings;
-  std::string serialized_index;
+  FileIndex index;
   std::string error;
 };
 
@@ -71,7 +69,7 @@ ScanResult scan_tree(const ScanOptions& options) {
   // Phase 1: per-file lexing, per-file rules, index extraction.  Workers
   // write only to their own index's slot; ordered_map returns slots in
   // path order regardless of scheduling.
-  const std::vector<PerFile> per_file =
+  std::vector<PerFile> per_file =
       cosmicdance::exec::ordered_map<PerFile>(
           files.size(), options.threads, [&root, &files](std::size_t i) {
             PerFile out;
@@ -93,23 +91,17 @@ ScanResult scan_tree(const ScanOptions& options) {
               sibling_header = fs::exists(header);
             }
             out.findings = run_rules(source, sibling_header);
-            out.serialized_index = build_index(source).serialize();
+            out.index = build_index(source);
             return out;
           });
 
-  // Ordered merge: parse each worker's serialized index in path order.
-  for (const PerFile& pf : per_file) {
+  // Ordered merge: each worker's index in path order.
+  for (PerFile& pf : per_file) {
     if (!pf.error.empty()) {
       result.error = pf.error;
       return result;
     }
-    FileIndex index;
-    std::string parse_error;
-    if (!FileIndex::parse(pf.serialized_index, index, parse_error)) {
-      result.error = parse_error;
-      return result;
-    }
-    result.index.merge(std::move(index));
+    result.index.merge(std::move(pf.index));
     result.findings.insert(result.findings.end(), pf.findings.begin(),
                            pf.findings.end());
   }

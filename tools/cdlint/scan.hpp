@@ -2,8 +2,8 @@
 // by the CLI (cdlint.cpp) and the benchmark (bench/micro_cdlint.cpp).
 //
 // Phase 1 lexes every file and runs the per-file rules while distilling a
-// serialized FileIndex per translation unit; the per-file work fans out
-// over cosmicdance::exec::ordered_map (cdlint dogfoods the pool it lints).
+// FileIndex per translation unit; the per-file work fans out over
+// cosmicdance::exec::ordered_map (cdlint dogfoods the pool it lints).
 // Phase 2 merges the indexes in sorted path order and judges the
 // cross-file rules R9-R14.  Because the worklist is sorted, the merge is
 // ordered, and findings are sorted by (file, line, rule, message), the
@@ -30,7 +30,7 @@ struct ScanResult {
   std::vector<Finding> findings;  ///< sorted; baseline not yet applied
   std::size_t files_scanned = 0;
   ProjectIndex index;             ///< merged phase-1 artifact (--dump-index)
-  std::string error;              ///< non-empty on I/O or merge failure
+  std::string error;              ///< non-empty on an I/O failure
 };
 
 /// Run both phases over `options.dirs` under `options.root`.

@@ -358,8 +358,13 @@ int cmd_propagate(const io::ArgParser& args) {
                         tle::IngestOptions{&log, threads, {}, metrics});
   emit_quality_report(args, log.report());
 
+  if (catalog.empty()) {
+    throw ValidationError("propagation needs a non-empty catalog");
+  }
   core::PropagationOptions options;
-  options.default_span_days = args.number_or("days", 30.0);
+  // Every satellite propagates forward from the latest TLE epoch.
+  options.start_jd = catalog.last_epoch_jd();
+  options.end_jd = options.start_jd + args.number_or("days", 30.0);
   options.step_hours = args.number_or("step-hours", 24.0);
   options.num_threads = threads;
   options.metrics = metrics;

@@ -22,7 +22,8 @@
 #      dataset (every output file byte-identical and work counters
 #      bit-identical at --threads 1 vs 8, per DESIGN.md §9/§11, the
 #      output files, report and storms tables byte-identical to the
-#      digests committed in tests/golden/smoke_outputs.sha256, the
+#      digests committed in tests/golden/smoke_outputs.sha256 (with the
+#      simulated smoke catalog and two gen-dst presets' bytes), the
 #      figure export timed as its own analyze.export phase and the
 #      pipeline's destruction as analyze.teardown, and each
 #      satellite's track built once per run; a cached run writes the same
@@ -174,12 +175,17 @@ mkdir -p "$SMOKE"
 for out in "$SMOKE"/out1/*; do
   cmp "$out" "$SMOKE/out8/$(basename "$out")"
 done
-# Byte-identity across commits: out1's files, report's stdout and markdown
-# and the storms table at the default and a -100 nT threshold must match
-# the digests committed in tests/golden/smoke_outputs.sha256 (stdout lines
-# that name an output path are left out).  An intended output change
-# updates that file and says why in CHANGES.md.
+# Byte-identity across commits: the generators' bytes (the simulated
+# catalog above, and gen-dst's paper preset and the historical preset,
+# the one that turns the solar-cycle modulation on), out1's files,
+# report's stdout and markdown and the storms table at the default and a
+# -100 nT threshold must match the digests committed in
+# tests/golden/smoke_outputs.sha256 (stdout lines that name an output path
+# are left out).  An intended output change updates that file and says
+# why in CHANGES.md.
 DIGESTS="$PWD/tests/golden/smoke_outputs.sha256"
+"$CLI" gen-dst --preset paper --out "$SMOKE/gen_dst_paper.wdc"
+"$CLI" gen-dst --preset historical --out "$SMOKE/gen_dst_historical.wdc"
 "$CLI" report --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
        > "$SMOKE/report.raw"
 "$CLI" report --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \

@@ -129,7 +129,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
   for (auto _ : state) {
     std::optional<io::SnapshotData> snapshot;
     if (const auto file = io::open_snapshot(path, diag::ParsePolicy::kStrict)) {
-      snapshot = io::load_snapshot(*file, diag::ParsePolicy::kStrict);
+      snapshot = io::load_snapshot(*file);
     }
     benchmark::DoNotOptimize(snapshot);
   }
@@ -293,7 +293,7 @@ void run_telemetry_pass(const std::string& out_path, int threads) {
           io::classify_inputs(snapshot->state, tle_grown, threads);
       if (input.match != io::InputMatch::kExact) return;
       const std::optional<io::SnapshotData> loaded =
-          io::load_snapshot(*snapshot, config.parse_policy, nullptr, threads);
+          io::load_snapshot(*snapshot, nullptr, threads);
       records = loaded.has_value() ? loaded->catalog.record_count() : 0;
     });
     return static_cast<double>(records) / seconds;

@@ -87,8 +87,8 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
         config.metrics->counter("snapshot.rejected").add(1);
       }
     } else if (snapshot.has_value()) {
-      std::optional<io::SnapshotData> loaded = io::load_snapshot(
-          *snapshot, config.parse_policy, config.metrics, config.num_threads);
+      std::optional<io::SnapshotData> loaded =
+          io::load_snapshot(*snapshot, config.metrics, config.num_threads);
       if (loaded.has_value()) {
         match = input.match;
         data = std::move(*loaded);
@@ -160,10 +160,10 @@ CosmicDance CosmicDance::from_files(const std::string& wdc_dst_path,
     // read-only cache dir) is counted but never fails the run.
     save = std::async(
         std::launch::async,
-        [inputs, path = snapshot_path, policy = config.parse_policy,
-         metrics = config.metrics, threads = config.num_threads]() noexcept {
+        [inputs, path = snapshot_path, metrics = config.metrics,
+         threads = config.num_threads]() noexcept {
           try {
-            io::save_snapshot(path, *inputs, policy, metrics, threads);
+            io::save_snapshot(path, *inputs, metrics, threads);
           } catch (...) {
             // An allocation failure skips the cache write too.
           }

@@ -46,8 +46,14 @@ std::vector<double> make_grid(double start_jd, double end_jd,
     throw ValidationError("propagation window ends before it starts");
   }
   const double step_days = step_hours / units::kHoursPerDay;
+  // A NaN or infinite bound, or a step too fine for its window, has no
+  // epoch count to cast (and would never end the loop below).
+  const double steps = (end_jd - start_jd) / step_days;
+  if (!(steps < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw ValidationError("propagation grid has no finite epoch count");
+  }
   std::vector<double> epochs;
-  epochs.reserve(static_cast<std::size_t>((end_jd - start_jd) / step_days) + 1);
+  epochs.reserve(static_cast<std::size_t>(steps) + 1);
   // Index-scaled (not accumulated) steps so the grid is exact for any
   // length and the last epoch never overshoots the window.
   for (std::size_t i = 0;; ++i) {

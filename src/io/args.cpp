@@ -1,5 +1,6 @@
 #include "io/args.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -56,9 +57,10 @@ double ArgParser::number_or(const std::string& name, double fallback) const {
   if (!value.has_value()) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') {
-    throw ParseError("option --" + name + " expects a number, got '" + *value +
-                     "'");
+  // No option means anything by nan, inf or a value past the double range.
+  if (end == value->c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    throw ParseError("option --" + name + " expects a finite number, got '" +
+                     *value + "'");
   }
   return parsed;
 }

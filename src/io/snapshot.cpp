@@ -34,34 +34,18 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr char kMagic[8] = {'C', 'D', 'S', 'N', 'A', 'P', 'v', '1'};
 constexpr std::size_t kHeaderSize = 44;
+/// The head hash covers the header bytes before it, then the table.
+constexpr std::size_t kHeadHashAt = 36;
 
 // ---- section layout (see snapshot.hpp for the format doc) -------------------
 
-constexpr std::uint32_t kSectionState = 1;
-constexpr std::uint32_t kSectionCatalogStripe = 3;
-constexpr std::uint32_t kSectionQuality = 4;
-constexpr std::size_t kSectionEntrySize = 28;
+constexpr std::size_t kSectionEntrySize = 16;
 
 /// Records per catalog stripe (whole satellites each).  Only the catalog's
 /// contents pick the boundaries, so encode output is thread-count-
 /// invariant; the value balances per-section hash/decode parallelism
 /// against table overhead.
 constexpr std::size_t kStripeTargetRecords = 16384;
-
-/// The kind the format puts at section `i` of `count`: the state first,
-/// the quality report last, catalog stripes between.
-constexpr std::uint32_t section_kind(std::size_t i, std::size_t count) {
-  if (i == 0) return kSectionState;
-  if (i + 1 < count) return kSectionCatalogStripe;
-  return kSectionQuality;
-}
-
-struct SectionEntry {
-  std::uint32_t kind = 0;
-  std::uint64_t hash = 0;    // xxh64 of the section's bytes
-  std::uint64_t offset = 0;  // relative to the end of the section table
-  std::uint64_t length = 0;
-};
 
 /// The quality section keeps the report's TLE part: the stage
 /// TleCatalog::add_from_text reports under.
@@ -148,18 +132,6 @@ class Cursor {
 
 std::uint8_t policy_byte(diag::ParsePolicy policy) {
   return policy == diag::ParsePolicy::kTolerant ? 1 : 0;
-}
-
-void encode_state(std::string& out, const IngestState& state) {
-  put_u64(out, state.tle_len);
-  put_u64(out, state.tle_hash);
-}
-
-IngestState decode_state(Cursor& in) {
-  IngestState state;
-  state.tle_len = in.u64();
-  state.tle_hash = in.u64();
-  return state;
 }
 
 /// A catalog stripe's column blocks follow its satellite directory and
@@ -296,14 +268,13 @@ void decode_stripe(std::string_view section, const StripePlan& plan,
 }
 
 /// The report's TLE part: the "tle" stage and its quarantined records.
-/// Every run reparses the Dst, which reports its own stage.
+/// Every run reparses the Dst, which reports its own stage.  The header
+/// holds the policy, and every record here is the stage's.
 void encode_quality(std::string& out, const diag::DataQualityReport& report) {
-  put_u8(out, policy_byte(report.policy));
   const auto tle = report.stages.find(std::string(kTleStage));
-  put_u64(out, tle != report.stages.end() ? 1 : 0);
+  put_u8(out, tle != report.stages.end() ? 1 : 0);
   if (tle != report.stages.end()) {
     const diag::StageCounters& counters = tle->second;
-    put_string(out, kTleStage);
     put_u64(out, counters.accepted);
     put_u64(out, counters.repaired);
     put_u32(out, static_cast<std::uint32_t>(counters.quarantined.size()));
@@ -317,7 +288,6 @@ void encode_quality(std::string& out, const diag::DataQualityReport& report) {
                                  report.quarantined.end(), is_tle)));
   for (const diag::QuarantinedRecord& record : report.quarantined) {
     if (!is_tle(record)) continue;
-    put_string(out, record.stage);
     put_string(out, record.source);
     put_u64(out, record.line);
     put_u8(out, static_cast<std::uint8_t>(record.category));
@@ -336,13 +306,9 @@ diag::ErrorCategory decode_category(Cursor& in) {
 
 diag::DataQualityReport decode_quality(Cursor& in) {
   diag::DataQualityReport report;
-  const std::uint8_t policy = in.u8();
-  if (policy > 1) throw ParseError("snapshot carries unknown parse policy");
-  report.policy = policy == 1 ? diag::ParsePolicy::kTolerant
-                              : diag::ParsePolicy::kStrict;
-  const std::uint64_t stage_count = in.u64();
-  for (std::uint64_t i = 0; i < stage_count; ++i) {
-    std::string stage = in.str();
+  const std::uint8_t has_stage = in.u8();
+  if (has_stage > 1) throw ParseError("snapshot stage presence byte");
+  if (has_stage == 1) {
     diag::StageCounters counters;
     counters.accepted = in.u64();
     counters.repaired = in.u64();
@@ -353,12 +319,12 @@ diag::DataQualityReport decode_quality(Cursor& in) {
     for (std::size_t c = 0; c < counters.quarantined.size(); ++c) {
       counters.quarantined[c] = in.u64();
     }
-    report.stages.emplace(std::move(stage), counters);
+    report.stages.emplace(kTleStage, counters);
   }
   const std::uint64_t quarantined_count = in.u64();
   for (std::uint64_t i = 0; i < quarantined_count; ++i) {
     diag::QuarantinedRecord record;
-    record.stage = in.str();
+    record.stage = kTleStage;
     record.source = in.str();
     record.line = in.u64();
     record.category = decode_category(in);
@@ -610,8 +576,7 @@ std::string snapshot_cache_path(const std::string& cache_dir,
 }
 
 std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
-                             diag::ParsePolicy policy, obs::Metrics* metrics,
-                             int num_threads) {
+                             obs::Metrics* metrics, int num_threads) {
   // Stripe plan: whole satellites, cut when the running record count
   // reaches the target.  A pure function of the catalog — never of thread
   // count — so the encoded bytes are identical at any worker count.
@@ -630,31 +595,24 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
     }
     if (begin < sats.size()) stripes.emplace_back(begin, sats.size());
   }
-  const std::size_t section_count = 2 + stripes.size();
+  const std::size_t section_count = stripes.size() + 1;
 
-  // Each section serialises (and hashes) into its own buffer, independently.
+  // Each section serialises (and hashes) into its own buffer, independently:
+  // the catalog stripes, then the quality section.
   struct EncodedSection {
     std::string bytes;
     std::uint64_t hash = 0;
   };
   const auto encode = [&](std::size_t i) {
     EncodedSection section;
-    std::string& payload = section.bytes;
-    switch (section_kind(i, section_count)) {
-      case kSectionState:
-        encode_state(payload, data.state);
-        break;
-      case kSectionCatalogStripe: {
-        const auto [begin, end] = stripes[i - 1];
-        encode_stripe(payload, data.catalog,
-                      std::span<const int>(sats).subspan(begin, end - begin));
-        break;
-      }
-      default:
-        encode_quality(payload, data.quality);
-        break;
+    if (i < stripes.size()) {
+      const auto [begin, end] = stripes[i];
+      encode_stripe(section.bytes, data.catalog,
+                    std::span<const int>(sats).subspan(begin, end - begin));
+    } else {
+      encode_quality(section.bytes, data.quality);
     }
-    section.hash = xxh64(payload);
+    section.hash = xxh64(section.bytes);
     return section;
   };
 
@@ -677,10 +635,8 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
         [&](std::size_t k) { return encode(first + k); }, nullptr);
     std::size_t held = 0;
     for (std::size_t k = 0; k < sections.size(); ++k) {
-      put_u32(table, section_kind(first + k, section_count));
-      put_u64(table, sections[k].hash);
-      put_u64(table, offset);
       put_u64(table, sections[k].bytes.size());
+      put_u64(table, sections[k].hash);
       put_bytes(out, sections[k].bytes);
       offset += sections[k].bytes.size();
       held += sections[k].bytes.size();
@@ -691,12 +647,12 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
   std::string head;
   head.append(kMagic, sizeof(kMagic));
   put_u32(head, kSnapshotFormatVersion);
-  put_u8(head, policy_byte(policy));
+  put_u8(head, policy_byte(data.quality.policy));
   head.append(3, '\0');
+  put_u64(head, data.state.tle_len);
   put_u64(head, data.state.tle_hash);
-  put_u64(head, table.size() + offset);  // payload size
-  put_u64(head, xxh64(table));
   put_u32(head, static_cast<std::uint32_t>(section_count));
+  put_u64(head, xxh64(head + table));
   head.append(table);
   const std::uint64_t total = head.size() + offset;
   out.seekp(start);
@@ -712,161 +668,130 @@ std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
 
 namespace {
 
-/// A snapshot's header, section table and state section, checked: where
-/// both open_snapshot and the decode start.
+/// What a snapshot's head records, checked: where open_snapshot and
+/// decode_snapshot start.
 struct CheckedHead {
-  std::string_view body;  // the sections, behind the table
-  std::vector<SectionEntry> entries;
   IngestState state;
+  std::vector<SnapshotSection> sections;
 };
 
-/// Check the header (magic, version, policy, a payload that ends the
-/// file), the section table (its hash, and entries that tile the body in
-/// the kind order the format demands) and the state section (its hash,
-/// its size, and the header's copy of its TLE hash).  nullopt on any
-/// disagreement.
+/// Check the head: magic, version and policy, a table that fits the file,
+/// the head hash over the header and the table, and section lengths that
+/// fill the file exactly behind the table.  nullopt on any disagreement.
 std::optional<CheckedHead> check_head(std::string_view bytes,
                                       diag::ParsePolicy policy) {
   if (bytes.size() < kHeaderSize) return std::nullopt;
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   Cursor header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
   if (header.u32() != kSnapshotFormatVersion) return std::nullopt;
-  const std::uint8_t policy_raw = header.u8();
-  header.view(3);  // padding
-  if (policy_raw != policy_byte(policy)) return std::nullopt;
-  const std::uint64_t header_content_hash = header.u64();
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t table_hash = header.u64();
+  if (header.u8() != policy_byte(policy)) return std::nullopt;
+  header.view(3);  // zero; the head hash covers it
+  CheckedHead head;
+  head.state.tle_len = header.u64();
+  head.state.tle_hash = header.u64();
   const std::uint32_t section_count = header.u32();
-  // The payload must end the file: a short file is truncated, and bytes
-  // past the payload are nothing this format writes.
-  if (bytes.size() - kHeaderSize != payload_size) return std::nullopt;
-  const std::string_view payload = bytes.substr(kHeaderSize);
+  const std::uint64_t head_hash = header.u64();
 
-  // The table must fit the payload (a short file is a truncated section
-  // table) and carry the exact sections the format demands: state, zero or
-  // more catalog stripes, quality.
-  if (section_count < 2) return std::nullopt;
+  // At least the quality section, and a table that fits the file (a short
+  // file is a truncated table).
+  if (section_count == 0) return std::nullopt;
   const std::uint64_t table_size =
       static_cast<std::uint64_t>(section_count) * kSectionEntrySize;
-  if (table_size > payload.size()) return std::nullopt;
-  const std::string_view table = payload.substr(0, table_size);
-  if (xxh64(table) != table_hash) return std::nullopt;
-
-  CheckedHead head;
-  head.body = payload.substr(table_size);
-  head.entries.resize(section_count);
-  Cursor tc(table);
-  std::uint64_t running = 0;
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    SectionEntry& entry = head.entries[i];
-    entry.kind = tc.u32();
-    entry.hash = tc.u64();
-    entry.offset = tc.u64();
-    entry.length = tc.u64();
-    // Sections must tile the body contiguously in table order; any
-    // overlap, gap or out-of-bounds length rejects the snapshot.
-    if (entry.offset != running) return std::nullopt;
-    if (entry.length > head.body.size() - running) return std::nullopt;
-    running += entry.length;
-    if (entry.kind != section_kind(i, section_count)) return std::nullopt;
+  if (table_size > bytes.size() - kHeaderSize) return std::nullopt;
+  const std::string_view table = bytes.substr(kHeaderSize, table_size);
+  if (xxh64(std::string(bytes.substr(0, kHeadHashAt)).append(table)) != head_hash) {
+    return std::nullopt;
   }
-  if (running != head.body.size()) return std::nullopt;
 
-  const SectionEntry& state = head.entries[0];
-  if (state.length != 16) return std::nullopt;  // u64 length, u64 hash
-  const std::string_view blob = head.body.substr(state.offset, state.length);
-  if (xxh64(blob) != state.hash) return std::nullopt;
-  Cursor in(blob);
-  head.state = decode_state(in);
-  if (head.state.tle_hash != header_content_hash) return std::nullopt;
+  // Each section starts where the one before it ends; the lengths must end
+  // exactly at the end of the file.
+  head.sections.resize(section_count);
+  Cursor entries(table);
+  std::size_t at = kHeaderSize + table.size();
+  for (SnapshotSection& section : head.sections) {
+    const std::uint64_t length = entries.u64();
+    section.hash = entries.u64();
+    if (length > bytes.size() - at) return std::nullopt;
+    section.offset = at;
+    section.length = static_cast<std::size_t>(length);
+    at += section.length;
+  }
+  if (at != bytes.size()) return std::nullopt;
   return head;
 }
 
-/// Decode the catalog stripes and the quality section behind a checked
-/// head into `data`, validating and deserialising them over `num_threads`
-/// workers.  With the payload's `mapping`, each section's pages are
-/// dropped once it is decoded.  Returns false on any disagreement; throws
-/// (caught by the caller) on a satellite two catalog stripes both carry.
-bool decode_sections(const CheckedHead& head, diag::ParsePolicy policy,
-                     int num_threads, const MappedFile* mapping,
-                     SnapshotData& data) {
-  const std::vector<SectionEntry>& entries = head.entries;
-  const std::size_t section_count = entries.size();
-  // The stripes' directories, serially: they fix the catalog's layout, so
-  // the columns are laid out once and every stripe decodes straight into
-  // its satellites' rows.  Their bytes are hash-checked with the rest of
-  // the section below; every count is bounded by the section here.
-  std::vector<StripePlan> plans;
-  {
-    std::vector<int> ids;
-    std::vector<std::size_t> sizes;
-    plans.reserve(section_count - 2);
-    for (std::size_t i = 1; i + 1 < section_count; ++i) {
-      plans.push_back(plan_stripe(head.body.substr(entries[i].offset, entries[i].length),
-                                  data.catalog, ids, sizes));
-    }
-    // Throws on a satellite two stripes carry, or out of order.
-    data.catalog.lay_out(ids, sizes);
-  }
-  const std::vector<int> ids = data.catalog.satellites();
-
-  // Validate and decode the sections after the state in parallel.  Each
-  // stripe's worker writes only its own satellites' rows.  Decode failures
-  // are carried out as flags (never thrown across the pool) and any one
-  // rejects the file.
-  struct SectionResult {
-    bool ok = true;
-    std::optional<diag::DataQualityReport> quality;
-  };
-  std::vector<SectionResult> results = exec::ordered_map<SectionResult>(
-      section_count - 1, num_threads,
-      [&](std::size_t k) {
-        SectionResult result;
-        try {
-          const SectionEntry& entry = entries[k + 1];
-          const std::string_view blob = head.body.substr(entry.offset, entry.length);
-          if (xxh64(blob) != entry.hash) throw ParseError("section hash");
-          if (entry.kind == kSectionCatalogStripe) {
-            decode_stripe(blob, plans[k], ids, data.catalog);
-          } else {
-            Cursor in(blob);
-            result.quality = decode_quality(in);
-            if (!in.exhausted()) throw ParseError("section trailing bytes");
-          }
-          // Decoded: give its pages back (their bytes stay readable), so
-          // the load does not hold them resident beside the catalog.
-          if (mapping != nullptr) {
-            const auto at = static_cast<std::size_t>(blob.data() -
-                                                     mapping->view().data());
-            mapping->drop_pages(at, at + blob.size());
-          }
-        } catch (const std::exception&) {
-          result.ok = false;
-        }
-        return result;
-      },
-      nullptr);
-  for (const SectionResult& result : results) {
-    if (!result.ok) return false;
-  }
-
-  data.quality = std::move(*results.back().quality);
-  return data.quality.policy == policy;
-}
-
-std::optional<SnapshotData> decode_bytes(std::string_view bytes,
-                                         diag::ParsePolicy policy,
-                                         int num_threads,
-                                         const MappedFile* mapping) {
+/// Decode the sections a checked head lists — the catalog stripes, then the
+/// quality section — validating and deserialising them over `num_threads`
+/// workers.  With the bytes' `mapping`, each section's pages are dropped
+/// once it is decoded.  nullopt on any disagreement, a satellite two
+/// catalog stripes both carry included.
+std::optional<SnapshotData> decode_sections(
+    std::string_view bytes, const IngestState& state, diag::ParsePolicy policy,
+    std::span<const SnapshotSection> sections, int num_threads,
+    const MappedFile* mapping) {
   try {
-    const std::optional<CheckedHead> head = check_head(bytes, policy);
-    if (!head.has_value()) return std::nullopt;
     SnapshotData data;
-    data.state = head->state;
-    if (!decode_sections(*head, policy, num_threads, mapping, data)) {
-      return std::nullopt;
+    data.state = state;
+    const std::size_t stripe_count = sections.size() - 1;
+    const auto blob_of = [&](std::size_t i) {
+      return bytes.substr(sections[i].offset, sections[i].length);
+    };
+    // The stripes' directories, serially: they fix the catalog's layout, so
+    // the columns are laid out once and every stripe decodes straight into
+    // its satellites' rows.  Their bytes are hash-checked with the rest of
+    // the section below; every count is bounded by the section here.
+    std::vector<StripePlan> plans;
+    {
+      std::vector<int> ids;
+      std::vector<std::size_t> sizes;
+      plans.reserve(stripe_count);
+      for (std::size_t i = 0; i < stripe_count; ++i) {
+        plans.push_back(plan_stripe(blob_of(i), data.catalog, ids, sizes));
+      }
+      // Throws on a satellite two stripes carry, or out of order.
+      data.catalog.lay_out(ids, sizes);
     }
+    const std::vector<int> ids = data.catalog.satellites();
+
+    // Validate and decode the sections in parallel.  Each stripe's worker
+    // writes only its own satellites' rows.  Decode failures are carried
+    // out as flags (never thrown across the pool) and any one rejects the
+    // file.
+    struct SectionResult {
+      bool ok = true;
+      std::optional<diag::DataQualityReport> quality;
+    };
+    std::vector<SectionResult> results = exec::ordered_map<SectionResult>(
+        sections.size(), num_threads,
+        [&](std::size_t k) {
+          SectionResult result;
+          try {
+            const std::string_view blob = blob_of(k);
+            if (xxh64(blob) != sections[k].hash) throw ParseError("section hash");
+            if (k < stripe_count) {
+              decode_stripe(blob, plans[k], ids, data.catalog);
+            } else {
+              Cursor in(blob);
+              result.quality = decode_quality(in);
+              if (!in.exhausted()) throw ParseError("section trailing bytes");
+            }
+            // Decoded: give its pages back (their bytes stay readable), so
+            // the load does not hold them resident beside the catalog.
+            if (mapping != nullptr) {
+              mapping->drop_pages(sections[k].offset,
+                                  sections[k].offset + sections[k].length);
+            }
+          } catch (const std::exception&) {
+            result.ok = false;
+          }
+          return result;
+        },
+        nullptr);
+    for (const SectionResult& result : results) {
+      if (!result.ok) return std::nullopt;
+    }
+    data.quality = std::move(*results.back().quality);
+    data.quality.policy = policy;
     return data;
   } catch (const std::exception&) {
     // Truncated fields, invalid enum values, or datasets that fail their
@@ -880,7 +805,10 @@ std::optional<SnapshotData> decode_bytes(std::string_view bytes,
 std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
                                             diag::ParsePolicy policy,
                                             int num_threads) {
-  return decode_bytes(bytes, policy, num_threads, nullptr);
+  const std::optional<CheckedHead> head = check_head(bytes, policy);
+  if (!head.has_value()) return std::nullopt;
+  return decode_sections(bytes, head->state, policy, head->sections,
+                         num_threads, nullptr);
 }
 
 std::optional<SnapshotFile> open_snapshot(const std::string& path,
@@ -888,8 +816,9 @@ std::optional<SnapshotFile> open_snapshot(const std::string& path,
                                           obs::Metrics* metrics) {
   try {
     MappedFile mapping(path);
-    if (const std::optional<CheckedHead> head = check_head(mapping.view(), policy)) {
-      return SnapshotFile{std::move(mapping), head->state};
+    if (std::optional<CheckedHead> head = check_head(mapping.view(), policy)) {
+      return SnapshotFile{std::move(mapping), head->state, policy,
+                          std::move(head->sections)};
     }
   } catch (const std::exception&) {
     // Unreadable file (most commonly: not written yet) is a plain miss.
@@ -900,14 +829,12 @@ std::optional<SnapshotFile> open_snapshot(const std::string& path,
 }
 
 std::optional<SnapshotData> load_snapshot(const SnapshotFile& file,
-                                          diag::ParsePolicy policy,
                                           obs::Metrics* metrics,
                                           int num_threads) {
   const obs::ScopedPhase phase(metrics, "snapshot.load");
-  // The decode checks the head again, on the bytes open_snapshot checked.
-  const std::string_view bytes = file.mapping.view();
   std::optional<SnapshotData> data =
-      decode_bytes(bytes, policy, num_threads, &file.mapping);
+      decode_sections(file.mapping.view(), file.state, file.policy,
+                      file.sections, num_threads, &file.mapping);
   if (metrics != nullptr) {
     if (!data.has_value()) {
       metrics->counter("snapshot.rejected").add(1);
@@ -916,10 +843,8 @@ std::optional<SnapshotData> load_snapshot(const SnapshotFile& file,
       // bytes.
       metrics->counter("snapshot.load_records").add(data->catalog.record_count());
       // How the payload was laid out on disk — stripe sizing, not results,
-      // so a scheduling counter.  The section count is the decoded
-      // header's last field.
-      Cursor section_count(bytes.substr(kHeaderSize - 4, 4));
-      metrics->sched_counter("snapshot.load_sections").add(section_count.u32());
+      // so a scheduling counter.
+      metrics->sched_counter("snapshot.load_sections").add(file.sections.size());
     }
   }
   return data;
@@ -965,8 +890,7 @@ void replace_target(const std::filesystem::path& temp,
 }  // namespace
 
 bool save_snapshot(const std::string& path, const SnapshotData& data,
-                   diag::ParsePolicy policy, obs::Metrics* metrics,
-                   int num_threads) {
+                   obs::Metrics* metrics, int num_threads) {
   const obs::ScopedPhase phase(metrics, "snapshot.save");
   // Temp-then-swap keeps readers off half-written files; the unique temp
   // name keeps concurrent writers off *each other's* — the swap or rename
@@ -981,7 +905,7 @@ bool save_snapshot(const std::string& path, const SnapshotData& data,
     {
       std::ofstream out(temp, std::ios::binary | std::ios::trunc);
       if (!out) throw IoError("cannot open snapshot temp file");
-      bytes = write_snapshot(out, data, policy, metrics, num_threads);
+      bytes = write_snapshot(out, data, metrics, num_threads);
       // Closing flushes the last buffered bytes; a failure there must not
       // be lost in the destructor.
       out.close();

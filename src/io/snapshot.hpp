@@ -27,38 +27,24 @@
 // The file lives at `<cache_dir>/<xxh64>.cdsnap`, the XXH64 of the TLE
 // input's path.
 //
-// Layout (format v10): a fixed 44-byte header
+// Layout (format v11): a fixed 44-byte header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
-//   bytes 13-15  zero padding
-//   bytes 16-23  content hash (u64): the state's TLE hash, cross-checked
-//                against the state section on load
-//   bytes 24-31  payload size in bytes (u64); the file ends exactly there
-//   bytes 32-39  XXH64 of the section table (u64)
-//   bytes 40-43  section count (u32)
-// followed by the payload: a *section table*, then the section bytes, so a
-// loader can validate and deserialise sections independently (in parallel)
-// and size its containers up front.  The stripe plan fixes the section
-// count, and so the 44 + 28 × sections bytes of header and table, before
-// any section is encoded: the writer holds their place with zeros, appends
-// the sections behind them and fills them in once every hash and length is
-// known.
-//   table:   section count × 28-byte entries
-//              u32 kind (1 state, 3 catalog stripe, 4 quality; kind 2, the
-//                  Dst series, went with v8)
-//              u64 XXH64 of the section's bytes
-//              u64 offset (relative to the end of the table)
-//              u64 length in bytes
-//            Entries must tile the post-table payload contiguously in
-//            order (offset == sum of prior lengths) — anything else
-//            (overlap, gap, out-of-bounds) rejects the snapshot.
-//   kinds:   exactly one state section first (16 bytes: u64 TLE length,
-//            u64 TLE fingerprint), any number of catalog stripes (whole
-//            satellites each, stripe boundaries fixed at encode time so the
-//            bytes are independent of writer thread count), and one
-//            quality section last (the "tle" stage's counters and
-//            quarantined records only).
+//   bytes 13-15  zero
+//   bytes 16-23  TLE input length (u64)        IngestState::tle_len
+//   bytes 24-31  TLE input fingerprint (u64)   IngestState::tle_hash
+//   bytes 32-35  section count N (u32, >= 1)
+//   bytes 36-43  XXH64 of bytes 0-35 followed by the table
+// then the section table, N × {u64 length, u64 XXH64 of the section}, then
+// the sections back to back: N - 1 catalog stripes and the quality section
+// last.  Each section starts where the one before it ends, and the lengths
+// must fill the file exactly, so a loader checks the head once and then
+// validates and deserialises the sections independently (in parallel).
+// The stripe plan fixes N, and so the 44 + 16 × N bytes of header and
+// table, before any section is encoded: the writer holds their place with
+// zeros, appends the sections behind them and fills them in once every
+// hash and length is known.
 //   stripe:  u64 satellite count S; S × {i32 catalog number, u64 records}
 //            in ascending catalog number; u32 designator count D; D ×
 //            {u32 length, bytes}, the stripe's designators in first-use
@@ -67,7 +53,14 @@
 //            order, the designator block holding indices below D.  The
 //            blocks fill the section exactly (97 × N bytes), so the decoder
 //            lays the catalog out from the directories and copies each
-//            block straight into its satellites' rows.
+//            block straight into its satellites' rows.  Stripes hold whole
+//            satellites, cut at fixed record counts, so the bytes are
+//            independent of the writer's thread count.
+//   quality: the report's "tle" stage and its quarantined records: u8 1
+//            when the stage exists (then u64 accepted, u64 repaired, u32
+//            category count, that many u64), else 0; u64 record count; each
+//            record's source, u64 line, u8 category, message and snippet
+//            (strings as u32 length, bytes).
 // All integers little-endian (the encoder static_asserts a little-endian
 // host); doubles are stored as their IEEE-754 bit patterns so reload is
 // bit-exact.  XXH64 is the format's one hash: the fingerprint's windows and
@@ -80,6 +73,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "diag/diag.hpp"
 #include "io/file.hpp"
@@ -100,13 +94,14 @@ namespace cosmicdance::io {
 /// the section table and every section with XXH64 instead of CRC32C; v8
 /// caches the TLE parse alone: no Dst section, and a 16-byte state section;
 /// v9 stores each catalog stripe as column blocks; v10 records the TLE
-/// input's windowed fingerprint instead of its plain XXH64 (DESIGN.md §13,
-/// §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 10;
+/// input's windowed fingerprint instead of its plain XXH64; v11 stores each
+/// fact once: the ingest state in the self-hashed header, sections known by
+/// their place (DESIGN.md §13, §14, §18).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 11;
 
 /// XXH64 (seed 0) of `bytes` — the fingerprint's windows and their
-/// combination, the cache file name and the section-table and section
-/// checks all use it.
+/// combination, the cache file name and the head and section checks all
+/// use it.
 [[nodiscard]] std::uint64_t xxh64(std::string_view bytes);
 
 /// The fingerprint of zero bytes (no windows, then the length 0): the
@@ -169,9 +164,10 @@ struct InputClassification {
                                           std::string_view tle_bytes);
 
 /// The parsed inputs a pipeline holds.  A snapshot stores the TLE half:
-/// the catalog, the report's "tle" stage and records, and the recorded
-/// state.  The Dst series and the report's "wdc" stage come from the Dst
-/// parse every run makes, so a decoded snapshot carries an empty series.
+/// the catalog, the report's policy, "tle" stage and records, and the
+/// recorded state.  The Dst series and the report's "wdc" stage come from
+/// the Dst parse every run makes, so a decoded snapshot carries an empty
+/// series.
 struct SnapshotData {
   spaceweather::DstIndex dst;
   tle::TleCatalog catalog;
@@ -194,59 +190,70 @@ struct SnapshotData {
 inline constexpr std::size_t kSaveWaveSectionsPerWorker = 2;
 
 /// Serialise a snapshot (header + section table + sections) into `out`
-/// from its current position: the state, the catalog and the quality
-/// report's "tle" stage.  Sections are encoded over `num_threads` workers
-/// (0 = all hardware threads, 1 = serial) a wave at a time and appended in
-/// order; the header and table go in front of them last, so `out` must be
-/// seekable.  The bytes are identical at any thread count.  Returns the
-/// bytes written, leaving `out` after them; gauge
+/// from its current position: the state, the quality report's policy, the
+/// catalog and the report's "tle" stage.  Sections are encoded over
+/// `num_threads` workers (0 = all hardware threads, 1 = serial) a wave at a
+/// time and appended in order; the header and table go in front of them
+/// last, so `out` must be seekable.  The bytes are identical at any thread
+/// count.  Returns the bytes written, leaving `out` after them; gauge
 /// `snapshot.save_peak_buffer_bytes` gets the most encoded section bytes
 /// held at once.  Throws IoError when `out` fails.
 std::uint64_t write_snapshot(std::ostream& out, const SnapshotData& data,
-                             diag::ParsePolicy policy,
                              obs::Metrics* metrics = nullptr,
                              int num_threads = 1);
 
 /// Parse snapshot bytes.  Returns nullopt — never throws — when anything
-/// disagrees: magic, version, policy, payload size (including any byte
-/// past the payload), the section table, a section hash, or a payload that
-/// decodes inconsistently.  The format tests' seam; a run loads through
+/// disagrees: magic, version, policy, the head hash, section lengths that
+/// do not fill the bytes exactly, a section hash, or a section that decodes
+/// inconsistently.  The format tests' seam; a run loads through
 /// load_snapshot.
 [[nodiscard]] std::optional<SnapshotData> decode_snapshot(
     std::string_view bytes, diag::ParsePolicy policy, int num_threads = 1);
 
-/// A snapshot file, mapped once, and the ingest state it records: what a
-/// run classifies its input against before load_snapshot decodes the rest
-/// of the same mapping.
+/// A section of a checked snapshot: where its bytes lie in the file, and
+/// the XXH64 its table entry records for them.
+struct SnapshotSection {
+  std::size_t offset = 0;
+  std::size_t length = 0;
+  std::uint64_t hash = 0;
+};
+
+/// A snapshot file, mapped once, and what its checked head records: the
+/// ingest state a run classifies its input against, the policy, and the
+/// sections load_snapshot then decodes from the same mapping (the catalog
+/// stripes, then the quality section).
 struct SnapshotFile {
   MappedFile mapping;
   IngestState state;
+  diag::ParsePolicy policy = diag::ParsePolicy::kStrict;
+  std::vector<SnapshotSection> sections;
 };
 
-/// Map a snapshot file and check its header, section table and state
-/// section as decode_snapshot does, reading nothing else of it.  A
-/// missing/unreadable file is a cache miss (nullopt, no counter); a
-/// present-but-invalid file bumps `snapshot.rejected`.
+/// Map a snapshot file and check its head as decode_snapshot does (magic,
+/// version, `policy`, the head hash, lengths that fill the file), reading
+/// no section.  A missing/unreadable file is a cache miss (nullopt, no
+/// counter); a present-but-invalid file bumps `snapshot.rejected`.
 [[nodiscard]] std::optional<SnapshotFile> open_snapshot(
     const std::string& path, diag::ParsePolicy policy,
     obs::Metrics* metrics = nullptr);
 
-/// Decode an opened snapshot.  A file that fails decode_snapshot's checks
-/// bumps `snapshot.rejected` and returns nullopt.  Whether the snapshot
+/// Decode an opened snapshot's sections, trusting the head open_snapshot
+/// checked.  A section that fails its hash or decode bumps
+/// `snapshot.rejected` and returns nullopt.  Whether the snapshot
 /// matches the current input is the caller's decision, made before the
 /// load (SnapshotFile::state, classify_inputs); the caller bumps
 /// `snapshot.loaded` when it uses the data.  A successful load adds the
 /// materialised record count to `snapshot.load_records` (the
-/// warm-throughput numerator) and the section count to the scheduling
-/// counter `snapshot.load_sections`.  Sections are validated and
+/// warm-throughput numerator) and the checked head's section count to the
+/// scheduling counter `snapshot.load_sections`.  Sections are validated and
 /// deserialised over `num_threads` workers; results are bit-identical at
 /// any value.  Each section's pages are dropped once decoded
 /// (MappedFile::drop_pages), so the load holds the catalog it builds and
 /// the sections in flight, not the file as well.  Wall time lands in
 /// phase "snapshot.load".
 [[nodiscard]] std::optional<SnapshotData> load_snapshot(
-    const SnapshotFile& file, diag::ParsePolicy policy,
-    obs::Metrics* metrics = nullptr, int num_threads = 1);
+    const SnapshotFile& file, obs::Metrics* metrics = nullptr,
+    int num_threads = 1);
 
 /// Write a snapshot file (atomically: per-writer temp file, then swapped
 /// in, creating the cache directory if needed).  The temp name embeds the
@@ -268,7 +275,6 @@ struct SnapshotFile {
 /// phase "snapshot.save", the swap or rename and the old file's unlink in
 /// its nested phase "snapshot.replace".
 bool save_snapshot(const std::string& path, const SnapshotData& data,
-                   diag::ParsePolicy policy, obs::Metrics* metrics = nullptr,
-                   int num_threads = 1);
+                   obs::Metrics* metrics = nullptr, int num_threads = 1);
 
 }  // namespace cosmicdance::io

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
+#include "core/propagation.hpp"
 #include "core/report.hpp"
 #include "orbit/elements.hpp"
 #include "timeutil/datetime.hpp"
@@ -313,6 +315,17 @@ TEST(ReportTest, WriteToFile) {
   EXPECT_TRUE(fs::exists(path));
   EXPECT_GT(fs::file_size(path), 200u);
   fs::remove(path);
+}
+
+TEST(PropagationGridTest, UncountableGridsThrowBeforeTheyAllocate) {
+  // A NaN or infinite end, or a step too fine for its window, has no epoch
+  // count to reserve: each throws instead of casting it to std::size_t.
+  const double start = 2460000.0;
+  EXPECT_THROW((void)make_grid(start, std::nan(""), 24.0), ValidationError);
+  EXPECT_THROW((void)make_grid(start, std::numeric_limits<double>::infinity(), 24.0),
+               ValidationError);
+  EXPECT_THROW((void)make_grid(start, start + 30.0, 1e-300), ValidationError);
+  EXPECT_EQ(make_grid(start, start + 1.0, 12.0).size(), 3u);
 }
 
 }  // namespace

@@ -422,7 +422,7 @@ TEST(DeltaSnapshotTest, EveryAppendLeavesAWholeBaseTheRerunHits) {
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->state.tle_len, std::filesystem::file_size(f.tle_path));
     std::ostringstream rewritten;
-    io::write_snapshot(rewritten, *decoded, ParsePolicy::kTolerant);
+    io::write_snapshot(rewritten, *decoded);
     EXPECT_EQ(std::move(rewritten).str(), bytes);
 
     obs::Metrics rerun;

@@ -11,7 +11,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -35,6 +34,7 @@
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "stats/ecdf.hpp"
+#include "support/cdsnap_layout.hpp"
 #include "support/simulation_scenarios.hpp"
 #include "tle/catalog.hpp"
 #include "tle/omm.hpp"
@@ -47,6 +47,7 @@ using core::CosmicDance;
 using core::EnvelopeSelection;
 using core::PipelineConfig;
 using core::SatelliteTrack;
+namespace cdsnap = test_support::cdsnap;
 
 /// Bitwise double equality: NaN == NaN (same payload), +0 != -0.  The
 /// pipeline's per-satellite profiles carry NaN for uncovered days, so plain
@@ -797,8 +798,9 @@ TEST(ParallelDifferentialTleText, UnformattableRecordThrowsAtEveryThreadCount) {
 // ---- the columnar catalog ---------------------------------------------------
 //
 // The catalog keeps every record's fields in catalog-wide columns, and the
-// .cdsnap v9 stripes carry those columns as blocks that decode workers copy
-// straight into the laid-out catalog, each into its own satellites' rows.
+// .cdsnap catalog stripes (since v9) carry those columns as blocks that
+// decode workers copy straight into the laid-out catalog, each into its own
+// satellites' rows.
 
 /// A record with every field set from (satellite, k), so a field carried to
 /// the wrong row or column shows.
@@ -872,10 +874,10 @@ std::map<std::pair<int, std::size_t>, const unsigned char*> column_addresses(
   return at;
 }
 
-std::string v9_bytes(const tle::TleCatalog& catalog, int threads) {
+/// The bytes of a snapshot of `catalog`, encoded over `threads` workers.
+std::string snapshot_bytes_of(const tle::TleCatalog& catalog, int threads) {
   std::ostringstream out;
-  io::write_snapshot(out, io::SnapshotData{{}, catalog, {}, {}},
-                     diag::ParsePolicy::kStrict, nullptr, threads);
+  io::write_snapshot(out, io::SnapshotData{{}, catalog, {}, {}}, nullptr, threads);
   return std::move(out).str();
 }
 
@@ -897,13 +899,13 @@ const tle::TleCatalog& column_catalog() {
 
 TEST(ParallelDifferentialCatalogColumns, V9BytesAndDecodedCatalogAtEveryThreadCount) {
   const tle::TleCatalog& catalog = column_catalog();
-  const std::string serial = v9_bytes(catalog, 1);
+  const std::string serial = snapshot_bytes_of(catalog, 1);
   const std::optional<io::SnapshotData> reference =
       io::decode_snapshot(serial, diag::ParsePolicy::kStrict, 1);
   ASSERT_TRUE(reference.has_value());
   EXPECT_TRUE(CatalogsEqual(reference->catalog, catalog));
   for (const int threads : {2, 3, 4, 8}) {
-    EXPECT_TRUE(v9_bytes(catalog, threads) == serial) << "threads=" << threads;
+    EXPECT_TRUE(snapshot_bytes_of(catalog, threads) == serial) << "threads=" << threads;
     const std::optional<io::SnapshotData> decoded =
         io::decode_snapshot(serial, diag::ParsePolicy::kStrict, threads);
     ASSERT_TRUE(decoded.has_value()) << "threads=" << threads;
@@ -911,7 +913,7 @@ TEST(ParallelDifferentialCatalogColumns, V9BytesAndDecodedCatalogAtEveryThreadCo
     EXPECT_EQ(decoded->catalog.to_text(threads), catalog.to_text());
     // The decoded catalog encodes to the same bytes: its designator table
     // may be ordered differently, the stripes' tables are not.
-    EXPECT_TRUE(v9_bytes(decoded->catalog, threads) == serial);
+    EXPECT_TRUE(snapshot_bytes_of(decoded->catalog, threads) == serial);
   }
 }
 
@@ -943,7 +945,7 @@ TEST(ParallelDifferentialCatalogColumns, DecodePlusADailyAppendEqualsAReparseInP
   }
   tle::TleCatalog parsed;
   parsed.add_from_text(base);
-  const std::string snapshot = v9_bytes(parsed, 1);
+  const std::string snapshot = snapshot_bytes_of(parsed, 1);
   const auto append = [&](const std::string& tail, std::size_t added,
                           const std::set<int>& moving, int threads) {
     std::optional<io::SnapshotData> decoded =
@@ -984,7 +986,7 @@ TEST(ParallelDifferentialCatalogColumns, DesignatorsAndClassificationsRoundTripE
   ASSERT_TRUE(catalog.add(long_id));
 
   const std::optional<io::SnapshotData> decoded = io::decode_snapshot(
-      v9_bytes(catalog, 2), diag::ParsePolicy::kStrict, 2);
+      snapshot_bytes_of(catalog, 2), diag::ParsePolicy::kStrict, 2);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(CatalogsEqual(decoded->catalog, catalog));
   const tle::HistoryView history = decoded->catalog.history(30001);
@@ -1005,67 +1007,9 @@ TEST(ParallelDifferentialCatalogColumns, DesignatorsAndClassificationsRoundTripE
             "2020-001ABC-EXTENDED");
 }
 
-/// The v9 stripe at section 1 of `bytes`: where its designator table's
-/// size and its column blocks start, and its record count.
-struct StripeAt {
-  std::size_t begin = 0;  // section offset in the file
-  std::size_t length = 0;
-  std::size_t designators_at = 0;  // the u32 designator count
-  std::size_t columns_at = 0;
-  std::size_t records = 0;
-};
-
-template <typename T>
-T read_le(std::string_view bytes, std::size_t at) {
-  T value;
-  std::memcpy(&value, bytes.data() + at, sizeof(T));
-  return value;
-}
-
-template <typename T>
-void write_le(std::string& bytes, std::size_t at, T value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(T));
-}
-
-constexpr std::size_t kHeader = 44;
-constexpr std::size_t kEntry = 28;
-
-StripeAt first_stripe(std::string_view bytes) {
-  const auto sections = read_le<std::uint32_t>(bytes, 40);
-  const std::size_t body = kHeader + sections * kEntry;
-  StripeAt stripe;
-  stripe.begin = body + read_le<std::uint64_t>(bytes, kHeader + kEntry + 12);
-  stripe.length = read_le<std::uint64_t>(bytes, kHeader + kEntry + 20);
-  std::size_t at = stripe.begin;
-  const auto sats = read_le<std::uint64_t>(bytes, at);
-  at += 8;
-  for (std::uint64_t s = 0; s < sats; ++s) {
-    stripe.records += read_le<std::uint64_t>(bytes, at + 4);
-    at += 12;
-  }
-  stripe.designators_at = at;
-  const auto designators = read_le<std::uint32_t>(bytes, at);
-  at += 4;
-  for (std::uint32_t d = 0; d < designators; ++d) {
-    at += 4 + read_le<std::uint32_t>(bytes, at);
-  }
-  stripe.columns_at = at;
-  return stripe;
-}
-
-/// Recompute the first stripe's section hash and the table hash, so only
-/// the decoder's checks on the stripe's contents can reject the file.
-void reseal_first_stripe(std::string& bytes, const StripeAt& stripe) {
-  const auto sections = read_le<std::uint32_t>(bytes, 40);
-  write_le(bytes, kHeader + kEntry + 4,
-           io::xxh64(std::string_view(bytes).substr(stripe.begin, stripe.length)));
-  write_le(bytes, 32,
-           io::xxh64(std::string_view(bytes).substr(kHeader, sections * kEntry)));
-}
-
 TEST(ParallelDifferentialCatalogColumns, CorruptColumnBlocksReject) {
-  const std::string good = v9_bytes(column_catalog(), 1);
-  const StripeAt stripe = first_stripe(good);
+  const std::string good = snapshot_bytes_of(column_catalog(), 1);
+  const cdsnap::StripeAt stripe = cdsnap::stripe_at(good, 0);
   ASSERT_GT(stripe.records, 2u);
   ASSERT_EQ(stripe.begin + stripe.length - stripe.columns_at,
             stripe.records * tle::kColumnRecordBytes);
@@ -1074,7 +1018,7 @@ TEST(ParallelDifferentialCatalogColumns, CorruptColumnBlocksReject) {
     designator_block += stripe.records * tle::kColumnWidths[c];
   }
   const auto expect_rejected = [&](std::string bytes, const char* what) {
-    reseal_first_stripe(bytes, stripe);
+    cdsnap::reseal_section(bytes, 0);
     for (const int threads : {1, 4}) {
       EXPECT_FALSE(io::decode_snapshot(bytes, diag::ParsePolicy::kStrict, threads)
                        .has_value())
@@ -1083,33 +1027,33 @@ TEST(ParallelDifferentialCatalogColumns, CorruptColumnBlocksReject) {
   };
   {
     std::string bytes = good;
-    const auto table = read_le<std::uint32_t>(bytes, stripe.designators_at);
-    write_le<std::uint32_t>(bytes, designator_block + 4, table);
+    const auto table = cdsnap::read_le<std::uint32_t>(bytes, stripe.designators_at);
+    cdsnap::write_le<std::uint32_t>(bytes, designator_block + 4, table);
     expect_rejected(bytes, "a designator index past the stripe's table");
   }
   {
     std::string bytes = good;  // the epoch block comes first
-    const auto first = read_le<double>(bytes, stripe.columns_at + 8);
-    const auto second = read_le<double>(bytes, stripe.columns_at + 16);
-    write_le(bytes, stripe.columns_at + 8, second);
-    write_le(bytes, stripe.columns_at + 16, first);
+    const auto first = cdsnap::read_le<double>(bytes, stripe.columns_at + 8);
+    const auto second = cdsnap::read_le<double>(bytes, stripe.columns_at + 16);
+    cdsnap::write_le(bytes, stripe.columns_at + 8, second);
+    cdsnap::write_le(bytes, stripe.columns_at + 16, first);
     expect_rejected(bytes, "epochs out of order");
   }
   {
     std::string bytes = good;
-    write_le<std::uint64_t>(bytes, stripe.begin + 8 + 4,
+    cdsnap::write_le<std::uint64_t>(bytes, stripe.begin + 8 + 4,
                             stripe.length / tle::kColumnRecordBytes + 1);
     expect_rejected(bytes, "a record count past the section");
   }
   {
     std::string bytes = good;
-    write_le<std::uint64_t>(bytes, stripe.begin, stripe.length);
+    cdsnap::write_le<std::uint64_t>(bytes, stripe.begin, stripe.length);
     expect_rejected(bytes, "a satellite count past the section");
   }
   // Unchanged but resealed, the stripe still decodes: the checks above are
   // what rejected each file.
   std::string resealed = good;
-  reseal_first_stripe(resealed, stripe);
+  cdsnap::reseal_section(resealed, 0);
   EXPECT_TRUE(io::decode_snapshot(resealed, diag::ParsePolicy::kStrict, 1).has_value());
 }
 
@@ -1409,7 +1353,7 @@ TEST(ParallelDifferentialStagedParse, TailParseIntoADecodedCatalogMergesInPlace)
   tle::TleCatalog parsed;
   parsed.add_from_text(base);
   std::optional<io::SnapshotData> decoded =
-      io::decode_snapshot(v9_bytes(parsed, 1), diag::ParsePolicy::kStrict, 1);
+      io::decode_snapshot(snapshot_bytes_of(parsed, 1), diag::ParsePolicy::kStrict, 1);
   ASSERT_TRUE(decoded.has_value());
 
   const std::size_t first_line = line_count(base) + 1;

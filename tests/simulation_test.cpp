@@ -62,6 +62,13 @@ TEST(LaunchPlanTest, Validation) {
   EXPECT_THROW(starlink_like_plan(make_datetime(2020, 2, 1),
                                   make_datetime(2020, 1, 1), 10.0, 10),
                ValidationError);
+  // A NaN cadence, and one too fine to count its batches, throw before the
+  // plan reserves its batches.
+  for (const double cadence : {std::nan(""), 1e-300}) {
+    EXPECT_THROW(starlink_like_plan(make_datetime(2020, 1, 1),
+                                    make_datetime(2020, 2, 1), cadence, 10),
+                 ValidationError);
+  }
 }
 
 TEST(TrackingTest, RefreshIntervalsMatchPaperStatistics) {

@@ -36,6 +36,7 @@
 #include "obs/obs.hpp"
 #include "spaceweather/dst_index.hpp"
 #include "spaceweather/wdc.hpp"
+#include "support/cdsnap_layout.hpp"
 #include "support/make_tle.hpp"
 #include "support/resident.hpp"
 #include "support/temp_dir.hpp"
@@ -48,6 +49,7 @@ namespace {
 
 using diag::ParsePolicy;
 using test_support::make_tle;
+namespace cdsnap = test_support::cdsnap;
 using test_support::resident_bytes;
 using test_support::ScopedTempDir;
 
@@ -87,7 +89,7 @@ std::optional<io::SnapshotData> load_file(const std::string& path,
   const std::optional<io::SnapshotFile> file =
       io::open_snapshot(path, policy, metrics);
   if (!file.has_value()) return std::nullopt;
-  return io::load_snapshot(*file, policy, metrics, threads);
+  return io::load_snapshot(*file, metrics, threads);
 }
 
 struct TestInputs {
@@ -177,10 +179,9 @@ std::uint64_t reference_fingerprint(std::string_view bytes) {
 }
 
 /// A snapshot's bytes, from the writer save_snapshot streams its files with.
-std::string snapshot_bytes(const io::SnapshotData& data, ParsePolicy policy,
-                           int threads = 1) {
+std::string snapshot_bytes(const io::SnapshotData& data, int threads = 1) {
   std::ostringstream out;
-  io::write_snapshot(out, data, policy, nullptr, threads);
+  io::write_snapshot(out, data, nullptr, threads);
   return std::move(out).str();
 }
 
@@ -220,8 +221,8 @@ void expect_reject_and_fallback(const TestInputs& inputs, ParsePolicy policy,
 
 TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
   // A pipeline's parsed inputs, Dst and all: the snapshot keeps the TLE
-  // half — the catalog, the report's "tle" stage and the TLE state — and
-  // decodes with an empty Dst series.
+  // half — the catalog, the report's policy and "tle" stage, and the TLE
+  // state — and decodes with an empty Dst series.
   const std::string tle_text = tle_corpus(4);
   const std::string wdc_text = wdc_corpus();
 
@@ -236,7 +237,7 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
   ASSERT_EQ(quality.stages.size(), 2u);
   const io::SnapshotData data{dst, catalog, quality, state_of(tle_text)};
 
-  const std::string bytes = snapshot_bytes(data, ParsePolicy::kTolerant);
+  const std::string bytes = snapshot_bytes(data);
 
   const std::optional<io::SnapshotData> decoded =
       io::decode_snapshot(bytes, ParsePolicy::kTolerant);
@@ -247,12 +248,11 @@ TEST(SnapshotTest, EncodeDecodeRoundTripIsBitExact) {
   EXPECT_EQ(decoded->state.tle_hash, reference_fingerprint(tle_text));
   EXPECT_EQ(decoded->state.tle_len, tle_text.size());
 
-  // A policy mismatch rejects before any payload decoding happens, and a
-  // header content hash that disagrees with the encoded ingest state is a
-  // structural inconsistency, not a usable snapshot.
+  // A policy mismatch rejects before any section is decoded, and so does
+  // an ingest state edited in the header: the head hash covers it.
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict));
   std::string tampered = bytes;
-  tampered[16] = static_cast<char>(tampered[16] + 1);  // content hash LE byte
+  tampered[cdsnap::kTleHashAt] = static_cast<char>(tampered[cdsnap::kTleHashAt] + 1);
   EXPECT_FALSE(io::decode_snapshot(tampered, ParsePolicy::kTolerant));
 }
 
@@ -339,8 +339,8 @@ TEST(SnapshotTest, FlippedCrcHeaderByteFallsBack) {
   expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
                              [](const TestInputs& t) {
                                std::string bytes = io::read_file(t.snapshot_path());
-                               ASSERT_GT(bytes.size(), 39u);
-                               bytes[32] ^= 0x01;  // table XXH64, bytes 32-39
+                               ASSERT_GT(bytes.size(), cdsnap::kHeaderBytes);
+                               bytes[cdsnap::kHeadHashAt] ^= 0x01;  // head XXH64
                                io::write_file(t.snapshot_path(), bytes);
                              });
 }
@@ -357,31 +357,32 @@ TEST(SnapshotTest, FlippedPayloadByteFailsTheCrcAndFallsBack) {
 }
 
 TEST(SnapshotTest, FormatVersionBumpFallsBack) {
-  // Any version but the current one rejects: a newer file, a v9 file (the
-  // TLE input's plain XXH64 as its state hash), a v7 file (a Dst section
-  // and a 49-byte state section), a v6 file (checked with CRC32C in a
-  // 40-byte header and 24-byte table entries), a v5 file (its records may
-  // hold non-finite fields that validation now rejects), and a v4 file
-  // (FNV-1a input hashes).
+  // Any version but the current one rejects: a newer file, a v10 file (a
+  // 16-byte state section, and table entries with a kind and an offset), a
+  // v9 file (the TLE input's plain XXH64 as its state hash), a v7 file (a
+  // Dst section and a 49-byte state section), a v6 file (checked with
+  // CRC32C in a 40-byte header and 24-byte table entries), a v5 file (its
+  // records may hold non-finite fields that validation now rejects), and a
+  // v4 file (FNV-1a input hashes).
   for (const std::uint32_t version :
-       {io::kSnapshotFormatVersion + 1, 9u, 7u, 6u, 5u, 4u}) {
+       {io::kSnapshotFormatVersion + 1, 10u, 9u, 7u, 6u, 5u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     const TestInputs inputs =
         write_inputs("version" + std::to_string(version), tle_corpus(4));
     expect_reject_and_fallback(
         inputs, ParsePolicy::kStrict, [version](const TestInputs& t) {
           std::string bytes = io::read_file(t.snapshot_path());
-          ASSERT_GT(bytes.size(), 11u);
-          bytes[8] = static_cast<char>(version);  // version u32 LE, low byte
+          ASSERT_GT(bytes.size(), cdsnap::kHeaderBytes);
+          bytes[cdsnap::kVersionAt] = static_cast<char>(version);  // u32 LE, low byte
           io::write_file(t.snapshot_path(), bytes);
         });
   }
 }
 
 TEST(SnapshotTest, BytesAfterThePayloadFallBack) {
-  // The file ends where the header's payload size says: anything after it
-  // (40 bytes, the size of the header earlier builds appended layers
-  // behind, or a single byte) rejects instead of being skipped.
+  // The file ends where the section lengths end: anything after it (40
+  // bytes, the size of the header earlier builds appended layers behind,
+  // or a single byte) rejects instead of being skipped.
   for (const std::size_t extra : {std::size_t{40}, std::size_t{1}}) {
     SCOPED_TRACE(std::to_string(extra) + " trailing bytes");
     const TestInputs inputs =
@@ -450,7 +451,7 @@ TEST(SnapshotTest, ShrunkInputMakesTheSnapshotStale) {
 TEST(SnapshotTest, ParsePolicyMismatchFallsBack) {
   const TestInputs inputs = write_inputs("policy", tle_corpus(4));
   // Cold strict run seeds the cache; a tolerant run must not trust a
-  // strict-built snapshot (its quality report encodes the other policy) —
+  // strict-built snapshot (its header records the other policy) —
   // it rejects, reparses tolerantly and rewrites.  The driver's final warm
   // run then proves the rewritten snapshot serves tolerant hits.
   expect_reject_and_fallback(
@@ -499,7 +500,6 @@ TEST(SnapshotTest, RandomSingleBitCorruptionNeverThrows) {
   const std::optional<io::SnapshotData> baseline =
       io::decode_snapshot(valid, ParsePolicy::kStrict);
   ASSERT_TRUE(baseline.has_value());
-  const std::string baseline_text = baseline->catalog.to_text();
 
   Rng rng(20260807);
   for (int i = 0; i < 200; ++i) {
@@ -509,14 +509,13 @@ TEST(SnapshotTest, RandomSingleBitCorruptionNeverThrows) {
     bytes[pos] = static_cast<char>(
         bytes[pos] ^ static_cast<char>(1 << rng.uniform_int(0, 7)));
     std::optional<io::SnapshotData> decoded;
-    // Never an exception: any disagreement must surface as nullopt.
+    // Never an exception: any disagreement must surface as nullopt.  Every
+    // byte is under a check (the head hash covers the header and the table,
+    // each section its own hash), so no flip decodes.
     EXPECT_NO_THROW(decoded = io::decode_snapshot(bytes, ParsePolicy::kStrict))
         << "decode threw on a bit flip at byte " << pos;
-    if (decoded.has_value()) {
-      // Flips the checks cannot see (header padding) must be harmless.
-      EXPECT_EQ(decoded->catalog.to_text(), baseline_text)
-          << "accepted a corrupted snapshot, flip at byte " << pos;
-    }
+    EXPECT_FALSE(decoded.has_value())
+        << "accepted a corrupted snapshot, flip at byte " << pos;
   }
 }
 
@@ -548,12 +547,10 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
                           tle::IngestOptions{&log, 1, "catalog.tle"});
     variants.push_back(io::SnapshotData{{}, std::move(catalog), log.report(),
                                         state_of(tle_text)});
-    encoded.push_back(
-        snapshot_bytes(variants.back(), ParsePolicy::kTolerant));
+    encoded.push_back(snapshot_bytes(variants.back()));
   }
 
-  ASSERT_TRUE(
-      io::save_snapshot(path, variants[0], ParsePolicy::kTolerant));
+  ASSERT_TRUE(io::save_snapshot(path, variants[0]));
 
   std::atomic<bool> start{false};
   std::atomic<int> torn_reads{0};
@@ -563,9 +560,7 @@ TEST(SnapshotTest, ConcurrentSaversNeverTearTheSnapshot) {
       while (!start.load()) {
       }
       for (int i = 0; i < kIterations; ++i) {
-        EXPECT_TRUE(io::save_snapshot(path,
-                                      variants[static_cast<std::size_t>(w)],
-                                      ParsePolicy::kTolerant));
+        EXPECT_TRUE(io::save_snapshot(path, variants[static_cast<std::size_t>(w)]));
       }
     });
   }
@@ -625,62 +620,16 @@ void expect_same_decoded(const io::SnapshotData& a, const io::SnapshotData& b) {
   EXPECT_EQ(a.state.tle_hash, b.state.tle_hash);
 }
 
-// Header/table offsets (the format doc in snapshot.hpp).
-constexpr std::size_t kHeaderBytes = 44;
-constexpr std::size_t kTableHashOffset = 32;
-constexpr std::size_t kSectionCountOffset = 40;
-constexpr std::size_t kSectionEntryBytes = 28;
-// Within a table entry: u32 kind, u64 hash, u64 offset, u64 length.
-constexpr std::size_t kEntryOffsetField = 12;
-constexpr std::size_t kEntryLengthField = 20;
-
-std::uint32_t read_u32(std::string_view bytes, std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(bytes[offset + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t read_u64(std::string_view bytes, std::size_t offset) {
-  return std::uint64_t{read_u32(bytes, offset + 4)} << 32 |
-         read_u32(bytes, offset);
-}
-
-void write_u32(std::string& bytes, std::size_t offset, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[offset + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-void write_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes[offset + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-/// Re-seal a hand-edited section table so only the *tiling* checks can
-/// reject it: recompute the table XXH64 and patch the header field.
-void reseal_table(std::string& bytes) {
-  const std::uint32_t sections = read_u32(bytes, kSectionCountOffset);
-  const std::string_view table(bytes.data() + kHeaderBytes,
-                               sections * kSectionEntryBytes);
-  write_u64(bytes, kTableHashOffset, io::xxh64(table));
-}
-
-TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
+TEST(SnapshotSectionsTest, EncodeAndDecodeAreThreadCountInvariant) {
   // 9000 satellites x 2 element sets crosses the stripe target, so the
   // file carries multiple catalog stripes and the parallel encode/decode
   // paths genuinely run multi-section.
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
-  const std::string serial = snapshot_bytes(data, ParsePolicy::kStrict, 1);
-  ASSERT_GT(read_u32(serial, kSectionCountOffset), 3u)
+  const std::string serial = snapshot_bytes(data, 1);
+  ASSERT_GT(cdsnap::section_count(serial), 2u)
       << "corpus too small to produce multiple catalog stripes";
   for (const int threads : {4, 8}) {
-    EXPECT_EQ(snapshot_bytes(data, ParsePolicy::kStrict, threads), serial)
+    EXPECT_EQ(snapshot_bytes(data, threads), serial)
         << "encode bytes differ at " << threads << " threads";
   }
   const std::optional<io::SnapshotData> reference =
@@ -695,72 +644,96 @@ TEST(SnapshotV3Test, EncodeAndDecodeAreThreadCountInvariant) {
   }
 }
 
-TEST(SnapshotV3Test, TruncatedSectionTableRejects) {
+TEST(SnapshotSectionsTest, TruncatedSectionTableRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  // Chop the payload mid-table and restate the header's payload size so
-  // only the section-table bounds check can catch it.
-  const std::uint32_t sections = read_u32(bytes, kSectionCountOffset);
-  const std::size_t half_table =
-      (sections / 2) * kSectionEntryBytes;
-  bytes.resize(kHeaderBytes + half_table);
-  write_u64(bytes, 24, half_table);
-  EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
+  const std::string bytes = snapshot_bytes(data);
+  ASSERT_EQ(cdsnap::section_count(bytes), 2u);  // one stripe, the quality
+  // Chop the file after the first entry: the table no longer fits the
+  // file, and no payload size is left to restate.
+  std::string chopped = bytes.substr(0, cdsnap::entry_at(1));
+  EXPECT_FALSE(io::decode_snapshot(chopped, ParsePolicy::kStrict).has_value());
+  // Restate the count to the entry left and reseal the head: the table
+  // fits, but no section bytes follow it for the lengths to fill.
+  cdsnap::write_le<std::uint32_t>(chopped, cdsnap::kSectionCountAt, 1);
+  cdsnap::reseal_head(chopped);
+  EXPECT_FALSE(io::decode_snapshot(chopped, ParsePolicy::kStrict).has_value());
 }
 
-TEST(SnapshotV3Test, FlippedSectionTableByteRejects) {
+TEST(SnapshotSectionsTest, FlippedSectionTableByteRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  bytes[kHeaderBytes + kEntryOffsetField] ^= 0x01;  // first entry's offset
-  EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
+  const std::string bytes = snapshot_bytes(data);
+  // A flipped length or hash byte of the first entry fails the head hash;
+  // resealed, it fails the check behind it: lengths that fill the file,
+  // or the section's own hash.
+  for (const std::size_t field : {std::size_t{0}, cdsnap::kEntryHashField}) {
+    SCOPED_TRACE("entry field at " + std::to_string(field));
+    std::string flipped = bytes;
+    flipped[cdsnap::entry_at(0) + field] ^= 0x01;
+    EXPECT_FALSE(io::decode_snapshot(flipped, ParsePolicy::kStrict).has_value());
+    cdsnap::reseal_head(flipped);
+    EXPECT_FALSE(io::decode_snapshot(flipped, ParsePolicy::kStrict).has_value());
+  }
 }
 
-TEST(SnapshotV3Test, FlippedSectionBodyByteFailsThatSectionsCrc) {
+TEST(SnapshotSectionsTest, FlippedSectionBodyByteFailsThatSectionsCrc) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  // Last payload byte lives in the final (quality) section, well past the
-  // table — only the per-section hash can notice it.
+  std::string bytes = snapshot_bytes(data);
+  // Last byte lives in the final (quality) section, well past the table —
+  // only the per-section hash can notice it.
   bytes[bytes.size() - 1] ^= 0x40;
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
 
-TEST(SnapshotV3Test, OverlappingOrGappedSectionsReject) {
+TEST(SnapshotSectionsTest, OverlappingOrGappedSectionsReject) {
+  // Each section starts where the one before it ends, so a gap or an
+  // overlap can only show as lengths that do not fill the file: one length
+  // 8 short ends the sections before the file does, 8 long runs them past
+  // it.  The head is resealed both times, so the head hash is not what
+  // rejects them.
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  const std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  const std::size_t entry1 = kHeaderBytes + kSectionEntryBytes;
-
-  // Slide the second section's offset back onto the first (overlap) and
-  // forward past it (gap); reseal the table hash both times so the tiling
-  // check itself must reject.
-  std::string overlap = bytes;
-  write_u64(overlap, entry1 + kEntryOffsetField, 0);
-  reseal_table(overlap);
-  EXPECT_FALSE(io::decode_snapshot(overlap, ParsePolicy::kStrict).has_value());
-
-  std::string gap = bytes;
-  const std::uint64_t first_length =
-      read_u32(bytes, kHeaderBytes + kEntryLengthField);
-  write_u64(gap, entry1 + kEntryOffsetField, first_length + 8);
-  reseal_table(gap);
-  EXPECT_FALSE(io::decode_snapshot(gap, ParsePolicy::kStrict).has_value());
+  const std::string bytes = snapshot_bytes(data);
+  const std::uint64_t first_length = cdsnap::section_length(bytes, 0);
+  for (const std::uint64_t length : {first_length - 8, first_length + 8}) {
+    SCOPED_TRACE("first length " + std::to_string(length));
+    std::string edited = bytes;
+    cdsnap::write_le(edited, cdsnap::entry_at(0), length);
+    cdsnap::reseal_head(edited);
+    EXPECT_FALSE(io::decode_snapshot(edited, ParsePolicy::kStrict).has_value());
+  }
 }
 
-TEST(SnapshotV3Test, OversizedSectionCountRejects) {
+TEST(SnapshotSectionsTest, OversizedSectionCountRejects) {
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  // A section count whose table alone would exceed the payload must be
+  std::string bytes = snapshot_bytes(data);
+  // A section count whose table alone would exceed the file must be
   // rejected by the bounds check, not trusted as an allocation size.
-  write_u32(bytes, kSectionCountOffset, 0x00FFFFFFu);
+  cdsnap::write_le<std::uint32_t>(bytes, cdsnap::kSectionCountAt, 0x00FFFFFFu);
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
 
-TEST(SnapshotV3Test, StaleContentHashRejects) {
-  const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  // Header hash and the state section's embedded copy must agree — a
-  // mismatch means the header belongs to different inputs.
-  bytes[16] ^= 0x01;
-  EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
+TEST(SnapshotSectionsTest, EveryHeadAndTableByteFlipRejects) {
+  // Each byte of the header and the table is under a check: magic, version
+  // and policy are compared, the head hash covers the rest of the header
+  // and the table, and flipping the hash itself breaks the comparison.  A
+  // flip of any one of them makes the open reject with one
+  // `snapshot.rejected`, and the decode reject the same bytes.
+  const ScopedTempDir dir("cdsnap_head_flips");
+  const std::string path = dir.path() + "/snapshot.cdsnap";
+  const std::string good = snapshot_bytes(make_snapshot_data(4, ParsePolicy::kStrict));
+  io::write_file(path, good);
+  ASSERT_TRUE(io::open_snapshot(path, ParsePolicy::kStrict).has_value());
+  const std::size_t head = cdsnap::head_bytes(good);
+  ASSERT_EQ(head, cdsnap::kHeaderBytes + 2 * cdsnap::kEntryBytes);
+  for (std::size_t at = 0; at < head; ++at) {
+    SCOPED_TRACE("byte " + std::to_string(at));
+    std::string flipped = good;
+    flipped[at] = static_cast<char>(~flipped[at]);
+    io::write_file(path, flipped);
+    obs::Metrics metrics;
+    EXPECT_FALSE(io::open_snapshot(path, ParsePolicy::kStrict, &metrics).has_value());
+    EXPECT_EQ(counter(metrics, "snapshot.rejected"), 1u);
+    EXPECT_FALSE(io::decode_snapshot(flipped, ParsePolicy::kStrict).has_value());
+  }
 }
 
 TEST(SnapshotFormat, BytesArePinned) {
@@ -768,9 +741,9 @@ TEST(SnapshotFormat, BytesArePinned) {
   // kSnapshotFormatVersion (so older files reject and reparse) and this
   // digest together.
   const io::SnapshotData data = make_snapshot_data(4, ParsePolicy::kStrict);
-  const std::string bytes = snapshot_bytes(data, ParsePolicy::kStrict);
-  EXPECT_EQ(io::kSnapshotFormatVersion, 10u);
-  EXPECT_EQ(io::xxh64(bytes), 0xE8581BB9DBC7390CULL)
+  const std::string bytes = snapshot_bytes(data);
+  EXPECT_EQ(io::kSnapshotFormatVersion, 11u);
+  EXPECT_EQ(io::xxh64(bytes), 0x115526642A7F72E3ULL)
       << std::hex << io::xxh64(bytes);
 }
 
@@ -782,8 +755,7 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
   const io::SnapshotData data = make_snapshot_data(8, ParsePolicy::kStrict);
 
   obs::Metrics metrics;
-  ASSERT_TRUE(
-      io::save_snapshot(path, data, ParsePolicy::kStrict, &metrics, 2));
+  ASSERT_TRUE(io::save_snapshot(path, data, &metrics, 2));
   EXPECT_EQ(counter(metrics, "snapshot.written"), 1u);
   EXPECT_EQ(counter(metrics, "snapshot.save_bytes"),
             std::filesystem::file_size(path));
@@ -796,8 +768,8 @@ TEST(SnapshotCounters, SaveBytesAndLoadRecordsArePinned) {
   const obs::MetricsReport report = metrics.snapshot();
   const auto sections = report.scheduling.find("snapshot.load_sections");
   ASSERT_NE(sections, report.scheduling.end());
-  // Small corpus = one catalog stripe: state + stripe + quality.
-  EXPECT_EQ(sections->second, 3u);
+  // Small corpus = one catalog stripe, then the quality section.
+  EXPECT_EQ(sections->second, 2u);
 }
 
 // ---- the streaming writer ---------------------------------------------------
@@ -822,10 +794,9 @@ io::SnapshotData stripe_per_satellite_data(int satellites) {
 
 /// The section lengths a snapshot's table records, in table order.
 std::vector<std::uint64_t> section_lengths(std::string_view bytes) {
-  std::vector<std::uint64_t> lengths(read_u32(bytes, kSectionCountOffset));
+  std::vector<std::uint64_t> lengths(cdsnap::section_count(bytes));
   for (std::size_t i = 0; i < lengths.size(); ++i) {
-    lengths[i] = read_u64(
-        bytes, kHeaderBytes + i * kSectionEntryBytes + kEntryLengthField);
+    lengths[i] = cdsnap::section_length(bytes, i);
   }
   return lengths;
 }
@@ -838,7 +809,7 @@ double gauge(const obs::Metrics& metrics, const std::string& name) {
 }
 
 TEST(SnapshotSave, HoldsOneWaveOfSectionsAtATime) {
-  // 40 satellites, so 42 sections: several waves at 1, 2 and 8 threads.
+  // 40 satellites, so 41 sections: several waves at 1, 2 and 8 threads.
   // Each save holds at most one wave of encoded sections, well under the
   // file, and writes the bytes a save that fits every section in one wave
   // writes.
@@ -848,11 +819,10 @@ TEST(SnapshotSave, HoldsOneWaveOfSectionsAtATime) {
   obs::Metrics whole_metrics;
   const std::string whole_path = dir.path() + "/one_wave.cdsnap";
   // At 42 threads one wave (84 sections) holds the whole file.
-  ASSERT_TRUE(io::save_snapshot(whole_path, data, ParsePolicy::kStrict,
-                                &whole_metrics, 42));
+  ASSERT_TRUE(io::save_snapshot(whole_path, data, &whole_metrics, 42));
   const io::MappedFile whole(whole_path);
   const std::vector<std::uint64_t> lengths = section_lengths(whole.view());
-  ASSERT_EQ(lengths.size(), 42u);
+  ASSERT_EQ(lengths.size(), 41u);
   std::uint64_t section_bytes = 0;
   for (const std::uint64_t length : lengths) section_bytes += length;
   EXPECT_EQ(gauge(whole_metrics, "snapshot.save_peak_buffer_bytes"),
@@ -874,8 +844,7 @@ TEST(SnapshotSave, HoldsOneWaveOfSectionsAtATime) {
 
     obs::Metrics metrics;
     const std::string path = dir.path() + "/waves.cdsnap";
-    ASSERT_TRUE(
-        io::save_snapshot(path, data, ParsePolicy::kStrict, &metrics, threads));
+    ASSERT_TRUE(io::save_snapshot(path, data, &metrics, threads));
     const double peak = gauge(metrics, "snapshot.save_peak_buffer_bytes");
     EXPECT_EQ(peak, static_cast<double>(largest_wave));
     EXPECT_LT(peak, static_cast<double>(whole.size()) / 2);
@@ -895,8 +864,7 @@ TEST(SnapshotSave, FailedRenameLeavesNoTempFileAndTheTargetUntouched) {
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
 
   obs::Metrics metrics;
-  EXPECT_FALSE(
-      io::save_snapshot(target, data, ParsePolicy::kStrict, &metrics, 2));
+  EXPECT_FALSE(io::save_snapshot(target, data, &metrics, 2));
   EXPECT_EQ(counter(metrics, "snapshot.write_failed"), 1u);
   EXPECT_EQ(counter(metrics, "snapshot.written"), 0u);
   for (const auto& entry :
@@ -936,8 +904,7 @@ TEST(SnapshotSave, AFirstSaveAndASaveOverTheBaseLeaveOnlyTheTarget) {
   ASSERT_NE(first.state.tle_hash, second.state.tle_hash);
   for (const io::SnapshotData* data : {&first, &second, &first}) {
     obs::Metrics metrics;
-    ASSERT_TRUE(
-        io::save_snapshot(target, *data, ParsePolicy::kStrict, &metrics, 2));
+    ASSERT_TRUE(io::save_snapshot(target, *data, &metrics, 2));
     EXPECT_EQ(counter(metrics, "snapshot.written"), 1u);
     EXPECT_EQ(counter(metrics, "snapshot.write_failed"), 0u);
     const obs::MetricsReport report = metrics.snapshot();
@@ -947,7 +914,7 @@ TEST(SnapshotSave, AFirstSaveAndASaveOverTheBaseLeaveOnlyTheTarget) {
               report.phases.at("snapshot.save").total_ms);
     EXPECT_EQ(names_in(dir.path() + "/cache"),
               std::vector<std::string>{"snapshot.cdsnap"});
-    EXPECT_EQ(io::read_file(target), snapshot_bytes(*data, ParsePolicy::kStrict));
+    EXPECT_EQ(io::read_file(target), snapshot_bytes(*data));
     const std::optional<io::SnapshotData> loaded =
         load_file(target, ParsePolicy::kStrict);
     ASSERT_TRUE(loaded.has_value());
@@ -957,22 +924,19 @@ TEST(SnapshotSave, AFirstSaveAndASaveOverTheBaseLeaveOnlyTheTarget) {
 
 TEST(SnapshotLoad, TheStateReadChecksTheHeadAndTheLoadTheRest) {
   // from_files opens a snapshot and reads its recorded state, fingerprints
-  // its input, and only then decodes the rest of the same mapping, even
-  // when the file at the path has been replaced since.  The open checks
-  // the header, the table and the state section: a bad state section
-  // gives no state and one rejection.  A bad later section passes the
-  // open, and the load after it rejects the file: one rejection in all.
+  // its input, and only then decodes the sections of the same mapping,
+  // even when the file at the path has been replaced since.  The open
+  // checks the head, which holds the state: a bad state byte gives no
+  // state and one rejection.  A bad section passes the open, and the load
+  // after it rejects the file: one rejection in all.
   const ScopedTempDir dir("cdsnap_state_read");
   const std::string path = dir.path() + "/snapshot.cdsnap";
   // Several catalog stripes, so the load decodes over the pool.
   const io::SnapshotData data = make_snapshot_data(9000, ParsePolicy::kStrict);
-  ASSERT_TRUE(io::save_snapshot(path, data, ParsePolicy::kStrict));
+  ASSERT_TRUE(io::save_snapshot(path, data));
   const std::string good = io::read_file(path);
-  // The state section is the first body after the table.
-  const std::size_t state_offset =
-      kHeaderBytes + read_u32(good, kSectionCountOffset) * kSectionEntryBytes;
   std::string bad_state = good;
-  bad_state[state_offset] ^= 0x01;
+  bad_state[cdsnap::kTleHashAt] ^= 0x01;
   std::string bad_quality = good;
   bad_quality.back() ^= 0x40;  // inside the last (quality) section
 
@@ -987,10 +951,9 @@ TEST(SnapshotLoad, TheStateReadChecksTheHeadAndTheLoadTheRest) {
     // Another writer's snapshot saved over the path after the open is not
     // what the load decodes: the mapping holds the file whose state was
     // read.
-    ASSERT_TRUE(io::save_snapshot(path, make_snapshot_data(3, ParsePolicy::kStrict),
-                                  ParsePolicy::kStrict));
+    ASSERT_TRUE(io::save_snapshot(path, make_snapshot_data(3, ParsePolicy::kStrict)));
     const std::optional<io::SnapshotData> loaded =
-        io::load_snapshot(*good_file, ParsePolicy::kStrict, &good_run, threads);
+        io::load_snapshot(*good_file, &good_run, threads);
     ASSERT_TRUE(loaded.has_value());
     expect_same_decoded(*loaded, data);
     EXPECT_EQ(counter(good_run, "snapshot.rejected"), 0u);
@@ -1008,8 +971,7 @@ TEST(SnapshotLoad, TheStateReadChecksTheHeadAndTheLoadTheRest) {
     ASSERT_TRUE(kept.has_value());
     EXPECT_EQ(kept->state, data.state);
     EXPECT_EQ(counter(bad_quality_run, "snapshot.rejected"), 0u);
-    EXPECT_FALSE(io::load_snapshot(*kept, ParsePolicy::kStrict, &bad_quality_run, threads)
-                     .has_value());
+    EXPECT_FALSE(io::load_snapshot(*kept, &bad_quality_run, threads).has_value());
     EXPECT_EQ(counter(bad_quality_run, "snapshot.rejected"), 1u);
   }
 
@@ -1308,7 +1270,7 @@ TEST(SnapshotLoad, MappedDecodeDropsEachSectionItDecoded) {
   const ScopedTempDir dir("cdsnap_mapped_decode");
   const std::string path = dir.path() + "/snapshot.cdsnap";
   const io::SnapshotData data = stripe_per_satellite_data(12);  // 20 MiB
-  ASSERT_TRUE(io::save_snapshot(path, data, ParsePolicy::kStrict));
+  ASSERT_TRUE(io::save_snapshot(path, data));
 
   const io::MappedFile held(path);
   if (!held.is_mapped()) GTEST_SKIP() << "no mmap on this platform";
@@ -1325,7 +1287,7 @@ TEST(SnapshotLoad, MappedDecodeDropsEachSectionItDecoded) {
         io::open_snapshot(path, ParsePolicy::kStrict);
     ASSERT_TRUE(file.has_value());
     const std::optional<io::SnapshotData> decoded =
-        io::load_snapshot(*file, ParsePolicy::kStrict, nullptr, threads);
+        io::load_snapshot(*file, nullptr, threads);
     ASSERT_TRUE(decoded.has_value());
     expect_same_decoded(*decoded, *viewed);
     const long resident = resident_bytes(file->mapping.view().data());

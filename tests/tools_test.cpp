@@ -71,6 +71,12 @@ TEST(ArgsTest, NumberErrors) {
   const ArgParser args({"cmd", "--threshold", "abc"});
   EXPECT_THROW((void)args.number_or("threshold", 0.0), ParseError);
   EXPECT_THROW((void)args.integer_or("threshold", 0), ParseError);
+  // strtod reads these, but no option means anything by them.
+  for (const char* value : {"nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(value);
+    const ArgParser non_finite({"cmd", "--days", value});
+    EXPECT_THROW((void)non_finite.number_or("days", 30.0), ParseError);
+  }
 }
 
 TEST(ArgsTest, NonnegativeIntegerAcceptsZeroAndPositive) {
@@ -606,6 +612,35 @@ TEST(CliConvertTest, NonFiniteOmmFieldFailsStrictAndIsQuarantinedTolerant) {
     const std::string text = io::read_file(dir + "/out.tle");
     EXPECT_EQ(text.size(), tle::kTleRecordBytes);
     EXPECT_EQ(text.substr(2, 5), "45001");
+  }
+}
+
+// ---- non-finite numbers at the process boundary ----------------------------
+//
+// `propagate --days nan` reached the grid's size_t cast of a NaN epoch
+// count, and `simulate --cadence nan` the launch plan's: each threw
+// std::length_error past main's handler and aborted (exit 134); an infinite
+// or huge value asked for the whole address space instead.  Options now
+// reject non-finite numbers and main reports any exception as `error:`.
+// Each run is bounded by `timeout` and an address-space cap, so a
+// regression fails here instead of exhausting the host.
+
+TEST(CliBadNumberTest, NanDaysAndCadenceExitWithAnErrorLine) {
+  const ScopedTempDir temp("cd_cli_bad_number");
+  const std::string& dir = temp.path();
+  io::write_file(dir + "/catalog.tle", tle_days(0, 1));
+  const std::string dst = std::string(COSMICDANCE_REPO_ROOT) + "/data/sample/dst.wdc";
+  for (const std::string& args :
+       {"propagate --tles '" + dir + "/catalog.tle' --threads 1 --days nan",
+        "simulate --dst '" + dst + "' --scenario paper --cadence nan --out '" +
+            dir + "/out.tle'"}) {
+    SCOPED_TRACE(args);
+    const CommandResult result =
+        run_command("sh -c \"ulimit -v 1000000; exec timeout 60 '" +
+                    std::string(COSMICDANCE_CLI_BINARY) + "' " + args + "\"");
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find("error: option --"), std::string::npos)
+        << result.output;
   }
 }
 

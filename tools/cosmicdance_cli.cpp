@@ -9,6 +9,7 @@
 //   cosmicdance analyze   --dst dst.wdc --tles catalog.tle --out-dir DIR
 //   cosmicdance propagate --tles catalog.tle [--days N --step-hours H --top N]
 //   cosmicdance report    --dst dst.wdc --tles catalog.tle
+#include <exception>
 #include <filesystem>
 #include <iostream>
 
@@ -481,7 +482,7 @@ int main(int argc, char** argv) {
     if (command == "propagate") return cmd_propagate(args);
     if (command == "report") return cmd_report(args);
     return usage();
-  } catch (const Error& error) {
+  } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
   }

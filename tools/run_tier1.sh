@@ -27,8 +27,8 @@
 #      figure export timed as its own analyze.export phase and the
 #      pipeline's destruction as analyze.teardown, and each
 #      satellite's track built once per run; a cached run writes the same
-#      .cdsnap at --threads 1 and 8, and an exact hit on it the same
-#      files) plus the
+#      .cdsnap at --threads 1 and 8, whose bytes are pinned by digest too,
+#      and an exact hit on it the same files) plus the
 #      micro_pipeline, micro_ingest and
 #      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
 #      build/BENCH_ingest.json and build/BENCH_sgp4.json behind as CI
@@ -103,10 +103,10 @@ cmake --build build-tsan -j "$JOBS" \
 # recorded prefix's last partial window) over the pool at 1-8 threads.
 # CleanTrackDigest builds and cleans every track at 1-8 threads.
 # ParallelDifferentialCatalogColumns has pool workers write disjoint row
-# ranges of one catalog's columns: the v9 decode, and the text parse's
-# merge into spare rows, into the free rows behind the laid-out ones
-# (a launch-day tail, read from the moved satellites' old rows at once)
-# and into a new layout, at 1-8 threads.  ParallelDifferentialStagedParse has
+# ranges of one catalog's columns: the snapshot decode, and the text
+# parse's merge into spare rows, into the free rows behind the laid-out
+# ones (a launch-day tail, read from the moved satellites' old rows at
+# once) and into a new layout, at 1-8 threads.  ParallelDifferentialStagedParse has
 # them parse shards into their rows of one staging block, at 1-8 shards
 # and 1, 4 and 8 threads, before the stitch writes a record that straddles
 # a shard edge into another shard's rows.  ParallelDifferentialFig10Samples
@@ -116,7 +116,7 @@ cmake --build build-tsan -j "$JOBS" \
 # (stats_test) rides along: the selection the track build runs on every
 # worker.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|DeltaSnapshot|PercentileSelection'
+      -R 'ParallelDifferential|CleanTrackDigest|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot|PercentileSelection'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
@@ -140,8 +140,8 @@ cmake --build build-asan -j "$JOBS" \
 # histogram and gather indexing over ties, infinities, signed zeros, NaN
 # and samples of one value; the ParallelDifferentialTleText suite in the
 # same binary matches 'Tle' and rides along.  ParallelDifferentialCatalogColumns
-# feeds the v9 decoder column blocks with a designator index past its table,
-# epochs out of order and counts past the section, and copies column rows
+# feeds the snapshot decoder column blocks with a designator index past its
+# table, epochs out of order and counts past the section, and copies column rows
 # from satellites' old ranges into the free rows or a new layout, and up
 # within one range when an out-of-order record is merged in place.
 # ParallelDifferentialStagedParse indexes the
@@ -153,7 +153,7 @@ cmake --build build-asan -j "$JOBS" \
 # PercentileSelection the selection's rank arithmetic over ties,
 # infinities and one or two elements.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|ParallelDifferentialFig10Samples|StormScan|PercentileSelection'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|ServeWire|ServeJson|ParallelDifferentialEcdfPoints|ParallelDifferentialCatalogColumns|ParallelDifferentialStagedParse|ParallelDifferentialFig10Samples|StormScan|PercentileSelection'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance
@@ -178,11 +178,12 @@ done
 # Byte-identity across commits: the generators' bytes (the simulated
 # catalog above, and gen-dst's paper preset and the historical preset,
 # the one that turns the solar-cycle modulation on), out1's files,
-# report's stdout and markdown and the storms table at the default and a
-# -100 nT threshold must match the digests committed in
-# tests/golden/smoke_outputs.sha256 (stdout lines that name an output path
-# are left out).  An intended output change updates that file and says
-# why in CHANGES.md.
+# report's stdout and markdown, the storms table at the default and a
+# -100 nT threshold, and the .cdsnap the cached runs below write must
+# match the digests committed in tests/golden/smoke_outputs.sha256 (stdout
+# lines that name an output path are left out).  An intended output
+# change updates that file and says why in CHANGES.md; a format change
+# updates the .cdsnap's digest together with its version.
 DIGESTS="$PWD/tests/golden/smoke_outputs.sha256"
 "$CLI" gen-dst --preset paper --out "$SMOKE/gen_dst_paper.wdc"
 "$CLI" gen-dst --preset historical --out "$SMOKE/gen_dst_historical.wdc"
@@ -197,22 +198,24 @@ for name in report storms storms_threshold; do
   awk -v path="$SMOKE" 'index($0, path) == 0' "$SMOKE/$name.raw" \
       > "$SMOKE/$name.stdout"
 done
-[ "$(cd "$SMOKE/out1" && find . -type f | sed 's#^\./#out1/#' | LC_ALL=C sort)" = \
-  "$(awk '$2 ~ /^out1\// {print $2}' "$DIGESTS" | LC_ALL=C sort)" ]
-if ! (cd "$SMOKE" && sha256sum --check --quiet "$DIGESTS"); then
-  echo "smoke outputs differ from tests/golden/smoke_outputs.sha256" >&2
-  exit 1
-fi
 # The snapshot writer streams its sections a wave at a time, and a wave's
 # size follows the worker count; the file's bytes must not.  A cold cached
-# run at --threads 1 and at 8 writes the same .cdsnap, and an exact hit on
-# it writes out1's files.
+# run at --threads 1 and at 8 writes the same .cdsnap, checked with the
+# digests under a fixed name (its own hashes the input path), and an exact
+# hit on it writes out1's files.
 for threads in 1 8; do
   "$CLI" analyze --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
          --out-dir "$SMOKE/cached$threads" --threads "$threads" \
          --cache-dir "$SMOKE/cache$threads"
 done
 cmp "$SMOKE"/cache1/*.cdsnap "$SMOKE"/cache8/*.cdsnap
+cp "$SMOKE"/cache1/*.cdsnap "$SMOKE/cached.cdsnap"
+[ "$(cd "$SMOKE/out1" && find . -type f | sed 's#^\./#out1/#' | LC_ALL=C sort)" = \
+  "$(awk '$2 ~ /^out1\// {print $2}' "$DIGESTS" | LC_ALL=C sort)" ]
+if ! (cd "$SMOKE" && sha256sum --check --quiet "$DIGESTS"); then
+  echo "smoke outputs differ from tests/golden/smoke_outputs.sha256" >&2
+  exit 1
+fi
 "$CLI" analyze --dst data/sample/dst.wdc --tles "$SMOKE/catalog.tle" \
        --out-dir "$SMOKE/hit8" --threads 8 --cache-dir "$SMOKE/cache8" \
        --metrics "$SMOKE/metrics_hit.json"
